@@ -8,32 +8,25 @@ the hot-loop rework — precompiled per-problem delta evaluators, cached
 kernel move tables and array-backed timeline accounting — against the
 recorded pre-change numbers, and reports lockstep iterations per second.
 
-Three further sections cover the rounds of host-side engineering since:
+Two further sections cover the rounds of host-side engineering since:
 
 * The incremental section measures the gain-cache engine
   (:mod:`repro.problems.incremental`, the default) against the full
-  per-iteration ``(S, M)`` recompute (``REPRO_INCREMENTAL=0``) — live, and
+  per-iteration ``(S, M)`` recompute (``REPRO_EVAL_PATH=fast``) — live, and
   against the recorded recompute walls of the previous round.
-* ``--workers`` runs the same protocol with the lockstep batch sharded
-  across host worker processes (``REPRO_HOST_WORKERS``; see
-  :mod:`repro.parallel`) and records the scaling matrix.  Single-core
-  containers cannot measure real scaling, so the JSON also carries the
-  recorded reference-machine worker walls the speedup claims are made
-  against.
 * The fast-scorer section times the UBQP / MaxSAT / NK precompiled delta
   evaluators against their chunked reference paths (single core, live).
 
 The speedup is pure host-side engineering: every run stays bit-identical to
 the slow path (same seeds -> same trajectories, byte counters and simulated
 makespans), which ``tests/localsearch/test_fastpath_identity.py`` and
-``tests/localsearch/test_host_parallel.py`` enforce.
+``tests/localsearch/test_incremental.py`` enforce.
 
 Run as a script (``python benchmarks/bench_simspeed.py [--smoke]``) or via
 ``pytest benchmarks/bench_simspeed.py --benchmark-only``.  Both entry points
 write ``benchmarks/BENCH_simspeed.json``.  With ``--smoke`` the script also
 acts as a CI regression guard: it exits non-zero when the smoke wall clock
-regresses more than 2x over the recorded smoke baseline (worker runs have
-their own baseline — they pay fork/IPC overhead on small batches).
+regresses more than 2x over the recorded smoke baseline.
 """
 
 import argparse
@@ -48,7 +41,6 @@ import pytest
 
 from repro.harness import run_ppp_experiment
 from repro.localsearch import TRANSFER_MODES
-from repro.parallel import HOST_WORKERS_ENV, shutdown_host_pool
 from repro.problems import MaxSat, NKLandscape, UBQP
 
 #: Paper-protocol configuration (matches bench_pipeline).
@@ -75,7 +67,7 @@ PRE_CHANGE_WALL_S = {
 }
 
 #: Full-protocol walls of the per-iteration recompute (the previous round's
-#: default, now reachable via ``REPRO_INCREMENTAL=0``), recorded on the
+#: default, now reachable via ``REPRO_EVAL_PATH=fast``), recorded on the
 #: reference machine.  The incremental gain-cache engine is measured against
 #: these and against a live recompute run.
 RECORDED_RECOMPUTE_WALL_S = {
@@ -99,18 +91,6 @@ PROFILE_HOTLOOP_RECORDED = {
     "incremental": {"wall_s": 0.322, "eval_wall_s": 0.237, "eval_fraction": 0.73},
 }
 
-#: Full-protocol wall clocks per host worker count, recorded on the
-#: multicore reference machine (the CI container may expose a single core,
-#: where forked workers only add overhead — live numbers are still written
-#: next to these for comparison).  Same convention as PRE_CHANGE_WALL_S:
-#: recorded once, kept in the JSON so the scaling claim is explicit.
-REFERENCE_WORKER_WALL_S = {
-    "full": {1: 0.86, 2: 0.53, 4: 0.35},
-    "delta": {1: 0.81, 2: 0.50, 4: 0.33},
-    "reduced": {1: 0.78, 2: 0.49, 4: 0.32},
-    "persistent": {1: 0.79, 2: 0.49, 4: 0.33},
-}
-
 #: Recorded post-change smoke wall clocks (reference machine).  The CI guard
 #: fails when a smoke run takes more than ``GUARD_FACTOR`` times this.
 SMOKE_BASELINE_WALL_S = {
@@ -119,9 +99,6 @@ SMOKE_BASELINE_WALL_S = {
     "reduced": 0.15,
     "persistent": 0.15,
 }
-#: Sharded smoke runs additionally pay pool fork + per-iteration IPC on a
-#: batch far below the protocol size, so they guard against a looser budget.
-SMOKE_WORKER_BASELINE_WALL_S = 0.45
 GUARD_FACTOR = 2.0
 
 #: Fast-scorer micro-benchmark shapes: full 2-Hamming pair tables over n
@@ -139,24 +116,18 @@ def run_mode(
     mode: str,
     trials: int,
     max_iterations: int,
-    workers: int = 1,
     incremental: bool = True,
 ) -> dict:
     """One batched GPU experiment under ``mode``; wall-clock accounting only.
 
-    ``workers > 1`` shards the lockstep batch across that many host worker
-    processes via the uncapped ``REPRO_HOST_WORKERS`` override (trajectories
-    and simulated accounting stay bit-identical; only the wall clock moves).
     ``incremental=False`` disables the gain-cache engine for the run
-    (``REPRO_INCREMENTAL=0``) to measure the full per-iteration recompute —
-    the same bit-identity guarantee applies.
+    (``REPRO_EVAL_PATH=fast``) to measure the full per-iteration recompute —
+    trajectories and simulated accounting stay bit-identical; only the wall
+    clock moves.
     """
-    saved = os.environ.get(HOST_WORKERS_ENV)
-    saved_incremental = os.environ.get("REPRO_INCREMENTAL")
-    if workers > 1:
-        os.environ[HOST_WORKERS_ENV] = str(workers)
+    saved = os.environ.get("REPRO_EVAL_PATH")
     if not incremental:
-        os.environ["REPRO_INCREMENTAL"] = "0"
+        os.environ["REPRO_EVAL_PATH"] = "fast"
     try:
         start = time.perf_counter()
         row = run_ppp_experiment(
@@ -170,16 +141,11 @@ def run_mode(
         )
         wall_s = time.perf_counter() - start
     finally:
-        if workers > 1:
-            if saved is None:
-                os.environ.pop(HOST_WORKERS_ENV, None)
-            else:
-                os.environ[HOST_WORKERS_ENV] = saved
         if not incremental:
-            if saved_incremental is None:
-                os.environ.pop("REPRO_INCREMENTAL", None)
+            if saved is None:
+                os.environ.pop("REPRO_EVAL_PATH", None)
             else:
-                os.environ["REPRO_INCREMENTAL"] = saved_incremental
+                os.environ["REPRO_EVAL_PATH"] = saved
     lockstep_iterations = max(int(round(row.mean_iterations)), 1) + 1  # + initial block
     return {
         "wall_s": wall_s,
@@ -192,22 +158,6 @@ def run_mode(
         "h2d_bytes": row.h2d_bytes,
         "d2h_bytes": row.d2h_bytes,
     }
-
-
-def measure_workers(workers_list: list[int], trials: int, max_iterations: int) -> dict:
-    """Live worker-scaling matrix: every transfer mode under every count."""
-    live = {}
-    for workers in workers_list:
-        if workers > 1:
-            # Prewarm: fork the pool outside the timed region so the matrix
-            # measures steady-state iteration cost, not process startup.
-            run_mode("full", 2, 2, workers=workers)
-        live[str(workers)] = {
-            mode: run_mode(mode, trials, max_iterations, workers=workers)
-            for mode in TRANSFER_MODES
-        }
-        shutdown_host_pool()
-    return live
 
 
 def measure_fast_scorers() -> dict:
@@ -247,12 +197,12 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def measure(*, smoke: bool = False, workers_list: list[int] | None = None) -> dict:
+def measure(*, smoke: bool = False) -> dict:
     trials = SMOKE_TRIALS if smoke else TRIALS
     max_iterations = SMOKE_MAX_ITERATIONS if smoke else MAX_ITERATIONS
     # The gain-cache engine is the default: "modes" is the incremental
     # configuration.  The recompute rows re-run the same protocol with
-    # REPRO_INCREMENTAL=0 — the previous round's hot loop — so the JSON
+    # REPRO_EVAL_PATH=fast — the previous round's hot loop — so the JSON
     # always carries the live pair behind the incremental speedup claim.
     # Full-protocol rows are the fastest of five passes after a warm-up run
     # (scorer builds, move-table caches, NumPy internals): the protocol
@@ -292,28 +242,8 @@ def measure(*, smoke: bool = False, workers_list: list[int] | None = None) -> di
         },
         "guard_factor": GUARD_FACTOR,
     }
-    if workers_list:
-        sharded = [w for w in workers_list if w > 1]
-        payload["host_workers"] = {
-            "live": measure_workers(sharded, trials, max_iterations),
-            "reference_recorded": {
-                "wall_s": {
-                    mode: {str(w): wall for w, wall in per_mode.items()}
-                    for mode, per_mode in REFERENCE_WORKER_WALL_S.items()
-                },
-                "speedup_vs_1_worker": {
-                    mode: {
-                        str(w): per_mode[1] / wall
-                        for w, wall in per_mode.items()
-                        if w != 1
-                    }
-                    for mode, per_mode in REFERENCE_WORKER_WALL_S.items()
-                },
-            },
-        }
     if smoke:
         payload["smoke_baseline_wall_s"] = SMOKE_BASELINE_WALL_S
-        payload["smoke_worker_baseline_wall_s"] = SMOKE_WORKER_BASELINE_WALL_S
     else:
         payload["pre_change_wall_s"] = PRE_CHANGE_WALL_S
         payload["speedup"] = {
@@ -344,7 +274,7 @@ def check_guard(payload: dict) -> list[str]:
                 f"{mode}: smoke wall {wall:.3f}s exceeds {GUARD_FACTOR:.0f}x "
                 f"baseline {baseline:.3f}s"
             )
-        # The recompute configuration (REPRO_INCREMENTAL=0) guards against
+        # The recompute configuration (REPRO_EVAL_PATH=fast) guards against
         # the same baseline it set when it was the default; the incremental
         # run must additionally never pessimize over its own recompute.
         recompute_wall = payload["incremental"]["recompute_live"][mode]["wall_s"]
@@ -358,14 +288,6 @@ def check_guard(payload: dict) -> list[str]:
                 f"{mode}: incremental smoke wall {wall:.3f}s exceeds "
                 f"{GUARD_FACTOR:.0f}x the recompute wall {recompute_wall:.3f}s"
             )
-    for workers, modes in payload.get("host_workers", {}).get("live", {}).items():
-        for mode, result in modes.items():
-            wall = result["wall_s"]
-            if wall > GUARD_FACTOR * SMOKE_WORKER_BASELINE_WALL_S:
-                failures.append(
-                    f"{mode} @ {workers} workers: smoke wall {wall:.3f}s exceeds "
-                    f"{GUARD_FACTOR:.0f}x baseline {SMOKE_WORKER_BASELINE_WALL_S:.3f}s"
-                )
     return failures
 
 
@@ -383,17 +305,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="small configuration for CI (also enables the guard)")
-    parser.add_argument("--workers", default=None,
-                        help="comma-separated host worker counts to measure "
-                             "(e.g. 1,2,4); counts > 1 shard the lockstep batch "
-                             "across forked worker processes")
     parser.add_argument("--json", type=Path, default=JSON_PATH,
                         help="where to write the machine-readable results")
     args = parser.parse_args()
-    workers_list = None
-    if args.workers:
-        workers_list = sorted({max(1, int(w)) for w in args.workers.split(",")})
-    payload = measure(smoke=args.smoke, workers_list=workers_list)
+    payload = measure(smoke=args.smoke)
     print(f"simulator wall clock: {payload['trials']} trials, "
           f"cap {payload['max_iterations']} iterations")
     header = (f"{'mode':<10} {'wall':>9} {'eval':>9} {'overhead':>9} "
@@ -412,10 +327,6 @@ def main() -> None:
         speedup = payload["incremental"]["speedup_vs_recompute_live"][mode]
         print(f"{mode:<10} {recompute['wall_s']:>8.3f}s recompute "
               f"(incremental engine {speedup:.1f}x over it, live)")
-    for workers, modes in payload.get("host_workers", {}).get("live", {}).items():
-        for mode in TRANSFER_MODES:
-            result = modes[mode]
-            print(f"{mode:<10} {result['wall_s']:>8.3f}s ({workers} host workers, live)")
     for name, result in payload.get("fast_scorers", {}).items():
         print(f"fast scorer {name:<8} {result['fast_wall_s'] * 1e3:>8.1f} ms vs "
               f"reference {result['reference_wall_s'] * 1e3:>8.1f} ms "

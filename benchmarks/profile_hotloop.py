@@ -19,12 +19,12 @@ and the per-transfer interval objects as the dominant bookkeeping cost
 Usage::
 
     python benchmarks/profile_hotloop.py [--mode delta] [--trials 50]
-        [--iterations 40] [--top 15] [--slow]
+        [--iterations 40] [--top 15] [--slow | --recompute]
 
-``--slow`` disables the precompiled PPP fast path (sets ``REPRO_PPP_FAST=0``
-for the run) to profile the reference evaluation instead; ``--recompute``
-disables the incremental gain-cache engine (``REPRO_INCREMENTAL=0``) to
-profile the full per-iteration recompute.
+``--slow`` profiles the reference evaluation (sets
+``REPRO_EVAL_PATH=reference`` for the run); ``--recompute`` keeps the fast
+scorers but disables the incremental gain-cache engine
+(``REPRO_EVAL_PATH=fast``) to profile the full per-iteration recompute.
 """
 
 import argparse
@@ -97,18 +97,19 @@ def main() -> None:
     parser.add_argument("--iterations", type=int, default=40)
     parser.add_argument("--top", type=int, default=15,
                         help="functions to show per table")
-    parser.add_argument("--slow", action="store_true",
-                        help="profile the reference PPP evaluation "
-                             "(REPRO_PPP_FAST=0) instead of the fast path")
-    parser.add_argument("--recompute", action="store_true",
-                        help="profile the full per-iteration recompute "
-                             "(REPRO_INCREMENTAL=0) instead of the "
-                             "incremental gain-cache engine")
+    path = parser.add_mutually_exclusive_group()
+    path.add_argument("--slow", action="store_true",
+                      help="profile the reference PPP evaluation "
+                           "(REPRO_EVAL_PATH=reference) instead of the fast path")
+    path.add_argument("--recompute", action="store_true",
+                      help="profile the full per-iteration recompute "
+                           "(REPRO_EVAL_PATH=fast) instead of the "
+                           "incremental gain-cache engine")
     args = parser.parse_args()
     if args.slow:
-        os.environ["REPRO_PPP_FAST"] = "0"
-    if args.recompute:
-        os.environ["REPRO_INCREMENTAL"] = "0"
+        os.environ["REPRO_EVAL_PATH"] = "reference"
+    elif args.recompute:
+        os.environ["REPRO_EVAL_PATH"] = "fast"
     profile_run(args.mode, args.trials, args.iterations, args.top)
 
 

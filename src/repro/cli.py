@@ -78,16 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "switch, or an NVLink-style peer mesh")
     p_exp.add_argument("--jobs", type=int, default=1,
                        help="worker processes for --trial-mode parallel")
-    p_exp.add_argument("--host-workers", type=int, default=None,
-                       help="shard the batched lockstep evaluation across this many "
-                            "host worker processes over shared memory (only with "
-                            "--trial-mode batched; capped at the core count, "
-                            "REPRO_HOST_WORKERS overrides uncapped); results are "
-                            "bit-identical to the single-process run")
     p_exp.add_argument("--fault-plan", default=None, metavar="PLAN",
                        help="inject faults at lockstep boundaries (--trial-mode "
                             "batched only): comma-separated kind:arg@iteration "
-                            "terms with kind one of fail/join/flaky/kill-worker, "
+                            "terms with kind one of fail/join/flaky, "
                             "e.g. 'flaky:2@5,fail:1@40,join:1@80'; timing-only — "
                             "per-trial records stay bit-identical")
     p_exp.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
@@ -167,9 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "of the batch's calibrated service capacity")
     p_serve.add_argument("--seed", type=int, default=0,
                          help="instance and trace seed")
-    p_serve.add_argument("--host-workers", type=int, default=None,
-                         help="shard the batched evaluation across host worker "
-                              "processes (see the experiment command)")
     p_serve.add_argument("--save-trace", default=None, metavar="FILE",
                          help="also write the (generated or loaded) trace as JSON")
 
@@ -230,7 +221,6 @@ def _cmd_experiment(args) -> int:
         devices=args.devices,
         pinned=args.pinned,
         topology=args.topology,
-        host_workers=args.host_workers,
         fault_plan=args.fault_plan,
         checkpoint_every=args.checkpoint_every,
         checkpoint_path=args.checkpoint_path,
@@ -241,7 +231,6 @@ def _cmd_experiment(args) -> int:
           f"{args.transfer_mode} transfers"
           + (", pinned memory" if args.pinned else "")
           + (f", {args.topology} interconnect" if args.topology else "")
-          + (f", {args.host_workers} host workers" if args.host_workers else "")
           + (f", faults [{args.fault_plan}]" if args.fault_plan else "")
           + (", resumed from checkpoint" if args.restore else "") + ")")
     print(f"fitness: {row.mean_fitness:.2f} +/- {row.std_fitness:.2f}, "
@@ -382,7 +371,6 @@ def _cmd_serve(args) -> int:
             capacity=capacity,
             policy=policy,
             transfer_mode=args.transfer_mode,
-            host_workers=args.host_workers,
         )
         reports[policy] = server.run_trace(jobs)
         evaluator.close()

@@ -13,10 +13,6 @@ events applied at lockstep-iteration boundaries by
   pool's :class:`~repro.gpu.interconnect.TransferEngine` suffers
   ``retries`` transient failures, each retried with exponential backoff.
   Purely a timing event: trajectories are unaffected.
-- ``kill-worker:<worker>@<iteration>`` — a host evaluation worker process
-  is killed; the hardened :class:`~repro.parallel.pool.HostWorkerPool`
-  detects the death, tears itself down and the run falls back to local
-  evaluation, bit-identically.
 
 Events fire *before* the iteration with that index executes, so two runs —
 one with a plan and one applying the same fleet changes by hand — see the
@@ -30,15 +26,15 @@ from dataclasses import dataclass, field
 __all__ = ["FAULT_KINDS", "FaultEvent", "FaultPlan"]
 
 #: Recognised event kinds (see the module docstring for semantics).
-FAULT_KINDS = ("fail", "join", "flaky", "kill-worker")
+FAULT_KINDS = ("fail", "join", "flaky")
 
 
 @dataclass(frozen=True)
 class FaultEvent:
     """One scheduled fault: ``kind`` with integer argument ``arg`` at ``at``.
 
-    ``arg`` is the device index for ``fail``/``join``, the retry count for
-    ``flaky`` and the worker id for ``kill-worker``.
+    ``arg`` is the device index for ``fail``/``join`` and the retry count
+    for ``flaky``.
     """
 
     kind: str

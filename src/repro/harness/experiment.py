@@ -359,7 +359,6 @@ def run_ppp_experiment(
     devices: int | None = None,
     pinned: bool = False,
     topology: str | None = None,
-    host_workers: int | None = None,
     fault_plan: str | None = None,
     checkpoint_every: int | None = None,
     checkpoint_path=None,
@@ -428,13 +427,6 @@ def run_ppp_experiment(
         legacy dedicated-link model; the contended fabrics time-share the
         host root complex among concurrent transfers.  Purely a timing
         property — trajectories are identical across topologies.
-    host_workers:
-        ``"batched"`` mode only: shard each lockstep iteration's batched
-        neighborhood evaluation across this many host worker processes over
-        shared memory (see :mod:`repro.parallel`).  Capped at
-        ``os.cpu_count()``; the ``REPRO_HOST_WORKERS`` environment variable
-        overrides, uncapped.  Per-trial records stay bit-identical to the
-        single-process run.
     fault_plan:
         ``"batched"`` mode only: a fault schedule in the
         :meth:`repro.gpu.faults.FaultPlan.parse` syntax
@@ -465,10 +457,6 @@ def run_ppp_experiment(
     if transfer_mode not in TRANSFER_MODES:
         raise ValueError(
             f"unknown transfer_mode {transfer_mode!r}; expected one of {TRANSFER_MODES}"
-        )
-    if host_workers is not None and trial_mode != "batched":
-        raise ValueError(
-            f"host_workers applies to trial_mode='batched' only, got trial_mode={trial_mode!r}"
         )
     if trial_mode != "batched":
         for name, value in (
@@ -559,7 +547,6 @@ def run_ppp_experiment(
             max_iterations=max_iterations,
             track_history=track_history,
             transfer_mode=transfer_mode,
-            host_workers=host_workers,
         )
         checkpoint_callback = (
             (lambda checkpoint: save_checkpoint(checkpoint_path, checkpoint))

@@ -28,7 +28,6 @@ import numpy as np
 from ..core.evaluators import NeighborhoodEvaluator, _fused_reduce
 from ..gpu.dtypes import TABU_NEVER
 from ..gpu.faults import FaultEvent, FaultPlan
-from ..parallel import host_parallel
 from ..problems.base import as_solution
 from ..problems.incremental import (
     attach_gain_engine,
@@ -144,17 +143,6 @@ class MultiStartRunner:
         Ignored for evaluators without a ``rebalance_resident`` method, in
         ``"full"`` mode (nothing is resident) and in ``"persistent"`` mode
         (the launches are pinned to their devices for the whole run).
-    host_workers:
-        Shard each lockstep iteration's batched neighborhood evaluation
-        across this many host worker processes over shared memory (see
-        :mod:`repro.parallel`).  ``None`` (default) keeps everything in the
-        calling process; explicit values are capped at ``os.cpu_count()``
-        and the ``REPRO_HOST_WORKERS`` environment variable overrides both,
-        uncapped.  Sharding only splits the replica axis of the evaluation —
-        selection, RNG streams, tabu memory and the simulated accounting
-        stay in the parent — so trajectories, fitness histories, transfer
-        byte counters and makespans are bit-identical to a single-process
-        run.
     """
 
     ALGORITHMS = ("tabu", "hill-climbing", "first-improvement")
@@ -171,7 +159,6 @@ class MultiStartRunner:
         track_history: bool = False,
         transfer_mode: str = "full",
         rebalance_every: int | None = None,
-        host_workers: int | None = None,
     ) -> None:
         if algorithm not in self.ALGORITHMS:
             raise ValueError(
@@ -201,9 +188,6 @@ class MultiStartRunner:
         self.target_fitness = float(target_fitness)
         self.track_history = bool(track_history)
         self.rebalance_every = rebalance_every
-        if host_workers is not None and host_workers < 1:
-            raise ValueError(f"host_workers must be >= 1, got {host_workers}")
-        self.host_workers = host_workers
 
     # ------------------------------------------------------------------
     def _initial_block(
@@ -379,7 +363,7 @@ class MultiStartRunner:
         The evaluator's :meth:`snapshot_state` is installed as a side
         effect (resident session, tabu stamps, accounting, fleet mask);
         the returned dict holds the runner-side arrays with their exact
-        dtypes, ready for :meth:`_run_lockstep` to continue from.
+        dtypes, ready for :meth:`run` to continue from.
         """
         if not isinstance(ckpt, dict) or ckpt.get("version") != CHECKPOINT_VERSION:
             version = ckpt.get("version") if isinstance(ckpt, dict) else None
@@ -421,7 +405,7 @@ class MultiStartRunner:
         }
 
     # ------------------------------------------------------------------
-    def _apply_fault(self, event: FaultEvent, pool) -> None:
+    def _apply_fault(self, event: FaultEvent) -> None:
         """Apply one :class:`~repro.gpu.faults.FaultEvent` at a lockstep boundary."""
         # Belt and braces: fault recovery may reshuffle replica placement, so
         # drop all derived gain state (it re-derives on the next evaluation;
@@ -441,7 +425,7 @@ class MultiStartRunner:
                     f"{type(self.evaluator).__name__}"
                 )
             method(event.arg)
-        elif event.kind == "flaky":
+        else:  # flaky
             engine = getattr(getattr(self.evaluator, "pool", None), "engine", None)
             if engine is None:
                 engine = getattr(
@@ -453,11 +437,6 @@ class MultiStartRunner:
                     f"got {type(self.evaluator).__name__}"
                 )
             engine.inject_transfer_faults(retries=max(1, event.arg))
-        else:  # kill-worker: a no-op once the run already fell back to local
-            if pool is not None and pool.alive and event.arg < len(pool._procs):
-                proc = pool._procs[event.arg]
-                proc.kill()
-                proc.join(timeout=5)
 
     # ------------------------------------------------------------------
     def run(
@@ -511,41 +490,6 @@ class MultiStartRunner:
             current = resume_state["current"]
         else:
             current = self._initial_block(replicas, seeds, rng, initial_solutions)
-        # Host-parallel sharding: attach the problem to a worker pool for
-        # the run's duration so the one batched evaluation per lockstep
-        # iteration splits its replica axis across processes.  A no-op
-        # (yields None) with one effective worker, so the single-process
-        # path pays nothing.
-        with host_parallel(
-            self.problem,
-            self.host_workers,
-            max_rows=current.shape[0],
-            max_moves=self.neighborhood.size,
-        ) as pool:
-            return self._run_lockstep(
-                current,
-                start_wall,
-                start_sim,
-                checkpoint_every=checkpoint_every,
-                checkpoint_callback=checkpoint_callback,
-                fault_plan=fault_plan,
-                resume_state=resume_state,
-                pool=pool,
-            )
-
-    def _run_lockstep(
-        self,
-        current: np.ndarray,
-        start_wall: float,
-        start_sim: float,
-        *,
-        checkpoint_every: int | None = None,
-        checkpoint_callback=None,
-        fault_plan: FaultPlan | None = None,
-        resume_state: dict | None = None,
-        pool=None,
-    ) -> MultiStartResult:
-        """Advance all replicas in lockstep to completion (see :meth:`run`)."""
         num_replicas = current.shape[0]
         size = self.neighborhood.size
         mapping = self.neighborhood.mapping
@@ -681,7 +625,7 @@ class MultiStartRunner:
                     checkpoint_callback(take_checkpoint())
                 if fault_plan is not None:
                     for event in fault_plan.due(lockstep):
-                        self._apply_fault(event, pool)
+                        self._apply_fault(event)
                 if rebalance and lockstep and lockstep % rebalance == 0:
                     # Timing/placement only: keep the still-active replicas split
                     # proportionally to device throughput (trajectories unchanged).

@@ -60,11 +60,6 @@ class BinaryProblem(abc.ABC):
     n: int
     name: str = "binary-problem"
 
-    #: Host-parallel worker pool the batch evaluation dispatches to, attached
-    #: by :func:`repro.parallel.host_parallel` for the duration of a lockstep
-    #: run (``None`` everywhere else, including inside the workers).
-    _host_pool = None
-
     #: Incremental gain-cache engine (:mod:`repro.problems.incremental`),
     #: attached by the search loops for the duration of one run.
     _gain_engine = None
@@ -169,9 +164,6 @@ class BinaryProblem(abc.ABC):
         vectorized over the solution axis as well.
         """
         solutions, moves = self._check_batch_args(solutions, moves)
-        sharded = self._dispatch_host_pool(solutions, moves, out)
-        if sharded is not None:
-            return sharded
         incremental = self._dispatch_gain_engine(solutions, moves, out)
         if incremental is not None:
             return incremental
@@ -180,26 +172,6 @@ class BinaryProblem(abc.ABC):
         for s in range(solutions.shape[0]):
             out[s] = self.evaluate_neighborhood(solutions[s], moves)
         return out
-
-    def _dispatch_host_pool(
-        self,
-        solutions: np.ndarray,
-        moves: np.ndarray,
-        out: np.ndarray | None,
-    ) -> np.ndarray | None:
-        """Shard this batch across the attached host worker pool, if any.
-
-        Returns ``None`` when no pool is attached or the pool declines the
-        call (shards too small to pay off, writable move table, capacity
-        exceeded) — the caller then evaluates locally.  Every concrete
-        ``evaluate_neighborhood_batch`` consults this hook right after
-        argument validation, so the sharded and local paths share one entry
-        point on every problem.
-        """
-        pool = self._host_pool
-        if pool is None:
-            return None
-        return pool.try_evaluate(self, solutions, moves, out=out)
 
     def _dispatch_gain_engine(
         self,
@@ -213,7 +185,7 @@ class BinaryProblem(abc.ABC):
         (no expected-row declaration, unbound/foreign move table, oversized
         scratch) — the caller then recomputes, which is bit-identical.
         Concrete ``evaluate_neighborhood_batch`` implementations consult this
-        hook right after the host-pool dispatch.
+        hook right after argument validation.
         """
         engine = self._gain_engine
         if engine is None:
@@ -238,15 +210,14 @@ class BinaryProblem(abc.ABC):
         return served[0]
 
     def __getstate__(self) -> dict:
-        """Pickle without process-local state (worker pools, lazy scorers).
+        """Pickle without process-local state (gain engine, lazy scorers).
 
-        The host-parallel layer ships problems to worker processes; the
-        attached pool must not travel with them (workers evaluate locally),
-        and lazily built fast scorers hold identity-keyed caches whose keys
-        are meaningless in another process — they are rebuilt on first use.
+        ``trial_mode="parallel"`` ships problems to worker processes; the
+        attached gain engine must not travel with them, and lazily built
+        fast scorers hold identity-keyed caches whose keys are meaningless in
+        another process — they are rebuilt on first use.
         """
         state = dict(self.__dict__)
-        state.pop("_host_pool", None)
         state.pop("_gain_engine", None)
         if state.get("_fast_scorer") is not None:
             state["_fast_scorer"] = None

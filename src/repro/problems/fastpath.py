@@ -11,11 +11,14 @@ scorer) follows the same discipline:
 * **Reference fallback** — move tables outside the compiled model (k > 2,
   duplicate indices, out-of-range bits, oversized workspaces) silently fall
   back to the reference path; the two paths agree bit for bit.
-* **Kill switch** — a per-problem ``REPRO_*_FAST`` environment variable
-  forces the reference path for A/B timing and the identity test suites.
+* **Evaluation path switch** — ``REPRO_EVAL_PATH`` selects the path for
+  A/B timing and the identity test suites: ``reference`` forces the
+  reference evaluation everywhere, ``fast`` runs the fast scorers but
+  recomputes every neighborhood, and ``incremental`` (the default) adds
+  the gain engine of :mod:`repro.problems.incremental` on top.
 
-This module holds the pieces those scorers share: the environment-switch
-helper, a bounded LRU cache (used for both the id-keyed move-table caches
+This module holds the pieces those scorers share: the evaluation-path
+reader, a bounded LRU cache (used for both the id-keyed move-table caches
 and the shape-keyed workspace caches, which previously grew without limit
 across many instances), a global registry behind :func:`clear_fast_caches`,
 and the common k<=2 move-table validation.
@@ -34,18 +37,48 @@ __all__ = [
     "MoveTableCache",
     "cache_stats",
     "clear_fast_caches",
+    "eval_path",
     "fast_path_enabled",
     "validated_pair_columns",
 ]
+
+EVAL_PATH_ENV = "REPRO_EVAL_PATH"
+#: Valid ``REPRO_EVAL_PATH`` values, slowest first; the last is the default.
+EVAL_PATHS = ("reference", "fast", "incremental")
+#: Per-layer switches that ``REPRO_EVAL_PATH`` replaced.  Setting one is an
+#: error rather than a silent no-op, so an A/B run never times the wrong path.
+_RETIRED_SWITCHES = (
+    "REPRO_PPP_FAST",
+    "REPRO_UBQP_FAST",
+    "REPRO_MAXSAT_FAST",
+    "REPRO_NK_FAST",
+    "REPRO_INCREMENTAL",
+)
 
 #: Every live :class:`BoundedCache` registers itself here (weakly, so caches
 #: die with their scorers); :func:`clear_fast_caches` empties them all.
 _CACHE_REGISTRY: "weakref.WeakSet[BoundedCache]" = weakref.WeakSet()
 
 
-def fast_path_enabled(env_var: str) -> bool:
-    """Whether the fast path behind ``env_var`` is enabled (default: yes)."""
-    return os.environ.get(env_var, "1").lower() not in ("0", "false", "off")
+def eval_path() -> str:
+    """The evaluation path selected by ``REPRO_EVAL_PATH`` (validated)."""
+    for name in _RETIRED_SWITCHES:
+        if name in os.environ:
+            raise ValueError(
+                f"{name} is no longer supported; set {EVAL_PATH_ENV} to one of "
+                f"{', '.join(EVAL_PATHS)} instead"
+            )
+    value = os.environ.get(EVAL_PATH_ENV, EVAL_PATHS[-1])
+    if value not in EVAL_PATHS:
+        raise ValueError(
+            f"{EVAL_PATH_ENV} must be one of {', '.join(EVAL_PATHS)}, got {value!r}"
+        )
+    return value
+
+
+def fast_path_enabled() -> bool:
+    """Whether the precompiled fast scorers run (every path but ``reference``)."""
+    return eval_path() != "reference"
 
 
 def clear_fast_caches() -> None:

@@ -21,7 +21,7 @@ ILS/VNS kicks, checkpoint restores, replica migration).  Anything outside
 the compiled model — unknown move tables, k > 2, writable move arrays,
 disabled fast paths — declines to the existing scorer/reference chain.
 
-``REPRO_INCREMENTAL=0`` kills the engine globally;
+The engine runs only on the default ``REPRO_EVAL_PATH=incremental``;
 ``REPRO_INCREMENTAL_CHECK=N`` re-verifies every N-th materialization against
 the recompute path (debug re-sync assert).
 """
@@ -32,7 +32,7 @@ import os
 
 import numpy as np
 
-from .fastpath import BoundedCache, fast_path_enabled
+from .fastpath import BoundedCache, eval_path
 
 try:  # pragma: no cover - exercised implicitly on scipy-equipped hosts
     from scipy.linalg.blas import sgemm as _sgemm
@@ -47,13 +47,7 @@ __all__ = [
     "incremental_enabled",
 ]
 
-_ENV = "REPRO_INCREMENTAL"
 _CHECK_ENV = "REPRO_INCREMENTAL_CHECK"
-
-#: Commit/expect ops buffered for the host-worker pool collapse to a single
-#: full reset beyond this many entries (nothing is lost — worker rows
-#: re-derive from the shared-memory solutions at the next dispatched eval).
-OPS_BUFFER_CAP = 256
 
 #: Like the fast scorers: fall back to the recompute path when one call's
 #: float32 scratch would exceed this.
@@ -62,16 +56,16 @@ WORKSPACE_LIMIT = 256 * 1024 * 1024
 
 def incremental_enabled() -> bool:
     """Whether the incremental gain-cache engine is enabled (default: yes)."""
-    return fast_path_enabled(_ENV)
+    return eval_path() == "incremental"
 
 
 def check_period() -> int:
     """Debug re-sync period: every N-th engine eval is verified against the
     recompute path (0 = off, the default)."""
-    try:
-        return max(0, int(os.environ.get(_CHECK_ENV, "0")))
-    except ValueError:
-        return 0
+    raw = os.environ.get(_CHECK_ENV, "0")
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"{_CHECK_ENV} must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +76,7 @@ class _GainStateBase:
 
     Subclasses list their per-replica arrays in ``_row_arrays``; rows are
     (re)derived via :meth:`init_rows` and advanced via :meth:`commit`.  All
-    arrays are indexed by *global replica id* so shard-local views (the host
-    worker pool) and the parent engine share one layout.
+    arrays are indexed by replica id.
     """
 
     _row_arrays: tuple[str, ...] = ()
@@ -661,7 +654,6 @@ class GainEngine:
         self.mirror = np.zeros((self._rows_hint, getattr(problem, "n", 1)), dtype=np.int8)
         self.valid = np.zeros(self._rows_hint, dtype=bool)
         self._expected: np.ndarray | None = None
-        self._ops: list = []
         self._check_every = check_period()
         self.stats = {
             "evals": 0,
@@ -686,10 +678,8 @@ class GainEngine:
 
     # -- search-loop interface -------------------------------------------
     def expect(self, rows: np.ndarray) -> None:
-        """Declare the global replica ids of the next evaluation's rows."""
-        rows = np.asarray(rows, dtype=np.int64)
-        self._expected = rows
-        self._buffer_op(("expect", rows.copy()))
+        """Declare the replica ids of the next evaluation's rows."""
+        self._expected = np.asarray(rows, dtype=np.int64)
 
     def commit(self, rows: np.ndarray, bits: np.ndarray) -> None:
         """Advance the gain state: ``bits[c]`` were flipped on ``rows[c]``."""
@@ -697,10 +687,6 @@ class GainEngine:
         bits = np.asarray(bits, dtype=np.int64)
         if rows.size == 0:
             return
-        self._buffer_op(("commit", rows.copy(), bits.copy()))
-        self._commit_local(rows, bits)
-
-    def _commit_local(self, rows: np.ndarray, bits: np.ndarray) -> None:
         self.stats["commits"] += 1
         if self._state is None:
             return
@@ -727,38 +713,8 @@ class GainEngine:
             self.valid[sub_rows] = False
 
     def invalidate_all(self) -> None:
-        """Drop all derived state (fault events, pool resets)."""
+        """Drop all derived state (fault events, rebalancing)."""
         self.valid[:] = False
-        self._ops = [("reset",)]
-
-    # -- pool op buffer ---------------------------------------------------
-    def _buffer_op(self, op) -> None:
-        self._ops.append(op)
-        if len(self._ops) > OPS_BUFFER_CAP:
-            self._ops = [("reset",)]
-
-    def drain_ops(self) -> list:
-        """Buffered ops for shard-local worker engines (clears the buffer)."""
-        ops, self._ops = self._ops, []
-        return ops
-
-    def apply_ops(self, ops) -> np.ndarray | None:
-        """Apply a drained op sequence (worker side); returns the last
-        expected-row declaration, if any."""
-        expected = None
-        for op in ops:
-            kind = op[0]
-            if kind == "reset":
-                self.valid[:] = False
-            elif kind == "commit":
-                self._commit_local(op[1], op[2])
-            elif kind == "expect":
-                expected = op[1]
-        return expected
-
-    def set_expected(self, rows: np.ndarray | None) -> None:
-        """Directly set the expected rows (worker shard slices)."""
-        self._expected = rows
 
     # -- evaluation --------------------------------------------------------
     def try_evaluate(
@@ -815,14 +771,11 @@ class GainEngine:
         """Periodic re-sync assert: recompute without the engine, compare."""
         prob = self.problem
         engine = getattr(prob, "_gain_engine", None)
-        pool = getattr(prob, "_host_pool", None)
         prob._gain_engine = None
-        prob._host_pool = None
         try:
             want = prob.evaluate_neighborhood_batch(solutions, moves)
         finally:
             prob._gain_engine = engine
-            prob._host_pool = pool
         self.stats["checks"] += 1
         if not np.array_equal(want, got):
             raise AssertionError(

@@ -18,10 +18,6 @@ from .fastpath import MoveTableCache, fast_path_enabled, validated_pair_columns
 
 __all__ = ["MaxSat", "generate_random_ksat"]
 
-#: Environment kill switch for the clause-incidence delta evaluator: set
-#: ``REPRO_MAXSAT_FAST=0`` to force the flip-and-recount reference path.
-_FAST_ENV = "REPRO_MAXSAT_FAST"
-
 
 def generate_random_ksat(
     num_vars: int,
@@ -298,10 +294,11 @@ class MaxSat(BinaryProblem):
         self.signs = signs
         self.num_clauses, self.k_literals = map(int, variables.shape)
         # Clause-incidence delta evaluator: built lazily on first use,
-        # disabled via REPRO_MAXSAT_FAST or when a clause repeats a variable
-        # (which breaks the +-1 literal-count model the scorer relies on).
+        # disabled by REPRO_EVAL_PATH=reference or when a clause repeats a
+        # variable (which breaks the +-1 literal-count model the scorer
+        # relies on).
         self._fast_scorer: _MaxSatFastScorer | None = None
-        self._fast_enabled = fast_path_enabled(_FAST_ENV)
+        self._fast_enabled = fast_path_enabled()
 
     def _fast(self) -> _MaxSatFastScorer | None:
         if not self._fast_enabled:
@@ -350,13 +347,11 @@ class MaxSat(BinaryProblem):
         Dispatches to the clause-incidence scorer (:class:`_MaxSatFastScorer`)
         for qualifying k<=2 move tables — bit-identical to, and much cheaper
         than, the flip-and-recount reference path used for everything else.
-        ``REPRO_MAXSAT_FAST=0`` forces the reference path.  ``out``, when
-        given, must be a ``(S, M)`` float64 array and is written in place.
+        ``REPRO_EVAL_PATH=reference`` forces the reference path.  ``out``,
+        when given, must be a ``(S, M)`` float64 array and is written in
+        place.
         """
         solutions, moves = self._check_batch_args(solutions, moves)
-        sharded = self._dispatch_host_pool(solutions, moves, out)
-        if sharded is not None:
-            return sharded
         incremental = self._dispatch_gain_engine(solutions, moves, out)
         if incremental is not None:
             return incremental

@@ -17,10 +17,6 @@ from .fastpath import MoveTableCache, fast_path_enabled, validated_pair_columns
 
 __all__ = ["NKLandscape"]
 
-#: Environment kill switch for the subfunction-mask delta evaluator: set
-#: ``REPRO_NK_FAST=0`` to force the flip-and-regather reference path.
-_FAST_ENV = "REPRO_NK_FAST"
-
 
 class _NKFastMoveTable:
     """Preprocessed view of one validated ``(M, k<=2)`` move array.
@@ -213,10 +209,11 @@ class NKLandscape(BinaryProblem):
         self._loci = np.concatenate([np.arange(n)[:, None], self.neighbors], axis=1)
         self._weights = (2 ** np.arange(k, -1, -1)).astype(np.int64)
         # Subfunction-mask delta evaluator: built lazily on first use,
-        # disabled via REPRO_NK_FAST.  Always exact — it gathers the same
-        # table entries and reduces them in the same layout as the reference.
+        # disabled by REPRO_EVAL_PATH=reference.  Always exact — it gathers
+        # the same table entries and reduces them in the same layout as the
+        # reference.
         self._fast_scorer: _NKFastScorer | None = None
-        self._fast_enabled = fast_path_enabled(_FAST_ENV)
+        self._fast_enabled = fast_path_enabled()
 
     def _fast(self) -> _NKFastScorer | None:
         if not self._fast_enabled:
@@ -250,13 +247,11 @@ class NKLandscape(BinaryProblem):
         Dispatches to the subfunction-mask scorer (:class:`_NKFastScorer`)
         for qualifying k<=2 move tables — bit-identical to, and cheaper
         than, the flip-and-regather reference path used for everything else.
-        ``REPRO_NK_FAST=0`` forces the reference path.  ``out``, when given,
-        must be a ``(S, M)`` float64 array and is written in place.
+        ``REPRO_EVAL_PATH=reference`` forces the reference path.  ``out``,
+        when given, must be a ``(S, M)`` float64 array and is written in
+        place.
         """
         solutions, moves = self._check_batch_args(solutions, moves)
-        sharded = self._dispatch_host_pool(solutions, moves, out)
-        if sharded is not None:
-            return sharded
         incremental = self._dispatch_gain_engine(solutions, moves, out)
         if incremental is not None:
             return incremental

@@ -50,9 +50,6 @@ class OneMax(BinaryProblem):
 
     def evaluate_neighborhood_batch(self, solutions, moves, *, out=None) -> np.ndarray:
         solutions, moves = self._check_batch_args(solutions, moves)
-        sharded = self._dispatch_host_pool(solutions, moves, out)
-        if sharded is not None:
-            return sharded
         incremental = self._dispatch_gain_engine(solutions, moves, out)
         if incremental is not None:
             return incremental

@@ -31,16 +31,6 @@ __all__ = ["PermutedPerceptronProblem", "generate_ppp_instance"]
 #: Weight of the sign-violation term in the Knudsen–Meier objective.
 SIGN_PENALTY_WEIGHT = 30
 
-#: Environment kill switch for the precompiled delta evaluator: set
-#: ``REPRO_PPP_FAST=0`` to force the reference chunked evaluation everywhere
-#: (the two paths are bit-identical; the switch exists for A/B timing and for
-#: the trajectory-identity tests).
-_FAST_ENV = "REPRO_PPP_FAST"
-
-
-def _fast_path_enabled() -> bool:
-    return fast_path_enabled(_FAST_ENV)
-
 
 class _FastMoveTable:
     """Preprocessed view of one validated ``(M, k)`` move array.
@@ -341,10 +331,10 @@ class PermutedPerceptronProblem(BinaryProblem):
         self.target_histogram = np.bincount(S, minlength=self.n + 1)[1:].astype(np.int64)
         self.secret = None if secret is None else as_solution(secret, self.n)
         # Precompiled pairwise delta evaluator: built lazily on first use,
-        # disabled entirely via the REPRO_PPP_FAST environment switch or when
-        # the instance is too large for the float32 exactness bound.
+        # disabled entirely by REPRO_EVAL_PATH=reference or when the
+        # instance is too large for the float32 exactness bound.
         self._fast_scorer: _PPPFastScorer | None = None
-        self._fast_enabled = _fast_path_enabled()
+        self._fast_enabled = fast_path_enabled()
 
     def _fast(self) -> _PPPFastScorer | None:
         if not self._fast_enabled:
@@ -470,14 +460,11 @@ class PermutedPerceptronProblem(BinaryProblem):
         :class:`_PPPFastScorer`) whenever the move table qualifies — k in
         {1, 2}, distinct in-range indices, workspace within budget — and to
         the chunked reference evaluation otherwise.  Both paths return
-        bit-identical fitness matrices; ``REPRO_PPP_FAST=0`` forces the
-        reference path.  ``out``, when given, must be a ``(S, M)`` float64
-        array and is written in place.
+        bit-identical fitness matrices; ``REPRO_EVAL_PATH=reference`` forces
+        the reference path.  ``out``, when given, must be a ``(S, M)``
+        float64 array and is written in place.
         """
         solutions, moves = self._check_batch_args(solutions, moves)
-        sharded = self._dispatch_host_pool(solutions, moves, out)
-        if sharded is not None:
-            return sharded
         incremental = self._dispatch_gain_engine(solutions, moves, out)
         if incremental is not None:
             return incremental

@@ -24,12 +24,6 @@ from .fastpath import (
 
 __all__ = ["UBQP"]
 
-#: Environment kill switch for the precomputed-gain delta evaluator: set
-#: ``REPRO_UBQP_FAST=0`` to force the chunked reference evaluation (the two
-#: paths are bit-identical on integer-valued ``Q``; the switch exists for
-#: A/B timing and the identity test suites).
-_FAST_ENV = "REPRO_UBQP_FAST"
-
 
 class _UBQPFastMoveTable:
     """Preprocessed view of one validated ``(M, k<=2)`` move array."""
@@ -165,11 +159,12 @@ class UBQP(BinaryProblem):
         self.n = int(Q.shape[0])
         self.Q = Q
         # Precomputed-gain delta evaluator: built lazily on first use,
-        # disabled via REPRO_UBQP_FAST or when Q fails the integer-exactness
-        # guard (the fast path reorders float arithmetic, which is only
-        # bit-identical when every intermediate is an exact integer).
+        # disabled by REPRO_EVAL_PATH=reference or when Q fails the
+        # integer-exactness guard (the fast path reorders float arithmetic,
+        # which is only bit-identical when every intermediate is an exact
+        # integer).
         self._fast_scorer: _UBQPFastScorer | None = None
-        self._fast_enabled = fast_path_enabled(_FAST_ENV)
+        self._fast_enabled = fast_path_enabled()
 
     def _fast(self) -> _UBQPFastScorer | None:
         if not self._fast_enabled:
@@ -243,14 +238,11 @@ class UBQP(BinaryProblem):
         :class:`_UBQPFastScorer`) whenever the move table qualifies — k in
         {1, 2}, in-range indices, workspace within budget — and to the
         chunked reference evaluation otherwise.  On integer-valued ``Q`` the
-        two paths are bit-identical; ``REPRO_UBQP_FAST=0`` forces the
+        two paths are bit-identical; ``REPRO_EVAL_PATH=reference`` forces the
         reference path.  ``out``, when given, must be a ``(S, M)`` float64
         array and is written in place.
         """
         solutions, moves = self._check_batch_args(solutions, moves)
-        sharded = self._dispatch_host_pool(solutions, moves, out)
-        if sharded is not None:
-            return sharded
         incremental = self._dispatch_gain_engine(solutions, moves, out)
         if incremental is not None:
             return incremental

@@ -45,7 +45,6 @@ from ..gpu.dtypes import TABU_NEVER
 from ..localsearch.base import REDUCED_SELECTION_MODES
 from ..localsearch.multistart import MultiStartRunner
 from ..localsearch.result import LSResult
-from ..parallel import host_parallel
 from ..problems.incremental import (
     attach_gain_engine,
     create_gain_engine,
@@ -77,7 +76,7 @@ class ContinuousRunner(MultiStartRunner):
     """A lockstep batch of ``capacity`` replica slots with mid-flight churn.
 
     The runner reuses :class:`MultiStartRunner`'s selection rules, transfer
-    modes, host-worker pool and incremental gain engine; it replaces the
+    modes and incremental gain engine; it replaces the
     closed ``run()`` loop with an ``open() -> attach/step/detach -> close()``
     session whose per-slot budgets and targets come from the tenants.
     ``max_iterations`` is meaningless here (every tenant brings its own
@@ -96,7 +95,6 @@ class ContinuousRunner(MultiStartRunner):
         track_history: bool = False,
         transfer_mode: str = "full",
         rebalance_every: int | None = None,
-        host_workers: int | None = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
@@ -110,7 +108,6 @@ class ContinuousRunner(MultiStartRunner):
             track_history=track_history,
             transfer_mode=transfer_mode,
             rebalance_every=rebalance_every,
-            host_workers=host_workers,
         )
         self.capacity = int(capacity)
         self._open = False
@@ -162,11 +159,6 @@ class ContinuousRunner(MultiStartRunner):
         )
         self._stack = contextlib.ExitStack()
         try:
-            self._pool = self._stack.enter_context(
-                host_parallel(
-                    self.problem, self.host_workers, max_rows=capacity, max_moves=size
-                )
-            )
             self._gain_engine = create_gain_engine(self.problem, rows_hint=capacity)
             prev_engine = attach_gain_engine(self.problem, self._gain_engine)
             self._stack.callback(detach_gain_engine, self.problem, prev_engine)
@@ -184,7 +176,7 @@ class ContinuousRunner(MultiStartRunner):
         return self
 
     def close(self) -> None:
-        """Tear down the resident session, gain engine and worker pool."""
+        """Tear down the resident session and gain engine."""
         if not self._open:
             return
         self._open = False

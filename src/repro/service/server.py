@@ -65,7 +65,7 @@ def _env_int(name: str, default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        return default
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -267,7 +267,6 @@ class SolveServer:
         aspiration: bool = True,
         transfer_mode: str = "full",
         rebalance_every: int | None = None,
-        host_workers: int | None = None,
         track_history: bool = False,
         max_queue: int | None = None,
         preemption: bool = True,
@@ -297,7 +296,6 @@ class SolveServer:
             aspiration=aspiration,
             transfer_mode=transfer_mode,
             rebalance_every=rebalance_every,
-            host_workers=host_workers,
             track_history=track_history,
         )
 

@@ -18,9 +18,13 @@ from repro.gpu import (
 
 class TestFaultPlan:
     def test_parse_roundtrip(self):
-        plan = FaultPlan.parse("flaky:2@5, fail:1@40, join:2@80, kill-worker:0@3")
-        assert len(plan) == 4
+        plan = FaultPlan.parse("flaky:2@5, fail:1@40, join:2@80")
+        assert len(plan) == 3
         assert str(FaultPlan.parse(str(plan))) == str(plan)
+
+    def test_retired_kill_worker_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault kind 'kill-worker'"):
+            FaultPlan.parse("kill-worker:0@3")
 
     def test_events_sorted_by_iteration(self):
         plan = FaultPlan.parse("join:2@80,fail:1@40")

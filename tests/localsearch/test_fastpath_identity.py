@@ -1,11 +1,12 @@
 """Fast-path vs legacy trajectory identity, end to end.
 
-The precompiled PPP delta evaluator (``REPRO_PPP_FAST``) is a pure host-side
+The precompiled PPP delta evaluator is a pure host-side
 speedup: with the same seeds, the pipeline must follow bit-for-bit the same
 best-fitness trajectories and produce identical transfer accounting —
 byte/launch counters and simulated makespans — whether the bilinear scorer
 or the chunked reference evaluation runs underneath.  These tests run the
-same workload twice, once per setting, across all four transfer modes.
+same workload twice, once with ``REPRO_EVAL_PATH=reference`` and once on
+the default path, across all four transfer modes.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from repro.harness import run_ppp_experiment
 from repro.localsearch import TRANSFER_MODES, MultiStartRunner
 from repro.neighborhoods import KHammingNeighborhood
 from repro.problems.instances import instance_seed, make_table_instance
-from repro.problems.ppp import _FAST_ENV
 
 SPEC = (21, 21)
 ORDER = 2
@@ -80,9 +80,9 @@ def _experiment_row(mode: str) -> dict:
 @pytest.mark.parametrize("mode", TRANSFER_MODES)
 def test_lockstep_trajectories_identical(mode, monkeypatch):
     """Fast and legacy paths trace identical fitness histories and counters."""
-    monkeypatch.setenv(_FAST_ENV, "0")
+    monkeypatch.setenv("REPRO_EVAL_PATH", "reference")
     legacy_records, legacy_counters = _multistart_records(mode)
-    monkeypatch.setenv(_FAST_ENV, "1")
+    monkeypatch.delenv("REPRO_EVAL_PATH", raising=False)
     fast_records, fast_counters = _multistart_records(mode)
     assert fast_records == legacy_records
     assert fast_counters == legacy_counters
@@ -91,16 +91,16 @@ def test_lockstep_trajectories_identical(mode, monkeypatch):
 @pytest.mark.parametrize("mode", TRANSFER_MODES)
 def test_experiment_rows_identical(mode, monkeypatch):
     """The harness reports identical trials, bytes, launches and makespans."""
-    monkeypatch.setenv(_FAST_ENV, "0")
+    monkeypatch.setenv("REPRO_EVAL_PATH", "reference")
     legacy = _experiment_row(mode)
-    monkeypatch.setenv(_FAST_ENV, "1")
+    monkeypatch.delenv("REPRO_EVAL_PATH", raising=False)
     fast = _experiment_row(mode)
     assert fast == legacy
 
 
 def test_fast_path_actually_engages(monkeypatch):
     """Guard against the fast path silently never activating in this config."""
-    monkeypatch.setenv(_FAST_ENV, "1")
+    monkeypatch.delenv("REPRO_EVAL_PATH", raising=False)
     problem = make_table_instance(SPEC, trial=0)
     scorer = problem._fast()
     assert scorer is not None and scorer.exact

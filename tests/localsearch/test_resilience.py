@@ -4,8 +4,8 @@ The contract under test: a run that is checkpointed, killed (the runner and
 evaluator objects discarded) and restored into a *fresh* runner finishes
 bit-identically to an uninterrupted run — trajectories, per-replica records,
 transfer byte counters and simulated makespans.  Fault injection (device
-death, elastic join, flaky transfers, killed host workers) preserves the
-trajectories exactly and changes timing/placement only.
+death, elastic join, flaky transfers) preserves the trajectories exactly
+and changes timing/placement only.
 """
 
 import numpy as np

@@ -2,14 +2,15 @@
 
 Modeled on the PPP fast-path suite: every fast path must agree *bit for bit*
 with its chunked reference evaluation on qualifying move tables, silently
-fall back on everything else, and die entirely behind its kill switch.
+fall back on everything else, and die entirely under
+``REPRO_EVAL_PATH=reference``.
 """
 
 import numpy as np
 import pytest
 
 from repro.problems import MaxSat, NKLandscape, UBQP, clear_fast_caches
-from repro.problems.fastpath import BoundedCache
+from repro.problems.fastpath import BoundedCache, eval_path
 
 
 def frozen(arr):
@@ -147,11 +148,9 @@ def test_maxsat_repeated_variable_clause_disables_fast_path():
     )
 
 
-@pytest.mark.parametrize("kind,env", [("ubqp", "REPRO_UBQP_FAST"),
-                                      ("maxsat", "REPRO_MAXSAT_FAST"),
-                                      ("nk", "REPRO_NK_FAST")])
-def test_kill_switch_forces_reference(kind, env, monkeypatch):
-    monkeypatch.setenv(env, "0")
+@pytest.mark.parametrize("kind", ["ubqp", "maxsat", "nk"])
+def test_kill_switch_forces_reference(kind, monkeypatch):
+    monkeypatch.setenv("REPRO_EVAL_PATH", "reference")
     problem = make_problem(kind)
     assert problem._fast() is None
     rng = np.random.default_rng(29)
@@ -161,6 +160,24 @@ def test_kill_switch_forces_reference(kind, env, monkeypatch):
         problem.evaluate_neighborhood_batch(solutions, moves),
         problem._evaluate_neighborhood_batch_reference(solutions, moves),
     )
+
+
+def test_eval_path_rejects_unknown_values(monkeypatch):
+    monkeypatch.setenv("REPRO_EVAL_PATH", "0")
+    with pytest.raises(ValueError, match="reference, fast, incremental"):
+        make_problem("ubqp")
+
+
+@pytest.mark.parametrize(
+    "retired",
+    ["REPRO_PPP_FAST", "REPRO_UBQP_FAST", "REPRO_MAXSAT_FAST", "REPRO_NK_FAST",
+     "REPRO_INCREMENTAL"],
+)
+def test_retired_switches_are_rejected(retired, monkeypatch):
+    """Setting a retired switch must not silently run the default path."""
+    monkeypatch.setenv(retired, "0")
+    with pytest.raises(ValueError, match=f"{retired}.*REPRO_EVAL_PATH"):
+        eval_path()
 
 
 def test_bounded_cache_evicts_least_recently_used():

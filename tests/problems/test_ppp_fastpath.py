@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.problems import PermutedPerceptronProblem
-from repro.problems.ppp import _FAST_ENV, _PPPFastScorer
+from repro.problems.ppp import _PPPFastScorer
 
 
 def pair_moves(n: int) -> np.ndarray:
@@ -129,9 +129,9 @@ def test_move_table_cache_reuses_readonly_tables():
 
 
 def test_env_switch_disables_fast_path(monkeypatch):
-    monkeypatch.setenv(_FAST_ENV, "0")
+    monkeypatch.setenv("REPRO_EVAL_PATH", "reference")
     problem = PermutedPerceptronProblem.generate(11, 11, rng=0)
     assert problem._fast() is None
-    monkeypatch.setenv(_FAST_ENV, "1")
+    monkeypatch.setenv("REPRO_EVAL_PATH", "fast")
     problem = PermutedPerceptronProblem.generate(11, 11, rng=0)
     assert isinstance(problem._fast(), _PPPFastScorer)

@@ -2,9 +2,9 @@
 
 The detached-replica correctness suite: a tenant that joins, runs and
 leaves the live batch mid-flight must produce a trajectory bit-identical to
-the same seeds/budget run standalone, across all four transfer modes and
-with host workers on; and co-resident tenants must never be perturbed by
-other tenants joining or leaving.
+the same seeds/budget run standalone, across all four transfer modes; and
+co-resident tenants must never be perturbed by other tenants joining or
+leaving.
 """
 
 import numpy as np
@@ -126,27 +126,6 @@ class TestMidFlightIdentity:
 
         for with_churn, without in zip(churned_results, alone_results):
             assert_result_equal(with_churn, without, f"{mode} co-resident")
-
-
-def test_identity_with_host_workers(instance, monkeypatch):
-    """Sharded host evaluation keeps the mid-flight identity bit-exact."""
-    monkeypatch.setenv("REPRO_HOST_WORKERS", "2")
-    monkeypatch.setenv("REPRO_HOST_MIN_WORK", "1")
-    evaluator, runner = make_runner(
-        instance, "gpu", "reduced", capacity=5, host_workers=2
-    )
-    with runner:
-        runner.attach(seeds=[1, 2], budgets=30)
-        for _ in range(5):
-            runner.step()
-        late = runner.attach(seeds=[9], budgets=20)
-        drain(runner)
-        late_results = runner.detach(late)
-    evaluator.close()
-    monkeypatch.delenv("REPRO_HOST_WORKERS")
-    monkeypatch.delenv("REPRO_HOST_MIN_WORK")
-    solo = standalone(instance, "gpu", "reduced", [9], 20)
-    assert_result_equal(late_results[0], solo[0], "host workers")
 
 
 @pytest.mark.parametrize(

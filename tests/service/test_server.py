@@ -267,8 +267,12 @@ class TestConfiguration:
         server = SolveServer(evaluator)
         assert server.capacity == 8
         assert server.max_queue == 9
-        monkeypatch.setenv("REPRO_SERVICE_CAPACITY", "not-a-number")
-        assert SolveServer(evaluator).capacity == 32
+
+    @pytest.mark.parametrize("name", ["REPRO_SERVICE_CAPACITY", "REPRO_SERVICE_MAX_QUEUE"])
+    def test_env_junk_is_rejected(self, evaluator, monkeypatch, name):
+        monkeypatch.setenv(name, "not-a-number")
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SolveServer(evaluator)
 
 
 class TestCalibration:
