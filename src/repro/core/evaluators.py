@@ -88,9 +88,9 @@ REDUCE_OPS = ("argmin", "first-improvement")
 def _fused_reduce(
     fitnesses: np.ndarray,
     op: str,
-    admissible: np.ndarray | None,
-    aspiration_fitness: np.ndarray | None,
-    thresholds: np.ndarray | None,
+    admissible: np.ndarray | None = None,
+    aspiration_fitness: np.ndarray | None = None,
+    thresholds: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Functional body of the fused reduction epilogue.
 

@@ -112,7 +112,8 @@ def save_figure8(points: Sequence[Figure8Point], path: str | Path) -> Path:
 # their dtype and shape, so tabu stamps, int8 solution blocks and float64
 # accounting all round-trip bit-for-bit; Python floats survive exactly
 # because ``json`` emits ``repr``-roundtrippable literals.  Tuples come back
-# as lists — the runner's restore path re-coerces the handful it cares about.
+# as lists; the rows are validated field by field (exact dtypes and shapes)
+# by ``MultiStartRunner.import_rows`` when the checkpoint is resumed.
 
 _NDARRAY_TAG = "__ndarray__"
 
@@ -160,7 +161,7 @@ def save_checkpoint(path: str | Path, checkpoint: dict) -> Path:
 def load_checkpoint(path: str | Path) -> dict:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Purely structural: version/config validation happens in
+    Purely structural: version, config and row validation happen in
     :meth:`repro.localsearch.multistart.MultiStartRunner.run` when the
     checkpoint is fed back through ``resume=``.
     """

@@ -10,6 +10,15 @@ call over the still-active replicas — on the GPU backend a single
 ``S x M``-thread launch — and applies a vectorized selection rule per
 replica.
 
+The per-replica state lives on the runner as one struct of arrays (one row
+per replica: solutions, fitnesses, counters, accounting, budget/target,
+stopping reason, history, tabu stamps) advanced by one private step.  The
+closed :meth:`MultiStartRunner.run` and the slot-leasing
+:class:`~repro.service.continuous.ContinuousRunner` both drive that step,
+and checkpoints, suspend and resume all move rows through the one
+:meth:`~MultiStartRunner.export_rows`/:meth:`~MultiStartRunner.import_rows`
+pair.
+
 Determinism is preserved replica by replica: given the same seed, a replica
 follows bit-for-bit the same trajectory as a standalone
 :class:`~repro.localsearch.tabu.TabuSearch` (or hill-climbing) run, because
@@ -19,6 +28,8 @@ selection rules below are exact vectorizations of the scalar policies.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -41,13 +52,49 @@ __all__ = ["CHECKPOINT_VERSION", "MultiStartResult", "MultiStartRunner"]
 
 #: Version tag written into every runner checkpoint.  Bumped whenever the
 #: checkpoint layout changes; :meth:`MultiStartRunner.run` refuses to resume
-#: from a different version instead of silently misreading it.
-CHECKPOINT_VERSION = 1
+#: from a different version instead of silently misreading it.  Version 2
+#: stores the rows as one :meth:`MultiStartRunner.export_rows` payload
+#: (per-row histories, budgets and targets); version 1 is not readable.
+CHECKPOINT_VERSION = 2
 
 #: Sentinel for "move never applied" in the vectorized tabu memory (matches
 #: the scalar :class:`~repro.localsearch.tabu.TabuSearch` encoding and the
 #: device-resident tabu memory).
 _NEVER = TABU_NEVER
+
+#: Per-row arrays of the lockstep state: attribute -> (dtype, whether a row
+#: is a length-``n`` solution rather than one scalar).
+_ROW_ARRAYS = {
+    "current": (np.int8, True),
+    "current_fitness": (np.float64, False),
+    "initial_fitness": (np.float64, False),
+    "best": (np.int8, True),
+    "best_fitness": (np.float64, False),
+    "iterations": (np.int64, False),
+    "evaluations": (np.int64, False),
+    "sim_share": (np.float64, False),
+    "wall_share": (np.float64, False),
+    "budgets": (np.int64, False),
+    "targets": (np.float64, False),
+    "active": (np.bool_, False),
+}
+
+#: Stopping reasons a row can carry while it is part of the batch.
+_REASONS = ("max_iterations", "target_reached", "local_optimum")
+
+
+def _check_array(state: dict, key: str, dtype, shape: tuple[int, ...]) -> None:
+    value = state.get(key)
+    if not isinstance(value, np.ndarray) or value.dtype != dtype or value.shape != shape:
+        got = (
+            f"{value.dtype} array of shape {value.shape}"
+            if isinstance(value, np.ndarray)
+            else repr(type(value).__name__)
+        )
+        raise ValueError(
+            f"row state field {key!r} must be a {np.dtype(dtype)} array of shape "
+            f"{shape}, got {got}"
+        )
 
 
 @dataclass
@@ -189,6 +236,25 @@ class MultiStartRunner:
         self.track_history = bool(track_history)
         self.rebalance_every = rebalance_every
 
+        self._resident = self.transfer_mode != "full"
+        self._reduced = self.transfer_mode in REDUCED_SELECTION_MODES
+        # The tabu memory moves device-resident whenever selection happens
+        # in the fused reduction and the backend supports it: the host then
+        # never materializes (nor uploads) the O(S·M) admissibility data.
+        self._device_tabu = (
+            self._reduced
+            and algorithm == "tabu"
+            and hasattr(evaluator, "init_tabu_memory")
+        )
+        self._host_tabu = algorithm == "tabu" and not self._device_tabu
+        self._rebalance = (
+            rebalance_every
+            if self._resident
+            and self.transfer_mode != "persistent"
+            and hasattr(evaluator, "rebalance_resident")
+            else None
+        )
+
     # ------------------------------------------------------------------
     def _initial_block(
         self,
@@ -213,130 +279,347 @@ class MultiStartRunner:
                 )
             if replicas is not None and replicas != block.shape[0]:
                 raise ValueError("replicas does not match the initial solution count")
-            return np.stack([as_solution(row, self.problem.n) for row in block])
-        if seeds is not None:
-            if replicas is not None and replicas != len(seeds):
-                raise ValueError("replicas does not match the number of seeds")
-            streams = [np.random.default_rng(seed) for seed in seeds]
+            rows = [as_solution(row, self.problem.n) for row in block]
         else:
-            if replicas is None:
-                raise ValueError("need replicas, seeds or initial_solutions")
-            if replicas <= 0:
-                raise ValueError(f"replicas must be positive, got {replicas}")
-            streams = np.random.default_rng(rng).spawn(replicas)
-        return np.stack([self.problem.random_solution(stream) for stream in streams])
+            if seeds is not None:
+                if replicas is not None and replicas != len(seeds):
+                    raise ValueError("replicas does not match the number of seeds")
+                streams = [np.random.default_rng(seed) for seed in seeds]
+            else:
+                if replicas is None:
+                    raise ValueError("need replicas, seeds or initial_solutions")
+                if replicas <= 0:
+                    raise ValueError(f"replicas must be positive, got {replicas}")
+                streams = np.random.default_rng(rng).spawn(replicas)
+            rows = [self.problem.random_solution(stream) for stream in streams]
+        if not rows:
+            raise ValueError(
+                "a replica group needs at least one replica; got no seeds or an "
+                f"empty (0, {self.problem.n}) block of initial solutions"
+            )
+        return np.stack(rows)
 
     # ------------------------------------------------------------------
+    # Row state
+    # ------------------------------------------------------------------
+    def _open_rows(self, state: dict, *, session: dict | None = None) -> None:
+        """Allocate the row state as a copy of ``state`` and open the session.
+
+        In the resident transfer modes the start block ``state["current"]``
+        crosses PCIe once, here (``"persistent"`` also opens the run's single
+        persistent launch); afterwards only flipped-bit deltas go up.  With
+        ``session`` — an evaluator :meth:`snapshot_state` payload — the
+        checkpointed session is reinstalled instead, without a new upload.
+        """
+        for key in _ROW_ARRAYS:
+            setattr(self, key, np.array(state[key]))
+        self.reasons = np.array(state["reasons"], dtype=object)
+        self.histories: list[list[float]] = [list(h) for h in state["histories"]]
+        self.last_applied = np.array(state["last_applied"]) if self._host_tabu else None
+        self.lockstep = 0
+        self._stack = contextlib.ExitStack()
+        try:
+            # Incremental gain cache: the one batched evaluation per lockstep
+            # iteration is served from persistent per-row gain state advanced
+            # by the committed moves; the engine re-derives any row whose
+            # solution changed outside a commit (new tenants, faults,
+            # restores), so trajectories stay bit-identical to the recompute
+            # path.  Gain state is derived data — never checkpointed.
+            self._gain_engine = create_gain_engine(
+                self.problem, rows_hint=self.current.shape[0]
+            )
+            prev_engine = attach_gain_engine(self.problem, self._gain_engine)
+            self._stack.callback(detach_gain_engine, self.problem, prev_engine)
+            if session is not None:
+                self.evaluator.restore_state(session)
+            elif self._resident:
+                self.evaluator.begin_search(
+                    self.current, persistent=self.transfer_mode == "persistent"
+                )
+                if self._device_tabu:
+                    self.evaluator.init_tabu_memory(self.tenure)
+            if self._resident:
+                self._stack.callback(self.evaluator.end_search)
+        except BaseException:
+            self._stack.close()
+            raise
+
+    def _close_rows(self) -> None:
+        """End the resident session and detach the gain engine."""
+        self._stack.close()
+        self._gain_engine = None
+
+    def _fresh_rows(self, block: np.ndarray, budgets, targets) -> dict:
+        """The row state a standalone run starts from, for the starts in ``block``."""
+        count = block.shape[0]
+        fitness = np.asarray(self.problem.evaluate_batch(block), dtype=np.float64)
+        return {
+            "current": block,
+            "current_fitness": fitness,
+            "initial_fitness": fitness,
+            "best": block,
+            "best_fitness": fitness,
+            "iterations": np.zeros(count, dtype=np.int64),
+            "evaluations": np.zeros(count, dtype=np.int64),
+            "sim_share": np.zeros(count, dtype=np.float64),
+            "wall_share": np.zeros(count, dtype=np.float64),
+            "budgets": np.broadcast_to(np.asarray(budgets, dtype=np.int64), (count,)),
+            "targets": np.broadcast_to(np.asarray(targets, dtype=np.float64), (count,)),
+            "active": np.ones(count, dtype=bool),
+            "reasons": ["max_iterations"] * count,
+            "histories": [[] for _ in range(count)],
+            "last_applied": (
+                np.broadcast_to(np.int64(_NEVER), (count, self.neighborhood.size))
+                if self._host_tabu
+                else None
+            ),
+        }
+
+    def export_rows(self, rows) -> dict:
+        """Copy out the host-side state of ``rows`` — what :meth:`import_rows` takes.
+
+        Solutions, fitness/best/counter arrays, accrued accounting,
+        budgets/targets, ``active``/``reasons``, per-row histories and the
+        host tabu stamps (``None`` when tabu is off or device-resident).
+        """
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        state = {key: getattr(self, key)[rows] for key in _ROW_ARRAYS}
+        state["reasons"] = [str(reason) for reason in self.reasons[rows]]
+        state["histories"] = [list(self.histories[row]) for row in rows.tolist()]
+        state["last_applied"] = (
+            self.last_applied[rows] if self.last_applied is not None else None
+        )
+        return state
+
+    def import_rows(self, rows, state: dict) -> None:
+        """Validate an :meth:`export_rows` payload and install it into ``rows``.
+
+        The resident solution copy is patched with a flipped-bit delta
+        packet — the XOR difference against whatever the rows last held —
+        priced like any other delta upload.  The gain engine's mirror check
+        re-derives exactly the changed rows at the next evaluation.
+        """
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        self._check_rows(state, rows.size)
+        if self._resident:
+            flipped, bits = np.nonzero(self.current[rows] ^ state["current"])
+            if flipped.size:
+                self.evaluator.apply_deltas(rows[flipped], bits)
+        for key in _ROW_ARRAYS:
+            getattr(self, key)[rows] = state[key]
+        self.reasons[rows] = state["reasons"]
+        for row, history in zip(rows.tolist(), state["histories"]):
+            self.histories[row] = list(history)
+        if self.last_applied is not None:
+            self.last_applied[rows] = state["last_applied"]
+
+    def _check_rows(self, state, count: int | None = None) -> int:
+        """Validate an :meth:`export_rows` payload of ``count`` rows (default:
+        the rows of its solution block) and return the row count; raises
+        :class:`ValueError` naming the first field with a wrong type, dtype,
+        shape or value.
+        """
+        if not isinstance(state, dict):
+            raise ValueError(f"row state must be a dict, got {type(state).__name__}")
+        if count is None:
+            current = state.get("current")
+            if not isinstance(current, np.ndarray) or current.ndim != 2:
+                raise ValueError("row state has no (R, n) 'current' solution block")
+            count = current.shape[0]
+        n, size = self.problem.n, self.neighborhood.size
+        for key, (dtype, solution) in _ROW_ARRAYS.items():
+            _check_array(state, key, dtype, (count, n) if solution else (count,))
+        if self._host_tabu:
+            _check_array(state, "last_applied", np.int64, (count, size))
+        elif state.get("last_applied") is not None:
+            raise ValueError(
+                "row state field 'last_applied' must be None: this runner keeps no "
+                "host tabu stamps"
+            )
+        for key in ("current", "best"):
+            if ((state[key] != 0) & (state[key] != 1)).any():
+                raise ValueError(f"row state field {key!r} must hold 0/1 solutions")
+        if (state["budgets"] < 0).any():
+            raise ValueError("budgets must be non-negative")
+        reasons, histories = state.get("reasons"), state.get("histories")
+        if not (
+            isinstance(reasons, list)
+            and len(reasons) == count
+            and all(reason in _REASONS for reason in reasons)
+        ):
+            raise ValueError(f"row state field 'reasons' must list {count} of {_REASONS}")
+        if not (
+            isinstance(histories, list)
+            and len(histories) == count
+            and all(
+                isinstance(history, list) and all(isinstance(v, float) for v in history)
+                for history in histories
+            )
+        ):
+            raise ValueError(f"row state field 'histories' must hold {count} lists of floats")
+        return count
+
+    def _harvest(self, rows: np.ndarray) -> list[LSResult]:
+        """One :class:`LSResult` per row, in ``rows`` order."""
+        return [
+            LSResult(
+                best_solution=self.best[row].copy(),
+                best_fitness=float(self.best_fitness[row]),
+                iterations=int(self.iterations[row]),
+                evaluations=int(self.evaluations[row]),
+                success=self.problem.is_solution(float(self.best_fitness[row])),
+                stopping_reason=str(self.reasons[row]),
+                simulated_time=float(self.sim_share[row]),
+                wall_time=float(self.wall_share[row]),
+                initial_fitness=float(self.initial_fitness[row]),
+                history=self.histories[row],
+            )
+            for row in rows.tolist()
+        ]
+
+    # ------------------------------------------------------------------
+    # The lockstep step
+    # ------------------------------------------------------------------
+    def _retire(self) -> np.ndarray:
+        """Stop the rows that are done and return them.
+
+        Per-row stopping checks in the scalar loop's order: the target
+        first, then the iteration budget.
+        """
+        reached = self.active & (self.best_fitness <= self.targets)
+        self.reasons[reached] = "target_reached"
+        finished = reached | (self.active & (self.iterations >= self.budgets))
+        self.active &= ~finished
+        return np.nonzero(finished)[0]
+
+    def _advance(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Advance every active row one lockstep iteration.
+
+        Rebalance (placement only) → one batched evaluation + vectorized
+        selection → apply the moves → account.  Returns ``(active_idx,
+        stopped, sim_elapsed)``: the rows that evaluated, those among them
+        that stopped at a local optimum, and the simulated seconds added.
+        """
+        if self._rebalance and self.lockstep and self.lockstep % self._rebalance == 0:
+            # Timing/placement only: keep the still-active rows split
+            # proportionally to device throughput (trajectories unchanged);
+            # derived gain state re-derives at the next evaluation.
+            self.evaluator.rebalance_resident(active=self.active)
+            if self._gain_engine is not None:
+                self._gain_engine.invalidate_all()
+        self.lockstep += 1
+        active_idx = np.nonzero(self.active)[0]
+
+        step_wall = time.perf_counter()
+        step_sim = self.evaluator.stats.simulated_time
+        if self._gain_engine is not None:
+            self._gain_engine.expect(active_idx)
+        indices, selected_fitness, optima = self._select(active_idx)
+        sim_elapsed = self.evaluator.stats.simulated_time - step_sim
+        self.sim_share[active_idx] += sim_elapsed / active_idx.size
+        self.evaluations[active_idx] += self.neighborhood.size
+        stopped = active_idx[optima]
+        if stopped.size:
+            self.reasons[stopped] = "local_optimum"
+            self.active[stopped] = False
+
+        movers = active_idx[~optima]
+        if movers.size:
+            move_idx = indices[~optima]
+            moves = self.neighborhood.mapping.from_flat_batch(move_idx)
+            self.current[movers[:, None], moves] ^= 1
+            if self._gain_engine is not None:
+                self._gain_engine.commit(movers, moves)
+            if self._resident:
+                # Delta packet: one (replica, bit) pair per flipped bit (free
+                # inside a persistent launch — the resident grid scattered
+                # its own selection).
+                self.evaluator.apply_deltas(
+                    np.repeat(movers, moves.shape[1]), moves.reshape(-1)
+                )
+            self.current_fitness[movers] = selected_fitness[~optima]
+            if self.last_applied is not None:
+                self.last_applied[movers, move_idx] = self.iterations[movers]
+            improved = self.current_fitness[movers] < self.best_fitness[movers]
+            improved_rows = movers[improved]
+            self.best[improved_rows] = self.current[improved_rows]
+            self.best_fitness[improved_rows] = self.current_fitness[improved_rows]
+            self.iterations[movers] += 1
+            if self.track_history:
+                for row, value in zip(
+                    movers.tolist(), self.best_fitness[movers].tolist()
+                ):
+                    self.histories[row].append(value)
+        self.wall_share[active_idx] += (
+            time.perf_counter() - step_wall
+        ) / active_idx.size
+        return active_idx, stopped, sim_elapsed
+
     def _select(
-        self,
-        fitnesses: np.ndarray,
-        current_fitness: np.ndarray,
-        best_fitness: np.ndarray,
-        iterations: np.ndarray,
-        last_applied: np.ndarray | None,
+        self, active_idx: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized per-replica move selection.
+        """Evaluate the active rows' neighborhoods and pick one move per row.
 
-        Returns ``(indices, selected_fitness, stop_mask)`` over the active
-        replicas; ``stop_mask`` marks replicas that hit a local optimum
-        (hill-climbing rules only — the tabu rule always moves).  The
-        selection core is :func:`~repro.core.evaluators._fused_reduce` —
-        the same function the device-resident pipeline fuses into its
-        reduction epilogue — so the ``full``/``delta`` host-side paths and
-        the ``reduced`` on-device path share one definition and stay
-        bit-identical by construction.
+        Returns ``(indices, selected_fitness, stop_mask)``; ``stop_mask``
+        marks rows at a local optimum (hill-climbing rules only).  The
+        reduction is :func:`~repro.core.evaluators._fused_reduce`, over the
+        downloaded fitness block (``full``/``delta``) or fused on-device
+        (``reduced``/``persistent``, where only ``(index, fitness)`` pairs
+        come back), so both paths are bit-identical by construction.
         """
-        num_active = fitnesses.shape[0]
-        rows = np.arange(num_active)
-        if self.algorithm == "tabu":
-            if self.tenure == 0:
-                admissible = np.ones_like(fitnesses, dtype=bool)
-            else:
-                admissible = (iterations[:, None] - last_applied) > self.tenure
-            indices, selected = _fused_reduce(
-                fitnesses,
-                "argmin",
-                admissible,
-                best_fitness if self.aspiration else None,
-                None,
+        if self._reduced:
+            def reduce(op, **kwargs):
+                return self.evaluator.evaluate_resident(active_idx, reduce=op, **kwargs)
+        else:
+            fitnesses = (
+                self.evaluator.evaluate_resident(active_idx)
+                if self._resident
+                else self.evaluator.evaluate_many(self.current[active_idx])
             )
-            # Robust-tabu escape: when every move of a replica is
-            # inadmissible, fall back to its oldest tabu move.
-            blocked = indices < 0
-            if blocked.any():
-                indices = np.where(blocked, last_applied.argmin(axis=1), indices)
-                selected = np.where(blocked, fitnesses[rows, indices], selected)
-            return indices, selected, np.zeros(num_active, dtype=bool)
+            reduce = functools.partial(_fused_reduce, fitnesses)
+
+        current_fitness = self.current_fitness[active_idx]
         if self.algorithm == "hill-climbing":
-            indices, selected = _fused_reduce(fitnesses, "argmin", None, None, None)
+            indices, selected = reduce("argmin")
             return indices, selected, selected >= current_fitness
-        # first-improvement
-        indices, selected = _fused_reduce(
-            fitnesses, "first-improvement", None, None, current_fitness
-        )
-        stopped = indices < 0
-        return np.where(stopped, 0, indices), selected, stopped
+        if self.algorithm == "first-improvement":
+            indices, selected = reduce("first-improvement", thresholds=current_fitness)
+            stopped = indices < 0
+            return np.where(stopped, 0, indices), selected, stopped
 
-    # ------------------------------------------------------------------
-    def _select_reduced(
-        self,
-        active_idx: np.ndarray,
-        current_fitness: np.ndarray,
-        best_fitness: np.ndarray,
-        iterations: np.ndarray,
-        last_applied: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reduced transfer path: selection happens inside the fused reduction.
-
-        Device-side semantics exactly mirror :meth:`_select`, so the
-        trajectories stay bit-identical; only ``(index, fitness)`` pairs —
-        plus, for tabu, the ``O(S)`` iteration stamps of the device-resident
-        tabu memory (or the admissibility mask, when the memory is still
-        host-side) going up — cross PCIe.
-        """
-        num_active = active_idx.size
-        if self.algorithm == "tabu":
-            if last_applied is None:
-                # Device-resident tabu memory: the admissibility mask is
-                # derived next to the reduction from the resident
-                # ``last_applied`` stamps, the robust-tabu escape resolves
-                # on-device, and the winning stamps are updated in place.
-                indices, fits = self.evaluator.evaluate_resident(
-                    active_idx,
-                    reduce="argmin",
-                    tabu_iterations=iterations,
-                    aspiration_fitness=best_fitness if self.aspiration else None,
-                )
-                return indices, fits, np.zeros(num_active, dtype=bool)
-            if self.tenure == 0:
-                admissible = np.ones((num_active, self.neighborhood.size), dtype=bool)
-            else:
-                admissible = (iterations[:, None] - last_applied) > self.tenure
-            indices, fits = self.evaluator.evaluate_resident(
-                active_idx,
-                reduce="argmin",
-                admissible=admissible,
-                aspiration_fitness=best_fitness if self.aspiration else None,
+        moving = np.zeros(active_idx.size, dtype=bool)
+        iterations = self.iterations[active_idx]
+        aspiration = self.best_fitness[active_idx] if self.aspiration else None
+        if self._device_tabu:
+            # Device-resident tabu memory: the admissibility mask is derived
+            # next to the reduction from the resident ``last_applied``
+            # stamps, the robust-tabu escape resolves on-device, and the
+            # winning stamps are updated in place.
+            indices, selected = reduce(
+                "argmin", tabu_iterations=iterations, aspiration_fitness=aspiration
             )
-            blocked = indices < 0
-            if blocked.any():
-                # Robust-tabu escape: the host falls back to the oldest tabu
-                # move and fetches just that move's fitness (8 bytes each).
-                indices = np.where(blocked, last_applied.argmin(axis=1), indices)
-                fits = fits.copy()
-                fits[blocked] = self.evaluator.fetch_fitnesses(
-                    active_idx[blocked], indices[blocked]
-                )
-            return indices, fits, np.zeros(num_active, dtype=bool)
-        if self.algorithm == "hill-climbing":
-            indices, fits = self.evaluator.evaluate_resident(active_idx, reduce="argmin")
-            return indices, fits, fits >= current_fitness
-        # first-improvement
-        indices, fits = self.evaluator.evaluate_resident(
-            active_idx, reduce="first-improvement", thresholds=current_fitness
+            return indices, selected, moving
+        last_applied = self.last_applied[active_idx]
+        if self.tenure == 0:
+            admissible = np.ones((active_idx.size, self.neighborhood.size), dtype=bool)
+        else:
+            admissible = (iterations[:, None] - last_applied) > self.tenure
+        indices, selected = reduce(
+            "argmin", admissible=admissible, aspiration_fitness=aspiration
         )
-        stopped = indices < 0
-        return np.where(stopped, 0, indices), fits, stopped
+        # Robust-tabu escape: when every move of a replica is inadmissible,
+        # fall back to its oldest tabu move (on the reduced paths the host
+        # fetches just that move's fitness, 8 bytes each).
+        blocked = indices < 0
+        if blocked.any():
+            indices = np.where(blocked, last_applied.argmin(axis=1), indices)
+            selected = selected.copy()
+            selected[blocked] = (
+                self.evaluator.fetch_fitnesses(active_idx[blocked], indices[blocked])
+                if self._reduced
+                else fitnesses[np.nonzero(blocked)[0], indices[blocked]]
+            )
+        return indices, selected, moving
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -354,55 +637,47 @@ class MultiStartRunner:
             "target_fitness": self.target_fitness,
             "track_history": self.track_history,
             "transfer_mode": self.transfer_mode,
-            "replicas": int(replicas),
+            "replicas": replicas,
         }
 
-    def _restore_checkpoint(self, ckpt: dict) -> dict:
-        """Validate a checkpoint, restore the evaluator, return loop state.
+    def _checkpoint(self) -> dict:
+        """Every row plus the evaluator session, version-tagged."""
+        rows = np.arange(self.current.shape[0])
+        return {
+            "version": CHECKPOINT_VERSION,
+            "config": self._checkpoint_config(rows.size),
+            "lockstep": self.lockstep,
+            "state": self.export_rows(rows),
+            "evaluator": self.evaluator.snapshot_state(),
+        }
 
-        The evaluator's :meth:`snapshot_state` is installed as a side
-        effect (resident session, tabu stamps, accounting, fleet mask);
-        the returned dict holds the runner-side arrays with their exact
-        dtypes, ready for :meth:`run` to continue from.
-        """
-        if not isinstance(ckpt, dict) or ckpt.get("version") != CHECKPOINT_VERSION:
-            version = ckpt.get("version") if isinstance(ckpt, dict) else None
+    def _check_checkpoint(self, ckpt) -> dict:
+        """Validate a checkpoint against this runner; returns its row state."""
+        version = ckpt.get("version") if isinstance(ckpt, dict) else None
+        if version != CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {version!r}; this build writes "
-                f"version {CHECKPOINT_VERSION}"
+                f"version {CHECKPOINT_VERSION} and reads no other, so restart the "
+                "run to resume from a fresh checkpoint"
             )
-        state = ckpt["state"]
-        config = ckpt["config"]
-        expected = self._checkpoint_config(len(state["active"]))
+        config = ckpt.get("config")
+        replicas = config.get("replicas") if isinstance(config, dict) else None
+        if not isinstance(replicas, int) or replicas <= 0:
+            raise ValueError(f"checkpoint config has no valid replica count: {replicas!r}")
+        expected = self._checkpoint_config(replicas)
         mismatched = [key for key in expected if config.get(key) != expected[key]]
         if mismatched:
             raise ValueError(
                 "checkpoint does not match this runner's configuration; "
                 f"differing keys: {mismatched}"
             )
-        self.evaluator.restore_state(ckpt["evaluator"])
-        last = state.get("last_applied")
-        return {
-            "lockstep": int(ckpt["lockstep"]),
-            "current": np.asarray(state["current"], dtype=np.int8),
-            "current_fitness": np.asarray(state["current_fitness"], dtype=np.float64),
-            "initial_fitness": np.asarray(state["initial_fitness"], dtype=np.float64),
-            "best": np.asarray(state["best"], dtype=np.int8),
-            "best_fitness": np.asarray(state["best_fitness"], dtype=np.float64),
-            "iterations": np.asarray(state["iterations"], dtype=np.int64),
-            "evaluations": np.asarray(state["evaluations"], dtype=np.int64),
-            "sim_share": np.asarray(state["sim_share"], dtype=np.float64),
-            "wall_share": np.asarray(state["wall_share"], dtype=np.float64),
-            "active": np.asarray(state["active"], dtype=bool),
-            "reasons": np.array([str(r) for r in state["reasons"]], dtype=object),
-            "history_steps": [
-                (np.asarray(movers, dtype=np.int64), np.asarray(vals, dtype=np.float64))
-                for movers, vals in state["history_steps"]
-            ],
-            "last_applied": (
-                np.asarray(last, dtype=np.int64) if last is not None else None
-            ),
-        }
+        lockstep = ckpt.get("lockstep")
+        if not isinstance(lockstep, int) or lockstep < 0:
+            raise ValueError(f"checkpoint lockstep must be a non-negative int, got {lockstep!r}")
+        if not isinstance(ckpt.get("evaluator"), dict):
+            raise ValueError("checkpoint has no evaluator snapshot")
+        self._check_rows(ckpt.get("state"), replicas)
+        return ckpt["state"]
 
     # ------------------------------------------------------------------
     def _apply_fault(self, event: FaultEvent) -> None:
@@ -410,9 +685,8 @@ class MultiStartRunner:
         # Belt and braces: fault recovery may reshuffle replica placement, so
         # drop all derived gain state (it re-derives on the next evaluation;
         # the engine's mirror check would also catch any divergence).
-        gain_engine = getattr(self.problem, "_gain_engine", None)
-        if gain_engine is not None:
-            gain_engine.invalidate_all()
+        if self._gain_engine is not None:
+            self._gain_engine.invalidate_all()
         if event.kind in ("fail", "join"):
             method = getattr(
                 self.evaluator,
@@ -455,8 +729,9 @@ class MultiStartRunner:
 
         ``checkpoint_every`` invokes ``checkpoint_callback(checkpoint)`` every
         that many lockstep iterations with a version-tagged dict capturing the
-        full search state (runner arrays + evaluator session/accounting); feed
-        it to :func:`repro.harness.io.save_checkpoint` or keep it in memory.
+        full search state (every row's :meth:`export_rows` state + evaluator
+        session/accounting); feed it to
+        :func:`repro.harness.io.save_checkpoint` or keep it in memory.
         ``resume`` takes such a checkpoint and continues the run from it — the
         continuation is bit-identical to the uninterrupted run (trajectories,
         byte counters, makespans), assuming the evaluator is freshly
@@ -476,7 +751,6 @@ class MultiStartRunner:
                 raise ValueError("checkpoint_every requires a checkpoint_callback")
         if isinstance(fault_plan, str):
             fault_plan = FaultPlan.parse(fault_plan)
-        resume_state = None
         if resume is not None:
             if any(
                 value is not None
@@ -486,258 +760,39 @@ class MultiStartRunner:
                     "resume is mutually exclusive with replicas/seeds/rng/"
                     "initial_solutions; the checkpoint carries the population"
                 )
-            resume_state = self._restore_checkpoint(resume)
-            current = resume_state["current"]
+            self._open_rows(self._check_checkpoint(resume), session=resume["evaluator"])
+            self.lockstep = resumed_at = resume["lockstep"]
         else:
-            current = self._initial_block(replicas, seeds, rng, initial_solutions)
-        num_replicas = current.shape[0]
-        size = self.neighborhood.size
-        mapping = self.neighborhood.mapping
-
-        resuming = resume_state is not None
-        if resuming:
-            current_fitness = resume_state["current_fitness"]
-            initial_fitness = resume_state["initial_fitness"]
-            best = resume_state["best"]
-            best_fitness = resume_state["best_fitness"]
-            iterations = resume_state["iterations"]
-            evaluations = resume_state["evaluations"]
-            sim_share = resume_state["sim_share"]
-            wall_share = resume_state["wall_share"]
-            active = resume_state["active"]
-            reasons = resume_state["reasons"]
-            history_steps = resume_state["history_steps"]
-        else:
-            current_fitness = np.asarray(
-                self.problem.evaluate_batch(current), dtype=np.float64
+            block = self._initial_block(replicas, seeds, rng, initial_solutions)
+            self._open_rows(
+                self._fresh_rows(block, self.max_iterations, self.target_fitness)
             )
-            initial_fitness = current_fitness.copy()
-            best = current.copy()
-            best_fitness = current_fitness.copy()
-
-            iterations = np.zeros(num_replicas, dtype=np.int64)
-            evaluations = np.zeros(num_replicas, dtype=np.int64)
-            sim_share = np.zeros(num_replicas, dtype=np.float64)
-            wall_share = np.zeros(num_replicas, dtype=np.float64)
-            active = np.ones(num_replicas, dtype=bool)
-            reasons = np.array(["max_iterations"] * num_replicas, dtype=object)
-            # Per-lockstep (movers, best-so-far) snapshots; the per-replica
-            # history lists are assembled vectorized after the loop instead of
-            # appending row by row inside it.
-            history_steps = []
-
-        resident = self.transfer_mode != "full"
-        reduced_path = self.transfer_mode in REDUCED_SELECTION_MODES
-        # The tabu memory moves device-resident whenever selection happens
-        # in the fused reduction and the backend supports it: the host then
-        # never materializes (nor uploads) the O(S·M) admissibility data.
-        device_tabu = (
-            reduced_path
-            and self.algorithm == "tabu"
-            and hasattr(self.evaluator, "init_tabu_memory")
-        )
-        if resuming:
-            # The evaluator restore already reinstalled the resident session
-            # (and tabu memory) exactly as snapshotted — re-running
-            # begin_search would re-charge the upload.
-            last_applied = resume_state["last_applied"]
-        else:
-            last_applied = (
-                np.full((num_replicas, size), _NEVER, dtype=np.int64)
-                if self.algorithm == "tabu" and not device_tabu
-                else None
-            )
-            if resident:
-                # The whole (R, n) block crosses PCIe once; afterwards only
-                # flipped-bit deltas go up ("persistent" additionally opens the
-                # run's single persistent launch).
-                self.evaluator.begin_search(
-                    current, persistent=self.transfer_mode == "persistent"
-                )
-                if device_tabu:
-                    self.evaluator.init_tabu_memory(self.tenure)
-
-        rebalance = (
-            self.rebalance_every
-            if resident
-            and self.transfer_mode != "persistent"
-            and hasattr(self.evaluator, "rebalance_resident")
-            else None
-        )
-
-        def take_checkpoint() -> dict:
-            return {
-                "version": CHECKPOINT_VERSION,
-                "config": self._checkpoint_config(num_replicas),
-                "lockstep": int(lockstep),
-                "state": {
-                    "current": current.copy(),
-                    "current_fitness": current_fitness.copy(),
-                    "initial_fitness": initial_fitness.copy(),
-                    "best": best.copy(),
-                    "best_fitness": best_fitness.copy(),
-                    "iterations": iterations.copy(),
-                    "evaluations": evaluations.copy(),
-                    "sim_share": sim_share.copy(),
-                    "wall_share": wall_share.copy(),
-                    "active": active.copy(),
-                    "reasons": [str(r) for r in reasons],
-                    "history_steps": [
-                        (movers.copy(), vals.copy())
-                        for movers, vals in history_steps
-                    ],
-                    "last_applied": (
-                        last_applied.copy() if last_applied is not None else None
-                    ),
-                },
-                "evaluator": self.evaluator.snapshot_state(),
-            }
-
-        lockstep = resume_state["lockstep"] if resuming else 0
-        resumed_at = lockstep if resuming else -1
-        # Incremental gain cache: the one batched evaluation per lockstep
-        # iteration is served from persistent per-replica gain state advanced
-        # by the committed moves below; the engine re-derives any replica
-        # whose solution changed outside a commit (restarts, faults, resume),
-        # so trajectories stay bit-identical to the recompute path.  Gain
-        # state is derived data — fresh per run, never checkpointed.
-        gain_engine = create_gain_engine(self.problem, rows_hint=num_replicas)
-        prev_engine = attach_gain_engine(self.problem, gain_engine)
+            resumed_at = -1
         try:
             while True:
-                # Per-replica stopping checks, in the scalar loop's order:
-                # target first, then the iteration cap.
-                reached = active & (best_fitness <= self.target_fitness)
-                reasons[reached] = "target_reached"
-                capped = active & ~reached & (iterations >= self.max_iterations)
-                active &= ~(reached | capped)
-                if not active.any():
+                self._retire()
+                if not self.active.any():
                     break
                 # Checkpoint before same-boundary faults: a resumed run re-applies
                 # the faults due at the checkpointed lockstep, replaying exactly
                 # what the uninterrupted run did after taking the checkpoint.
                 if (
                     checkpoint_every
-                    and lockstep
-                    and lockstep % checkpoint_every == 0
-                    and lockstep != resumed_at
+                    and self.lockstep
+                    and self.lockstep % checkpoint_every == 0
+                    and self.lockstep != resumed_at
                 ):
-                    checkpoint_callback(take_checkpoint())
+                    checkpoint_callback(self._checkpoint())
                 if fault_plan is not None:
-                    for event in fault_plan.due(lockstep):
+                    for event in fault_plan.due(self.lockstep):
                         self._apply_fault(event)
-                if rebalance and lockstep and lockstep % rebalance == 0:
-                    # Timing/placement only: keep the still-active replicas split
-                    # proportionally to device throughput (trajectories unchanged).
-                    self.evaluator.rebalance_resident(active=active)
-                    if gain_engine is not None:
-                        # Replica placement moved; drop derived gain state and
-                        # let it re-derive at the next evaluation.
-                        gain_engine.invalidate_all()
-                lockstep += 1
-                active_idx = np.nonzero(active)[0]
-
-                # One batched evaluation for every still-active replica (the
-                # single S x M GPU launch of the solution-parallel engine).
-                step_wall = time.perf_counter()
-                step_sim = self.evaluator.stats.simulated_time
-                if gain_engine is not None:
-                    gain_engine.expect(active_idx)
-                sub_last = last_applied[active_idx] if last_applied is not None else None
-                if reduced_path:
-                    indices, selected_fitness, optima = self._select_reduced(
-                        active_idx,
-                        current_fitness[active_idx],
-                        best_fitness[active_idx],
-                        iterations[active_idx],
-                        sub_last,
-                    )
-                else:
-                    if resident:
-                        fitnesses = self.evaluator.evaluate_resident(active_idx)
-                    else:
-                        fitnesses = self.evaluator.evaluate_many(current[active_idx])
-                    indices, selected_fitness, optima = self._select(
-                        fitnesses,
-                        current_fitness[active_idx],
-                        best_fitness[active_idx],
-                        iterations[active_idx],
-                        sub_last,
-                    )
-                sim_share[active_idx] += (
-                    self.evaluator.stats.simulated_time - step_sim
-                ) / active_idx.size
-                evaluations[active_idx] += size
-                if optima.any():
-                    stopped = active_idx[optima]
-                    reasons[stopped] = "local_optimum"
-                    active[stopped] = False
-
-                movers = active_idx[~optima]
-                if movers.size:
-                    move_idx = indices[~optima]
-                    moves = mapping.from_flat_batch(move_idx)
-                    current[movers[:, None], moves] ^= 1
-                    if gain_engine is not None:
-                        gain_engine.commit(movers, moves)
-                    if resident:
-                        # Delta packet: one (replica, bit) pair per flipped bit
-                        # (free inside a persistent launch — the resident grid
-                        # scattered its own selection).
-                        self.evaluator.apply_deltas(
-                            np.repeat(movers, moves.shape[1]), moves.reshape(-1)
-                        )
-                    current_fitness[movers] = selected_fitness[~optima]
-                    if last_applied is not None:
-                        last_applied[movers, move_idx] = iterations[movers]
-                    improved = current_fitness[movers] < best_fitness[movers]
-                    improved_rows = movers[improved]
-                    best[improved_rows] = current[improved_rows]
-                    best_fitness[improved_rows] = current_fitness[improved_rows]
-                    iterations[movers] += 1
-                    if self.track_history:
-                        history_steps.append((movers, best_fitness[movers]))
-                wall_share[active_idx] += (
-                    time.perf_counter() - step_wall
-                ) / active_idx.size
+                self._advance()
         finally:
-            detach_gain_engine(self.problem, prev_engine)
+            self._close_rows()
 
-        if resident:
-            self.evaluator.end_search()
-
-        histories: list[list[float]] = [[] for _ in range(num_replicas)]
-        if history_steps:
-            # Group the flat (replica, value) stream by replica in one stable
-            # sort; within a replica the lockstep order is preserved, so each
-            # list matches what per-iteration appends would have produced.
-            rows = np.concatenate([movers for movers, _ in history_steps])
-            values = np.concatenate([vals for _, vals in history_steps])
-            order = np.argsort(rows, kind="stable")
-            rows, values = rows[order], values[order]
-            bounds = np.searchsorted(rows, np.arange(num_replicas + 1))
-            histories = [
-                values[bounds[r] : bounds[r + 1]].tolist() for r in range(num_replicas)
-            ]
-
-        results = [
-            LSResult(
-                best_solution=best[r],
-                best_fitness=float(best_fitness[r]),
-                iterations=int(iterations[r]),
-                evaluations=int(evaluations[r]),
-                success=self.problem.is_solution(float(best_fitness[r])),
-                stopping_reason=str(reasons[r]),
-                simulated_time=float(sim_share[r]),
-                wall_time=float(wall_share[r]),
-                initial_fitness=float(initial_fitness[r]),
-                history=histories[r],
-            )
-            for r in range(num_replicas)
-        ]
         return MultiStartResult(
-            results=results,
+            results=self._harvest(np.arange(self.current.shape[0])),
             wall_time=time.perf_counter() - start_wall,
             simulated_time=self.evaluator.stats.simulated_time - start_sim,
-            iterations=int(lockstep),
+            iterations=self.lockstep,
         )

@@ -155,3 +155,12 @@ class TestRunnerBehaviour:
             runner.run(3, seeds=[1, 2])
         with pytest.raises(ValueError):
             runner.run(initial_solutions=np.zeros((2, ppp.n + 1), dtype=np.int8))
+
+    def test_empty_replica_group_rejected(self, ppp):
+        runner = MultiStartRunner(
+            CPUEvaluator(ppp, KHammingNeighborhood(ppp.n, 1)), max_iterations=5
+        )
+        with pytest.raises(ValueError, match="at least one replica"):
+            runner.run(seeds=[])
+        with pytest.raises(ValueError, match="at least one replica"):
+            runner.run(initial_solutions=np.zeros((0, ppp.n), dtype=np.int8))

@@ -84,6 +84,53 @@ class TestCheckpointRestore:
         with pytest.raises(ValueError, match="checkpoint version"):
             make_runner("delta").run(resume=bad)
 
+    def test_version_1_checkpoint_is_rejected(self):
+        runner = make_runner("delta")
+        checkpoints = []
+        runner.run(seeds=SEEDS, checkpoint_every=10, checkpoint_callback=checkpoints.append)
+        # The version-1 layout: a flat history stream, no per-row budgets.
+        state = {
+            key: value
+            for key, value in checkpoints[0]["state"].items()
+            if key not in ("histories", "budgets", "targets")
+        }
+        v1 = dict(checkpoints[0], version=1, state=dict(state, history_steps=[]))
+        with pytest.raises(
+            ValueError, match=r"version 1;.*writes version 2.*restart the run"
+        ):
+            make_runner("delta").run(resume=v1)
+
+    def test_truncated_checkpoint_is_rejected(self, tmp_path):
+        runner = make_runner("delta")
+        checkpoints = []
+        runner.run(seeds=SEEDS, checkpoint_every=10, checkpoint_callback=checkpoints.append)
+        state = dict(checkpoints[0]["state"])
+        state["current"] = state["current"][:-1]
+        path = save_checkpoint(
+            tmp_path / "truncated.json", dict(checkpoints[0], state=state)
+        )
+        restored = make_runner("delta")
+        with pytest.raises(ValueError, match="'current'"):
+            restored.run(resume=load_checkpoint(path))
+        # Rejected before the evaluator session was touched.
+        assert restored.evaluator.stats.simulated_time == 0.0
+
+    @pytest.mark.parametrize(
+        "key,value,match",
+        [
+            ("evaluator", None, "evaluator snapshot"),
+            ("lockstep", -1, "lockstep"),
+            ("config", {"replicas": "6"}, "replica count"),
+            ("state", None, "row state must be a dict"),
+        ],
+    )
+    def test_malformed_checkpoint_is_rejected(self, key, value, match):
+        runner = make_runner("delta")
+        checkpoints = []
+        runner.run(seeds=SEEDS, checkpoint_every=10, checkpoint_callback=checkpoints.append)
+        with pytest.raises(ValueError, match=match):
+            make_runner("delta").run(resume=dict(checkpoints[0], **{key: value}))
+
     def test_checkpoint_config_mismatch_rejected(self):
         runner = make_runner("delta")
         checkpoints = []

@@ -9,6 +9,8 @@ leaving.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CPUEvaluator, GPUEvaluator, MultiGPUEvaluator
 from repro.localsearch.multistart import MultiStartRunner
@@ -274,6 +276,76 @@ class TestSlotMechanics:
             runner.detach(slots)
         evaluator.close()
 
+    def test_detach_rejects_negative_slot(self, instance):
+        evaluator, runner = make_runner(instance, "cpu", "full", capacity=2)
+        with runner:
+            runner.attach(seeds=[1, 2], budgets=0)
+            runner.step()
+            with pytest.raises(ValueError, match="slot indices"):
+                runner.detach([-1])
+            assert runner.num_leased == 2
+        evaluator.close()
+
+    def test_detach_rejects_out_of_range_slot(self, instance):
+        evaluator, runner = make_runner(instance, "cpu", "full", capacity=2)
+        with runner:
+            runner.attach(seeds=[1, 2], budgets=0)
+            runner.step()
+            with pytest.raises(ValueError, match="slot indices"):
+                runner.detach([2])
+            assert runner.num_leased == 2
+        evaluator.close()
+
+    def test_suspend_rejects_repeated_slot(self, instance):
+        evaluator, runner = make_runner(instance, "cpu", "full", capacity=2)
+        with runner:
+            slots = runner.attach(seeds=[1], budgets=10)
+            with pytest.raises(ValueError, match="repeated"):
+                runner.suspend([slots[0], slots[0]])
+            assert runner.num_active == 1
+        evaluator.close()
+
+    def test_empty_replica_group_rejected(self, instance):
+        problem, _ = instance
+        evaluator, runner = make_runner(instance, "cpu", "full", capacity=2)
+        with runner:
+            with pytest.raises(ValueError, match="at least one replica"):
+                runner.attach(seeds=[], budgets=5)
+            with pytest.raises(ValueError, match="at least one replica"):
+                runner.attach(
+                    initial_solutions=np.zeros((0, problem.n), dtype=np.int8),
+                    budgets=5,
+                )
+            assert runner.free_slots == 2
+        evaluator.close()
+
+    def test_resume_validates_the_row_state(self, instance):
+        evaluator, runner = make_runner(instance, "gpu", "reduced", capacity=2)
+        with runner:
+            slots = runner.attach(seeds=[1], budgets=10)
+            runner.step()
+            saved = runner.suspend(slots)
+            broken = {
+                "current": saved["current"][:, :-1],
+                "best": saved["best"] * 2,
+                "iterations": saved["iterations"].astype(np.int32),
+                "budgets": -saved["budgets"],
+                "reasons": ["exploded"],
+                "histories": [[1]],
+                "tabu_stamps": None,
+                "last_applied": saved["tabu_stamps"],
+            }
+            for key, value in broken.items():
+                with pytest.raises(ValueError, match=key):
+                    runner.resume(dict(saved, **{key: value}))
+            for key in ("current", "wall_share"):
+                with pytest.raises(ValueError, match=key):
+                    runner.resume({k: v for k, v in saved.items() if k != key})
+            assert runner.free_slots == 2
+            runner.resume(saved)
+            assert runner.num_active == 1
+        evaluator.close()
+
     def test_occupancy_accounting(self, instance):
         evaluator, runner = make_runner(instance, "gpu", "delta", capacity=4)
         with runner:
@@ -283,3 +355,120 @@ class TestSlotMechanics:
             assert runner.mean_occupancy == pytest.approx(0.5)
             assert runner.busy_time > 0.0
         evaluator.close()
+
+
+# ----------------------------------------------------------------------
+# Random interleavings of tenant churn
+# ----------------------------------------------------------------------
+INTERLEAVINGS = st.lists(
+    st.one_of(
+        # (attach, replicas, budget, target): -inf never retires on target.
+        st.tuples(
+            st.just("attach"),
+            st.integers(1, 2),
+            st.integers(0, 30),
+            st.sampled_from([float("-inf"), 0.0]),
+        ),
+        st.tuples(st.just("step"), st.integers(1, 10)),
+        st.tuples(st.sampled_from(["suspend", "resume"]), st.integers(0, 7)),
+        st.tuples(st.just("detach"), st.integers(0, 7)),
+    ),
+    max_size=16,
+)
+
+_SOLO_CACHE = {}
+
+
+@pytest.mark.parametrize("evaluator_key,mode", [("cpu", "full"), ("gpu", "reduced")])
+@settings(max_examples=25, deadline=None)
+@given(ops=INTERLEAVINGS)
+def test_random_interleavings_match_standalone(instance, evaluator_key, mode, ops):
+    """Any attach/step/suspend/resume/detach schedule leaves every tenant's
+    results equal to its standalone run, with ``0 <= occupancy <= 1`` and
+    every active slot leased after each operation."""
+    evaluator, runner = make_runner(instance, evaluator_key, mode, capacity=4)
+    tenants = []
+    seeds = iter(range(100, 1000))
+
+    def check(report=None):
+        if report is not None:
+            assert 0.0 <= report.occupancy <= 1.0
+        assert 0.0 <= runner.mean_occupancy <= 1.0
+        assert not (runner.active & ~runner.leased).any()
+
+    def pick(candidates, index):
+        return candidates[index % len(candidates)] if candidates else None
+
+    with runner:
+        for op, *args in ops:
+            if op == "attach":
+                count, budget, target = args
+                group = [next(seeds) for _ in range(count)]
+                if count > runner.free_slots:
+                    with pytest.raises(CapacityError):
+                        runner.attach(seeds=group, budgets=budget, targets=target)
+                    continue
+                slots = runner.attach(seeds=group, budgets=budget, targets=target)
+                tenants.append({"seeds": group, "budget": budget, "target": target,
+                                "slots": slots, "saved": None})
+            elif op == "step":
+                for _ in range(args[0]):
+                    check(runner.step())
+            elif op == "suspend":
+                tenant = pick(
+                    [t for t in tenants
+                     if t["slots"] is not None and runner.active[t["slots"]].all()],
+                    args[0],
+                )
+                if tenant is not None:
+                    tenant["saved"] = runner.suspend(tenant["slots"])
+                    tenant["slots"] = None
+            elif op == "resume":
+                tenant = pick(
+                    [t for t in tenants
+                     if t["saved"] is not None and len(t["seeds"]) <= runner.free_slots],
+                    args[0],
+                )
+                if tenant is not None:
+                    tenant["slots"] = runner.resume(tenant["saved"])
+                    tenant["saved"] = None
+            else:  # detach a tenant whose replicas all retired
+                tenant = pick(
+                    [t for t in tenants
+                     if t["slots"] is not None and not runner.active[t["slots"]].any()],
+                    args[0],
+                )
+                if tenant is not None:
+                    tenant["results"] = runner.detach(tenant["slots"])
+                    tenant["slots"] = None
+            check()
+        # Wind down: resume whoever is suspended, drain, harvest everyone.
+        while any("results" not in t for t in tenants):
+            for tenant in tenants:
+                if tenant["saved"] is not None and len(tenant["seeds"]) <= runner.free_slots:
+                    tenant["slots"] = runner.resume(tenant["saved"])
+                    tenant["saved"] = None
+            while runner.num_active:
+                check(runner.step())
+            for tenant in tenants:
+                if tenant["slots"] is not None:
+                    tenant["results"] = runner.detach(tenant["slots"])
+                    tenant["slots"] = None
+        assert runner.num_leased == 0
+    evaluator.close()
+
+    for tenant in tenants:
+        key = (evaluator_key, mode, tuple(tenant["seeds"]), tenant["budget"],
+               tenant["target"])
+        if key not in _SOLO_CACHE:
+            solo_evaluator = EVALUATORS[evaluator_key](*instance)
+            _SOLO_CACHE[key] = MultiStartRunner(
+                solo_evaluator,
+                max_iterations=tenant["budget"],
+                target_fitness=tenant["target"],
+                track_history=True,
+                transfer_mode=mode,
+            ).run(seeds=tenant["seeds"])
+            solo_evaluator.close()
+        for actual, expected in zip(tenant["results"], _SOLO_CACHE[key], strict=True):
+            assert_result_equal(actual, expected, f"{mode} tenant {tenant['seeds']}")
