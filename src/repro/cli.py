@@ -4,8 +4,8 @@
 any code:
 
 * ``tables``   — regenerate Tables I/II/III at a chosen scale;
-* ``experiment`` — run the multi-trial tabu protocol on one instance, with a
-  choice of trial execution mode (serial / parallel / batched lockstep);
+* ``experiment`` — run the multi-trial tabu protocol on one instance, all
+  trials advancing in lockstep through one batched evaluator;
 * ``figure8``  — regenerate the Figure 8 acceleration sweep;
 * ``solve``    — run one tabu search on a generated PPP instance;
 * ``devices``  — list the simulated device presets and their key parameters;
@@ -35,11 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("--scale", default="smoke", choices=("smoke", "reduced", "paper"))
     p_tables.add_argument("--table", type=int, choices=(1, 2, 3), action="append",
                           help="which table(s); default all")
-    p_tables.add_argument("--trial-mode", default="serial",
-                          choices=("serial", "parallel", "batched"),
-                          help="how the independent trials are executed")
-    p_tables.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for --trial-mode parallel")
 
     p_exp = sub.add_parser(
         "experiment",
@@ -51,9 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--trials", type=int, default=50, help="independent runs (paper: 50)")
     p_exp.add_argument("--iterations", type=int, default=None,
                        help="iteration cap per trial (default: the paper's n(n-1)(n-2)/6)")
-    p_exp.add_argument("--trial-mode", default="batched",
-                       choices=("serial", "parallel", "batched"),
-                       help="serial loop, worker processes, or the lockstep batched engine")
     p_exp.add_argument("--evaluator", default="cpu",
                        choices=("cpu", "sequential", "gpu", "multi-gpu"),
                        help="named evaluator spec used to run the trials")
@@ -76,24 +68,21 @@ def build_parser() -> argparse.ArgumentParser:
                             "over: private per-device links (dedicated, the "
                             "default), a shared host root-complex uplink, a PCIe "
                             "switch, or an NVLink-style peer mesh")
-    p_exp.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for --trial-mode parallel")
     p_exp.add_argument("--fault-plan", default=None, metavar="PLAN",
-                       help="inject faults at lockstep boundaries (--trial-mode "
-                            "batched only): comma-separated kind:arg@iteration "
+                       help="inject faults at lockstep boundaries: "
+                            "comma-separated kind:arg@iteration "
                             "terms with kind one of fail/join/flaky, "
                             "e.g. 'flaky:2@5,fail:1@40,join:1@80'; timing-only — "
                             "per-trial records stay bit-identical")
     p_exp.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
                        help="write the latest search checkpoint every N lockstep "
-                            "iterations (--trial-mode batched only; needs "
-                            "--checkpoint-path)")
+                            "iterations (needs --checkpoint-path)")
     p_exp.add_argument("--checkpoint-path", default=None, metavar="FILE",
                        help="where --checkpoint-every writes its JSON snapshot")
     p_exp.add_argument("--restore", default=None, metavar="FILE",
-                       help="resume from a checkpoint written by a previous run "
-                            "(--trial-mode batched only); the finished run is "
-                            "bit-identical to an uninterrupted one")
+                       help="resume from a checkpoint written by a previous run; "
+                            "the finished run is bit-identical to an "
+                            "uninterrupted one")
 
     p_fig = sub.add_parser("figure8", help="regenerate Figure 8 (acceleration vs instance size)")
     p_fig.add_argument("--scale", default="smoke", choices=("smoke", "reduced", "paper"))
@@ -188,11 +177,10 @@ def _cmd_tables(args) -> int:
 
     builders = {1: ("I", table_one), 2: ("II", table_two), 3: ("III", table_three)}
     scale = get_scale(args.scale)
-    print(f"scale: {scale.name} ({scale.trials} trials per instance, "
-          f"{args.trial_mode} trial mode)")
+    print(f"scale: {scale.name} ({scale.trials} trials per instance)")
     for index in args.table or [1, 2, 3]:
         numeral, builder = builders[index]
-        rows = builder(scale, trial_mode=args.trial_mode, n_jobs=args.jobs)
+        rows = builder(scale)
         print()
         print(format_experiment_table(
             rows,
@@ -215,8 +203,6 @@ def _cmd_experiment(args) -> int:
         trials=args.trials,
         max_iterations=max_iterations,
         evaluator_factory=args.evaluator,
-        trial_mode=args.trial_mode,
-        n_jobs=args.jobs,
         transfer_mode=args.transfer_mode,
         devices=args.devices,
         pinned=args.pinned,
@@ -227,7 +213,7 @@ def _cmd_experiment(args) -> int:
         restore=args.restore,
     )
     print(f"instance: {args.m} x {n} PPP, {args.k}-Hamming neighborhood, "
-          f"{args.trials} trials ({args.trial_mode} mode, {args.evaluator} evaluator, "
+          f"{args.trials} trials ({args.evaluator} evaluator, "
           f"{args.transfer_mode} transfers"
           + (", pinned memory" if args.pinned else "")
           + (f", {args.topology} interconnect" if args.topology else "")
@@ -251,16 +237,10 @@ def _cmd_experiment(args) -> int:
               f"serialized per-device sum {format_time(row.serialized_device_s)} "
               f"(cross-device overlap saved {format_time(row.cross_device_overlap_s)})")
     if row.topology != "dedicated" or row.contention_stall_s > 0:
-        if row.sim_elapsed_s > 0:
-            print(f"interconnect: {row.topology} topology, uplink busy "
-                  f"{format_time(row.uplink_busy_s)} "
-                  f"({row.uplink_utilization:.0%} of elapsed), contention stall "
-                  f"{format_time(row.contention_stall_s)}")
-        else:
-            # Parallel trial mode: the engines live in the worker processes,
-            # so no pool-level interconnect accounting was collected.
-            print(f"interconnect: {row.topology} topology "
-                  f"(per-worker accounting not collected in parallel mode)")
+        print(f"interconnect: {row.topology} topology, uplink busy "
+              f"{format_time(row.uplink_busy_s)} "
+              f"({row.uplink_utilization:.0%} of elapsed), contention stall "
+              f"{format_time(row.contention_stall_s)}")
     return 0
 
 

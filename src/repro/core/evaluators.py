@@ -129,6 +129,14 @@ def _fused_reduce(
     raise ValueError(f"unknown reduce op {op!r}; expected one of {REDUCE_OPS}")
 
 
+def _tabu_rows(rows, count: int) -> np.ndarray:
+    """Replica row indices of a tabu-memory access, each in ``[0, count)``."""
+    rows = np.asarray(rows, dtype=np.int64).ravel()
+    if rows.size and (rows.min() < 0 or rows.max() >= count):
+        raise IndexError(f"tabu row index out of range [0, {count})")
+    return rows
+
+
 @dataclass
 class EvaluatorStats:
     """Work and simulated time accumulated by one evaluator."""
@@ -627,7 +635,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
         """
         if self._tabu_last_applied is None:
             raise RuntimeError("no device-resident tabu memory in this session")
-        rows = np.asarray(rows, dtype=np.int64).ravel()
+        rows = _tabu_rows(rows, self._tabu_last_applied.shape[0])
         return self._tabu_last_applied[rows].copy()
 
     def write_tabu_rows(self, rows: np.ndarray, stamps: np.ndarray | None = None) -> None:
@@ -640,7 +648,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
         """
         if self._tabu_last_applied is None:
             raise RuntimeError("no device-resident tabu memory in this session")
-        rows = np.asarray(rows, dtype=np.int64).ravel()
+        rows = _tabu_rows(rows, self._tabu_last_applied.shape[0])
         if stamps is None:
             self._tabu_last_applied[rows] = TABU_NEVER
             return
@@ -1557,6 +1565,10 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
     # ------------------------------------------------------------------
     supports_device_residency = True
 
+    def _replica_count(self) -> int:
+        """Rows of the resident session (the replica ranges tile ``[0, R)``)."""
+        return max((hi for _evaluator, _lo, hi in self._resident_parts()), default=0)
+
     def _resident_parts(self):
         """Yield ``(evaluator, lo, hi)`` for devices owning at least one replica."""
         if self._replica_ranges is None:
@@ -1618,21 +1630,17 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
 
     def read_tabu_rows(self, rows: np.ndarray) -> np.ndarray:
         """Gather tabu stamp rows from the devices owning each replica."""
-        rows = np.asarray(rows, dtype=np.int64).ravel()
+        rows = _tabu_rows(rows, self._replica_count())
         out = np.empty((rows.size, self.neighborhood.size), dtype=TABU_STAMP_DTYPE)
-        seen = np.zeros(rows.size, dtype=bool)
         for evaluator, lo, hi in self._resident_parts():
             mask = (rows >= lo) & (rows < hi)
             if mask.any():
                 out[mask] = evaluator.read_tabu_rows(rows[mask] - lo)
-                seen |= mask
-        if not seen.all():
-            raise IndexError("tabu row index out of range")
         return out
 
     def write_tabu_rows(self, rows: np.ndarray, stamps: np.ndarray | None = None) -> None:
         """Scatter stamp rows (or the reset sentinel) to the owning devices."""
-        rows = np.asarray(rows, dtype=np.int64).ravel()
+        rows = _tabu_rows(rows, self._replica_count())
         stamps_block = None if stamps is None else np.asarray(stamps, dtype=TABU_STAMP_DTYPE)
         if stamps_block is not None and stamps_block.shape != (
             rows.size,

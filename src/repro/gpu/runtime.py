@@ -24,7 +24,6 @@ Two issue models coexist:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,11 +68,6 @@ class DeviceStats:
     #: Fused on-device reductions (argmin epilogues of the resident pipeline).
     reductions: int = 0
     reduction_time: float = 0.0
-    #: *Host* wall-clock seconds spent executing kernel bodies functionally
-    #: (NumPy work inside ``kernel.execute``).  This is real measured time,
-    #: not simulated time — the harness uses it to split a run's wall clock
-    #: into evaluation math vs simulator bookkeeping.
-    host_eval_time: float = 0.0
     launch_records: list[KernelLaunch] = field(default_factory=list)
 
     @property
@@ -97,7 +91,6 @@ class DeviceStats:
         self.p2p_time = 0.0
         self.reductions = 0
         self.reduction_time = 0.0
-        self.host_eval_time = 0.0
         self.launch_records.clear()
 
     # -- checkpointing ---------------------------------------------------
@@ -114,10 +107,14 @@ class DeviceStats:
             "p2p_time": self.p2p_time,
             "reductions": self.reductions,
             "reduction_time": self.reduction_time,
-            "host_eval_time": self.host_eval_time,
         }
 
     def restore(self, state: dict) -> None:
+        """Reload :meth:`snapshot` counters; other keys are ignored.
+
+        Checkpoints written before the host wall-clock counter was dropped
+        still carry a ``host_eval_time`` entry.
+        """
         self.kernel_launches = int(state["kernel_launches"])
         self.kernel_time = float(state["kernel_time"])
         self.transfer_time = float(state["transfer_time"])
@@ -128,7 +125,6 @@ class DeviceStats:
         self.p2p_time = float(state["p2p_time"])
         self.reductions = int(state["reductions"])
         self.reduction_time = float(state["reduction_time"])
-        self.host_eval_time = float(state["host_eval_time"])
         self.launch_records.clear()
 
 
@@ -266,11 +262,9 @@ class DeviceLoop:
         if total_active <= 0:
             raise ValueError(f"active_threads must be positive, got {active_threads}")
         cfg = self.kernel.launch_config(total_active, self.block_size)
-        eval_start = time.perf_counter()
         self.kernel.execute(
             cfg, args, active_threads=total_active, mode=self.context.mode
         )
-        self.context.stats.host_eval_time += time.perf_counter() - eval_start
         breakdown = self.context.timing.kernel_time(
             cfg, cost if cost is not None else self.kernel.cost, active_threads=total_active
         )
@@ -560,9 +554,7 @@ class GPUContext:
                 f"launch configuration provides {cfg.total_threads} threads but "
                 f"{total_active} are required"
             )
-        eval_start = time.perf_counter()
         kernel.execute(cfg, args, active_threads=total_active, mode=self.mode)
-        self.stats.host_eval_time += time.perf_counter() - eval_start
         breakdown = self.timing.kernel_time(
             cfg, cost if cost is not None else kernel.cost, active_threads=total_active
         )

@@ -12,7 +12,6 @@ from .config import PAPER, REDUCED, SMOKE, ExperimentScale, get_scale
 from .experiment import (
     EVALUATOR_SPECS,
     TRANSFER_MODES,
-    TRIAL_MODES,
     ExperimentRow,
     TrialRecord,
     resolve_evaluator_factory,
@@ -60,7 +59,6 @@ __all__ = [
     "run_ppp_experiment",
     "scale_experiment_rows",
     "EVALUATOR_SPECS",
-    "TRIAL_MODES",
     "TRANSFER_MODES",
     "resolve_evaluator_factory",
     "table_one",

@@ -8,7 +8,6 @@ CPU/GPU times for the measured trajectory length.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -22,7 +21,6 @@ from ..core.evaluators import (
 from ..core.timing_estimates import iteration_times
 from ..localsearch.base import TRANSFER_MODES
 from ..localsearch.multistart import MultiStartRunner
-from ..localsearch.tabu import TabuSearch
 from ..neighborhoods import KHammingNeighborhood
 from ..problems.instances import PPPInstanceSpec, instance_seed, make_table_instance
 from .config import ExperimentScale
@@ -33,19 +31,12 @@ __all__ = [
     "run_ppp_experiment",
     "EVALUATOR_SPECS",
     "resolve_evaluator_factory",
-    "TRIAL_MODES",
     "TRANSFER_MODES",
 ]
 
-#: Trial execution strategies of :func:`run_ppp_experiment`: one search at a
-#: time, one worker process per trial, or all trials advanced in lockstep
-#: through one batched evaluator.
-TRIAL_MODES = ("serial", "parallel", "batched")
-
-#: Named evaluator factories.  Names (unlike arbitrary callables) can be
-#: shipped to worker processes and rebuilt there, which is what lets the
-#: parallel trial runner support every platform.  The GPU-backed factories
-#: accept the device-pool options (``devices``, ``pinned``, ``topology``).
+#: Named evaluator factories: the ``--evaluator`` choices of the CLI.  The
+#: GPU-backed factories accept the device-pool options (``devices``,
+#: ``pinned``, ``topology``).
 EVALUATOR_SPECS = {
     "cpu": lambda problem, neighborhood: CPUEvaluator(problem, neighborhood),
     "sequential": lambda problem, neighborhood: SequentialEvaluator(problem, neighborhood),
@@ -169,10 +160,6 @@ class ExperimentRow:
     num_devices: int = 1
     #: Whether host transfers were staged through pinned memory.
     pinned: bool = False
-    #: *Measured host* wall-clock seconds spent in kernel bodies (the NumPy
-    #: evaluation math), summed over the pool.  Subtracting it from a bench's
-    #: measured wall time isolates the simulator's own bookkeeping overhead.
-    eval_wall_s: float = 0.0
     #: Total host<->device transfer time summed over the pool.
     transfer_time_s: float = 0.0
     #: What the recorded device work would cost serialized one device after
@@ -261,7 +248,6 @@ class ExperimentRow:
             "overlap_saved_s": self.overlap_saved_s,
             "num_devices": self.num_devices,
             "pinned": self.pinned,
-            "eval_wall_s": self.eval_wall_s,
             "transfer_time_s": self.transfer_time_s,
             "serialized_device_s": self.serialized_device_s,
             "cross_device_overlap_s": self.cross_device_overlap_s,
@@ -291,7 +277,6 @@ def _collect_transfer_stats(evaluator, row: ExperimentRow) -> None:
     row.overlap_saved_s = sum(ctx.timeline.overlap_saved for ctx in contexts)
     row.num_devices = len(contexts)
     row.pinned = any(ctx.pinned for ctx in contexts)
-    row.eval_wall_s = sum(ctx.stats.host_eval_time for ctx in contexts)
     row.transfer_time_s = sum(ctx.stats.transfer_time for ctx in contexts)
     row.serialized_device_s = sum(ctx.timeline.busy_time for ctx in contexts)
     row.device_elapsed_s = [ctx.timeline.elapsed for ctx in contexts]
@@ -300,47 +285,6 @@ def _collect_transfer_stats(evaluator, row: ExperimentRow) -> None:
         row.topology = engine.topology.name
         row.uplink_busy_s = engine.uplink_busy()
         row.contention_stall_s = engine.total_stall
-
-
-def _run_single_trial(
-    spec: tuple[int, int],
-    order: int,
-    max_iterations: int,
-    tenure: int | None,
-    seed: int,
-    trial: int,
-    evaluator: str = "cpu",
-    transfer_mode: str = "full",
-    devices: int | None = None,
-    pinned: bool = False,
-    topology: str | None = None,
-) -> TrialRecord:
-    """Worker executing one tabu-search trial (used by the parallel runner).
-
-    Rebuilds the instance, the evaluator (from its picklable *name*) and the
-    search from scratch so the function is self-contained; determinism is
-    guaranteed by the seeds.
-    """
-    m, n = spec
-    problem = make_table_instance(PPPInstanceSpec(m, n), trial=0)
-    neighborhood = KHammingNeighborhood(problem.n, order)
-    factory = resolve_evaluator_factory(
-        evaluator, devices=devices, pinned=pinned, topology=topology
-    )
-    search = TabuSearch(
-        factory(problem, neighborhood),
-        tenure=tenure,
-        max_iterations=max_iterations,
-        transfer_mode=transfer_mode,
-    )
-    result = search.run(rng=seed)
-    return TrialRecord(
-        trial=trial,
-        fitness=result.best_fitness,
-        iterations=result.iterations,
-        success=result.success,
-        wall_time=result.wall_time,
-    )
 
 
 def run_ppp_experiment(
@@ -352,9 +296,6 @@ def run_ppp_experiment(
     tenure: int | None = None,
     evaluator_factory=None,
     base_seed: int | None = None,
-    track_history: bool = False,
-    n_jobs: int = 1,
-    trial_mode: str = "serial",
     transfer_mode: str = "full",
     devices: int | None = None,
     pinned: bool = False,
@@ -365,6 +306,12 @@ def run_ppp_experiment(
     restore=None,
 ) -> ExperimentRow:
     """Run the paper's tabu-search protocol on one instance and one neighborhood.
+
+    The independent trials advance in lockstep through one
+    :class:`~repro.localsearch.multistart.MultiStartRunner` over one
+    evaluator: one batched ``(S, n) -> (S, M)`` evaluation per iteration.
+    Each trial's record equals that of a standalone
+    :class:`~repro.localsearch.tabu.TabuSearch` run with the same seed.
 
     Parameters
     ----------
@@ -384,27 +331,9 @@ def run_ppp_experiment(
         callable ``(problem, neighborhood) -> NeighborhoodEvaluator``;
         defaults to the vectorized CPU evaluator (all evaluators are
         functionally identical, so the choice only affects wall-clock
-        time).  Parallel mode accepts only *named* specs, because the
-        worker processes must rebuild the evaluator from a picklable
-        description.
+        time).
     base_seed:
         Base RNG seed; each trial uses a distinct derived seed.
-    n_jobs:
-        Number of worker processes for ``trial_mode="parallel"``.  Passing
-        ``n_jobs > 1`` alone selects parallel mode for backward
-        compatibility.
-    trial_mode:
-        How the independent trials are executed; all three modes produce
-        identical per-trial records for the same seeds:
-
-        * ``"serial"`` — one :class:`TabuSearch` run after the other (the
-          paper's protocol, literally);
-        * ``"parallel"`` — one worker process per trial across ``n_jobs``
-          host cores;
-        * ``"batched"`` — all trials advance in lockstep through a
-          :class:`~repro.localsearch.multistart.MultiStartRunner`, one
-          batched ``(S, n) -> (S, M)`` evaluation per iteration — the
-          solution-parallel execution engine.
     transfer_mode:
         One of :data:`TRANSFER_MODES` (``"full"``, ``"delta"``,
         ``"reduced"``, ``"persistent"``): how candidate data moves between
@@ -428,68 +357,37 @@ def run_ppp_experiment(
         host root complex among concurrent transfers.  Purely a timing
         property — trajectories are identical across topologies.
     fault_plan:
-        ``"batched"`` mode only: a fault schedule in the
-        :meth:`repro.gpu.faults.FaultPlan.parse` syntax
-        (``kind:arg@iteration``, comma-separated) injected at lockstep
-        boundaries.  Device failures/joins and flaky transfers change
-        timing and placement only — per-trial records stay bit-identical.
+        A fault schedule in the :meth:`repro.gpu.faults.FaultPlan.parse`
+        syntax (``kind:arg@iteration``, comma-separated) injected at
+        lockstep boundaries.  Device failures/joins and flaky transfers
+        change timing and placement only — per-trial records stay
+        bit-identical.
     checkpoint_every:
-        ``"batched"`` mode only: write the run's latest checkpoint to
-        ``checkpoint_path`` every this many lockstep iterations (see
+        Write the run's latest checkpoint to ``checkpoint_path`` every this
+        many lockstep iterations (see
         :func:`repro.harness.io.save_checkpoint`).
     checkpoint_path:
         Where ``checkpoint_every`` writes its snapshot (required with it).
     restore:
-        ``"batched"`` mode only: path of a checkpoint written by a previous
-        (killed) run; the experiment resumes from it instead of starting
-        fresh, and its records are bit-identical to an uninterrupted run.
+        Path of a checkpoint written by a previous (killed) run; the
+        experiment resumes from it instead of starting fresh, and its
+        records are bit-identical to an uninterrupted run.
     """
+    # Imported lazily: io imports ExperimentRow from this module.
+    from .io import load_checkpoint, save_checkpoint
+
     if not isinstance(spec, PPPInstanceSpec):
         spec = PPPInstanceSpec(*spec)
     if order < 1:
         raise ValueError(f"neighborhood order must be >= 1, got {order}")
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    if trial_mode not in TRIAL_MODES:
-        raise ValueError(f"unknown trial_mode {trial_mode!r}; expected one of {TRIAL_MODES}")
     if transfer_mode not in TRANSFER_MODES:
         raise ValueError(
             f"unknown transfer_mode {transfer_mode!r}; expected one of {TRANSFER_MODES}"
         )
-    if trial_mode != "batched":
-        for name, value in (
-            ("fault_plan", fault_plan),
-            ("checkpoint_every", checkpoint_every),
-            ("checkpoint_path", checkpoint_path),
-            ("restore", restore),
-        ):
-            if value is not None:
-                raise ValueError(
-                    f"{name} applies to trial_mode='batched' only, "
-                    f"got trial_mode={trial_mode!r}"
-                )
     if checkpoint_every is not None and checkpoint_path is None:
         raise ValueError("checkpoint_every requires a checkpoint_path")
-    if trial_mode == "serial" and n_jobs > 1:
-        trial_mode = "parallel"
-    if trial_mode == "parallel":
-        if evaluator_factory is not None and not isinstance(evaluator_factory, str):
-            raise ValueError(
-                "parallel trials (n_jobs > 1) need a named evaluator spec "
-                f"(one of {sorted(EVALUATOR_SPECS)}): custom evaluator callables "
-                "cannot be shipped to worker processes"
-            )
-        if isinstance(evaluator_factory, str) and evaluator_factory not in EVALUATOR_SPECS:
-            raise ValueError(
-                f"unknown evaluator spec {evaluator_factory!r}; "
-                f"expected one of {sorted(EVALUATOR_SPECS)}"
-            )
-        # Validate the pool options before shipping them to the workers.
-        resolve_evaluator_factory(
-            evaluator_factory, devices=devices, pinned=pinned, topology=topology
-        )
 
     problem = make_table_instance(spec, trial=0)
     neighborhood = KHammingNeighborhood(problem.n, order)
@@ -502,102 +400,47 @@ def run_ppp_experiment(
         gpu_time_per_iteration=per_iteration.gpu_time,
         transfer_mode=transfer_mode,
     )
-    # Record the pool configuration up front so the parallel path (whose
-    # evaluators live in the workers) still reports it; the serial/batched
-    # paths overwrite these with the actual per-context accounting below.
-    if isinstance(evaluator_factory, str) and evaluator_factory in ("gpu", "multi-gpu"):
-        row.pinned = pinned
-        if topology is not None:
-            row.topology = topology
-        if evaluator_factory == "multi-gpu":
-            row.num_devices = devices if devices is not None else 2
-
-    seeds = [
-        instance_seed(spec.m, spec.n, trial) if base_seed is None else base_seed + trial
-        for trial in range(trials)
-    ]
-
-    if trial_mode == "parallel":
-        evaluator_name = evaluator_factory if isinstance(evaluator_factory, str) else "cpu"
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [
-                pool.submit(
-                    _run_single_trial, (spec.m, spec.n), order, max_iterations, tenure,
-                    seeds[trial], trial, evaluator_name, transfer_mode, devices, pinned,
-                    topology,
-                )
-                for trial in range(trials)
-            ]
-            row.trials.extend(future.result() for future in futures)
-        return row
-
     factory = resolve_evaluator_factory(
         evaluator_factory, devices=devices, pinned=pinned, topology=topology
     )
     evaluator: NeighborhoodEvaluator = factory(problem, neighborhood)
-
-    if trial_mode == "batched":
-        # Imported lazily: io imports ExperimentRow from this module.
-        from .io import load_checkpoint, save_checkpoint
-
-        runner = MultiStartRunner(
-            evaluator,
-            algorithm="tabu",
-            tenure=tenure,
-            max_iterations=max_iterations,
-            track_history=track_history,
-            transfer_mode=transfer_mode,
-        )
-        checkpoint_callback = (
-            (lambda checkpoint: save_checkpoint(checkpoint_path, checkpoint))
-            if checkpoint_every is not None
-            else None
-        )
-        if restore is not None:
-            multi = runner.run(
-                resume=load_checkpoint(restore),
-                checkpoint_every=checkpoint_every,
-                checkpoint_callback=checkpoint_callback,
-                fault_plan=fault_plan,
-            )
-        else:
-            multi = runner.run(
-                seeds=seeds,
-                checkpoint_every=checkpoint_every,
-                checkpoint_callback=checkpoint_callback,
-                fault_plan=fault_plan,
-            )
-        row.trials.extend(
-            TrialRecord(
-                trial=trial,
-                fitness=result.best_fitness,
-                iterations=result.iterations,
-                success=result.success,
-                wall_time=result.wall_time,
-            )
-            for trial, result in enumerate(multi)
-        )
-        _collect_transfer_stats(evaluator, row)
-        return row
-
-    search = TabuSearch(
+    runner = MultiStartRunner(
         evaluator,
+        algorithm="tabu",
         tenure=tenure,
         max_iterations=max_iterations,
-        track_history=track_history,
         transfer_mode=transfer_mode,
     )
-    for trial in range(trials):
-        result = search.run(rng=seeds[trial])
-        row.trials.append(
-            TrialRecord(
-                trial=trial,
-                fitness=result.best_fitness,
-                iterations=result.iterations,
-                success=result.success,
-                wall_time=result.wall_time,
-            )
+    checkpoint_callback = (
+        (lambda checkpoint: save_checkpoint(checkpoint_path, checkpoint))
+        if checkpoint_every is not None
+        else None
+    )
+    if restore is not None:
+        population = {"resume": load_checkpoint(restore)}
+    else:
+        population = {
+            "seeds": [
+                instance_seed(spec.m, spec.n, trial) if base_seed is None else base_seed + trial
+                for trial in range(trials)
+            ]
+        }
+    results = runner.run(
+        **population,
+        checkpoint_every=checkpoint_every,
+        checkpoint_callback=checkpoint_callback,
+        fault_plan=fault_plan,
+    )
+    row.trials.extend(
+        TrialRecord(
+            trial=trial,
+            fitness=result.best_fitness,
+            iterations=result.iterations,
+            success=result.success,
+            wall_time=result.wall_time,
         )
+        for trial, result in enumerate(results)
+    )
     _collect_transfer_stats(evaluator, row)
     return row
 
@@ -607,8 +450,6 @@ def scale_experiment_rows(
     order: int,
     *,
     evaluator_factory=None,
-    trial_mode: str = "serial",
-    n_jobs: int = 1,
     transfer_mode: str = "full",
 ) -> list[ExperimentRow]:
     """Run one table's worth of experiments (every instance of ``scale``)."""
@@ -621,8 +462,6 @@ def scale_experiment_rows(
                 trials=scale.trials,
                 max_iterations=scale.iteration_cap(spec, order),
                 evaluator_factory=evaluator_factory,
-                trial_mode=trial_mode,
-                n_jobs=n_jobs,
                 transfer_mode=transfer_mode,
             )
         )

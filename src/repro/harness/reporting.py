@@ -80,13 +80,8 @@ def format_experiment_table(
             row.num_devices > 1 or row.p2p_bytes for row in rows
         )
     if include_interconnect is None:
-        # Rows from parallel trial mode carry the topology *configuration*
-        # but no engine accounting (sim_elapsed_s == 0); showing zero busy
-        # times for them would present fabricated measurements.
         include_interconnect = any(
-            (row.topology != "dedicated" and row.sim_elapsed_s > 0.0)
-            or row.contention_stall_s > 0.0
-            for row in rows
+            row.topology != "dedicated" or row.contention_stall_s > 0.0 for row in rows
         )
     headers = [
         "Problem",

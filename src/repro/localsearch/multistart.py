@@ -268,7 +268,7 @@ class MultiStartRunner:
         With ``seeds``, replica ``r`` draws its start from
         ``np.random.default_rng(seeds[r])`` exactly like a standalone
         ``search.run(rng=seeds[r])`` — that is what makes the batched
-        harness bit-compatible with the serial trial loop.
+        harness bit-compatible with one standalone search per trial.
         """
         if initial_solutions is not None:
             block = np.asarray(initial_solutions, dtype=np.int8)

@@ -212,10 +212,10 @@ class BinaryProblem(abc.ABC):
     def __getstate__(self) -> dict:
         """Pickle without process-local state (gain engine, lazy scorers).
 
-        ``trial_mode="parallel"`` ships problems to worker processes; the
-        attached gain engine must not travel with them, and lazily built
-        fast scorers hold identity-keyed caches whose keys are meaningless in
-        another process — they are rebuilt on first use.
+        A pickled or copied problem must not carry the attached gain engine
+        along, and lazily built fast scorers hold identity-keyed caches whose
+        keys are meaningless in another process — they are rebuilt on first
+        use.
         """
         state = dict(self.__dict__)
         state.pop("_gain_engine", None)

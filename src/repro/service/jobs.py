@@ -12,6 +12,7 @@ stores them, so a recorded workload can be replayed bit-identically through
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,10 +87,12 @@ class JobSpec:
             raise ValueError(f"replicas must be positive, got {self.replicas}")
         if self.budget < 0:
             raise ValueError(f"budget must be non-negative, got {self.budget}")
-        if self.arrival < 0:
-            raise ValueError(f"arrival must be non-negative, got {self.arrival}")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {self.deadline}")
+        if not (math.isfinite(self.arrival) and self.arrival >= 0):
+            raise ValueError(f"arrival must be finite and non-negative, got {self.arrival}")
+        if self.deadline is not None and not (
+            math.isfinite(self.deadline) and self.deadline > 0
+        ):
+            raise ValueError(f"deadline must be finite and positive, got {self.deadline}")
         if self.seeds is not None:
             object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
             if len(self.seeds) != self.replicas:
@@ -201,15 +204,38 @@ def save_trace(path, jobs: Sequence[JobSpec], *, problem: dict | None = None) ->
         handle.write("\n")
 
 
+#: Keys every job object of a trace file must carry.
+_REQUIRED_JOB_KEYS = ("job_id", "arrival", "replicas", "budget")
+
+
 def load_trace(path) -> tuple[dict, list[JobSpec]]:
-    """Read a trace written by :func:`save_trace`; returns ``(problem, jobs)``."""
+    """Read a trace written by :func:`save_trace`; returns ``(problem, jobs)``.
+
+    A malformed file raises :class:`ValueError`; errors in one job name its
+    index in the ``jobs`` list.
+    """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError(f"trace must be a JSON object, got {type(payload).__name__}")
     version = payload.get("version")
     if version != TRACE_VERSION:
         raise ValueError(
             f"unsupported trace version {version!r}; this build reads "
             f"version {TRACE_VERSION}"
         )
-    jobs = [JobSpec.from_dict(entry) for entry in payload.get("jobs", [])]
+    entries = payload.get("jobs")
+    if not isinstance(entries, list):
+        raise ValueError(f"trace 'jobs' must be a list, got {type(entries).__name__}")
+    jobs = []
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"trace job {index} must be an object")
+        missing = [key for key in _REQUIRED_JOB_KEYS if key not in entry]
+        if missing:
+            raise ValueError(f"trace job {index} is missing {', '.join(missing)}")
+        try:
+            jobs.append(JobSpec.from_dict(entry))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"trace job {index}: {exc}") from None
     return payload.get("problem") or {}, jobs

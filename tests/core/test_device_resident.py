@@ -327,7 +327,6 @@ class TestHarnessIntegration:
                 trials=4,
                 max_iterations=20,
                 evaluator_factory="gpu",
-                trial_mode="batched",
                 transfer_mode=mode,
             )
         reference = [
@@ -345,6 +344,37 @@ class TestHarnessIntegration:
         table = format_experiment_table([rows["reduced"]])
         assert "Mode" in table and "reduced" in table
         assert "H2D" in table
+
+    @pytest.fixture(scope="class")
+    def protocol_rows(self):
+        # The paper protocol at 73x73, 2-Hamming, 20 trials, cap 8: the
+        # neighborhood is large enough (S*M past the reduction launch's
+        # break-even) for the fused reduction to beat the full download.
+        return {
+            mode: run_ppp_experiment(
+                (73, 73), 2, trials=20, max_iterations=8,
+                evaluator_factory="gpu", transfer_mode=mode,
+            )
+            for mode in TRANSFER_MODES
+        }
+
+    def test_protocol_transfer_orderings(self, protocol_rows):
+        rows = protocol_rows
+        reference = [(t.fitness, t.iterations, t.success) for t in rows["full"].trials]
+        for row in rows.values():
+            assert [(t.fitness, t.iterations, t.success) for t in row.trials] == reference
+        assert rows["reduced"].d2h_bytes < rows["full"].d2h_bytes
+        assert rows["delta"].h2d_bytes < rows["full"].h2d_bytes
+        assert rows["reduced"].sim_elapsed_s < rows["full"].sim_elapsed_s
+
+    def test_protocol_persistent_launch_collapse(self, protocol_rows):
+        reduced, persistent = protocol_rows["reduced"], protocol_rows["persistent"]
+        # Tabu always moves, so the lockstep count is the longest trial's.
+        lockstep_iterations = max(t.iterations for t in persistent.trials)
+        assert persistent.kernel_launches == 1
+        assert reduced.kernel_launches >= lockstep_iterations
+        assert persistent.sim_elapsed_s < reduced.sim_elapsed_s
+        assert persistent.h2d_bytes < reduced.h2d_bytes
 
     def test_transfer_columns_hidden_for_cpu_rows(self):
         row = run_ppp_experiment(SPEC, 1, trials=2, max_iterations=10)

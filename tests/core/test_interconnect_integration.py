@@ -23,7 +23,7 @@ from repro.localsearch import TabuSearch
 from repro.localsearch.multistart import MultiStartRunner
 from repro.neighborhoods import KHammingNeighborhood
 from repro.problems import OneMax
-from repro.problems.instances import make_table_instance
+from repro.problems.instances import instance_seed, make_table_instance
 
 TOPOLOGIES = ("dedicated", "shared", "switched", "nvlink")
 MODES = ("full", "delta", "reduced", "persistent")
@@ -36,7 +36,6 @@ def run_experiment(topology, transfer_mode="reduced", devices=4):
         trials=4,
         max_iterations=6,
         evaluator_factory="multi-gpu",
-        trial_mode="batched",
         transfer_mode=transfer_mode,
         devices=devices,
         topology=topology,
@@ -196,6 +195,90 @@ class TestNoPathBypassesTheEngine:
         assert engine.uplink_bytes() == float(ctx.stats.h2d_bytes + ctx.stats.d2h_bytes)
 
 
+#: (label, transfer_mode, peer_routing): persistent mode scatters its
+#: deltas on-device and full mode has no resident session to route, so only
+#: reduced mode toggles peer routing.
+CONTENTION_CONFIGS = (
+    ("full", "full", True),
+    ("reduced-no-p2p", "reduced", False),
+    ("reduced-p2p", "reduced", True),
+    ("persistent", "persistent", True),
+)
+
+
+def contention_run(transfer_mode, peer_routing, topology):
+    """The paper protocol at 41x41, 2-Hamming, 12 trials, cap 10, on 4 GPUs."""
+    problem = make_table_instance((41, 41), trial=0)
+    neighborhood = KHammingNeighborhood(problem.n, 2)
+    evaluator = MultiGPUEvaluator(
+        problem, neighborhood, devices=4, peer_routing=peer_routing, topology=topology
+    )
+    runner = MultiStartRunner(
+        evaluator, algorithm="tabu", max_iterations=10, transfer_mode=transfer_mode
+    )
+    results = runner.run(seeds=[instance_seed(41, 41, trial) for trial in range(12)])
+    contexts = evaluator.pool.contexts
+    engine = evaluator.pool.engine
+    run = {
+        "records": [(r.best_fitness, r.iterations, r.success) for r in results],
+        "makespan": max(ctx.timeline.elapsed for ctx in contexts),
+        "host_bytes": sum(ctx.stats.h2d_bytes + ctx.stats.d2h_bytes for ctx in contexts),
+        "p2p_bytes": sum(ctx.stats.p2p_bytes for ctx in contexts),
+        "uplink_busy": engine.uplink_busy(),
+        "uplink_transfers": (
+            engine.link_transfers("uplink") if engine.topology.uplink is not None else 0
+        ),
+    }
+    evaluator.close()
+    return run
+
+
+class TestContentionLoss:
+    def test_modes_that_keep_bytes_off_the_uplink_lose_least(self):
+        runs = {
+            (label, topology): contention_run(mode, peer, topology)
+            for label, mode, peer in CONTENTION_CONFIGS
+            for topology in ("dedicated", "shared")
+        }
+        reference = runs["full", "dedicated"]["records"]
+        loss, host_bytes = {}, {}
+        for label, _mode, _peer in CONTENTION_CONFIGS:
+            shared, dedicated = runs[label, "shared"], runs[label, "dedicated"]
+            assert shared["records"] == dedicated["records"] == reference
+            assert shared["makespan"] >= dedicated["makespan"] * (1 - 1e-12)
+            assert shared["uplink_busy"] > 0.0
+            assert dedicated["uplink_busy"] == 0.0
+            loss[label] = shared["makespan"] / dedicated["makespan"]
+            host_bytes[label] = shared["host_bytes"]
+        assert loss["full"] >= loss["reduced-p2p"]
+        assert loss["full"] >= loss["persistent"]
+        assert host_bytes["full"] > host_bytes["reduced-no-p2p"] > host_bytes["persistent"]
+        # Peer routing swaps per-device slice uploads for one hub packet
+        # plus P2P forwards: fewer uplink transactions, bytes on the mesh.
+        assert (
+            runs["reduced-p2p", "shared"]["uplink_transfers"]
+            < runs["reduced-no-p2p", "shared"]["uplink_transfers"]
+        )
+        assert runs["reduced-p2p", "shared"]["p2p_bytes"] > 0
+
+    def test_protocol_upload_phase_on_the_shared_uplink(self):
+        # 65536 replicas of the 41x41 instance uploaded to 4 GPUs at once:
+        # each slice sees ~1/4 of the shared root complex.
+        problem = make_table_instance((41, 41), trial=0)
+        neighborhood = KHammingNeighborhood(problem.n, 2)
+        rng = np.random.default_rng(0)
+        solutions = rng.integers(0, 2, size=(65536, problem.n)).astype(np.int8)
+        phases = {}
+        for topology in ("dedicated", "shared"):
+            evaluator = MultiGPUEvaluator(
+                problem, neighborhood, devices=4, topology=topology
+            )
+            evaluator.begin_search(solutions)
+            phases[topology] = evaluator.scheduler.makespan
+            evaluator.close()
+        assert phases["shared"] >= 3.0 * phases["dedicated"]
+
+
 class TestHarnessSurface:
     def test_row_fields_and_table_columns(self):
         row = run_experiment("shared")
@@ -222,21 +305,3 @@ class TestHarnessSurface:
                 (15, 15), 1, trials=1, max_iterations=2,
                 evaluator_factory="cpu", topology="shared",
             )
-
-    def test_parallel_trials_accept_topology(self):
-        row = run_ppp_experiment(
-            (15, 15),
-            1,
-            trials=2,
-            max_iterations=3,
-            evaluator_factory="gpu",
-            trial_mode="parallel",
-            n_jobs=2,
-            topology="shared",
-        )
-        assert row.topology == "shared"
-        reference = run_ppp_experiment(
-            (15, 15), 1, trials=2, max_iterations=3,
-            evaluator_factory="gpu", trial_mode="serial",
-        )
-        assert records(row) == records(reference)

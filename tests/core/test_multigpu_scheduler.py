@@ -316,7 +316,7 @@ class TestHarnessColumns:
     def test_experiment_row_reports_pool_accounting(self):
         row = run_ppp_experiment(
             (15, 15), 1, trials=3, max_iterations=8,
-            evaluator_factory="multi-gpu", trial_mode="batched",
+            evaluator_factory="multi-gpu",
             transfer_mode="reduced", devices=3, pinned=True,
         )
         assert row.num_devices == 3
@@ -331,10 +331,36 @@ class TestHarnessColumns:
         table = format_experiment_table([row])
         assert "Devices" in table and "P2P" in table and "Pinned" in table
 
+    def test_protocol_pool_sizes_and_memory_kinds(self):
+        # The paper protocol at 41x41, 2-Hamming, 12 trials, cap 10, reduced
+        # mode, on 1/2/4 GPUs in both host-memory models.
+        rows = {
+            (devices, pinned): run_ppp_experiment(
+                (41, 41), 2, trials=12, max_iterations=10,
+                evaluator_factory="multi-gpu" if devices > 1 else "gpu",
+                transfer_mode="reduced",
+                devices=devices if devices > 1 else None,
+                pinned=pinned,
+            )
+            for devices in (1, 2, 4)
+            for pinned in (False, True)
+        }
+        records = lambda row: [(t.fitness, t.iterations, t.success) for t in row.trials]
+        reference = records(rows[1, False])
+        for (devices, pinned), row in rows.items():
+            assert records(row) == reference, (devices, pinned)
+            if devices > 1:
+                # True concurrent issue, not a per-step max.
+                assert row.sim_elapsed_s < row.serialized_device_s
+                assert row.p2p_bytes > 0
+            if pinned:
+                assert row.transfer_time_s < rows[devices, False].transfer_time_s
+        assert rows[4, False].sim_elapsed_s < rows[1, False].sim_elapsed_s
+
     def test_single_gpu_row_hides_device_columns(self):
         row = run_ppp_experiment(
             (15, 15), 1, trials=2, max_iterations=6,
-            evaluator_factory="gpu", trial_mode="batched",
+            evaluator_factory="gpu",
         )
         assert row.num_devices == 1 and row.p2p_bytes == 0
         table = format_experiment_table([row])

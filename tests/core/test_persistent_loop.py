@@ -23,6 +23,7 @@ from repro.gpu import (
     REDUCED_RESULT_BYTES,
     SOLUTION_ENTRY_BYTES,
     STOP_FLAG_BYTES,
+    TABU_NEVER,
     COMPUTE_STREAM,
 )
 from repro.localsearch import MultiStartRunner, TabuSearch
@@ -232,3 +233,30 @@ class TestPersistentSessionSemantics:
             assert grown >= 3 * neighborhood.size * 8
             evaluator.end_search()
             assert evaluator.context.memory.allocated_bytes == before
+
+    @pytest.mark.parametrize("access", ["read", "write", "reset"])
+    @pytest.mark.parametrize("row", [-1, 4])
+    @pytest.mark.parametrize("devices", [1, 2])
+    def test_tabu_rows_out_of_range_rejected(self, devices, row, access):
+        # Negative rows must not wrap around to the last replica, and rows
+        # past the session must not be dropped silently.
+        problem = make_table_instance((12, 12), trial=0)
+        neighborhood = KHammingNeighborhood(problem.n, 1)
+        if devices == 1:
+            evaluator = GPUEvaluator(problem, neighborhood)
+        else:
+            evaluator = MultiGPUEvaluator(problem, neighborhood, devices=devices)
+        with evaluator:
+            evaluator.begin_search(np.zeros((4, problem.n), dtype=np.int8))
+            evaluator.init_tabu_memory(3)
+            stamps = np.full((2, neighborhood.size), 7, dtype=np.int64)
+            with pytest.raises(IndexError, match="out of range"):
+                if access == "read":
+                    evaluator.read_tabu_rows([0, row])
+                elif access == "write":
+                    evaluator.write_tabu_rows([0, row], stamps)
+                else:
+                    evaluator.write_tabu_rows([0, row])
+            assert (evaluator.read_tabu_rows(range(4)) == TABU_NEVER).all()
+            evaluator.write_tabu_rows([3, 0], stamps)
+            assert np.array_equal(evaluator.read_tabu_rows([0, 3]), stamps)

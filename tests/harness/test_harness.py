@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import GPUEvaluator
+from repro.core import CPUEvaluator, GPUEvaluator
 from repro.harness import (
+    EVALUATOR_SPECS,
     PAPER,
     PAPER_REFERENCE,
     REDUCED,
@@ -17,10 +18,14 @@ from repro.harness import (
     format_time,
     get_scale,
     render_markdown_table,
+    resolve_evaluator_factory,
     run_ppp_experiment,
     table_one,
 )
-from repro.problems.instances import PPPInstanceSpec
+from repro.localsearch import TabuSearch
+from repro.neighborhoods import KHammingNeighborhood, OneHammingNeighborhood
+from repro.problems import OneMax
+from repro.problems.instances import PPPInstanceSpec, instance_seed, make_table_instance
 
 
 class TestScales:
@@ -77,10 +82,50 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_ppp_experiment((25, 25), 1, trials=0, max_iterations=10)
 
+    @pytest.mark.parametrize("base_seed", [None, 42])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("spec", ["cpu", "sequential", "gpu", "multi-gpu"])
+    def test_records_match_independent_tabu_runs(self, spec, order, base_seed):
+        """The lockstep batch reproduces one standalone search per seed."""
+        trials, max_iterations = 3, 12
+        row = run_ppp_experiment(
+            (15, 15), order, trials=trials, max_iterations=max_iterations,
+            evaluator_factory=spec, base_seed=base_seed,
+        )
+        problem = make_table_instance(PPPInstanceSpec(15, 15), trial=0)
+        neighborhood = KHammingNeighborhood(problem.n, order)
+        search = TabuSearch(
+            EVALUATOR_SPECS[spec](problem, neighborhood), max_iterations=max_iterations
+        )
+        expected = []
+        for trial in range(trials):
+            seed = instance_seed(15, 15, trial) if base_seed is None else base_seed + trial
+            result = search.run(rng=seed)
+            expected.append((trial, result.best_fitness, result.iterations, result.success))
+        assert [(t.trial, t.fitness, t.iterations, t.success) for t in row.trials] == expected
+
     def test_empty_row_statistics_are_nan(self):
         row = ExperimentRow(instance=PPPInstanceSpec(5, 5), order=1)
         assert np.isnan(row.mean_fitness)
         assert np.isnan(row.std_fitness)
+
+
+class TestEvaluatorSpecs:
+    def test_registry_names(self):
+        assert set(EVALUATOR_SPECS) == {"cpu", "sequential", "gpu", "multi-gpu"}
+
+    def test_resolve_factory(self):
+        problem, neighborhood = OneMax(8), OneHammingNeighborhood(8)
+        assert isinstance(resolve_evaluator_factory(None)(problem, neighborhood),
+                          CPUEvaluator)
+        assert isinstance(resolve_evaluator_factory("gpu")(problem, neighborhood),
+                          GPUEvaluator)
+        custom = lambda p, nb: CPUEvaluator(p, nb)
+        assert resolve_evaluator_factory(custom) is custom
+        with pytest.raises(ValueError):
+            resolve_evaluator_factory("quantum")
+        with pytest.raises(TypeError):
+            resolve_evaluator_factory(42)
 
 
 class TestTables:

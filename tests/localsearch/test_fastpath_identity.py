@@ -62,7 +62,6 @@ def _experiment_row(mode: str) -> dict:
         trials=REPLICAS,
         max_iterations=MAX_ITERATIONS,
         evaluator_factory="gpu",
-        trial_mode="batched",
         transfer_mode=mode,
     )
     return {

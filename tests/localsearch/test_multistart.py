@@ -8,6 +8,7 @@ from repro.localsearch import HillClimbing, MultiStartRunner, TabuSearch
 from repro.localsearch.hill_climbing import FirstImprovementHillClimbing
 from repro.neighborhoods import KHammingNeighborhood
 from repro.problems import OneMax, PermutedPerceptronProblem
+from repro.problems.instances import instance_seed, make_table_instance
 
 SEEDS = list(range(8))
 
@@ -136,6 +137,25 @@ class TestRunnerBehaviour:
         result = runner.run(seeds=SEEDS)
         assert evaluator.stats.calls == result.iterations
         assert result.iterations <= 15
+
+    def test_one_launch_per_iteration_beats_per_replica_launches(self):
+        # The paper protocol on the 25x25 Table-1 instance (1-Hamming, 15
+        # trials, cap 50): one S x M launch per lockstep iteration issues
+        # fewer launches and spends less simulated transfer time than one
+        # standalone search per trial on the same simulated GPU.
+        problem = make_table_instance((25, 25), trial=0)
+        neighborhood = KHammingNeighborhood(problem.n, 1)
+        seeds = [instance_seed(25, 25, trial) for trial in range(15)]
+        serial_ev = GPUEvaluator(problem, neighborhood)
+        search = TabuSearch(serial_ev, max_iterations=50)
+        serial = [search.run(rng=seed) for seed in seeds]
+        batched_ev = GPUEvaluator(problem, neighborhood)
+        batched = MultiStartRunner(batched_ev, algorithm="tabu", max_iterations=50)
+        for s, b in zip(serial, batched.run(seeds=seeds)):
+            assert_replica_matches(s, b)
+        serial_stats, batched_stats = serial_ev.context.stats, batched_ev.context.stats
+        assert batched_stats.kernel_launches < serial_stats.kernel_launches
+        assert batched_stats.transfer_time < serial_stats.transfer_time
 
     def test_validation_errors(self, ppp):
         neighborhood = KHammingNeighborhood(ppp.n, 1)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.evaluators import GPUEvaluator, MultiGPUEvaluator
 from repro.gpu import FaultPlan
+from repro.harness import run_ppp_experiment
 from repro.harness.io import load_checkpoint, save_checkpoint
 from repro.localsearch.multistart import CHECKPOINT_VERSION, MultiStartRunner
 from repro.neighborhoods import KHammingNeighborhood
@@ -73,6 +74,36 @@ class TestCheckpointRestore:
 
         restored = make_runner(mode)
         result = restored.run(resume=load_checkpoint(path))
+        assert run_signature(restored, result) == ref_sig
+
+    def test_checkpoint_with_host_eval_time_restores(self, tmp_path):
+        # Version-2 checkpoints written before the host wall-clock counter
+        # was dropped carry "host_eval_time" in every device's stats; the
+        # key is ignored and the restore stays bit-identical.
+        reference = make_runner("reduced")
+        ref_sig = run_signature(reference, reference.run(seeds=SEEDS))
+        checkpoints = []
+        make_runner("reduced").run(
+            seeds=SEEDS, checkpoint_every=10, checkpoint_callback=checkpoints.append
+        )
+
+        def add_host_eval_time(node):
+            if isinstance(node, dict):
+                if "kernel_launches" in node and "reduction_time" in node:
+                    node["host_eval_time"] = 0.125
+                    return 1
+                return sum(add_host_eval_time(value) for value in node.values())
+            if isinstance(node, list):
+                return sum(add_host_eval_time(value) for value in node)
+            return 0
+
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, checkpoints[0])
+        legacy = load_checkpoint(path)
+        assert add_host_eval_time(legacy) == 3
+        assert legacy["version"] == CHECKPOINT_VERSION == 2
+        restored = make_runner("reduced")
+        result = restored.run(resume=legacy)
         assert run_signature(restored, result) == ref_sig
 
     def test_checkpoint_is_versioned(self):
@@ -228,6 +259,33 @@ class TestFaultRecovery:
         # boundary, replaying exactly what the original did after saving.
         result = restored.run(resume=load_checkpoint(path), fault_plan=plan)
         assert run_signature(restored, result) == ref_sig
+
+    def test_protocol_fleet_schedules(self, tmp_path):
+        # The paper protocol at 41x41, 2-Hamming, 12 trials, cap 10, reduced
+        # mode on 4 GPUs: a device death costs makespan, its rejoin wins
+        # some back, and checkpointing is free in simulated time.
+        def run(**kwargs):
+            return run_ppp_experiment(
+                (41, 41), 2, trials=12, max_iterations=10,
+                evaluator_factory="multi-gpu", transfer_mode="reduced", devices=4,
+                **kwargs,
+            )
+
+        snapshot = tmp_path / "checkpoint.json"
+        rows = {
+            "static": run(),
+            "fail": run(fault_plan="fail:3@4"),
+            "rejoin": run(fault_plan="fail:3@4,join:3@7"),
+            "checkpointed": run(checkpoint_every=4, checkpoint_path=snapshot),
+        }
+        rows["restored"] = run(restore=snapshot)
+        records = lambda row: [(t.fitness, t.iterations, t.success) for t in row.trials]
+        for label, row in rows.items():
+            assert records(row) == records(rows["static"]), label
+        static = rows["static"].sim_elapsed_s
+        assert rows["checkpointed"].sim_elapsed_s == static
+        assert rows["fail"].sim_elapsed_s > static
+        assert rows["rejoin"].sim_elapsed_s <= rows["fail"].sim_elapsed_s
 
     def test_fail_validation(self):
         runner = make_runner("delta")

@@ -207,8 +207,8 @@ def test_attach_helpers_nest_and_restore():
 
 @pytest.mark.parametrize("name", ["ppp", "ubqp"])
 def test_pickling_strips_engine_and_fast_scorer(name):
-    """Problems shipped to trial worker processes leave process-local state
-    behind and still score bit-identically on the other side."""
+    """Pickled problems leave process-local state behind and still score
+    bit-identically on the other side."""
     problem = PROBLEM_FACTORIES[name]()
     moves = frozen_moves(problem.n, 2)
     rng = np.random.default_rng(11)

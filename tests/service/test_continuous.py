@@ -385,7 +385,10 @@ _SOLO_CACHE = {}
 def test_random_interleavings_match_standalone(instance, evaluator_key, mode, ops):
     """Any attach/step/suspend/resume/detach schedule leaves every tenant's
     results equal to its standalone run, with ``0 <= occupancy <= 1`` and
-    every active slot leased after each operation."""
+    every active slot leased after each operation.  The live rows are
+    checked too: a device-resident session mirrors ``runner.current`` on
+    every leased slot, and a resumed group gets its device tabu stamps
+    back verbatim."""
     evaluator, runner = make_runner(instance, evaluator_key, mode, capacity=4)
     tenants = []
     seeds = iter(range(100, 1000))
@@ -395,9 +398,22 @@ def test_random_interleavings_match_standalone(instance, evaluator_key, mode, op
             assert 0.0 <= report.occupancy <= 1.0
         assert 0.0 <= runner.mean_occupancy <= 1.0
         assert not (runner.active & ~runner.leased).any()
+        if mode != "full":
+            leased = runner.leased
+            assert np.array_equal(evaluator._resident[leased], runner.current[leased])
 
     def pick(candidates, index):
         return candidates[index % len(candidates)] if candidates else None
+
+    def resume(tenant):
+        saved = tenant["saved"]
+        tenant["slots"] = runner.resume(saved)
+        tenant["saved"] = None
+        if saved["tabu_stamps"] is not None:
+            assert np.array_equal(
+                evaluator.read_tabu_rows(tenant["slots"]), saved["tabu_stamps"]
+            )
+        check()
 
     with runner:
         for op, *args in ops:
@@ -430,8 +446,7 @@ def test_random_interleavings_match_standalone(instance, evaluator_key, mode, op
                     args[0],
                 )
                 if tenant is not None:
-                    tenant["slots"] = runner.resume(tenant["saved"])
-                    tenant["saved"] = None
+                    resume(tenant)
             else:  # detach a tenant whose replicas all retired
                 tenant = pick(
                     [t for t in tenants
@@ -446,8 +461,7 @@ def test_random_interleavings_match_standalone(instance, evaluator_key, mode, op
         while any("results" not in t for t in tenants):
             for tenant in tenants:
                 if tenant["saved"] is not None and len(tenant["seeds"]) <= runner.free_slots:
-                    tenant["slots"] = runner.resume(tenant["saved"])
-                    tenant["saved"] = None
+                    resume(tenant)
             while runner.num_active:
                 check(runner.step())
             for tenant in tenants:

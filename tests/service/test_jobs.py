@@ -1,5 +1,7 @@
 """Job specs, Poisson traces and the JSON trace round-trip."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,10 @@ class TestJobSpec:
             {"budget": -1},
             {"arrival": -0.5},
             {"deadline": 0.0},
+            {"arrival": float("nan")},
+            {"arrival": float("inf")},
+            {"deadline": float("nan")},
+            {"deadline": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
@@ -102,4 +108,40 @@ class TestTraceRoundTrip:
         path = tmp_path / "trace.json"
         path.write_text('{"version": 999, "jobs": []}')
         with pytest.raises(ValueError, match="version"):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("[]", "JSON object"),
+            ('{"version": 1, "jobs": {}}', "'jobs' must be a list"),
+            ('{"version": 1}', "'jobs' must be a list"),
+            ('{"version": 1, "jobs": [3]}', "job 0 must be an object"),
+        ],
+    )
+    def test_rejects_malformed_payload(self, tmp_path, text, match):
+        path = tmp_path / "trace.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("arrival", None, "job 1 is missing arrival"),
+            ("arrival", "NaN", "job 1: arrival"),
+            ("arrival", "Infinity", "job 1: arrival"),
+            ("deadline", "NaN", "job 1: deadline"),
+            ("budget", "ten", "job 1:"),
+        ],
+    )
+    def test_rejects_bad_job_with_its_index(self, tmp_path, field, value, match):
+        jobs = [job.to_dict() for job in poisson_trace(3, 2.0, rng=0)]
+        if value is None:
+            del jobs[1][field]
+        else:
+            jobs[1][field] = value
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps({"version": 1, "jobs": jobs}))
+        with pytest.raises(ValueError, match=match):
             load_trace(path)

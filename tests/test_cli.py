@@ -66,35 +66,19 @@ class TestSolveCommand:
 
 
 class TestExperimentCommand:
-    def test_batched_experiment(self, capsys):
+    def test_experiment(self, capsys):
         assert main(["experiment", "--m", "25", "--n", "25", "--k", "1",
-                     "--trials", "4", "--iterations", "20",
-                     "--trial-mode", "batched"]) == 0
+                     "--trials", "4", "--iterations", "20"]) == 0
         out = capsys.readouterr().out
         assert "25 x 25 PPP" in out
-        assert "batched mode" in out
         assert "successes" in out
 
-    def test_serial_and_batched_report_identical_statistics(self, capsys):
-        args = ["experiment", "--m", "25", "--n", "25", "--k", "1",
-                "--trials", "3", "--iterations", "15"]
-        assert main(args + ["--trial-mode", "serial"]) == 0
-        serial_out = capsys.readouterr().out
-        assert main(args + ["--trial-mode", "batched"]) == 0
-        batched_out = capsys.readouterr().out
-        pick = lambda text: [l for l in text.splitlines() if l.startswith("fitness")]
-        assert pick(serial_out) == pick(batched_out)
-
-    def test_trial_mode_flag_validated(self):
+    @pytest.mark.parametrize("flag", ["--trial-mode", "--jobs"])
+    def test_retired_trial_flags_rejected(self, flag):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "--trial-mode", "quantum"])
-
-    def test_tables_accepts_trial_mode(self, capsys):
-        assert main(["tables", "--scale", "smoke", "--table", "1",
-                     "--trial-mode", "batched"]) == 0
-        out = capsys.readouterr().out
-        assert "batched trial mode" in out
-        assert "Table I" in out
+            build_parser().parse_args(["experiment", flag, "2"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["tables", flag, "2"])
 
 
 class TestTablesAndFigureCommands:
