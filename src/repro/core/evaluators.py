@@ -66,6 +66,7 @@ from ..gpu.timing import HostTimingModel
 from ..neighborhoods import Neighborhood
 from ..problems import BinaryProblem, as_solution
 from .kernels import (
+    _full_move_table,
     build_batch_neighborhood_kernel,
     build_neighborhood_kernel,
     mapping_flops,
@@ -127,6 +128,28 @@ def _fused_reduce(
         out_fitness = np.where(has_improving, fitnesses[rows, indices], np.inf)
         return out_indices, out_fitness.astype(np.float64)
     raise ValueError(f"unknown reduce op {op!r}; expected one of {REDUCE_OPS}")
+
+
+def _is_canonical_full(indices: np.ndarray, size: int) -> bool:
+    """Whether ``indices`` is exactly ``0, 1, ..., size - 1`` in order.
+
+    A mere *permutation* of the full range must NOT take the full-
+    neighborhood fast path: the kernel writes fitnesses in canonical
+    order, which would silently ignore the caller's requested ordering.
+    """
+    return indices.size == size and (
+        indices.size == 0 or (indices[0] == 0 and bool(np.all(np.diff(indices) == 1)))
+    )
+
+
+def _sized_buffer(context: GPUContext, name: str, size: int, dtype=FITNESS_DTYPE) -> np.ndarray:
+    """Device buffer ``name`` of ``size`` elements, reallocated when its size changes."""
+    existing = context.memory.allocations.get(name)
+    if existing is not None and existing.data.shape != (size,):
+        context.free(name)
+    if name not in context.memory.allocations:
+        context.alloc(name, (size,), dtype)
+    return context.memory.get(name).data
 
 
 def _tabu_rows(rows, count: int) -> np.ndarray:
@@ -385,16 +408,12 @@ class GPUEvaluator(NeighborhoodEvaluator):
         self._fitness_buffer = self.context.alloc(
             f"fitnesses:{id(self)}", (neighborhood.size,), np.float64
         )
-        # Geometry of the last batched call (the device-side solution block
-        # and fitness buffer are reallocated when the number of in-flight
-        # replicas changes).
+        # Shape of the last batched call's device-side solution block (it is
+        # reallocated when the number of in-flight replicas changes).
         self._solutions_shape: tuple[int, int] | None = None
-        self._batch_fitness_size: int | None = None
         # --- device-resident session state -----------------------------
         #: Host mirror of the device-resident (R, n) solution block.
         self._resident: np.ndarray | None = None
-        self._resident_fitness_size: int | None = None
-        self._reduced_size: int | None = None
         #: Host-staged (replica, bit) pairs, shipped as one delta packet by
         #: the next resident evaluation (one PCIe transaction, one latency).
         self._staged_deltas: list[np.ndarray] = []
@@ -426,21 +445,6 @@ class GPUEvaluator(NeighborhoodEvaluator):
                 "create a new evaluator instead of reusing it"
             )
 
-    def _is_canonical_full(self, indices: np.ndarray) -> bool:
-        """Whether ``indices`` is exactly ``0, 1, ..., size - 1`` in order.
-
-        A mere *permutation* of the full range must NOT take the full-
-        neighborhood fast path: the kernel writes fitnesses in canonical
-        order, which would silently ignore the caller's requested ordering.
-        """
-        return (
-            indices.size == self.neighborhood.size
-            and (
-                indices.size == 0
-                or (indices[0] == 0 and bool(np.all(np.diff(indices) == 1)))
-            )
-        )
-
     def _account_d2h(self, context: GPUContext, num_fitnesses: int) -> None:
         # Device -> host: the fitness array, for host-side move selection,
         # at the width of the shared fitness dtype; routed through the
@@ -457,7 +461,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
         # Host -> device: the candidate solution (int32, as in the paper's kernels).
         self.context.to_device(f"solution:{id(self)}", solution.astype(np.int32))
         fitnesses = self._fitness_buffer.data
-        if self._is_canonical_full(indices):
+        if _is_canonical_full(indices, self.neighborhood.size):
             # Full neighborhood: one thread per neighbor, exactly the paper's launch.
             self.context.launch(
                 self.kernel,
@@ -511,15 +515,10 @@ class GPUEvaluator(NeighborhoodEvaluator):
         # Device-side output buffer for all S * M fitness values, resized
         # (like the solution block) when the batch geometry changes so the
         # device-memory model sees the batched launch's largest allocation.
-        buffer_name = f"batch_fitnesses:{id(self)}"
-        flat_size = num_solutions * num_indices
-        if self._batch_fitness_size not in (None, flat_size):
-            self.context.free(buffer_name)
-        if self._batch_fitness_size != flat_size:
-            self.context.alloc(buffer_name, (flat_size,), np.float64)
-            self._batch_fitness_size = flat_size
-        flat = self.context.memory.get(buffer_name).data
-        if self._is_canonical_full(indices):
+        flat = _sized_buffer(
+            self.context, f"batch_fitnesses:{id(self)}", num_solutions * num_indices
+        )
+        if _is_canonical_full(indices, self.neighborhood.size):
             kernel = self.batch_kernel
         else:
             # Compacted index list: same batched launch over the (S, M_sub)
@@ -792,6 +791,31 @@ class GPUEvaluator(NeighborhoodEvaluator):
         self._tabu_last_applied[rows, indices] = stamps
         return indices, best
 
+    def _fused_select(
+        self, rows, fitnesses, reduce, admissible, aspiration_fitness, thresholds, stamps
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Functional body of the fused reduction, staged in the ``reduced`` buffer.
+
+        With device-resident tabu ``stamps`` the admissibility mask, the
+        robust-tabu escape and the stamp update happen here, next to the
+        reduction.
+        """
+        if stamps is not None:
+            admissible = self._resident_tabu_mask(rows, stamps, fitnesses.shape[1])
+        indices, best = _fused_reduce(
+            fitnesses, reduce, admissible, aspiration_fitness, thresholds
+        )
+        if stamps is not None:
+            indices, best = self._resident_tabu_select(
+                rows, stamps, fitnesses, indices, best
+            )
+        reduced = _sized_buffer(
+            self.context, self._session_buffer("reduced"), rows.size, REDUCED_PAIR_DTYPE
+        )
+        reduced["index"] = indices
+        reduced["fitness"] = best
+        return indices, best
+
     def evaluate_resident(
         self,
         replica_ids: np.ndarray | None = None,
@@ -839,6 +863,23 @@ class GPUEvaluator(NeighborhoodEvaluator):
         except under ``tabu_iterations``, where blocked replicas already
         carry their escape move.
         """
+        return self._evaluate_resident(
+            replica_ids, None, reduce, admissible, aspiration_fitness, thresholds,
+            tabu_iterations,
+        )
+
+    def _evaluate_resident(
+        self, replica_ids, scores, reduce, admissible, aspiration_fitness, thresholds,
+        tabu_iterations,
+    ):
+        """:meth:`evaluate_resident`, optionally with the rows already scored.
+
+        ``scores`` is the ``(S, M)`` fitness block of the requested rows,
+        computed by :class:`MultiGPUEvaluator` in one host call for the whole
+        pool.  The launch (or persistent-loop iteration) then lands those
+        scores instead of scoring the resident rows; every transfer, launch
+        and reduction is priced exactly as without it.
+        """
         if self._resident is None:
             raise RuntimeError("begin_search must be called before evaluate_resident")
         context = self.context
@@ -851,7 +892,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
             rows = np.asarray(replica_ids, dtype=np.int64).ravel()
             if rows.size and (rows.min() < 0 or rows.max() >= self._resident.shape[0]):
                 raise IndexError("replica id out of range")
-            block = self._resident[rows]
+            block = self._resident[rows] if scores is None else None
         num_solutions, num_indices = rows.size, self.neighborhood.size
         if num_solutions == 0:
             raise ValueError("need at least one active replica")
@@ -883,21 +924,19 @@ class GPUEvaluator(NeighborhoodEvaluator):
                 )
         flat_name = self._session_buffer("resident_fitnesses")
         flat_size = num_solutions * num_indices
-        if self._resident_fitness_size not in (None, flat_size):
-            context.free(flat_name)
-        if self._resident_fitness_size != flat_size:
-            context.alloc(flat_name, (flat_size,), FITNESS_DTYPE)
-            self._resident_fitness_size = flat_size
-        flat = context.memory.get(flat_name).data
+        flat = _sized_buffer(context, flat_name, flat_size)
+        # The batch kernel's args: with trailing ``scores`` it lands them in
+        # ``flat`` instead of scoring ``block``.
+        args = (block, flat) if scores is None else (block, flat, scores)
 
         if self._loop is not None and not self._loop.closed:
             result = self._evaluate_persistent(
-                rows, block, flat, reduce,
+                rows, args, reduce,
                 admissible, aspiration_fitness, thresholds, stamps,
             )
         else:
             result = self._evaluate_resident_async(
-                rows, block, flat, flat_name, reduce,
+                rows, args, flat_name, reduce,
                 admissible, aspiration_fitness, thresholds, stamps,
             )
             self.stats.simulated_time += timeline.elapsed - before_elapsed
@@ -908,8 +947,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
     def _evaluate_resident_async(
         self,
         rows: np.ndarray,
-        block: np.ndarray,
-        flat: np.ndarray,
+        args: tuple,
         flat_name: str,
         reduce: str | None,
         admissible: np.ndarray | None,
@@ -919,6 +957,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
     ):
         """One stream-ordered resident iteration (the delta/reduced modes)."""
         context = self.context
+        flat = args[1]
         num_solutions, num_indices = rows.size, self.neighborhood.size
         flat_size = num_solutions * num_indices
         # The pre-kernel delta packet: staged (replica, bit) flips plus —
@@ -943,7 +982,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
         _, kernel_event = context.launch_async(
             self.batch_kernel,
             (num_solutions, num_indices),
-            (block, flat),
+            args,
             wait_for=kernel_deps,
             not_before=self._sync_time,
             block_size=self.block_size,
@@ -984,30 +1023,17 @@ class GPUEvaluator(NeighborhoodEvaluator):
                     not_before=self._sync_time,
                 )
             )
-        if stamps is not None:
-            admissible = self._resident_tabu_mask(rows, stamps, num_indices)
-        indices, best = _fused_reduce(
-            fitnesses, reduce, admissible, aspiration_fitness, thresholds
+        self._fused_select(
+            rows, fitnesses, reduce, admissible, aspiration_fitness, thresholds, stamps
         )
-        if stamps is not None:
-            indices, best = self._resident_tabu_select(
-                rows, stamps, fitnesses, indices, best
-            )
-        reduced_name = self._session_buffer("reduced")
-        if self._reduced_size not in (None, num_solutions):
-            context.free(reduced_name)
-        if self._reduced_size != num_solutions:
-            context.alloc(reduced_name, (num_solutions,), REDUCED_PAIR_DTYPE)
-            self._reduced_size = num_solutions
-        reduced_buf = context.memory.get(reduced_name).data
-        reduced_buf["index"] = indices
-        reduced_buf["fitness"] = best
         reduce_event = context.reduce_async(
             f"FusedReduce<{reduce}>[{self.batch_kernel.name}]",
             flat_size,
             wait_for=reduce_deps,
         )
-        data, down_event = context.download_async(reduced_name, wait_for=reduce_event)
+        data, down_event = context.download_async(
+            self._session_buffer("reduced"), wait_for=reduce_event
+        )
         self._sync_time = down_event.time
         return (
             data["index"].astype(np.int64),
@@ -1017,8 +1043,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
     def _evaluate_persistent(
         self,
         rows: np.ndarray,
-        block: np.ndarray,
-        flat: np.ndarray,
+        args: tuple,
         reduce: str | None,
         admissible: np.ndarray | None,
         aspiration_fitness: np.ndarray | None,
@@ -1042,38 +1067,24 @@ class GPUEvaluator(NeighborhoodEvaluator):
                 "\"first-improvement\", or transfer_mode=\"delta\""
             )
         loop = self._loop
+        flat = args[1]
         num_solutions, num_indices = rows.size, self.neighborhood.size
         flat_size = num_solutions * num_indices
         # Flips were applied on-device by the previous iteration's epilogue.
         self._staged_deltas = []
         loop.write_control(self._resident.shape[0] * STOP_FLAG_BYTES)
         added = loop.iterate(
-            (num_solutions, num_indices), (block, flat), cost=self.batch_kernel.cost
+            (num_solutions, num_indices), args, cost=self.batch_kernel.cost
         )
         fitnesses = flat.reshape(num_solutions, num_indices)
         self._last_fitnesses = fitnesses
         self._last_rows = rows
-        if stamps is not None:
-            admissible = self._resident_tabu_mask(rows, stamps, num_indices)
-        indices, best = _fused_reduce(
-            fitnesses, reduce, admissible, aspiration_fitness, thresholds
-        )
-        if stamps is not None:
-            indices, best = self._resident_tabu_select(
-                rows, stamps, fitnesses, indices, best
-            )
-        added += loop.reduce(flat_size)
         # The per-iteration result ring entry: 16 bytes per active replica,
         # drained by the host while the grid keeps looping.
-        reduced_name = self._session_buffer("reduced")
-        if self._reduced_size not in (None, num_solutions):
-            self.context.free(reduced_name)
-        if self._reduced_size != num_solutions:
-            self.context.alloc(reduced_name, (num_solutions,), REDUCED_PAIR_DTYPE)
-            self._reduced_size = num_solutions
-        reduced_buf = self.context.memory.get(reduced_name).data
-        reduced_buf["index"] = indices
-        reduced_buf["fitness"] = best
+        indices, best = self._fused_select(
+            rows, fitnesses, reduce, admissible, aspiration_fitness, thresholds, stamps
+        )
+        added += loop.reduce(flat_size)
         loop.drain_ring(num_solutions * REDUCED_RESULT_BYTES)
         # The ring drain and flag write hide under the resident loop; only
         # the on-device work advances the evaluator's clock.
@@ -1148,8 +1159,6 @@ class GPUEvaluator(NeighborhoodEvaluator):
             if name in self.context.memory.allocations:
                 self.context.free(name)
         self._resident = None
-        self._resident_fitness_size = None
-        self._reduced_size = None
         self._staged_deltas = []
         self._last_fitnesses = None
         self._last_rows = None
@@ -1243,7 +1252,6 @@ class GPUEvaluator(NeighborhoodEvaluator):
         self.end_search()
         self.context.free_evaluator_buffers(self)
         self._solutions_shape = None
-        self._batch_fitness_size = None
         self._closed = True
 
     @property
@@ -1323,6 +1331,9 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             and self.num_devices > 1
             and self.scheduler.all_peer_capable
         )
+        #: The frozen full move table of every pool-wide scoring call, so the
+        #: gain engine sees one table for the whole run.
+        self._full_moves = _full_move_table(neighborhood.mapping, neighborhood.size)
         # Replica ranges [lo, hi) owned by each device in a resident session.
         self._replica_ranges: list[tuple[int, int]] | None = None
         self._persistent = False
@@ -1422,14 +1433,17 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             return 0
         return self._repartition_resident()
 
-    def _device_buffer(self, context: GPUContext, name: str, size: int):
-        """A per-device output buffer, reallocated when its size changes."""
-        existing = context.memory.allocations.get(name)
-        if existing is not None and existing.data.shape != (size,):
-            context.free(name)
-        if name not in context.memory.allocations:
-            context.alloc(name, (size,), FITNESS_DTYPE)
-        return context.memory.get(name).data
+    def _score(self, solutions: np.ndarray, indices: np.ndarray | None = None) -> np.ndarray:
+        """Score a whole step in one host call, before any device prices it.
+
+        The scores are host arithmetic whichever device "runs" them, so the
+        pool scores once and each device's launch only lands its slice.
+        """
+        if indices is None or _is_canonical_full(indices, self.neighborhood.size):
+            moves = self._full_moves()
+        else:
+            moves = self.neighborhood.moves(indices)
+        return self.problem.evaluate_neighborhood_batch(solutions, moves)
 
     def _evaluate(self, solution: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Concurrent per-device async chains over a partitioned index space.
@@ -1441,6 +1455,9 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         """
         scheduler = self.scheduler
         before = scheduler.makespan
+        # One scoring call, over a fresh (writable) move table: the gain
+        # engine declines it.
+        scores = self.problem.evaluate_neighborhood(solution, self.neighborhood.moves(indices))
         out = np.empty(indices.size, dtype=np.float64)
         parts = self._partitions(indices.size)
         chains = [
@@ -1457,25 +1474,13 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         )
         download_items = []
         for (evaluator, part), upload in zip(chains, upload_events):
-            context = evaluator.context
             dev = part.device_index
-            part_indices = indices[part.start : part.stop]
             buffer_name = f"slice_out:{id(self)}:{dev}"
-            sub_out = self._device_buffer(context, buffer_name, part.size)
-
-            def vectorized_fn(tids, solution_arr, out_arr, part_indices=part_indices):
-                moves = self.neighborhood.mapping.from_flat_batch(part_indices[tids])
-                out_arr[tids] = self.problem.evaluate_neighborhood(solution_arr, moves)
-
-            slice_kernel = Kernel(
-                name=evaluator.kernel.name + f"[slice:{dev}]",
-                vectorized_fn=vectorized_fn,
-                cost=evaluator.kernel.cost,
-            )
-            _, kernel_event = context.launch_async(
-                slice_kernel,
+            sub_out = _sized_buffer(evaluator.context, buffer_name, part.size)
+            _, kernel_event = evaluator.context.launch_async(
+                evaluator.kernel,
                 part.size,
-                (solution, sub_out),
+                (solution, sub_out, scores[part.start : part.stop]),
                 wait_for=[upload],
                 block_size=self.block_size,
             )
@@ -1491,32 +1496,26 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
     def _evaluate_many(self, solutions: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Partition the flat ``S x M`` (replica, neighbor) space across devices.
 
-        Each device receives a contiguous slice of the flattened batch (it
-        may span several replicas) sized by its simulated throughput,
-        uploads only the solution rows that slice touches and runs one
-        asynchronous upload -> launch -> download chain; the chains of
-        different devices overlap freely, so the step costs the cross-device
-        makespan.
+        The block is scored once (:meth:`_score`).  Each device then
+        receives a contiguous slice of the flattened batch (it may span
+        several replicas) sized by its simulated throughput, uploads only
+        the solution rows that slice touches and runs one asynchronous
+        upload -> launch -> download chain; the chains of different devices
+        overlap freely, so the step costs the cross-device makespan.
         """
         num_solutions, num_indices = solutions.shape[0], indices.size
-        flat_total = num_solutions * num_indices
-        out = np.empty(flat_total, dtype=np.float64)
-        mapping = self.neighborhood.mapping
+        scores = self._score(solutions, indices).reshape(-1)
+        out = np.empty(num_solutions * num_indices, dtype=np.float64)
         scheduler = self.scheduler
         before = scheduler.makespan
-        parts = self._partitions(flat_total)
         chains = []
         upload_items = []
-        for evaluator, part in zip(self._sub_evaluators, parts):
+        for evaluator, part in zip(self._sub_evaluators, self._partitions(scores.size)):
             if part.size == 0:
                 continue
             dev = part.device_index
-            flat_ids = np.arange(part.start, part.stop, dtype=np.int64)
-            replica_ids = flat_ids // num_indices
-            neighbor_ids = indices[flat_ids % num_indices]
-            replica_lo = int(replica_ids[0])
-            block = solutions[replica_lo : int(replica_ids[-1]) + 1]
-            chains.append((evaluator, part, block, replica_ids - replica_lo, neighbor_ids))
+            block = solutions[part.start // num_indices : (part.stop - 1) // num_indices + 1]
+            chains.append((evaluator, part, block))
             upload_items.append(
                 (dev, f"solutions:{id(self)}:{dev}", block.astype(SOLUTION_DTYPE))
             )
@@ -1524,38 +1523,20 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         # interconnect fairly: one arbitration batch each.
         upload_events = scheduler.upload_batch(upload_items)
         download_items = []
-        for (evaluator, part, block, local_replicas, neighbor_ids), upload in zip(
-            chains, upload_events
-        ):
-            context = evaluator.context
+        for (evaluator, part, block), upload in zip(chains, upload_events):
             dev = part.device_index
             buffer_name = f"batch_out:{id(self)}:{dev}"
-            sub_out = self._device_buffer(context, buffer_name, part.size)
-
-            def vectorized_fn(tids, solutions_arr, out_arr,
-                              local_replicas=local_replicas, neighbor_ids=neighbor_ids):
-                for replica in np.unique(local_replicas[tids]):
-                    mask = local_replicas[tids] == replica
-                    moves = mapping.from_flat_batch(neighbor_ids[tids][mask])
-                    out_arr[tids[mask]] = self.problem.evaluate_neighborhood(
-                        solutions_arr[replica], moves
-                    )
-
-            slice_kernel = Kernel(
-                name=evaluator.batch_kernel.name + f"[slice:{dev}]",
-                vectorized_fn=vectorized_fn,
-                cost=evaluator.batch_kernel.cost,
-            )
-            _, kernel_event = context.launch_async(
-                slice_kernel,
+            sub_out = _sized_buffer(evaluator.context, buffer_name, part.size)
+            _, kernel_event = evaluator.context.launch_async(
+                evaluator.batch_kernel,
                 part.size,
-                (block, sub_out),
+                (block, sub_out, scores[part.start : part.stop]),
                 wait_for=[upload],
                 block_size=self.block_size,
             )
             download_items.append((dev, buffer_name, kernel_event))
         downloads = scheduler.download_batch(download_items)
-        for (evaluator, part, *_), (data, _event) in zip(chains, downloads):
+        for (evaluator, part, _block), (data, _event) in zip(chains, downloads):
             out[part.start : part.stop] = data
         self.stats.simulated_time += scheduler.makespan - before
         return out.reshape(num_solutions, num_indices)
@@ -1758,10 +1739,13 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
     ):
         """Per-device resident evaluation; elapsed time is the slowest device's.
 
-        During a persistent session the sub-evaluators route the iteration
-        through their open device loops, so the per-device stream clocks do
-        not advance until the session ends; the elapsed contribution is then
-        the slowest device's accumulated on-device time instead.
+        The active rows are scored once (:meth:`_score`), from the devices'
+        resident host mirrors, and each device prices and reduces its own
+        rows of that block.  During a persistent session the sub-evaluators
+        route the iteration through their open device loops, so the
+        per-device stream clocks do not advance until the session ends; the
+        elapsed contribution is then the slowest device's accumulated
+        on-device time instead.
         """
         if self._replica_ranges is None:
             raise RuntimeError("begin_search must be called before evaluate_resident")
@@ -1775,30 +1759,30 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         num_solutions, num_indices = rows.size, self.neighborhood.size
         if num_solutions == 0:
             raise ValueError("need at least one active replica")
+        block = np.empty((num_solutions, self.problem.n), dtype=np.int8)
+        owners = []
+        for evaluator, lo, hi in self._resident_parts():
+            mask = (rows >= lo) & (rows < hi)
+            if mask.any():
+                local_ids = rows[mask] - lo
+                block[mask] = evaluator._resident[local_ids]
+                owners.append((evaluator, mask, local_ids))
+        scores = self._score(block)
         if reduce is None:
             out_fitnesses = np.empty((num_solutions, num_indices), dtype=np.float64)
         else:
             out_indices = np.empty(num_solutions, dtype=np.int64)
             out_best = np.empty(num_solutions, dtype=np.float64)
+        per_row = (admissible, aspiration_fitness, thresholds, tabu_iterations)
         before_makespan = self.scheduler.makespan
         per_device_times = []
-        for evaluator, lo, hi in self._resident_parts():
-            mask = (rows >= lo) & (rows < hi)
-            if not mask.any():
-                continue
-            local_ids = rows[mask] - lo
+        for evaluator, mask, local_ids in owners:
             before = evaluator.stats.simulated_time
-            sub = evaluator.evaluate_resident(
+            sub = evaluator._evaluate_resident(
                 local_ids,
-                reduce=reduce,
-                admissible=admissible[mask] if admissible is not None else None,
-                aspiration_fitness=(
-                    aspiration_fitness[mask] if aspiration_fitness is not None else None
-                ),
-                thresholds=thresholds[mask] if thresholds is not None else None,
-                tabu_iterations=(
-                    tabu_iterations[mask] if tabu_iterations is not None else None
-                ),
+                scores[mask],
+                reduce,
+                *(None if part is None else part[mask] for part in per_row),
             )
             per_device_times.append(evaluator.stats.simulated_time - before)
             if reduce is None:

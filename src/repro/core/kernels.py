@@ -8,10 +8,17 @@ id.  :func:`build_neighborhood_kernel` produces the simulator equivalent for
 *any* binary problem and *any* k-Hamming neighborhood: the per-thread body
 is a literal transcription of the paper's kernels, the vectorized body is
 the NumPy batch equivalent used for fast execution.
+
+Both kernels take an optional trailing ``scores`` argument: fitnesses the
+caller already computed.  :class:`~repro.core.evaluators.MultiGPUEvaluator`
+scores a whole lockstep step in one host call and hands each device its
+slice; the device's launch is still priced as the evaluation kernel but
+only lands that slice in its output buffer.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 
 import numpy as np
@@ -38,6 +45,23 @@ _MAPPING_FLOPS = {1: 2.0, 2: 25.0, 3: 90.0}
 def mapping_flops(order: int) -> float:
     """Per-thread cost of the one-to-k index transformation."""
     return _MAPPING_FLOPS.get(order, 40.0 * order)
+
+
+def _full_move_table(mapping, size: int):
+    """Lazy full move table of a kernel, built on first use.
+
+    The table is a pure function of the neighborhood, so it is built once
+    per kernel instead of every launch, and frozen so problems can cache
+    per-table preprocessing keyed on its identity.
+    """
+
+    @functools.cache
+    def table() -> np.ndarray:
+        moves = mapping.from_flat_batch(np.arange(size, dtype=np.int64))
+        moves.setflags(write=False)
+        return moves
+
+    return table
 
 
 def kernel_cost_profile(
@@ -72,17 +96,20 @@ def build_neighborhood_kernel(
     """Create the evaluation kernel for ``problem`` explored with ``neighborhood``.
 
     The kernel signature (its ``args`` tuple at launch time) is
-    ``(solution, fitnesses)``:
+    ``(solution, fitnesses[, scores])``:
 
     * ``solution`` — the current candidate, a length-``n`` 0/1 vector living
       in (simulated) global memory;
     * ``fitnesses`` — the output array of ``neighborhood.size`` fitness
-      values, one slot per thread.
+      values, one slot per thread;
+    * ``scores`` — optional precomputed fitnesses (see the module docstring).
+
+    Without ``scores`` a launch covers the whole neighborhood.
     """
     mapping = neighborhood.mapping
     size = neighborhood.size
 
-    def thread_fn(ctx: ThreadContext, solution: np.ndarray, fitnesses: np.ndarray) -> None:
+    def thread_fn(ctx: ThreadContext, solution, fitnesses, scores=None) -> None:
         # Literal transcription of the paper's kernels:
         #   int move_index = blockIdx.x * blockDim.x + threadIdx.x;
         #   if (move_index < N) {
@@ -90,28 +117,20 @@ def build_neighborhood_kernel(
         #       new_fitness[move_index] = compute_fitness(V, move...);
         #   }
         move_index = ctx.global_id
-        if move_index < size:
+        if scores is not None:
+            if move_index < scores.size:
+                fitnesses[move_index] = scores[move_index]
+        elif move_index < size:
             move = mapping.from_flat(move_index)
             fitnesses[move_index] = problem.delta_evaluate(solution, move)
 
-    # The full move table is a pure function of the neighborhood: build it
-    # once per kernel instead of re-deriving it every launch, and freeze it so
-    # problems can cache per-table preprocessing keyed on its identity.
-    full_moves: list[np.ndarray | None] = [None]
+    full_moves = _full_move_table(mapping, size)
 
-    def _full_moves() -> np.ndarray:
-        if full_moves[0] is None:
-            moves = mapping.from_flat_batch(np.arange(size, dtype=np.int64))
-            moves.setflags(write=False)
-            full_moves[0] = moves
-        return full_moves[0]
-
-    def vectorized_fn(tids: np.ndarray, solution: np.ndarray, fitnesses: np.ndarray) -> None:
-        if tids.size == size and tids.size and tids[0] == 0 and tids[-1] == size - 1:
-            fitnesses[:size] = problem.evaluate_neighborhood(solution, _full_moves())
-            return
-        moves = mapping.from_flat_batch(tids)
-        fitnesses[tids] = problem.evaluate_neighborhood(solution, moves)
+    def vectorized_fn(tids: np.ndarray, solution, fitnesses, scores=None) -> None:
+        if scores is not None:
+            fitnesses[: tids.size] = scores
+        else:
+            fitnesses[:size] = problem.evaluate_neighborhood(solution, full_moves())
 
     return Kernel(
         name=f"MoveIncrEvalKernel<{problem.name},{neighborhood.order}-Hamming>",
@@ -131,9 +150,11 @@ def build_batch_neighborhood_kernel(
 
     One thread per (replica, neighbor) pair over a logical ``(S, M)`` work
     shape: thread ``t`` evaluates neighbor ``t % M`` of solution ``t // M``.
-    The kernel's ``args`` tuple is ``(solutions, fitnesses)`` where
-    ``solutions`` is the ``(S, n)`` block of current candidates and
-    ``fitnesses`` a flat array of ``S * M`` output slots.  The per-thread
+    The kernel's ``args`` tuple is ``(solutions, fitnesses[, scores])``
+    where ``solutions`` is the ``(S, n)`` block of current candidates,
+    ``fitnesses`` a flat array of ``S * M`` output slots and ``scores``
+    optional precomputed fitnesses (see the module docstring).  A launch
+    covers whole ``(S, M)`` blocks.  The per-thread
     cost profile is identical to the single-solution kernel — batching
     multiplies the thread count, not the per-thread work — which is exactly
     why the launch amortizes its fixed overhead over ``S`` replicas.
@@ -141,54 +162,40 @@ def build_batch_neighborhood_kernel(
     mapping = neighborhood.mapping
     size = neighborhood.size
 
-    def thread_fn(ctx: ThreadContext, solutions: np.ndarray, fitnesses: np.ndarray) -> None:
+    def thread_fn(ctx: ThreadContext, solutions, fitnesses, scores=None) -> None:
         # The paper's kernel with a second logical axis:
         #   int tid = blockIdx.x * blockDim.x + threadIdx.x;
         #   int replica = tid / M, move_index = tid % M;
         #   if (replica < S) new_fitness[tid] = compute_fitness(V[replica], move...);
         tid = ctx.global_id
+        if scores is not None:
+            if tid < scores.size:
+                fitnesses[tid] = scores.flat[tid]
+            return
         replica, move_index = divmod(tid, size)
         if replica < solutions.shape[0]:
             move = mapping.from_flat(move_index)
             fitnesses[tid] = problem.delta_evaluate(solutions[replica], move)
 
-    # Launch-invariant state, computed once: the full move table (frozen so
-    # the problem can cache per-table preprocessing keyed on its identity)
-    # and whether the problem's batch evaluation can write output in place.
-    full_moves: list[np.ndarray | None] = [None]
+    # Launch-invariant state, computed once: the full move table and whether
+    # the problem's batch evaluation can write output in place.
+    full_moves = _full_move_table(mapping, size)
     accepts_out = "out" in inspect.signature(problem.evaluate_neighborhood_batch).parameters
 
-    def _full_moves() -> np.ndarray:
-        if full_moves[0] is None:
-            moves = mapping.from_flat_batch(np.arange(size, dtype=np.int64))
-            moves.setflags(write=False)
-            full_moves[0] = moves
-        return full_moves[0]
-
-    def vectorized_fn(tids: np.ndarray, solutions: np.ndarray, fitnesses: np.ndarray) -> None:
+    def vectorized_fn(tids: np.ndarray, solutions, fitnesses, scores=None) -> None:
+        if scores is not None:
+            fitnesses[: tids.size] = scores.reshape(-1)
+            return
         num_solutions = solutions.shape[0]
         total = num_solutions * size
-        if tids.size == total and tids.size:
-            # Full batch: one broadcast delta evaluation over all replicas.
-            # The launcher hands us a contiguous id range, so the scores land
-            # in the output buffer without an S*M fancy-index scatter.
-            moves = _full_moves()
-            if tids[0] == 0 and tids[-1] == total - 1:
-                view = fitnesses[:total].reshape(num_solutions, size)
-                if accepts_out and view.flags.c_contiguous:
-                    problem.evaluate_neighborhood_batch(solutions, moves, out=view)
-                else:
-                    view[...] = problem.evaluate_neighborhood_batch(solutions, moves)
-            else:
-                fitnesses[tids] = problem.evaluate_neighborhood_batch(solutions, moves).ravel()
-            return
-        # Partial coverage (e.g. a multi-device slice of the flat index
-        # space): evaluate each replica's contiguous run of neighbors.
-        replicas = tids // size
-        for replica in np.unique(replicas):
-            mask = replicas == replica
-            moves = mapping.from_flat_batch(tids[mask] % size)
-            fitnesses[tids[mask]] = problem.evaluate_neighborhood(solutions[replica], moves)
+        # One broadcast delta evaluation over all replicas.  The launcher
+        # hands us the contiguous id range 0..S*M-1, so the scores land in
+        # the output buffer without an S*M fancy-index scatter.
+        view = fitnesses[:total].reshape(num_solutions, size)
+        if accepts_out and view.flags.c_contiguous:
+            problem.evaluate_neighborhood_batch(solutions, full_moves(), out=view)
+        else:
+            view[...] = problem.evaluate_neighborhood_batch(solutions, full_moves())
 
     return Kernel(
         name=f"BatchMoveIncrEvalKernel<{problem.name},{neighborhood.order}-Hamming>",

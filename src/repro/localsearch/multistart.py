@@ -502,11 +502,9 @@ class MultiStartRunner:
         """
         if self._rebalance and self.lockstep and self.lockstep % self._rebalance == 0:
             # Timing/placement only: keep the still-active rows split
-            # proportionally to device throughput (trajectories unchanged);
-            # derived gain state re-derives at the next evaluation.
+            # proportionally to device throughput.  Replica ids are global,
+            # so trajectories and the gain engine's rows are unchanged.
             self.evaluator.rebalance_resident(active=self.active)
-            if self._gain_engine is not None:
-                self._gain_engine.invalidate_all()
         self.lockstep += 1
         active_idx = np.nonzero(self.active)[0]
 
@@ -681,24 +679,15 @@ class MultiStartRunner:
 
     # ------------------------------------------------------------------
     def _apply_fault(self, event: FaultEvent) -> None:
-        """Apply one :class:`~repro.gpu.faults.FaultEvent` at a lockstep boundary."""
-        # Belt and braces: fault recovery may reshuffle replica placement, so
-        # drop all derived gain state (it re-derives on the next evaluation;
-        # the engine's mirror check would also catch any divergence).
-        if self._gain_engine is not None:
-            self._gain_engine.invalidate_all()
-        if event.kind in ("fail", "join"):
-            method = getattr(
-                self.evaluator,
-                "fail_device" if event.kind == "fail" else "join_device",
-                None,
-            )
-            if method is None:
-                raise RuntimeError(
-                    f"fault {event} needs a multi-device evaluator, got "
-                    f"{type(self.evaluator).__name__}"
-                )
-            method(event.arg)
+        """Apply one :class:`~repro.gpu.faults.FaultEvent` at a lockstep boundary.
+
+        Fail/join only move replicas between devices; replica ids are
+        global, so the gain engine's rows stay valid.
+        """
+        if event.kind == "fail":
+            self.evaluator.fail_device(event.arg)
+        elif event.kind == "join":
+            self.evaluator.join_device(event.arg)
         else:  # flaky
             engine = getattr(getattr(self.evaluator, "pool", None), "engine", None)
             if engine is None:
@@ -711,6 +700,43 @@ class MultiStartRunner:
                     f"got {type(self.evaluator).__name__}"
                 )
             engine.inject_transfer_faults(retries=max(1, event.arg))
+
+    def _check_fault_plan(self, plan: FaultPlan, fleet, start: int) -> None:
+        """Replay the plan's fail/join events over a copy of the fleet mask.
+
+        ``fleet`` is the device mask the run starts from (``None`` without a
+        multi-device evaluator) and ``start`` the first lockstep the run
+        executes.  Raises :class:`ValueError` naming the first event that
+        could not apply, before anything is priced.  Events after the last
+        iteration stay legal: a run can stop early.
+        """
+        events = [event for event in plan.device_events() if event.at >= start]
+        if not events:
+            return
+        if fleet is None:
+            raise ValueError(
+                f"fault {events[0]} needs a multi-device evaluator, got "
+                f"{type(self.evaluator).__name__}"
+            )
+        if self.transfer_mode == "persistent":
+            raise ValueError(
+                f"fault {events[0]}: persistent launches pin replicas to their "
+                "devices for the whole run"
+            )
+        active = [bool(flag) for flag in fleet]
+        for event in events:
+            if not 0 <= event.arg < len(active):
+                raise ValueError(
+                    f"fault {event}: device index out of range (pool has {len(active)})"
+                )
+            if event.kind == "join":
+                if active[event.arg]:
+                    raise ValueError(f"fault {event}: device {event.arg} is already active")
+            elif not active[event.arg]:
+                raise ValueError(f"fault {event}: device {event.arg} is already inactive")
+            elif sum(active) == 1:
+                raise ValueError(f"fault {event}: cannot fail the last active device")
+            active[event.arg] = event.kind == "join"
 
     # ------------------------------------------------------------------
     def run(
@@ -737,7 +763,9 @@ class MultiStartRunner:
         byte counters, makespans), assuming the evaluator is freshly
         constructed with the same spec.  ``fault_plan`` (a
         :class:`~repro.gpu.faults.FaultPlan` or its string syntax) injects
-        failures at lockstep boundaries; see :mod:`repro.gpu.faults`.
+        failures at lockstep boundaries; see :mod:`repro.gpu.faults`.  Its
+        fail/join events are checked against the fleet before the run
+        starts.
         """
         start_wall = time.perf_counter()
         start_sim = self.evaluator.stats.simulated_time
@@ -760,14 +788,18 @@ class MultiStartRunner:
                     "resume is mutually exclusive with replicas/seeds/rng/"
                     "initial_solutions; the checkpoint carries the population"
                 )
-            self._open_rows(self._check_checkpoint(resume), session=resume["evaluator"])
-            self.lockstep = resumed_at = resume["lockstep"]
+            state, session = self._check_checkpoint(resume), resume["evaluator"]
+            fleet = session.get("device_active")
+            start = resumed_at = resume["lockstep"]
         else:
             block = self._initial_block(replicas, seeds, rng, initial_solutions)
-            self._open_rows(
-                self._fresh_rows(block, self.max_iterations, self.target_fitness)
-            )
-            resumed_at = -1
+            state = self._fresh_rows(block, self.max_iterations, self.target_fitness)
+            session, start, resumed_at = None, 0, -1
+            fleet = getattr(self.evaluator, "device_active", None)
+        if fault_plan is not None:
+            self._check_fault_plan(fault_plan, fleet, start)
+        self._open_rows(state, session=session)
+        self.lockstep = start
         try:
             while True:
                 self._retire()

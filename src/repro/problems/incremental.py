@@ -634,9 +634,9 @@ class GainEngine:
     the search loop.  :meth:`try_evaluate` — consulted by every problem's
     ``evaluate_neighborhood_batch`` — verifies the mirror against the actual
     inputs and silently re-derives any diverged row, which makes every
-    invalidation path (restarts, perturbations, kicks, migration, restore)
-    correct by construction; :meth:`invalidate_all` exists as an explicit
-    belt-and-braces hook for fault events.  Anything outside the compiled
+    invalidation path (restarts, perturbations, kicks, restore) correct by
+    construction.  Replica ids are global, so migration between devices
+    (rebalance, fail/join) changes no row.  Anything outside the compiled
     model declines to the scorer/reference chain, which is bit-identical.
 
     Gain state is *derived* data: a fresh engine re-initializes from the
@@ -711,10 +711,6 @@ class GainEngine:
             self.mirror[sub_rows[:, None], sub_bits] ^= 1
         else:
             self.valid[sub_rows] = False
-
-    def invalidate_all(self) -> None:
-        """Drop all derived state (fault events, rebalancing)."""
-        self.valid[:] = False
 
     # -- evaluation --------------------------------------------------------
     def try_evaluate(

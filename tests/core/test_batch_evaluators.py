@@ -150,6 +150,16 @@ class TestBatchedGPUSemantics:
         assert np.array_equal(out_vec, out_thread)
 
 
+    def test_multigpu_per_thread_mode_agrees(self, ppp, solutions):
+        # The pool scores once on the host; each device's per-thread launch
+        # lands its slice of the scores.
+        neighborhood = KHammingNeighborhood(ppp.n, 1)
+        expected = reference_rows(ppp, neighborhood, solutions)
+        multi = MultiGPUEvaluator(ppp, neighborhood, devices=2, mode=ExecutionMode.PER_THREAD)
+        assert np.array_equal(multi.evaluate_many(solutions), expected)
+        assert np.array_equal(multi.evaluate(solutions[0]), expected[0])
+
+
 class TestWorkShapes:
     def test_normalize_work(self):
         assert normalize_work(7) == (7, (7,))

@@ -9,6 +9,8 @@ device faults, replica migration on rebalance, checkpoint -> restore) — and
 the fast recompute must in turn match ``REPRO_EVAL_PATH=reference``.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -81,10 +83,16 @@ class TestLockstepMatrix:
             reference = lockstep_signature(problem, mode, algorithm)
             assert fast == reference, f"{name}/{mode}/{algorithm} diverged"
 
-    @pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
-    def test_engine_actually_serves_the_hot_loop(self, name, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, devices, mode",
+        [(name, 1, "delta") for name in sorted(PROBLEM_FACTORIES)]
+        + [("ppp", devices, mode) for devices in (2, 4) for mode in MODES[:3]],
+    )
+    def test_engine_actually_serves_the_hot_loop(self, name, devices, mode, monkeypatch):
         """Guard against the matrix passing because the engine silently
-        declines everything: on 2-Hamming lockstep it must serve."""
+        declines everything: on 2-Hamming lockstep it must serve, one GPU or
+        a pool that rebalances and loses and regains a device, from one
+        scoring call per lockstep step and one derivation per replica."""
         engines = []
         real_create = multistart_mod.create_gain_engine
 
@@ -95,11 +103,50 @@ class TestLockstepMatrix:
             return engine
 
         monkeypatch.setattr(multistart_mod, "create_gain_engine", probe)
-        lockstep_signature(PROBLEM_FACTORIES[name](), "delta", "tabu")
+        problem = PROBLEM_FACTORIES[name]()
+        scoring_calls = []
+        real_score = problem.evaluate_neighborhood_batch
+
+        @functools.wraps(real_score)
+        def counted(*args, **kwargs):
+            scoring_calls.append(1)
+            return real_score(*args, **kwargs)
+
+        monkeypatch.setattr(problem, "evaluate_neighborhood_batch", counted)
+
+        def run():
+            neighborhood = KHammingNeighborhood(problem.n, 2)
+            if devices == 1:
+                evaluator, options = GPUEvaluator(problem, neighborhood), {}
+            else:
+                evaluator = MultiGPUEvaluator(problem, neighborhood, devices=devices)
+                options = {"rebalance_every": 2}
+            with evaluator:
+                runner = MultiStartRunner(
+                    evaluator,
+                    max_iterations=12,
+                    transfer_mode=mode,
+                    target_fitness=float("-inf"),
+                    **options,
+                )
+                plan = None if devices == 1 else f"fail:{devices - 1}@3,join:{devices - 1}@6"
+                result = runner.run(seeds=SEEDS, fault_plan=plan)
+                signature = (
+                    [r.best_solution.tobytes() for r in result],
+                    [r.iterations for r in result],
+                    evaluator.stats.simulated_time,
+                )
+                return signature, result.iterations
+
+        with_engine, steps = run()
+        assert len(scoring_calls) == steps
         assert engines, "no engine was created for the lockstep run"
         stats = engines[-1].stats
         assert stats["evals"] > 0, f"engine never served ({stats})"
         assert stats["commits"] > 0
+        assert stats["reinit_rows"] == len(SEEDS), stats
+        monkeypatch.setenv("REPRO_EVAL_PATH", "fast")
+        assert run()[0] == with_engine
 
 
 class TestScalarSearches:

@@ -321,7 +321,8 @@ class TestFaultRecovery:
         assert runner.evaluator.pool.engine.retried_transfers == 1
         assert len(result) == len(SEEDS)
 
-    def test_device_faults_need_a_multi_device_evaluator(self):
+    @pytest.mark.parametrize("kind", ("fail", "join"))
+    def test_device_faults_need_a_multi_device_evaluator(self, kind):
         problem = UBQP.random(12, rng=4)
         neighborhood = KHammingNeighborhood(problem.n, 2)
         runner = MultiStartRunner(
@@ -329,8 +330,57 @@ class TestFaultRecovery:
             max_iterations=10,
             target_fitness=float("-inf"),
         )
-        with pytest.raises(RuntimeError, match="multi-device"):
-            runner.run(seeds=SEEDS[:3], fault_plan="fail:0@2")
+        with pytest.raises(ValueError, match="multi-device"):
+            runner.run(seeds=SEEDS[:3], fault_plan=f"{kind}:0@2")
+        assert runner.evaluator.stats.calls == 0
+
+
+class TestFaultPlanValidation:
+    """Fail/join events are checked against the fleet before the run: a bad
+    plan raises before any work is priced, naming the event."""
+
+    @pytest.mark.parametrize(
+        "plan, match",
+        [
+            ("fail:99@1", "fail:99@1: device index out of range"),
+            ("fail:99@50", "fail:99@50: device index out of range"),
+            ("join:2@3", "join:2@3: device index out of range"),
+            ("fail:1@2,fail:1@2", "fail:1@2: device 1 is already inactive"),
+            ("join:0@2", "join:0@2: device 0 is already active"),
+            ("fail:0@1,fail:1@3", "fail:1@3: cannot fail the last active device"),
+        ],
+    )
+    def test_bad_targets_rejected_before_the_run(self, plan, match):
+        runner = make_runner("delta", devices=2)
+        with pytest.raises(ValueError, match=match):
+            runner.run(seeds=SEEDS, fault_plan=plan)
+        assert runner.evaluator.stats.calls == 0
+
+    def test_persistent_mode_rejects_device_events(self):
+        runner = make_runner("persistent", devices=2, rebalance_every=None)
+        with pytest.raises(ValueError, match="fail:1@2: persistent"):
+            runner.run(seeds=SEEDS, fault_plan="fail:1@2")
+        assert runner.evaluator.stats.calls == 0
+
+    def test_events_after_the_last_iteration_stay_legal(self):
+        runner = make_runner("delta", devices=2)
+        result = runner.run(seeds=SEEDS, fault_plan="fail:1@50,join:1@60")
+        assert result.iterations == 30
+        assert runner.evaluator.device_active == (True, True)
+
+    def test_resumed_runs_check_against_the_checkpointed_fleet(self):
+        checkpoints = []
+        make_runner("delta", devices=2).run(
+            seeds=SEEDS,
+            fault_plan="fail:1@5",
+            checkpoint_every=10,
+            checkpoint_callback=checkpoints.append,
+        )
+        runner = make_runner("delta", devices=2)
+        # Device 1 died before the checkpoint; failing it again is invalid.
+        with pytest.raises(ValueError, match="fail:1@12: device 1 is already inactive"):
+            runner.run(resume=checkpoints[0], fault_plan="fail:1@5,fail:1@12")
+        assert runner.evaluator.stats.calls == 0
 
 
 class TestElasticPartitions:

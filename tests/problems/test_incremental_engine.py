@@ -13,6 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.problems.incremental as incremental
 from repro.neighborhoods import KHammingNeighborhood
 from repro.problems import (
     MaxSat,
@@ -102,6 +103,13 @@ def test_randomized_commits_stay_bit_identical(name, order):
     assert engine.stats["reinit_rows"] > rows  # initial derivation + self-heals
 
 
+def test_ppp_matmul_fallback_stays_bit_identical(monkeypatch):
+    """The ``np.matmul`` branch of the PPP materialization (hosts without
+    scipy's ``sgemm``) matches the recompute exactly, like the fused one."""
+    monkeypatch.setattr(incremental, "_sgemm", None)
+    test_randomized_commits_stay_bit_identical("ppp", 2)
+
+
 @pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
 def test_duplicate_bit_commits_self_heal(name):
     """A commit that repeats a bit is outside the state model: the row is
@@ -170,25 +178,6 @@ def test_kill_switch_disables_engine_creation(monkeypatch, path, engine):
         name = "alien"
         n = 4
     assert create_gain_engine(Alien()) is None
-
-
-def test_invalidate_all_resets_and_rederives():
-    problem = PROBLEM_FACTORIES["maxsat"]()
-    moves = frozen_moves(problem.n, 2)
-    rng = np.random.default_rng(5)
-    solutions = random_block(problem, rng, 4)
-    engine = GainEngine(problem, rows_hint=4)
-    rows = np.arange(4, dtype=np.int64)
-
-    engine.expect(rows)
-    engine.try_evaluate(solutions, moves, None)
-    assert engine.valid.all()
-    engine.invalidate_all()
-    assert not engine.valid.any()
-
-    engine.expect(rows)
-    got = engine.try_evaluate(solutions, moves, None)
-    np.testing.assert_array_equal(got, reference(problem, solutions, moves))
 
 
 def test_attach_helpers_nest_and_restore():

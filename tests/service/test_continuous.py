@@ -379,7 +379,16 @@ INTERLEAVINGS = st.lists(
 _SOLO_CACHE = {}
 
 
-@pytest.mark.parametrize("evaluator_key,mode", [("cpu", "full"), ("gpu", "reduced")])
+def resident_block(evaluator):
+    """The device-resident solution block, in global replica order."""
+    if isinstance(evaluator, MultiGPUEvaluator):
+        return np.concatenate([sub._resident for sub, _lo, _hi in evaluator._resident_parts()])
+    return evaluator._resident
+
+
+@pytest.mark.parametrize(
+    "evaluator_key,mode", [("cpu", "full"), ("gpu", "reduced"), ("multi-gpu", "reduced")]
+)
 @settings(max_examples=25, deadline=None)
 @given(ops=INTERLEAVINGS)
 def test_random_interleavings_match_standalone(instance, evaluator_key, mode, ops):
@@ -400,7 +409,7 @@ def test_random_interleavings_match_standalone(instance, evaluator_key, mode, op
         assert not (runner.active & ~runner.leased).any()
         if mode != "full":
             leased = runner.leased
-            assert np.array_equal(evaluator._resident[leased], runner.current[leased])
+            assert np.array_equal(resident_block(evaluator)[leased], runner.current[leased])
 
     def pick(candidates, index):
         return candidates[index % len(candidates)] if candidates else None
