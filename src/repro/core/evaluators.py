@@ -1332,7 +1332,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             and self.scheduler.all_peer_capable
         )
         #: The frozen full move table of every pool-wide scoring call, so the
-        #: gain engine sees one table for the whole run.
+        #: fast scorers and the gain engine see one table for the whole run.
         self._full_moves = _full_move_table(neighborhood.mapping, neighborhood.size)
         # Replica ranges [lo, hi) owned by each device in a resident session.
         self._replica_ranges: list[tuple[int, int]] | None = None
@@ -1455,8 +1455,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         """
         scheduler = self.scheduler
         before = scheduler.makespan
-        # One scoring call, over a fresh (writable) move table: the gain
-        # engine declines it.
+        # One scoring call, over a fresh (writable) move table.
         scores = self.problem.evaluate_neighborhood(solution, self.neighborhood.moves(indices))
         out = np.empty(indices.size, dtype=np.float64)
         parts = self._partitions(indices.size)

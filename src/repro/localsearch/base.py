@@ -18,7 +18,6 @@ import numpy as np
 from ..core.evaluators import NeighborhoodEvaluator
 from ..core.selection import SelectedMove
 from ..problems.base import flip_bits
-from ..problems.incremental import attach_gain_engine, create_gain_engine, detach_gain_engine
 from .result import LSResult
 from .stopping import AnyOf, MaxIterations, SearchState, StoppingCriterion, TargetFitness
 
@@ -222,85 +221,61 @@ class NeighborhoodLocalSearch(abc.ABC):
             )
             self.prepare_resident_session()
 
-        # Incremental gain engine for the S=1 neighborhood evaluations.  An
-        # engine attached by an outer driver (IteratedLocalSearch keeps one
-        # alive across its descents, so kicks re-derive one row instead of
-        # rebuilding the coupling tables) is reused; otherwise this run owns
-        # a fresh one for its duration.
-        engine = self.problem._gain_engine
-        prev_engine = None
-        owns_engine = False
-        if engine is None:
-            engine = create_gain_engine(self.problem, rows_hint=1)
-            if engine is not None:
-                prev_engine = attach_gain_engine(self.problem, engine)
-                owns_engine = True
-        row0 = np.zeros(1, dtype=np.int64)
+        while True:
+            state = SearchState(
+                iteration=iteration,
+                evaluations=self.evaluator.stats.evaluations - start_evals,
+                best_fitness=best_fitness,
+                iterations_since_improvement=since_improvement,
+            )
+            reason = self.stopping.should_stop(state)
+            if reason is not None:
+                stopping_reason = reason
+                break
 
-        try:
-            while True:
-                state = SearchState(
-                    iteration=iteration,
-                    evaluations=self.evaluator.stats.evaluations - start_evals,
-                    best_fitness=best_fitness,
-                    iterations_since_improvement=since_improvement,
+            # Generate + evaluate the whole neighborhood (the GPU step).
+            if self.transfer_mode in REDUCED_SELECTION_MODES:
+                # Fused neighborhood+reduction launch (inside the run's one
+                # persistent launch under "persistent"): only the best
+                # (index, fitness) pair comes back.
+                indices, fits = self.evaluator.evaluate_resident(
+                    reduce=self.reduction,
+                    **self.reduction_inputs(current_fitness, best_fitness, iteration),
                 )
-                reason = self.stopping.should_stop(state)
-                if reason is not None:
-                    stopping_reason = reason
-                    break
-
-                # Generate + evaluate the whole neighborhood (the GPU step).
-                if engine is not None:
-                    engine.expect(row0)
-                if self.transfer_mode in REDUCED_SELECTION_MODES:
-                    # Fused neighborhood+reduction launch (inside the run's one
-                    # persistent launch under "persistent"): only the best
-                    # (index, fitness) pair comes back.
-                    indices, fits = self.evaluator.evaluate_resident(
-                        reduce=self.reduction,
-                        **self.reduction_inputs(current_fitness, best_fitness, iteration),
-                    )
-                    selected = self.select_from_reduced(
-                        int(indices[0]), float(fits[0]), current_fitness, best_fitness, iteration
-                    )
-                else:
-                    if resident:
-                        fitnesses = self.evaluator.evaluate_resident()[0]
-                    else:
-                        fitnesses = self.evaluator.evaluate(current)
-                    selected = self.select_move(
-                        fitnesses, current_fitness, best_fitness, iteration, rng
-                    )
-                if selected is None:
-                    stopping_reason = "local_optimum"
-                    break
-
-                # Apply the selected move.
-                move = self.neighborhood.mapping.from_flat(selected.index)
-                move_bits = np.atleast_1d(np.asarray(move, dtype=np.int64))
-                current = flip_bits(current, move_bits)
+                selected = self.select_from_reduced(
+                    int(indices[0]), float(fits[0]), current_fitness, best_fitness, iteration
+                )
+            else:
                 if resident:
-                    self.evaluator.apply_deltas(np.zeros(move_bits.size, dtype=np.int64), move_bits)
-                if engine is not None:
-                    engine.commit(row0, move_bits[None, :])
-                current_fitness = selected.fitness
-                self.on_move_applied(selected, iteration)
-
-                if current_fitness < best_fitness:
-                    best = current.copy()
-                    best_fitness = current_fitness
-                    since_improvement = 0
+                    fitnesses = self.evaluator.evaluate_resident()[0]
                 else:
-                    since_improvement += 1
+                    fitnesses = self.evaluator.evaluate(current)
+                selected = self.select_move(
+                    fitnesses, current_fitness, best_fitness, iteration, rng
+                )
+            if selected is None:
+                stopping_reason = "local_optimum"
+                break
 
-                iteration += 1
-                if self.track_history:
-                    history.append(best_fitness)
+            # Apply the selected move.
+            move = self.neighborhood.mapping.from_flat(selected.index)
+            move_bits = np.atleast_1d(np.asarray(move, dtype=np.int64))
+            current = flip_bits(current, move_bits)
+            if resident:
+                self.evaluator.apply_deltas(np.zeros(move_bits.size, dtype=np.int64), move_bits)
+            current_fitness = selected.fitness
+            self.on_move_applied(selected, iteration)
 
-        finally:
-            if owns_engine:
-                detach_gain_engine(self.problem, prev_engine)
+            if current_fitness < best_fitness:
+                best = current.copy()
+                best_fitness = current_fitness
+                since_improvement = 0
+            else:
+                since_improvement += 1
+
+            iteration += 1
+            if self.track_history:
+                history.append(best_fitness)
 
         if resident:
             self.evaluator.end_search()

@@ -18,7 +18,6 @@ from ..core.evaluators import CPUEvaluator, NeighborhoodEvaluator
 from ..neighborhoods import KHammingNeighborhood
 from ..problems import BinaryProblem
 from ..problems.base import flip_bits
-from ..problems.incremental import attach_gain_engine, create_gain_engine, detach_gain_engine
 from .base import check_transfer_mode
 from .hill_climbing import HillClimbing
 from .result import LSResult
@@ -75,36 +74,26 @@ class IteratedLocalSearch:
             target_fitness=self.target_fitness,
             transfer_mode=self.transfer_mode,
         )
-        # One gain engine shared by every descent: the kick between descents
-        # mutates the solution outside the engine's commit stream, so the
-        # next descent's first evaluation re-derives that one row instead of
-        # rebuilding the engine (and its coupling tables) from scratch.
-        engine = create_gain_engine(self.problem, rows_hint=1)
-        prev_engine = attach_gain_engine(self.problem, engine) if engine is not None else None
-        try:
-            incumbent_result = descent.run(initial_solution, rng)
-            best = incumbent_result.best_solution.copy()
-            best_fitness = incumbent_result.best_fitness
-            initial_fitness = incumbent_result.initial_fitness
-            iterations = incumbent_result.iterations
-            evaluations = incumbent_result.evaluations
-            simulated_time = incumbent_result.simulated_time
-            stopping_reason = "max_restarts"
+        incumbent_result = descent.run(initial_solution, rng)
+        best = incumbent_result.best_solution.copy()
+        best_fitness = incumbent_result.best_fitness
+        initial_fitness = incumbent_result.initial_fitness
+        iterations = incumbent_result.iterations
+        evaluations = incumbent_result.evaluations
+        simulated_time = incumbent_result.simulated_time
+        stopping_reason = "max_restarts"
 
-            for _ in range(self.restarts):
-                if self.problem.is_solution(best_fitness) and best_fitness <= self.target_fitness:
-                    stopping_reason = "target_reached"
-                    break
-                candidate_start = self.perturb(best, rng)
-                result = descent.run(candidate_start, rng)
-                iterations += result.iterations
-                evaluations += result.evaluations
-                simulated_time += result.simulated_time
-                if result.best_fitness < best_fitness:
-                    best, best_fitness = result.best_solution.copy(), result.best_fitness
-        finally:
-            if engine is not None:
-                detach_gain_engine(self.problem, prev_engine)
+        for _ in range(self.restarts):
+            if self.problem.is_solution(best_fitness) and best_fitness <= self.target_fitness:
+                stopping_reason = "target_reached"
+                break
+            candidate_start = self.perturb(best, rng)
+            result = descent.run(candidate_start, rng)
+            iterations += result.iterations
+            evaluations += result.evaluations
+            simulated_time += result.simulated_time
+            if result.best_fitness < best_fitness:
+                best, best_fitness = result.best_solution.copy(), result.best_fitness
 
         return LSResult(
             best_solution=best,

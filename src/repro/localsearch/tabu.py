@@ -117,9 +117,7 @@ class TabuSearch(NeighborhoodLocalSearch):
         if selected is None:
             # Every move is tabu and none passes aspiration: fall back to the
             # oldest tabu move (a standard robust-tabu escape) instead of
-            # aborting the run.  The escape is an ordinary k-subset flip, so
-            # the incremental gain engine commits it like any accepted move —
-            # no re-derivation is needed.
+            # aborting the run.
             oldest = int(np.argmin(self._last_applied))
             selected = SelectedMove(index=oldest, fitness=float(fitnesses[oldest]))
         return selected

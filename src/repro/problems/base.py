@@ -32,7 +32,8 @@ def as_solution(bits: Iterable[int] | np.ndarray, n: int | None = None) -> np.nd
     arr = np.asarray(bits, dtype=np.int8).ravel()
     if n is not None and arr.size != n:
         raise ValueError(f"expected a solution of length {n}, got {arr.size}")
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
+    # One reduction: int8 values outside {0, 1} read as unsigned exceed 1.
+    if arr.size and arr.view(np.uint8).max() > 1:
         raise ValueError("solution vector must contain only 0/1 values")
     return arr
 
@@ -61,7 +62,7 @@ class BinaryProblem(abc.ABC):
     name: str = "binary-problem"
 
     #: Incremental gain-cache engine (:mod:`repro.problems.incremental`),
-    #: attached by the search loops for the duration of one run.
+    #: attached by the lockstep runner for the duration of one run.
     _gain_engine = None
 
     # ------------------------------------------------------------------
@@ -97,17 +98,20 @@ class BinaryProblem(abc.ABC):
         ``moves`` is an ``(num_moves, k)`` integer array of bit positions to
         flip.  The generic implementation materialises flipped copies in
         chunks and calls :meth:`evaluate_batch`; problems providing
-        incremental (delta) evaluation override this with a much cheaper
-        computation — this is the code path that corresponds to the paper's
-        per-thread ``compute_fitness`` kernels.
+        incremental (delta) evaluation override this (or
+        :meth:`evaluate_neighborhood_batch`) with a much cheaper computation —
+        this is the code path that corresponds to the paper's per-thread
+        ``compute_fitness`` kernels.  Bit positions outside ``[0, n)`` raise
+        :class:`IndexError`.
         """
         solution = as_solution(solution, self.n)
-        moves = np.asarray(moves, dtype=np.int64)
-        if moves.ndim != 2:
-            raise ValueError(f"expected an (num_moves, k) move array, got {moves.shape}")
-        incremental = self._dispatch_gain_engine_scalar(solution, moves)
-        if incremental is not None:
-            return incremental
+        moves = self._check_moves(moves)
+        if not moves.flags.writeable:
+            # A frozen table (the evaluators' full move tables) goes to the
+            # batch scorer, whose preprocessing is cached by table identity;
+            # a writable one is flipped directly, which is cheaper than
+            # rebuilding a move table for every small per-call array.
+            return self.evaluate_neighborhood_batch(solution[None, :], moves)[0]
         num_moves = moves.shape[0]
         out = np.empty(num_moves, dtype=np.float64)
         for start in range(0, num_moves, chunk):
@@ -135,10 +139,21 @@ class BinaryProblem(abc.ABC):
         solutions = np.asarray(solutions, dtype=np.int8)
         if solutions.ndim != 2 or solutions.shape[1] != self.n:
             raise ValueError(f"expected an (S, {self.n}) solution block, got {solutions.shape}")
+        return solutions, self._check_moves(moves)
+
+    def _check_moves(self, moves: np.ndarray) -> np.ndarray:
+        """Coerce an ``(M, k)`` move array; reject bit positions outside ``[0, n)``.
+
+        Negative positions would otherwise wrap around to the end of the
+        solution.  Repeated bits within a move stay allowed.
+        """
         moves = np.asarray(moves, dtype=np.int64)
         if moves.ndim != 2:
             raise ValueError(f"expected an (num_moves, k) move array, got {moves.shape}")
-        return solutions, moves
+        # One reduction checks both ends: negatives wrap to huge unsigned values.
+        if moves.size and moves.view(np.uint64).max() >= self.n:
+            raise IndexError(f"move bit positions must lie in [0, {self.n})")
+        return moves
 
     def evaluate_neighborhood_batch(
         self,
@@ -158,20 +173,12 @@ class BinaryProblem(abc.ABC):
         ``out``, when given, must be an ``(S, M)`` float64 array and is
         written in place.
 
-        The generic fallback applies the (already chunked)
-        :meth:`evaluate_neighborhood` row by row; workloads with a
-        broadcastable delta evaluation override it with a computation that is
-        vectorized over the solution axis as well.
+        The generic fallback scores flipped copies through
+        :meth:`_evaluate_neighborhood_batch_by_flips`; workloads with a
+        broadcastable delta evaluation override it with a cheaper
+        computation.
         """
-        solutions, moves = self._check_batch_args(solutions, moves)
-        incremental = self._dispatch_gain_engine(solutions, moves, out)
-        if incremental is not None:
-            return incremental
-        if out is None:
-            out = np.empty((solutions.shape[0], moves.shape[0]), dtype=np.float64)
-        for s in range(solutions.shape[0]):
-            out[s] = self.evaluate_neighborhood(solutions[s], moves)
-        return out
+        return self._evaluate_neighborhood_batch_by_flips(solutions, moves, out=out)
 
     def _dispatch_gain_engine(
         self,
@@ -183,31 +190,14 @@ class BinaryProblem(abc.ABC):
 
         Returns ``None`` when no engine is attached or the engine declines
         (no expected-row declaration, unbound/foreign move table, oversized
-        scratch) — the caller then recomputes, which is bit-identical.
-        Concrete ``evaluate_neighborhood_batch`` implementations consult this
-        hook right after argument validation.
+        scratch) — the caller then recomputes, which is bit-identical.  The
+        problems with a gain state (PPP, MaxSAT) consult this hook right
+        after argument validation.
         """
         engine = self._gain_engine
         if engine is None:
             return None
         return engine.try_evaluate(solutions, moves, out)
-
-    def _dispatch_gain_engine_scalar(
-        self, solution: np.ndarray, moves: np.ndarray
-    ) -> np.ndarray | None:
-        """Single-replica (S=1) variant of :meth:`_dispatch_gain_engine`.
-
-        The scalar search loop maintains the same engine through a one-row
-        mirror; scalar ``evaluate_neighborhood`` overrides consult this hook
-        right after argument validation, ahead of their own delta evaluation.
-        """
-        engine = self._gain_engine
-        if engine is None:
-            return None
-        served = engine.try_evaluate(solution[None, :], moves, None)
-        if served is None:
-            return None
-        return served[0]
 
     def __getstate__(self) -> dict:
         """Pickle without process-local state (gain engine, lazy scorers).

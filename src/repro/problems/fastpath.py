@@ -15,7 +15,8 @@ scorer) follows the same discipline:
   A/B timing and the identity test suites: ``reference`` forces the
   reference evaluation everywhere, ``fast`` runs the fast scorers but
   recomputes every neighborhood, and ``incremental`` (the default) adds
-  the gain engine of :mod:`repro.problems.incremental` on top.
+  the gain engine of :mod:`repro.problems.incremental` on top for PPP
+  2-Hamming and MaxSAT lockstep runs.
 
 This module holds the pieces those scorers share: the evaluation-path
 reader, a bounded LRU cache (used for both the id-keyed move-table caches

@@ -3,25 +3,28 @@
 The lockstep hot loop re-evaluates the entire ``(S, M)`` move neighborhood
 every iteration, even though each replica commits exactly one k<=2-bit move
 per step.  This module maintains *persistent per-replica gain state* —
-the quantities the fast scorers derive from scratch every call (PPP's
-compressed products and sign pairs, UBQP's ``Q x`` vector, MaxSAT's clause
-true-literal counts, NK's subfunction state indices) — and updates only the
-entries *coupled* to the flipped bits after each accepted move, the standard
-incremental-evaluation discipline from the tabu-search/UBQP literature.
+the quantities the fast scorers derive from scratch every call — and
+updates only the entries *coupled* to the flipped bits after each accepted
+move, the standard incremental-evaluation discipline from the tabu-search
+literature.  Two problems keep a gain state, the two where it beats the
+fast scorer's recompute: PPP 2-Hamming (compressed products and sign
+pairs) and MaxSAT (clause true-literal counts).  Every other problem, and
+every single-replica search, recomputes through its fast scorer.
 
 Exactness is non-negotiable and follows the same argument as the fast
 scorers in :mod:`repro.problems.fastpath`: every maintained quantity is an
-exact integer (or an exact re-gather of table values), so the incremental
-update and the from-scratch recompute produce the *same float bits*, and the
-materialized fitness matrix is bit-identical to the recompute path.  The
-engine is self-healing: it keeps a mirror of the solutions it believes each
-replica holds, verifies the mirror against the actual inputs on every call,
-and silently re-derives any row that diverged (restarts, perturbations,
-ILS/VNS kicks, checkpoint restores, replica migration).  Anything outside
-the compiled model — unknown move tables, k > 2, writable move arrays,
-disabled fast paths — declines to the existing scorer/reference chain.
+exact integer, so the incremental update and the from-scratch recompute
+produce the *same float bits*, and the materialized fitness matrix is
+bit-identical to the recompute path.  The engine is self-healing: it keeps
+a mirror of the solutions it believes each replica holds, verifies the
+mirror against the actual inputs on every call, and silently re-derives
+any row that diverged (restarts, tenant attaches, checkpoint restores,
+replica migration).  Anything outside the compiled model — unknown move
+tables, k > 2, writable move arrays, disabled fast paths — declines to the
+existing scorer/reference chain.
 
-The engine runs only on the default ``REPRO_EVAL_PATH=incremental``;
+The engine runs only on the default ``REPRO_EVAL_PATH=incremental``, and
+only under :class:`~repro.localsearch.multistart.MultiStartRunner`;
 ``REPRO_INCREMENTAL_CHECK=N`` re-verifies every N-th materialization against
 the recompute path (debug re-sync assert).
 """
@@ -91,9 +94,6 @@ class _GainStateBase:
     @property
     def rows(self) -> int:
         return getattr(self, self._row_arrays[0]).shape[0]
-
-    def can_materialize(self, count: int) -> bool:
-        return True
 
 
 def _merged_ppp_tables(scorer):
@@ -308,95 +308,6 @@ class _PPPGainState(_GainStateBase):
         return out
 
 
-class _UBQPGainState(_GainStateBase):
-    """Maintained ``Q x`` gain vectors for UBQP.
-
-    A flip of bit ``p`` adds ``±Q[p]`` to ``Q x`` — O(n) per flipped bit
-    instead of the per-evaluation ``X @ Q`` GEMM.  Materialization replays
-    the fast scorer's gain assembly verbatim on the maintained vector; the
-    scorer's integer-exactness guard makes the reordering bit-identical.
-    """
-
-    _row_arrays = ("X8", "QX")
-
-    def __init__(self, problem, scorer, table, rows: int) -> None:
-        self.problem = problem
-        self.scorer = scorer
-        self.table = table
-        self.n = scorer.n
-        self.num_moves = table.num_moves
-        rows = max(rows, 1)
-        self.X8 = np.zeros((rows, self.n), dtype=np.int8)
-        self.QX = np.zeros((rows, self.n), dtype=np.float64)
-        self._workspaces = BoundedCache(4)
-
-    @staticmethod
-    def build(problem, moves: np.ndarray, rows: int):
-        scorer = problem._fast()
-        if scorer is None:
-            return None
-        table = scorer.move_table(moves)
-        if table is None:
-            return None
-        return _UBQPGainState(problem, scorer, table, rows)
-
-    def can_materialize(self, count: int) -> bool:
-        return 8 * count * (4 * self.n + 3 * self.num_moves) <= WORKSPACE_LIMIT
-
-    def init_rows(self, rows: np.ndarray, solutions: np.ndarray) -> None:
-        self.X8[rows] = solutions
-        X = solutions.astype(np.float64)
-        self.QX[rows] = X @ self.scorer.Q
-
-    def commit(self, rows: np.ndarray, bits: np.ndarray) -> bool:
-        Q = self.scorer.Q
-        X8, QX = self.X8, self.QX
-        for t in range(bits.shape[1]):
-            p = bits[:, t]
-            d = (1 - 2 * X8[rows, p]).astype(np.float64)  # old flip direction
-            QX[rows] += d[:, None] * Q[p]
-        X8[rows[:, None], bits] ^= 1
-        return True
-
-    def _workspace(self, tag: str, *shape: int) -> np.ndarray:
-        key = (tag, shape)
-        buf = self._workspaces.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=np.float64)
-            self._workspaces.put(key, buf)
-        return buf
-
-    def materialize(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # The fast scorer's gain assembly, with the maintained Q x in place
-        # of its per-call GEMM (same exact-integer values, same operations).
-        scorer, table = self.scorer, self.table
-        count = rows.shape[0]
-        n, num_moves = self.n, self.num_moves
-        X = self._workspace("x", count, n)
-        np.copyto(X, self.X8[rows], casting="unsafe")
-        QX = self.QX[rows]
-        base = (X * QX).sum(axis=1)
-        D = self._workspace("d", count, n)
-        np.multiply(X, -2.0, out=D)
-        D += 1.0
-        G = self._workspace("g", count, n)
-        np.multiply(D, QX, out=G)
-        G *= 2.0
-        G += scorer.diag[None, :]
-        np.take(G, table.cols_i, axis=1, out=out)
-        if table.cols_j is not None:
-            gj = self._workspace("gj", count, num_moves)
-            np.take(G, table.cols_j, axis=1, out=gj)
-            out += gj
-            cross = self._workspace("cross", count, num_moves)
-            np.take(D, table.cols_i, axis=1, out=cross)
-            cross *= np.take(D, table.cols_j, axis=1, out=gj)
-            cross *= table.pair_2q[None, :]
-            out += cross
-        out += base[:, None]
-        return out
-
-
 class _MaxSatGainState(_GainStateBase):
     """Maintained clause true-literal counts for MaxSAT.
 
@@ -485,129 +396,6 @@ class _MaxSatGainState(_GainStateBase):
         return out
 
 
-class _NKGainState(_GainStateBase):
-    """Maintained subfunction state indices for NK landscapes.
-
-    A flip of bit ``v`` shifts the table index of only the loci whose
-    epistatic mask contains ``v`` (the scorer's per-variable incidence);
-    the base contributions re-gather for the committed rows only.
-    Materialization replays the scorer's chunked contribution-cube layout
-    verbatim, so the reductions are bit-identical.
-    """
-
-    _row_arrays = ("X8", "idx0", "contrib0")
-
-    def __init__(self, problem, scorer, table, rows: int) -> None:
-        self.problem = problem
-        self.scorer = scorer
-        self.table = table
-        self.n = scorer.n
-        self.num_moves = table.num_moves
-        rows = max(rows, 1)
-        self.X8 = np.zeros((rows, self.n), dtype=np.int8)
-        self.idx0 = np.zeros((rows, self.n), dtype=np.int64)
-        self.contrib0 = np.zeros((rows, self.n), dtype=np.float64)
-
-    @staticmethod
-    def build(problem, moves: np.ndarray, rows: int):
-        scorer = problem._fast()
-        if scorer is None:
-            return None
-        table = scorer.move_table(moves)
-        if table is None:
-            return None
-        return _NKGainState(problem, scorer, table, rows)
-
-    def can_materialize(self, count: int) -> bool:
-        return self.scorer.workspace_bytes(count, self.table) <= WORKSPACE_LIMIT
-
-    def init_rows(self, rows: np.ndarray, solutions: np.ndarray) -> None:
-        scorer = self.scorer
-        self.X8[rows] = solutions
-        states = solutions[:, scorer._loci]
-        idx0 = states.astype(np.int64) @ scorer._weights
-        self.idx0[rows] = idx0
-        self.contrib0[rows] = scorer.tables[np.arange(self.n)[None, :], idx0]
-
-    def commit(self, rows: np.ndarray, bits: np.ndarray) -> bool:
-        scorer = self.scorer
-        X8, idx0 = self.X8, self.idx0
-        rows_col = rows[:, None]
-        for t in range(bits.shape[1]):
-            p = bits[:, t]
-            d = (1 - 2 * X8[rows, p]).astype(np.int64)  # old flip direction
-            # np.add.at: the padded incidence rows repeat (locus 0, weight 0),
-            # which must accumulate rather than last-write-win.
-            np.add.at(idx0, (rows_col, scorer.aff_locus[p]), d[:, None] * scorer.aff_weight[p])
-            X8[rows, p] ^= 1
-        self.contrib0[rows] = scorer.tables[np.arange(self.n)[None, :], idx0[rows]]
-        return True
-
-    def materialize(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        scorer, table = self.scorer, self.table
-        count = rows.shape[0]
-        n = self.n
-        num_moves = table.num_moves
-        idx0 = self.idx0[rows]
-        contrib0 = self.contrib0[rows]
-        d = (1 - 2 * self.X8[rows]).astype(np.int64)
-        idx_new = idx0[:, table.ent_locus]
-        idx_new += d[:, table.cols_i[table.ent_move]] * table.w_i
-        if table.cols_j is not None:
-            idx_new += d[:, table.cols_j[table.ent_move]] * table.w_j
-        vals = scorer.tables[table.ent_locus, idx_new]
-        chunk = max(1, scorer.CUBE_ELEMENTS // max(1, count * n))
-        cube = np.empty((count, min(chunk, num_moves), n), dtype=np.float64)
-        for start in range(0, num_moves, chunk):
-            stop = min(start + chunk, num_moves)
-            c = stop - start
-            block = cube[:, :c]
-            block[:] = contrib0[:, None, :]
-            el = np.searchsorted(table.ent_move, start, side="left")
-            eh = np.searchsorted(table.ent_move, stop, side="left")
-            block[:, table.ent_move[el:eh] - start, table.ent_locus[el:eh]] = vals[:, el:eh]
-            out[:, start:stop] = 1.0 - block.mean(axis=2)
-        return out
-
-
-class _OneMaxGainState(_GainStateBase):
-    """Maintained bit-count base for OneMax (the trivial case)."""
-
-    _row_arrays = ("X8", "base")
-
-    def __init__(self, problem, moves: np.ndarray, rows: int) -> None:
-        self.problem = problem
-        self.n = problem.n
-        self.moves = moves
-        self.num_moves = moves.shape[0]
-        rows = max(rows, 1)
-        self.X8 = np.zeros((rows, self.n), dtype=np.int8)
-        self.base = np.zeros(rows, dtype=np.int64)
-
-    @staticmethod
-    def build(problem, moves: np.ndarray, rows: int):
-        if moves.size == 0 or moves.min() < 0 or moves.max() >= problem.n:
-            return None
-        return _OneMaxGainState(problem, moves, rows)
-
-    def init_rows(self, rows: np.ndarray, solutions: np.ndarray) -> None:
-        self.X8[rows] = solutions
-        self.base[rows] = self.n - solutions.sum(axis=1, dtype=np.int64)
-
-    def commit(self, rows: np.ndarray, bits: np.ndarray) -> bool:
-        d = (1 - 2 * self.X8[rows[:, None], bits].astype(np.int64)).sum(axis=1)
-        self.base[rows] -= d
-        self.X8[rows[:, None], bits] ^= 1
-        return True
-
-    def materialize(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        d = 1 - 2 * self.X8[rows].astype(np.int64)
-        delta = d[:, self.moves].sum(axis=2)
-        res = self.base[rows][:, None] - delta
-        np.copyto(out, res, casting="unsafe")
-        return out
-
-
 #: Coupling/table caches, registered with the fastpath cache registry so
 #: ``clear_fast_caches`` empties them alongside the scorer caches.
 _PPP_SCORER_CACHE = BoundedCache(8)
@@ -615,10 +403,7 @@ _PPP_COUPLING_CACHE = BoundedCache(8)
 
 _STATE_BUILDERS = {
     "ppp": _PPPGainState.build,
-    "ubqp": _UBQPGainState.build,
     "maxsat": _MaxSatGainState.build,
-    "nk": _NKGainState.build,
-    "onemax": _OneMaxGainState.build,
 }
 
 
@@ -631,10 +416,10 @@ class GainEngine:
     The engine binds the first frozen (read-only) move table it sees, keeps
     a mirror of the solution block it believes each replica holds, and
     maintains the per-problem gain state through :meth:`commit` calls from
-    the search loop.  :meth:`try_evaluate` — consulted by every problem's
-    ``evaluate_neighborhood_batch`` — verifies the mirror against the actual
-    inputs and silently re-derives any diverged row, which makes every
-    invalidation path (restarts, perturbations, kicks, restore) correct by
+    the lockstep runner.  :meth:`try_evaluate` — consulted by the PPP and
+    MaxSAT ``evaluate_neighborhood_batch`` — verifies the mirror against the
+    actual inputs and silently re-derives any diverged row, which makes every
+    invalidation path (restarts, slot reuse, restore) correct by
     construction.  Replica ids are global, so migration between devices
     (rebalance, fail/join) changes no row.  Anything outside the compiled
     model declines to the scorer/reference chain, which is bit-identical.
@@ -795,8 +580,8 @@ def create_gain_engine(problem, rows_hint: int = 0) -> GainEngine | None:
 def attach_gain_engine(problem, engine: GainEngine | None):
     """Attach ``engine`` to ``problem``; returns the previous attachment.
 
-    Attachments nest (ILS/VNS descents inside an outer search): the caller
-    restores the previous engine via :func:`detach_gain_engine`.
+    The lockstep runner attaches its engine for the duration of one run and
+    restores the previous attachment via :func:`detach_gain_engine`.
     """
     prev = getattr(problem, "_gain_engine", None)
     problem._gain_engine = engine

@@ -252,9 +252,6 @@ class NKLandscape(BinaryProblem):
         place.
         """
         solutions, moves = self._check_batch_args(solutions, moves)
-        incremental = self._dispatch_gain_engine(solutions, moves, out)
-        if incremental is not None:
-            return incremental
         num_solutions = solutions.shape[0]
         scorer = self._fast()
         if scorer is not None and num_solutions and moves.shape[0]:

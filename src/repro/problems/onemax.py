@@ -37,12 +37,7 @@ class OneMax(BinaryProblem):
 
     def evaluate_neighborhood(self, solution, moves, *, chunk: int = 1 << 20) -> np.ndarray:
         solution = as_solution(solution, self.n)
-        moves = np.asarray(moves, dtype=np.int64)
-        if moves.ndim != 2:
-            raise ValueError(f"expected an (num_moves, k) move array, got {moves.shape}")
-        incremental = self._dispatch_gain_engine_scalar(solution, moves)
-        if incremental is not None:
-            return incremental
+        moves = self._check_moves(moves)
         base = self.n - int(solution.sum())
         # Each flipped 0 decreases the cost by one; each flipped 1 increases it.
         delta = (1 - 2 * solution.astype(np.int64))[moves].sum(axis=1)
@@ -50,9 +45,6 @@ class OneMax(BinaryProblem):
 
     def evaluate_neighborhood_batch(self, solutions, moves, *, out=None) -> np.ndarray:
         solutions, moves = self._check_batch_args(solutions, moves)
-        incremental = self._dispatch_gain_engine(solutions, moves, out)
-        if incremental is not None:
-            return incremental
         base = self.n - solutions.sum(axis=1, dtype=np.int64)  # (S,)
         d = 1 - 2 * solutions.astype(np.int64)  # (S, n)
         delta = d[:, moves].sum(axis=2)  # (S, M)

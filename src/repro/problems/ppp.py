@@ -416,12 +416,7 @@ class PermutedPerceptronProblem(BinaryProblem):
         :meth:`evaluate_batch`.
         """
         solution = as_solution(solution, self.n)
-        moves = np.asarray(moves, dtype=np.int64)
-        if moves.ndim != 2:
-            raise ValueError(f"expected an (num_moves, k) move array, got {moves.shape}")
-        incremental = self._dispatch_gain_engine_scalar(solution, moves)
-        if incremental is not None:
-            return incremental
+        moves = self._check_moves(moves)
         num_moves, k = moves.shape
         scorer = self._fast()
         if scorer is not None and num_moves:

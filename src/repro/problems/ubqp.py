@@ -219,9 +219,6 @@ class UBQP(BinaryProblem):
         bit-identical to the device-resident ones on real-valued ``Q``.
         """
         x = as_solution(solution, self.n)
-        moves = np.asarray(moves, dtype=np.int64)
-        if moves.ndim != 2:
-            raise ValueError(f"expected an (num_moves, k) move array, got {moves.shape}")
         return self.evaluate_neighborhood_batch(x[None, :], moves)[0]
 
     def evaluate_neighborhood_batch(
@@ -243,9 +240,6 @@ class UBQP(BinaryProblem):
         array and is written in place.
         """
         solutions, moves = self._check_batch_args(solutions, moves)
-        incremental = self._dispatch_gain_engine(solutions, moves, out)
-        if incremental is not None:
-            return incremental
         num_solutions = solutions.shape[0]
         num_moves = moves.shape[0]
         scorer = self._fast()

@@ -1,12 +1,14 @@
 """Incremental gain-cache engine under the search loops: bit-identity matrix.
 
-The engine replaces the per-iteration full ``(S, M)`` recompute with
-O(affected) maintenance, but it is pure plumbing: for every problem family,
-every transfer mode and every lockstep algorithm the trajectories, byte
-counters and launch counts must match the ``REPRO_EVAL_PATH=fast`` recompute
-exactly — including across every invalidation path (restarts, ILS kicks,
-device faults, replica migration on rebalance, checkpoint -> restore) — and
-the fast recompute must in turn match ``REPRO_EVAL_PATH=reference``.
+The engine replaces the per-iteration full ``(S, M)`` recompute of the
+lockstep runner with O(affected) maintenance on the problems that keep a
+gain state (PPP 2-Hamming, MaxSAT), but it is pure plumbing: for every
+transfer mode and every lockstep algorithm the trajectories, byte counters
+and launch counts must match the ``REPRO_EVAL_PATH=fast`` recompute exactly
+— including across every invalidation path (restarts, device faults,
+replica migration on rebalance, checkpoint -> restore) — and the fast
+recompute must in turn match ``REPRO_EVAL_PATH=reference`` on every problem,
+in the lockstep runner and in the single-replica searches.
 """
 
 import functools
@@ -20,7 +22,7 @@ from repro.core.evaluators import MultiGPUEvaluator
 from repro.localsearch import IteratedLocalSearch, MultiStartRunner, TabuSearch
 from repro.localsearch.multistart import MultiStartRunner as Runner
 from repro.neighborhoods import KHammingNeighborhood
-from repro.problems import MaxSat, NKLandscape, OneMax, UBQP, generate_random_ksat
+from repro.problems import LeadingOnes, MaxSat, NKLandscape, OneMax, UBQP, generate_random_ksat
 from repro.problems.instances import make_table_instance
 
 MODES = ("full", "delta", "reduced", "persistent")
@@ -34,6 +36,24 @@ PROBLEM_FACTORIES = {
     "nk": lambda: NKLandscape(16, 3, rng=4),
     "ubqp": lambda: UBQP.random(16, rng=1),
 }
+#: The problems with a gain state.
+ENGINE_PROBLEMS = ("maxsat", "ppp")
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """Every gain engine the lockstep runner creates, in creation order."""
+    created = []
+    real_create = multistart_mod.create_gain_engine
+
+    def probe(problem, rows_hint=0):
+        engine = real_create(problem, rows_hint=rows_hint)
+        if engine is not None:
+            created.append(engine)
+        return engine
+
+    monkeypatch.setattr(multistart_mod, "create_gain_engine", probe)
+    return created
 
 
 def lockstep_signature(problem, mode, algorithm, *, order=2):
@@ -58,10 +78,11 @@ def lockstep_signature(problem, mode, algorithm, *, order=2):
 
 
 class TestLockstepMatrix:
-    """5 problems x 4 transfer modes x 3 algorithms, across the three
-    ``REPRO_EVAL_PATH`` values: incremental == fast == reference."""
+    """4 transfer modes x 3 algorithms, across the three ``REPRO_EVAL_PATH``
+    values: incremental == fast on the engine's problems, fast == reference
+    on all five."""
 
-    @pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
+    @pytest.mark.parametrize("name", ENGINE_PROBLEMS)
     @pytest.mark.parametrize("mode", MODES)
     def test_engine_matches_recompute(self, name, mode, monkeypatch):
         problem = PROBLEM_FACTORIES[name]()
@@ -75,34 +96,26 @@ class TestLockstepMatrix:
     @pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
     @pytest.mark.parametrize("mode", MODES)
     def test_fast_scorers_match_reference(self, name, mode, monkeypatch):
-        problem = PROBLEM_FACTORIES[name]()
         for algorithm in ALGORITHMS:
+            # The path is read when the problem is built, so build one per path.
             monkeypatch.setenv("REPRO_EVAL_PATH", "fast")
-            fast = lockstep_signature(problem, mode, algorithm)
+            fast = lockstep_signature(PROBLEM_FACTORIES[name](), mode, algorithm)
             monkeypatch.setenv("REPRO_EVAL_PATH", "reference")
-            reference = lockstep_signature(problem, mode, algorithm)
+            reference = lockstep_signature(PROBLEM_FACTORIES[name](), mode, algorithm)
             assert fast == reference, f"{name}/{mode}/{algorithm} diverged"
 
     @pytest.mark.parametrize(
         "name, devices, mode",
-        [(name, 1, "delta") for name in sorted(PROBLEM_FACTORIES)]
+        [(name, 1, "delta") for name in ENGINE_PROBLEMS]
         + [("ppp", devices, mode) for devices in (2, 4) for mode in MODES[:3]],
     )
-    def test_engine_actually_serves_the_hot_loop(self, name, devices, mode, monkeypatch):
+    def test_engine_actually_serves_the_hot_loop(
+        self, name, devices, mode, engines, monkeypatch
+    ):
         """Guard against the matrix passing because the engine silently
         declines everything: on 2-Hamming lockstep it must serve, one GPU or
         a pool that rebalances and loses and regains a device, from one
         scoring call per lockstep step and one derivation per replica."""
-        engines = []
-        real_create = multistart_mod.create_gain_engine
-
-        def probe(problem, rows_hint=0):
-            engine = real_create(problem, rows_hint=rows_hint)
-            if engine is not None:
-                engines.append(engine)
-            return engine
-
-        monkeypatch.setattr(multistart_mod, "create_gain_engine", probe)
         problem = PROBLEM_FACTORIES[name]()
         scoring_calls = []
         real_score = problem.evaluate_neighborhood_batch
@@ -149,56 +162,72 @@ class TestLockstepMatrix:
         assert run()[0] == with_engine
 
 
-class TestScalarSearches:
-    """The S=1 loops (scalar tabu, ILS descents) drive the same engine."""
+SCALAR_FACTORIES = dict(PROBLEM_FACTORIES, leadingones=lambda: LeadingOnes(16))
 
-    @pytest.mark.parametrize("mode", MODES[1:])  # resident modes
-    def test_scalar_tabu_matches_recompute(self, mode, monkeypatch):
-        problem = PROBLEM_FACTORIES["maxsat"]()
-        neighborhood = KHammingNeighborhood(problem.n, 2)
 
-        def run():
-            with GPUEvaluator(problem, neighborhood) as evaluator:
-                result = TabuSearch(
-                    evaluator, max_iterations=15, transfer_mode=mode, track_history=True
-                ).run(rng=np.random.default_rng(31))
-                return (
+def scalar_signature(name, evaluator_cls, order):
+    """Scalar tabu and ILS on a fresh problem (the path is read at build)."""
+    problem = SCALAR_FACTORIES[name]()
+    neighborhood = KHammingNeighborhood(problem.n, order)
+    signature = []
+    with evaluator_cls(problem, neighborhood) as evaluator:
+        tabu = TabuSearch(evaluator, max_iterations=15, track_history=True)
+        ils = IteratedLocalSearch(
+            evaluator, restarts=3, descent_max_iterations=8, target_fitness=float("-inf")
+        )
+        for search in (tabu, ils):
+            result = search.run(rng=np.random.default_rng(31))
+            signature.append(
+                (
                     result.best_fitness,
                     result.iterations,
+                    result.evaluations,
                     tuple(result.history),
                     result.best_solution.tobytes(),
-                    evaluator.stats.simulated_time,
                 )
-
-        monkeypatch.delenv("REPRO_EVAL_PATH", raising=False)
-        with_engine = run()
-        monkeypatch.setenv("REPRO_EVAL_PATH", "fast")
-        assert with_engine == run()
-
-    def test_ils_kicks_rederive_not_diverge(self, monkeypatch):
-        """The kick between descents mutates the solution outside the commit
-        stream; the shared engine must re-derive, bit-identically."""
-        problem = PROBLEM_FACTORIES["ubqp"]()
-        neighborhood = KHammingNeighborhood(problem.n, 2)
-
-        def run():
-            search = IteratedLocalSearch(
-                CPUEvaluator(problem, neighborhood),
-                restarts=5,
-                descent_max_iterations=10,
-                target_fitness=float("-inf"),
             )
-            result = search.run(rng=np.random.default_rng(17))
-            return (result.best_fitness, result.iterations, result.best_solution.tobytes())
+        signature.append(evaluator.stats.simulated_time)
+    return signature
 
+
+class TestScalarIdentity:
+    """The S=1 searches score through the fast scorers; no engine is involved."""
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_FACTORIES))
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("evaluator_cls", [GPUEvaluator, CPUEvaluator])
+    def test_default_matches_reference(self, name, order, evaluator_cls, monkeypatch):
+        """``GPUEvaluator`` hands the problem its frozen full move table,
+        ``CPUEvaluator`` a writable one; both follow the reference path."""
         monkeypatch.delenv("REPRO_EVAL_PATH", raising=False)
-        with_engine = run()
-        monkeypatch.setenv("REPRO_EVAL_PATH", "fast")
-        assert with_engine == run()
+        default = scalar_signature(name, evaluator_cls, order)
+        monkeypatch.setenv("REPRO_EVAL_PATH", "reference")
+        assert scalar_signature(name, evaluator_cls, order) == default
+
+    @pytest.mark.parametrize("name", ["maxsat", "nk"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_frozen_single_row_reaches_the_fast_scorer(self, name, order, monkeypatch):
+        """NK and MaxSAT have no scalar override: an S=1 call on the
+        evaluator's frozen table must reach the batch fast scorer."""
+        monkeypatch.delenv("REPRO_EVAL_PATH", raising=False)
+        problem = PROBLEM_FACTORIES[name]()
+        scorer = problem._fast()
+        calls = []
+        real_evaluate = scorer.evaluate
+
+        def counted(solutions, table, **kwargs):
+            calls.append(solutions.shape[0])
+            return real_evaluate(solutions, table, **kwargs)
+
+        monkeypatch.setattr(scorer, "evaluate", counted)
+        neighborhood = KHammingNeighborhood(problem.n, order)
+        with GPUEvaluator(problem, neighborhood) as evaluator:
+            TabuSearch(evaluator, max_iterations=5).run(rng=np.random.default_rng(3))
+        assert calls and set(calls) == {1}
 
 
 def multi_gpu_signature(mode, *, fault_plan=None, resume=None, checkpoints=None):
-    problem = UBQP.random(16, rng=3)
+    problem = make_table_instance((16, 16), trial=1)
     neighborhood = KHammingNeighborhood(problem.n, 2)
     evaluator = MultiGPUEvaluator(problem, neighborhood, devices=3)
     runner = Runner(
@@ -232,19 +261,21 @@ def multi_gpu_signature(mode, *, fault_plan=None, resume=None, checkpoints=None)
 
 class TestInvalidationPaths:
     @pytest.mark.parametrize("mode", ("delta", "reduced"))
-    def test_device_fault_and_migration(self, mode, monkeypatch):
+    def test_device_fault_and_migration(self, mode, engines, monkeypatch):
         """A mid-run device death migrates replicas (and the rebalances move
         them again): the engine is invalidated, not consulted stale."""
         monkeypatch.delenv("REPRO_EVAL_PATH", raising=False)
         with_engine = multi_gpu_signature(mode, fault_plan="fail:1@6")
+        assert len(engines) == 1 and engines[0].stats["evals"] > 0, engines
         monkeypatch.setenv("REPRO_EVAL_PATH", "fast")
         assert with_engine == multi_gpu_signature(mode, fault_plan="fail:1@6")
 
-    def test_checkpoint_restore_rederives(self, monkeypatch):
+    def test_checkpoint_restore_rederives(self, engines, monkeypatch):
         """Gain state is derived data: a restored run (fresh engine, no
         persisted state) must match the uninterrupted engine-off run."""
         monkeypatch.setenv("REPRO_EVAL_PATH", "fast")
         uninterrupted = multi_gpu_signature("delta")
+        assert not engines
 
         monkeypatch.delenv("REPRO_EVAL_PATH", raising=False)
         checkpoints = []
@@ -253,3 +284,4 @@ class TestInvalidationPaths:
         restored = multi_gpu_signature("delta", resume=checkpoints[0])
         assert restored["best"] == uninterrupted["best"]
         assert restored["iterations"] == uninterrupted["iterations"]
+        assert len(engines) == 2 and all(e.stats["evals"] > 0 for e in engines)

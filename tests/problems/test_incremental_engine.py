@@ -32,12 +32,10 @@ from repro.problems.incremental import (
 )
 from repro.problems.instances import make_table_instance
 
+#: The problems with a gain state.
 PROBLEM_FACTORIES = {
     "ppp": lambda: make_table_instance((25, 25), trial=0),
-    "onemax": lambda: OneMax(24),
     "maxsat": lambda: MaxSat(24, *generate_random_ksat(24, 100, k=3, rng=2)),
-    "nk": lambda: NKLandscape(24, 3, rng=4),
-    "ubqp": lambda: UBQP.random(24, rng=1),
 }
 
 
@@ -135,7 +133,7 @@ def test_duplicate_bit_commits_self_heal(name):
 
 
 def test_declines_without_expected_rows_and_on_foreign_tables():
-    problem = PROBLEM_FACTORIES["ubqp"]()
+    problem = make_table_instance((16, 16), trial=0)
     moves = frozen_moves(problem.n, 2)
     other = frozen_moves(problem.n, 2)
     rng = np.random.default_rng(3)
@@ -168,20 +166,22 @@ def test_declines_without_expected_rows_and_on_foreign_tables():
     "path, engine", [("reference", False), ("fast", False), ("incremental", True)]
 )
 def test_kill_switch_disables_engine_creation(monkeypatch, path, engine):
-    problem = PROBLEM_FACTORIES["onemax"]()
+    problem = PROBLEM_FACTORIES["maxsat"]()
     monkeypatch.setenv("REPRO_EVAL_PATH", path)
     assert (create_gain_engine(problem) is not None) == engine
     monkeypatch.delenv("REPRO_EVAL_PATH")
     assert create_gain_engine(problem) is not None
-    # Unsupported problems never get an engine.
+    # Problems without a gain state never get an engine.
     class Alien:
         name = "alien"
         n = 4
     assert create_gain_engine(Alien()) is None
+    for other in (UBQP.random(8, rng=1), NKLandscape(8, 2, rng=1), OneMax(8)):
+        assert create_gain_engine(other) is None
 
 
 def test_attach_helpers_nest_and_restore():
-    problem = PROBLEM_FACTORIES["onemax"]()
+    problem = PROBLEM_FACTORIES["maxsat"]()
     outer = create_gain_engine(problem)
     prev = attach_gain_engine(problem, outer)
     assert prev is None and problem._gain_engine is outer
@@ -194,7 +194,7 @@ def test_attach_helpers_nest_and_restore():
     assert problem._gain_engine is None
 
 
-@pytest.mark.parametrize("name", ["ppp", "ubqp"])
+@pytest.mark.parametrize("name", ["ppp", "maxsat"])
 def test_pickling_strips_engine_and_fast_scorer(name):
     """Pickled problems leave process-local state behind and still score
     bit-identically on the other side."""
@@ -217,7 +217,7 @@ def test_pickling_strips_engine_and_fast_scorer(name):
 
 def test_debug_check_mode_verifies_served_results(monkeypatch):
     monkeypatch.setenv("REPRO_INCREMENTAL_CHECK", "1")
-    problem = PROBLEM_FACTORIES["ubqp"]()
+    problem = PROBLEM_FACTORIES["maxsat"]()
     moves = frozen_moves(problem.n, 1)
     rng = np.random.default_rng(13)
     solutions = random_block(problem, rng, 2)
@@ -236,7 +236,7 @@ def test_debug_check_mode_verifies_served_results(monkeypatch):
 def test_debug_check_period_rejects_junk(monkeypatch, raw):
     monkeypatch.setenv("REPRO_INCREMENTAL_CHECK", raw)
     with pytest.raises(ValueError, match="REPRO_INCREMENTAL_CHECK"):
-        GainEngine(PROBLEM_FACTORIES["onemax"](), rows_hint=1)
+        GainEngine(PROBLEM_FACTORIES["maxsat"](), rows_hint=1)
 
 
 @pytest.mark.parametrize("raw, period", [(None, 0), ("0", 0), ("3", 3)])
