@@ -2,9 +2,9 @@
 
 This subpackage ties the mappings, neighborhoods and problems together with
 the GPU execution substrate: kernels that evaluate one neighbor per thread,
-evaluators for the CPU baseline / single GPU / multi-GPU platforms, move
-selection policies and the per-iteration timing estimates that feed the
-reproduced tables.
+evaluators for the CPU baseline / single GPU / multi-GPU platforms (with
+the fused move-selection reduction) and the per-iteration timing estimates
+that feed the reproduced tables.
 """
 
 from .evaluators import (
@@ -17,7 +17,6 @@ from .evaluators import (
     SequentialEvaluator,
 )
 from .kernels import build_neighborhood_kernel, kernel_cost_profile, mapping_flops
-from .selection import SelectedMove, best_admissible_move, best_move, first_improving_move
 from .timing_estimates import IterationTimes, iteration_times, run_times
 
 __all__ = [
@@ -31,10 +30,6 @@ __all__ = [
     "build_neighborhood_kernel",
     "kernel_cost_profile",
     "mapping_flops",
-    "SelectedMove",
-    "best_move",
-    "best_admissible_move",
-    "first_improving_move",
     "IterationTimes",
     "iteration_times",
     "run_times",

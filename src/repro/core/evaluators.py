@@ -38,6 +38,7 @@ a fused neighborhood+reduction launch returns only the per-replica best
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,6 @@ from ..gpu.timing import HostTimingModel
 from ..neighborhoods import Neighborhood
 from ..problems import BinaryProblem, as_solution
 from .kernels import (
-    _full_move_table,
     build_batch_neighborhood_kernel,
     build_neighborhood_kernel,
     mapping_flops,
@@ -105,29 +105,42 @@ def _fused_reduce(
     if op == "argmin":
         if admissible is None and aspiration_fitness is None:
             indices = fitnesses.argmin(axis=1)
-            return indices.astype(np.int64), fitnesses[rows, indices].astype(np.float64)
+            return (
+                indices.astype(np.int64, copy=False),
+                fitnesses[rows, indices].astype(np.float64, copy=False),
+            )
         if admissible is None:
             mask = np.ones(fitnesses.shape, dtype=bool)
         else:
-            mask = np.asarray(admissible, dtype=bool).copy()
+            mask = np.asarray(admissible, dtype=bool)
         if aspiration_fitness is not None:
-            mask |= fitnesses < np.asarray(aspiration_fitness, dtype=np.float64)[:, None]
+            mask = mask | (
+                fitnesses < np.asarray(aspiration_fitness, dtype=np.float64)[:, None]
+            )
         candidates = np.where(mask, fitnesses, np.inf)
         indices = candidates.argmin(axis=1)
         blocked = ~mask.any(axis=1)
-        out_indices = np.where(blocked, -1, indices).astype(np.int64)
+        out_indices = np.where(blocked, -1, indices).astype(np.int64, copy=False)
         out_fitness = np.where(blocked, np.inf, fitnesses[rows, indices])
-        return out_indices, out_fitness.astype(np.float64)
+        return out_indices, out_fitness.astype(np.float64, copy=False)
     if op == "first-improvement":
         if thresholds is None:
             raise ValueError("first-improvement reduction needs per-replica thresholds")
         improving = fitnesses < np.asarray(thresholds, dtype=np.float64)[:, None]
         has_improving = improving.any(axis=1)
         indices = improving.argmax(axis=1)
-        out_indices = np.where(has_improving, indices, -1).astype(np.int64)
+        out_indices = np.where(has_improving, indices, -1).astype(np.int64, copy=False)
         out_fitness = np.where(has_improving, fitnesses[rows, indices], np.inf)
-        return out_indices, out_fitness.astype(np.float64)
+        return out_indices, out_fitness.astype(np.float64, copy=False)
     raise ValueError(f"unknown reduce op {op!r}; expected one of {REDUCE_OPS}")
+
+
+@functools.lru_cache(maxsize=16)
+def _full_range(size: int) -> np.ndarray:
+    """The frozen ``0, 1, ..., size - 1`` indices of a whole-neighborhood call."""
+    indices = np.arange(size, dtype=np.int64)
+    indices.setflags(write=False)
+    return indices
 
 
 def _is_canonical_full(indices: np.ndarray, size: int) -> bool:
@@ -138,7 +151,9 @@ def _is_canonical_full(indices: np.ndarray, size: int) -> bool:
     order, which would silently ignore the caller's requested ordering.
     """
     return indices.size == size and (
-        indices.size == 0 or (indices[0] == 0 and bool(np.all(np.diff(indices) == 1)))
+        indices is _full_range(size)
+        or indices.size == 0
+        or (indices[0] == 0 and bool(np.all(np.diff(indices) == 1)))
     )
 
 
@@ -209,7 +224,7 @@ class NeighborhoodEvaluator(abc.ABC):
 
     def _check_indices(self, indices: np.ndarray | None) -> np.ndarray:
         if indices is None:
-            return np.arange(self.neighborhood.size, dtype=np.int64)
+            return _full_range(self.neighborhood.size)
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size and (indices.min() < 0 or indices.max() >= self.neighborhood.size):
             raise IndexError("neighborhood index out of range")
@@ -243,7 +258,8 @@ class NeighborhoodEvaluator(abc.ABC):
             raise ValueError(
                 f"expected an (S, {self.problem.n}) solution block, got {solutions.shape}"
             )
-        if solutions.size and not np.all((solutions == 0) | (solutions == 1)):
+        # One reduction: int8 values outside {0, 1} read as unsigned exceed 1.
+        if solutions.size and solutions.view(np.uint8).max() > 1:
             raise ValueError("solution block must contain only 0/1 values")
         indices = self._check_indices(indices)
         if solutions.shape[0] == 0:
@@ -1331,9 +1347,6 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             and self.num_devices > 1
             and self.scheduler.all_peer_capable
         )
-        #: The frozen full move table of every pool-wide scoring call, so the
-        #: fast scorers and the gain engine see one table for the whole run.
-        self._full_moves = _full_move_table(neighborhood.mapping, neighborhood.size)
         # Replica ranges [lo, hi) owned by each device in a resident session.
         self._replica_ranges: list[tuple[int, int]] | None = None
         self._persistent = False
@@ -1440,7 +1453,9 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         pool scores once and each device's launch only lands its slice.
         """
         if indices is None or _is_canonical_full(indices, self.neighborhood.size):
-            moves = self._full_moves()
+            # The frozen full table: the fast scorers and the gain engine
+            # see one table for the whole run.
+            moves = self.neighborhood.move_table
         else:
             moves = self.neighborhood.moves(indices)
         return self.problem.evaluate_neighborhood_batch(solutions, moves)

@@ -18,7 +18,6 @@ only lands that slice in its output buffer.
 
 from __future__ import annotations
 
-import functools
 import inspect
 
 import numpy as np
@@ -45,23 +44,6 @@ _MAPPING_FLOPS = {1: 2.0, 2: 25.0, 3: 90.0}
 def mapping_flops(order: int) -> float:
     """Per-thread cost of the one-to-k index transformation."""
     return _MAPPING_FLOPS.get(order, 40.0 * order)
-
-
-def _full_move_table(mapping, size: int):
-    """Lazy full move table of a kernel, built on first use.
-
-    The table is a pure function of the neighborhood, so it is built once
-    per kernel instead of every launch, and frozen so problems can cache
-    per-table preprocessing keyed on its identity.
-    """
-
-    @functools.cache
-    def table() -> np.ndarray:
-        moves = mapping.from_flat_batch(np.arange(size, dtype=np.int64))
-        moves.setflags(write=False)
-        return moves
-
-    return table
 
 
 def kernel_cost_profile(
@@ -124,13 +106,11 @@ def build_neighborhood_kernel(
             move = mapping.from_flat(move_index)
             fitnesses[move_index] = problem.delta_evaluate(solution, move)
 
-    full_moves = _full_move_table(mapping, size)
-
     def vectorized_fn(tids: np.ndarray, solution, fitnesses, scores=None) -> None:
         if scores is not None:
             fitnesses[: tids.size] = scores
         else:
-            fitnesses[:size] = problem.evaluate_neighborhood(solution, full_moves())
+            fitnesses[:size] = problem.evaluate_neighborhood(solution, neighborhood.move_table)
 
     return Kernel(
         name=f"MoveIncrEvalKernel<{problem.name},{neighborhood.order}-Hamming>",
@@ -177,9 +157,8 @@ def build_batch_neighborhood_kernel(
             move = mapping.from_flat(move_index)
             fitnesses[tid] = problem.delta_evaluate(solutions[replica], move)
 
-    # Launch-invariant state, computed once: the full move table and whether
-    # the problem's batch evaluation can write output in place.
-    full_moves = _full_move_table(mapping, size)
+    # Launch-invariant: whether the problem's batch evaluation can write
+    # output in place.
     accepts_out = "out" in inspect.signature(problem.evaluate_neighborhood_batch).parameters
 
     def vectorized_fn(tids: np.ndarray, solutions, fitnesses, scores=None) -> None:
@@ -193,9 +172,9 @@ def build_batch_neighborhood_kernel(
         # the output buffer without an S*M fancy-index scatter.
         view = fitnesses[:total].reshape(num_solutions, size)
         if accepts_out and view.flags.c_contiguous:
-            problem.evaluate_neighborhood_batch(solutions, full_moves(), out=view)
+            problem.evaluate_neighborhood_batch(solutions, neighborhood.move_table, out=view)
         else:
-            view[...] = problem.evaluate_neighborhood_batch(solutions, full_moves())
+            view[...] = problem.evaluate_neighborhood_batch(solutions, neighborhood.move_table)
 
     return Kernel(
         name=f"BatchMoveIncrEvalKernel<{problem.name},{neighborhood.order}-Hamming>",

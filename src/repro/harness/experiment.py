@@ -19,8 +19,7 @@ from ..core.evaluators import (
     SequentialEvaluator,
 )
 from ..core.timing_estimates import iteration_times
-from ..localsearch.base import TRANSFER_MODES
-from ..localsearch.multistart import MultiStartRunner
+from ..localsearch.multistart import TRANSFER_MODES, MultiStartRunner
 from ..neighborhoods import KHammingNeighborhood
 from ..problems.instances import PPPInstanceSpec, instance_seed, make_table_instance
 from .config import ExperimentScale
@@ -310,8 +309,9 @@ def run_ppp_experiment(
     The independent trials advance in lockstep through one
     :class:`~repro.localsearch.multistart.MultiStartRunner` over one
     evaluator: one batched ``(S, n) -> (S, M)`` evaluation per iteration.
-    Each trial's record equals that of a standalone
-    :class:`~repro.localsearch.tabu.TabuSearch` run with the same seed.
+    A standalone :class:`~repro.localsearch.tabu.TabuSearch` is a one-row
+    run of the same runner, so each trial's record equals that of a
+    standalone search with the same seed.
 
     Parameters
     ----------

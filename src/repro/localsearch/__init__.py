@@ -1,25 +1,18 @@
 """Local search algorithms built on the parallel neighborhood evaluators."""
 
-from .base import REDUCED_SELECTION_MODES, TRANSFER_MODES, NeighborhoodLocalSearch
 from .hill_climbing import FirstImprovementHillClimbing, HillClimbing
 from .iterated import IteratedLocalSearch, VariableNeighborhoodSearch
-from .multistart import MultiStartResult, MultiStartRunner
+from .multistart import (
+    REDUCED_SELECTION_MODES,
+    TRANSFER_MODES,
+    MultiStartResult,
+    MultiStartRunner,
+)
 from .result import LSResult
 from .simulated_annealing import SimulatedAnnealing
-from .stopping import (
-    AnyOf,
-    MaxEvaluations,
-    MaxIterations,
-    NoImprovement,
-    SearchState,
-    StoppingCriterion,
-    TargetFitness,
-    paper_stopping_criterion,
-)
 from .tabu import TabuSearch
 
 __all__ = [
-    "NeighborhoodLocalSearch",
     "TRANSFER_MODES",
     "REDUCED_SELECTION_MODES",
     "HillClimbing",
@@ -31,12 +24,4 @@ __all__ = [
     "LSResult",
     "MultiStartRunner",
     "MultiStartResult",
-    "StoppingCriterion",
-    "SearchState",
-    "MaxIterations",
-    "MaxEvaluations",
-    "TargetFitness",
-    "NoImprovement",
-    "AnyOf",
-    "paper_stopping_criterion",
 ]

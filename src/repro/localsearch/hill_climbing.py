@@ -1,53 +1,47 @@
-"""Hill climbing (steepest / first-improvement descent)."""
+"""Hill climbing (steepest / first-improvement descent).
+
+Both are one-row :class:`~repro.localsearch.multistart.MultiStartRunner`
+runs; they stop at the first local optimum (no neighbor strictly better
+than the current solution), at the target fitness or at the iteration cap.
+"""
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core.selection import SelectedMove, best_move, first_improving_move
-from .base import NeighborhoodLocalSearch
+from ..core.evaluators import NeighborhoodEvaluator
+from .multistart import _SingleSearch
 
 __all__ = ["HillClimbing", "FirstImprovementHillClimbing"]
 
 
-class HillClimbing(NeighborhoodLocalSearch):
-    """Steepest-descent hill climbing.
+class _Descent(_SingleSearch):
+    """A descent: the single search without tabu parameters."""
 
-    Every iteration evaluates the full neighborhood and moves to the best
-    neighbor, stopping at the first local optimum (no neighbor strictly
-    better than the current solution).
-    """
+    def __init__(
+        self,
+        evaluator: NeighborhoodEvaluator,
+        *,
+        max_iterations: int | None = None,
+        target_fitness: float = 0.0,
+        track_history: bool = False,
+        transfer_mode: str = "full",
+    ) -> None:
+        super().__init__(
+            evaluator,
+            algorithm=self.name,
+            max_iterations=max_iterations,
+            target_fitness=target_fitness,
+            track_history=track_history,
+            transfer_mode=transfer_mode,
+        )
+
+
+class HillClimbing(_Descent):
+    """Steepest-descent hill climbing: every iteration moves to the best neighbor."""
 
     name = "hill-climbing"
-    reduction = "argmin"
-
-    def select_move(
-        self,
-        fitnesses: np.ndarray,
-        current_fitness: float,
-        best_fitness: float,
-        iteration: int,
-        rng: np.random.Generator,
-    ) -> SelectedMove | None:
-        selected = best_move(fitnesses)
-        if selected.fitness >= current_fitness:
-            return None  # local optimum
-        return selected
-
-    def select_from_reduced(
-        self,
-        index: int,
-        fitness: float,
-        current_fitness: float,
-        best_fitness: float,
-        iteration: int,
-    ) -> SelectedMove | None:
-        if fitness >= current_fitness:
-            return None  # local optimum
-        return SelectedMove(index=index, fitness=fitness)
 
 
-class FirstImprovementHillClimbing(NeighborhoodLocalSearch):
+class FirstImprovementHillClimbing(_Descent):
     """First-improvement descent.
 
     The neighborhood is still evaluated in full (the parallel model of the
@@ -57,31 +51,3 @@ class FirstImprovementHillClimbing(NeighborhoodLocalSearch):
     """
 
     name = "first-improvement"
-    reduction = "first-improvement"
-
-    def select_move(
-        self,
-        fitnesses: np.ndarray,
-        current_fitness: float,
-        best_fitness: float,
-        iteration: int,
-        rng: np.random.Generator,
-    ) -> SelectedMove | None:
-        return first_improving_move(fitnesses, current_fitness)
-
-    def reduction_inputs(
-        self, current_fitness: float, best_fitness: float, iteration: int
-    ) -> dict:
-        return {"thresholds": np.array([current_fitness], dtype=np.float64)}
-
-    def select_from_reduced(
-        self,
-        index: int,
-        fitness: float,
-        current_fitness: float,
-        best_fitness: float,
-        iteration: int,
-    ) -> SelectedMove | None:
-        if index < 0:
-            return None  # no improving neighbor: local optimum
-        return SelectedMove(index=index, fitness=fitness)

@@ -18,8 +18,8 @@ from ..core.evaluators import CPUEvaluator, NeighborhoodEvaluator
 from ..neighborhoods import KHammingNeighborhood
 from ..problems import BinaryProblem
 from ..problems.base import flip_bits
-from .base import check_transfer_mode
 from .hill_climbing import HillClimbing
+from .multistart import check_transfer_mode
 from .result import LSResult
 
 __all__ = ["IteratedLocalSearch", "VariableNeighborhoodSearch"]
@@ -50,9 +50,9 @@ class IteratedLocalSearch:
         self.perturbation_strength = int(perturbation_strength)
         self.descent_max_iterations = int(descent_max_iterations)
         self.target_fitness = float(target_fitness)
-        #: Transfer mode of every inner descent: each descent runs
-        #: device-resident (and, with ``"persistent"``, as one persistent
-        #: launch per descent) instead of the scalar full-transfer loop.
+        #: Transfer mode of every inner descent: with a resident mode each
+        #: descent runs device-resident (and, with ``"persistent"``, as one
+        #: persistent launch per descent).
         self.transfer_mode = check_transfer_mode(transfer_mode, evaluator)
 
     def perturb(self, solution: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -19,11 +19,12 @@ and checkpoints, suspend and resume all move rows through the one
 :meth:`~MultiStartRunner.export_rows`/:meth:`~MultiStartRunner.import_rows`
 pair.
 
-Determinism is preserved replica by replica: given the same seed, a replica
-follows bit-for-bit the same trajectory as a standalone
-:class:`~repro.localsearch.tabu.TabuSearch` (or hill-climbing) run, because
-the batched evaluators are functionally identical to the scalar ones and the
-selection rules below are exact vectorizations of the scalar policies.
+This is the library's only search loop: the single searches
+(:class:`~repro.localsearch.tabu.TabuSearch` and the hill climbers) are
+one-row runs of it, so a replica follows bit-for-bit the same trajectory as
+a standalone search with the same seed by definition.  Every replica's
+selection goes through :func:`~repro.core.evaluators._fused_reduce`, over
+the downloaded fitness block or fused on-device.
 """
 
 from __future__ import annotations
@@ -39,16 +40,61 @@ import numpy as np
 from ..core.evaluators import NeighborhoodEvaluator, _fused_reduce
 from ..gpu.dtypes import TABU_NEVER
 from ..gpu.faults import FaultEvent, FaultPlan
-from ..problems.base import as_solution
 from ..problems.incremental import (
     attach_gain_engine,
     create_gain_engine,
     detach_gain_engine,
 )
-from .base import REDUCED_SELECTION_MODES, check_transfer_mode
 from .result import LSResult
 
-__all__ = ["CHECKPOINT_VERSION", "MultiStartResult", "MultiStartRunner"]
+__all__ = [
+    "CHECKPOINT_VERSION",
+    "MultiStartResult",
+    "MultiStartRunner",
+    "REDUCED_SELECTION_MODES",
+    "TRANSFER_MODES",
+    "check_transfer_mode",
+]
+
+#: How candidate data moves between host and (simulated) device each iteration:
+#:
+#: * ``"full"``    — upload the solutions, download every fitness (the seed
+#:   behaviour, and the only possibility on the CPU backends);
+#: * ``"delta"``   — the solution block stays device-resident, only the
+#:   flipped-bit ``(replica, bit)`` pairs go up; the fitness matrix still
+#:   comes down for host-side selection;
+#: * ``"reduced"`` — delta uploads plus the fused neighborhood+reduction
+#:   launch: only the per-replica best ``(index, fitness)`` pair comes down;
+#: * ``"persistent"`` — the whole iteration loop runs inside **one**
+#:   persistent launch per run: delta scatter, evaluation, fused reduction
+#:   and tabu update all happen on-device, the host only drains a
+#:   16 B/replica result ring and writes an ``O(S)`` early-stop flag, and
+#:   the kernel launch overhead is paid once instead of once per iteration.
+TRANSFER_MODES = ("full", "delta", "reduced", "persistent")
+
+#: The modes whose per-iteration selection happens inside the fused
+#: on-device reduction (the host sees only ``(index, fitness)`` pairs).
+REDUCED_SELECTION_MODES = ("reduced", "persistent")
+
+
+def check_transfer_mode(transfer_mode: str, evaluator: NeighborhoodEvaluator) -> str:
+    """Validate ``transfer_mode`` against the evaluator's capabilities.
+
+    Shared by every search driver (the lockstep runner and the single
+    searches built on it, the solve server's runner and the restart-based
+    ILS/VNS wrappers) so they all reject unknown modes and non-resident
+    backends with the same error.
+    """
+    if transfer_mode not in TRANSFER_MODES:
+        raise ValueError(
+            f"unknown transfer_mode {transfer_mode!r}; expected one of {TRANSFER_MODES}"
+        )
+    if transfer_mode != "full" and not evaluator.supports_device_residency:
+        raise ValueError(
+            f"transfer_mode={transfer_mode!r} needs a device-resident evaluator "
+            f"(got {type(evaluator).__name__}); use the GPU backends or \"full\""
+        )
+    return transfer_mode
 
 #: Version tag written into every runner checkpoint.  Bumped whenever the
 #: checkpoint layout changes; :meth:`MultiStartRunner.run` refuses to resume
@@ -57,8 +103,7 @@ __all__ = ["CHECKPOINT_VERSION", "MultiStartResult", "MultiStartRunner"]
 #: (per-row histories, budgets and targets); version 1 is not readable.
 CHECKPOINT_VERSION = 2
 
-#: Sentinel for "move never applied" in the vectorized tabu memory (matches
-#: the scalar :class:`~repro.localsearch.tabu.TabuSearch` encoding and the
+#: Sentinel for "move never applied" in the host tabu memory (matches the
 #: device-resident tabu memory).
 _NEVER = TABU_NEVER
 
@@ -170,10 +215,10 @@ class MultiStartRunner:
         Record each replica's best fitness after every one of its
         iterations.
     transfer_mode:
-        One of :data:`~repro.localsearch.base.TRANSFER_MODES`.  ``"delta"``
-        keeps the solution block device-resident and uploads only flipped
-        bits; ``"reduced"`` additionally runs the fused on-device reduction
-        so only ``(index, fitness)`` pairs come back — 16 bytes per replica
+        One of :data:`TRANSFER_MODES`.  ``"delta"`` keeps the solution
+        block device-resident and uploads only flipped bits; ``"reduced"``
+        additionally runs the fused on-device reduction so only
+        ``(index, fitness)`` pairs come back — 16 bytes per replica
         instead of the whole fitness row; ``"persistent"`` folds the whole
         lockstep loop into a single persistent launch per run (the tabu
         memory lives on-device, the host drains a 16 B/replica result ring
@@ -271,7 +316,7 @@ class MultiStartRunner:
         harness bit-compatible with one standalone search per trial.
         """
         if initial_solutions is not None:
-            block = np.asarray(initial_solutions, dtype=np.int8)
+            block = np.array(initial_solutions, dtype=np.int8)
             if block.ndim != 2 or block.shape[1] != self.problem.n:
                 raise ValueError(
                     f"expected an (R, {self.problem.n}) block of initial solutions, "
@@ -279,7 +324,9 @@ class MultiStartRunner:
                 )
             if replicas is not None and replicas != block.shape[0]:
                 raise ValueError("replicas does not match the initial solution count")
-            rows = [as_solution(row, self.problem.n) for row in block]
+            # One reduction: int8 values outside {0, 1} read as unsigned exceed 1.
+            if block.size and block.view(np.uint8).max() > 1:
+                raise ValueError("initial solutions must contain only 0/1 values")
         else:
             if seeds is not None:
                 if replicas is not None and replicas != len(seeds):
@@ -291,13 +338,15 @@ class MultiStartRunner:
                 if replicas <= 0:
                     raise ValueError(f"replicas must be positive, got {replicas}")
                 streams = np.random.default_rng(rng).spawn(replicas)
-            rows = [self.problem.random_solution(stream) for stream in streams]
-        if not rows:
+            block = np.array(
+                [self.problem.random_solution(stream) for stream in streams], dtype=np.int8
+            ).reshape(len(streams), self.problem.n)
+        if not block.shape[0]:
             raise ValueError(
                 "a replica group needs at least one replica; got no seeds or an "
                 f"empty (0, {self.problem.n}) block of initial solutions"
             )
-        return np.stack(rows)
+        return block
 
     # ------------------------------------------------------------------
     # Row state
@@ -324,9 +373,12 @@ class MultiStartRunner:
             # by the committed moves; the engine re-derives any row whose
             # solution changed outside a commit (new tenants, faults,
             # restores), so trajectories stay bit-identical to the recompute
-            # path.  Gain state is derived data — never checkpointed.
-            self._gain_engine = create_gain_engine(
-                self.problem, rows_hint=self.current.shape[0]
+            # path.  Gain state is derived data — never checkpointed.  It
+            # pays from two rows up: at one row (the single searches) it
+            # measured 13-19% slower per step than the fast scorers.
+            count = self.current.shape[0]
+            self._gain_engine = (
+                create_gain_engine(self.problem, rows_hint=count) if count > 1 else None
             )
             prev_engine = attach_gain_engine(self.problem, self._gain_engine)
             self._stack.callback(detach_gain_engine, self.problem, prev_engine)
@@ -363,8 +415,8 @@ class MultiStartRunner:
             "evaluations": np.zeros(count, dtype=np.int64),
             "sim_share": np.zeros(count, dtype=np.float64),
             "wall_share": np.zeros(count, dtype=np.float64),
-            "budgets": np.broadcast_to(np.asarray(budgets, dtype=np.int64), (count,)),
-            "targets": np.broadcast_to(np.asarray(targets, dtype=np.float64), (count,)),
+            "budgets": np.full(count, budgets, dtype=np.int64),
+            "targets": np.full(count, targets, dtype=np.float64),
             "active": np.ones(count, dtype=bool),
             "reasons": ["max_iterations"] * count,
             "histories": [[] for _ in range(count)],
@@ -483,14 +535,16 @@ class MultiStartRunner:
     def _retire(self) -> np.ndarray:
         """Stop the rows that are done and return them.
 
-        Per-row stopping checks in the scalar loop's order: the target
+        Per-row stopping checks in the order of a single search: the target
         first, then the iteration budget.
         """
-        reached = self.active & (self.best_fitness <= self.targets)
-        self.reasons[reached] = "target_reached"
-        finished = reached | (self.active & (self.iterations >= self.budgets))
-        self.active &= ~finished
-        return np.nonzero(finished)[0]
+        reached = self.best_fitness <= self.targets
+        finished = self.active & (reached | (self.iterations >= self.budgets))
+        rows = finished.nonzero()[0]
+        if rows.size:
+            self.reasons[rows[reached[rows]]] = "target_reached"
+            self.active[rows] = False
+        return rows
 
     def _advance(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Advance every active row one lockstep iteration.
@@ -506,25 +560,32 @@ class MultiStartRunner:
             # so trajectories and the gain engine's rows are unchanged.
             self.evaluator.rebalance_resident(active=self.active)
         self.lockstep += 1
-        active_idx = np.nonzero(self.active)[0]
+        active_idx = self.active.nonzero()[0]
+        # While every row is active (always, for a single search) the row
+        # bookkeeping indexes with a slice: views instead of gathers.
+        rows = slice(None) if active_idx.size == self.active.size else active_idx
 
         step_wall = time.perf_counter()
         step_sim = self.evaluator.stats.simulated_time
         if self._gain_engine is not None:
             self._gain_engine.expect(active_idx)
-        indices, selected_fitness, optima = self._select(active_idx)
+        move_idx, fitness, optima = self._select(active_idx, rows)
         sim_elapsed = self.evaluator.stats.simulated_time - step_sim
-        self.sim_share[active_idx] += sim_elapsed / active_idx.size
-        self.evaluations[active_idx] += self.neighborhood.size
-        stopped = active_idx[optima]
-        if stopped.size:
+        self.sim_share[rows] += sim_elapsed / active_idx.size
+        self.evaluations[rows] += self.neighborhood.size
+        movers, mover_rows, stopped = active_idx, rows, active_idx[:0]
+        # count_nonzero: the cheapest any() on these small per-step masks.
+        if optima is not None and np.count_nonzero(optima):
+            stopped = active_idx[optima]
             self.reasons[stopped] = "local_optimum"
             self.active[stopped] = False
+            keep = ~optima
+            movers, move_idx, fitness = active_idx[keep], move_idx[keep], fitness[keep]
+            mover_rows = movers
 
-        movers = active_idx[~optima]
         if movers.size:
-            move_idx = indices[~optima]
-            moves = self.neighborhood.mapping.from_flat_batch(move_idx)
+            # Decoded from the table the evaluation kernels share.
+            moves = self.neighborhood.move_table[move_idx]
             self.current[movers[:, None], moves] ^= 1
             if self._gain_engine is not None:
                 self._gain_engine.commit(movers, moves)
@@ -535,33 +596,35 @@ class MultiStartRunner:
                 self.evaluator.apply_deltas(
                     np.repeat(movers, moves.shape[1]), moves.reshape(-1)
                 )
-            self.current_fitness[movers] = selected_fitness[~optima]
+            self.current_fitness[mover_rows] = fitness
             if self.last_applied is not None:
-                self.last_applied[movers, move_idx] = self.iterations[movers]
-            improved = self.current_fitness[movers] < self.best_fitness[movers]
-            improved_rows = movers[improved]
-            self.best[improved_rows] = self.current[improved_rows]
-            self.best_fitness[improved_rows] = self.current_fitness[improved_rows]
-            self.iterations[movers] += 1
+                self.last_applied[movers, move_idx] = self.iterations[mover_rows]
+            improved = fitness < self.best_fitness[mover_rows]
+            if np.count_nonzero(improved):
+                better = movers[improved]
+                self.best[better] = self.current[better]
+                self.best_fitness[better] = fitness[improved]
+            self.iterations[mover_rows] += 1
             if self.track_history:
-                for row, value in zip(
-                    movers.tolist(), self.best_fitness[movers].tolist()
-                ):
+                history = self.best_fitness[mover_rows].tolist()
+                for row, value in zip(movers.tolist(), history):
                     self.histories[row].append(value)
-        self.wall_share[active_idx] += (
-            time.perf_counter() - step_wall
-        ) / active_idx.size
+        self.wall_share[rows] += (time.perf_counter() - step_wall) / active_idx.size
         return active_idx, stopped, sim_elapsed
 
     def _select(
-        self, active_idx: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, active_idx: np.ndarray, rows
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Evaluate the active rows' neighborhoods and pick one move per row.
 
+        ``rows`` indexes the active rows of the row state (``active_idx`` or,
+        when every row is active, a full slice).
+
         Returns ``(indices, selected_fitness, stop_mask)``; ``stop_mask``
-        marks rows at a local optimum (hill-climbing rules only).  The
-        reduction is :func:`~repro.core.evaluators._fused_reduce`, over the
-        downloaded fitness block (``full``/``delta``) or fused on-device
+        marks rows at a local optimum (hill-climbing rules only, ``None``
+        for tabu).  The reduction is
+        :func:`~repro.core.evaluators._fused_reduce`, over the downloaded
+        fitness block (``full``/``delta``) or fused on-device
         (``reduced``/``persistent``, where only ``(index, fitness)`` pairs
         come back), so both paths are bit-identical by construction.
         """
@@ -572,22 +635,21 @@ class MultiStartRunner:
             fitnesses = (
                 self.evaluator.evaluate_resident(active_idx)
                 if self._resident
-                else self.evaluator.evaluate_many(self.current[active_idx])
+                else self.evaluator.evaluate_many(self.current[rows])
             )
             reduce = functools.partial(_fused_reduce, fitnesses)
 
-        current_fitness = self.current_fitness[active_idx]
         if self.algorithm == "hill-climbing":
             indices, selected = reduce("argmin")
-            return indices, selected, selected >= current_fitness
+            return indices, selected, selected >= self.current_fitness[rows]
         if self.algorithm == "first-improvement":
-            indices, selected = reduce("first-improvement", thresholds=current_fitness)
-            stopped = indices < 0
-            return np.where(stopped, 0, indices), selected, stopped
+            indices, selected = reduce(
+                "first-improvement", thresholds=self.current_fitness[rows]
+            )
+            return indices, selected, indices < 0
 
-        moving = np.zeros(active_idx.size, dtype=bool)
-        iterations = self.iterations[active_idx]
-        aspiration = self.best_fitness[active_idx] if self.aspiration else None
+        iterations = self.iterations[rows]
+        aspiration = self.best_fitness[rows] if self.aspiration else None
         if self._device_tabu:
             # Device-resident tabu memory: the admissibility mask is derived
             # next to the reduction from the resident ``last_applied``
@@ -596,20 +658,20 @@ class MultiStartRunner:
             indices, selected = reduce(
                 "argmin", tabu_iterations=iterations, aspiration_fitness=aspiration
             )
-            return indices, selected, moving
-        last_applied = self.last_applied[active_idx]
-        if self.tenure == 0:
-            admissible = np.ones((active_idx.size, self.neighborhood.size), dtype=bool)
-        else:
-            admissible = (iterations[:, None] - last_applied) > self.tenure
+            return indices, selected, None
+        last_applied = self.last_applied[rows]
         indices, selected = reduce(
-            "argmin", admissible=admissible, aspiration_fitness=aspiration
+            "argmin",
+            admissible=(
+                (iterations[:, None] - last_applied) > self.tenure if self.tenure else None
+            ),
+            aspiration_fitness=aspiration,
         )
         # Robust-tabu escape: when every move of a replica is inadmissible,
         # fall back to its oldest tabu move (on the reduced paths the host
         # fetches just that move's fitness, 8 bytes each).
         blocked = indices < 0
-        if blocked.any():
+        if np.count_nonzero(blocked):
             indices = np.where(blocked, last_applied.argmin(axis=1), indices)
             selected = selected.copy()
             selected[blocked] = (
@@ -617,7 +679,7 @@ class MultiStartRunner:
                 if self._reduced
                 else fitnesses[np.nonzero(blocked)[0], indices[blocked]]
             )
-        return indices, selected, moving
+        return indices, selected, None
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -803,7 +865,7 @@ class MultiStartRunner:
         try:
             while True:
                 self._retire()
-                if not self.active.any():
+                if not np.count_nonzero(self.active):
                     break
                 # Checkpoint before same-boundary faults: a resumed run re-applies
                 # the faults due at the checkpointed lockstep, replaying exactly
@@ -822,9 +884,40 @@ class MultiStartRunner:
         finally:
             self._close_rows()
 
+        simulated_time = self.evaluator.stats.simulated_time - start_sim
+        if self._resident:
+            # The steps priced themselves into their rows' shares; what the
+            # resident session priced outside them (open, close, rebalance
+            # and fault migrations) is spread evenly over the rows, so the
+            # per-row times add up to the run's.
+            self.sim_share += (simulated_time - self.sim_share.sum()) / self.sim_share.size
         return MultiStartResult(
             results=self._harvest(np.arange(self.current.shape[0])),
             wall_time=time.perf_counter() - start_wall,
-            simulated_time=self.evaluator.stats.simulated_time - start_sim,
+            simulated_time=simulated_time,
             iterations=self.lockstep,
         )
+
+
+class _SingleSearch(MultiStartRunner):
+    """One search from one start: a one-row :class:`MultiStartRunner` run.
+
+    The base of :class:`~repro.localsearch.tabu.TabuSearch` and the hill
+    climbers; they only fix the selection rule.
+    """
+
+    def run(
+        self,
+        initial_solution: np.ndarray | None = None,
+        rng: np.random.Generator | int | None = None,
+    ) -> LSResult:
+        """Search from ``initial_solution`` (default: a random start drawn from ``rng``)."""
+        if initial_solution is None:
+            initial_solution = self.problem.random_solution(np.random.default_rng(rng))
+        batch = super().run(
+            initial_solutions=np.asarray(initial_solution, dtype=np.int8)[None, :]
+        )
+        # The lone row owns the whole run, setup and teardown included.
+        result = batch.results[0]
+        result.simulated_time, result.wall_time = batch.simulated_time, batch.wall_time
+        return result

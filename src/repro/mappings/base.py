@@ -20,6 +20,7 @@ which is exactly the ordering induced by the paper's 2D/3D abstractions
 from __future__ import annotations
 
 import abc
+import functools
 from math import comb
 from typing import Iterable, Sequence
 
@@ -80,7 +81,7 @@ class MoveMapping(abc.ABC):
     # ------------------------------------------------------------------
     # Required interface
     # ------------------------------------------------------------------
-    @property
+    @functools.cached_property
     def size(self) -> int:
         """Number of moves (equivalently, number of GPU threads to launch)."""
         return neighborhood_size(self.n, self.k)

@@ -10,6 +10,7 @@ paper's three structures are all instances of
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,18 @@ class Neighborhood(abc.ABC):
         """The flat-index <-> move mapping attached to this neighborhood."""
 
     # ------------------------------------------------------------------
+    @functools.cached_property
+    def move_table(self) -> np.ndarray:
+        """The whole neighborhood's ``(size, k)`` moves, built on first use.
+
+        Shared by the evaluation kernels and the lockstep runner's move
+        decoding, and read-only so problems can cache per-table
+        preprocessing keyed on its identity.
+        """
+        moves = self.mapping.all_moves()
+        moves.setflags(write=False)
+        return moves
+
     def moves(self, indices: np.ndarray | None = None) -> np.ndarray:
         """Materialise the moves for ``indices`` (default: the whole neighborhood)."""
         if indices is None:

@@ -31,6 +31,9 @@ __all__ = ["PermutedPerceptronProblem", "generate_ppp_instance"]
 #: Weight of the sign-violation term in the Knudsen–Meier objective.
 SIGN_PENALTY_WEIGHT = 30
 
+#: Most moves one chunk of the reference evaluation covers.
+REFERENCE_CHUNK = 8_192
+
 
 class _FastMoveTable:
     """Preprocessed view of one validated ``(M, k)`` move array.
@@ -400,46 +403,13 @@ class PermutedPerceptronProblem(BinaryProblem):
     # ------------------------------------------------------------------
     # Incremental neighborhood evaluation (the GPU kernel's compute_fitness)
     # ------------------------------------------------------------------
-    def evaluate_neighborhood(
-        self,
-        solution: np.ndarray,
-        moves: np.ndarray,
-        *,
-        chunk: int = 8_192,
-    ) -> np.ndarray:
+    def evaluate_neighborhood(self, solution: np.ndarray, moves: np.ndarray) -> np.ndarray:
         """Delta evaluation of every neighbor reached by ``moves``.
 
-        Flipping bit ``p`` changes the epsilon value ``V_p`` by ``-2 V_p``,
-        hence the product vector by ``-2 A[:, p] V_p``; a k-bit move simply
-        accumulates k such column updates.  Each chunk of neighbors is then
-        scored with the same vectorized histogram arithmetic as
-        :meth:`evaluate_batch`.
+        The ``S = 1`` case of :meth:`evaluate_neighborhood_batch`.
         """
         solution = as_solution(solution, self.n)
-        moves = self._check_moves(moves)
-        num_moves, k = moves.shape
-        scorer = self._fast()
-        if scorer is not None and num_moves:
-            table = scorer.move_table(moves)
-            if (
-                table is not None
-                and scorer.workspace_bytes(1, num_moves) <= scorer.WORKSPACE_LIMIT
-            ):
-                return scorer.evaluate(solution[None, :], table)[0]
-        V = 2 * solution.astype(np.int32) - 1
-        Y = self._A32 @ V  # (m,)
-        out = np.empty(num_moves, dtype=np.float64)
-        for start in range(0, num_moves, chunk):
-            stop = min(start + chunk, num_moves)
-            block = moves[start:stop]
-            delta = np.zeros((block.shape[0], self.m), dtype=np.int32)
-            for t in range(k):
-                cols = block[:, t]
-                # rows of A^T indexed by the flipped bit, scaled by its sign
-                delta += self._At32[cols] * V[cols][:, None]
-            Yn = Y[None, :] - 2 * delta
-            out[start:stop] = self._fitness_from_products_batch(Yn)
-        return out
+        return self.evaluate_neighborhood_batch(solution[None, :], moves)[0]
 
     def evaluate_neighborhood_batch(
         self,
@@ -485,13 +455,18 @@ class PermutedPerceptronProblem(BinaryProblem):
     ) -> np.ndarray:
         """Chunked broadcast evaluation — the ground truth for every move table.
 
-        The column-update identity of :meth:`evaluate_neighborhood` broadcasts
-        over the solution axis: for replica ``s`` and move ``j``, the product
-        vector changes by ``-2 * sum_t A[:, moves[j, t]] * V_s[moves[j, t]]``.
-        All ``S x M`` deltas are computed with one broadcasting expression per
-        flipped-bit position — no Python loop over the replicas.  The move
-        axis is chunked so the intermediate ``(S, chunk, m)`` product tensor
-        stays under ``element_budget`` elements.
+        Flipping bit ``p`` changes the epsilon value ``V_p`` by ``-2 V_p``,
+        hence the product vector by ``-2 A[:, p] V_p``; a k-bit move simply
+        accumulates k such column updates.  For replica ``s`` and move ``j``
+        the product vector changes by
+        ``-2 * sum_t A[:, moves[j, t]] * V_s[moves[j, t]]``, and each chunk of
+        neighbors is then scored with the histogram arithmetic of
+        :meth:`evaluate_batch`.  All ``S x M`` deltas are computed with one
+        broadcasting expression per flipped-bit position — no Python loop
+        over the replicas.  The move axis is chunked so the intermediate
+        ``(S, chunk, m)`` product tensor stays under ``element_budget``
+        elements, and at :data:`REFERENCE_CHUNK` moves so a single row's
+        temporaries stay cache-sized.
         """
         solutions, moves = self._check_batch_args(solutions, moves)
         num_solutions = solutions.shape[0]
@@ -502,7 +477,7 @@ class PermutedPerceptronProblem(BinaryProblem):
             out = np.empty((num_solutions, num_moves), dtype=np.float64)
         if num_solutions == 0 or num_moves == 0:
             return out
-        chunk = max(1, element_budget // max(1, num_solutions * self.m))
+        chunk = max(1, min(REFERENCE_CHUNK, element_budget // max(1, num_solutions * self.m)))
         for start in range(0, num_moves, chunk):
             block = moves[start : start + chunk]  # (c, k)
             c = block.shape[0]

@@ -13,12 +13,7 @@ import pytest
 from repro.core import CPUEvaluator, GPUEvaluator, MultiGPUEvaluator
 from repro.gpu import FITNESS_BYTES, REDUCED_RESULT_BYTES, SOLUTION_ENTRY_BYTES
 from repro.harness import format_experiment_table, run_ppp_experiment
-from repro.localsearch import (
-    TRANSFER_MODES,
-    MultiStartRunner,
-    NeighborhoodLocalSearch,
-    TabuSearch,
-)
+from repro.localsearch import TRANSFER_MODES, MultiStartRunner, TabuSearch
 from repro.localsearch.hill_climbing import (
     FirstImprovementHillClimbing,
     HillClimbing,
@@ -304,17 +299,6 @@ class TestModeValidation:
             TabuSearch(evaluator, transfer_mode="compressed")
         with pytest.raises(ValueError, match="transfer_mode"):
             MultiStartRunner(evaluator, transfer_mode="compressed")
-
-    def test_algorithm_without_reduction_rejects_reduced(self, problem, neighborhood):
-        class NoReduction(NeighborhoodLocalSearch):
-            def select_move(self, *args, **kwargs):  # pragma: no cover
-                return None
-
-        evaluator = GPUEvaluator(problem, neighborhood)
-        with pytest.raises(ValueError, match="fused reduction"):
-            NoReduction(evaluator, transfer_mode="reduced")
-        # delta mode is fine: the full fitness matrix still comes down.
-        NoReduction(evaluator, transfer_mode="delta")
 
 
 class TestHarnessIntegration:

@@ -1,4 +1,4 @@
-"""Tests for the evaluation kernels, evaluators and selection policies."""
+"""Tests for the evaluation kernels, evaluators and the fused selection reduction."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,13 @@ from repro.core import (
     GPUEvaluator,
     MultiGPUEvaluator,
     SequentialEvaluator,
-    best_admissible_move,
-    best_move,
     build_neighborhood_kernel,
-    first_improving_move,
     iteration_times,
     kernel_cost_profile,
     mapping_flops,
     run_times,
 )
+from repro.core.evaluators import _fused_reduce
 from repro.gpu import ExecutionMode, GTX_280, grid_for
 from repro.neighborhoods import (
     KHammingNeighborhood,
@@ -194,35 +192,47 @@ class TestIterationTimes:
 
 
 class TestSelection:
+    """The fused reduction is the one selection implementation of every search."""
+
     def test_best_move(self):
-        sel = best_move(np.array([5.0, 2.0, 7.0, 2.0]))
-        assert sel.index == 1 and sel.fitness == 2.0
+        indices, fitness = _fused_reduce(np.array([[5.0, 2.0, 7.0, 2.0]]), "argmin")
+        assert indices.tolist() == [1] and fitness.tolist() == [2.0]
         with pytest.raises(ValueError):
-            best_move(np.array([]))
+            _fused_reduce(np.empty((1, 0)), "argmin")
 
     def test_best_admissible_move_respects_tabu(self):
-        fitnesses = np.array([1.0, 2.0, 3.0])
-        forbidden = np.array([True, False, False])
-        sel = best_admissible_move(fitnesses, forbidden)
-        assert sel.index == 1
+        fitnesses = np.array([[1.0, 2.0, 3.0]])
+        admissible = np.array([[False, True, True]])
+        indices, _ = _fused_reduce(fitnesses, "argmin", admissible=admissible)
+        assert indices.tolist() == [1]
 
     def test_aspiration_overrides_tabu(self):
-        fitnesses = np.array([1.0, 2.0, 3.0])
-        forbidden = np.array([True, False, False])
-        sel = best_admissible_move(fitnesses, forbidden, aspiration_threshold=1.5)
-        assert sel.index == 0
+        fitnesses = np.array([[1.0, 2.0, 3.0]])
+        admissible = np.array([[False, True, True]])
+        indices, _ = _fused_reduce(
+            fitnesses, "argmin", admissible=admissible, aspiration_fitness=np.array([1.5])
+        )
+        assert indices.tolist() == [0]
 
     def test_all_tabu_returns_none(self):
-        fitnesses = np.array([1.0, 2.0])
-        forbidden = np.array([True, True])
-        assert best_admissible_move(fitnesses, forbidden) is None
+        fitnesses = np.array([[1.0, 2.0]])
+        admissible = np.array([[False, False]])
+        indices, fitness = _fused_reduce(fitnesses, "argmin", admissible=admissible)
+        assert indices.tolist() == [-1] and fitness.tolist() == [np.inf]
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            best_admissible_move(np.array([1.0]), np.array([True, False]))
+    def test_unknown_op_rejected(self):
+        with pytest.raises(ValueError, match="unknown reduce op"):
+            _fused_reduce(np.array([[1.0]]), "median")
+        with pytest.raises(ValueError, match="thresholds"):
+            _fused_reduce(np.array([[1.0]]), "first-improvement")
 
     def test_first_improving_move(self):
-        fitnesses = np.array([5.0, 4.0, 1.0])
-        sel = first_improving_move(fitnesses, current_fitness=4.5)
-        assert sel.index == 1
-        assert first_improving_move(fitnesses, current_fitness=0.5) is None
+        fitnesses = np.array([[5.0, 4.0, 1.0]])
+        indices, fitness = _fused_reduce(
+            fitnesses, "first-improvement", thresholds=np.array([4.5])
+        )
+        assert indices.tolist() == [1] and fitness.tolist() == [4.0]
+        indices, _ = _fused_reduce(
+            fitnesses, "first-improvement", thresholds=np.array([0.5])
+        )
+        assert indices.tolist() == [-1]

@@ -22,8 +22,7 @@ from repro.harness import (
     run_ppp_experiment,
     table_one,
 )
-from repro.localsearch import TabuSearch
-from repro.neighborhoods import KHammingNeighborhood, OneHammingNeighborhood
+from repro.neighborhoods import OneHammingNeighborhood
 from repro.problems import OneMax
 from repro.problems.instances import PPPInstanceSpec, instance_seed, make_table_instance
 
@@ -85,22 +84,22 @@ class TestRunExperiment:
     @pytest.mark.parametrize("base_seed", [None, 42])
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("spec", ["cpu", "sequential", "gpu", "multi-gpu"])
-    def test_records_match_independent_tabu_runs(self, spec, order, base_seed):
-        """The lockstep batch reproduces one standalone search per seed."""
+    def test_records_match_independent_tabu_runs(
+        self, spec, order, base_seed, reference_search
+    ):
+        """The lockstep batch reproduces one plain reference search per seed."""
         trials, max_iterations = 3, 12
         row = run_ppp_experiment(
             (15, 15), order, trials=trials, max_iterations=max_iterations,
             evaluator_factory=spec, base_seed=base_seed,
         )
-        problem = make_table_instance(PPPInstanceSpec(15, 15), trial=0)
-        neighborhood = KHammingNeighborhood(problem.n, order)
-        search = TabuSearch(
-            EVALUATOR_SPECS[spec](problem, neighborhood), max_iterations=max_iterations
-        )
         expected = []
         for trial in range(trials):
             seed = instance_seed(15, 15, trial) if base_seed is None else base_seed + trial
-            result = search.run(rng=seed)
+            result = reference_search(
+                lambda: make_table_instance(PPPInstanceSpec(15, 15), trial=0),
+                order, "tabu", seed, max_iterations=max_iterations,
+            )
             expected.append((trial, result.best_fitness, result.iterations, result.success))
         assert [(t.trial, t.fitness, t.iterations, t.success) for t in row.trials] == expected
 

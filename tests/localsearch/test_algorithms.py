@@ -8,7 +8,6 @@ from repro.localsearch import (
     FirstImprovementHillClimbing,
     HillClimbing,
     IteratedLocalSearch,
-    MaxIterations,
     SimulatedAnnealing,
     TabuSearch,
     VariableNeighborhoodSearch,
@@ -108,7 +107,7 @@ class TestTabuSearch:
         result = ts.run(initial_solution=np.zeros(12, dtype=np.int8), rng=0)
         assert result.iterations == 4
         # Four distinct moves must have been applied (each flip becomes tabu).
-        applied = np.nonzero(ts._last_applied > -(2**62))[0]
+        applied = np.nonzero(ts.last_applied[0] > -(2**62))[0]
         assert len(applied) == 4
 
     def test_escapes_local_optima_unlike_hill_climbing(self):

@@ -8,7 +8,8 @@ and launch counts must match the ``REPRO_EVAL_PATH=fast`` recompute exactly
 — including across every invalidation path (restarts, device faults,
 replica migration on rebalance, checkpoint -> restore) — and the fast
 recompute must in turn match ``REPRO_EVAL_PATH=reference`` on every problem,
-in the lockstep runner and in the single-replica searches.
+in the lockstep runner and in ILS; the single searches must follow the plain
+reference loop of ``tests/conftest.py``.
 """
 
 import functools
@@ -165,44 +166,55 @@ class TestLockstepMatrix:
 SCALAR_FACTORIES = dict(PROBLEM_FACTORIES, leadingones=lambda: LeadingOnes(16))
 
 
-def scalar_signature(name, evaluator_cls, order):
-    """Scalar tabu and ILS on a fresh problem (the path is read at build)."""
+def ils_signature(name, evaluator_cls, order):
+    """ILS on a fresh problem (the path is read at build)."""
     problem = SCALAR_FACTORIES[name]()
     neighborhood = KHammingNeighborhood(problem.n, order)
-    signature = []
     with evaluator_cls(problem, neighborhood) as evaluator:
-        tabu = TabuSearch(evaluator, max_iterations=15, track_history=True)
         ils = IteratedLocalSearch(
             evaluator, restarts=3, descent_max_iterations=8, target_fitness=float("-inf")
         )
-        for search in (tabu, ils):
-            result = search.run(rng=np.random.default_rng(31))
-            signature.append(
-                (
-                    result.best_fitness,
-                    result.iterations,
-                    result.evaluations,
-                    tuple(result.history),
-                    result.best_solution.tobytes(),
-                )
-            )
-        signature.append(evaluator.stats.simulated_time)
-    return signature
+        result = ils.run(rng=np.random.default_rng(31))
+        return (
+            result.best_fitness,
+            result.iterations,
+            result.evaluations,
+            result.best_solution.tobytes(),
+            evaluator.stats.simulated_time,
+        )
+
+
+def search_record(result):
+    return (
+        result.best_fitness,
+        result.iterations,
+        result.evaluations,
+        result.stopping_reason,
+        tuple(result.history),
+        result.best_solution.tobytes(),
+    )
 
 
 class TestScalarIdentity:
-    """The S=1 searches score through the fast scorers; no engine is involved."""
+    """The single searches on the default path follow the plain reference loop."""
 
     @pytest.mark.parametrize("name", sorted(SCALAR_FACTORIES))
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("evaluator_cls", [GPUEvaluator, CPUEvaluator])
-    def test_default_matches_reference(self, name, order, evaluator_cls, monkeypatch):
-        """``GPUEvaluator`` hands the problem its frozen full move table,
-        ``CPUEvaluator`` a writable one; both follow the reference path."""
+    def test_default_matches_reference(
+        self, name, order, evaluator_cls, monkeypatch, reference_search
+    ):
+        """``GPUEvaluator`` scores on its frozen full move table,
+        ``CPUEvaluator`` on a writable one; both follow the reference."""
         monkeypatch.delenv("REPRO_EVAL_PATH", raising=False)
-        default = scalar_signature(name, evaluator_cls, order)
+        problem = SCALAR_FACTORIES[name]()
+        with evaluator_cls(problem, KHammingNeighborhood(problem.n, order)) as evaluator:
+            tabu = TabuSearch(evaluator, max_iterations=15, track_history=True).run(rng=31)
+        expected = reference_search(SCALAR_FACTORIES[name], order, "tabu", 31, max_iterations=15)
+        assert search_record(tabu) == search_record(expected)
+        default = ils_signature(name, evaluator_cls, order)
         monkeypatch.setenv("REPRO_EVAL_PATH", "reference")
-        assert scalar_signature(name, evaluator_cls, order) == default
+        assert ils_signature(name, evaluator_cls, order) == default
 
     @pytest.mark.parametrize("name", ["maxsat", "nk"])
     @pytest.mark.parametrize("order", [1, 2])
@@ -222,8 +234,8 @@ class TestScalarIdentity:
         monkeypatch.setattr(scorer, "evaluate", counted)
         neighborhood = KHammingNeighborhood(problem.n, order)
         with GPUEvaluator(problem, neighborhood) as evaluator:
-            TabuSearch(evaluator, max_iterations=5).run(rng=np.random.default_rng(3))
-        assert calls and set(calls) == {1}
+            evaluator.evaluate(problem.random_solution(3))
+        assert calls == [1]
 
 
 def multi_gpu_signature(mode, *, fault_plan=None, resume=None, checkpoints=None):

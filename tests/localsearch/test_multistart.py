@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import CPUEvaluator, GPUEvaluator
-from repro.localsearch import HillClimbing, MultiStartRunner, TabuSearch
-from repro.localsearch.hill_climbing import FirstImprovementHillClimbing
+from repro.core import CPUEvaluator, GPUEvaluator, MultiGPUEvaluator
+from repro.localsearch import TRANSFER_MODES, MultiStartRunner, TabuSearch
 from repro.neighborhoods import KHammingNeighborhood
 from repro.problems import OneMax, PermutedPerceptronProblem
 from repro.problems.instances import instance_seed, make_table_instance
@@ -13,14 +12,23 @@ from repro.problems.instances import instance_seed, make_table_instance
 SEEDS = list(range(8))
 
 
-@pytest.fixture(scope="module")
-def ppp():
+def make_ppp():
     return PermutedPerceptronProblem.generate(25, 25, rng=0)
 
 
-def serial_results(search_cls, evaluator, seeds, **kwargs):
-    search = search_cls(evaluator, **kwargs)
-    return [search.run(rng=seed) for seed in seeds]
+@pytest.fixture(scope="module")
+def ppp():
+    return make_ppp()
+
+
+@pytest.fixture
+def serial_results(reference_search):
+    """One plain reference search per seed on the 25x25 PPP instance."""
+
+    def run(rule, order, seeds, **kwargs):
+        return [reference_search(make_ppp, order, rule, seed, **kwargs) for seed in seeds]
+
+    return run
 
 
 def assert_replica_matches(serial, batched):
@@ -35,10 +43,9 @@ def assert_replica_matches(serial, batched):
 
 class TestLockstepParity:
     @pytest.mark.parametrize("order", [1, 2])
-    def test_tabu_matches_serial_runs(self, ppp, order):
+    def test_tabu_matches_serial_runs(self, ppp, order, serial_results):
         neighborhood = KHammingNeighborhood(ppp.n, order)
-        serial = serial_results(TabuSearch, CPUEvaluator(ppp, neighborhood), SEEDS,
-                                max_iterations=40)
+        serial = serial_results("tabu", order, SEEDS, max_iterations=40)
         runner = MultiStartRunner(CPUEvaluator(ppp, neighborhood), algorithm="tabu",
                                   max_iterations=40)
         batched = runner.run(seeds=SEEDS)
@@ -46,19 +53,17 @@ class TestLockstepParity:
         for s, b in zip(serial, batched):
             assert_replica_matches(s, b)
 
-    def test_tabu_on_gpu_backend(self, ppp):
+    def test_tabu_on_gpu_backend(self, ppp, serial_results):
         neighborhood = KHammingNeighborhood(ppp.n, 1)
-        serial = serial_results(TabuSearch, CPUEvaluator(ppp, neighborhood), SEEDS,
-                                max_iterations=30)
+        serial = serial_results("tabu", 1, SEEDS, max_iterations=30)
         runner = MultiStartRunner(GPUEvaluator(ppp, neighborhood), algorithm="tabu",
                                   max_iterations=30)
         for s, b in zip(serial, runner.run(seeds=SEEDS)):
             assert_replica_matches(s, b)
 
-    def test_hill_climbing_matches_serial_runs(self, ppp):
+    def test_hill_climbing_matches_serial_runs(self, ppp, serial_results):
         neighborhood = KHammingNeighborhood(ppp.n, 1)
-        serial = serial_results(HillClimbing, CPUEvaluator(ppp, neighborhood), SEEDS,
-                                max_iterations=500)
+        serial = serial_results("hill-climbing", 1, SEEDS, max_iterations=500)
         runner = MultiStartRunner(CPUEvaluator(ppp, neighborhood),
                                   algorithm="hill-climbing", max_iterations=500)
         batched = runner.run(seeds=SEEDS)
@@ -66,24 +71,44 @@ class TestLockstepParity:
         for s, b in zip(serial, batched):
             assert_replica_matches(s, b)
 
-    def test_first_improvement_matches_serial_runs(self, ppp):
+    def test_first_improvement_matches_serial_runs(self, ppp, serial_results):
         neighborhood = KHammingNeighborhood(ppp.n, 1)
-        serial = serial_results(FirstImprovementHillClimbing,
-                                CPUEvaluator(ppp, neighborhood), SEEDS,
-                                max_iterations=500)
+        serial = serial_results("first-improvement", 1, SEEDS, max_iterations=500)
         runner = MultiStartRunner(CPUEvaluator(ppp, neighborhood),
                                   algorithm="first-improvement", max_iterations=500)
         for s, b in zip(serial, runner.run(seeds=SEEDS)):
             assert_replica_matches(s, b)
 
-    def test_history_tracking_matches(self, ppp):
+    def test_history_tracking_matches(self, ppp, serial_results):
         neighborhood = KHammingNeighborhood(ppp.n, 1)
-        serial = serial_results(TabuSearch, CPUEvaluator(ppp, neighborhood), SEEDS[:4],
-                                max_iterations=20, track_history=True)
+        serial = serial_results("tabu", 1, SEEDS[:4], max_iterations=20)
         runner = MultiStartRunner(CPUEvaluator(ppp, neighborhood), algorithm="tabu",
                                   max_iterations=20, track_history=True)
         for s, b in zip(serial, runner.run(seeds=SEEDS[:4])):
             assert s.history == b.history
+
+
+class TestRowAccounting:
+    @pytest.mark.parametrize("devices", [None, 2])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("algorithm", MultiStartRunner.ALGORITHMS)
+    @pytest.mark.parametrize("mode", TRANSFER_MODES)
+    def test_row_times_add_up_to_the_run(self, ppp, mode, algorithm, rows, devices):
+        """The session open/close is charged to the rows too, so the rows'
+        simulated times sum to the run's (a single search's time is its
+        row's)."""
+        neighborhood = KHammingNeighborhood(ppp.n, 1)
+        evaluator = (
+            GPUEvaluator(ppp, neighborhood)
+            if devices is None
+            else MultiGPUEvaluator(ppp, neighborhood, devices=devices)
+        )
+        runner = MultiStartRunner(
+            evaluator, algorithm=algorithm, max_iterations=12, transfer_mode=mode
+        )
+        result = runner.run(seeds=SEEDS[:rows])
+        total = sum(r.simulated_time for r in result)
+        assert total == pytest.approx(result.simulated_time, rel=1e-12, abs=0.0)
 
 
 class TestRunnerBehaviour:
@@ -175,6 +200,10 @@ class TestRunnerBehaviour:
             runner.run(3, seeds=[1, 2])
         with pytest.raises(ValueError):
             runner.run(initial_solutions=np.zeros((2, ppp.n + 1), dtype=np.int8))
+        with pytest.raises(ValueError, match="initial solution count"):
+            runner.run(2, initial_solutions=np.zeros((3, ppp.n), dtype=np.int8))
+        with pytest.raises(ValueError, match="only 0/1 values"):
+            runner.run(initial_solutions=np.full((2, ppp.n), 2, dtype=np.int8))
 
     def test_empty_replica_group_rejected(self, ppp):
         runner = MultiStartRunner(

@@ -1,53 +1,18 @@
-"""Behavioural tests of the LS loop: stopping integration, history, evaluations accounting."""
+"""Behavioural tests of the single searches: stopping, history, evaluations accounting."""
 
 import numpy as np
 
 from repro.core import CPUEvaluator
-from repro.localsearch import (
-    AnyOf,
-    HillClimbing,
-    MaxEvaluations,
-    MaxIterations,
-    NoImprovement,
-    TabuSearch,
-    TargetFitness,
-)
+from repro.localsearch import HillClimbing, TabuSearch
 from repro.neighborhoods import KHammingNeighborhood, OneHammingNeighborhood
-from repro.problems import OneMax, PermutedPerceptronProblem, UBQP
+from repro.problems import OneMax, PermutedPerceptronProblem
 
 
 class TestStoppingIntegration:
-    def test_max_evaluations_stops_mid_run(self):
-        problem = OneMax(20)
-        neighborhood = OneHammingNeighborhood(20)
-        search = TabuSearch(
-            CPUEvaluator(problem, neighborhood),
-            stopping=AnyOf(TargetFitness(-1.0), MaxEvaluations(100)),
-        )
-        result = search.run(initial_solution=np.zeros(20, dtype=np.int8), rng=0)
-        assert result.stopping_reason == "max_evaluations"
-        # 100 evaluations at 20 per iteration -> stops after 5 full iterations.
-        assert result.iterations == 5
-        assert result.evaluations == 100
-
-    def test_no_improvement_stops_stagnating_tabu_search(self):
-        problem = UBQP.random(15, rng=3)
-        neighborhood = OneHammingNeighborhood(15)
-        search = TabuSearch(
-            CPUEvaluator(problem, neighborhood),
-            tenure=3,
-            stopping=AnyOf(MaxIterations(500), NoImprovement(10)),
-        )
-        result = search.run(rng=1)
-        assert result.stopping_reason in ("no_improvement", "max_iterations")
-        if result.stopping_reason == "no_improvement":
-            assert result.iterations < 500
-
     def test_target_fitness_precedence_over_iteration_cap(self):
         problem = OneMax(8)
         search = HillClimbing(
-            CPUEvaluator(problem, OneHammingNeighborhood(8)),
-            stopping=AnyOf(TargetFitness(0.0), MaxIterations(1000)),
+            CPUEvaluator(problem, OneHammingNeighborhood(8)), max_iterations=1000
         )
         result = search.run(initial_solution=np.zeros(8, dtype=np.int8), rng=0)
         assert result.stopping_reason == "target_reached"

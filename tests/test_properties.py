@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CPUEvaluator, GPUEvaluator, best_admissible_move, best_move
+from repro.core import CPUEvaluator, GPUEvaluator
+from repro.core.evaluators import _fused_reduce
 from repro.mappings import ExactKHammingMapping, mapping_for
 from repro.neighborhoods import KHammingNeighborhood
 from repro.problems import OneMax, PermutedPerceptronProblem
@@ -88,9 +89,9 @@ class TestPPPProperties:
         evaluator = CPUEvaluator(problem, neighborhood)
         bits = problem.random_solution(seed)
         fitnesses = evaluator.evaluate(bits)
-        selected = best_move(fitnesses)
-        move = neighborhood.mapping.from_flat(selected.index)
-        assert problem.evaluate(flip_bits(bits, move)) == selected.fitness
+        (index,), (fitness,) = _fused_reduce(fitnesses[None, :], "argmin")
+        move = neighborhood.mapping.from_flat(int(index))
+        assert problem.evaluate(flip_bits(bits, move)) == fitness
 
 
 class TestSelectionProperties:
@@ -105,13 +106,15 @@ class TestSelectionProperties:
         forbidden = np.array(data.draw(
             st.lists(st.booleans(), min_size=len(fitnesses), max_size=len(fitnesses))
         ))
-        selected = best_admissible_move(fitnesses, forbidden)
-        if selected is None:
+        (index,), (fitness,) = _fused_reduce(
+            fitnesses[None, :], "argmin", admissible=~forbidden[None, :]
+        )
+        if index < 0:
             assert forbidden.all()
         else:
-            assert not forbidden[selected.index]
+            assert not forbidden[index]
             admissible_values = fitnesses[~forbidden]
-            assert selected.fitness == admissible_values.min()
+            assert fitness == admissible_values.min()
 
 
 class TestEvaluatorProperties:
