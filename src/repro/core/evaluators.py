@@ -61,7 +61,7 @@ from ..gpu.interconnect import InterconnectTopology
 from ..gpu.kernel import ExecutionMode, Kernel, PersistentKernel
 from ..gpu.multi_device import MultiGPU, weighted_partition_range
 from ..gpu.runtime import DeviceLoop, GPUContext, PersistentLaunchRecord
-from ..gpu.scheduler import DeviceScheduler
+from ..gpu.scheduler import DeviceScheduler, ResidentStepPlan
 from ..gpu.streams import COPY_STREAM, DOWNLOAD_STREAM
 from ..gpu.timing import HostTimingModel
 from ..neighborhoods import Neighborhood
@@ -702,6 +702,10 @@ class GPUEvaluator(NeighborhoodEvaluator):
             raise IndexError("delta replica index out of range")
         if bits.min() < 0 or bits.max() >= self.problem.n:
             raise IndexError("delta bit index out of range")
+        self._flip(replicas, bits, stage)
+
+    def _flip(self, replicas: np.ndarray, bits: np.ndarray, stage: bool) -> None:
+        """Apply validated flips to the mirror and stage their delta packet."""
         self._resident[replicas, bits] ^= 1
         if self._loop is not None and not self._loop.closed:
             # Persistent launch: the winning move was selected by the
@@ -892,23 +896,62 @@ class GPUEvaluator(NeighborhoodEvaluator):
 
         ``scores`` is the ``(S, M)`` fitness block of the requested rows,
         computed by :class:`MultiGPUEvaluator` in one host call for the whole
-        pool.  The launch (or persistent-loop iteration) then lands those
-        scores instead of scoring the resident rows; every transfer, launch
-        and reduction is priced exactly as without it.
+        pool (its persistent sessions iterate through here).  The loop
+        iteration then lands those scores instead of scoring the resident
+        rows; every transfer, launch and reduction is priced exactly as
+        without it.
         """
-        if self._resident is None:
-            raise RuntimeError("begin_search must be called before evaluate_resident")
         context = self.context
         timeline = context.timeline
         before_elapsed = timeline.elapsed
-        if replica_ids is None:
-            rows = np.arange(self._resident.shape[0], dtype=np.int64)
+        rows, whole, stamps, admissible = self._resident_request(
+            replica_ids, reduce, admissible, tabu_iterations
+        )
+        if scores is not None:
+            block = None
+        elif replica_ids is None:
             block = self._resident
         else:
+            block = self._resident[rows]
+        flat_name = self._session_buffer("resident_fitnesses")
+        flat_size = rows.size * self.neighborhood.size
+        flat = _sized_buffer(context, flat_name, flat_size)
+        # The batch kernel's args: with trailing ``scores`` it lands them in
+        # ``flat`` instead of scoring ``block``.
+        args = (block, flat) if scores is None else (block, flat, scores)
+
+        if self._loop is not None and not self._loop.closed:
+            result = self._evaluate_persistent(
+                rows, args, reduce,
+                admissible, aspiration_fitness, thresholds, stamps,
+            )
+        else:
+            result = self._evaluate_resident_async(
+                rows, whole, args, flat_name, reduce,
+                admissible, aspiration_fitness, thresholds, stamps,
+            )
+            self.stats.simulated_time += timeline.elapsed - before_elapsed
+        self.stats.calls += 1
+        self.stats.evaluations += flat_size
+        return result
+
+    def _resident_request(self, replica_ids, reduce, admissible, tabu_iterations):
+        """Validate one resident evaluation.
+
+        Returns ``(rows, whole, stamps, admissible)``; ``whole`` says the
+        rows are every resident replica in order (no id list to upload).
+        """
+        if self._resident is None:
+            raise RuntimeError("begin_search must be called before evaluate_resident")
+        replicas = self._resident.shape[0]
+        if replica_ids is None:
+            rows = np.arange(replicas, dtype=np.int64)
+            whole = True
+        else:
             rows = np.asarray(replica_ids, dtype=np.int64).ravel()
-            if rows.size and (rows.min() < 0 or rows.max() >= self._resident.shape[0]):
+            if rows.size and (rows.min() < 0 or rows.max() >= replicas):
                 raise IndexError("replica id out of range")
-            block = self._resident[rows] if scores is None else None
+            whole = rows.size == replicas and np.array_equal(rows, np.arange(replicas))
         num_solutions, num_indices = rows.size, self.neighborhood.size
         if num_solutions == 0:
             raise ValueError("need at least one active replica")
@@ -938,31 +981,46 @@ class GPUEvaluator(NeighborhoodEvaluator):
                     f"admissible mask must be ({num_solutions}, {num_indices}), "
                     f"got {admissible.shape}"
                 )
-        flat_name = self._session_buffer("resident_fitnesses")
-        flat_size = num_solutions * num_indices
-        flat = _sized_buffer(context, flat_name, flat_size)
-        # The batch kernel's args: with trailing ``scores`` it lands them in
-        # ``flat`` instead of scoring ``block``.
-        args = (block, flat) if scores is None else (block, flat, scores)
+        return rows, whole, stamps, admissible
 
-        if self._loop is not None and not self._loop.closed:
-            result = self._evaluate_persistent(
-                rows, args, reduce,
-                admissible, aspiration_fitness, thresholds, stamps,
-            )
-        else:
-            result = self._evaluate_resident_async(
-                rows, args, flat_name, reduce,
-                admissible, aspiration_fitness, thresholds, stamps,
-            )
-            self.stats.simulated_time += timeline.elapsed - before_elapsed
-        self.stats.calls += 1
-        self.stats.evaluations += flat_size
-        return result
+    def _delta_packet(self, rows: np.ndarray, whole: bool) -> np.ndarray | None:
+        """The pre-kernel packet of one resident evaluation, or ``None``.
+
+        The staged ``(replica, bit)`` flips plus — unless the ``rows`` are
+        the ``whole`` resident block — the id list: one staging buffer, one
+        PCIe transaction, one latency.  Consumes the staged flips.
+        """
+        parts = [pairs.reshape(-1).view(np.uint8) for pairs in self._staged_deltas]
+        self._staged_deltas = []
+        if not whole:
+            parts.append(rows.astype(SOLUTION_DTYPE).view(np.uint8))
+        return np.concatenate(parts) if parts else None
+
+    @staticmethod
+    def _reduction_packet(
+        admissible, stamps, aspiration_fitness, thresholds
+    ) -> np.ndarray | None:
+        """What the fused reduction's epilogue reads from the host, or ``None``.
+
+        The bit-packed admissibility mask or — with the device-resident
+        tabu memory — just the ``O(S)`` per-replica iteration stamps, plus
+        per-replica aspiration / improvement thresholds.
+        """
+        parts = []
+        if admissible is not None:
+            parts.append(np.packbits(admissible, axis=1).reshape(-1))
+        if stamps is not None:
+            parts.append(stamps.view(np.uint8))
+        if aspiration_fitness is not None:
+            parts.append(np.asarray(aspiration_fitness, dtype=np.float64).view(np.uint8))
+        if thresholds is not None:
+            parts.append(np.asarray(thresholds, dtype=np.float64).view(np.uint8))
+        return np.concatenate(parts) if parts else None
 
     def _evaluate_resident_async(
         self,
         rows: np.ndarray,
+        whole: bool,
         args: tuple,
         flat_name: str,
         reduce: str | None,
@@ -976,21 +1034,13 @@ class GPUEvaluator(NeighborhoodEvaluator):
         flat = args[1]
         num_solutions, num_indices = rows.size, self.neighborhood.size
         flat_size = num_solutions * num_indices
-        # The pre-kernel delta packet: staged (replica, bit) flips plus —
-        # when a strict subset of replicas is active — the id list.  One
-        # staging buffer, one PCIe transaction, one latency.
-        packet_parts = [pairs.reshape(-1).view(np.uint8) for pairs in self._staged_deltas]
-        self._staged_deltas = []
-        if rows.size != self._resident.shape[0] or not np.array_equal(
-            rows, np.arange(self._resident.shape[0])
-        ):
-            packet_parts.append(rows.astype(SOLUTION_DTYPE).view(np.uint8))
+        packet = self._delta_packet(rows, whole)
         kernel_deps = []
-        if packet_parts:
+        if packet is not None:
             kernel_deps.append(
                 context.copy_async(
                     self._session_buffer("deltas"),
-                    np.concatenate(packet_parts),
+                    packet,
                     stream=COPY_STREAM,
                     not_before=self._sync_time,
                 )
@@ -1011,30 +1061,17 @@ class GPUEvaluator(NeighborhoodEvaluator):
             self._sync_time = down_event.time
             return data.reshape(num_solutions, num_indices)
         reduce_deps = [kernel_event]
-        # The reduction packet (bit-packed admissibility mask or — with the
-        # device-resident tabu memory — just the O(S) per-replica iteration
-        # stamps, plus per-replica aspiration / improvement thresholds) is
-        # consumed only by the reduction epilogue, so its upload is issued on
-        # the copy stream concurrently with the evaluation kernel — the
-        # transfer hides under the kernel's execution time.
-        reduction_parts = []
-        if admissible is not None:
-            reduction_parts.append(np.packbits(admissible, axis=1).reshape(-1))
-        if stamps is not None:
-            reduction_parts.append(stamps.view(np.uint8))
-        if aspiration_fitness is not None:
-            reduction_parts.append(
-                np.asarray(aspiration_fitness, dtype=np.float64).view(np.uint8)
-            )
-        if thresholds is not None:
-            reduction_parts.append(
-                np.asarray(thresholds, dtype=np.float64).view(np.uint8)
-            )
-        if reduction_parts:
+        # The reduction packet is consumed only by the reduction epilogue, so
+        # its upload is issued on the copy stream concurrently with the
+        # evaluation kernel — the transfer hides under the kernel's time.
+        reduction_packet = self._reduction_packet(
+            admissible, stamps, aspiration_fitness, thresholds
+        )
+        if reduction_packet is not None:
             reduce_deps.append(
                 context.copy_async(
                     self._session_buffer("reduction_packet"),
-                    np.concatenate(reduction_parts),
+                    reduction_packet,
                     stream=COPY_STREAM,
                     not_before=self._sync_time,
                 )
@@ -1287,7 +1324,10 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
     the neighborhood kernel; resident sessions route flipped-bit delta
     packets device-to-device over P2P links (one host upload to a hub
     device, peer forwards for the rest) and can migrate replicas between
-    devices to rebalance load, all without changing any trajectory.
+    devices to rebalance load, all without changing any trajectory.  Each
+    resident lockstep step (the delta route, then every device's packets,
+    launch, reduction and download) is priced as one
+    :class:`~repro.gpu.scheduler.ResidentStepPlan`.
     """
 
     platform = "multi-gpu"
@@ -1562,15 +1602,43 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
 
     def _replica_count(self) -> int:
         """Rows of the resident session (the replica ranges tile ``[0, R)``)."""
-        return max((hi for _evaluator, _lo, hi in self._resident_parts()), default=0)
+        return max((hi for _index, _evaluator, _lo, hi in self._resident_parts()), default=0)
+
+    def _split_rows(self, ids: np.ndarray):
+        """Group validated global replica ids by the device owning them.
+
+        Yields ``(index, evaluator, positions, local, whole)``: where in
+        ``ids`` the device's ids sit (in their original order), the ids
+        relative to the device's range, and whether they are its whole
+        range in order.  Strictly increasing ids (every lockstep step) are
+        split with slices; others through a stable sort.
+        """
+        ascending = ids.size < 2 or bool((ids[1:] > ids[:-1]).all())
+        order = None if ascending else np.argsort(ids, kind="stable")
+        ranked = ids if order is None else ids[order]
+        cuts = np.searchsorted(
+            ranked, [lo for lo, _hi in self._replica_ranges] + [self._replica_ranges[-1][1]]
+        ).tolist()
+        for index, evaluator, lo, hi in self._resident_parts():
+            first, last = cuts[index], cuts[index + 1]
+            if first == last:
+                continue
+            if order is None:
+                positions = slice(first, last)
+            else:
+                positions = np.sort(order[first:last])
+            whole = ascending and last - first == hi - lo
+            yield index, evaluator, positions, ids[positions] - lo, whole
 
     def _resident_parts(self):
-        """Yield ``(evaluator, lo, hi)`` for devices owning at least one replica."""
+        """Yield ``(index, evaluator, lo, hi)`` for devices owning a replica."""
         if self._replica_ranges is None:
             raise RuntimeError("begin_search must be called before resident operations")
-        for evaluator, (lo, hi) in zip(self._sub_evaluators, self._replica_ranges):
+        for index, (evaluator, (lo, hi)) in enumerate(
+            zip(self._sub_evaluators, self._replica_ranges)
+        ):
             if hi > lo:
-                yield evaluator, lo, hi
+                yield index, evaluator, lo, hi
 
     def begin_search(self, solutions: np.ndarray, *, persistent: bool = False) -> None:
         """Split the ``(R, n)`` block into contiguous replica ranges, one per device.
@@ -1599,8 +1667,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         slices = list(self._resident_parts())
         upload_items = []
         pre_elapsed = []
-        for evaluator, lo, hi in slices:
-            index = self.pool.contexts.index(evaluator.context)
+        for index, evaluator, lo, hi in slices:
             pre_elapsed.append(evaluator.context.timeline.elapsed)
             upload_items.append(
                 (
@@ -1610,7 +1677,9 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                 )
             )
         events = self.scheduler.upload_batch(upload_items, sync=True)
-        for (evaluator, lo, hi), event, elapsed_before in zip(slices, events, pre_elapsed):
+        for (_index, evaluator, lo, hi), event, elapsed_before in zip(
+            slices, events, pre_elapsed
+        ):
             evaluator._adopt_resident(solutions[lo:hi], arrival=event.time)
             evaluator.stats.simulated_time += event.time - elapsed_before
             if persistent:
@@ -1620,17 +1689,15 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
     def init_tabu_memory(self, tenure: int) -> None:
         """Allocate each device's slice of the resident tabu memory."""
         self._resident_tenure = int(tenure)
-        for evaluator, _lo, _hi in self._resident_parts():
+        for _index, evaluator, _lo, _hi in self._resident_parts():
             evaluator.init_tabu_memory(tenure)
 
     def read_tabu_rows(self, rows: np.ndarray) -> np.ndarray:
         """Gather tabu stamp rows from the devices owning each replica."""
         rows = _tabu_rows(rows, self._replica_count())
         out = np.empty((rows.size, self.neighborhood.size), dtype=TABU_STAMP_DTYPE)
-        for evaluator, lo, hi in self._resident_parts():
-            mask = (rows >= lo) & (rows < hi)
-            if mask.any():
-                out[mask] = evaluator.read_tabu_rows(rows[mask] - lo)
+        for _index, evaluator, positions, local, _whole in self._split_rows(rows):
+            out[positions] = evaluator.read_tabu_rows(local)
         return out
 
     def write_tabu_rows(self, rows: np.ndarray, stamps: np.ndarray | None = None) -> None:
@@ -1645,101 +1712,85 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                 f"expected a ({rows.size}, {self.neighborhood.size}) stamp block, "
                 f"got {stamps_block.shape}"
             )
-        for evaluator, lo, hi in self._resident_parts():
-            mask = (rows >= lo) & (rows < hi)
-            if mask.any():
-                evaluator.write_tabu_rows(
-                    rows[mask] - lo,
-                    None if stamps_block is None else stamps_block[mask],
-                )
+        for _index, evaluator, positions, local, _whole in self._split_rows(rows):
+            evaluator.write_tabu_rows(
+                local, None if stamps_block is None else stamps_block[positions]
+            )
 
     def apply_deltas(self, replicas: np.ndarray, bits: np.ndarray) -> None:
         """Route each ``(replica, bit)`` pair to the device owning the replica.
 
         With peer routing active (every device P2P-capable), the combined
-        delta packet crosses PCIe **once** — to a hub device — and each
-        other device's slice is forwarded device-to-device over the peer
-        link, with the next evaluation launches ordered after the arrival
-        events.  Otherwise every device's slice is staged for its own host
-        upload (the seed behaviour).  Inside a persistent launch no packet
-        moves at all: the resident grids scattered their own selections.
+        delta packet crosses PCIe **once** — to a hub device, device 0 —
+        and each other device's slice is forwarded device-to-device over the
+        peer link with a small routing header, the next evaluation launches
+        ordered after the arrivals.  The forwarded bytes are accounted as
+        ``p2p_bytes`` only: they never revisit the host.  Otherwise every
+        device's slice is staged for its own host upload (the seed
+        behaviour), each behind one host-side driver call.  Inside a
+        persistent launch no packet moves at all: the resident grids
+        scattered their own selections.  The route is priced as one
+        :class:`~repro.gpu.scheduler.ResidentStepPlan`.
         """
         replicas = np.asarray(replicas, dtype=np.int64).ravel()
         bits = np.asarray(bits, dtype=np.int64).ravel()
-        before = self.scheduler.makespan
-        resident_session = self._replica_ranges is not None and not self._persistent
+        if self._replica_ranges is None:
+            raise RuntimeError("begin_search must be called before apply_deltas")
+        if replicas.shape != bits.shape:
+            raise ValueError("replicas and bits must have the same length")
+        total = self._replica_ranges[-1][1]
+        if replicas.size and (replicas.min() < 0 or replicas.max() >= total):
+            raise IndexError("delta replica index out of range")
+        if bits.size and (bits.min() < 0 or bits.max() >= self.problem.n):
+            raise IndexError("delta bit index out of range")
+        resident_session = not self._persistent
         route_peer = self.peer_routing and resident_session and replicas.size > 0
-        per_device: list[tuple[GPUEvaluator, np.ndarray]] = []
-        for evaluator, lo, hi in self._resident_parts():
-            mask = (replicas >= lo) & (replicas < hi)
-            if not mask.any():
-                continue
-            evaluator.apply_deltas(
-                replicas[mask] - lo, bits[mask], stage=not route_peer
-            )
-            if route_peer:
-                pairs = np.stack(
-                    [replicas[mask] - lo, bits[mask]], axis=1
-                ).astype(DELTA_DTYPE)
-                per_device.append((evaluator, pairs))
-            elif resident_session:
-                # One host-issued packet per owning device: the driver calls
-                # serialize on the host, which is exactly the per-device
-                # latency wall the hub + peer-forward route amortizes.
-                issue = self.scheduler.host_op(
-                    "issue",
-                    f"deltas:gpu{self.pool.contexts.index(evaluator.context)}",
-                    evaluator.context.device.pcie_latency,
-                )
-                evaluator.note_peer_delivery(issue.time)
-        if route_peer and per_device:
-            self._route_deltas_peer(per_device)
-        self.stats.simulated_time += self.scheduler.makespan - before
-
-    def _route_deltas_peer(
-        self, per_device: list[tuple["GPUEvaluator", np.ndarray]]
-    ) -> None:
-        """Hub upload + P2P forwards for one combined delta packet.
-
-        The host pays one driver issue and one PCIe transaction (to the hub
-        device — device 0); every other device's slice then travels over the
-        peer link, with a small routing header per forwarded slice.  The
-        forwarded bytes are accounted as ``p2p_bytes`` only — they never
-        touch the h2d/d2h counters, because they never revisit the host.
-        """
+        owners = []
+        for index, evaluator, positions, local, _whole in self._split_rows(replicas):
+            evaluator._flip(local, bits[positions], stage=not route_peer)
+            owners.append((index, evaluator, local, bits[positions]))
+        if not resident_session or not owners:
+            return
+        plan = ResidentStepPlan()
         hub = self._sub_evaluators[0]
-        hub_context = hub.context
-        remote = [(sub, pairs) for sub, pairs in per_device if sub is not hub]
-        chunks = [pairs.reshape(-1).view(np.uint8) for _, pairs in per_device]
-        if remote:
-            chunks.append(
-                np.zeros(len(remote) * PEER_PACKET_HEADER_BYTES, dtype=np.uint8)
-            )
-        packet = np.concatenate(chunks)
-        issue = self.scheduler.host_op(
-            "issue", "delta_hub", hub_context.device.pcie_latency
-        )
-        upload = hub_context.copy_async(
-            f"delta_hub:{id(self)}",
-            packet,
-            not_before=max(hub._sync_time, issue.time),
-        )
-        if any(sub is hub for sub, _ in per_device):
-            hub.note_peer_delivery(upload.time)
-        for sub, pairs in remote:
-            payload = np.concatenate(
-                [
-                    pairs.reshape(-1).view(np.uint8),
-                    np.zeros(PEER_PACKET_HEADER_BYTES, dtype=np.uint8),
-                ]
-            )
-            arrival = hub_context.copy_peer_async(
-                sub.context,
-                sub._session_buffer("deltas"),
-                payload,
-                wait_for=[upload],
-            )
-            sub.note_peer_delivery(arrival.time)
+        if route_peer:
+            plan.issues.append(("delta_hub", hub.context.device.pcie_latency))
+            chunks, header = [], np.zeros(PEER_PACKET_HEADER_BYTES, dtype=np.uint8)
+            for index, evaluator, local, flipped in owners:
+                pairs = np.stack([local, flipped], axis=1).astype(DELTA_DTYPE)
+                chunks.append(pairs.reshape(-1).view(np.uint8))
+                if evaluator is not hub:
+                    plan.forwards.append(
+                        (
+                            index,
+                            evaluator._session_buffer("deltas"),
+                            np.concatenate([chunks[-1], header]),
+                        )
+                    )
+            if plan.forwards:
+                chunks.append(np.zeros(len(plan.forwards) * PEER_PACKET_HEADER_BYTES, np.uint8))
+            plan.hub = 0
+            plan.hub_packet = (f"delta_hub:{id(self)}", np.concatenate(chunks))
+            plan.hub_not_before = hub._sync_time
+        else:
+            # One host-issued packet per owning device: the driver calls
+            # serialize on the host, which is exactly the per-device latency
+            # wall the hub + peer-forward route amortizes.
+            plan.issues = [
+                (f"deltas:gpu{index}", evaluator.context.device.pcie_latency)
+                for index, evaluator, _local, _flipped in owners
+            ]
+        before = self.scheduler.makespan
+        times = self.scheduler.price_resident_step(plan)
+        if route_peer:
+            if owners[0][1] is hub:
+                hub.note_peer_delivery(times.upload)
+            for (index, _buffer, _payload), arrival in zip(plan.forwards, times.arrivals):
+                self._sub_evaluators[index].note_peer_delivery(arrival)
+        else:
+            for (_index, evaluator, _local, _flipped), issued in zip(owners, times.issues):
+                evaluator.note_peer_delivery(issued)
+        self.stats.simulated_time += max(before, times.latest) - before
 
     def evaluate_resident(
         self,
@@ -1751,15 +1802,17 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         thresholds: np.ndarray | None = None,
         tabu_iterations: np.ndarray | None = None,
     ):
-        """Per-device resident evaluation; elapsed time is the slowest device's.
+        """Per-device resident evaluation; elapsed time is the pool makespan's.
 
         The active rows are scored once (:meth:`_score`), from the devices'
-        resident host mirrors, and each device prices and reduces its own
-        rows of that block.  During a persistent session the sub-evaluators
-        route the iteration through their open device loops, so the
-        per-device stream clocks do not advance until the session ends; the
-        elapsed contribution is then the slowest device's accumulated
-        on-device time instead.
+        resident host mirrors; each device lands and reduces its own rows of
+        that block, and the pool's step — every device's packets, launch,
+        reduction and download — is priced as one
+        :class:`~repro.gpu.scheduler.ResidentStepPlan`.  During a persistent
+        session the sub-evaluators route the iteration through their open
+        device loops instead, so the per-device stream clocks do not advance
+        until the session ends; the elapsed contribution is then the slowest
+        device's accumulated on-device time.
         """
         if self._replica_ranges is None:
             raise RuntimeError("begin_search must be called before evaluate_resident")
@@ -1774,61 +1827,122 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         if num_solutions == 0:
             raise ValueError("need at least one active replica")
         block = np.empty((num_solutions, self.problem.n), dtype=np.int8)
-        owners = []
-        for evaluator, lo, hi in self._resident_parts():
-            mask = (rows >= lo) & (rows < hi)
-            if mask.any():
-                local_ids = rows[mask] - lo
-                block[mask] = evaluator._resident[local_ids]
-                owners.append((evaluator, mask, local_ids))
+        owners = list(self._split_rows(rows))
+        for _index, evaluator, positions, local, whole in owners:
+            block[positions] = evaluator._resident if whole else evaluator._resident[local]
         scores = self._score(block)
-        if reduce is None:
-            out_fitnesses = np.empty((num_solutions, num_indices), dtype=np.float64)
-        else:
-            out_indices = np.empty(num_solutions, dtype=np.int64)
-            out_best = np.empty(num_solutions, dtype=np.float64)
         per_row = (admissible, aspiration_fitness, thresholds, tabu_iterations)
-        before_makespan = self.scheduler.makespan
-        per_device_times = []
-        for evaluator, mask, local_ids in owners:
-            before = evaluator.stats.simulated_time
-            sub = evaluator._evaluate_resident(
-                local_ids,
-                scores[mask],
-                reduce,
-                *(None if part is None else part[mask] for part in per_row),
-            )
-            per_device_times.append(evaluator.stats.simulated_time - before)
-            if reduce is None:
-                out_fitnesses[mask] = sub
-            else:
-                out_indices[mask], out_best[mask] = sub
+        if self._persistent:
+            result = self._evaluate_persistent(owners, scores, reduce, per_row)
+        else:
+            result = self._evaluate_step(owners, scores, reduce, per_row)
         self.stats.calls += 1
         self.stats.evaluations += num_solutions * num_indices
-        if self._persistent:
-            # Inside persistent launches the stream clocks advance only at
-            # session end; the elapsed contribution is the slowest device's
-            # accumulated on-device time.
-            self.stats.simulated_time += (
-                max(per_device_times) if per_device_times else 0.0
+        return result
+
+    def _evaluate_step(self, owners, scores, reduce, per_row):
+        """One delta/reduced step: land, reduce and price every device's rows."""
+        num_indices = self.neighborhood.size
+        plan = ResidentStepPlan(
+            kernel=self._sub_evaluators[0].batch_kernel,
+            block_size=self.block_size,
+            reduce=(
+                None if reduce is None
+                else f"FusedReduce<{reduce}>[{self._sub_evaluators[0].batch_kernel.name}]"
+            ),
+        )
+        for index, evaluator, positions, local, whole in owners:
+            admissible, aspiration_fitness, thresholds, tabu_iterations = (
+                None if part is None else part[positions] for part in per_row
             )
-        else:
-            self.stats.simulated_time += self.scheduler.makespan - before_makespan
+            rows, whole, stamps, admissible = evaluator._resident_request(
+                None if whole else local, reduce, admissible, tabu_iterations
+            )
+            # What the launch lands: the rows' slice of the pool's scores.
+            flat_name = evaluator._session_buffer("resident_fitnesses")
+            flat = _sized_buffer(evaluator.context, flat_name, rows.size * num_indices)
+            fitnesses = flat.reshape(rows.size, num_indices)
+            fitnesses[...] = scores[positions]
+            evaluator._last_fitnesses = fitnesses
+            evaluator._last_rows = rows
+            packet = evaluator._delta_packet(rows, whole)
+            plan.packets.append(
+                None if packet is None else (evaluator._session_buffer("deltas"), packet)
+            )
+            if reduce is None:
+                plan.reduction_packets.append(None)
+                plan.downloads.append(flat_name)
+            else:
+                packet = evaluator._reduction_packet(
+                    admissible, stamps, aspiration_fitness, thresholds
+                )
+                plan.reduction_packets.append(
+                    None if packet is None
+                    else (evaluator._session_buffer("reduction_packet"), packet)
+                )
+                evaluator._fused_select(
+                    rows, fitnesses, reduce, admissible, aspiration_fitness,
+                    thresholds, stamps,
+                )
+                plan.downloads.append(evaluator._session_buffer("reduced"))
+            plan.devices.append(index)
+            plan.not_before.append(evaluator._sync_time)
+            plan.shapes.append((rows.size, num_indices))
+        before = self.scheduler.makespan
+        times = self.scheduler.price_resident_step(plan)
         if reduce is None:
-            return out_fitnesses
+            result = np.empty((scores.shape[0], num_indices), dtype=np.float64)
+        else:
+            result = (
+                np.empty(scores.shape[0], dtype=np.int64),
+                np.empty(scores.shape[0], dtype=np.float64),
+            )
+        for (_index, evaluator, positions, local, _whole), data, done, elapsed, after in zip(
+            owners, times.data, times.done, times.elapsed_before, times.elapsed_after
+        ):
+            evaluator._sync_time = done
+            evaluator.stats.simulated_time += after - elapsed
+            evaluator.stats.calls += 1
+            evaluator.stats.evaluations += local.size * num_indices
+            if reduce is None:
+                result[positions] = data.reshape(local.size, num_indices)
+            else:
+                result[0][positions] = data["index"]
+                result[1][positions] = data["fitness"]
+        self.stats.simulated_time += max(before, times.latest) - before
+        return result
+
+    def _evaluate_persistent(self, owners, scores, reduce, per_row):
+        """One iteration inside every device's open persistent launch.
+
+        The stream clocks advance only at session end; the elapsed
+        contribution is the slowest device's accumulated on-device time.
+        """
+        out_indices = np.empty(scores.shape[0], dtype=np.int64)
+        out_best = np.empty(scores.shape[0], dtype=np.float64)
+        per_device_times = []
+        for _index, evaluator, positions, local, _whole in owners:
+            before = evaluator.stats.simulated_time
+            out_indices[positions], out_best[positions] = evaluator._evaluate_resident(
+                local,
+                scores[positions],
+                reduce,
+                *(None if part is None else part[positions] for part in per_row),
+            )
+            per_device_times.append(evaluator.stats.simulated_time - before)
+        self.stats.simulated_time += max(per_device_times) if per_device_times else 0.0
         return out_indices, out_best
 
     def fetch_fitnesses(self, replicas: np.ndarray, move_indices: np.ndarray) -> np.ndarray:
         """Route single-entry fitness reads to the devices owning the replicas."""
         replicas = np.asarray(replicas, dtype=np.int64).ravel()
         move_indices = np.asarray(move_indices, dtype=np.int64).ravel()
+        if replicas.size and (replicas.min() < 0 or replicas.max() >= self._replica_count()):
+            raise KeyError("replica was not part of the last resident evaluation")
         out = np.empty(replicas.size, dtype=np.float64)
         before = self.scheduler.makespan
-        for evaluator, lo, hi in self._resident_parts():
-            mask = (replicas >= lo) & (replicas < hi)
-            if not mask.any():
-                continue
-            out[mask] = evaluator.fetch_fitnesses(replicas[mask] - lo, move_indices[mask])
+        for _index, evaluator, positions, local, _whole in self._split_rows(replicas):
+            out[positions] = evaluator.fetch_fitnesses(local, move_indices[positions])
         self.stats.simulated_time += self.scheduler.makespan - before
         return out
 

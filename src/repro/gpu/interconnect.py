@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .device import DeviceSpec
 from .memory import HostMemoryKind
@@ -57,6 +57,7 @@ __all__ = [
     "TransferRequest",
     "TransferGrant",
     "TransferEngine",
+    "SequencedTransfer",
     "TOPOLOGY_PRESETS",
     "resolve_topology",
     "format_interconnect",
@@ -447,6 +448,23 @@ class TransferRequest:
     label: str = ""
 
 
+class SequencedTransfer(NamedTuple):
+    """One copy of a :meth:`TransferEngine.transfer_sequence` call."""
+
+    device: str
+    direction: str  # "h2d" | "d2h" | "p2p"
+    nbytes: int
+    kind: HostMemoryKind | None
+    #: Earliest start (the issuing stream's cursor and host-side waits).
+    start: float
+    #: Destination device for ``direction="p2p"``.
+    peer: str | None = None
+    label: str = ""
+    #: Indices of earlier copies of the same call this one waits for: it
+    #: starts no sooner than they end (stream order, event waits).
+    after: tuple[int, ...] = ()
+
+
 @dataclass(frozen=True)
 class TransferGrant:
     """The engine's answer: when the copy runs and how long it takes."""
@@ -481,6 +499,18 @@ class _ChannelLoad:
 
     def active_at(self, t: float) -> int:
         return bisect_right(self.starts, t) - bisect_right(self.ends, t)
+
+    def idle_over(self, t: float, span: float) -> bool:
+        """Whether no committed transfer is in flight during ``[t, t + span)``.
+
+        With nothing active at ``t`` the next boundary is the next start
+        (the ``k``-th smallest start never exceeds the ``k``-th smallest
+        end), so the window is free when that start is ``span`` away.
+        """
+        index = bisect_right(self.starts, t)
+        if index != bisect_right(self.ends, t):
+            return False
+        return index == len(self.starts) or self.starts[index] - t >= span
 
     def next_boundary(self, t: float) -> float | None:
         candidates = []
@@ -517,20 +547,36 @@ class _ChannelLoad:
         return busy
 
 
+class _Path:
+    """A resolved route with its capacity channels, cached per engine."""
+
+    __slots__ = ("route", "channels", "links", "rate")
+
+    def __init__(self, route: Route, direction: str) -> None:
+        self.route = route
+        #: ``((link name, channel), link)`` per link crossed, in path order.
+        self.channels = tuple(
+            ((link.name, link.channel(direction)), link) for link in route.links
+        )
+        self.links = tuple(link.name for link in route.links)
+        #: The rate of a copy alone on every channel of the path: its cap,
+        #: bounded by each link's full capacity (``bandwidth / 1``).
+        self.rate = min([route.rate_cap, *(link.bandwidth for link in route.links)])
+
+
 class _PricingItem:
     """Working state of one request inside the fluid arbitration."""
 
-    __slots__ = ("request", "route", "channels", "remaining", "duration", "finished")
+    __slots__ = ("request", "route", "channels", "remaining", "duration", "finished", "rate")
 
-    def __init__(self, request: TransferRequest, route: Route) -> None:
+    def __init__(self, request: TransferRequest, path: _Path) -> None:
         self.request = request
-        self.route = route
-        self.channels = tuple(
-            (link, link.channel(request.direction)) for link in route.links
-        )
+        self.route = path.route
+        self.channels = path.channels
         self.remaining = float(request.nbytes)
         self.duration = 0.0
         self.finished = self.remaining <= 0.0
+        self.rate = 0.0
 
 
 class TransferEngine:
@@ -547,6 +593,8 @@ class TransferEngine:
     def __init__(self, topology: InterconnectTopology) -> None:
         self.topology = topology
         self._loads: dict[tuple[str, str], _ChannelLoad] = {}
+        #: Resolved paths per ``(direction, device, peer, kind)``.
+        self._paths: dict[tuple, _Path] = {}
         #: Interconnect lanes: one stream per *shared* link, fed with the
         #: grant windows of every transfer crossing it (for timeline reports).
         self.timeline = Timeline()
@@ -563,21 +611,31 @@ class TransferEngine:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _route(self, request: TransferRequest) -> Route:
-        if request.direction == P2P:
-            if request.peer is None:
+    def _path(self, device: str, direction: str, peer: str | None, kind) -> _Path:
+        """The (cached) path of one copy; routes are fixed per topology."""
+        key = (direction, device, peer, kind)
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths[key] = _Path(
+                self._route(device, direction, peer, kind), direction
+            )
+        return path
+
+    def _route(self, device: str, direction: str, peer: str | None, kind) -> Route:
+        if direction == P2P:
+            if peer is None:
                 raise ValueError("p2p transfer needs a destination device")
-            route = self.topology.peer_route(request.device, request.peer)
+            route = self.topology.peer_route(device, peer)
             if route is None:
                 raise ValueError(
-                    f"no peer route between {request.device!r} and {request.peer!r} "
+                    f"no peer route between {device!r} and {peer!r} "
                     f"in topology {self.topology.name!r}"
                 )
             return route
-        if request.direction not in (H2D, D2H):
-            raise ValueError(f"unknown transfer direction {request.direction!r}")
-        kind = request.kind if request.kind is not None else HostMemoryKind.PAGEABLE
-        return self.topology.host_route(request.device, kind)
+        if direction not in (H2D, D2H):
+            raise ValueError(f"unknown transfer direction {direction!r}")
+        kind = kind if kind is not None else HostMemoryKind.PAGEABLE
+        return self.topology.host_route(device, kind)
 
     def has_peer_route(self, src: str, dst: str) -> bool:
         return self.topology.has_peer_route(src, dst)
@@ -607,15 +665,14 @@ class TransferEngine:
             raise ValueError(f"backoff must be >= 0, got {backoff}")
         self._pending_faults.extend((int(retries), float(backoff)) for _ in range(count))
 
-    def _consume_fault(self, item: _PricingItem) -> float:
-        """Retry penalty for one priced request (0.0 when no fault is armed)."""
+    def _consume_fault(self, direction: str, nbytes: float, route: Route) -> float:
+        """Retry penalty for one priced copy (0.0 when no fault is armed)."""
         if not self._pending_faults:
             return 0.0
-        request = item.request
-        if request.direction not in (H2D, D2H) or request.nbytes <= 0:
+        if direction not in (H2D, D2H) or nbytes <= 0:
             return 0.0
         retries, backoff = self._pending_faults.pop(0)
-        penalty = sum(item.route.latency + backoff * 2.0**i for i in range(retries))
+        penalty = sum(route.latency + backoff * 2.0**i for i in range(retries))
         self.retried_transfers += retries
         self.retry_time += penalty
         return penalty
@@ -679,48 +736,109 @@ class TransferEngine:
         for request in requests:
             if request.nbytes < 0:
                 raise ValueError(f"nbytes must be non-negative, got {request.nbytes}")
-        items = [_PricingItem(request, self._route(request)) for request in requests]
+        paths = [
+            self._path(request.device, request.direction, request.peer, request.kind)
+            for request in requests
+        ]
+        items = [_PricingItem(request, path) for request, path in zip(requests, paths)]
         self._arbitrate(items)
         grants = []
-        for item in items:
+        for item, path in zip(items, paths):
             request = item.request
-            penalty = self._consume_fault(item)
-            duration = item.duration + item.route.latency + penalty
+            duration, dedicated = self._finish(
+                request.direction, request.nbytes, path.route, item.duration
+            )
             grant = TransferGrant(
                 request=request,
                 start=request.start,
                 duration=duration,
-                # The retry penalty hits the dedicated price too (a lone copy
-                # would retry just the same), so ``stall`` keeps measuring
-                # only shared-link arbitration.
-                dedicated=(
-                    item.route.latency + float(request.nbytes) / item.route.rate_cap + penalty
-                ),
-                links=tuple(link.name for link in item.route.links),
+                dedicated=dedicated,
+                links=path.links,
             )
-            self._commit(item, grant)
+            self._commit(
+                request.device, request.direction, request.nbytes,
+                request.label, path, grant.start, grant.end, grant.stall,
+            )
             grants.append(grant)
         return grants
 
-    # ------------------------------------------------------------------
-    def _load(self, link: Link, channel: str) -> _ChannelLoad:
-        key = (link.name, channel)
-        if key not in self._loads:
-            self._loads[key] = _ChannelLoad()
-        return self._loads[key]
+    def transfer_sequence(
+        self, transfers: Sequence[SequencedTransfer]
+    ) -> tuple[list[float], list[float]]:
+        """Price and commit copies one after another: ``(starts, durations)``.
 
+        Each copy is priced alone against everything committed before it,
+        earlier copies of this call included, exactly as if each were its
+        own :meth:`transfer_batch` call — grants are immutable, so issuing
+        the copies of one step in their stream order needs no joint
+        arbitration.  A copy whose channels carry no committed transfer
+        over its window is priced in closed form, with the same floats the
+        fluid integration yields for it; the others go through
+        :meth:`_arbitrate`.  Armed transient faults are consumed in the
+        sequence's order.  A copy starts at ``max(start, end of every copy
+        in its after)``.
+        """
+        starts: list[float] = []
+        durations: list[float] = []
+        for transfer in transfers:
+            direction, nbytes = transfer.direction, transfer.nbytes
+            if nbytes < 0:
+                raise ValueError(f"nbytes must be non-negative, got {nbytes}")
+            path = self._path(transfer.device, direction, transfer.peer, transfer.kind)
+            start = transfer.start
+            for index in transfer.after:
+                start = max(start, starts[index] + durations[index])
+            need = float(nbytes) / path.rate
+            loads = self._loads
+            if all(
+                key not in loads or loads[key].idle_over(start, need)
+                for key, _link in path.channels
+            ):
+                base = need
+            else:
+                item = _PricingItem(
+                    TransferRequest(
+                        device=transfer.device, direction=direction, nbytes=nbytes,
+                        kind=transfer.kind, start=start, peer=transfer.peer,
+                    ),
+                    path,
+                )
+                self._arbitrate([item])
+                base = item.duration
+            duration, dedicated = self._finish(direction, nbytes, path.route, base)
+            self._commit(
+                transfer.device, direction, nbytes, transfer.label, path,
+                start, start + duration, max(0.0, duration - dedicated),
+            )
+            starts.append(start)
+            durations.append(duration)
+        return starts, durations
+
+    def _finish(
+        self, direction: str, nbytes: float, route: Route, base: float
+    ) -> tuple[float, float]:
+        """A priced copy's ``(duration, dedicated)`` from its arbitrated time.
+
+        The retry penalty of an armed fault hits the dedicated price too (a
+        lone copy would retry just the same), so the stall keeps measuring
+        only shared-link arbitration.
+        """
+        penalty = self._consume_fault(direction, nbytes, route)
+        return (
+            base + route.latency + penalty,
+            route.latency + float(nbytes) / route.rate_cap + penalty,
+        )
+
+    # ------------------------------------------------------------------
     def _arbitrate(self, items: list[_PricingItem]) -> None:
         """Fluid fair-share integration of one batch against committed load."""
         unfinished = [item for item in items if not item.finished]
         if not unfinished:
             return
         t = min(item.request.start for item in unfinished)
-        involved = {
-            (link.name, channel) for item in items for link, channel in item.channels
-        }
-        committed_events = sum(
-            len(self._loads[key].starts) for key in involved if key in self._loads
-        )
+        loads = self._loads
+        involved = {key for item in items for key, _link in item.channels}
+        committed_events = sum(len(loads[key].starts) for key in involved if key in loads)
         max_rounds = 64 * (len(items) + 8) + 4 * committed_events
         for _ in range(max_rounds):
             if not unfinished:
@@ -732,40 +850,36 @@ class TransferEngine:
             # Per-channel batch load at this instant.
             batch_load: dict[tuple[str, str], int] = {}
             for item in active:
-                for link, channel in item.channels:
-                    key = (link.name, channel)
+                for key, _link in item.channels:
                     batch_load[key] = batch_load.get(key, 0) + 1
             # Instantaneous rate of each active item: its rate cap, bounded
             # by its fair share of every link on its path.
-            rates = {}
             for item in active:
                 rate = item.route.rate_cap
-                for link, channel in item.channels:
-                    key = (link.name, channel)
-                    load = self._loads.get(key)
+                for key, link in item.channels:
+                    load = loads.get(key)
                     n_active = batch_load[key] + (load.active_at(t) if load else 0)
                     rate = min(rate, link.bandwidth / n_active)
-                rates[id(item)] = rate
+                item.rate = rate
             # Next event: a batch item finishing, a pending item starting,
             # or a committed transfer entering/leaving one of our links.
-            to_finish = {id(item): item.remaining / rates[id(item)] for item in active}
-            dt = min(to_finish.values())
+            to_finish = [item.remaining / item.rate for item in active]
+            dt = min(to_finish)
             for item in unfinished:
                 if item.request.start > t:
                     dt = min(dt, item.request.start - t)
             for item in active:
-                for link, channel in item.channels:
-                    load = self._loads.get((link.name, channel))
+                for key, _link in item.channels:
+                    load = loads.get(key)
                     if load is not None:
                         boundary = load.next_boundary(t)
                         if boundary is not None:
                             dt = min(dt, boundary - t)
             if dt <= 0.0:
-                dt = min(to_finish.values())
+                dt = min(to_finish)
             threshold = dt * (1.0 + 1e-12)
             progressed = False
-            for item in active:
-                need = to_finish[id(item)]
+            for item, need in zip(active, to_finish):
                 if need <= threshold:
                     item.duration += need
                     item.remaining = 0.0
@@ -773,7 +887,7 @@ class TransferEngine:
                     progressed = True
                 else:
                     item.duration += dt
-                    item.remaining -= rates[id(item)] * dt
+                    item.remaining -= item.rate * dt
             unfinished = [item for item in unfinished if not item.finished]
             t += dt
             if dt > 0.0:
@@ -787,24 +901,22 @@ class TransferEngine:
                 item.remaining = 0.0
                 item.finished = True
 
-    def _commit(self, item: _PricingItem, grant: TransferGrant) -> None:
-        request = item.request
+    def _commit(
+        self, device: str, direction: str, nbytes: float, label: str,
+        path: _Path, start: float, end: float, stall: float,
+    ) -> None:
         self.transfers += 1
-        self.total_stall += grant.stall
-        self.stall_by_device[request.device] = (
-            self.stall_by_device.get(request.device, 0.0) + grant.stall
-        )
-        for link, channel in item.channels:
-            self._load(link, channel).commit(grant.start, grant.end, float(request.nbytes))
+        self.total_stall += stall
+        self.stall_by_device[device] = self.stall_by_device.get(device, 0.0) + stall
+        for key, link in path.channels:
+            load = self._loads.get(key)
+            if load is None:
+                load = self._loads[key] = _ChannelLoad()
+            load.commit(start, end, float(nbytes))
             if link.shared:
                 stream = self.timeline.stream(link.name)
-                stream.append_interval(
-                    request.direction,
-                    request.label or f"{request.device}:{request.direction}",
-                    grant.start,
-                    grant.end,
-                )
-                stream.cursor = max(stream.cursor, grant.end)
+                stream.append_interval(direction, label or f"{device}:{direction}", start, end)
+                stream.cursor = max(stream.cursor, end)
 
     # ------------------------------------------------------------------
     # Accounting

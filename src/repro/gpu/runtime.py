@@ -623,16 +623,8 @@ class GPUContext:
         pinned PCIe terms.  Passing a pre-priced ``grant`` (from a batched
         engine arbitration) skips the per-copy pricing.
         """
-        host_array = np.asarray(host_array)
-        existing = self.memory.allocations.get(name)
-        if existing is not None and (
-            existing.data.shape != host_array.shape or existing.data.dtype != host_array.dtype
-        ):
-            self.memory.free(name)
         kind = self._host_kind(host_kind)
-        if kind is HostMemoryKind.PINNED and self.staging_pool is not None:
-            self.staging_pool.stage(int(host_array.nbytes))
-        buf = self.memory.to_device(name, host_array, space, host_kind=kind)
+        buf = self.stage_upload(name, host_array, kind, space)
         if grant is None:
             start = self._issue_start(stream, wait_for, not_before)
             grant = self.host_transfer_grant(
@@ -646,6 +638,36 @@ class GPUContext:
         )
         return Event(stream=stream, time=interval.end)
 
+    def stage_upload(
+        self,
+        name: str,
+        host_array: np.ndarray,
+        kind: HostMemoryKind,
+        space: MemorySpace = MemorySpace.GLOBAL,
+    ):
+        """The memory side of a host -> device copy; returns the device buffer.
+
+        The buffer is reallocated when the array's geometry changed (delta
+        packets shrink and grow with the active replicas), a pinned copy is
+        staged through :attr:`staging_pool`, and the copy is logged.
+        """
+        host_array = np.asarray(host_array)
+        existing = self.memory.allocations.get(name)
+        if existing is not None and (
+            existing.data.shape != host_array.shape or existing.data.dtype != host_array.dtype
+        ):
+            self.memory.free(name)
+        if kind is HostMemoryKind.PINNED and self.staging_pool is not None:
+            self.staging_pool.stage(int(host_array.nbytes))
+        return self.memory.to_device(name, host_array, space, host_kind=kind)
+
+    def stage_download(self, name: str, kind: HostMemoryKind) -> np.ndarray:
+        """The memory side of a device -> host copy; returns the host data."""
+        out = self.memory.to_host(name, host_kind=kind)
+        if kind is HostMemoryKind.PINNED and self.staging_pool is not None:
+            self.staging_pool.stage(int(out.nbytes))
+        return out
+
     def download_async(
         self,
         name: str,
@@ -658,9 +680,7 @@ class GPUContext:
     ) -> tuple[np.ndarray, Event]:
         """Device -> host copy issued on ``stream``; returns (data, event)."""
         kind = self._host_kind(host_kind)
-        out = self.memory.to_host(name, host_kind=kind)
-        if kind is HostMemoryKind.PINNED and self.staging_pool is not None:
-            self.staging_pool.stage(int(out.nbytes))
+        out = self.stage_download(name, kind)
         if grant is None:
             start = self._issue_start(stream, wait_for, not_before)
             grant = self.host_transfer_grant(
@@ -722,14 +742,7 @@ class GPUContext:
                 "route the packet through the host instead"
             )
         data = np.asarray(data)
-        existing = peer.memory.allocations.get(name)
-        if existing is not None and (
-            existing.data.shape != data.shape or existing.data.dtype != data.dtype
-        ):
-            peer.memory.free(name)
-        if name not in peer.memory.allocations:
-            peer.memory.alloc(name, data.shape, data.dtype, space)
-        peer.memory.get(name).copy_from_host(data)
+        peer.land_peer_copy(name, data, space)
         # Both endpoints' p2p engines are busy for the copy's duration; the
         # shared start is the later of the two stream cursors (plus deps).
         barrier = max(
@@ -761,6 +774,19 @@ class GPUContext:
             stream=P2P_STREAM, wait_for=wait_for, not_before=barrier,
         )
         return Event(stream=P2P_STREAM, time=interval.end)
+
+    def land_peer_copy(
+        self, name: str, data: np.ndarray, space: MemorySpace = MemorySpace.GLOBAL
+    ) -> None:
+        """The memory side of a peer copy arriving here: write buffer ``name``."""
+        existing = self.memory.allocations.get(name)
+        if existing is not None and (
+            existing.data.shape != data.shape or existing.data.dtype != data.dtype
+        ):
+            self.memory.free(name)
+        if name not in self.memory.allocations:
+            self.memory.alloc(name, data.shape, data.dtype, space)
+        self.memory.get(name).copy_from_host(data)
 
     def launch_async(
         self,

@@ -20,26 +20,36 @@ the overlap the concurrent issue bought.
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .dtypes import FITNESS_BYTES
 from .hierarchy import DEFAULT_BLOCK_SIZE
-from .interconnect import TransferEngine, TransferRequest
+from .interconnect import P2P, SequencedTransfer, TransferEngine, TransferRequest
 from .kernel import Kernel, KernelLaunch
 from .memory import HostMemoryKind, MemorySpace
 from .runtime import GPUContext
 from .streams import (
+    COMPUTE_STREAM,
     COPY_STREAM,
     DEFAULT_STREAM,
     DOWNLOAD_STREAM,
+    P2P_STREAM,
     Event,
     Stream,
     Timeline,
 )
 from .timing import KernelCostProfile
 
-__all__ = ["DeviceScheduler", "HOST_TIMELINE_STREAM", "merge_timelines"]
+__all__ = [
+    "DeviceScheduler",
+    "HOST_TIMELINE_STREAM",
+    "ResidentStepPlan",
+    "ResidentStepTimes",
+    "merge_timelines",
+]
 
 #: Stream name used for host-side operations (gathers, scatter bookkeeping)
 #: on the scheduler's host timeline.
@@ -64,6 +74,81 @@ def merge_timelines(
             view.copy_records_from(stream)
             merged.streams[label] = view
     return merged
+
+
+@dataclass
+class ResidentStepPlan:
+    """One step of a device-resident session across the pool, as data.
+
+    :meth:`DeviceScheduler.price_resident_step` prices it in issue order.
+    The *delta route* (what ``apply_deltas`` issues) comes first:
+
+    - ``issues``: host-side driver calls ``(name, duration)``, serialized on
+      the host timeline;
+    - ``hub``: the device that receives the combined delta packet
+      ``hub_packet`` (``(buffer name, bytes)``) once the last issue has run
+      and ``hub_not_before`` has passed (``None``: no hub upload);
+    - ``forwards``: ``(device, buffer name, payload)`` peer copies from the
+      hub, in order, each after the upload and the previous forward.
+
+    Then the *evaluation chains* (what ``evaluate_resident`` issues), one
+    row per device in device order: an optional pre-kernel packet, the
+    launch over ``(S, M)`` threads, then either the download of the fitness
+    block or an optional reduction packet, the fused reduction and the
+    download of its ``(index, fitness)`` pairs.  Packets are
+    ``(buffer name, bytes)`` pairs or ``None``.
+    """
+
+    issues: list[tuple[str, float]] = field(default_factory=list)
+    hub: int | None = None
+    hub_packet: tuple[str, np.ndarray] | None = None
+    hub_not_before: float = 0.0
+    forwards: list[tuple[int, str, np.ndarray]] = field(default_factory=list)
+
+    devices: list[int] = field(default_factory=list)
+    #: Per device: the host sync point no operation may start before.
+    not_before: list[float] = field(default_factory=list)
+    packets: list[tuple[str, np.ndarray] | None] = field(default_factory=list)
+    shapes: list[tuple[int, int]] = field(default_factory=list)
+    kernel: Kernel | None = None
+    block_size: int = DEFAULT_BLOCK_SIZE
+    #: Name of the fused-reduction interval; ``None`` downloads the block.
+    reduce: str | None = None
+    reduction_packets: list[tuple[str, np.ndarray] | None] = field(default_factory=list)
+    #: Per device: the device buffer the chain downloads.
+    downloads: list[str] = field(default_factory=list)
+
+
+class ResidentStepTimes(NamedTuple):
+    """When the operations of a :class:`ResidentStepPlan` finished."""
+
+    #: End of each host issue, in plan order.
+    issues: list[float]
+    #: End of the hub upload (``None`` without one).
+    upload: float | None
+    #: Arrival of each forward, in plan order.
+    arrivals: list[float]
+    #: Per chain: the downloaded data and the download's end.
+    data: list[np.ndarray]
+    done: list[float]
+    #: Per chain: the device's elapsed time before and after the step.
+    elapsed_before: list[float]
+    elapsed_after: list[float]
+    #: Latest end of anything the step put on a device or host timeline.
+    latest: float
+
+
+def _append(timeline: Timeline, stream: str, kind: str, name: str, start, end) -> None:
+    """Record one operation that ends its stream's queue at ``end``."""
+    lane = timeline.stream(stream)
+    lane.append_interval(kind, name, start, end)
+    lane.cursor = end
+
+
+def _cursor(timeline: Timeline, stream: str) -> float:
+    """A stream's cursor, without creating the stream."""
+    lane = timeline.streams.get(stream)
+    return lane.cursor if lane is not None else 0.0
 
 
 class DeviceScheduler:
@@ -151,20 +236,6 @@ class DeviceScheduler:
             not_before=not_before,
             block_size=block_size,
             cost=cost,
-        )
-
-    def reduce(
-        self,
-        index: int,
-        name: str,
-        num_elements: int,
-        *,
-        wait_for: Event | list[Event] | None = None,
-        not_before: float = 0.0,
-    ) -> Event:
-        """Fused on-device reduction on device ``index``."""
-        return self.contexts[index].reduce_async(
-            name, num_elements, wait_for=wait_for, not_before=not_before
         )
 
     def download(
@@ -316,6 +387,213 @@ class DeviceScheduler:
             )
             results.append((data, event))
         return results
+
+    # ------------------------------------------------------------------
+    # One resident lockstep step, priced as a batch
+    # ------------------------------------------------------------------
+    def price_resident_step(self, plan: ResidentStepPlan) -> ResidentStepTimes:
+        """Price one resident step: delta route, then every device's chain.
+
+        The result is what issuing the plan one operation at a time through
+        the contexts' async API gives, float for float — same intervals,
+        counters and engine commits, in the same order — without building
+        an event, request or grant object per operation.  The engine prices
+        the step's copies in :meth:`TransferEngine.transfer_sequence` calls,
+        the launches are memoized (:meth:`GPUTimingModel.launch`) and the
+        chains' clocks are NumPy arithmetic over the device axis.
+
+        Copies commit in the order the per-device issue used: the delta
+        route, then per device its packets and its download.  When no chain
+        uploads a packet, the downloads of all devices go through one engine
+        call; otherwise each device's chain is priced in turn, because a
+        later device's upload must see the earlier device's download on a
+        shared channel (and the stall sum must add up in the same order).
+        """
+        if self.engine is None:
+            raise ValueError("pricing a resident step needs a pool sharing one transfer engine")
+        latest = 0.0
+        issues: list[float] = []
+        host = self.host_timeline
+        for name, duration in plan.issues:
+            start = max(_cursor(host, HOST_TIMELINE_STREAM), 0.0)
+            end = start + duration
+            _append(host, HOST_TIMELINE_STREAM, "issue", name, start, end)
+            issues.append(end)
+            latest = max(latest, end)
+        upload = None
+        arrivals: list[float] = []
+        if plan.hub is not None:
+            upload, arrivals = self._forward_deltas(plan, issues[-1] if issues else 0.0)
+            latest = max(latest, upload, *arrivals)
+        data: list[np.ndarray] = []
+        done: list[float] = []
+        elapsed_before: list[float] = []
+        rows = range(len(plan.devices))
+        if any(plan.packets) or any(plan.reduction_packets):
+            groups = [[row] for row in rows]
+        else:
+            groups = [list(rows)] if plan.devices else []
+        for group in groups:
+            self._price_chains(plan, group, data, done, elapsed_before)
+        elapsed_after = [max(before, end) for before, end in zip(elapsed_before, done)]
+        return ResidentStepTimes(
+            issues=issues,
+            upload=upload,
+            arrivals=arrivals,
+            data=data,
+            done=done,
+            elapsed_before=elapsed_before,
+            elapsed_after=elapsed_after,
+            latest=max([latest, *done]),
+        )
+
+    def _forward_deltas(
+        self, plan: ResidentStepPlan, issued: float
+    ) -> tuple[float, list[float]]:
+        """The hub upload and the peer forwards of one combined delta packet."""
+        hub = self.contexts[plan.hub]
+        name, packet = plan.hub_packet
+        kind = hub._host_kind(None)
+        nbytes = hub.stage_upload(name, packet, kind).nbytes
+        hub_p2p = _cursor(hub.timeline, P2P_STREAM)
+        transfers = [
+            SequencedTransfer(
+                hub.device_key, "h2d", nbytes, kind,
+                max(_cursor(hub.timeline, COPY_STREAM), max(plan.hub_not_before, issued)),
+                label=name,
+            )
+        ]
+        peers = []
+        for position, (index, buffer, payload) in enumerate(plan.forwards, start=1):
+            peer = self.contexts[index]
+            peer.land_peer_copy(buffer, payload)
+            peers.append(peer)
+            transfers.append(
+                SequencedTransfer(
+                    hub.device_key, P2P, int(payload.nbytes), None,
+                    max(hub_p2p, _cursor(peer.timeline, P2P_STREAM), 0.0),
+                    peer=peer.device_key, label=buffer,
+                    after=(0,) if position == 1 else (0, position - 1),
+                )
+            )
+        starts, durations = self.engine.transfer_sequence(transfers)
+        ends = [start + duration for start, duration in zip(starts, durations)]
+        hub.stats.transfer_time += durations[0]
+        hub.stats.h2d_bytes += nbytes
+        _append(hub.timeline, COPY_STREAM, "h2d", name, starts[0], ends[0])
+        for peer, transfer, start, duration, end in zip(
+            peers, transfers[1:], starts[1:], durations[1:], ends[1:]
+        ):
+            hub.stats.p2p_bytes += transfer.nbytes
+            hub.stats.peer_transfers += 1
+            hub.stats.p2p_time += duration
+            _append(hub.timeline, P2P_STREAM, "p2p", f"{transfer.label}->peer", start, end)
+            _append(peer.timeline, P2P_STREAM, "p2p", transfer.label, start, end)
+        return ends[0], ends[1:]
+
+    def _price_chains(self, plan, group, data, done, elapsed_before) -> None:
+        """Price the evaluation chains of the plan rows in ``group``."""
+        contexts = [self.contexts[plan.devices[row]] for row in group]
+        kinds = [ctx._host_kind(None) for ctx in contexts]
+        sync = np.array([plan.not_before[row] for row in group])
+        elapsed_before.extend(ctx.timeline.elapsed for ctx in contexts)
+        # The packets start in copy-stream order after the host sync point,
+        # so one engine call prices them; ``slots[position][k]`` holds the
+        # sequence index and size of packet k (pre-kernel, reduction).
+        uploads: list[SequencedTransfer] = []
+        slots: list[list[tuple[int, int] | None]] = []
+        for position, (row, ctx) in enumerate(zip(group, contexts)):
+            floor = float(max(_cursor(ctx.timeline, COPY_STREAM), sync[position]))
+            slots.append([])
+            for packet in (plan.packets[row], plan.reduction_packets[row]):
+                if packet is None:
+                    slots[-1].append(None)
+                    continue
+                name, payload = packet
+                nbytes = ctx.stage_upload(name, payload, kinds[position]).nbytes
+                previous = [entry[0] for entry in slots[-1] if entry is not None]
+                slots[-1].append((len(uploads), nbytes))
+                uploads.append(
+                    SequencedTransfer(
+                        ctx.device_key, "h2d", nbytes, kinds[position], floor,
+                        label=name, after=tuple(previous),
+                    )
+                )
+        up_start, up_time = self.engine.transfer_sequence(uploads)
+        packet_end = np.array(
+            [
+                [-np.inf if slot is None else up_start[slot[0]] + up_time[slot[0]]
+                 for slot in device_slots]
+                for device_slots in slots
+            ]
+        ).reshape(len(group), 2)
+        # Launches and fused reductions, over the device axis.
+        threads = [plan.shapes[row][0] * plan.shapes[row][1] for row in group]
+        prices = [
+            ctx.timing.launch(count, plan.block_size, plan.kernel.cost)
+            for count, ctx in zip(threads, contexts)
+        ]
+        compute = np.array([_cursor(ctx.timeline, COMPUTE_STREAM) for ctx in contexts])
+        kernel_start = np.maximum(np.maximum(compute, sync), packet_end[:, 0])
+        kernel_end = kernel_start + np.array([price.total_time for _config, price in prices])
+        ready = kernel_end
+        if plan.reduce is not None:
+            overhead = np.array([ctx.device.kernel_launch_overhead for ctx in contexts])
+            bandwidth = np.array([ctx.device.sustained_bandwidth for ctx in contexts])
+            reduce_time = overhead + float(FITNESS_BYTES) * np.array(threads) / bandwidth
+            reduce_start = np.maximum(kernel_end, packet_end[:, 1])
+            ready = reduce_start + reduce_time
+        # Downloads start once the download stream is free and the launch
+        # (or reduction) is done; one engine call prices them.
+        downloads = []
+        for position, (row, ctx) in enumerate(zip(group, contexts)):
+            data.append(ctx.stage_download(plan.downloads[row], kinds[position]))
+            downloads.append(
+                SequencedTransfer(
+                    ctx.device_key, "d2h", int(data[-1].nbytes), kinds[position],
+                    max(_cursor(ctx.timeline, DOWNLOAD_STREAM), float(ready[position])),
+                    label=plan.downloads[row],
+                )
+            )
+        down_start, down_time = self.engine.transfer_sequence(downloads)
+        def record_upload(ctx, slot):
+            if slot is not None:
+                index, nbytes = slot
+                ctx.stats.transfer_time += up_time[index]
+                ctx.stats.h2d_bytes += nbytes
+                _append(ctx.timeline, COPY_STREAM, "h2d", uploads[index].label,
+                        up_start[index], up_start[index] + up_time[index])
+
+        # Record each device's operations in issue order: pre-kernel
+        # packet, launch, reduction packet, reduction, download.
+        for position, (row, ctx) in enumerate(zip(group, contexts)):
+            stats, timeline = ctx.stats, ctx.timeline
+            record_upload(ctx, slots[position][0])
+            config, price = prices[position]
+            stats.kernel_launches += 1
+            stats.kernel_time += price.total_time
+            if ctx.keep_launch_records:
+                stats.launch_records.append(
+                    KernelLaunch(
+                        kernel_name=plan.kernel.name, config=config,
+                        active_threads=threads[position], time=price, mode=ctx.mode,
+                        work_shape=plan.shapes[row],
+                    )
+                )
+            _append(timeline, COMPUTE_STREAM, "kernel", plan.kernel.name,
+                    float(kernel_start[position]), float(kernel_end[position]))
+            record_upload(ctx, slots[position][1])
+            if plan.reduce is not None:
+                stats.reductions += 1
+                stats.reduction_time += float(reduce_time[position])
+                _append(timeline, COMPUTE_STREAM, "reduce", plan.reduce,
+                        float(reduce_start[position]), float(ready[position]))
+            end = down_start[position] + down_time[position]
+            stats.transfer_time += down_time[position]
+            stats.d2h_bytes += downloads[position].nbytes
+            _append(timeline, DOWNLOAD_STREAM, "d2h", downloads[position].label,
+                    down_start[position], end)
+            done.append(end)
 
     def host_op(
         self,

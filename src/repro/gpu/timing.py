@@ -25,11 +25,11 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .device import DeviceSpec, HostSpec
 from .dtypes import FITNESS_BYTES
-from .hierarchy import LaunchConfig
+from .hierarchy import LaunchConfig, grid_for
 from .memory import HostMemoryKind
 from .occupancy import OccupancyResult, occupancy
 
@@ -93,6 +93,10 @@ class KernelTimeBreakdown:
         return "memory" if self.memory_time > self.compute_time else "compute"
 
 
+#: Entries the :meth:`GPUTimingModel.launch` memo holds before it restarts.
+LAUNCH_MEMO_SIZE = 4096
+
+
 @dataclass
 class GPUTimingModel:
     """Roofline + latency-hiding timing model for one device."""
@@ -101,6 +105,7 @@ class GPUTimingModel:
     #: Warps per SM below which throughput degrades linearly.  Derived from
     #: the device's latency characteristics unless overridden.
     latency_hiding_warps: float | None = None
+    _launches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _hiding_threshold(self) -> float:
         if self.latency_hiding_warps is not None:
@@ -168,6 +173,27 @@ class GPUTimingModel:
             launch_overhead=self.device.kernel_launch_overhead,
             occupancy=occ,
         )
+
+    def launch(
+        self, active_threads: int, block_size: int, cost: KernelCostProfile
+    ) -> tuple[LaunchConfig, KernelTimeBreakdown]:
+        """Grid and price of a one-thread-per-item launch, memoized.
+
+        Both are pure functions of the device, the latency-hiding threshold,
+        the block size, the cost profile and the thread count, so a lockstep
+        run that launches the same geometry every step prices it once.
+        """
+        key = (self.device, self.latency_hiding_warps, block_size, cost, active_threads)
+        price = self._launches.get(key)
+        if price is None:
+            if len(self._launches) >= LAUNCH_MEMO_SIZE:
+                self._launches.clear()
+            config = grid_for(active_threads, block_size)
+            price = self._launches[key] = (
+                config,
+                self.kernel_time(config, cost, active_threads=active_threads),
+            )
+        return price
 
     def transfer_time(
         self, nbytes: float, kind: HostMemoryKind = HostMemoryKind.PAGEABLE

@@ -59,6 +59,10 @@ _RETIRED_SWITCHES = (
 #: Every live :class:`BoundedCache` registers itself here (weakly, so caches
 #: die with their scorers); :func:`clear_fast_caches` empties them all.
 _CACHE_REGISTRY: "weakref.WeakSet[BoundedCache]" = weakref.WeakSet()
+#: Hit/miss/eviction counts over every cache ever created.  Each cache adds
+#: to these as it counts, so a cache that dies (a per-run workspace cache)
+#: keeps its share and the totals never decrease.
+_TOTALS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def eval_path() -> str:
@@ -95,20 +99,20 @@ def clear_fast_caches() -> None:
 
 
 def cache_stats() -> dict:
-    """Aggregate hit/miss/eviction counters over every live cache.
+    """Cache counters: live caches and entries, and process-wide totals.
 
+    ``caches`` and ``entries`` count the live caches.  ``hits``, ``misses``
+    and ``evictions`` count over every cache ever created, dead ones
+    included, so the difference of two readings is never negative.
     Surfaced by the hot-loop profiler so move-table and gain-state cache
     behavior is observable under long runs.
     """
-    total = {"caches": 0, "entries": 0, "hits": 0, "misses": 0, "evictions": 0}
-    for cache in list(_CACHE_REGISTRY):
-        stats = cache.stats()
-        total["caches"] += 1
-        total["entries"] += stats["size"]
-        total["hits"] += stats["hits"]
-        total["misses"] += stats["misses"]
-        total["evictions"] += stats["evictions"]
-    return total
+    live = list(_CACHE_REGISTRY)
+    return {
+        "caches": len(live),
+        "entries": sum(len(cache) for cache in live),
+        **_TOTALS,
+    }
 
 
 class BoundedCache:
@@ -136,8 +140,10 @@ class BoundedCache:
             value = self._data.pop(key)
         except KeyError:
             self.misses += 1
+            _TOTALS["misses"] += 1
             return default
         self.hits += 1
+        _TOTALS["hits"] += 1
         self._data[key] = value  # re-insert as most recently used
         return value
 
@@ -147,6 +153,7 @@ class BoundedCache:
         while len(self._data) > self.maxsize:
             self._data.pop(next(iter(self._data)))
             self.evictions += 1
+            _TOTALS["evictions"] += 1
 
     def stats(self) -> dict:
         """Cumulative cache-behavior counters (survive :meth:`clear`)."""

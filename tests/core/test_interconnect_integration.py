@@ -97,7 +97,7 @@ class TestUploadContention:
             evaluator.begin_search(solutions)
             phases[topology] = evaluator.scheduler.makespan
             blocks[topology] = np.concatenate(
-                [sub._resident for sub, _lo, _hi in evaluator._resident_parts()]
+                [sub._resident for _index, sub, _lo, _hi in evaluator._resident_parts()]
             )
             evaluator.close()
         assert phases["shared"] >= 3.0 * phases["dedicated"]

@@ -24,6 +24,7 @@ from repro.gpu import (
     InterconnectTopology,
     Link,
     MultiGPU,
+    SequencedTransfer,
     TransferEngine,
     TransferRequest,
     format_interconnect,
@@ -263,6 +264,84 @@ class TestFairShareArbitration:
         # ... but not with host traffic, which has its own uplink.
         host = engine.transfer("gpu0", "h2d", MIB)
         assert host.stall == 0.0
+
+
+class TestTransferSequence:
+    """``transfer_sequence`` prices like one ``transfer_batch`` per copy."""
+
+    @staticmethod
+    def _half_duplex():
+        bus = Link(name="bus", bandwidth=2e9, latency=1e-6, duplex=False, shared=True)
+        keys = ["gpu0", "gpu1", "gpu2"]
+        return InterconnectTopology(
+            "half",
+            device_keys=keys,
+            host_paths={key: (bus,) for key in keys},
+            peer_paths={("gpu0", "gpu1"): (Link(name="p2p:01", bandwidth=5e9),)},
+            uplink=bus,
+        )
+
+    @pytest.mark.parametrize("preset", ["dedicated", "shared", "switched", "nvlink", "half"])
+    def test_matches_one_batch_per_copy(self, preset):
+        if preset == "half":
+            topology = self._half_duplex()
+        else:
+            topology = resolve_topology(preset, [GTX_280] * 3)
+        rng = np.random.default_rng(7)
+        sequence = []
+        for index in range(60):
+            direction = ["h2d", "d2h", "p2p"][int(rng.integers(3))]
+            peer = "gpu1" if direction == "p2p" else None
+            after = (int(rng.integers(index)),) if index and rng.random() < 0.3 else ()
+            sequence.append(
+                SequencedTransfer(
+                    "gpu0" if peer else f"gpu{rng.integers(3)}",
+                    direction,
+                    int(rng.integers(0, MIB)),
+                    None if peer else [HostMemoryKind.PAGEABLE, HostMemoryKind.PINNED][
+                        int(rng.integers(2))
+                    ],
+                    float(rng.random() * 2e-3),
+                    peer=peer,
+                    label=f"copy{index}",
+                    after=after,
+                )
+            )
+        batched, one_by_one = TransferEngine(topology), TransferEngine(topology)
+        for engine in (batched, one_by_one):
+            engine.inject_transfer_faults(3, retries=2, backoff=1e-5)
+        starts, durations = batched.transfer_sequence(sequence)
+        expected_starts, expected = [], []
+        for transfer in sequence:
+            start = max(
+                [transfer.start]
+                + [expected_starts[j] + expected[j] for j in transfer.after]
+            )
+            (grant,) = one_by_one.transfer_batch(
+                [
+                    TransferRequest(
+                        device=transfer.device, direction=transfer.direction,
+                        nbytes=transfer.nbytes, kind=transfer.kind, start=start,
+                        peer=transfer.peer, label=transfer.label,
+                    )
+                ]
+            )
+            expected_starts.append(grant.start)
+            expected.append(grant.duration)
+        assert starts == expected_starts
+        assert durations == expected
+        assert batched.snapshot() == one_by_one.snapshot()
+        assert batched.total_stall > 0.0 or preset == "dedicated"
+
+    def test_after_orders_a_copy_behind_earlier_ones(self):
+        engine = TransferEngine(dedicated4())
+        starts, durations = engine.transfer_sequence(
+            [
+                SequencedTransfer("gpu0", "h2d", MIB, HostMemoryKind.PINNED, 0.0),
+                SequencedTransfer("gpu1", "h2d", MIB, HostMemoryKind.PINNED, 1e-6, after=(0,)),
+            ]
+        )
+        assert starts == [0.0, durations[0]]
 
 
 class TestAccounting:

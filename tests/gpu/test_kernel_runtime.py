@@ -260,3 +260,20 @@ class TestMultiGPU:
         )
         pool.reset()
         assert pool.elapsed_parallel_time == 0.0
+
+
+def test_memoized_launch_price_equals_the_model():
+    from repro.gpu import GTX_280, KernelCostProfile, grid_for
+    from repro.gpu.timing import GPUTimingModel
+
+    model = GPUTimingModel(GTX_280)
+    cost = KernelCostProfile(flops=40, gmem_bytes=24, registers=20)
+    for threads in (1, 255, 256, 4097, 70_000_000):
+        config, breakdown = model.launch(threads, 128, cost)
+        assert config == grid_for(threads, 128)
+        assert breakdown == model.kernel_time(config, cost, active_threads=threads)
+        assert model.launch(threads, 128, cost)[1] is breakdown
+    other = GPUTimingModel(GTX_280, latency_hiding_warps=1.0)
+    assert other.launch(256, 128, cost)[1] == other.kernel_time(
+        grid_for(256, 128), cost, active_threads=256
+    )

@@ -8,6 +8,7 @@ any out-of-band mutation) are silently re-derived.  These tests drive the
 engine directly, without a search loop on top.
 """
 
+import gc
 import pickle
 
 import numpy as np
@@ -291,3 +292,17 @@ def test_cache_stats_aggregates_live_caches():
     assert after["caches"] >= before["caches"] + 1
     assert after["hits"] >= before["hits"] + 1
     assert after["misses"] >= before["misses"] + 1
+
+
+def test_cache_stats_keep_the_counts_of_dead_caches():
+    cache = BoundedCache(1)
+    cache.get("missing")
+    cache.put("a", 1)
+    cache.get("a")
+    cache.put("b", 2)  # evicts "a"
+    during = cache_stats()
+    del cache
+    gc.collect()
+    after = cache_stats()
+    for counter in ("hits", "misses", "evictions"):
+        assert after[counter] >= during[counter]

@@ -382,7 +382,9 @@ _SOLO_CACHE = {}
 def resident_block(evaluator):
     """The device-resident solution block, in global replica order."""
     if isinstance(evaluator, MultiGPUEvaluator):
-        return np.concatenate([sub._resident for sub, _lo, _hi in evaluator._resident_parts()])
+        return np.concatenate(
+            [sub._resident for _index, sub, _lo, _hi in evaluator._resident_parts()]
+        )
     return evaluator._resident
 
 
