@@ -1,4 +1,4 @@
-"""Multi-GPU resident lockstep runs reproduce their recorded simulated counters.
+"""Resident lockstep runs reproduce their recorded simulated counters.
 
 The fixture was recorded by ``resident_oracle.py`` (see its docstring for
 what a cell records); every cell must match it exactly, float for float.
