@@ -167,6 +167,20 @@ def _sized_buffer(context: GPUContext, name: str, size: int, dtype=FITNESS_DTYPE
     return context.memory.get(name).data
 
 
+def _fetch_request(replicas, move_indices, num_moves: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a ``fetch_fitnesses`` request: one move in ``[0, M)`` per replica."""
+    replicas = np.asarray(replicas, dtype=np.int64).ravel()
+    move_indices = np.asarray(move_indices, dtype=np.int64).ravel()
+    if move_indices.shape != replicas.shape:
+        raise ValueError(
+            f"need one move index per replica, got {move_indices.size} for "
+            f"{replicas.size} replicas"
+        )
+    if move_indices.size and (move_indices.min() < 0 or move_indices.max() >= num_moves):
+        raise IndexError(f"move index out of range [0, {num_moves})")
+    return replicas, move_indices
+
+
 def _tabu_rows(rows, count: int) -> np.ndarray:
     """Replica row indices of a tabu-memory access, each in ``[0, count)``."""
     rows = np.asarray(rows, dtype=np.int64).ravel()
@@ -453,6 +467,8 @@ class GPUEvaluator(NeighborhoodEvaluator):
         #: Set by close(); a closed evaluator's device buffers are gone, so
         #: further evaluations would escape the device-memory model.
         self._closed = False
+        #: Prices each resident step, as the one-row plan of a one-device pool.
+        self._scheduler = DeviceScheduler([self.context])
 
     def _check_open(self) -> None:
         if self._closed:
@@ -883,57 +899,33 @@ class GPUEvaluator(NeighborhoodEvaluator):
         except under ``tabu_iterations``, where blocked replicas already
         carry their escape move.
         """
-        return self._evaluate_resident(
-            replica_ids, None, reduce, admissible, aspiration_fitness, thresholds,
-            tabu_iterations,
+        request = self._resident_request(replica_ids, reduce, admissible, tabu_iterations)
+        rows, whole = request[0], request[1]
+        scores = self.problem.evaluate_neighborhood_batch(
+            self._resident if whole else self._resident[rows], self.neighborhood.move_table
         )
+        return self._evaluate_resident(request, scores, reduce, aspiration_fitness, thresholds)
 
-    def _evaluate_resident(
-        self, replica_ids, scores, reduce, admissible, aspiration_fitness, thresholds,
-        tabu_iterations,
-    ):
-        """:meth:`evaluate_resident`, optionally with the rows already scored.
+    def _evaluate_resident(self, request, scores, reduce, aspiration_fitness, thresholds):
+        """:meth:`evaluate_resident` of a validated request with its rows scored.
 
-        ``scores`` is the ``(S, M)`` fitness block of the requested rows,
-        computed by :class:`MultiGPUEvaluator` in one host call for the whole
-        pool (its persistent sessions iterate through here).  The loop
-        iteration then lands those scores instead of scoring the resident
-        rows; every transfer, launch and reduction is priced exactly as
-        without it.
+        ``scores`` is the ``(S, M)`` fitness block of the requested rows:
+        :meth:`evaluate_resident` scores it in one host call, and
+        :class:`MultiGPUEvaluator` in one call for the whole pool.  The
+        step then lands the scores and prices its transfers, launch and
+        reduction as a one-row :class:`~repro.gpu.scheduler.ResidentStepPlan`
+        (inside a persistent launch, as one iteration of the open loop).
         """
-        context = self.context
-        timeline = context.timeline
-        before_elapsed = timeline.elapsed
-        rows, whole, stamps, admissible = self._resident_request(
-            replica_ids, reduce, admissible, tabu_iterations
-        )
-        if scores is not None:
-            block = None
-        elif replica_ids is None:
-            block = self._resident
-        else:
-            block = self._resident[rows]
-        flat_name = self._session_buffer("resident_fitnesses")
-        flat_size = rows.size * self.neighborhood.size
-        flat = _sized_buffer(context, flat_name, flat_size)
-        # The batch kernel's args: with trailing ``scores`` it lands them in
-        # ``flat`` instead of scoring ``block``.
-        args = (block, flat) if scores is None else (block, flat, scores)
-
         if self._loop is not None and not self._loop.closed:
-            result = self._evaluate_persistent(
-                rows, args, reduce,
-                admissible, aspiration_fitness, thresholds, stamps,
+            return self._evaluate_persistent(
+                request, scores, reduce, aspiration_fitness, thresholds
             )
-        else:
-            result = self._evaluate_resident_async(
-                rows, whole, args, flat_name, reduce,
-                admissible, aspiration_fitness, thresholds, stamps,
-            )
-            self.stats.simulated_time += timeline.elapsed - before_elapsed
-        self.stats.calls += 1
-        self.stats.evaluations += flat_size
-        return result
+        plan = self._step_plan(reduce)
+        self._plan_row(plan, 0, request, scores, reduce, aspiration_fitness, thresholds)
+        data = self._priced_row(self._scheduler.price_resident_step(plan), 0)
+        if reduce is None:
+            return data.reshape(self._last_fitnesses.shape)
+        return data["index"].astype(np.int64), data["fitness"].astype(np.float64)
 
     def _resident_request(self, replica_ids, reduce, admissible, tabu_iterations):
         """Validate one resident evaluation.
@@ -1017,92 +1009,61 @@ class GPUEvaluator(NeighborhoodEvaluator):
             parts.append(np.asarray(thresholds, dtype=np.float64).view(np.uint8))
         return np.concatenate(parts) if parts else None
 
-    def _evaluate_resident_async(
-        self,
-        rows: np.ndarray,
-        whole: bool,
-        args: tuple,
-        flat_name: str,
-        reduce: str | None,
-        admissible: np.ndarray | None,
-        aspiration_fitness: np.ndarray | None,
-        thresholds: np.ndarray | None,
-        stamps: np.ndarray | None,
-    ):
-        """One stream-ordered resident iteration (the delta/reduced modes)."""
-        context = self.context
-        flat = args[1]
-        num_solutions, num_indices = rows.size, self.neighborhood.size
-        flat_size = num_solutions * num_indices
-        packet = self._delta_packet(rows, whole)
-        kernel_deps = []
-        if packet is not None:
-            kernel_deps.append(
-                context.copy_async(
-                    self._session_buffer("deltas"),
-                    packet,
-                    stream=COPY_STREAM,
-                    not_before=self._sync_time,
-                )
-            )
-        _, kernel_event = context.launch_async(
-            self.batch_kernel,
-            (num_solutions, num_indices),
-            args,
-            wait_for=kernel_deps,
-            not_before=self._sync_time,
+    def _step_plan(self, reduce: str | None) -> ResidentStepPlan:
+        """An empty resident step plan for this evaluator's batch kernel."""
+        return ResidentStepPlan(
+            kernel=self.batch_kernel,
             block_size=self.block_size,
-        )
-        fitnesses = flat.reshape(num_solutions, num_indices)
-        self._last_fitnesses = fitnesses
-        self._last_rows = rows
-        if reduce is None:
-            data, down_event = context.download_async(flat_name, wait_for=kernel_event)
-            self._sync_time = down_event.time
-            return data.reshape(num_solutions, num_indices)
-        reduce_deps = [kernel_event]
-        # The reduction packet is consumed only by the reduction epilogue, so
-        # its upload is issued on the copy stream concurrently with the
-        # evaluation kernel — the transfer hides under the kernel's time.
-        reduction_packet = self._reduction_packet(
-            admissible, stamps, aspiration_fitness, thresholds
-        )
-        if reduction_packet is not None:
-            reduce_deps.append(
-                context.copy_async(
-                    self._session_buffer("reduction_packet"),
-                    reduction_packet,
-                    stream=COPY_STREAM,
-                    not_before=self._sync_time,
-                )
-            )
-        self._fused_select(
-            rows, fitnesses, reduce, admissible, aspiration_fitness, thresholds, stamps
-        )
-        reduce_event = context.reduce_async(
-            f"FusedReduce<{reduce}>[{self.batch_kernel.name}]",
-            flat_size,
-            wait_for=reduce_deps,
-        )
-        data, down_event = context.download_async(
-            self._session_buffer("reduced"), wait_for=reduce_event
-        )
-        self._sync_time = down_event.time
-        return (
-            data["index"].astype(np.int64),
-            data["fitness"].astype(np.float64),
+            reduce=(
+                None if reduce is None
+                else f"FusedReduce<{reduce}>[{self.batch_kernel.name}]"
+            ),
         )
 
-    def _evaluate_persistent(
-        self,
-        rows: np.ndarray,
-        args: tuple,
-        reduce: str | None,
-        admissible: np.ndarray | None,
-        aspiration_fitness: np.ndarray | None,
-        thresholds: np.ndarray | None,
-        stamps: np.ndarray | None,
-    ):
+    def _plan_row(
+        self, plan, device, request, scores, reduce, aspiration_fitness, thresholds
+    ) -> None:
+        """Add this evaluator's chain to ``plan`` as the row of pool device ``device``.
+
+        Lands ``scores`` in the resident fitness buffer, builds the delta
+        and reduction packets, runs the fused selection and picks the buffer
+        the chain downloads.
+        """
+        rows, whole, stamps, admissible = request
+        num_indices = self.neighborhood.size
+        flat_name = self._session_buffer("resident_fitnesses")
+        flat = _sized_buffer(self.context, flat_name, rows.size * num_indices)
+        fitnesses = flat.reshape(rows.size, num_indices)
+        fitnesses[...] = scores
+        self._last_fitnesses = fitnesses
+        self._last_rows = rows
+        packet = self._delta_packet(rows, whole)
+        plan.packets.append(None if packet is None else (self._session_buffer("deltas"), packet))
+        if reduce is None:
+            plan.reduction_packets.append(None)
+            plan.downloads.append(flat_name)
+        else:
+            packet = self._reduction_packet(admissible, stamps, aspiration_fitness, thresholds)
+            plan.reduction_packets.append(
+                None if packet is None else (self._session_buffer("reduction_packet"), packet)
+            )
+            self._fused_select(
+                rows, fitnesses, reduce, admissible, aspiration_fitness, thresholds, stamps
+            )
+            plan.downloads.append(self._session_buffer("reduced"))
+        plan.devices.append(device)
+        plan.not_before.append(self._sync_time)
+        plan.shapes.append((rows.size, num_indices))
+
+    def _priced_row(self, times, position: int) -> np.ndarray:
+        """Settle row ``position`` of a priced step; returns its downloaded data."""
+        self._sync_time = times.done[position]
+        self.stats.simulated_time += times.elapsed_after[position] - times.elapsed_before[position]
+        self.stats.calls += 1
+        self.stats.evaluations += self._last_fitnesses.size
+        return times.data[position]
+
+    def _evaluate_persistent(self, request, scores, reduce, aspiration_fitness, thresholds):
         """One on-device iteration of the persistent launch.
 
         No kernel is launched and no delta/id packet is uploaded: the
@@ -1120,14 +1081,18 @@ class GPUEvaluator(NeighborhoodEvaluator):
                 "\"first-improvement\", or transfer_mode=\"delta\""
             )
         loop = self._loop
-        flat = args[1]
+        rows, _whole, stamps, admissible = request
         num_solutions, num_indices = rows.size, self.neighborhood.size
         flat_size = num_solutions * num_indices
+        flat = _sized_buffer(
+            self.context, self._session_buffer("resident_fitnesses"), flat_size
+        )
         # Flips were applied on-device by the previous iteration's epilogue.
         self._staged_deltas = []
         loop.write_control(self._resident.shape[0] * STOP_FLAG_BYTES)
+        # The loop body lands the scores (the kernel's trailing argument).
         added = loop.iterate(
-            (num_solutions, num_indices), args, cost=self.batch_kernel.cost
+            (num_solutions, num_indices), (None, flat, scores), cost=self.batch_kernel.cost
         )
         fitnesses = flat.reshape(num_solutions, num_indices)
         self._last_fitnesses = fitnesses
@@ -1142,6 +1107,8 @@ class GPUEvaluator(NeighborhoodEvaluator):
         # The ring drain and flag write hide under the resident loop; only
         # the on-device work advances the evaluator's clock.
         self.stats.simulated_time += added
+        self.stats.calls += 1
+        self.stats.evaluations += flat_size
         return indices.copy(), best.copy()
 
     def fetch_fitnesses(self, replicas: np.ndarray, move_indices: np.ndarray) -> np.ndarray:
@@ -1153,8 +1120,9 @@ class GPUEvaluator(NeighborhoodEvaluator):
         """
         if self._last_fitnesses is None or self._last_rows is None:
             raise RuntimeError("no resident fitness block has been evaluated yet")
-        replicas = np.asarray(replicas, dtype=np.int64).ravel()
-        move_indices = np.asarray(move_indices, dtype=np.int64).ravel()
+        replicas, move_indices = _fetch_request(
+            replicas, move_indices, self.neighborhood.size
+        )
         # Map global replica ids to rows of the last launch without assuming
         # the caller evaluated them in sorted order.
         order = np.argsort(self._last_rows, kind="stable")
@@ -1843,51 +1811,18 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
     def _evaluate_step(self, owners, scores, reduce, per_row):
         """One delta/reduced step: land, reduce and price every device's rows."""
         num_indices = self.neighborhood.size
-        plan = ResidentStepPlan(
-            kernel=self._sub_evaluators[0].batch_kernel,
-            block_size=self.block_size,
-            reduce=(
-                None if reduce is None
-                else f"FusedReduce<{reduce}>[{self._sub_evaluators[0].batch_kernel.name}]"
-            ),
-        )
+        plan = self._sub_evaluators[0]._step_plan(reduce)
         for index, evaluator, positions, local, whole in owners:
             admissible, aspiration_fitness, thresholds, tabu_iterations = (
                 None if part is None else part[positions] for part in per_row
             )
-            rows, whole, stamps, admissible = evaluator._resident_request(
+            request = evaluator._resident_request(
                 None if whole else local, reduce, admissible, tabu_iterations
             )
-            # What the launch lands: the rows' slice of the pool's scores.
-            flat_name = evaluator._session_buffer("resident_fitnesses")
-            flat = _sized_buffer(evaluator.context, flat_name, rows.size * num_indices)
-            fitnesses = flat.reshape(rows.size, num_indices)
-            fitnesses[...] = scores[positions]
-            evaluator._last_fitnesses = fitnesses
-            evaluator._last_rows = rows
-            packet = evaluator._delta_packet(rows, whole)
-            plan.packets.append(
-                None if packet is None else (evaluator._session_buffer("deltas"), packet)
+            evaluator._plan_row(
+                plan, index, request, scores[positions], reduce, aspiration_fitness,
+                thresholds,
             )
-            if reduce is None:
-                plan.reduction_packets.append(None)
-                plan.downloads.append(flat_name)
-            else:
-                packet = evaluator._reduction_packet(
-                    admissible, stamps, aspiration_fitness, thresholds
-                )
-                plan.reduction_packets.append(
-                    None if packet is None
-                    else (evaluator._session_buffer("reduction_packet"), packet)
-                )
-                evaluator._fused_select(
-                    rows, fitnesses, reduce, admissible, aspiration_fitness,
-                    thresholds, stamps,
-                )
-                plan.downloads.append(evaluator._session_buffer("reduced"))
-            plan.devices.append(index)
-            plan.not_before.append(evaluator._sync_time)
-            plan.shapes.append((rows.size, num_indices))
         before = self.scheduler.makespan
         times = self.scheduler.price_resident_step(plan)
         if reduce is None:
@@ -1897,13 +1832,8 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                 np.empty(scores.shape[0], dtype=np.int64),
                 np.empty(scores.shape[0], dtype=np.float64),
             )
-        for (_index, evaluator, positions, local, _whole), data, done, elapsed, after in zip(
-            owners, times.data, times.done, times.elapsed_before, times.elapsed_after
-        ):
-            evaluator._sync_time = done
-            evaluator.stats.simulated_time += after - elapsed
-            evaluator.stats.calls += 1
-            evaluator.stats.evaluations += local.size * num_indices
+        for position, (_index, evaluator, positions, local, _whole) in enumerate(owners):
+            data = evaluator._priced_row(times, position)
             if reduce is None:
                 result[positions] = data.reshape(local.size, num_indices)
             else:
@@ -1923,11 +1853,15 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         per_device_times = []
         for _index, evaluator, positions, local, _whole in owners:
             before = evaluator.stats.simulated_time
+            admissible, aspiration_fitness, thresholds, tabu_iterations = (
+                None if part is None else part[positions] for part in per_row
+            )
             out_indices[positions], out_best[positions] = evaluator._evaluate_resident(
-                local,
+                evaluator._resident_request(local, reduce, admissible, tabu_iterations),
                 scores[positions],
                 reduce,
-                *(None if part is None else part[positions] for part in per_row),
+                aspiration_fitness,
+                thresholds,
             )
             per_device_times.append(evaluator.stats.simulated_time - before)
         self.stats.simulated_time += max(per_device_times) if per_device_times else 0.0
@@ -1935,8 +1869,9 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
 
     def fetch_fitnesses(self, replicas: np.ndarray, move_indices: np.ndarray) -> np.ndarray:
         """Route single-entry fitness reads to the devices owning the replicas."""
-        replicas = np.asarray(replicas, dtype=np.int64).ravel()
-        move_indices = np.asarray(move_indices, dtype=np.int64).ravel()
+        replicas, move_indices = _fetch_request(
+            replicas, move_indices, self.neighborhood.size
+        )
         if replicas.size and (replicas.min() < 0 or replicas.max() >= self._replica_count()):
             raise KeyError("replica was not part of the last resident evaluation")
         out = np.empty(replicas.size, dtype=np.float64)

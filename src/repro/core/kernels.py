@@ -10,10 +10,10 @@ is a literal transcription of the paper's kernels, the vectorized body is
 the NumPy batch equivalent used for fast execution.
 
 Both kernels take an optional trailing ``scores`` argument: fitnesses the
-caller already computed.  :class:`~repro.core.evaluators.MultiGPUEvaluator`
-scores a whole lockstep step in one host call and hands each device its
-slice; the device's launch is still priced as the evaluation kernel but
-only lands that slice in its output buffer.
+caller already computed.  The GPU evaluators score a whole resident or
+multi-GPU step in one host call and hand each device its slice; the
+device's launch is still priced as the evaluation kernel but only lands
+that slice in its output buffer.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ __all__ = [
     "MemorySpace",
     "HostMemoryKind",
     "DeviceBuffer",
-    "TransferRecord",
     "MemoryManager",
     "PinnedStagingPool",
     "OutOfDeviceMemory",
@@ -44,7 +43,7 @@ class HostMemoryKind(enum.Enum):
     Pageable memory goes through a driver-side bounce buffer (an extra host
     memcpy per transfer); pinned (page-locked) memory is DMA-able directly.
     The timing model prices the two differently, which is why the transfer
-    log records the kind of every copy.
+    totals are kept per kind.
     """
 
     PAGEABLE = "pageable"
@@ -81,18 +80,6 @@ class DeviceBuffer:
 
     def to_host(self) -> np.ndarray:
         return self.data.copy()
-
-
-@dataclass(frozen=True)
-class TransferRecord:
-    """One host<->device copy, as logged by the :class:`MemoryManager`."""
-
-    direction: str  # "h2d" or "d2h"
-    nbytes: int
-    buffer: str
-    #: Host memory kind the copy was staged from/to (pageable unless the
-    #: caller routed it through a pinned staging buffer).
-    host_kind: HostMemoryKind = HostMemoryKind.PAGEABLE
 
 
 @dataclass
@@ -139,7 +126,9 @@ class MemoryManager:
 
     capacity_bytes: int
     allocations: dict[str, DeviceBuffer] = field(default_factory=dict)
-    transfers: list[TransferRecord] = field(default_factory=list)
+    #: Running ``[copies, bytes]`` per ``(direction, host kind)``: the
+    #: totals stay the same size however many copies a long run makes.
+    copy_totals: dict[tuple[str, HostMemoryKind], list[int]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Allocation
@@ -197,9 +186,7 @@ class MemoryManager:
         else:
             buf = self.alloc(name, host_array.shape, host_array.dtype, space)
             buf.copy_from_host(host_array)
-        self.transfers.append(
-            TransferRecord("h2d", int(host_array.nbytes), name, host_kind)
-        )
+        self._count("h2d", int(host_array.nbytes), host_kind)
         return buf
 
     def to_host(
@@ -207,35 +194,40 @@ class MemoryManager:
     ) -> np.ndarray:
         """Copy a device buffer back to the host."""
         buf = self.get(name)
-        self.transfers.append(TransferRecord("d2h", buf.nbytes, name, host_kind))
+        self._count("d2h", buf.nbytes, host_kind)
         return buf.to_host()
+
+    def _count(self, direction: str, nbytes: int, host_kind: HostMemoryKind) -> None:
+        totals = self.copy_totals.setdefault((direction, host_kind), [0, 0])
+        totals[0] += 1
+        totals[1] += nbytes
 
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
+    def _total(
+        self, column: int, direction: str | None, host_kind: HostMemoryKind | None
+    ) -> int:
+        return sum(
+            totals[column]
+            for (copy_direction, kind), totals in self.copy_totals.items()
+            if (direction is None or copy_direction == direction)
+            and (host_kind is None or kind is host_kind)
+        )
+
     def bytes_transferred(
         self,
         direction: str | None = None,
         host_kind: HostMemoryKind | None = None,
     ) -> int:
-        return sum(
-            t.nbytes
-            for t in self.transfers
-            if (direction is None or t.direction == direction)
-            and (host_kind is None or t.host_kind is host_kind)
-        )
+        return self._total(1, direction, host_kind)
 
     def transfer_count(
         self,
         direction: str | None = None,
         host_kind: HostMemoryKind | None = None,
     ) -> int:
-        return sum(
-            1
-            for t in self.transfers
-            if (direction is None or t.direction == direction)
-            and (host_kind is None or t.host_kind is host_kind)
-        )
+        return self._total(0, direction, host_kind)
 
     def reset_statistics(self) -> None:
-        self.transfers.clear()
+        self.copy_totals.clear()

@@ -29,7 +29,7 @@ from .dtypes import FITNESS_BYTES
 from .hierarchy import DEFAULT_BLOCK_SIZE
 from .interconnect import P2P, SequencedTransfer, TransferEngine, TransferRequest
 from .kernel import Kernel, KernelLaunch
-from .memory import HostMemoryKind, MemorySpace
+from .memory import HostMemoryKind
 from .runtime import GPUContext
 from .streams import (
     COMPUTE_STREAM,
@@ -41,7 +41,6 @@ from .streams import (
     Stream,
     Timeline,
 )
-from .timing import KernelCostProfile
 
 __all__ = [
     "DeviceScheduler",
@@ -152,14 +151,17 @@ def _cursor(timeline: Timeline, stream: str) -> float:
 
 
 class DeviceScheduler:
-    """Issues work across a pool of device contexts plus a host timeline.
+    """Prices work across a pool of device contexts plus a host timeline.
 
-    The scheduler does not own the contexts — it coordinates them: each
-    ``issue_*`` helper delegates to the context's asynchronous API and
-    returns the completion :class:`~repro.gpu.streams.Event`, which the
-    caller can pass as a dependency of an operation on *any* device (or the
-    host).  Cross-device ordering therefore costs exactly what the event
-    times say, with no serializing host loop in between.
+    The scheduler does not own the contexts — it coordinates them.
+    :meth:`upload_batch` and :meth:`download_batch` price simultaneous
+    copies as one engine arbitration and return completion
+    :class:`~repro.gpu.streams.Event` objects, which a caller can pass as a
+    dependency of an operation on *any* device, so cross-device ordering
+    costs exactly what the event times say.  :meth:`price_resident_step`
+    prices one resident lockstep step — of a single device or of the whole
+    pool — from its :class:`ResidentStepPlan`.  Single operations go
+    through the contexts' own asynchronous API.
     """
 
     def __init__(
@@ -184,89 +186,8 @@ class DeviceScheduler:
         self.engine = engine
 
     # ------------------------------------------------------------------
-    @property
-    def num_devices(self) -> int:
-        return len(self.contexts)
-
-    def device(self, index: int) -> GPUContext:
-        return self.contexts[index]
-
+    # Batched fan-out and gather
     # ------------------------------------------------------------------
-    # Issue helpers (thin wrappers that keep call sites uniform)
-    # ------------------------------------------------------------------
-    def upload(
-        self,
-        index: int,
-        name: str,
-        host_array: np.ndarray,
-        *,
-        wait_for: Event | list[Event] | None = None,
-        not_before: float = 0.0,
-        space: MemorySpace = MemorySpace.GLOBAL,
-        host_kind: HostMemoryKind | None = None,
-    ) -> Event:
-        """Host -> device ``index`` copy on that device's copy stream."""
-        return self.contexts[index].copy_async(
-            name,
-            host_array,
-            wait_for=wait_for,
-            not_before=not_before,
-            space=space,
-            host_kind=host_kind,
-        )
-
-    def launch(
-        self,
-        index: int,
-        kernel: Kernel,
-        active_threads,
-        args,
-        *,
-        wait_for: Event | list[Event] | None = None,
-        not_before: float = 0.0,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        cost: KernelCostProfile | None = None,
-    ) -> tuple[KernelLaunch, Event]:
-        """Kernel launch on device ``index``'s compute stream."""
-        return self.contexts[index].launch_async(
-            kernel,
-            active_threads,
-            args,
-            wait_for=wait_for,
-            not_before=not_before,
-            block_size=block_size,
-            cost=cost,
-        )
-
-    def download(
-        self,
-        index: int,
-        name: str,
-        *,
-        wait_for: Event | list[Event] | None = None,
-        not_before: float = 0.0,
-        host_kind: HostMemoryKind | None = None,
-    ) -> tuple[np.ndarray, Event]:
-        """Device ``index`` -> host copy on that device's download stream."""
-        return self.contexts[index].download_async(
-            name, wait_for=wait_for, not_before=not_before, host_kind=host_kind
-        )
-
-    def route_peer(
-        self,
-        src: int,
-        dst: int,
-        name: str,
-        data: np.ndarray,
-        *,
-        wait_for: Event | list[Event] | None = None,
-        not_before: float = 0.0,
-    ) -> Event:
-        """Device -> device copy over the P2P link (no host round trip)."""
-        return self.contexts[src].copy_peer_async(
-            self.contexts[dst], name, data, wait_for=wait_for, not_before=not_before
-        )
-
     def upload_batch(
         self,
         items: Sequence[tuple[int, str, np.ndarray]],
@@ -595,29 +516,6 @@ class DeviceScheduler:
                     down_start[position], end)
             done.append(end)
 
-    def host_op(
-        self,
-        kind: str,
-        name: str,
-        duration: float,
-        *,
-        wait_for: Event | list[Event] | None = None,
-        not_before: float = 0.0,
-    ) -> Event:
-        """Schedule a host-side operation (gather, scatter) on the host timeline."""
-        interval = self.host_timeline.schedule(
-            kind,
-            name,
-            duration,
-            stream=HOST_TIMELINE_STREAM,
-            wait_for=wait_for,
-            not_before=not_before,
-        )
-        return Event(stream=HOST_TIMELINE_STREAM, time=interval.end)
-
-    def can_route_peer(self, src: int, dst: int) -> bool:
-        return self.contexts[src].can_access_peer(self.contexts[dst])
-
     @property
     def all_peer_capable(self) -> bool:
         """Whether every pairwise P2P link in the pool is available."""
@@ -653,14 +551,6 @@ class DeviceScheduler:
     def overlap_saved(self) -> float:
         """Simulated time hidden by concurrent cross-device execution."""
         return max(0.0, self.serialized_sum - self.makespan)
-
-    @property
-    def per_device_elapsed(self) -> list[float]:
-        return [ctx.timeline.elapsed for ctx in self.contexts]
-
-    def synchronize(self) -> float:
-        """Host-side sync point across the whole pool: the makespan instant."""
-        return self.makespan
 
     # ------------------------------------------------------------------
     def merged_timeline(self) -> Timeline:

@@ -10,6 +10,7 @@ from repro.gpu import (
     XEON_3GHZ,
     DeviceSpec,
     Dim3,
+    HostMemoryKind,
     MemoryManager,
     MemorySpace,
     OutOfDeviceMemory,
@@ -171,3 +172,39 @@ class TestMemoryManager:
         mm.to_device("x", np.zeros(8))
         mm.reset_statistics()
         assert mm.transfer_count() == 0
+
+    def test_transfer_totals_stay_constant_size(self):
+        mm = MemoryManager(capacity_bytes=10_000)
+        expected = {}
+
+        def copy(step):
+            kind = (HostMemoryKind.PAGEABLE, HostMemoryKind.PINNED)[step % 2]
+            host = np.zeros(1 + step % 7, dtype=np.float32)
+            mm.to_device("x", host, host_kind=kind)
+            mm.free("x")
+            expected.setdefault(("h2d", kind), []).append(host.nbytes)
+            if step % 3 == 0:
+                mm.to_device("y", host)
+                mm.to_host("y", host_kind=kind)
+                mm.free("y")
+                expected.setdefault(("h2d", HostMemoryKind.PAGEABLE), []).append(host.nbytes)
+                expected.setdefault(("d2h", kind), []).append(host.nbytes)
+
+        for step in range(10):
+            copy(step)
+        state = {key: len(value) for key, value in mm.copy_totals.items()}
+        for step in range(10, 10_000):
+            copy(step)
+        # 10,000 copies leave the bookkeeping exactly as large as 10 did.
+        assert {key: len(value) for key, value in mm.copy_totals.items()} == state
+        assert set(vars(mm)) == {"capacity_bytes", "allocations", "copy_totals"}
+        for direction in (None, "h2d", "d2h"):
+            for kind in (None, HostMemoryKind.PAGEABLE, HostMemoryKind.PINNED):
+                sizes = [
+                    nbytes
+                    for (copy_direction, copy_kind), values in expected.items()
+                    if direction in (None, copy_direction) and kind in (None, copy_kind)
+                    for nbytes in values
+                ]
+                assert mm.transfer_count(direction, kind) == len(sizes)
+                assert mm.bytes_transferred(direction, kind) == sum(sizes)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.gpu import (
     GTX_280,
+    HOST_TIMELINE_STREAM,
     DeviceScheduler,
     GPUContext,
     HostMemoryKind,
@@ -188,12 +189,16 @@ def test_scheduler_workload_counters_consistent(preset):
     ]
     scheduler = DeviceScheduler(contexts)
     for step in range(6):
-        for i in range(DEVICES):
-            upload = scheduler.upload(i, f"x{step}", np.zeros(int(rng.integers(64, 4096))))
-            scheduler.download(i, f"x{step}", wait_for=[upload])
-        if preset != "dedicated" and scheduler.can_route_peer(0, 1):
-            scheduler.route_peer(0, 1, f"pkt{step}", np.zeros(256, dtype=np.uint8))
-        scheduler.host_op("gather", f"g{step}", 1e-6)
+        for ctx in contexts:
+            upload = ctx.copy_async(f"x{step}", np.zeros(int(rng.integers(64, 4096))))
+            ctx.download_async(f"x{step}", wait_for=[upload])
+        if preset != "dedicated" and contexts[0].can_access_peer(contexts[1]):
+            contexts[0].copy_peer_async(
+                contexts[1], f"pkt{step}", np.zeros(256, dtype=np.uint8)
+            )
+        scheduler.host_timeline.schedule(
+            "gather", f"g{step}", 1e-6, stream=HOST_TIMELINE_STREAM
+        )
 
     for context in contexts:
         timeline = context.timeline

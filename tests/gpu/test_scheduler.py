@@ -13,6 +13,7 @@ import pytest
 from repro.gpu import (
     GTX_280,
     GTX_8800,
+    HOST_TIMELINE_STREAM,
     TESLA_C1060,
     DeviceScheduler,
     GPUContext,
@@ -194,48 +195,54 @@ class TestWeightedPartitioning:
 
 
 class TestDeviceScheduler:
+    """Pool clocks and reports over work issued through the contexts' async API."""
+
     def test_concurrent_issue_overlaps_devices(self):
         contexts = [GPUContext(GTX_280) for _ in range(3)]
         scheduler = DeviceScheduler(contexts)
         kernel = _copy_kernel()
         src = np.ones(4096)
-        for i in range(3):
-            upload = scheduler.upload(i, "src", src)
-            scheduler.launch(i, kernel, 4096, (src, np.empty(4096)), wait_for=[upload])
-            scheduler.download(i, "src", wait_for=[upload])
+        for ctx in contexts:
+            upload = ctx.copy_async("src", src)
+            ctx.launch_async(kernel, 4096, (src, np.empty(4096)), wait_for=[upload])
+            ctx.download_async("src", wait_for=[upload])
         # All three devices ran the same chain concurrently: the pool-level
         # makespan is one chain, the serialized sum is three.
         assert scheduler.makespan < scheduler.serialized_sum
         assert scheduler.overlap_saved == pytest.approx(
             scheduler.serialized_sum - scheduler.makespan
         )
-        assert scheduler.makespan == pytest.approx(max(scheduler.per_device_elapsed))
+        assert scheduler.makespan == pytest.approx(
+            max(ctx.timeline.elapsed for ctx in contexts)
+        )
 
     def test_cross_device_event_ordering(self):
         contexts = [GPUContext(GTX_280), GPUContext(GTX_280)]
-        scheduler = DeviceScheduler(contexts)
-        upload = scheduler.upload(0, "a", np.zeros(1 << 16))
+        upload = contexts[0].copy_async("a", np.zeros(1 << 16))
         # An operation on device 1 gated by an event from device 0 cannot
         # start before that event fires.
-        gated = scheduler.upload(1, "b", np.zeros(16, dtype=np.uint8), wait_for=[upload])
+        gated = contexts[1].copy_async("b", np.zeros(16, dtype=np.uint8), wait_for=[upload])
         interval = contexts[1].timeline.stream("h2d").intervals[0]
         assert interval.start >= upload.time
         assert gated.time > upload.time
 
     def test_host_ops_count_into_makespan(self):
-        contexts = [GPUContext(GTX_280)]
-        scheduler = DeviceScheduler(contexts)
-        event = scheduler.host_op("gather", "partials", 1.0)
-        assert event.time == pytest.approx(1.0)
+        scheduler = DeviceScheduler([GPUContext(GTX_280)])
+        interval = scheduler.host_timeline.schedule(
+            "gather", "partials", 1.0, stream=HOST_TIMELINE_STREAM
+        )
+        assert interval.end == pytest.approx(1.0)
         assert scheduler.makespan == pytest.approx(1.0)
         assert scheduler.serialized_sum == pytest.approx(1.0)
 
     def test_merged_timeline_report(self):
         contexts = [GPUContext(GTX_280), GPUContext(GTX_280)]
         scheduler = DeviceScheduler(contexts)
-        for i in range(2):
-            scheduler.upload(i, "x", np.zeros(1024))
-        scheduler.host_op("gather", "results", 1e-6)
+        for ctx in contexts:
+            ctx.copy_async("x", np.zeros(1024))
+        scheduler.host_timeline.schedule(
+            "gather", "results", 1e-6, stream=HOST_TIMELINE_STREAM
+        )
         report = timeline_report(scheduler)
         assert "gpu0:h2d" in report and "gpu1:h2d" in report
         assert "host:host" in report
@@ -247,16 +254,17 @@ class TestDeviceScheduler:
     def test_route_peer_and_capability(self):
         capable = DeviceScheduler([GPUContext(GTX_280), GPUContext(GTX_280)])
         assert capable.all_peer_capable
-        event = capable.route_peer(0, 1, "pkt", np.zeros(64, dtype=np.uint8))
+        src, dst = capable.contexts
+        event = src.copy_peer_async(dst, "pkt", np.zeros(64, dtype=np.uint8))
         assert event.time > 0
         mixed = DeviceScheduler([GPUContext(GTX_280), GPUContext(GTX_8800)])
         assert not mixed.all_peer_capable
-        assert not mixed.can_route_peer(0, 1)
+        assert not mixed.contexts[0].can_access_peer(mixed.contexts[1])
 
     def test_reset_rewinds_everything(self):
         scheduler = DeviceScheduler([GPUContext(GTX_280)])
-        scheduler.upload(0, "x", np.zeros(128))
-        scheduler.host_op("gather", "y", 1e-6)
+        scheduler.contexts[0].copy_async("x", np.zeros(128))
+        scheduler.host_timeline.schedule("gather", "y", 1e-6, stream=HOST_TIMELINE_STREAM)
         scheduler.reset()
         assert scheduler.makespan == 0.0
         assert scheduler.serialized_sum == 0.0
