@@ -1,19 +1,22 @@
 """Recorded simulated counters of resident lockstep runs.
 
-Each *cell* runs a short tabu (or hill-climbing) lockstep search in a
-resident transfer mode and records every simulated counter the run leaves
-behind.  The multi-GPU cells run a :class:`~repro.core.MultiGPUEvaluator`
-in ``delta`` or ``reduced`` mode; the single-GPU cells (keys starting
-``gpu/``) run a :class:`~repro.core.GPUEvaluator` in ``delta``, ``reduced``
-or ``persistent`` mode, as a closed :class:`MultiStartRunner` run or as a
-:class:`~repro.service.ContinuousRunner` session whose tenants attach,
-suspend, resume and detach.  A cell records:
+Each *cell* runs a short tabu (or hill-climbing) lockstep search and
+records every simulated counter the run leaves behind.  The multi-GPU
+cells run a :class:`~repro.core.MultiGPUEvaluator` in ``delta`` or
+``reduced`` mode; the single-GPU cells (keys starting ``gpu/``) run a
+:class:`~repro.core.GPUEvaluator` in ``full``, ``delta``, ``reduced`` or
+``persistent`` mode, as a closed :class:`MultiStartRunner` run or (the
+resident modes) as a :class:`~repro.service.ContinuousRunner` session whose
+tenants attach, suspend, resume and detach.  A cell records:
 
 - every :class:`~repro.gpu.runtime.DeviceStats` field of every device;
 - bytes, transactions and busy time of every interconnect link, the
   engine's total and per-device contention stall and its retry tallies;
 - a digest of every stream's interval columns: each device's streams, the
-  interconnect lanes and the host timeline;
+  interconnect lanes and the host timeline.  A ``full`` cell digests the
+  ``(kind, start, end)`` columns of all of a timeline's streams together,
+  so the digest does not depend on which stream or label an operation
+  lands on;
 - the per-row ``LSResult.simulated_time``, the run's simulated time and the
   pool makespan (the device's elapsed time on one GPU).
 
@@ -111,8 +114,8 @@ def gpu_cells() -> list[dict]:
             "algorithm": algorithm,
         }
         for problem, order, mode, pinned, algorithm, topology, plan in itertools.product(
-            PROBLEMS, ORDERS, GPU_MODES, (False, True), ALGORITHMS, GPU_TOPOLOGIES,
-            GPU_PLANS,
+            PROBLEMS, ORDERS, ("full", *GPU_MODES), (False, True), ALGORITHMS,
+            GPU_TOPOLOGIES, GPU_PLANS,
         )
     ]
     churn = [
@@ -153,8 +156,13 @@ def _problem(name: str):
     return PermutedPerceptronProblem.generate(16, 16, rng=5), 2
 
 
-def _counters(contexts, engine, host_timeline) -> dict:
-    """Every device, link and stream counter the run left behind."""
+def _counters(contexts, engine, host_timeline, *, merged: bool = False) -> dict:
+    """Every device, link and stream counter the run left behind.
+
+    ``merged`` digests each timeline as one set of ``(kind, start, end)``
+    intervals instead of stream by stream.
+    """
+    digests = _merged_digest if merged else _timeline_digests
     return {
         # One list per device, in ``STATS_FIELDS`` order.
         "stats": [
@@ -182,16 +190,10 @@ def _counters(contexts, engine, host_timeline) -> dict:
             **{
                 key: value
                 for index, context in enumerate(contexts)
-                for key, value in _timeline_digests(
-                    f"gpu{index}", context.timeline
-                ).items()
+                for key, value in digests(f"gpu{index}", context.timeline).items()
             },
-            **_timeline_digests("interconnect", engine.timeline),
-            **(
-                {}
-                if host_timeline is None
-                else _timeline_digests("host", host_timeline)
-            ),
+            **digests("interconnect", engine.timeline),
+            **({} if host_timeline is None else digests("host", host_timeline)),
         },
     }
 
@@ -231,6 +233,18 @@ def _timeline_digests(prefix: str, timeline) -> dict:
     }
 
 
+def _merged_digest(prefix: str, timeline) -> dict:
+    intervals = sorted(
+        (start, end, kind)
+        for stream in timeline.streams.values()
+        for kind, start, end in zip(stream._kinds, stream._starts, stream._ends)
+    )
+    digest = hashlib.sha256()
+    for start, end, kind in intervals:
+        digest.update(f"{kind}|{_hex(start)}|{_hex(end)};".encode())
+    return {prefix: digest.hexdigest()[:20]} if intervals else {}
+
+
 def run_cell(cell: dict) -> dict:
     """Run one cell and return its recorded counters."""
     if cell.get("evaluator") == "gpu":
@@ -252,6 +266,9 @@ def run_cell(cell: dict) -> dict:
         fault_plan = f"fail:{devices - 1}@3,join:{devices - 1}@6"
     elif cell["plan"] == "flaky":
         fault_plan = "flaky:2@4"
+    if cell["problem"] == "ubqp":
+        # As in the single-GPU cells: keep the rows running past step one.
+        options["target_fitness"] = float("-inf")
     runner = MultiStartRunner(
         evaluator,
         algorithm=cell["algorithm"],
@@ -300,7 +317,10 @@ def _run_gpu_cell(cell: dict) -> dict:
             )
             extra = {"run_simulated_time": _hex(results.simulated_time)}
         record = {
-            **_counters([evaluator.context], evaluator.context.engine, None),
+            **_counters(
+                [evaluator.context], evaluator.context.engine, None,
+                merged=cell["mode"] == "full",
+            ),
             **_rows(results),
             **extra,
             "simulated_time": _hex(evaluator.stats.simulated_time),
