@@ -17,13 +17,22 @@ be executed and therefore in the **simulated time** they accumulate:
 
 ``GPUEvaluator``
     Runs the neighborhood kernel on a simulated device: upload the current
-    solution, launch one thread per neighbor, download the fitness array.
-    Simulated time comes from the device timing model.
+    solutions, launch one thread per (solution, neighbor) pair, download the
+    fitness array.  Simulated time comes from the device timing model.
 
 ``MultiGPUEvaluator``
     Partitions the flat index space across several simulated devices (the
     paper's multi-GPU perspective); elapsed simulated time is the slowest
     partition.
+
+Both GPU evaluators score a step once on the host and price it on a
+:class:`~repro.gpu.scheduler.DeviceScheduler`, a single GPU as the
+one-device case of a pool.  A ``full`` step is one upload -> launch ->
+download chain per device (``upload_batch``, ``launch_async``,
+``download_batch``).  The host selects the next moves from the downloaded
+fitnesses, so the next step's uploads start only once every device has
+drained.  ``GPUEvaluator``'s clock adds the device's transfers and kernel
+one after another; the pool's clock is the cross-device makespan.
 
 The GPU evaluators additionally expose a **device-resident** session API
 (:meth:`GPUEvaluator.begin_search` / :meth:`GPUEvaluator.apply_deltas` /
@@ -37,7 +46,6 @@ a fused neighborhood+reduction launch returns only the per-replica best
 
 from __future__ import annotations
 
-import abc
 import functools
 from dataclasses import dataclass
 
@@ -58,7 +66,7 @@ from ..gpu.dtypes import (
 )
 from ..gpu.hierarchy import DEFAULT_BLOCK_SIZE
 from ..gpu.interconnect import InterconnectTopology
-from ..gpu.kernel import ExecutionMode, Kernel, PersistentKernel
+from ..gpu.kernel import ExecutionMode, PersistentKernel
 from ..gpu.multi_device import MultiGPU, weighted_partition_range
 from ..gpu.runtime import DeviceLoop, GPUContext, PersistentLaunchRecord
 from ..gpu.scheduler import DeviceScheduler, ResidentStepPlan
@@ -66,11 +74,7 @@ from ..gpu.streams import COPY_STREAM, DOWNLOAD_STREAM
 from ..gpu.timing import HostTimingModel
 from ..neighborhoods import Neighborhood
 from ..problems import BinaryProblem, as_solution
-from .kernels import (
-    build_batch_neighborhood_kernel,
-    build_neighborhood_kernel,
-    mapping_flops,
-)
+from .kernels import build_batch_neighborhood_kernel, mapping_flops
 
 __all__ = [
     "EvaluatorStats",
@@ -167,6 +171,55 @@ def _sized_buffer(context: GPUContext, name: str, size: int, dtype=FITNESS_DTYPE
     return context.memory.get(name).data
 
 
+def _score(problem, neighborhood, solutions: np.ndarray, indices=None) -> np.ndarray:
+    """Score a whole ``(S, n)`` block in one host call, before any device prices it.
+
+    The scores are host arithmetic whichever device "runs" them, so a step
+    is scored once and each device's launch only lands its slice.
+    """
+    if indices is None or _is_canonical_full(indices, neighborhood.size):
+        # The frozen full table: the fast scorers and the gain engine see
+        # one table for the whole run.
+        moves = neighborhood.move_table
+    else:
+        moves = neighborhood.moves(indices)
+    return problem.evaluate_neighborhood_batch(solutions, moves)
+
+
+def _full_step(scheduler: DeviceScheduler, owner, chains) -> list[np.ndarray]:
+    """Price one ``full`` step on ``scheduler``; returns each chain's download.
+
+    ``chains`` lists ``(device, evaluator, block, scores)``: the pool device
+    index, the evaluator owning that device's context, the solution rows it
+    uploads and the scores its launch lands (their shape is the launch's
+    work shape).  Every device runs upload -> launch -> download; the
+    uploads and the downloads are each priced as one engine arbitration.
+    The host selects the next moves from these scores, so the uploads wait
+    until every device has drained the previous step.
+    """
+    tag = id(owner)
+    uploads = scheduler.upload_batch(
+        [
+            (device, f"solutions:{tag}:{device}", block.astype(SOLUTION_DTYPE))
+            for device, _evaluator, block, _scores in chains
+        ],
+        not_before=scheduler.makespan,
+    )
+    downloads = []
+    for (device, evaluator, block, scores), upload in zip(chains, uploads):
+        name = f"fitnesses:{tag}:{device}"
+        out = _sized_buffer(evaluator.context, name, scores.size)
+        _record, done = evaluator.context.launch_async(
+            evaluator.batch_kernel,
+            scores.shape,
+            (block, out, scores),
+            wait_for=[upload],
+            block_size=evaluator.block_size,
+        )
+        downloads.append((device, name, done))
+    return [data for data, _event in scheduler.download_batch(downloads)]
+
+
 def _fetch_request(replicas, move_indices, num_moves: int) -> tuple[np.ndarray, np.ndarray]:
     """Validate a ``fetch_fitnesses`` request: one move in ``[0, M)`` per replica."""
     replicas = np.asarray(replicas, dtype=np.int64).ravel()
@@ -203,8 +256,12 @@ class EvaluatorStats:
         self.simulated_time = 0.0
 
 
-class NeighborhoodEvaluator(abc.ABC):
-    """Evaluates all (or a slice of the) neighbors of a candidate solution."""
+class NeighborhoodEvaluator:
+    """Evaluates all (or a slice of the) neighbors of a candidate solution.
+
+    A backend overrides :meth:`_evaluate`, :meth:`_evaluate_many` or both;
+    each defaults to the other.
+    """
 
     #: Short platform label used by the harness ("cpu", "gpu", ...).
     platform: str = "abstract"
@@ -223,9 +280,12 @@ class NeighborhoodEvaluator(abc.ABC):
         self.stats = EvaluatorStats()
 
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def _evaluate(self, solution: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Platform-specific evaluation of the moves at the given flat indices."""
+        """Platform-specific evaluation of the moves at the given flat indices.
+
+        The default is the one-row case of :meth:`_evaluate_many`.
+        """
+        return self._evaluate_many(solution[None, :], indices)[0]
 
     def _evaluate_many(self, solutions: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Platform-specific batched evaluation; default replays the scalar path.
@@ -427,20 +487,9 @@ class GPUEvaluator(NeighborhoodEvaluator):
         )
         self.block_size = int(block_size)
         self.use_texture_memory = bool(use_texture_memory)
-        self.kernel = build_neighborhood_kernel(
-            problem, neighborhood, use_texture=self.use_texture_memory
-        )
         self.batch_kernel = build_batch_neighborhood_kernel(
             problem, neighborhood, use_texture=self.use_texture_memory
         )
-        # Persistent device-side fitness buffer, allocated once (as a real
-        # implementation would) and reused across iterations.
-        self._fitness_buffer = self.context.alloc(
-            f"fitnesses:{id(self)}", (neighborhood.size,), np.float64
-        )
-        # Shape of the last batched call's device-side solution block (it is
-        # reallocated when the number of in-flight replicas changes).
-        self._solutions_shape: tuple[int, int] | None = None
         # --- device-resident session state -----------------------------
         #: Host mirror of the device-resident (R, n) solution block.
         self._resident: np.ndarray | None = None
@@ -467,7 +516,8 @@ class GPUEvaluator(NeighborhoodEvaluator):
         #: Set by close(); a closed evaluator's device buffers are gone, so
         #: further evaluations would escape the device-memory model.
         self._closed = False
-        #: Prices each resident step, as the one-row plan of a one-device pool.
+        #: Prices each step as the one-device case of a pool: a ``full``
+        #: step's chain, or a resident step's one-row plan.
         self._scheduler = DeviceScheduler([self.context])
 
     def _check_open(self) -> None:
@@ -477,105 +527,22 @@ class GPUEvaluator(NeighborhoodEvaluator):
                 "create a new evaluator instead of reusing it"
             )
 
-    def _account_d2h(self, context: GPUContext, num_fitnesses: int) -> None:
-        # Device -> host: the fitness array, for host-side move selection,
-        # at the width of the shared fitness dtype; routed through the
-        # interconnect engine like every other copy.
-        d2h_bytes = float(FITNESS_BYTES) * num_fitnesses
-        grant = context.host_transfer_grant("d2h", d2h_bytes, label="fitnesses")
-        context.stats.transfer_time += grant.duration
-        context.stats.d2h_bytes += int(d2h_bytes)
-        context.timeline.schedule_sync("d2h", "fitnesses", grant.duration)
-
-    def _evaluate(self, solution: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        self._check_open()
-        before = self.context.stats.total_time
-        # Host -> device: the candidate solution (int32, as in the paper's kernels).
-        self.context.to_device(f"solution:{id(self)}", solution.astype(np.int32))
-        fitnesses = self._fitness_buffer.data
-        if _is_canonical_full(indices, self.neighborhood.size):
-            # Full neighborhood: one thread per neighbor, exactly the paper's launch.
-            self.context.launch(
-                self.kernel,
-                self.neighborhood.size,
-                (solution, fitnesses),
-                block_size=self.block_size,
-            )
-            result = fitnesses.copy()
-        else:
-            # Partial evaluation (used by partitioned/multi-device exploration):
-            # launch over the compacted index list.
-            sub_fitnesses = np.empty(indices.size, dtype=np.float64)
-
-            def vectorized_fn(tids, solution_arr, out):
-                moves = self.neighborhood.mapping.from_flat_batch(indices[tids])
-                out[tids] = self.problem.evaluate_neighborhood(solution_arr, moves)
-
-            sub_kernel = Kernel(
-                name=self.kernel.name + "[slice]",
-                vectorized_fn=vectorized_fn,
-                cost=self.kernel.cost,
-            )
-            self.context.launch(
-                sub_kernel,
-                indices.size,
-                (solution, sub_fitnesses),
-                block_size=self.block_size,
-            )
-            result = sub_fitnesses
-        self._account_d2h(self.context, indices.size)
-        self.stats.simulated_time += self.context.stats.total_time - before
-        return result
-
     def _evaluate_many(self, solutions: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Solution-parallel evaluation: one ``S x M``-thread launch.
 
         The ``(S, n)`` solution block crosses PCIe once and a single kernel
         launch covers every (replica, neighbor) pair, so the fixed transfer
         latency and launch overhead are paid once instead of ``S`` times —
-        the core amortization of the batched execution engine.
+        the core amortization of the batched execution engine.  The step is
+        the one-device case of the pool's ``full`` step; the clock adds the
+        device's work, transfers and kernel, one after another.
         """
         self._check_open()
         before = self.context.stats.total_time
-        num_solutions, num_indices = solutions.shape[0], indices.size
-        # Host -> device: the whole solution block, uploaded once.
-        name = f"solutions:{id(self)}"
-        if self._solutions_shape is not None and self._solutions_shape != solutions.shape:
-            self.context.free(name)
-        self._solutions_shape = solutions.shape
-        self.context.to_device(name, solutions.astype(np.int32))
-        # Device-side output buffer for all S * M fitness values, resized
-        # (like the solution block) when the batch geometry changes so the
-        # device-memory model sees the batched launch's largest allocation.
-        flat = _sized_buffer(
-            self.context, f"batch_fitnesses:{id(self)}", num_solutions * num_indices
-        )
-        if _is_canonical_full(indices, self.neighborhood.size):
-            kernel = self.batch_kernel
-        else:
-            # Compacted index list: same batched launch over the (S, M_sub)
-            # logical space, with the move list fixed by the caller.
-            moves = self.neighborhood.moves(indices)
-
-            def vectorized_fn(tids, solutions_arr, out):
-                batch = self.problem.evaluate_neighborhood_batch(solutions_arr, moves)
-                out[tids] = batch.reshape(-1)[tids]
-
-            kernel = Kernel(
-                name=self.batch_kernel.name + "[slice]",
-                vectorized_fn=vectorized_fn,
-                cost=self.batch_kernel.cost,
-            )
-        self.context.launch(
-            kernel,
-            (num_solutions, num_indices),
-            (solutions, flat),
-            block_size=self.block_size,
-        )
-        self._account_d2h(self.context, flat.size)
+        scores = _score(self.problem, self.neighborhood, solutions, indices)
+        (data,) = _full_step(self._scheduler, self, [(0, self, solutions, scores)])
         self.stats.simulated_time += self.context.stats.total_time - before
-        # Copy: the persistent device buffer is overwritten by the next call.
-        return flat.reshape(num_solutions, num_indices).copy()
+        return data.reshape(scores.shape)
 
     # ------------------------------------------------------------------
     # Device-resident session API
@@ -901,8 +868,8 @@ class GPUEvaluator(NeighborhoodEvaluator):
         """
         request = self._resident_request(replica_ids, reduce, admissible, tabu_iterations)
         rows, whole = request[0], request[1]
-        scores = self.problem.evaluate_neighborhood_batch(
-            self._resident if whole else self._resident[rows], self.neighborhood.move_table
+        scores = _score(
+            self.problem, self.neighborhood, self._resident if whole else self._resident[rows]
         )
         return self._evaluate_resident(request, scores, reduce, aspiration_fitness, thresholds)
 
@@ -1267,12 +1234,11 @@ class GPUEvaluator(NeighborhoodEvaluator):
         """Free every persistent device buffer owned by this evaluator.
 
         Long-lived contexts shared by many evaluators would otherwise
-        accumulate the per-evaluator ``fitnesses:<id>`` / ``solution:<id>``
+        accumulate the per-evaluator ``fitnesses:<id>`` / ``solutions:<id>``
         allocations as simulated device-memory leaks.
         """
         self.end_search()
         self.context.free_evaluator_buffers(self)
-        self._solutions_shape = None
         self._closed = True
 
     @property
@@ -1295,7 +1261,9 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
     devices to rebalance load, all without changing any trajectory.  Each
     resident lockstep step (the delta route, then every device's packets,
     launch, reduction and download) is priced as one
-    :class:`~repro.gpu.scheduler.ResidentStepPlan`.
+    :class:`~repro.gpu.scheduler.ResidentStepPlan`; a ``full`` step runs the
+    chain a single :class:`GPUEvaluator` runs, once per device, and starts
+    only once every device has drained the step before it.
     """
 
     platform = "multi-gpu"
@@ -1454,114 +1422,34 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             return 0
         return self._repartition_resident()
 
-    def _score(self, solutions: np.ndarray, indices: np.ndarray | None = None) -> np.ndarray:
-        """Score a whole step in one host call, before any device prices it.
-
-        The scores are host arithmetic whichever device "runs" them, so the
-        pool scores once and each device's launch only lands its slice.
-        """
-        if indices is None or _is_canonical_full(indices, self.neighborhood.size):
-            # The frozen full table: the fast scorers and the gain engine
-            # see one table for the whole run.
-            moves = self.neighborhood.move_table
-        else:
-            moves = self.neighborhood.moves(indices)
-        return self.problem.evaluate_neighborhood_batch(solutions, moves)
-
-    def _evaluate(self, solution: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Concurrent per-device async chains over a partitioned index space.
-
-        The per-device uploads (and later the downloads) are priced as one
-        interconnect arbitration batch: they are simultaneous on the
-        simulated clock, so on a shared-uplink topology they split the root
-        complex fairly instead of each assuming a private link.
-        """
-        scheduler = self.scheduler
-        before = scheduler.makespan
-        # One scoring call, over a fresh (writable) move table.
-        scores = self.problem.evaluate_neighborhood(solution, self.neighborhood.moves(indices))
-        out = np.empty(indices.size, dtype=np.float64)
-        parts = self._partitions(indices.size)
-        chains = [
-            (evaluator, part)
-            for evaluator, part in zip(self._sub_evaluators, parts)
-            if part.size > 0
-        ]
-        upload_events = scheduler.upload_batch(
-            [
-                (part.device_index, f"solution:{id(self)}:{part.device_index}",
-                 solution.astype(SOLUTION_DTYPE))
-                for _evaluator, part in chains
-            ]
-        )
-        download_items = []
-        for (evaluator, part), upload in zip(chains, upload_events):
-            dev = part.device_index
-            buffer_name = f"slice_out:{id(self)}:{dev}"
-            sub_out = _sized_buffer(evaluator.context, buffer_name, part.size)
-            _, kernel_event = evaluator.context.launch_async(
-                evaluator.kernel,
-                part.size,
-                (solution, sub_out, scores[part.start : part.stop]),
-                wait_for=[upload],
-                block_size=self.block_size,
-            )
-            download_items.append((dev, buffer_name, kernel_event))
-        downloads = scheduler.download_batch(download_items)
-        for (_evaluator, part), (data, _event) in zip(chains, downloads):
-            out[part.start : part.stop] = data
-        # Devices run concurrently: the step advances the pool-level clock
-        # by the cross-device makespan increase, not by a per-device sum.
-        self.stats.simulated_time += scheduler.makespan - before
-        return out
-
     def _evaluate_many(self, solutions: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Partition the flat ``S x M`` (replica, neighbor) space across devices.
 
-        The block is scored once (:meth:`_score`).  Each device then
-        receives a contiguous slice of the flattened batch (it may span
-        several replicas) sized by its simulated throughput, uploads only
-        the solution rows that slice touches and runs one asynchronous
+        The block is scored once on the host.  Each device then receives a
+        contiguous slice of the flattened batch (it may span several
+        replicas) sized by its simulated throughput, uploads only the
+        solution rows that slice touches and runs the ``full`` step's
         upload -> launch -> download chain; the chains of different devices
-        overlap freely, so the step costs the cross-device makespan.
+        overlap, so the step costs the cross-device makespan.
         """
-        num_solutions, num_indices = solutions.shape[0], indices.size
-        scores = self._score(solutions, indices).reshape(-1)
-        out = np.empty(num_solutions * num_indices, dtype=np.float64)
-        scheduler = self.scheduler
-        before = scheduler.makespan
-        chains = []
-        upload_items = []
-        for evaluator, part in zip(self._sub_evaluators, self._partitions(scores.size)):
-            if part.size == 0:
-                continue
-            dev = part.device_index
-            block = solutions[part.start // num_indices : (part.stop - 1) // num_indices + 1]
-            chains.append((evaluator, part, block))
-            upload_items.append(
-                (dev, f"solutions:{id(self)}:{dev}", block.astype(SOLUTION_DTYPE))
+        num_indices = indices.size
+        scores = _score(self.problem, self.neighborhood, solutions, indices).reshape(-1)
+        chains = [
+            (
+                part.device_index,
+                evaluator,
+                solutions[part.start // num_indices : (part.stop - 1) // num_indices + 1],
+                scores[part.start : part.stop],
             )
-        # The simultaneous per-device uploads (and downloads below) share the
-        # interconnect fairly: one arbitration batch each.
-        upload_events = scheduler.upload_batch(upload_items)
-        download_items = []
-        for (evaluator, part, block), upload in zip(chains, upload_events):
-            dev = part.device_index
-            buffer_name = f"batch_out:{id(self)}:{dev}"
-            sub_out = _sized_buffer(evaluator.context, buffer_name, part.size)
-            _, kernel_event = evaluator.context.launch_async(
-                evaluator.batch_kernel,
-                part.size,
-                (block, sub_out, scores[part.start : part.stop]),
-                wait_for=[upload],
-                block_size=self.block_size,
-            )
-            download_items.append((dev, buffer_name, kernel_event))
-        downloads = scheduler.download_batch(download_items)
-        for (evaluator, part, _block), (data, _event) in zip(chains, downloads):
-            out[part.start : part.stop] = data
-        self.stats.simulated_time += scheduler.makespan - before
-        return out.reshape(num_solutions, num_indices)
+            for evaluator, part in zip(self._sub_evaluators, self._partitions(scores.size))
+            if part.size > 0
+        ]
+        before = self.scheduler.makespan
+        downloads = _full_step(self.scheduler, self, chains)
+        self.stats.simulated_time += self.scheduler.makespan - before
+        # An empty index list gives no chain, and its scores are the result.
+        out = np.concatenate(downloads) if downloads else scores
+        return out.reshape(solutions.shape[0], num_indices)
 
     # ------------------------------------------------------------------
     # Device-resident session API (replica-partitioned across devices)
@@ -1772,8 +1660,8 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
     ):
         """Per-device resident evaluation; elapsed time is the pool makespan's.
 
-        The active rows are scored once (:meth:`_score`), from the devices'
-        resident host mirrors; each device lands and reduces its own rows of
+        The active rows are scored once, from the devices' resident host
+        mirrors; each device lands and reduces its own rows of
         that block, and the pool's step — every device's packets, launch,
         reduction and download — is priced as one
         :class:`~repro.gpu.scheduler.ResidentStepPlan`.  During a persistent
@@ -1798,7 +1686,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         owners = list(self._split_rows(rows))
         for _index, evaluator, positions, local, whole in owners:
             block[positions] = evaluator._resident if whole else evaluator._resident[local]
-        scores = self._score(block)
+        scores = _score(self.problem, self.neighborhood, block)
         per_row = (admissible, aspiration_fitness, thresholds, tabu_iterations)
         if self._persistent:
             result = self._evaluate_persistent(owners, scores, reduce, per_row)
@@ -2139,8 +2027,19 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         self._resident_tenure = int(tenure) if tenure is not None else None
 
     def end_search(self) -> None:
+        closing = [
+            evaluator
+            for evaluator in self._sub_evaluators
+            if evaluator._loop is not None and not evaluator._loop.closed
+        ]
         for evaluator in self._sub_evaluators:
             evaluator.end_search()
+        if closing:
+            # The devices close their persistent launches concurrently: the
+            # pool pays the largest launch overhead once.
+            self.stats.simulated_time += max(
+                evaluator.last_persistent_record.launch_overhead for evaluator in closing
+            )
         # Drop this evaluator's own pool-level buffers (the delta hub packet,
         # migration payloads, and the per-device scratch slices — all named
         # with this evaluator's id, so the context's owner-based free covers

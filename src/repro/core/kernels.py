@@ -9,11 +9,11 @@ id.  :func:`build_neighborhood_kernel` produces the simulator equivalent for
 is a literal transcription of the paper's kernels, the vectorized body is
 the NumPy batch equivalent used for fast execution.
 
-Both kernels take an optional trailing ``scores`` argument: fitnesses the
-caller already computed.  The GPU evaluators score a whole resident or
-multi-GPU step in one host call and hand each device its slice; the
-device's launch is still priced as the evaluation kernel but only lands
-that slice in its output buffer.
+The batch kernel takes an optional trailing ``scores`` argument:
+fitnesses the caller already computed.  The GPU evaluators score a whole
+step in one host call and hand each device its slice; the device's launch
+is still priced as the evaluation kernel but only lands that slice in its
+output buffer.
 """
 
 from __future__ import annotations
@@ -78,20 +78,19 @@ def build_neighborhood_kernel(
     """Create the evaluation kernel for ``problem`` explored with ``neighborhood``.
 
     The kernel signature (its ``args`` tuple at launch time) is
-    ``(solution, fitnesses[, scores])``:
+    ``(solution, fitnesses)``:
 
     * ``solution`` — the current candidate, a length-``n`` 0/1 vector living
       in (simulated) global memory;
     * ``fitnesses`` — the output array of ``neighborhood.size`` fitness
-      values, one slot per thread;
-    * ``scores`` — optional precomputed fitnesses (see the module docstring).
+      values, one slot per thread.
 
-    Without ``scores`` a launch covers the whole neighborhood.
+    A launch covers the whole neighborhood.
     """
     mapping = neighborhood.mapping
     size = neighborhood.size
 
-    def thread_fn(ctx: ThreadContext, solution, fitnesses, scores=None) -> None:
+    def thread_fn(ctx: ThreadContext, solution, fitnesses) -> None:
         # Literal transcription of the paper's kernels:
         #   int move_index = blockIdx.x * blockDim.x + threadIdx.x;
         #   if (move_index < N) {
@@ -99,18 +98,12 @@ def build_neighborhood_kernel(
         #       new_fitness[move_index] = compute_fitness(V, move...);
         #   }
         move_index = ctx.global_id
-        if scores is not None:
-            if move_index < scores.size:
-                fitnesses[move_index] = scores[move_index]
-        elif move_index < size:
+        if move_index < size:
             move = mapping.from_flat(move_index)
             fitnesses[move_index] = problem.delta_evaluate(solution, move)
 
-    def vectorized_fn(tids: np.ndarray, solution, fitnesses, scores=None) -> None:
-        if scores is not None:
-            fitnesses[: tids.size] = scores
-        else:
-            fitnesses[:size] = problem.evaluate_neighborhood(solution, neighborhood.move_table)
+    def vectorized_fn(tids: np.ndarray, solution, fitnesses) -> None:
+        fitnesses[:size] = problem.evaluate_neighborhood(solution, neighborhood.move_table)
 
     return Kernel(
         name=f"MoveIncrEvalKernel<{problem.name},{neighborhood.order}-Hamming>",

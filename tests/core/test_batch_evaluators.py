@@ -169,13 +169,14 @@ class TestWorkShapes:
         with pytest.raises(ValueError):
             normalize_work(())
 
-    def test_unbatched_launch_records_1d_shape(self, ppp):
+    def test_unbatched_launch_records_one_row_shape(self, ppp):
+        # A scalar evaluation is the one-row case of the batched step.
         neighborhood = TwoHammingNeighborhood(ppp.n)
         context = GPUContext(GTX_280, keep_launch_records=True)
         evaluator = GPUEvaluator(ppp, neighborhood, context=context)
         evaluator.evaluate(ppp.random_solution(0))
         record = context.stats.launch_records[-1]
-        assert record.work_shape == (neighborhood.size,)
+        assert record.work_shape == (1, neighborhood.size)
         assert record.batch_size == 1
 
 

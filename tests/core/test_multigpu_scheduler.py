@@ -10,8 +10,12 @@ devices.  These tests pin down the structural guarantees:
 * P2P-routed delta bytes never appear in the H2D/D2H counters;
 * every scheduling decision (weighted partitions, peer routing, pinned
   staging, migration) leaves the trajectories bit-identical to the
-  single-GPU reference.
+  single-GPU reference;
+* a one-device pool prices every step as ``GPUEvaluator`` does;
+* no ``full`` step uploads before the previous step's downloads end.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -68,6 +72,16 @@ def _assert_valid_streams(timeline):
             assert interval.start >= previous_end - 1e-12
             assert interval.end >= interval.start
             previous_end = interval.end
+
+
+def _clock_record(contexts, engine):
+    """Every counter and clock that must agree between equivalent pools."""
+    return {
+        "stats": [context.stats.snapshot() for context in contexts],
+        "elapsed": [context.timeline.elapsed for context in contexts],
+        "total_stall": engine.total_stall,
+        "link_busy": {name: engine.link_busy(name) for name in sorted(engine.topology.links)},
+    }
 
 
 class TestCrossDeviceTimelines:
@@ -440,4 +454,85 @@ class TestResidentRowRouting:
                 assert moves == neighborhood.size
                 assert record.active_threads == rows * moves
                 assert record.time.total_time > 0.0
+        evaluator.close()
+
+
+class TestOneDevicePoolMatchesGPUEvaluator:
+    """A pool of one device prices every step as ``GPUEvaluator`` does."""
+
+    @pytest.mark.parametrize("mode", TRANSFER_MODES)
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_counters_and_clocks_are_equal(self, problem, mode, order):
+        neighborhood = KHammingNeighborhood(problem.n, order)
+        runs = []
+        for evaluator in (
+            GPUEvaluator(problem, neighborhood),
+            MultiGPUEvaluator(problem, neighborhood, devices=1),
+        ):
+            runner = MultiStartRunner(
+                evaluator, algorithm="tabu", max_iterations=MAX_ITERATIONS,
+                transfer_mode=mode,
+            )
+            result = runner.run(seeds=_seeds())
+            contexts = (
+                evaluator.pool.contexts
+                if isinstance(evaluator, MultiGPUEvaluator)
+                else [evaluator.context]
+            )
+            runs.append(
+                (
+                    _records(result),
+                    _clock_record(contexts, contexts[0].engine),
+                    evaluator.stats.simulated_time,
+                )
+            )
+            evaluator.close()
+        (single_records, single, single_time), (pool_records, pool, pool_time) = runs
+        assert pool_records == single_records
+        assert pool == single
+        if mode == "full":
+            # GPUEvaluator's full-mode clock is the serial sum of its work;
+            # the pool's is its makespan — equal up to rounding.
+            assert math.isclose(pool_time, single_time, rel_tol=1e-12)
+        else:
+            assert pool_time == single_time
+
+
+class TestFullModeCausality:
+    """The host selects moves from step i's scores before step i+1 uploads."""
+
+    @pytest.mark.parametrize("devices", [1, 2, 4])
+    @pytest.mark.parametrize("topology", ["dedicated", "shared"])
+    def test_no_upload_starts_before_the_previous_download_ends(
+        self, problem, neighborhood, devices, topology
+    ):
+        evaluator = MultiGPUEvaluator(
+            problem, neighborhood, devices=devices, topology=topology
+        )
+        contexts = evaluator.pool.contexts
+        rng = np.random.default_rng(devices)
+
+        def streams():
+            return [
+                stream for context in contexts for stream in context.timeline.streams.values()
+            ]
+
+        previous_download_end = None
+        for rows in (5, 5, 4, 2, 1, 3):
+            seen = {id(stream): len(stream.intervals) for stream in streams()}
+            evaluator.evaluate_many(
+                np.stack([problem.random_solution(rng) for _ in range(rows)])
+            )
+            new = [
+                interval
+                for stream in streams()
+                for interval in stream.intervals[seen.get(id(stream), 0):]
+            ]
+            uploads = [interval.start for interval in new if interval.kind == "h2d"]
+            assert uploads
+            if previous_download_end is not None:
+                assert min(uploads) >= previous_download_end
+            previous_download_end = max(
+                interval.end for interval in new if interval.kind == "d2h"
+            )
         evaluator.close()
