@@ -37,11 +37,6 @@ import numpy as np
 
 from .fastpath import BoundedCache, eval_path
 
-try:  # pragma: no cover - exercised implicitly on scipy-equipped hosts
-    from scipy.linalg.blas import sgemm as _sgemm
-except Exception:  # pragma: no cover - scipy-less fallback
-    _sgemm = None
-
 __all__ = [
     "GainEngine",
     "attach_gain_engine",
@@ -150,7 +145,6 @@ def _ppp_coupling(scorer, table):
     p_mat[cols_i, mv] += 1.0
     p_mat[cols_j, mv] += 1.0
     p_mat[n] = 1.0
-    p_t = np.ascontiguousarray(p_mat.T)  # (M, n+1); p_t.T is the F-order operand
     # Padded per-bit move incidence (rows of unequal degree pad to M, the
     # sentinel column of the maintained sign-pair matrix).
     counts = np.bincount(cols_i, minlength=n) + np.bincount(cols_j, minlength=n)
@@ -163,7 +157,7 @@ def _ppp_coupling(scorer, table):
     np.cumsum(counts[:-1], out=starts[1:])
     slot = np.arange(flat_bits.size, dtype=np.int64) - starts[flat_bits]
     touch[flat_bits, slot] = flat_moves
-    coupling = (aa, p_mat, p_t, touch)
+    coupling = (aa, p_mat, touch)
     _PPP_COUPLING_CACHE.put(key, (scorer, table.moves, coupling))
     return coupling
 
@@ -175,8 +169,8 @@ class _PPPGainState(_GainStateBase):
     products ``z = (A V + n) / 2``, the move sign pairs ``VV = V_i V_j`` (as
     float32 ±1, sentinel-padded) and the ``z``-value histogram ``cnt``.  A
     commit of move ``(a, b)`` updates ``z`` along rows of ``A^T`` and negates
-    the touched sign pairs — O(m + deg) per replica.  Materialization is two
-    skinny GEMMs plus one elementwise pass::
+    the touched sign pairs — O(m + deg) per replica.  Materialization is three
+    skinny ``np.matmul`` GEMMs plus elementwise passes::
 
         G = (quad[z] @ AA) * VV + [lin[z] @ A | base] @ [P; 1]
 
@@ -195,7 +189,7 @@ class _PPPGainState(_GainStateBase):
         self.n, self.m = n, m
         self.num_moves = table.num_moves
         self.pq, self.pl, self.bsum_t, self.base_off, self.a_f32 = _merged_ppp_tables(scorer)
-        self.aa, self.p_mat, self.p_t, self.touch = _ppp_coupling(scorer, table)
+        self.aa, self.p_mat, self.touch = _ppp_coupling(scorer, table)
         self.rp = self.pq.shape[0]
         self.zdim = self.bsum_t.shape[0]
         rows = max(rows, 1)
@@ -215,8 +209,14 @@ class _PPPGainState(_GainStateBase):
             return None
         return _PPPGainState(problem, scorer, table, rows)
 
+    def workspace_bytes(self, count: int) -> int:
+        """Bytes a ``count``-row :meth:`materialize` holds: the kept workspace
+        plus the ``q``/``lin`` gathers and the ``VV``/``cnt``/``V`` row copies."""
+        rp, m, n, moves = self.rp, self.m, self.n, self.num_moves
+        return count * (4 * (rp * (2 * moves + n + 1 + 2 * m) + 2 * moves + self.zdim) + n)
+
     def can_materialize(self, count: int) -> bool:
-        return 4 * (self.rp + 1) * count * (self.num_moves + self.n + 2) <= WORKSPACE_LIMIT
+        return self.workspace_bytes(count) <= WORKSPACE_LIMIT
 
     def init_rows(self, rows: np.ndarray, solutions: np.ndarray) -> None:
         V = (2 * solutions.astype(np.int8) - 1).astype(np.int8)
@@ -272,6 +272,7 @@ class _PPPGainState(_GainStateBase):
             buf = (
                 np.empty((rp * count, num_moves), dtype=np.float32),
                 np.empty((rp * count, n + 1), dtype=np.float32),
+                np.empty((rp * count, num_moves), dtype=np.float32),
                 np.empty((count, num_moves), dtype=np.float32),
             )
             self._workspaces.put(count, buf)
@@ -286,7 +287,7 @@ class _PPPGainState(_GainStateBase):
         lin = self.pl[:, z]
         base = np.matmul(self.cnt[rows], self.bsum_t)  # (c, R')
         base += self.base_off
-        G, hb, total = self._workspace(count)
+        G, hb, prod, total = self._workspace(count)
         np.matmul(q.reshape(rp * count, m), self.aa, out=G)
         G3 = G.reshape(rp, count, num_moves)
         G3 *= self.VVf[rows, : num_moves]
@@ -294,12 +295,9 @@ class _PPPGainState(_GainStateBase):
         hb3 = hb.reshape(rp, count, n + 1)
         hb3[:, :, :n] *= self.V[rows]
         hb3[:, :, n] = base.T
-        if _sgemm is not None:
-            # G += hb @ P fused into the GEMM: C-order G viewed as F-order
-            # G.T, accumulated in place with beta=1.
-            _sgemm(1.0, self.p_t.T, hb.T, beta=1.0, c=G.T, overwrite_c=1, trans_a=1)
-        else:
-            G += np.matmul(hb, self.p_mat)
+        # np.matmul for every GEMM: a second BLAS library brings a second thread pool.
+        np.matmul(hb, self.p_mat, out=prod)
+        G += prod
         occ = G3[1:]
         np.abs(occ, out=occ)
         np.add.reduce(G3, axis=0, out=total)

@@ -9,11 +9,16 @@ engine directly, without a search loop on top.
 """
 
 import gc
+import json
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 import repro.problems.incremental as incremental
 from repro.neighborhoods import KHammingNeighborhood
 from repro.problems import (
@@ -102,11 +107,84 @@ def test_randomized_commits_stay_bit_identical(name, order):
     assert engine.stats["reinit_rows"] > rows  # initial derivation + self-heals
 
 
-def test_ppp_matmul_fallback_stays_bit_identical(monkeypatch):
-    """The ``np.matmul`` branch of the PPP materialization (hosts without
-    scipy's ``sgemm``) matches the recompute exactly, like the fused one."""
-    monkeypatch.setattr(incremental, "_sgemm", None)
-    test_randomized_commits_stay_bit_identical("ppp", 2)
+def _served_ppp_engine(rows):
+    """A PPP 2-Hamming engine that has served one ``rows``-row evaluation."""
+    problem = make_table_instance((16, 16), trial=0)
+    moves = frozen_moves(problem.n, 2)
+    solutions = random_block(problem, np.random.default_rng(5), rows)
+    engine = GainEngine(problem, rows_hint=rows)
+    engine.expect(np.arange(rows, dtype=np.int64))
+    assert engine.try_evaluate(solutions, moves, None) is not None
+    return problem, moves, solutions, engine
+
+
+@pytest.mark.parametrize("count", [1, 3, 50])
+def test_ppp_workspace_estimate_covers_the_kept_buffers(count):
+    """``can_materialize`` bounds at least every buffer ``materialize`` keeps."""
+    state = _served_ppp_engine(3)[3]._state
+    kept = sum(buf.nbytes for buf in state._workspace(count))
+    assert state.workspace_bytes(count) >= kept
+
+
+def test_ppp_declines_over_the_workspace_limit(monkeypatch):
+    """A request whose workspace exceeds the limit declines to the recompute,
+    which stays bit-identical; a request within the limit is still served."""
+    problem, moves, solutions, engine = _served_ppp_engine(3)
+    monkeypatch.setattr(incremental, "WORKSPACE_LIMIT", engine._state.workspace_bytes(2))
+    attach_gain_engine(problem, engine)
+    try:
+        engine.expect(np.arange(3, dtype=np.int64))
+        got = problem.evaluate_neighborhood_batch(solutions, moves)
+        assert engine.stats["declined"] == 1 and engine.stats["evals"] == 1
+        np.testing.assert_array_equal(got, reference(problem, solutions, moves))
+
+        engine.expect(np.arange(2, dtype=np.int64))
+        got = problem.evaluate_neighborhood_batch(solutions[:2], moves)
+        assert engine.stats["declined"] == 1 and engine.stats["evals"] == 2
+        np.testing.assert_array_equal(got, reference(problem, solutions[:2], moves))
+    finally:
+        detach_gain_engine(problem)
+
+
+_SCIPY_PROBE = """
+import json, sys
+import repro
+import repro.localsearch.multistart as multistart
+from repro.core import GPUEvaluator
+from repro.neighborhoods import KHammingNeighborhood
+from repro.problems.instances import make_table_instance
+
+engines = []
+create = multistart.create_gain_engine
+multistart.create_gain_engine = lambda *a, **k: engines.append(create(*a, **k)) or engines[-1]
+problem = make_table_instance((16, 16), trial=0)
+evaluator = GPUEvaluator(problem, KHammingNeighborhood(problem.n, 2))
+multistart.MultiStartRunner(evaluator, max_iterations=5).run(seeds=[1, 2, 3])
+print(json.dumps({
+    "evals": sum(engine.stats["evals"] for engine in engines),
+    "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
+}))
+"""
+
+
+def test_engine_runs_without_importing_scipy():
+    """Every GEMM of the PPP materialization runs on numpy's BLAS: neither
+    ``import repro`` nor a served 2-Hamming lockstep run imports scipy, whose
+    own BLAS would bring a second thread pool into the process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = src
+    completed = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
+    probe = json.loads(completed.stdout)
+    assert probe["evals"] > 0
+    assert probe["scipy"] == []
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
