@@ -452,9 +452,10 @@ class CPUEvaluator(_HostModelMixin, NeighborhoodEvaluator):
         # One broadcast delta evaluation for the whole (S, n) block; the
         # modeled time still charges the sequential baseline for all S * M
         # evaluations (one per-call overhead instead of S — the batched
-        # path's bookkeeping amortization).
-        moves = self.neighborhood.moves(indices)
-        fitnesses = self.problem.evaluate_neighborhood_batch(solutions, moves)
+        # path's bookkeeping amortization).  Scoring through `_score` hands
+        # the problem the frozen move table, which the gain engine of a
+        # multi-row run serves (a rebuilt writable table is declined).
+        fitnesses = _score(self.problem, self.neighborhood, solutions, indices)
         self._account_host_time(solutions.shape[0] * indices.size)
         return np.asarray(fitnesses, dtype=np.float64)
 

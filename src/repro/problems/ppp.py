@@ -83,6 +83,14 @@ class _PPPFastScorer:
     than the reference path, bit-identical by integer exactness (every
     intermediate is an integer below 2^24, exact in float32).
 
+    For single flips the form collapses further.  ``C[s, i, r] = A[r, i]·V_i``
+    gives ``Σ_r lin[r]·C[s, i, r] = V_i·(lin @ A)[i]`` for any per-row
+    coefficient vector ``lin``, so the k = 1 branch never builds ``C``: it
+    runs ``A V`` as one ``(S, n) @ (n, m)`` GEMM, the bin counts of ``z``
+    times the constant-term tables as one ``(S, n+1) @ (n+1, R)`` GEMM, and
+    the linear terms of all ``R = K+2`` tables as one ``(R·S, m) @ (m, n)`` GEMM
+    scaled by the row signs ``V``.
+
     Shifted tables are clipped at the ``z`` range ends; that filler is exact,
     not approximate: ``z-2`` underflows only when fewer than two positive
     columns exist (no ``(+,+)`` pair can select the filler), and symmetrically
@@ -132,11 +140,16 @@ class _PPPFastScorer:
         self.single_lin = down1 - up1    # coefficient of ci        (scaled x2)
         self.target_occ = target_z[occupied].astype(np.float32)
         self.At8 = np.ascontiguousarray(problem.A.T)  # (n, m) int8
+        # Float32 GEMM operands of the k = 1 branch.
+        self.At_f32 = self.At8.astype(np.float32)                       # (n, m)
+        self.A_f32 = np.ascontiguousarray(problem.A, dtype=np.float32)  # (m, n)
         self._tables = MoveTableCache(self._build_table, maxsize=8)
         self._workspaces = BoundedCache(12)
         # Exactness guard: every float32 intermediate must be an integer
-        # below 2^24.  The largest is the folded sign row of the bilinear
-        # cube, bounded by 4·(m·wsign_max + m·|dp+dm|_max).
+        # below 2^24.  The largest is the folded sign row of the k = 2
+        # bilinear cube, bounded by 4·(m·wsign_max + m·|dp+dm|_max); the
+        # k = 1 GEMMs stay below it (|A V| <= n, |lin @ A| <= m·|single_lin|,
+        # base <= m·|single_base|).
         bound = 4 * (m * int(wsign.max(initial=0)) + m * 16 * SIGN_PENALTY_WEIGHT)
         self.exact = bound < 2**24
 
@@ -196,26 +209,34 @@ class _PPPFastScorer:
         n, m, r = self.n, self.m, self.num_tables
         num_solutions = solutions.shape[0]
         num_moves = table.num_moves
-        signs = (2 * solutions - 1).astype(np.int8)          # (S, n) in ±1
-        C = self.At8[None, :, :] * signs[:, :, None]         # (S, n, m) int8
-        products = C.sum(axis=1, dtype=np.int32)             # (S, m) = A V
-        z = (products + n) >> 1                              # compressed bins
-        Cf = self._workspace(num_solutions, n, m)
-        np.multiply(C, 1.0, out=Cf, casting="unsafe")
-        Ct = np.swapaxes(Cf, 1, 2)                           # (S, m, n)
         occ0 = 2  # first occupied-bin row of the table stack
         if table.k == 1:
-            base = self.single_base[:, z].transpose(1, 0, 2).sum(axis=2)  # (S, R)
-            lin = self.single_lin[:, z].transpose(1, 0, 2)                # (S, R, m)
-            base[:, occ0:] -= 2.0 * self.target_occ
-            cube = np.matmul(np.ascontiguousarray(lin), Ct)               # (S, R, n)
-            cube += base[:, :, None]
-            vals = cube[:, :, table.cols_i]                               # (S, R, M)
-            occ = vals[:, occ0:]
+            signs = (2 * solutions - 1).astype(np.float32)              # (S, n) in ±1
+            products = signs @ self.At_f32                              # (S, m) = A V
+            z = ((products + n) * 0.5).astype(np.intp)                  # compressed bins
+            # base[s, t] = Σ_row single_base[t, z[s, row]], through bin counts.
+            counts = np.bincount(
+                (z + (n + 1) * np.arange(num_solutions)[:, None]).ravel(),
+                minlength=num_solutions * (n + 1),
+            )
+            base = counts.reshape(num_solutions, n + 1).astype(np.float32) @ self.single_base.T
+            base[:, occ0:] -= 2.0 * self.target_occ                     # (S, R)
+            lin = self.single_lin[:, z].reshape(r * num_solutions, m)   # (R·S, m)
+            cube = (lin @ self.A_f32).reshape(r, num_solutions, n)      # (R, S, n)
+            cube *= signs
+            cube += base.T[:, :, None]
+            occ = cube[occ0:]
             np.abs(occ, out=occ)
-            total = vals[:, 0] + vals[:, 1] + occ.sum(axis=1)
+            total = np.add.reduce(cube, axis=0)[:, table.cols_i]        # (S, M)
             scale = 0.5
         else:
+            signs = (2 * solutions - 1).astype(np.int8)          # (S, n) in ±1
+            C = self.At8[None, :, :] * signs[:, :, None]         # (S, n, m) int8
+            products = C.sum(axis=1, dtype=np.int32)             # (S, m) = A V
+            z = (products + n) >> 1                              # compressed bins
+            Cf = self._workspace(num_solutions, n, m)
+            np.multiply(C, 1.0, out=Cf, casting="unsafe")
+            Ct = np.swapaxes(Cf, 1, 2)                           # (S, m, n)
             quad = self.pair_quad[:, z].transpose(1, 0, 2)               # (S, R, m)
             lin = self.pair_lin[:, z].transpose(1, 0, 2)
             f0 = self.value_tables[:, z].transpose(1, 0, 2)

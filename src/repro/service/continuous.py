@@ -89,6 +89,7 @@ class ContinuousRunner(MultiStartRunner):
         self._open_rows(self._fresh_rows(block, 0, self.target_fitness))
         self.active[:] = False  # no slot is leased yet
         self.leased = np.zeros(self.capacity, dtype=bool)
+        self._num_leased = 0  # leased.sum(), kept by _lease and _free
         self.busy_time = 0.0
         self.occupancy_time = 0.0
         self._open = True
@@ -141,7 +142,7 @@ class ContinuousRunner(MultiStartRunner):
     @property
     def num_leased(self) -> int:
         """Slots held by a tenant (searching or retired-awaiting-detach)."""
-        return int(self.leased.sum())
+        return self._num_leased
 
     @property
     def free_slots(self) -> int:
@@ -174,10 +175,13 @@ class ContinuousRunner(MultiStartRunner):
         if self._device_tabu:
             self.evaluator.write_tabu_rows(slots, tabu_stamps)
         self.leased[slots] = True
+        self._num_leased += count
         return slots
 
     def _free(self, slots: np.ndarray) -> None:
+        """Release leased ``slots`` (checked distinct and leased)."""
         self.leased[slots] = False
+        self._num_leased -= slots.size
         for slot in slots.tolist():
             self.histories[slot] = []
 

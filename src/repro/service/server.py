@@ -313,6 +313,14 @@ class SolveServer:
         running: dict[str, dict] = {}
         slot_owner: dict[int, str] = {}
         admit_seq = 0
+        # admit() ends at a fixpoint, and its outcome depends only on the
+        # queue, the free slots, the running jobs and the tenants' holds.
+        # Those move only on an enqueue (an arrival, or a suspended job
+        # re-queued), a harvest (it frees slots and may empty the drain
+        # batch) or an expiry (dropping an entry can make a new queue head
+        # that may preempt, or lift the fair-share bar).  Between such
+        # events a call would change nothing, so it is skipped.
+        admission_due = False
 
         runner = ContinuousRunner(
             self.evaluator, capacity=self.capacity, **self._runner_options
@@ -336,6 +344,8 @@ class SolveServer:
             )
 
         def harvest(retired_slots: list[int]) -> None:
+            nonlocal admission_due
+            admission_due = True
             by_job: dict[str, list[int]] = {}
             for slot in retired_slots:
                 by_job.setdefault(slot_owner.pop(slot), []).append(slot)
@@ -353,6 +363,8 @@ class SolveServer:
                     record.finished = clock
 
         def suspend_job(state: dict) -> None:
+            nonlocal admission_due
+            admission_due = True
             record = state["record"]
             slots = sorted(state["slots"])
             saved = runner.suspend(np.asarray(slots, dtype=np.int64))
@@ -447,6 +459,7 @@ class SolveServer:
                         record.status = "rejected"
                         continue
                     queue.append(_QueueEntry(spec, record))
+                    admission_due = True
                 kept = []
                 for entry in queue:
                     deadline = entry.spec.deadline
@@ -456,10 +469,13 @@ class SolveServer:
                         and clock > entry.spec.arrival + deadline
                     ):
                         entry.record.status = "expired"
+                        admission_due = True
                     else:
                         kept.append(entry)
                 queue[:] = kept
-                admit()
+                if admission_due:
+                    admission_due = False
+                    admit()
                 if runner.num_active == 0:
                     # Batch empty and nothing admittable: fast-forward the
                     # idle pool to the next arrival.

@@ -163,6 +163,34 @@ class TestLockstepMatrix:
         assert run()[0] == with_engine
 
 
+def cpu_lockstep_signature():
+    """PPP 25x25, 2-Hamming, 4 rows, 10 tabu steps on the CPU evaluator (a
+    fresh problem: the evaluation path is read when it is built)."""
+    problem = make_table_instance((25, 25), trial=0)
+    with CPUEvaluator(problem, KHammingNeighborhood(problem.n, 2)) as evaluator:
+        result = MultiStartRunner(
+            evaluator, max_iterations=10, target_fitness=float("-inf")
+        ).run(seeds=SEEDS)
+        return {
+            "best": [r.best_fitness for r in result],
+            "iterations": [r.iterations for r in result],
+            "solutions": [r.best_solution.tobytes() for r in result],
+            "simulated_time": evaluator.stats.simulated_time,
+        }
+
+
+def test_cpu_lockstep_run_is_served_by_the_engine(engines, monkeypatch):
+    """The CPU evaluator scores a multi-row step with the frozen move table,
+    so the runner's gain engine serves every step instead of declining."""
+    monkeypatch.delenv("REPRO_EVAL_PATH", raising=False)
+    served = cpu_lockstep_signature()
+    assert len(engines) == 1
+    assert engines[0].stats["evals"] > 0, engines[0].stats
+    assert engines[0].stats["declined"] == 0, engines[0].stats
+    monkeypatch.setenv("REPRO_EVAL_PATH", "reference")
+    assert cpu_lockstep_signature() == served
+
+
 SCALAR_FACTORIES = dict(PROBLEM_FACTORIES, leadingones=lambda: LeadingOnes(16))
 
 

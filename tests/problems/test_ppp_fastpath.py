@@ -24,11 +24,14 @@ def pair_moves(n: int) -> np.ndarray:
 
 
 def solution_block(problem, rng, rows: int) -> np.ndarray:
+    """Random rows, led (as far as ``rows`` allows) by all-zeros, all-ones
+    and the planted secret."""
     block = rng.integers(0, 2, size=(rows, problem.n)).astype(np.int8)
-    block[0] = 0
-    block[1] = 1
+    special = [np.zeros(problem.n), np.ones(problem.n)]
     if problem.secret is not None:
-        block[2] = problem.secret
+        special.append(problem.secret)
+    for index, row in enumerate(special[:rows]):
+        block[index] = row
     return block
 
 
@@ -44,17 +47,77 @@ def test_pairwise_moves_bit_identical(m, n):
     assert np.array_equal(fast, reference)
 
 
+@pytest.mark.parametrize("rows", [1, 8, 64])
 @pytest.mark.parametrize("m,n", [(73, 73), (41, 29), (17, 23)])
-def test_single_bit_moves_bit_identical(m, n):
+def test_single_bit_moves_bit_identical(m, n, rows):
     rng = np.random.default_rng(m + n)
     problem = PermutedPerceptronProblem.generate(m, n, rng=rng)
-    solutions = solution_block(problem, rng, 8)
+    solutions = solution_block(problem, rng, rows)
     moves = np.arange(n, dtype=np.int64)[:, None]
     moves.setflags(write=False)
     assert np.array_equal(
         problem.evaluate_neighborhood_batch(solutions, moves),
         problem._evaluate_neighborhood_batch_reference(solutions, moves),
     )
+
+
+@pytest.mark.parametrize("rows", [1, 5, 64])
+def test_single_bit_permuted_and_partial_tables_bit_identical(rows):
+    """The k = 1 scorer gathers its ``(S, n)`` totals by ``cols_i``: any
+    order, subset or repeat of the columns must read the same as the
+    reference."""
+    rng = np.random.default_rng(rows)
+    problem = PermutedPerceptronProblem.generate(29, 37, rng=rng)
+    solutions = solution_block(problem, rng, rows)
+    tables = [
+        rng.permutation(problem.n),
+        rng.permutation(problem.n)[:11],
+        np.array([5]),
+        rng.integers(0, problem.n, size=60),
+    ]
+    for cols in tables:
+        moves = cols.astype(np.int64)[:, None]
+        for writable in (True, False):
+            moves = moves.copy()
+            moves.setflags(write=writable)
+            assert problem._fast().move_table(moves) is not None
+            assert np.array_equal(
+                problem.evaluate_neighborhood_batch(solutions, moves),
+                problem._evaluate_neighborhood_batch_reference(solutions, moves),
+            )
+
+
+@pytest.mark.parametrize("m,n", [(260, 260), (60, 1100), (1000, 60), (31, 31), (3, 5)])
+def test_exact_guard_bounds_single_bit_intermediates(m, n):
+    """Wherever the scorer reports ``exact``, every float32 intermediate of
+    the k = 1 GEMMs is an integer below 2^24: ``|A V| <= n``, table ``t``'s
+    ``|lin @ A| <= m·max|single_lin[t]|``, its constant term
+    ``<= m·max|single_base[t]| + 2·target``, and the sum over the tables."""
+    problem = PermutedPerceptronProblem.generate(m, n, rng=m * n)
+    scorer = _PPPFastScorer(problem)
+    assert scorer.exact
+    lin_bound = m * np.abs(scorer.single_lin).max(axis=1)
+    base_bound = m * np.abs(scorer.single_base).max(axis=1)
+    base_bound[2:] += 2 * scorer.target_occ
+    assert n < 2**24
+    assert (lin_bound + base_bound).sum() < 2**24
+    # The bounds hold on actual solution blocks.
+    rng = np.random.default_rng(0)
+    solutions = solution_block(problem, rng, 4)
+    signs = (2 * solutions - 1).astype(np.float32)
+    products = signs @ scorer.At_f32
+    assert np.abs(products).max() <= n
+    z = ((products + n) // 2).astype(np.intp)
+    lin_a = scorer.single_lin[:, z] @ scorer.A_f32  # (R, S, n)
+    assert (np.abs(lin_a).max(axis=(1, 2)) <= lin_bound).all()
+    base = scorer.single_base[:, z].sum(axis=2)  # (R, S)
+    assert (np.abs(base).max(axis=1) <= base_bound).all()
+
+
+def test_exact_guard_refuses_oversized_instances():
+    problem = PermutedPerceptronProblem.generate(300, 300, rng=0)
+    assert not _PPPFastScorer(problem).exact
+    assert problem._fast() is None
 
 
 def test_random_subset_tables_and_writable_arrays():

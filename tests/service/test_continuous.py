@@ -395,8 +395,9 @@ def resident_block(evaluator):
 @given(ops=INTERLEAVINGS)
 def test_random_interleavings_match_standalone(instance, evaluator_key, mode, ops):
     """Any attach/step/suspend/resume/detach schedule leaves every tenant's
-    results equal to its standalone run, with ``0 <= occupancy <= 1`` and
-    every active slot leased after each operation.  The live rows are
+    results equal to its standalone run, with ``0 <= occupancy <= 1``,
+    every active slot leased and the leased-slot counter equal to the
+    ``leased`` mask's count after each operation.  The live rows are
     checked too: a device-resident session mirrors ``runner.current`` on
     every leased slot, and a resumed group gets its device tabu stamps
     back verbatim."""
@@ -409,6 +410,8 @@ def test_random_interleavings_match_standalone(instance, evaluator_key, mode, op
             assert 0.0 <= report.occupancy <= 1.0
         assert 0.0 <= runner.mean_occupancy <= 1.0
         assert not (runner.active & ~runner.leased).any()
+        assert runner.num_leased == int(runner.leased.sum())
+        assert runner.free_slots + runner.num_leased == runner.capacity
         if mode != "full":
             leased = runner.leased
             assert np.array_equal(resident_block(evaluator)[leased], runner.current[leased])
@@ -434,6 +437,7 @@ def test_random_interleavings_match_standalone(instance, evaluator_key, mode, op
                 if count > runner.free_slots:
                     with pytest.raises(CapacityError):
                         runner.attach(seeds=group, budgets=budget, targets=target)
+                    check()
                     continue
                 slots = runner.attach(seeds=group, budgets=budget, targets=target)
                 tenants.append({"seeds": group, "budget": budget, "target": target,

@@ -219,6 +219,40 @@ class TestPriorityAndFairness:
         assert by_id["y1"].queue_wait > 0.0
 
 
+class TestAdmissionEvents:
+    """Admission runs after an enqueue, a harvest or an expiry; these
+    cases need the expiry to trigger it (no other event happens until the
+    long jobs, which never reach their target, finish)."""
+
+    def test_expiry_lifts_the_fair_share_bar_on_the_same_step(self, evaluator):
+        jobs = [
+            job("x1", replicas=2, budget=30, tenant="x", target_fitness=-math.inf),
+            job("x2", replicas=1, budget=5, tenant="x"),
+            # Does not fit beside x1; while it waits, x2 is over x's share.
+            job("y1", replicas=3, budget=5, tenant="y", deadline=1e-6),
+        ]
+        server = SolveServer(evaluator, capacity=4, fair_share=0.5, preemption=False)
+        by_id = {record.spec.job_id: record for record in server.run_trace(jobs).records}
+        assert by_id["y1"].status == "expired"
+        assert 1e-6 < by_id["x2"].admitted < by_id["x1"].finished
+        assert by_id["x2"].status == by_id["x1"].status == "completed"
+
+    def test_expiry_of_the_head_lets_the_next_job_preempt(self, evaluator):
+        jobs = [
+            job("low", replicas=2, budget=30, priority=0, target_fitness=-math.inf),
+            job("peer", replicas=2, budget=30, priority=2, target_fitness=-math.inf),
+            # Head: only "low" may be preempted for it, which is not enough.
+            job("head", arrival=1e-6, replicas=4, budget=5, priority=2, deadline=1e-4),
+            job("next", arrival=1e-6, replicas=2, budget=5, priority=1),
+        ]
+        report = SolveServer(evaluator, capacity=4).run_trace(jobs)
+        by_id = {record.spec.job_id: record for record in report.records}
+        assert by_id["head"].status == "expired"
+        assert by_id["low"].preemptions == 1
+        assert 1e-4 < by_id["next"].admitted < by_id["peer"].finished
+        assert all(by_id[name].status == "completed" for name in ("low", "peer", "next"))
+
+
 class TestDrainBaseline:
     def test_drain_admits_only_into_an_empty_batch(self, evaluator):
         jobs = [
