@@ -139,6 +139,42 @@ def _fused_reduce(
     raise ValueError(f"unknown reduce op {op!r}; expected one of {REDUCE_OPS}")
 
 
+def _select_step(
+    fitnesses: np.ndarray,
+    op: str,
+    admissible: np.ndarray | None,
+    aspiration_fitness: np.ndarray | None,
+    thresholds: np.ndarray | None,
+    tabu: tuple[np.ndarray, np.ndarray, int] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fused selection of one resident step over an ``(S, M)`` block.
+
+    ``tabu`` is ``None`` or, for a device-resident tabu memory,
+    ``(stamps, last, tenure)``: the rows' current iteration stamps, their
+    ``(S, M)`` last-applied stamps before this step and the tenure.  The
+    admissibility mask then comes from the stamps, and a blocked row (every
+    move tabu, none aspirated) falls back to its oldest move — the
+    robust-tabu escape, resolved next to the reduction so no extra fitness
+    fetch crosses PCIe.  Every rule is row by row, so a pool selects its
+    whole block in one call and each device stores its own rows.
+    """
+    if tabu is not None:
+        stamps, last, tenure = tabu
+        if tenure == 0:
+            admissible = np.ones(fitnesses.shape, dtype=bool)
+        else:
+            admissible = (stamps[:, None] - last) > tenure
+    indices, best = _fused_reduce(fitnesses, op, admissible, aspiration_fitness, thresholds)
+    if tabu is not None:
+        blocked = indices < 0
+        if blocked.any():
+            indices = np.where(blocked, last.argmin(axis=1), indices).astype(np.int64)
+            best = np.where(
+                blocked, fitnesses[np.arange(indices.size), indices], best
+            ).astype(np.float64)
+    return indices, best
+
+
 @functools.lru_cache(maxsize=16)
 def _full_range(size: int) -> np.ndarray:
     """The frozen ``0, 1, ..., size - 1`` indices of a whole-neighborhood call."""
@@ -756,68 +792,33 @@ class GPUEvaluator(NeighborhoodEvaluator):
         self._last_rows = None
         self.note_peer_delivery(arrival)
 
-    def _resident_tabu_mask(
-        self, rows: np.ndarray, stamps: np.ndarray, num_indices: int
-    ) -> np.ndarray:
-        """Admissibility of the rows' moves, read from the device tabu memory."""
-        if self._tabu_tenure == 0:
-            return np.ones((rows.size, num_indices), dtype=bool)
+    def _tabu_block(self, rows: np.ndarray, whole: bool) -> np.ndarray:
+        """The rows' last-applied tabu stamps (a view when ``whole``)."""
         last = self._tabu_last_applied
-        # ``rows`` is sorted and unique (it comes from np.nonzero), so a
-        # full-range check identifies the every-replica-active fast case and
-        # skips the O(S·M) gather copy.
-        if not (rows.size == last.shape[0] and rows[0] == 0 and rows[-1] == rows.size - 1):
-            last = last[rows]
-        return (stamps[:, None] - last) > self._tabu_tenure
+        return last if whole else last[rows]
 
-    def _resident_tabu_select(
-        self,
-        rows: np.ndarray,
-        stamps: np.ndarray,
-        fitnesses: np.ndarray,
-        indices: np.ndarray,
-        best: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """On-device epilogue of the tabu reduction: escape + memory update.
-
-        A blocked replica (every move tabu, none aspirated) falls back to its
-        oldest move — the robust-tabu escape, resolved next to the reduction
-        so no extra fitness fetch crosses PCIe — and the winning move's
-        ``last_applied`` stamp is written in place, in device memory.
-        """
-        blocked = indices < 0
-        if blocked.any():
-            oldest = self._tabu_last_applied[rows].argmin(axis=1)
-            indices = np.where(blocked, oldest, indices).astype(np.int64)
-            best = np.where(
-                blocked, fitnesses[np.arange(rows.size), indices], best
-            ).astype(np.float64)
-        self._tabu_last_applied[rows, indices] = stamps
-        return indices, best
-
-    def _fused_select(
-        self, rows, fitnesses, reduce, admissible, aspiration_fitness, thresholds, stamps
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Functional body of the fused reduction, staged in the ``reduced`` buffer.
-
-        With device-resident tabu ``stamps`` the admissibility mask, the
-        robust-tabu escape and the stamp update happen here, next to the
-        reduction.
-        """
+    def _store_selection(self, rows, indices, best, stamps) -> None:
+        """Write the winners' tabu stamps in place and stage the ``reduced`` buffer."""
         if stamps is not None:
-            admissible = self._resident_tabu_mask(rows, stamps, fitnesses.shape[1])
-        indices, best = _fused_reduce(
-            fitnesses, reduce, admissible, aspiration_fitness, thresholds
-        )
-        if stamps is not None:
-            indices, best = self._resident_tabu_select(
-                rows, stamps, fitnesses, indices, best
-            )
+            self._tabu_last_applied[rows, indices] = stamps
         reduced = _sized_buffer(
             self.context, self._session_buffer("reduced"), rows.size, REDUCED_PAIR_DTYPE
         )
         reduced["index"] = indices
         reduced["fitness"] = best
+
+    def _fused_select(
+        self, request, fitnesses, reduce, aspiration_fitness, thresholds
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The fused reduction of this device's rows, staged in the ``reduced`` buffer."""
+        rows, whole, stamps, admissible = request
+        tabu = None
+        if stamps is not None:
+            tabu = (stamps, self._tabu_block(rows, whole), self._tabu_tenure)
+        indices, best = _select_step(
+            fitnesses, reduce, admissible, aspiration_fitness, thresholds, tabu
+        )
+        self._store_selection(rows, indices, best, stamps)
         return indices, best
 
     def evaluate_resident(
@@ -890,6 +891,10 @@ class GPUEvaluator(NeighborhoodEvaluator):
             )
         plan = self._step_plan(reduce)
         self._plan_row(plan, 0, request, scores, reduce, aspiration_fitness, thresholds)
+        if reduce is not None:
+            self._fused_select(
+                request, self._last_fitnesses, reduce, aspiration_fitness, thresholds
+            )
         data = self._priced_row(self._scheduler.price_resident_step(plan), 0)
         if reduce is None:
             return data.reshape(self._last_fitnesses.shape)
@@ -994,8 +999,8 @@ class GPUEvaluator(NeighborhoodEvaluator):
         """Add this evaluator's chain to ``plan`` as the row of pool device ``device``.
 
         Lands ``scores`` in the resident fitness buffer, builds the delta
-        and reduction packets, runs the fused selection and picks the buffer
-        the chain downloads.
+        and reduction packets and picks the buffer the chain downloads; a
+        ``reduce`` step's caller fills the ``reduced`` buffer before pricing.
         """
         rows, whole, stamps, admissible = request
         num_indices = self.neighborhood.size
@@ -1014,9 +1019,6 @@ class GPUEvaluator(NeighborhoodEvaluator):
             packet = self._reduction_packet(admissible, stamps, aspiration_fitness, thresholds)
             plan.reduction_packets.append(
                 None if packet is None else (self._session_buffer("reduction_packet"), packet)
-            )
-            self._fused_select(
-                rows, fitnesses, reduce, admissible, aspiration_fitness, thresholds, stamps
             )
             plan.downloads.append(self._session_buffer("reduced"))
         plan.devices.append(device)
@@ -1049,7 +1051,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
                 "\"first-improvement\", or transfer_mode=\"delta\""
             )
         loop = self._loop
-        rows, _whole, stamps, admissible = request
+        rows = request[0]
         num_solutions, num_indices = rows.size, self.neighborhood.size
         flat_size = num_solutions * num_indices
         flat = _sized_buffer(
@@ -1068,7 +1070,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
         # The per-iteration result ring entry: 16 bytes per active replica,
         # drained by the host while the grid keeps looping.
         indices, best = self._fused_select(
-            rows, fitnesses, reduce, admissible, aspiration_fitness, thresholds, stamps
+            request, fitnesses, reduce, aspiration_fitness, thresholds
         )
         added += loop.reduce(flat_size)
         loop.drain_ring(num_solutions * REDUCED_RESULT_BYTES)
@@ -1698,9 +1700,14 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         return result
 
     def _evaluate_step(self, owners, scores, reduce, per_row):
-        """One delta/reduced step: land, reduce and price every device's rows."""
+        """One delta/reduced step: land every device's rows, select, price.
+
+        A ``reduced`` step's selection runs once over the whole block; each
+        device then stores its rows' winners and tabu stamps.
+        """
         num_indices = self.neighborhood.size
         plan = self._sub_evaluators[0]._step_plan(reduce)
+        requests = []
         for index, evaluator, positions, local, whole in owners:
             admissible, aspiration_fitness, thresholds, tabu_iterations = (
                 None if part is None else part[positions] for part in per_row
@@ -1712,6 +1719,26 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                 plan, index, request, scores[positions], reduce, aspiration_fitness,
                 thresholds,
             )
+            requests.append(request)
+        if reduce is not None:
+            admissible, aspiration_fitness, thresholds, tabu_iterations = per_row
+            tabu = None
+            if tabu_iterations is not None:
+                stamps = np.asarray(tabu_iterations, dtype=TABU_STAMP_DTYPE).ravel()
+                last = np.empty(scores.shape, dtype=TABU_STAMP_DTYPE)
+                for (_index, evaluator, positions, _local, _whole), (rows, whole, *_) in zip(
+                    owners, requests
+                ):
+                    last[positions] = evaluator._tabu_block(rows, whole)
+                tabu = (stamps, last, self._resident_tenure)
+            indices, best = _select_step(
+                np.asarray(scores, dtype=FITNESS_DTYPE), reduce, admissible,
+                aspiration_fitness, thresholds, tabu,
+            )
+            for (_index, evaluator, positions, _local, _whole), request in zip(owners, requests):
+                evaluator._store_selection(
+                    request[0], indices[positions], best[positions], request[2]
+                )
         before = self.scheduler.makespan
         times = self.scheduler.price_resident_step(plan)
         if reduce is None:

@@ -767,52 +767,73 @@ class TransferEngine:
     ) -> tuple[list[float], list[float]]:
         """Price and commit copies one after another: ``(starts, durations)``.
 
-        Each copy is priced alone against everything committed before it,
-        earlier copies of this call included, exactly as if each were its
-        own :meth:`transfer_batch` call — grants are immutable, so issuing
-        the copies of one step in their stream order needs no joint
-        arbitration.  A copy whose channels carry no committed transfer
-        over its window is priced in closed form, with the same floats the
-        fluid integration yields for it; the others go through
-        :meth:`_arbitrate`.  Armed transient faults are consumed in the
-        sequence's order.  A copy starts at ``max(start, end of every copy
-        in its after)``.
+        Each copy is priced by :meth:`transfer_at` against everything
+        committed before it, earlier copies of this call included — grants
+        are immutable, so issuing the copies of one step in their stream
+        order needs no joint arbitration.  Armed transient faults are
+        consumed in the sequence's order.  A copy starts at ``max(start,
+        end of every copy in its after)``.
         """
         starts: list[float] = []
         durations: list[float] = []
         for transfer in transfers:
-            direction, nbytes = transfer.direction, transfer.nbytes
-            if nbytes < 0:
-                raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-            path = self._path(transfer.device, direction, transfer.peer, transfer.kind)
             start = transfer.start
             for index in transfer.after:
                 start = max(start, starts[index] + durations[index])
-            need = float(nbytes) / path.rate
-            loads = self._loads
-            if all(
-                key not in loads or loads[key].idle_over(start, need)
-                for key, _link in path.channels
-            ):
-                base = need
-            else:
-                item = _PricingItem(
-                    TransferRequest(
-                        device=transfer.device, direction=direction, nbytes=nbytes,
-                        kind=transfer.kind, start=start, peer=transfer.peer,
-                    ),
-                    path,
-                )
-                self._arbitrate([item])
-                base = item.duration
-            duration, dedicated = self._finish(direction, nbytes, path.route, base)
-            self._commit(
-                transfer.device, direction, nbytes, transfer.label, path,
-                start, start + duration, max(0.0, duration - dedicated),
-            )
             starts.append(start)
-            durations.append(duration)
+            durations.append(
+                self.transfer_at(
+                    transfer.device, transfer.direction, transfer.nbytes, transfer.kind,
+                    start, peer=transfer.peer, label=transfer.label,
+                )
+            )
         return starts, durations
+
+    def transfer_at(
+        self,
+        device: str,
+        direction: str,
+        nbytes: int,
+        kind: HostMemoryKind | None,
+        start: float,
+        *,
+        peer: str | None = None,
+        label: str = "",
+    ) -> float:
+        """Price and commit one copy that starts at ``start``; returns its duration.
+
+        The copy is priced alone against everything committed before it,
+        exactly as a one-request :meth:`transfer_batch` call.  When its
+        channels carry no committed transfer over its window it is priced
+        in closed form, with the same floats the fluid integration yields;
+        otherwise it goes through :meth:`_arbitrate`.
+        """
+        if nbytes < 0:
+            raise ValueError(f"nbytes must be non-negative, got {nbytes}")
+        path = self._path(device, direction, peer, kind)
+        need = float(nbytes) / path.rate
+        loads = self._loads
+        if all(
+            key not in loads or loads[key].idle_over(start, need)
+            for key, _link in path.channels
+        ):
+            base = need
+        else:
+            item = _PricingItem(
+                TransferRequest(
+                    device=device, direction=direction, nbytes=nbytes,
+                    kind=kind, start=start, peer=peer,
+                ),
+                path,
+            )
+            self._arbitrate([item])
+            base = item.duration
+        duration, dedicated = self._finish(direction, nbytes, path.route, base)
+        self._commit(
+            device, direction, nbytes, label, path,
+            start, start + duration, max(0.0, duration - dedicated),
+        )
+        return duration
 
     def _finish(
         self, direction: str, nbytes: float, route: Route, base: float

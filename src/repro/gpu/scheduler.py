@@ -20,12 +20,12 @@ the overlap the concurrent issue bought.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dtypes import FITNESS_BYTES
 from .hierarchy import DEFAULT_BLOCK_SIZE
 from .interconnect import P2P, SequencedTransfer, TransferEngine, TransferRequest
 from .kernel import Kernel, KernelLaunch
@@ -79,8 +79,9 @@ def merge_timelines(
 class ResidentStepPlan:
     """One step of a device-resident session across the pool, as data.
 
-    :meth:`DeviceScheduler.price_resident_step` prices it in issue order.
-    The *delta route* (what ``apply_deltas`` issues) comes first:
+    :meth:`DeviceScheduler.price_resident_step` prices it in issue order,
+    in one pass.  The *delta route* (what ``apply_deltas`` issues) comes
+    first:
 
     - ``issues``: host-side driver calls ``(name, duration)``, serialized on
       the host timeline;
@@ -91,11 +92,13 @@ class ResidentStepPlan:
       hub, in order, each after the upload and the previous forward.
 
     Then the *evaluation chains* (what ``evaluate_resident`` issues), one
-    row per device in device order: an optional pre-kernel packet, the
-    launch over ``(S, M)`` threads, then either the download of the fitness
-    block or an optional reduction packet, the fused reduction and the
-    download of its ``(index, fitness)`` pairs.  Packets are
-    ``(buffer name, bytes)`` pairs or ``None``.
+    row per device in device order, each priced whole before the next: an
+    optional pre-kernel packet, the launch over ``(S, M)`` threads, then
+    either the download of the fitness block or an optional reduction
+    packet, the fused reduction and the download of its ``(index,
+    fitness)`` pairs.  Packets are ``(buffer name, bytes)`` pairs or
+    ``None``.  The buffers a chain downloads must hold their data (the
+    fused selection's ``reduced`` pairs) before the plan is priced.
     """
 
     issues: list[tuple[str, float]] = field(default_factory=list)
@@ -318,17 +321,18 @@ class DeviceScheduler:
         The result is what issuing the plan one operation at a time through
         the contexts' async API gives, float for float — same intervals,
         counters and engine commits, in the same order — without building
-        an event, request or grant object per operation.  The engine prices
-        the step's copies in :meth:`TransferEngine.transfer_sequence` calls,
-        the launches are memoized (:meth:`GPUTimingModel.launch`) and the
-        chains' clocks are NumPy arithmetic over the device axis.
+        an event, request or grant object per operation.  The delta route
+        goes through one :meth:`TransferEngine.transfer_sequence` call;
+        then one pass over the plan's rows prices each device's chain
+        whole (packets, launch, reduction, download) with Python float
+        clocks, memoized launches (:meth:`GPUTimingModel.launch`) and one
+        :meth:`TransferEngine.transfer_at` call per copy.
 
-        Copies commit in the order the per-device issue used: the delta
-        route, then per device its packets and its download.  When no chain
-        uploads a packet, the downloads of all devices go through one engine
-        call; otherwise each device's chain is priced in turn, because a
-        later device's upload must see the earlier device's download on a
-        shared channel (and the stall sum must add up in the same order).
+        Each copy therefore commits in issue order — a device's packets and
+        download before the next device's — on every topology: on a shared
+        uplink a later device's upload sees the earlier device's download,
+        armed transfer faults hit the copies the per-device issue would
+        hand them, and the stall sums add up in the same order.
         """
         if self.engine is None:
             raise ValueError("pricing a resident step needs a pool sharing one transfer engine")
@@ -349,13 +353,11 @@ class DeviceScheduler:
         data: list[np.ndarray] = []
         done: list[float] = []
         elapsed_before: list[float] = []
-        rows = range(len(plan.devices))
-        if any(plan.packets) or any(plan.reduction_packets):
-            groups = [[row] for row in rows]
-        else:
-            groups = [list(rows)] if plan.devices else []
-        for group in groups:
-            self._price_chains(plan, group, data, done, elapsed_before)
+        for row, device in enumerate(plan.devices):
+            elapsed_before.append(self.contexts[device].timeline.elapsed)
+            download, end = self._price_chain(plan, row)
+            data.append(download)
+            done.append(end)
         elapsed_after = [max(before, end) for before, end in zip(elapsed_before, done)]
         return ResidentStepTimes(
             issues=issues,
@@ -412,109 +414,70 @@ class DeviceScheduler:
             _append(peer.timeline, P2P_STREAM, "p2p", transfer.label, start, end)
         return ends[0], ends[1:]
 
-    def _price_chains(self, plan, group, data, done, elapsed_before) -> None:
-        """Price the evaluation chains of the plan rows in ``group``."""
-        contexts = [self.contexts[plan.devices[row]] for row in group]
-        kinds = [ctx._host_kind(None) for ctx in contexts]
-        sync = np.array([plan.not_before[row] for row in group])
-        elapsed_before.extend(ctx.timeline.elapsed for ctx in contexts)
-        # The packets start in copy-stream order after the host sync point,
-        # so one engine call prices them; ``slots[position][k]`` holds the
-        # sequence index and size of packet k (pre-kernel, reduction).
-        uploads: list[SequencedTransfer] = []
-        slots: list[list[tuple[int, int] | None]] = []
-        for position, (row, ctx) in enumerate(zip(group, contexts)):
-            floor = float(max(_cursor(ctx.timeline, COPY_STREAM), sync[position]))
-            slots.append([])
-            for packet in (plan.packets[row], plan.reduction_packets[row]):
-                if packet is None:
-                    slots[-1].append(None)
-                    continue
-                name, payload = packet
-                nbytes = ctx.stage_upload(name, payload, kinds[position]).nbytes
-                previous = [entry[0] for entry in slots[-1] if entry is not None]
-                slots[-1].append((len(uploads), nbytes))
-                uploads.append(
-                    SequencedTransfer(
-                        ctx.device_key, "h2d", nbytes, kinds[position], floor,
-                        label=name, after=tuple(previous),
-                    )
-                )
-        up_start, up_time = self.engine.transfer_sequence(uploads)
-        packet_end = np.array(
-            [
-                [-np.inf if slot is None else up_start[slot[0]] + up_time[slot[0]]
-                 for slot in device_slots]
-                for device_slots in slots
-            ]
-        ).reshape(len(group), 2)
-        # Launches and fused reductions, over the device axis.
-        threads = [plan.shapes[row][0] * plan.shapes[row][1] for row in group]
-        prices = [
-            ctx.timing.launch(count, plan.block_size, plan.kernel.cost)
-            for count, ctx in zip(threads, contexts)
-        ]
-        compute = np.array([_cursor(ctx.timeline, COMPUTE_STREAM) for ctx in contexts])
-        kernel_start = np.maximum(np.maximum(compute, sync), packet_end[:, 0])
-        kernel_end = kernel_start + np.array([price.total_time for _config, price in prices])
-        ready = kernel_end
-        if plan.reduce is not None:
-            overhead = np.array([ctx.device.kernel_launch_overhead for ctx in contexts])
-            bandwidth = np.array([ctx.device.sustained_bandwidth for ctx in contexts])
-            reduce_time = overhead + float(FITNESS_BYTES) * np.array(threads) / bandwidth
-            reduce_start = np.maximum(kernel_end, packet_end[:, 1])
-            ready = reduce_start + reduce_time
-        # Downloads start once the download stream is free and the launch
-        # (or reduction) is done; one engine call prices them.
-        downloads = []
-        for position, (row, ctx) in enumerate(zip(group, contexts)):
-            data.append(ctx.stage_download(plan.downloads[row], kinds[position]))
-            downloads.append(
-                SequencedTransfer(
-                    ctx.device_key, "d2h", int(data[-1].nbytes), kinds[position],
-                    max(_cursor(ctx.timeline, DOWNLOAD_STREAM), float(ready[position])),
-                    label=plan.downloads[row],
+    def _price_chain(self, plan: ResidentStepPlan, row: int) -> tuple[np.ndarray, float]:
+        """Price the evaluation chain of plan row ``row``: ``(download, its end)``.
+
+        The operations are priced and recorded in issue order: the
+        pre-kernel packet, the launch, the reduction packet, the fused
+        reduction and the download.  The packets queue on the copy stream
+        after the host sync point; the launch waits for the first, the
+        reduction for the launch and the second.
+        """
+        ctx = self.contexts[plan.devices[row]]
+        stats, timeline = ctx.stats, ctx.timeline
+        kind = ctx._host_kind(None)
+        sync = float(plan.not_before[row])
+        copy_ready = max(_cursor(timeline, COPY_STREAM), sync)
+        packet_end = self._upload(ctx, kind, plan.packets[row], copy_ready)
+        threads = plan.shapes[row][0] * plan.shapes[row][1]
+        config, price = ctx.timing.launch(threads, plan.block_size, plan.kernel.cost)
+        start = max(_cursor(timeline, COMPUTE_STREAM), sync, packet_end)
+        ready = start + price.total_time
+        stats.kernel_launches += 1
+        stats.kernel_time += price.total_time
+        if ctx.keep_launch_records:
+            stats.launch_records.append(
+                KernelLaunch(
+                    kernel_name=plan.kernel.name, config=config, active_threads=threads,
+                    time=price, mode=ctx.mode, work_shape=plan.shapes[row],
                 )
             )
-        down_start, down_time = self.engine.transfer_sequence(downloads)
-        def record_upload(ctx, slot):
-            if slot is not None:
-                index, nbytes = slot
-                ctx.stats.transfer_time += up_time[index]
-                ctx.stats.h2d_bytes += nbytes
-                _append(ctx.timeline, COPY_STREAM, "h2d", uploads[index].label,
-                        up_start[index], up_start[index] + up_time[index])
+        _append(timeline, COMPUTE_STREAM, "kernel", plan.kernel.name, start, ready)
+        packet_end = self._upload(
+            ctx, kind, plan.reduction_packets[row], max(copy_ready, packet_end)
+        )
+        if plan.reduce is not None:
+            start = max(ready, packet_end)
+            duration = ctx.timing.reduction_time(threads)
+            ready = start + duration
+            stats.reductions += 1
+            stats.reduction_time += duration
+            _append(timeline, COMPUTE_STREAM, "reduce", plan.reduce, start, ready)
+        name = plan.downloads[row]
+        data = ctx.stage_download(name, kind)
+        start = max(_cursor(timeline, DOWNLOAD_STREAM), ready)
+        duration = self.engine.transfer_at(
+            ctx.device_key, "d2h", int(data.nbytes), kind, start, label=name
+        )
+        stats.transfer_time += duration
+        stats.d2h_bytes += int(data.nbytes)
+        _append(timeline, DOWNLOAD_STREAM, "d2h", name, start, start + duration)
+        return data, start + duration
 
-        # Record each device's operations in issue order: pre-kernel
-        # packet, launch, reduction packet, reduction, download.
-        for position, (row, ctx) in enumerate(zip(group, contexts)):
-            stats, timeline = ctx.stats, ctx.timeline
-            record_upload(ctx, slots[position][0])
-            config, price = prices[position]
-            stats.kernel_launches += 1
-            stats.kernel_time += price.total_time
-            if ctx.keep_launch_records:
-                stats.launch_records.append(
-                    KernelLaunch(
-                        kernel_name=plan.kernel.name, config=config,
-                        active_threads=threads[position], time=price, mode=ctx.mode,
-                        work_shape=plan.shapes[row],
-                    )
-                )
-            _append(timeline, COMPUTE_STREAM, "kernel", plan.kernel.name,
-                    float(kernel_start[position]), float(kernel_end[position]))
-            record_upload(ctx, slots[position][1])
-            if plan.reduce is not None:
-                stats.reductions += 1
-                stats.reduction_time += float(reduce_time[position])
-                _append(timeline, COMPUTE_STREAM, "reduce", plan.reduce,
-                        float(reduce_start[position]), float(ready[position]))
-            end = down_start[position] + down_time[position]
-            stats.transfer_time += down_time[position]
-            stats.d2h_bytes += downloads[position].nbytes
-            _append(timeline, DOWNLOAD_STREAM, "d2h", downloads[position].label,
-                    down_start[position], end)
-            done.append(end)
+    def _upload(self, ctx: GPUContext, kind, packet, start: float) -> float:
+        """Price and record one chain packet from ``start``; returns its end.
+
+        No packet (``None``) ends at ``-inf``, so it delays nothing.
+        """
+        if packet is None:
+            return -math.inf
+        name, payload = packet
+        nbytes = ctx.stage_upload(name, payload, kind).nbytes
+        duration = self.engine.transfer_at(ctx.device_key, "h2d", nbytes, kind, start, label=name)
+        ctx.stats.transfer_time += duration
+        ctx.stats.h2d_bytes += nbytes
+        _append(ctx.timeline, COPY_STREAM, "h2d", name, start, start + duration)
+        return start + duration
 
     @property
     def all_peer_capable(self) -> bool:

@@ -536,3 +536,103 @@ class TestFullModeCausality:
                 interval.end for interval in new if interval.kind == "d2h"
             )
         evaluator.close()
+
+
+class TestPoolWideSelection:
+    """A pool selects its whole block at once, as each device would its own rows.
+
+    The reference is one ``GPUEvaluator`` per pool device, holding that
+    device's replica range; the same rows are evaluated on each and the
+    results are concatenated.  The heterogeneous pool splits the replicas
+    unevenly (4, 2, 3 and 4 replicas); the requested rows skip the first
+    replica and leave one device a single row.
+    """
+
+    DEVICES = [GTX_280, GTX_8800, TESLA_C1060, GTX_280]
+    REPLICAS = 13
+    ROWS = np.array([1, 2, 3, 4, 6, 7, 10, 12])
+    #: Replicas with every move tabu, and the one with no admissible move.
+    BLOCKED, BARRED = [1, 7], 2
+
+    def _block(self, problem):
+        rng = np.random.default_rng(5)
+        return rng.integers(0, 2, size=(self.REPLICAS, problem.n)).astype(np.int8)
+
+    def _stamps(self, neighborhood):
+        """Last-applied stamps: the blocked rows have every move tabu at iteration 20."""
+        rng = np.random.default_rng(9)
+        stamps = rng.integers(0, 20, size=(self.REPLICAS, neighborhood.size))
+        for row in self.BLOCKED:
+            stamps[row] = 18 + rng.integers(0, 2, size=neighborhood.size)
+            stamps[row, rng.integers(0, neighborhood.size)] = 17
+        return stamps
+
+    def _evaluate(self, evaluator, rows, request, tenure, stamps):
+        if tenure is not None:
+            evaluator.init_tabu_memory(tenure)
+            evaluator.write_tabu_rows(np.arange(stamps.shape[0]), stamps)
+        result = evaluator.evaluate_resident(rows, **request)
+        tabu = None if tenure is None else evaluator.read_tabu_rows(np.arange(stamps.shape[0]))
+        return result, tabu
+
+    def _request(self, kind, fitnesses, rows):
+        rng = np.random.default_rng(3)
+        if kind == "first-improvement":
+            return {"reduce": "first-improvement",
+                    "thresholds": np.median(fitnesses[rows], axis=1)}
+        aspiration = np.quantile(fitnesses[rows], 0.05, axis=1)
+        aspiration[np.searchsorted(rows, [*self.BLOCKED, self.BARRED])] = -np.inf
+        request = {"reduce": "argmin", "aspiration_fitness": aspiration}
+        if kind == "mask":
+            mask = rng.random((rows.size, fitnesses.shape[1])) < 0.3
+            mask[np.searchsorted(rows, self.BARRED)] = False
+            request["admissible"] = mask
+        else:
+            request["tabu_iterations"] = np.full(rows.size, 20)
+        return request
+
+    @pytest.mark.parametrize(
+        "kind, tenure",
+        [("tabu", 3), ("tabu", 0), ("mask", None), ("first-improvement", None)],
+    )
+    def test_pool_selection_equals_device_selection(self, problem, neighborhood, kind, tenure):
+        block = self._block(problem)
+        fitnesses = GPUEvaluator(problem, neighborhood).evaluate_many(block)
+        stamps = self._stamps(neighborhood)
+        request = self._request(kind, fitnesses, self.ROWS)
+        tenure = tenure if kind == "tabu" else None
+
+        pool = MultiGPUEvaluator(problem, neighborhood, devices=self.DEVICES)
+        pool.begin_search(block)
+        ranges = list(pool._replica_ranges)
+        assert ranges == [(0, 4), (4, 6), (6, 9), (9, 13)]
+        pooled, pooled_tabu = self._evaluate(pool, self.ROWS, request, tenure, stamps)
+        pool.close()
+
+        indices, best, tabu = [], [], []
+        for lo, hi in ranges:
+            device = GPUEvaluator(problem, neighborhood)
+            device.begin_search(block[lo:hi])
+            mine = (self.ROWS >= lo) & (self.ROWS < hi)
+            local = {
+                key: value if key == "reduce" else value[mine]
+                for key, value in request.items()
+            }
+            (device_indices, device_best), device_tabu = self._evaluate(
+                device, self.ROWS[mine] - lo, local, tenure, stamps[lo:hi]
+            )
+            device.close()
+            indices.append(device_indices)
+            best.append(device_best)
+            tabu.append(device_tabu)
+        np.testing.assert_array_equal(pooled[0], np.concatenate(indices))
+        np.testing.assert_array_equal(pooled[1], np.concatenate(best))
+        if tenure is not None:
+            np.testing.assert_array_equal(pooled_tabu, np.concatenate(tabu))
+            if tenure:
+                # Every move of the blocked rows is tabu: they escape to their oldest move.
+                escaped = pooled[0][np.searchsorted(self.ROWS, self.BLOCKED)]
+                np.testing.assert_array_equal(escaped, stamps[self.BLOCKED].argmin(axis=1))
+            assert (pooled_tabu[self.ROWS, pooled[0]] == 20).all()
+        elif kind == "mask":
+            assert pooled[0][np.searchsorted(self.ROWS, self.BARRED)] == -1

@@ -18,10 +18,14 @@ from repro.gpu import (
     DeviceScheduler,
     GPUContext,
     HostMemoryKind,
+    InterconnectTopology,
     Kernel,
     KernelCostProfile,
+    Link,
+    MultiGPU,
     P2P_STREAM,
     PinnedStagingPool,
+    ResidentStepPlan,
     partition_range,
     throughput_weights,
     timeline_report,
@@ -272,3 +276,175 @@ class TestDeviceScheduler:
     def test_needs_at_least_one_context(self):
         with pytest.raises(ValueError):
             DeviceScheduler([])
+
+
+def _half_duplex_topology(specs):
+    """A ``dedicated`` fabric whose host and peer links are half duplex."""
+    keys = [f"gpu{index}" for index in range(len(specs))]
+    host_paths = {
+        key: (
+            Link(
+                f"pcie:{key}", bandwidth=spec.pcie_pinned_bandwidth, latency=spec.pcie_latency,
+                duplex=False, pageable_bandwidth=spec.pcie_bandwidth,
+            ),
+        )
+        for key, spec in zip(keys, specs)
+    }
+    peer_paths = {
+        (a, b): (Link(f"p2p:{a}-{b}", bandwidth=4.0e9, latency=2.0e-6, duplex=False),)
+        for position, a in enumerate(keys)
+        for b in keys[position + 1 :]
+    }
+    return InterconnectTopology(
+        "half-duplex", device_keys=keys, host_paths=host_paths, peer_paths=peer_paths
+    )
+
+
+class TestResidentStepPricing:
+    """A pool step priced in one call equals its rows priced one device at a time.
+
+    Each case runs the same seeded resident steps on two identical pools:
+    one prices every step's plan in one ``price_resident_step`` call, the
+    other splits it into the delta route plus one plan per device row, in
+    device order.  The host sync points lag the devices' clocks, so packets
+    overlap earlier downloads (a stall on a half-duplex lane or the shared
+    uplink); every stream interval, counter and engine commit must agree
+    float for float.
+    """
+
+    STEPS = 6
+
+    def _plans(self, pool, scheduler, rng):
+        kernel = _copy_kernel("resident")
+        for step in range(self.STEPS):
+            plan = ResidentStepPlan(
+                kernel=kernel, reduce=None if step % 3 == 2 else "FusedReduce<argmin>"
+            )
+            plan.issues = [("delta_hub", 2.0e-6)]
+            if step % 2 == 0 and scheduler.all_peer_capable:
+                plan.hub = 0
+                plan.hub_packet = ("hub", np.zeros(int(rng.integers(64, 512)), np.uint8))
+                plan.hub_not_before = float(rng.uniform(0.0, 1.0)) * scheduler.makespan
+                plan.forwards = [
+                    (device, "forward", np.zeros(int(rng.integers(16, 128)), np.uint8))
+                    for device in range(1, pool.num_devices)
+                ]
+            for device, ctx in enumerate(pool.contexts):
+                rows, moves = int(rng.integers(1, 9)), int(rng.integers(16, 64))
+                for packets, name, chance in (
+                    (plan.packets, "deltas", 0.7), (plan.reduction_packets, "packet", 0.6)
+                ):
+                    size = int(rng.integers(8, 4096))
+                    packets.append(
+                        (name, np.zeros(size, np.uint8)) if rng.random() < chance else None
+                    )
+                download = f"out{step}"
+                ctx.alloc(download, (rows if plan.reduce else rows * moves,), np.float64)
+                ctx.memory.get(download).data[...] = step + device
+                plan.devices.append(device)
+                plan.not_before.append(
+                    float(rng.uniform(0.5, 1.0)) * ctx.timeline.elapsed
+                )
+                plan.shapes.append((rows, moves))
+                plan.downloads.append(download)
+            yield step, plan
+
+    @staticmethod
+    def _rows(plan):
+        """The plan as its delta route plus one plan per device row."""
+        route = ResidentStepPlan(
+            issues=plan.issues, hub=plan.hub, hub_packet=plan.hub_packet,
+            hub_not_before=plan.hub_not_before, forwards=plan.forwards,
+        )
+        rows = [
+            ResidentStepPlan(
+                devices=[device], not_before=[sync], packets=[packet], shapes=[shape],
+                kernel=plan.kernel, block_size=plan.block_size, reduce=plan.reduce,
+                reduction_packets=[reduction], downloads=[download],
+            )
+            for device, sync, packet, shape, reduction, download in zip(
+                plan.devices, plan.not_before, plan.packets, plan.shapes,
+                plan.reduction_packets, plan.downloads,
+            )
+        ]
+        return [route, *rows]
+
+    @staticmethod
+    def _record(pool, scheduler, times):
+        def lanes(timeline):
+            return [
+                (name, stream.cursor, [tuple(vars(i).values()) for i in stream.intervals])
+                for name, stream in timeline.streams.items()
+            ]
+
+        engine = pool.engine
+        return {
+            "times": [
+                (t.issues, t.upload, t.arrivals, t.done, t.elapsed_before, t.elapsed_after,
+                 t.latest, [data.tobytes() for data in t.data])
+                for t in times
+            ],
+            "streams": [lanes(ctx.timeline) for ctx in pool.contexts],
+            "host": lanes(scheduler.host_timeline),
+            "stats": [
+                (
+                    ctx.stats.snapshot(),
+                    [(r.config, r.active_threads, r.time, r.work_shape)
+                     for r in ctx.stats.launch_records],
+                )
+                for ctx in pool.contexts
+            ],
+            "loads": {
+                key: (load.starts, load.ends, load.nbytes, load.transfers)
+                for key, load in engine._loads.items()
+            },
+            "links": lanes(engine.timeline),
+            "total_stall": engine.total_stall,
+            "stall_by_device": engine.stall_by_device,
+            "transfers": engine.transfers,
+            "retries": (engine.retried_transfers, engine.retry_time),
+        }
+
+    def _run(self, devices, topology, *, split, faults=False):
+        pool = MultiGPU(devices, topology=topology)
+        scheduler = DeviceScheduler(pool.contexts, engine=pool.engine)
+        for ctx in pool.contexts:
+            ctx.keep_launch_records = True
+        steps = []
+        for step, plan in self._plans(pool, scheduler, np.random.default_rng(7)):
+            if faults and step in (1, 3):
+                pool.engine.inject_transfer_faults(count=3, retries=2, backoff=1.0e-5)
+            if not split:
+                steps.append(scheduler.price_resident_step(plan))
+                continue
+            route, *rows = [scheduler.price_resident_step(part) for part in self._rows(plan)]
+            steps.append(
+                route._replace(
+                    **{
+                        field: [value for row in rows for value in getattr(row, field)]
+                        for field in ("data", "done", "elapsed_before", "elapsed_after")
+                    },
+                    latest=max(route.latest, *(row.latest for row in rows)),
+                )
+            )
+        return self._record(pool, scheduler, steps)
+
+    @pytest.mark.parametrize(
+        "devices, topology",
+        [
+            pytest.param(4, "dedicated", id="dedicated-4"),
+            pytest.param(8, "dedicated", id="dedicated-8"),
+            pytest.param(4, _half_duplex_topology([GTX_280] * 4), id="half-duplex-4"),
+            pytest.param(4, "shared", id="shared-4"),
+            pytest.param([GTX_280, GTX_8800, TESLA_C1060], "shared", id="shared-mixed"),
+        ],
+    )
+    @pytest.mark.parametrize("faults", [False, True], ids=["no-fault", "flaky"])
+    def test_one_call_equals_device_by_device(self, devices, topology, faults):
+        whole = self._run(devices, topology, split=False, faults=faults)
+        split = self._run(devices, topology, split=True, faults=faults)
+        assert whole == split
+        if faults:
+            assert whole["retries"][0] > 0
+        if not isinstance(topology, str) or topology == "shared":
+            assert whole["total_stall"] > 0.0
