@@ -25,7 +25,8 @@ priced).  Scheduling is:
 * **preemption** — when the highest-priority queued job cannot fit,
   strictly lower-priority running jobs are suspended (most recently
   admitted first) and re-queued with their full row state, resuming
-  bit-identically later;
+  bit-identically later.  The fair-share bar is judged first, as it will
+  stand after the suspension: a head it holds back suspends no one;
 * **policy="drain"** — the run-to-completion baseline: a new batch is
   admitted only once the previous batch fully drained.  This is the
   straggler-tail behaviour the continuous policy exists to beat.
@@ -375,8 +376,12 @@ class SolveServer:
             record.preemptions += 1
             queue.append(_QueueEntry(record.spec, record, saved))
 
-        def try_preempt(entry: _QueueEntry) -> None:
-            """Free slots for the queue head by suspending lower-priority jobs."""
+        def preemption_victims(entry: _QueueEntry) -> list[dict] | None:
+            """The lower-priority jobs to suspend so the queue head fits.
+
+            ``None`` when suspending every lower-priority job would still
+            not free enough slots.
+            """
             victims = sorted(
                 (
                     state
@@ -392,10 +397,27 @@ class SolveServer:
                     break
                 freeable += len(state["slots"])
                 chosen.append(state)
-            if freeable < entry.need:
-                return
-            for state in chosen:
-                suspend_job(state)
+            return chosen if freeable >= entry.need else None
+
+        def fair_barred(entry: _QueueEntry, victims: list[dict]) -> bool:
+            """Whether the fair-share bar passes over ``entry``.
+
+            The bar is judged as it will stand once ``victims`` are
+            suspended and re-queued, before any of them is: a head it holds
+            back must not suspend jobs, or a later pass re-admits them into
+            the freed slots and the head suspends them again, forever.
+            """
+            if fair_cap is None:
+                return False
+            tenant = entry.spec.tenant
+            hold = tenant_hold(tenant) - sum(
+                len(state["slots"])
+                for state in victims
+                if state["record"].spec.tenant == tenant
+            )
+            waiting = {other.spec.tenant for other in queue}
+            waiting.update(state["record"].spec.tenant for state in victims)
+            return hold >= fair_cap and bool(waiting - {tenant})
 
         def admit() -> None:
             nonlocal admit_seq
@@ -410,22 +432,17 @@ class SolveServer:
             while progressed and queue:
                 progressed = False
                 for entry in list(queue):
-                    if (
-                        entry.need > runner.free_slots
-                        and self.preemption
-                        and entry is queue[0]
-                    ):
-                        try_preempt(entry)
+                    victims: list[dict] | None = []
                     if entry.need > runner.free_slots:
+                        if not (self.preemption and entry is queue[0]):
+                            continue
+                        victims = preemption_victims(entry)
+                        if victims is None:
+                            continue
+                    if fair_barred(entry, victims):
                         continue
-                    if (
-                        fair_cap is not None
-                        and tenant_hold(entry.spec.tenant) >= fair_cap
-                        and any(
-                            other.spec.tenant != entry.spec.tenant for other in queue
-                        )
-                    ):
-                        continue
+                    for state in victims:
+                        suspend_job(state)
                     spec = entry.spec
                     if entry.saved is not None:
                         slots = runner.resume(entry.saved)

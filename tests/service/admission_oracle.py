@@ -8,11 +8,9 @@ The cells cover both policies (``continuous``, ``drain``), preemption on and
 off, ``fair_share`` ``None`` and 0.5, and traces at 2.5x the calibrated
 capacity that overflow a short queue and let queued jobs expire; two cells
 run the four-GPU ``reduced`` pool the ``serve-poisson`` benchmark runs.
-Preemption together with ``fair_share`` runs on traces at 0.8x capacity
-only: under overload that combination can suspend and resume the same group
-forever inside one admission round, on either policy (a high-priority head
-preempts, the tenant cap then bars it, and the freed slots take the victims
-back).
+Preemption together with ``fair_share`` runs on traces at 0.8x capacity;
+``test_server.py::TestFairShareWithPreemption`` replays overloaded ones in
+a subprocess with a timeout.
 
 Floats are recorded with :meth:`float.hex`, so the comparison is exact.
 ``test_admission_oracle.py`` replays every cell against the recorded file;

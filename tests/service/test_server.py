@@ -1,10 +1,17 @@
 """Solve-server scheduling: admission, fairness, preemption, accounting."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import admission_oracle
 import numpy as np
 import pytest
 
+import repro
 from repro.core import CPUEvaluator, MultiGPUEvaluator
 from repro.localsearch.multistart import MultiStartRunner
 from repro.neighborhoods import KHammingNeighborhood
@@ -217,6 +224,69 @@ class TestPriorityAndFairness:
         by_id = {record.spec.job_id: record for record in greedy.records}
         assert by_id["x2"].queue_wait == 0.0
         assert by_id["y1"].queue_wait > 0.0
+
+
+class TestFairShareWithPreemption:
+    """The fair-share bar is judged before a queue head preempts anyone."""
+
+    def test_barred_head_suspends_no_one(self, evaluator):
+        jobs = [
+            job("x1", replicas=2, budget=30, tenant="x", target_fitness=-math.inf),
+            job("y1", replicas=2, budget=30, tenant="y", target_fitness=-math.inf),
+            # x already holds its share; preempting y1 would leave y waiting.
+            job("x2", arrival=1e-6, replicas=2, budget=5, tenant="x", priority=5),
+        ]
+        server = SolveServer(evaluator, capacity=4, fair_share=0.5)
+        by_id = {record.spec.job_id: record for record in server.run_trace(jobs).records}
+        assert by_id["y1"].preemptions == 0
+        assert by_id["x2"].admitted >= by_id["x1"].finished
+        assert all(record.status == "completed" for record in by_id.values())
+
+    def test_head_may_preempt_its_own_tenant_at_its_share(self, evaluator):
+        jobs = [
+            job("x1", replicas=2, budget=30, tenant="x", target_fitness=-math.inf),
+            job("y1", replicas=2, budget=30, tenant="y", target_fitness=-math.inf),
+            job("x2", replicas=2, budget=5, tenant="x"),
+            # y holds its share while x2 waits, but the victim is y's own
+            # job: once it is suspended, y holds nothing.
+            job("y2", arrival=1e-6, replicas=2, budget=5, tenant="y", priority=5),
+        ]
+        server = SolveServer(evaluator, capacity=4, fair_share=0.5)
+        by_id = {record.spec.job_id: record for record in server.run_trace(jobs).records}
+        assert by_id["y1"].preemptions == 1 and by_id["x1"].preemptions == 0
+        assert by_id["y2"].admitted < by_id["x1"].finished
+        assert all(record.status == "completed" for record in by_id.values())
+
+    def test_overloaded_traces_finish(self):
+        """Replays that once looped forever inside one admission round.
+
+        At 2.5x load with ``fair_share=0.5`` and preemption on, a head
+        suspended jobs, the bar then held it back, and the next pass took
+        the victims back.  The replay runs in its own interpreter so a
+        regression fails on the timeout instead of hanging the suite.
+        """
+        script = (
+            "import json, admission_oracle as oracle\n"
+            "cells = [('cpu', 1, 'continuous'), ('cpu', 2, 'continuous'),\n"
+            "         ('cpu', 4, 'drain'), ('multi-gpu', 1, 'continuous')]\n"
+            "print(json.dumps([oracle.run_cell(dict(evaluator=evaluator, trace=trace,\n"
+            "    load=2.5, policy=policy, preemption=True, fair_share=0.5))\n"
+            "    for evaluator, trace, policy in cells]))\n"
+        )
+        paths = [str(Path(repro.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                env=env, timeout=120, check=True,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("an overloaded fair-share replay did not finish within 120 s")
+        outcomes = json.loads(done.stdout)
+        for outcome in outcomes:
+            assert sum(outcome["statuses"].values()) == admission_oracle.JOBS
+            assert set(outcome["statuses"]) <= {"completed", "expired", "rejected"}
+        assert all(outcomes[index]["preemptions"] > 0 for index in (0, 1, 3))
 
 
 class TestAdmissionEvents:
