@@ -490,7 +490,7 @@ class CPUEvaluator(_HostModelMixin, NeighborhoodEvaluator):
         # evaluations (one per-call overhead instead of S — the batched
         # path's bookkeeping amortization).  Scoring through `_score` hands
         # the problem the frozen move table, which the gain engine of a
-        # multi-row run serves (a rebuilt writable table is declined).
+        # multi-row run serves (a rebuilt writable table is never offered).
         fitnesses = _score(self.problem, self.neighborhood, solutions, indices)
         self._account_host_time(solutions.shape[0] * indices.size)
         return np.asarray(fitnesses, dtype=np.float64)

@@ -188,14 +188,17 @@ class BinaryProblem(abc.ABC):
     ) -> np.ndarray | None:
         """Serve this batch from the attached incremental gain cache, if any.
 
-        Returns ``None`` when no engine is attached or the engine declines
-        (no expected-row declaration, unbound/foreign move table, oversized
-        scratch) — the caller then recomputes, which is bit-identical.  The
-        problems with a gain state (PPP, MaxSAT) consult this hook right
-        after argument validation.
+        Returns ``None`` when no engine is attached, when ``moves`` is
+        writable, or when the engine declines (no expected-row declaration,
+        foreign move table, oversized scratch) — the caller then
+        recomputes, which is bit-identical.  Only a frozen table can be the
+        engine's bound move table, so a writable one — a per-call slice, or
+        the one move of a per-move loop such as :meth:`delta_evaluate` — is
+        never offered.  The problems with a gain state (PPP, MaxSAT)
+        consult this hook right after argument validation.
         """
         engine = self._gain_engine
-        if engine is None:
+        if engine is None or moves.flags.writeable:
             return None
         return engine.try_evaluate(solutions, moves, out)
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import repro.localsearch.multistart as multistart_mod
-from repro.core import CPUEvaluator, GPUEvaluator
+from repro.core import CPUEvaluator, GPUEvaluator, SequentialEvaluator
 from repro.core.evaluators import MultiGPUEvaluator
 from repro.localsearch import IteratedLocalSearch, MultiStartRunner, TabuSearch
 from repro.localsearch.multistart import MultiStartRunner as Runner
@@ -163,11 +163,11 @@ class TestLockstepMatrix:
         assert run()[0] == with_engine
 
 
-def cpu_lockstep_signature():
-    """PPP 25x25, 2-Hamming, 4 rows, 10 tabu steps on the CPU evaluator (a
+def cpu_lockstep_signature(evaluator_cls):
+    """PPP 25x25, 2-Hamming, 4 rows, 10 tabu steps on a CPU evaluator (a
     fresh problem: the evaluation path is read when it is built)."""
     problem = make_table_instance((25, 25), trial=0)
-    with CPUEvaluator(problem, KHammingNeighborhood(problem.n, 2)) as evaluator:
+    with evaluator_cls(problem, KHammingNeighborhood(problem.n, 2)) as evaluator:
         result = MultiStartRunner(
             evaluator, max_iterations=10, target_fitness=float("-inf")
         ).run(seeds=SEEDS)
@@ -183,12 +183,24 @@ def test_cpu_lockstep_run_is_served_by_the_engine(engines, monkeypatch):
     """The CPU evaluator scores a multi-row step with the frozen move table,
     so the runner's gain engine serves every step instead of declining."""
     monkeypatch.delenv("REPRO_EVAL_PATH", raising=False)
-    served = cpu_lockstep_signature()
+    served = cpu_lockstep_signature(CPUEvaluator)
     assert len(engines) == 1
     assert engines[0].stats["evals"] > 0, engines[0].stats
     assert engines[0].stats["declined"] == 0, engines[0].stats
     monkeypatch.setenv("REPRO_EVAL_PATH", "reference")
-    assert cpu_lockstep_signature() == served
+    assert cpu_lockstep_signature(CPUEvaluator) == served
+
+
+def test_sequential_per_move_calls_never_reach_the_engine(engines, monkeypatch):
+    """The sequential evaluator scores one move per call; those calls are not
+    neighborhood batches, so the engine is never offered (nor declines) one."""
+    monkeypatch.delenv("REPRO_EVAL_PATH", raising=False)
+    looped = cpu_lockstep_signature(SequentialEvaluator)
+    assert len(engines) == 1
+    assert engines[0].stats["evals"] == 0, engines[0].stats
+    assert engines[0].stats["declined"] == 0, engines[0].stats
+    monkeypatch.setenv("REPRO_EVAL_PATH", "reference")
+    assert cpu_lockstep_signature(SequentialEvaluator) == looped
 
 
 SCALAR_FACTORIES = dict(PROBLEM_FACTORIES, leadingones=lambda: LeadingOnes(16))
