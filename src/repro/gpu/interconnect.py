@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .device import DeviceSpec
 from .memory import HostMemoryKind
@@ -57,7 +57,6 @@ __all__ = [
     "TransferRequest",
     "TransferGrant",
     "TransferEngine",
-    "SequencedTransfer",
     "TOPOLOGY_PRESETS",
     "resolve_topology",
     "format_interconnect",
@@ -448,23 +447,6 @@ class TransferRequest:
     label: str = ""
 
 
-class SequencedTransfer(NamedTuple):
-    """One copy of a :meth:`TransferEngine.transfer_sequence` call."""
-
-    device: str
-    direction: str  # "h2d" | "d2h" | "p2p"
-    nbytes: int
-    kind: HostMemoryKind | None
-    #: Earliest start (the issuing stream's cursor and host-side waits).
-    start: float
-    #: Destination device for ``direction="p2p"``.
-    peer: str | None = None
-    label: str = ""
-    #: Indices of earlier copies of the same call this one waits for: it
-    #: starts no sooner than they end (stream order, event waits).
-    after: tuple[int, ...] = ()
-
-
 @dataclass(frozen=True)
 class TransferGrant:
     """The engine's answer: when the copy runs and how long it takes."""
@@ -762,33 +744,6 @@ class TransferEngine:
             grants.append(grant)
         return grants
 
-    def transfer_sequence(
-        self, transfers: Sequence[SequencedTransfer]
-    ) -> tuple[list[float], list[float]]:
-        """Price and commit copies one after another: ``(starts, durations)``.
-
-        Each copy is priced by :meth:`transfer_at` against everything
-        committed before it, earlier copies of this call included — grants
-        are immutable, so issuing the copies of one step in their stream
-        order needs no joint arbitration.  Armed transient faults are
-        consumed in the sequence's order.  A copy starts at ``max(start,
-        end of every copy in its after)``.
-        """
-        starts: list[float] = []
-        durations: list[float] = []
-        for transfer in transfers:
-            start = transfer.start
-            for index in transfer.after:
-                start = max(start, starts[index] + durations[index])
-            starts.append(start)
-            durations.append(
-                self.transfer_at(
-                    transfer.device, transfer.direction, transfer.nbytes, transfer.kind,
-                    start, peer=transfer.peer, label=transfer.label,
-                )
-            )
-        return starts, durations
-
     def transfer_at(
         self,
         device: str,
@@ -803,10 +758,13 @@ class TransferEngine:
         """Price and commit one copy that starts at ``start``; returns its duration.
 
         The copy is priced alone against everything committed before it,
-        exactly as a one-request :meth:`transfer_batch` call.  When its
-        channels carry no committed transfer over its window it is priced
-        in closed form, with the same floats the fluid integration yields;
-        otherwise it goes through :meth:`_arbitrate`.
+        exactly as a one-request :meth:`transfer_batch` call — grants are
+        immutable, so the copies of one step issued one by one in stream
+        order need no joint arbitration.  When its channels carry no
+        committed transfer over its window it is priced in closed form,
+        with the same floats the fluid integration yields; otherwise it
+        goes through :meth:`_arbitrate`.  An armed transient fault hits
+        the next call that moves host bytes.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")

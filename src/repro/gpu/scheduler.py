@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .hierarchy import DEFAULT_BLOCK_SIZE
-from .interconnect import P2P, SequencedTransfer, TransferEngine, TransferRequest
+from .interconnect import P2P, TransferEngine, TransferRequest
 from .kernel import Kernel, KernelLaunch
 from .memory import HostMemoryKind
 from .runtime import GPUContext
@@ -321,12 +321,11 @@ class DeviceScheduler:
         The result is what issuing the plan one operation at a time through
         the contexts' async API gives, float for float — same intervals,
         counters and engine commits, in the same order — without building
-        an event, request or grant object per operation.  The delta route
-        goes through one :meth:`TransferEngine.transfer_sequence` call;
-        then one pass over the plan's rows prices each device's chain
-        whole (packets, launch, reduction, download) with Python float
-        clocks, memoized launches (:meth:`GPUTimingModel.launch`) and one
-        :meth:`TransferEngine.transfer_at` call per copy.
+        an event, request or grant object per operation.  Every copy is
+        one :meth:`TransferEngine.transfer_at` call, every clock a Python
+        float, and launches are memoized (:meth:`GPUTimingModel.launch`).
+        After the delta route, one pass over the plan's rows prices each
+        device's chain whole: packets, launch, reduction, download.
 
         Each copy therefore commits in issue order — a device's packets and
         download before the next device's — on every topology: on a shared
@@ -373,46 +372,41 @@ class DeviceScheduler:
     def _forward_deltas(
         self, plan: ResidentStepPlan, issued: float
     ) -> tuple[float, list[float]]:
-        """The hub upload and the peer forwards of one combined delta packet."""
+        """The hub upload and the peer forwards of one combined delta packet.
+
+        Each forward starts after the upload and the forward before it, and
+        no sooner than the hub's and its peer's P2P streams free up.
+        """
+        engine = self.engine
         hub = self.contexts[plan.hub]
         name, packet = plan.hub_packet
         kind = hub._host_kind(None)
         nbytes = hub.stage_upload(name, packet, kind).nbytes
         hub_p2p = _cursor(hub.timeline, P2P_STREAM)
-        transfers = [
-            SequencedTransfer(
-                hub.device_key, "h2d", nbytes, kind,
-                max(_cursor(hub.timeline, COPY_STREAM), max(plan.hub_not_before, issued)),
-                label=name,
-            )
-        ]
-        peers = []
-        for position, (index, buffer, payload) in enumerate(plan.forwards, start=1):
-            peer = self.contexts[index]
-            peer.land_peer_copy(buffer, payload)
-            peers.append(peer)
-            transfers.append(
-                SequencedTransfer(
-                    hub.device_key, P2P, int(payload.nbytes), None,
-                    max(hub_p2p, _cursor(peer.timeline, P2P_STREAM), 0.0),
-                    peer=peer.device_key, label=buffer,
-                    after=(0,) if position == 1 else (0, position - 1),
-                )
-            )
-        starts, durations = self.engine.transfer_sequence(transfers)
-        ends = [start + duration for start, duration in zip(starts, durations)]
-        hub.stats.transfer_time += durations[0]
+        peers = [self.contexts[index] for index, _buffer, _payload in plan.forwards]
+        floors = [max(hub_p2p, _cursor(peer.timeline, P2P_STREAM), 0.0) for peer in peers]
+        start = max(_cursor(hub.timeline, COPY_STREAM), max(plan.hub_not_before, issued))
+        duration = engine.transfer_at(hub.device_key, "h2d", nbytes, kind, start, label=name)
+        upload = ready = start + duration
+        hub.stats.transfer_time += duration
         hub.stats.h2d_bytes += nbytes
-        _append(hub.timeline, COPY_STREAM, "h2d", name, starts[0], ends[0])
-        for peer, transfer, start, duration, end in zip(
-            peers, transfers[1:], starts[1:], durations[1:], ends[1:]
-        ):
-            hub.stats.p2p_bytes += transfer.nbytes
+        _append(hub.timeline, COPY_STREAM, "h2d", name, start, upload)
+        arrivals = []
+        for peer, floor, (_index, buffer, payload) in zip(peers, floors, plan.forwards):
+            peer.land_peer_copy(buffer, payload)
+            start = max(floor, ready)
+            duration = engine.transfer_at(
+                hub.device_key, P2P, int(payload.nbytes), None, start,
+                peer=peer.device_key, label=buffer,
+            )
+            ready = start + duration
+            hub.stats.p2p_bytes += int(payload.nbytes)
             hub.stats.peer_transfers += 1
             hub.stats.p2p_time += duration
-            _append(hub.timeline, P2P_STREAM, "p2p", f"{transfer.label}->peer", start, end)
-            _append(peer.timeline, P2P_STREAM, "p2p", transfer.label, start, end)
-        return ends[0], ends[1:]
+            _append(hub.timeline, P2P_STREAM, "p2p", f"{buffer}->peer", start, ready)
+            _append(peer.timeline, P2P_STREAM, "p2p", buffer, start, ready)
+            arrivals.append(ready)
+        return upload, arrivals
 
     def _price_chain(self, plan: ResidentStepPlan, row: int) -> tuple[np.ndarray, float]:
         """Price the evaluation chain of plan row ``row``: ``(download, its end)``.

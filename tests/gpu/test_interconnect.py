@@ -24,7 +24,6 @@ from repro.gpu import (
     InterconnectTopology,
     Link,
     MultiGPU,
-    SequencedTransfer,
     TransferEngine,
     TransferRequest,
     format_interconnect,
@@ -266,8 +265,8 @@ class TestFairShareArbitration:
         assert host.stall == 0.0
 
 
-class TestTransferSequence:
-    """``transfer_sequence`` prices like one ``transfer_batch`` per copy."""
+class TestTransferAt:
+    """``transfer_at`` prices like a one-request ``transfer_batch``."""
 
     @staticmethod
     def _half_duplex():
@@ -288,60 +287,37 @@ class TestTransferSequence:
         else:
             topology = resolve_topology(preset, [GTX_280] * 3)
         rng = np.random.default_rng(7)
-        sequence = []
+        at, batched = TransferEngine(topology), TransferEngine(topology)
+        for engine in (at, batched):
+            engine.inject_transfer_faults(3, retries=2, backoff=1e-5)
+        ends = []
         for index in range(60):
             direction = ["h2d", "d2h", "p2p"][int(rng.integers(3))]
             peer = "gpu1" if direction == "p2p" else None
-            after = (int(rng.integers(index)),) if index and rng.random() < 0.3 else ()
-            sequence.append(
-                SequencedTransfer(
-                    "gpu0" if peer else f"gpu{rng.integers(3)}",
-                    direction,
-                    int(rng.integers(0, MIB)),
-                    None if peer else [HostMemoryKind.PAGEABLE, HostMemoryKind.PINNED][
-                        int(rng.integers(2))
-                    ],
-                    float(rng.random() * 2e-3),
-                    peer=peer,
-                    label=f"copy{index}",
-                    after=after,
-                )
+            device = "gpu0" if peer else f"gpu{rng.integers(3)}"
+            nbytes = int(rng.integers(0, MIB))
+            kind = None if peer else [HostMemoryKind.PAGEABLE, HostMemoryKind.PINNED][
+                int(rng.integers(2))
+            ]
+            start = float(rng.random() * 2e-3)
+            if index and rng.random() < 0.3:
+                # Stream order: queue behind an earlier copy.
+                start = max(start, ends[int(rng.integers(index))])
+            duration = at.transfer_at(
+                device, direction, nbytes, kind, start, peer=peer, label=f"copy{index}"
             )
-        batched, one_by_one = TransferEngine(topology), TransferEngine(topology)
-        for engine in (batched, one_by_one):
-            engine.inject_transfer_faults(3, retries=2, backoff=1e-5)
-        starts, durations = batched.transfer_sequence(sequence)
-        expected_starts, expected = [], []
-        for transfer in sequence:
-            start = max(
-                [transfer.start]
-                + [expected_starts[j] + expected[j] for j in transfer.after]
-            )
-            (grant,) = one_by_one.transfer_batch(
+            (grant,) = batched.transfer_batch(
                 [
                     TransferRequest(
-                        device=transfer.device, direction=transfer.direction,
-                        nbytes=transfer.nbytes, kind=transfer.kind, start=start,
-                        peer=transfer.peer, label=transfer.label,
+                        device=device, direction=direction, nbytes=nbytes, kind=kind,
+                        start=start, peer=peer, label=f"copy{index}",
                     )
                 ]
             )
-            expected_starts.append(grant.start)
-            expected.append(grant.duration)
-        assert starts == expected_starts
-        assert durations == expected
-        assert batched.snapshot() == one_by_one.snapshot()
-        assert batched.total_stall > 0.0 or preset == "dedicated"
-
-    def test_after_orders_a_copy_behind_earlier_ones(self):
-        engine = TransferEngine(dedicated4())
-        starts, durations = engine.transfer_sequence(
-            [
-                SequencedTransfer("gpu0", "h2d", MIB, HostMemoryKind.PINNED, 0.0),
-                SequencedTransfer("gpu1", "h2d", MIB, HostMemoryKind.PINNED, 1e-6, after=(0,)),
-            ]
-        )
-        assert starts == [0.0, durations[0]]
+            assert (start, duration) == (grant.start, grant.duration)
+            ends.append(start + duration)
+        assert at.snapshot() == batched.snapshot()
+        assert at.total_stall > 0.0 or preset == "dedicated"
 
 
 class TestAccounting:
