@@ -1685,12 +1685,22 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         num_solutions, num_indices = rows.size, self.neighborhood.size
         if num_solutions == 0:
             raise ValueError("need at least one active replica")
+        per_row = (admissible, aspiration_fitness, thresholds, tabu_iterations)
+        for name, part in zip(
+            ("admissible", "aspiration_fitness", "thresholds", "tabu_iterations"), per_row
+        ):
+            # Each device takes its rows' slice, so a longer array would
+            # otherwise pass every device's own check.
+            if part is not None and np.shape(part)[:1] != (num_solutions,):
+                raise ValueError(
+                    f"{name} must have one entry per replica ({num_solutions}), "
+                    f"got shape {np.shape(part)}"
+                )
         block = np.empty((num_solutions, self.problem.n), dtype=np.int8)
         owners = list(self._split_rows(rows))
         for _index, evaluator, positions, local, whole in owners:
             block[positions] = evaluator._resident if whole else evaluator._resident[local]
         scores = _score(self.problem, self.neighborhood, block)
-        per_row = (admissible, aspiration_fitness, thresholds, tabu_iterations)
         if self._persistent:
             result = self._evaluate_persistent(owners, scores, reduce, per_row)
         else:

@@ -636,3 +636,22 @@ class TestPoolWideSelection:
             assert (pooled_tabu[self.ROWS, pooled[0]] == 20).all()
         elif kind == "mask":
             assert pooled[0][np.searchsorted(self.ROWS, self.BARRED)] == -1
+
+    @pytest.mark.parametrize(
+        "name", ["admissible", "aspiration_fitness", "thresholds", "tabu_iterations"]
+    )
+    def test_per_row_arrays_must_match_the_rows(self, problem, neighborhood, name):
+        pool = MultiGPUEvaluator(problem, neighborhood, devices=self.DEVICES)
+        pool.begin_search(self._block(problem))
+        pool.init_tabu_memory(3)
+        rows = self.ROWS.size + 1
+        part = {
+            "admissible": np.ones((rows, neighborhood.size), dtype=bool),
+            "aspiration_fitness": np.zeros(rows),
+            "thresholds": np.zeros(rows),
+            "tabu_iterations": np.full(rows, 20),
+        }[name]
+        reduce = "first-improvement" if name == "thresholds" else "argmin"
+        with pytest.raises(ValueError, match=f"{name} must have one entry per replica"):
+            pool.evaluate_resident(self.ROWS, reduce=reduce, **{name: part})
+        pool.close()
