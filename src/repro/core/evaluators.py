@@ -270,6 +270,16 @@ def _fetch_request(replicas, move_indices, num_moves: int) -> tuple[np.ndarray, 
     return replicas, move_indices
 
 
+def _check_per_row(num_solutions: int, **parts) -> None:
+    """Each given per-replica argument must have one entry per requested replica."""
+    for name, part in parts.items():
+        if part is not None and np.shape(part)[:1] != (num_solutions,):
+            raise ValueError(
+                f"{name} must have one entry per replica ({num_solutions}), "
+                f"got shape {np.shape(part)}"
+            )
+
+
 def _tabu_rows(rows, count: int) -> np.ndarray:
     """Replica row indices of a tabu-memory access, each in ``[0, count)``."""
     rows = np.asarray(rows, dtype=np.int64).ravel()
@@ -870,6 +880,9 @@ class GPUEvaluator(NeighborhoodEvaluator):
         """
         request = self._resident_request(replica_ids, reduce, admissible, tabu_iterations)
         rows, whole = request[0], request[1]
+        _check_per_row(
+            rows.size, aspiration_fitness=aspiration_fitness, thresholds=thresholds
+        )
         scores = _score(
             self.problem, self.neighborhood, self._resident if whole else self._resident[rows]
         )
@@ -1685,17 +1698,13 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         num_solutions, num_indices = rows.size, self.neighborhood.size
         if num_solutions == 0:
             raise ValueError("need at least one active replica")
+        # Each device takes its rows' slice, so a longer array would
+        # otherwise pass every device's own check.
+        _check_per_row(
+            num_solutions, admissible=admissible, aspiration_fitness=aspiration_fitness,
+            thresholds=thresholds, tabu_iterations=tabu_iterations,
+        )
         per_row = (admissible, aspiration_fitness, thresholds, tabu_iterations)
-        for name, part in zip(
-            ("admissible", "aspiration_fitness", "thresholds", "tabu_iterations"), per_row
-        ):
-            # Each device takes its rows' slice, so a longer array would
-            # otherwise pass every device's own check.
-            if part is not None and np.shape(part)[:1] != (num_solutions,):
-                raise ValueError(
-                    f"{name} must have one entry per replica ({num_solutions}), "
-                    f"got shape {np.shape(part)}"
-                )
         block = np.empty((num_solutions, self.problem.n), dtype=np.int8)
         owners = list(self._split_rows(rows))
         for _index, evaluator, positions, local, whole in owners:

@@ -655,3 +655,11 @@ class TestPoolWideSelection:
         with pytest.raises(ValueError, match=f"{name} must have one entry per replica"):
             pool.evaluate_resident(self.ROWS, reduce=reduce, **{name: part})
         pool.close()
+        if name in ("aspiration_fitness", "thresholds"):
+            # One GPU validates the thresholds its reduction packet carries too.
+            device = GPUEvaluator(problem, neighborhood)
+            device.begin_search(self._block(problem))
+            for short in (part, part[:1]):
+                with pytest.raises(ValueError, match=f"{name} must have one entry"):
+                    device.evaluate_resident(self.ROWS, reduce=reduce, **{name: short})
+            device.close()
