@@ -880,9 +880,7 @@ class GPUEvaluator(NeighborhoodEvaluator):
         """
         request = self._resident_request(replica_ids, reduce, admissible, tabu_iterations)
         rows, whole = request[0], request[1]
-        _check_per_row(
-            rows.size, aspiration_fitness=aspiration_fitness, thresholds=thresholds
-        )
+        _check_per_row(rows.size, aspiration_fitness=aspiration_fitness, thresholds=thresholds)
         scores = _score(
             self.problem, self.neighborhood, self._resident if whole else self._resident[rows]
         )
