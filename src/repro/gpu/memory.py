@@ -133,9 +133,16 @@ class MemoryManager:
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
+    def __post_init__(self) -> None:
+        #: Running byte count of the live non-shared buffers, kept by
+        #: :meth:`alloc`, :meth:`free` and :meth:`free_all`.
+        self._allocated_bytes = sum(
+            buf.nbytes for buf in self.allocations.values() if buf.space is not MemorySpace.SHARED
+        )
+
     @property
     def allocated_bytes(self) -> int:
-        return sum(buf.nbytes for buf in self.allocations.values() if buf.space is not MemorySpace.SHARED)
+        return self._allocated_bytes
 
     def alloc(
         self,
@@ -148,25 +155,49 @@ class MemoryManager:
         if name in self.allocations:
             raise ValueError(f"device buffer {name!r} already allocated")
         data = np.empty(shape, dtype=dtype)
-        if space is not MemorySpace.SHARED and self.allocated_bytes + data.nbytes > self.capacity_bytes:
-            raise OutOfDeviceMemory(
-                f"allocating {data.nbytes} bytes for {name!r} exceeds device capacity "
-                f"({self.allocated_bytes}/{self.capacity_bytes} bytes in use)"
-            )
+        if space is not MemorySpace.SHARED:
+            if self._allocated_bytes + data.nbytes > self.capacity_bytes:
+                raise OutOfDeviceMemory(
+                    f"allocating {data.nbytes} bytes for {name!r} exceeds device capacity "
+                    f"({self._allocated_bytes}/{self.capacity_bytes} bytes in use)"
+                )
+            self._allocated_bytes += data.nbytes
         buf = DeviceBuffer(name=name, data=data, space=space)
         self.allocations[name] = buf
         return buf
 
+    def sized(
+        self,
+        name: str,
+        shape: tuple[int, ...],
+        dtype,
+        space: MemorySpace = MemorySpace.GLOBAL,
+    ) -> DeviceBuffer:
+        """Buffer ``name`` with this shape and dtype, allocated when absent.
+
+        A live buffer of another geometry is freed and reallocated; one of
+        the same geometry is returned as is, contents included.
+        """
+        existing = self.allocations.get(name)
+        if existing is not None:
+            if existing.data.shape == tuple(shape) and existing.data.dtype == dtype:
+                return existing
+            self.free(name)
+        return self.alloc(name, shape, dtype, space)
+
     def free(self, name: str) -> None:
         if name not in self.allocations:
             raise KeyError(f"no device buffer named {name!r}")
-        del self.allocations[name]
+        buf = self.allocations.pop(name)
+        if buf.space is not MemorySpace.SHARED:
+            self._allocated_bytes -= buf.nbytes
 
     def get(self, name: str) -> DeviceBuffer:
         return self.allocations[name]
 
     def free_all(self) -> None:
         self.allocations.clear()
+        self._allocated_bytes = 0
 
     # ------------------------------------------------------------------
     # Transfers

@@ -160,6 +160,15 @@ class MultiGPU:
             for i, spec in enumerate(devices)
         ]
 
+    @classmethod
+    def _over(cls, context: GPUContext) -> "MultiGPU":
+        """The one-device pool of an existing context and its interconnect engine."""
+        pool = cls.__new__(cls)
+        pool.engine = context.engine
+        pool.topology = context.engine.topology
+        pool.contexts = [context]
+        return pool
+
     @property
     def num_devices(self) -> int:
         return len(self.contexts)

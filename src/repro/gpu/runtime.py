@@ -110,11 +110,7 @@ class DeviceStats:
         }
 
     def restore(self, state: dict) -> None:
-        """Reload :meth:`snapshot` counters; other keys are ignored.
-
-        Checkpoints written before the host wall-clock counter was dropped
-        still carry a ``host_eval_time`` entry.
-        """
+        """Reload :meth:`snapshot` counters; other keys are ignored."""
         self.kernel_launches = int(state["kernel_launches"])
         self.kernel_time = float(state["kernel_time"])
         self.transfer_time = float(state["transfer_time"])
@@ -652,11 +648,7 @@ class GPUContext:
         staged through :attr:`staging_pool`, and the copy is logged.
         """
         host_array = np.asarray(host_array)
-        existing = self.memory.allocations.get(name)
-        if existing is not None and (
-            existing.data.shape != host_array.shape or existing.data.dtype != host_array.dtype
-        ):
-            self.memory.free(name)
+        self.memory.sized(name, host_array.shape, host_array.dtype, space)
         if kind is HostMemoryKind.PINNED and self.staging_pool is not None:
             self.staging_pool.stage(int(host_array.nbytes))
         return self.memory.to_device(name, host_array, space, host_kind=kind)
@@ -779,14 +771,7 @@ class GPUContext:
         self, name: str, data: np.ndarray, space: MemorySpace = MemorySpace.GLOBAL
     ) -> None:
         """The memory side of a peer copy arriving here: write buffer ``name``."""
-        existing = self.memory.allocations.get(name)
-        if existing is not None and (
-            existing.data.shape != data.shape or existing.data.dtype != data.dtype
-        ):
-            self.memory.free(name)
-        if name not in self.memory.allocations:
-            self.memory.alloc(name, data.shape, data.dtype, space)
-        self.memory.get(name).copy_from_host(data)
+        self.memory.sized(name, data.shape, data.dtype, space).copy_from_host(data)
 
     def launch_async(
         self,
@@ -866,7 +851,7 @@ class GPUContext:
 
         Device *contents* (allocations) are deliberately not included —
         callers reinstall resident data through their own warm paths (see
-        ``GPUEvaluator.restore_state``), and the shared interconnect engine
+        ``MultiGPUEvaluator.restore_state``), and the shared interconnect engine
         is snapshotted separately by whoever owns it.
         """
         snap = {

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.evaluators import GPUEvaluator, MultiGPUEvaluator
+from ..core.evaluators import MultiGPUEvaluator
 from ..core.timing_estimates import iteration_times
 from ..gpu.device import GTX_280, GTX_8800, TESLA_C1060, DeviceSpec
 from ..neighborhoods import KHammingNeighborhood
@@ -98,10 +98,7 @@ def multi_gpu_ablation(
     cpu_time = iteration_times(problem, neighborhood).cpu_time
     points = []
     for count in device_counts:
-        if count == 1:
-            evaluator = GPUEvaluator(problem, neighborhood)
-        else:
-            evaluator = MultiGPUEvaluator(problem, neighborhood, devices=count)
+        evaluator = MultiGPUEvaluator(problem, neighborhood, devices=count)
         evaluator.evaluate(solution)
         points.append(
             AblationPoint(label=f"{count} GPU(s)", gpu_time=evaluator.stats.simulated_time,

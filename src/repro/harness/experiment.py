@@ -260,13 +260,10 @@ class ExperimentRow:
 
 def _collect_transfer_stats(evaluator, row: ExperimentRow) -> None:
     """Fill the row's transfer/timeline columns from a device-backed evaluator."""
-    contexts = []
-    if hasattr(evaluator, "context"):
-        contexts = [evaluator.context]
-    elif hasattr(evaluator, "pool"):
-        contexts = list(evaluator.pool.contexts)
-    if not contexts:
+    pool = getattr(evaluator, "pool", None)
+    if pool is None:
         return
+    contexts = pool.contexts
     row.h2d_bytes = sum(ctx.stats.h2d_bytes for ctx in contexts)
     row.d2h_bytes = sum(ctx.stats.d2h_bytes for ctx in contexts)
     row.p2p_bytes = sum(ctx.stats.p2p_bytes for ctx in contexts)
@@ -279,11 +276,9 @@ def _collect_transfer_stats(evaluator, row: ExperimentRow) -> None:
     row.transfer_time_s = sum(ctx.stats.transfer_time for ctx in contexts)
     row.serialized_device_s = sum(ctx.timeline.busy_time for ctx in contexts)
     row.device_elapsed_s = [ctx.timeline.elapsed for ctx in contexts]
-    engine = contexts[0].engine
-    if all(ctx.engine is engine for ctx in contexts):
-        row.topology = engine.topology.name
-        row.uplink_busy_s = engine.uplink_busy()
-        row.contention_stall_s = engine.total_stall
+    row.topology = pool.engine.topology.name
+    row.uplink_busy_s = pool.engine.uplink_busy()
+    row.contention_stall_s = pool.engine.total_stall
 
 
 def run_ppp_experiment(

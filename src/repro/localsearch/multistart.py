@@ -98,10 +98,11 @@ def check_transfer_mode(transfer_mode: str, evaluator: NeighborhoodEvaluator) ->
 
 #: Version tag written into every runner checkpoint.  Bumped whenever the
 #: checkpoint layout changes; :meth:`MultiStartRunner.run` refuses to resume
-#: from a different version instead of silently misreading it.  Version 2
-#: stores the rows as one :meth:`MultiStartRunner.export_rows` payload
-#: (per-row histories, budgets and targets); version 1 is not readable.
-CHECKPOINT_VERSION = 2
+#: from a different version instead of silently misreading it.  The rows are
+#: one :meth:`MultiStartRunner.export_rows` payload (per-row histories,
+#: budgets and targets, since version 2).  Version 3 snapshots a single GPU
+#: as the one-device pool it is; versions 1 and 2 are not readable.
+CHECKPOINT_VERSION = 3
 
 #: Sentinel for "move never applied" in the host tabu memory (matches the
 #: device-resident tabu memory).
@@ -753,10 +754,6 @@ class MultiStartRunner:
         else:  # flaky
             engine = getattr(getattr(self.evaluator, "pool", None), "engine", None)
             if engine is None:
-                engine = getattr(
-                    getattr(self.evaluator, "context", None), "engine", None
-                )
-            if engine is None:
                 raise RuntimeError(
                     f"fault {event} needs a GPU evaluator with a transfer engine, "
                     f"got {type(self.evaluator).__name__}"
@@ -767,15 +764,15 @@ class MultiStartRunner:
         """Replay the plan's fail/join events over a copy of the fleet mask.
 
         ``fleet`` is the device mask the run starts from (``None`` without a
-        multi-device evaluator) and ``start`` the first lockstep the run
-        executes.  Raises :class:`ValueError` naming the first event that
+        device pool; one device can neither fail nor take a join) and
+        ``start`` the first lockstep the run executes.  Raises :class:`ValueError` naming the first event that
         could not apply, before anything is priced.  Events after the last
         iteration stay legal: a run can stop early.
         """
         events = [event for event in plan.device_events() if event.at >= start]
         if not events:
             return
-        if fleet is None:
+        if fleet is None or len(fleet) == 1:
             raise ValueError(
                 f"fault {events[0]} needs a multi-device evaluator, got "
                 f"{type(self.evaluator).__name__}"

@@ -94,6 +94,26 @@ class TestEvaluatorsAgree:
         assert np.allclose(GPUEvaluator(problem, neighborhood).evaluate(solution), expected)
         assert np.allclose(CPUEvaluator(problem, neighborhood).evaluate(solution), expected)
 
+    def test_one_row_cpu_evaluation_scores_the_frozen_table(self, monkeypatch):
+        # The gain engine serves only the frozen move table, so a one-row
+        # CPU call must hand the problem that table, not a rebuilt copy.
+        problem = PermutedPerceptronProblem.generate(17, 15, rng=0)
+        neighborhood = TwoHammingNeighborhood(problem.n)
+        seen = []
+
+        def spy(method):
+            def record(solutions, moves, *args, **kwargs):
+                seen.append(moves)
+                return method(solutions, moves, *args, **kwargs)
+            return record
+
+        for name in ("evaluate_neighborhood", "evaluate_neighborhood_batch"):
+            monkeypatch.setattr(problem, name, spy(getattr(problem, name)))
+        solution = problem.random_solution(3)
+        got = CPUEvaluator(problem, neighborhood).evaluate(solution)
+        assert np.array_equal(got, brute_force(problem, solution, neighborhood))
+        assert seen and all(moves is neighborhood.move_table for moves in seen)
+
     def test_mismatched_problem_and_neighborhood(self, ppp):
         with pytest.raises(ValueError):
             CPUEvaluator(ppp, OneHammingNeighborhood(ppp.n + 1))

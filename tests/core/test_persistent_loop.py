@@ -185,7 +185,8 @@ class TestPersistentSessionSemantics:
                 np.zeros((2, problem.n), dtype=np.int8), persistent=True
             )
             evaluator.evaluate_resident(reduce="argmin")
-            loop = evaluator._loop
+            (slot,) = evaluator._slots
+            loop = slot._loop
             evaluator.end_search()
             assert loop.closed
             with pytest.raises(RuntimeError, match="finished"):

@@ -167,6 +167,47 @@ class TestMemoryManager:
         mm.alloc("tile", (64,), np.float64, space=MemorySpace.SHARED)
         assert mm.allocated_bytes == 0
 
+    def test_allocated_bytes_tracks_random_sequences(self):
+        # The running counter must equal the live non-shared bytes after
+        # every operation, and a request must overflow exactly when the
+        # live bytes (less a buffer `sized` frees first) plus the request
+        # exceed the capacity.
+        rng = np.random.default_rng(7)
+        mm = MemoryManager(capacity_bytes=1024)
+        names = [(f"g{i}", MemorySpace.GLOBAL) for i in range(6)]
+        names += [(f"s{i}", MemorySpace.SHARED) for i in range(2)]
+        overflows = 0
+        for _ in range(3000):
+            live = sum(
+                buf.nbytes for buf in mm.allocations.values()
+                if buf.space is not MemorySpace.SHARED
+            )
+            assert mm.allocated_bytes == live
+            name, space = names[rng.integers(len(names))]
+            op = rng.integers(10)
+            if op == 0:
+                mm.free_all()
+                continue
+            if op < 4 and name in mm.allocations:
+                mm.free(name)
+                continue
+            shape = (int(rng.integers(1, 48)),)
+            existing = mm.allocations.get(name)
+            if existing is not None and existing.data.shape == shape:
+                assert mm.sized(name, shape, np.float64, space) is existing
+                continue
+            if existing is not None and space is not MemorySpace.SHARED:
+                live -= existing.nbytes
+            overflow = space is not MemorySpace.SHARED and live + 8 * shape[0] > 1024
+            request = mm.sized if existing is not None or op % 2 else mm.alloc
+            if overflow:
+                overflows += 1
+                with pytest.raises(OutOfDeviceMemory):
+                    request(name, shape, np.float64, space)
+            else:
+                assert request(name, shape, np.float64, space).data.shape == shape
+        assert overflows > 50
+
     def test_reset_statistics(self):
         mm = MemoryManager(capacity_bytes=10_000)
         mm.to_device("x", np.zeros(8))
@@ -197,7 +238,9 @@ class TestMemoryManager:
             copy(step)
         # 10,000 copies leave the bookkeeping exactly as large as 10 did.
         assert {key: len(value) for key, value in mm.copy_totals.items()} == state
-        assert set(vars(mm)) == {"capacity_bytes", "allocations", "copy_totals"}
+        assert set(vars(mm)) == {
+            "capacity_bytes", "allocations", "copy_totals", "_allocated_bytes"
+        }
         for direction in (None, "h2d", "d2h"):
             for kind in (None, HostMemoryKind.PAGEABLE, HostMemoryKind.PINNED):
                 sizes = [

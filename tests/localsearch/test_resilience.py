@@ -11,13 +11,13 @@ and changes timing/placement only.
 import numpy as np
 import pytest
 
-from repro.core.evaluators import GPUEvaluator, MultiGPUEvaluator
+from repro.core.evaluators import CPUEvaluator, GPUEvaluator, MultiGPUEvaluator
 from repro.gpu import FaultPlan
 from repro.harness import run_ppp_experiment
 from repro.harness.io import load_checkpoint, save_checkpoint
 from repro.localsearch.multistart import CHECKPOINT_VERSION, MultiStartRunner
 from repro.neighborhoods import KHammingNeighborhood
-from repro.problems import UBQP
+from repro.problems import UBQP, PermutedPerceptronProblem
 
 MODES = ("full", "delta", "reduced", "persistent")
 SEEDS = [11, 12, 13, 14, 15, 16]
@@ -77,9 +77,9 @@ class TestCheckpointRestore:
         assert run_signature(restored, result) == ref_sig
 
     def test_checkpoint_with_host_eval_time_restores(self, tmp_path):
-        # Version-2 checkpoints written before the host wall-clock counter
-        # was dropped carry "host_eval_time" in every device's stats; the
-        # key is ignored and the restore stays bit-identical.
+        # A device-stats entry this build does not write (the dropped host
+        # wall-clock counter "host_eval_time") is ignored, and the restore
+        # stays bit-identical.
         reference = make_runner("reduced")
         ref_sig = run_signature(reference, reference.run(seeds=SEEDS))
         checkpoints = []
@@ -101,7 +101,7 @@ class TestCheckpointRestore:
         save_checkpoint(path, checkpoints[0])
         legacy = load_checkpoint(path)
         assert add_host_eval_time(legacy) == 3
-        assert legacy["version"] == CHECKPOINT_VERSION == 2
+        assert legacy["version"] == CHECKPOINT_VERSION
         restored = make_runner("reduced")
         result = restored.run(resume=legacy)
         assert run_signature(restored, result) == ref_sig
@@ -127,9 +127,35 @@ class TestCheckpointRestore:
         }
         v1 = dict(checkpoints[0], version=1, state=dict(state, history_steps=[]))
         with pytest.raises(
-            ValueError, match=r"version 1;.*writes version 2.*restart the run"
+            ValueError, match=r"version 1;.*writes version 3.*restart the run"
         ):
             make_runner("delta").run(resume=v1)
+
+    @pytest.mark.parametrize(
+        "factory,platform",
+        [
+            (CPUEvaluator, "cpu"),
+            (lambda problem, nb: MultiGPUEvaluator(problem, nb, devices=2), "multi-gpu"),
+        ],
+        ids=["cpu", "multi-gpu"],
+    )
+    def test_checkpoint_resumes_only_on_its_platform(self, factory, platform):
+        # A single-GPU checkpoint carries device state and a device clock
+        # that no other platform can continue.
+        problem = PermutedPerceptronProblem.generate(17, 17, rng=0)
+        neighborhood = KHammingNeighborhood(problem.n, 1)
+
+        def runner(evaluator):
+            return MultiStartRunner(evaluator, max_iterations=12)
+
+        checkpoints = []
+        runner(GPUEvaluator(problem, neighborhood)).run(
+            seeds=SEEDS[:3], checkpoint_every=4, checkpoint_callback=checkpoints.append
+        )
+        other = runner(factory(problem, neighborhood))
+        with pytest.raises(ValueError, match=f"'gpu' evaluator.*is '{platform}'"):
+            other.run(resume=checkpoints[0])
+        assert other.evaluator.stats.calls == 0
 
     def test_truncated_checkpoint_is_rejected(self, tmp_path):
         runner = make_runner("delta")
