@@ -15,7 +15,7 @@ from repro.core import (
     run_times,
 )
 from repro.core.evaluators import _fused_reduce
-from repro.gpu import ExecutionMode, GTX_280, grid_for
+from repro.gpu import ExecutionMode, GPUContext, GTX_280, GTX_8800, grid_for
 from repro.neighborhoods import (
     KHammingNeighborhood,
     OneHammingNeighborhood,
@@ -164,6 +164,84 @@ class TestEvaluatorStats:
         # overheads are replicated).
         assert quad.stats.simulated_time < single.stats.simulated_time
         assert quad.num_devices == 4
+
+
+class TestGPUEvaluatorIsOneDevicePool:
+    def test_constructor_forwards_to_a_one_device_pool(self, ppp):
+        neighborhood = TwoHammingNeighborhood(ppp.n)
+        ev = GPUEvaluator(
+            ppp, neighborhood, device=GTX_8800, block_size=128,
+            use_texture_memory=True, pinned=True,
+        )
+        assert isinstance(ev, MultiGPUEvaluator)
+        assert ev.platform == "gpu" and ev.num_devices == 1
+        assert ev.pool.contexts == [ev.context]
+        assert ev.context.device is GTX_8800 and ev.context.pinned
+        assert ev.block_size == 128
+        assert ev.batch_kernel.cost == kernel_cost_profile(ppp, 2, use_texture=True)
+        assert ev.last_persistent_record is None
+
+    def test_runs_on_an_existing_context(self, ppp):
+        context = GPUContext(GTX_280)
+        neighborhood = OneHammingNeighborhood(ppp.n)
+        first = GPUEvaluator(ppp, neighborhood, context=context)
+        second = GPUEvaluator(ppp, neighborhood, context=context)
+        assert first.context is second.context is context
+        first.evaluate(ppp.random_solution(0))
+        second.evaluate(ppp.random_solution(1))
+        assert context.stats.kernel_launches == 2
+
+    def test_context_and_topology_are_exclusive(self, ppp):
+        with pytest.raises(ValueError, match="either an existing context or a topology"):
+            GPUEvaluator(
+                ppp, OneHammingNeighborhood(ppp.n),
+                context=GPUContext(GTX_280), topology="shared",
+            )
+
+    @pytest.mark.parametrize("name", ["evaluate_resident", "apply_deltas"])
+    def test_traced_entry_points_are_the_pool_methods(self, name):
+        # The tracer wraps these names in GPUEvaluator's own namespace; an
+        # alias (not a wrapper) opens exactly one span per call.
+        assert vars(GPUEvaluator)[name] is vars(MultiGPUEvaluator)[name]
+
+
+PLATFORMS = {
+    "cpu-sequential": SequentialEvaluator,
+    "cpu": CPUEvaluator,
+    "gpu": GPUEvaluator,
+    "multi-gpu": lambda problem, nb: MultiGPUEvaluator(problem, nb, devices=2),
+}
+
+
+class TestCheckpointPlatform:
+    """A snapshot restores only into an evaluator of its own platform."""
+
+    @staticmethod
+    def _snapshot(ppp, platform):
+        neighborhood = OneHammingNeighborhood(ppp.n)
+        source = PLATFORMS[platform](ppp, neighborhood)
+        source.evaluate(ppp.random_solution(0))
+        return source.snapshot_state()
+
+    @pytest.mark.parametrize(
+        "source,target",
+        [(s, t) for s in PLATFORMS for t in PLATFORMS if s != t],
+    )
+    def test_restore_rejects_another_platform(self, ppp, source, target):
+        snap = self._snapshot(ppp, source)
+        evaluator = PLATFORMS[target](ppp, OneHammingNeighborhood(ppp.n))
+        with pytest.raises(ValueError, match=f"'{source}' evaluator.*is '{target}'"):
+            evaluator.restore_state(snap)
+        assert evaluator.stats.calls == 0
+        assert evaluator.stats.simulated_time == 0.0
+
+    @pytest.mark.parametrize("platform", list(PLATFORMS))
+    def test_restore_accepts_its_own_platform(self, ppp, platform):
+        snap = self._snapshot(ppp, platform)
+        evaluator = PLATFORMS[platform](ppp, OneHammingNeighborhood(ppp.n))
+        evaluator.restore_state(snap)
+        assert evaluator.stats.calls == 1
+        assert evaluator.stats.simulated_time == snap["stats"]["simulated_time"] > 0
 
 
 class TestIterationTimes:

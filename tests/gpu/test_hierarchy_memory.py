@@ -167,6 +167,25 @@ class TestMemoryManager:
         mm.alloc("tile", (64,), np.float64, space=MemorySpace.SHARED)
         assert mm.allocated_bytes == 0
 
+    def test_sized_keeps_a_buffer_of_the_same_geometry(self):
+        mm = MemoryManager(capacity_bytes=1024)
+        buf = mm.sized("x", (8,), np.float32)
+        buf.data[:] = 3.0
+        assert mm.sized("x", (8,), np.float32) is buf
+        assert np.all(mm.get("x").data == 3.0)
+        assert mm.allocated_bytes == 32
+
+    @pytest.mark.parametrize(
+        "shape,dtype", [((12,), np.float32), ((8,), np.float64)], ids=["shape", "dtype"]
+    )
+    def test_sized_reallocates_another_geometry(self, shape, dtype):
+        mm = MemoryManager(capacity_bytes=1024)
+        old = mm.sized("x", (8,), np.float32)
+        new = mm.sized("x", shape, dtype)
+        assert new is not old and mm.get("x") is new
+        assert new.data.shape == shape and new.data.dtype == dtype
+        assert mm.allocated_bytes == new.nbytes
+
     def test_allocated_bytes_tracks_random_sequences(self):
         # The running counter must equal the live non-shared bytes after
         # every operation, and a request must overflow exactly when the

@@ -131,6 +131,29 @@ class TestCheckpointRestore:
         ):
             make_runner("delta").run(resume=v1)
 
+    def test_version_2_single_gpu_checkpoint_is_rejected(self):
+        # Version 2 snapshotted a single GPU without the pool's host timeline
+        # and device slots; the runner's version check refuses it before the
+        # evaluator looks for them.
+        problem = PermutedPerceptronProblem.generate(17, 17, rng=0)
+        neighborhood = KHammingNeighborhood(problem.n, 1)
+        checkpoints = []
+        MultiStartRunner(GPUEvaluator(problem, neighborhood), max_iterations=12).run(
+            seeds=SEEDS[:3], checkpoint_every=4, checkpoint_callback=checkpoints.append
+        )
+        evaluator_state = {
+            key: value
+            for key, value in checkpoints[0]["evaluator"].items()
+            if key in ("platform", "stats", "engine")
+        }
+        v2 = dict(checkpoints[0], version=2, evaluator=evaluator_state)
+        resumed = MultiStartRunner(GPUEvaluator(problem, neighborhood), max_iterations=12)
+        with pytest.raises(
+            ValueError, match=r"version 2;.*writes version 3.*restart the run"
+        ):
+            resumed.run(resume=v2)
+        assert resumed.evaluator.stats.calls == 0
+
     @pytest.mark.parametrize(
         "factory,platform",
         [
