@@ -24,6 +24,14 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
+def _non_negative(text: str) -> int:
+    """An argparse ``type``: an integer that is zero or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -164,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser("mapping", help="print the thread-id -> move table of a neighborhood")
     p_map.add_argument("--n", type=int, default=6, help="solution length")
     p_map.add_argument("--k", type=int, default=2, help="Hamming order")
-    p_map.add_argument("--limit", type=int, default=30, help="print at most this many rows")
+    p_map.add_argument("--limit", type=_non_negative, default=30,
+                       help="print at most this many rows")
 
     return parser
 

@@ -47,7 +47,6 @@ import numpy as np
 from ..gpu.device import GTX_280, XEON_3GHZ, DeviceSpec, HostSpec
 from ..gpu.dtypes import (
     DELTA_DTYPE,
-    FITNESS_BYTES,
     FITNESS_DTYPE,
     PEER_PACKET_HEADER_BYTES,
     REDUCED_PAIR_DTYPE,
@@ -93,10 +92,9 @@ def _fused_reduce(
     """Functional body of the fused reduction epilogue.
 
     Returns per-replica ``(index, fitness)``; a replica with no selectable
-    move gets ``(-1, inf)`` (every admissibility decision the device cannot
-    make — robust-tabu escapes, local-optimum stops — is left to the host).
-    The selection semantics exactly match the host-side vectorized rules, so
-    reduced-mode trajectories are bit-identical to full-mode ones.
+    move gets ``(-1, inf)``.  :func:`_select_step` resolves the robust-tabu
+    escape on top of it; a hill-climbing caller reads a local optimum off
+    the result.
     """
     rows = np.arange(fitnesses.shape[0])
     if op == "argmin":
@@ -135,27 +133,28 @@ def _fused_reduce(
 def _select_step(
     fitnesses: np.ndarray,
     op: str,
-    admissible: np.ndarray | None,
     aspiration_fitness: np.ndarray | None,
     thresholds: np.ndarray | None,
     tabu: tuple[np.ndarray, np.ndarray, int] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The fused selection of one resident step over an ``(S, M)`` block.
+    """The selection rule of one lockstep step over an ``(S, M)`` block.
 
-    ``tabu`` is ``None`` or, for a device-resident tabu memory,
-    ``(stamps, last, tenure)``: the rows' current iteration stamps, their
-    ``(S, M)`` last-applied stamps before this step and the tenure.  The
-    admissibility mask then comes from the stamps, and a blocked row (every
-    move tabu, none aspirated) falls back to its oldest move — the
-    robust-tabu escape, resolved next to the reduction so no extra fitness
-    fetch crosses PCIe.  Every rule is row by row, so a pool selects its
-    whole block in one call and each device stores its own rows.
+    The one copy of the rule: the runner applies it to a downloaded fitness
+    block (``full``/``delta``) and a pool next to its fused reduction
+    (``reduced``/``persistent``), so every transfer mode selects the same
+    moves.  ``tabu`` is ``None`` or ``(stamps, last, tenure)``: the rows'
+    current iteration stamps, their ``(S, M)`` last-applied stamps before
+    this step and the tenure.  A move is admissible once more than
+    ``tenure`` iterations have passed since it was applied, or when it
+    beats the row's ``aspiration_fitness``; a blocked row (every move tabu,
+    none aspirated) falls back to its oldest move — the robust-tabu escape.
+    Every rule is row by row, so a pool selects its whole block in one call
+    and each device stores its own rows.
     """
+    admissible = None
     if tabu is not None:
         stamps, last, tenure = tabu
-        if tenure == 0:
-            admissible = np.ones(fitnesses.shape, dtype=bool)
-        else:
+        if tenure:
             admissible = (stamps[:, None] - last) > tenure
     indices, best = _fused_reduce(fitnesses, op, admissible, aspiration_fitness, thresholds)
     if tabu is not None:
@@ -444,16 +443,14 @@ _SESSION_BUFFERS = (
 )
 
 
-def _reduction_packet(admissible, aspiration_fitness, thresholds, stamps) -> np.ndarray | None:
+def _reduction_packet(aspiration_fitness, thresholds, stamps) -> np.ndarray | None:
     """What the fused reduction's epilogue reads from the host, or ``None``.
 
-    The bit-packed admissibility mask or — with the device-resident tabu
-    memory — just the ``O(S)`` per-replica iteration stamps, plus
+    The ``O(S)`` per-replica iteration stamps of the device-resident tabu
+    memory (the epilogue derives the admissibility mask from them) and the
     per-replica aspiration / improvement thresholds.
     """
     parts = []
-    if admissible is not None:
-        parts.append(np.packbits(admissible, axis=1).reshape(-1))
     if stamps is not None:
         parts.append(stamps.view(np.uint8))
     if aspiration_fitness is not None:
@@ -468,8 +465,8 @@ class _DeviceSlot:
 
     The pool validates and scores each step once on the host.  A slot keeps
     what lives on its device for its replica range — the host mirror of the
-    resident rows, the staged ``(replica, bit)`` deltas, the tabu stamps,
-    the last fitness block and an open persistent launch — lands its rows'
+    resident rows, the staged ``(replica, bit)`` deltas, the tabu stamps
+    and an open persistent launch — lands its rows'
     scores and adds its chain to the step's plan.  Row ids are local to the
     slot's range.  Its buffers carry the owning evaluator's id, so
     ``GPUContext.free_evaluator_buffers(evaluator)`` reclaims them too.
@@ -491,10 +488,6 @@ class _DeviceSlot:
         #: Simulated instant the host last synchronized with the device;
         #: host-issued operations cannot start before it.
         self._sync_time: float = 0.0
-        #: Fitness block and row ids of the last resident launch (still live
-        #: in device memory — :meth:`fetch` reads from it).
-        self._last_fitnesses: np.ndarray | None = None
-        self._last_rows: np.ndarray | None = None
         #: The ``(R, M)`` "iteration last applied" tabu stamps, living in
         #: device global memory (``None``: the tabu memory is on the host).
         self._tabu_last_applied: np.ndarray | None = None
@@ -547,8 +540,6 @@ class _DeviceSlot:
         if stamps is not None:
             self.init_tabu(stamps)
         self._staged_deltas = []
-        self._last_fitnesses = None
-        self._last_rows = None
         self.note_delivery(arrival)
 
     def _flip(self, rows: np.ndarray, bits: np.ndarray, stage: bool) -> None:
@@ -573,14 +564,11 @@ class _DeviceSlot:
             parts.append(rows.astype(SOLUTION_DTYPE).view(np.uint8))
         return np.concatenate(parts) if parts else None
 
-    def _land(self, rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        """The resident fitness buffer of ``rows``, sized for ``scores``."""
-        flat = self.context.memory.sized(
+    def _land(self, scores: np.ndarray) -> np.ndarray:
+        """The flat resident fitness buffer, sized for ``scores``."""
+        return self.context.memory.sized(
             self._buffer("resident_fitnesses"), (scores.size,), FITNESS_DTYPE
         ).data
-        self._last_fitnesses = flat.reshape(scores.shape)
-        self._last_rows = rows
-        return flat
 
     def _plan_row(self, plan, device, rows, whole, scores, reduction) -> None:
         """Add this device's chain to ``plan`` as the row of pool device ``device``.
@@ -590,8 +578,7 @@ class _DeviceSlot:
         the fused reduction's packet (``None``: nothing to upload).  A
         ``reduce`` step's caller fills the ``reduced`` buffer before pricing.
         """
-        self._land(rows, scores)
-        self._last_fitnesses[...] = scores
+        self._land(scores).reshape(scores.shape)[...] = scores
         packet = self._delta_packet(rows, whole)
         plan.packets.append(None if packet is None else (self._buffer("deltas"), packet))
         if plan.reduce is None:
@@ -636,42 +623,11 @@ class _DeviceSlot:
         loop.write_control(self._resident.shape[0] * STOP_FLAG_BYTES)
         # The loop body lands the scores (the kernel's trailing argument).
         added = loop.iterate(
-            scores.shape, (None, self._land(rows, scores), scores), cost=self.kernel.cost
+            scores.shape, (None, self._land(scores), scores), cost=self.kernel.cost
         )
         added += loop.reduce(scores.size)
         loop.drain_ring(rows.size * REDUCED_RESULT_BYTES)
         return added
-
-    def fetch(self, rows: np.ndarray, move_indices: np.ndarray) -> np.ndarray:
-        """Read single entries of the last fitness block over PCIe.
-
-        One fitness value per requested entry crosses — ``O(S)``, not
-        ``O(S·M)``.
-        """
-        if self._last_fitnesses is None:
-            raise RuntimeError("no resident fitness block has been evaluated yet")
-        # Map row ids to rows of the last launch without assuming the
-        # caller evaluated them in sorted order.
-        order = np.argsort(self._last_rows, kind="stable")
-        positions = np.searchsorted(self._last_rows[order], rows)
-        if positions.size and (
-            positions.max() >= order.size
-            or not np.array_equal(self._last_rows[order][positions], rows)
-        ):
-            raise KeyError("replica was not part of the last resident evaluation")
-        values = self._last_fitnesses[order[positions], move_indices].astype(np.float64)
-        context = self.context
-        nbytes = int(FITNESS_BYTES) * values.size
-        start = context._issue_start(DOWNLOAD_STREAM, None, self._sync_time)
-        grant = context.host_transfer_grant("d2h", nbytes, start=start, label="fitnesses[fetch]")
-        context.stats.transfer_time += grant.duration
-        context.stats.d2h_bytes += nbytes
-        interval = context.timeline.schedule(
-            "d2h", "fitnesses[fetch]", grant.duration,
-            stream=DOWNLOAD_STREAM, not_before=self._sync_time,
-        )
-        self._sync_time = interval.end
-        return values
 
     def end_search(self) -> PersistentLaunchRecord | None:
         """Drop the session's buffers and mirrors; returns a just-closed launch.
@@ -690,8 +646,6 @@ class _DeviceSlot:
                 self.context.free(name)
         self._resident = None
         self._staged_deltas = []
-        self._last_fitnesses = None
-        self._last_rows = None
         self._tabu_last_applied = None
         return record
 
@@ -1107,11 +1061,10 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
 
         Allocates each device's ``(R, M)`` "iteration last applied" stamps
         in its global memory.  The admissibility mask is then computed next
-        to the fused reduction instead of on the host, so the per-iteration
-        tabu packet shrinks from the ``O(S·M/8)`` bit-packed mask to the
-        ``O(S)`` per-replica iteration stamps — and the robust-tabu escape
+        to the fused reduction, so the per-iteration tabu packet is just the
+        ``O(S)`` per-replica iteration stamps, and the robust-tabu escape
         (fall back to the oldest move when every move is inadmissible)
-        resolves on-device too, removing its extra host round trip.
+        resolves on-device too.
         """
         parts = list(self._resident_parts())
         if tenure < 0:
@@ -1249,7 +1202,6 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         replica_ids: np.ndarray | None = None,
         *,
         reduce: str | None = None,
-        admissible: np.ndarray | None = None,
         aspiration_fitness: np.ndarray | None = None,
         thresholds: np.ndarray | None = None,
         tabu_iterations: np.ndarray | None = None,
@@ -1266,13 +1218,8 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             "delta" transfer mode).  ``"argmin"`` / ``"first-improvement"``
             run the fused on-device reduction and download only the
             per-replica ``(index, fitness)`` pair — 16 bytes per replica.
-        admissible:
-            Optional ``(S, M)`` admissibility mask for ``"argmin"`` (the
-            host-side tabu rule).  It is bit-packed and uploaded on the copy
-            stream, overlapping the evaluation kernel, because only the
-            reduction epilogue consumes it.
         aspiration_fitness:
-            Per-replica aspiration thresholds: an inadmissible move becomes
+            Per-replica aspiration thresholds: a tabu move becomes
             admissible when strictly better (device-side comparison).
         thresholds:
             Per-replica current fitnesses for ``"first-improvement"``.
@@ -1280,16 +1227,15 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             Per-replica current iteration numbers for the **device-resident**
             tabu memory (:meth:`init_tabu_memory`).  The admissibility mask
             is then derived on-device from the resident ``last_applied``
-            stamps — only these ``O(S)`` stamps cross PCIe instead of the
-            ``O(S·M/8)`` packed mask — the robust-tabu escape resolves
-            on-device, and the winning move's stamp is updated in place.
-            Mutually exclusive with ``admissible``.
+            stamps — only these ``O(S)`` stamps cross PCIe — the robust-tabu
+            escape resolves on-device, and the winning move's stamp is
+            updated in place.  Both go through :func:`_select_step`, the
+            rule the runner applies to a downloaded fitness block.
 
         Returns the fitness matrix (``reduce=None``) or an
-        ``(indices, fitnesses)`` pair of per-replica arrays where a blocked
-        replica (no admissible / no improving move) gets ``(-1, inf)`` —
-        except under ``tabu_iterations``, where blocked replicas already
-        carry their escape move.
+        ``(indices, fitnesses)`` pair of per-replica arrays where a replica
+        with no improving move (``"first-improvement"``) gets ``(-1, inf)``;
+        under ``tabu_iterations`` a blocked replica carries its escape move.
 
         The rows are scored once, from the devices' resident host mirrors,
         and selected once over the whole block; each device lands and
@@ -1316,7 +1262,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         # Each device takes its rows' slice, so a longer array would
         # otherwise go unnoticed.
         _check_per_row(
-            num_solutions, admissible=admissible, aspiration_fitness=aspiration_fitness,
+            num_solutions, aspiration_fitness=aspiration_fitness,
             thresholds=thresholds, tabu_iterations=tabu_iterations,
         )
         if reduce is not None and reduce not in REDUCE_OPS:
@@ -1328,8 +1274,6 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                     "tabu_iterations needs a device-resident tabu memory; "
                     "call init_tabu_memory after begin_search"
                 )
-            if admissible is not None:
-                raise ValueError("pass either admissible or tabu_iterations, not both")
             if reduce != "argmin":
                 raise ValueError("tabu_iterations requires reduce=\"argmin\"")
             stamps = np.asarray(tabu_iterations, dtype=TABU_STAMP_DTYPE).ravel()
@@ -1337,13 +1281,6 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                 raise ValueError(
                     f"tabu_iterations must have one stamp per replica "
                     f"({num_solutions}), got {stamps.shape}"
-                )
-        if admissible is not None:
-            admissible = np.asarray(admissible, dtype=bool)
-            if admissible.shape != (num_solutions, num_indices):
-                raise ValueError(
-                    f"admissible mask must be ({num_solutions}, {num_indices}), "
-                    f"got {admissible.shape}"
                 )
         if self._persistent and reduce is None:
             raise ValueError(
@@ -1356,7 +1293,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         for _index, slot, positions, local, whole in owners:
             block[positions] = slot._resident if whole else slot._resident[local]
         scores = _score(self.problem, self.neighborhood, block)
-        select = (admissible, aspiration_fitness, thresholds, stamps)
+        select = (aspiration_fitness, thresholds, stamps)
         if self._persistent:
             device_times = [
                 slot._iterate(local, scores[positions])
@@ -1370,7 +1307,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         self.stats.evaluations += num_solutions * num_indices
         return result
 
-    def _select(self, owners, scores, reduce, admissible, aspiration_fitness, thresholds, stamps):
+    def _select(self, owners, scores, reduce, aspiration_fitness, thresholds, stamps):
         """The fused selection over the whole block; each device stores its rows'."""
         tabu = None
         if stamps is not None:
@@ -1381,8 +1318,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                 )
             tabu = (stamps, last, self._resident_tenure)
         indices, best = _select_step(
-            np.asarray(scores, dtype=FITNESS_DTYPE), reduce, admissible,
-            aspiration_fitness, thresholds, tabu,
+            np.asarray(scores, dtype=FITNESS_DTYPE), reduce, aspiration_fitness, thresholds, tabu
         )
         for _index, slot, positions, local, _whole in owners:
             slot._store_selection(
@@ -1425,33 +1361,6 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                 result[1][positions] = data["fitness"]
         self.stats.simulated_time += max(before, times.latest) - before
         return result
-
-    def fetch_fitnesses(self, replicas: np.ndarray, move_indices: np.ndarray) -> np.ndarray:
-        """Read single entries of the last evaluated fitness block.
-
-        Used by the host for decisions the fused reduction cannot make (the
-        robust-tabu escape to the oldest move): each read goes to the device
-        owning the replica, and one fitness value per requested entry
-        crosses PCIe — ``O(S)``, not ``O(S·M)``.
-        """
-        replicas = np.asarray(replicas, dtype=np.int64).ravel()
-        move_indices = np.asarray(move_indices, dtype=np.int64).ravel()
-        if move_indices.shape != replicas.shape:
-            raise ValueError(
-                f"need one move index per replica, got {move_indices.size} for "
-                f"{replicas.size} replicas"
-            )
-        num_moves = self.neighborhood.size
-        if move_indices.size and (move_indices.min() < 0 or move_indices.max() >= num_moves):
-            raise IndexError(f"move index out of range [0, {num_moves})")
-        if replicas.size and (replicas.min() < 0 or replicas.max() >= self._replica_count()):
-            raise KeyError("replica was not part of the last resident evaluation")
-        out = np.empty(replicas.size, dtype=np.float64)
-        before = self.scheduler.makespan
-        for _index, slot, positions, local, _whole in self._split_rows(replicas):
-            out[positions] = slot.fetch(local, move_indices[positions])
-        self.stats.simulated_time += self.scheduler.makespan - before
-        return out
 
     # ------------------------------------------------------------------
     # Replica migration (load rebalancing over the peer links)

@@ -68,9 +68,8 @@ REDUCED_RESULT_BYTES = REDUCED_PAIR_DTYPE.itemsize
 TABU_STAMP_DTYPE = np.dtype(np.int64)
 
 #: Bytes per replica of the per-iteration tabu stamp upload (the replica's
-#: current iteration number) when the tabu memory is device-resident — the
-#: ``O(S)`` packet that replaces the ``O(S·M/8)`` bit-packed admissibility
-#: mask of the host-side tabu path.
+#: current iteration number) when the tabu memory is device-resident: an
+#: ``O(S)`` packet from which the reduction derives the admissibility mask.
 TABU_STAMP_BYTES = TABU_STAMP_DTYPE.itemsize
 
 #: Bytes per replica of the host's early-stop flag write into the persistent

@@ -230,6 +230,8 @@ class InterconnectTopology:
     # ------------------------------------------------------------------
     @staticmethod
     def _keys(specs: Sequence[DeviceSpec]) -> list[str]:
+        if not specs:
+            raise ValueError("topology needs at least one device")
         return [f"gpu{i}" for i in range(len(specs))]
 
     @classmethod

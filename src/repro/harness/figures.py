@@ -78,6 +78,8 @@ def figure_eight(
     points: list[Figure8Point] = []
     specs = scale.figure8_instances
     if max_points is not None:
+        if max_points < 1:
+            raise ValueError(f"max_points must be positive, got {max_points}")
         specs = specs[:max_points]
     for spec in specs:
         problem = PermutedPerceptronProblem.generate(

@@ -23,21 +23,23 @@ This is the library's only search loop: the single searches
 (:class:`~repro.localsearch.tabu.TabuSearch` and the hill climbers) are
 one-row runs of it, so a replica follows bit-for-bit the same trajectory as
 a standalone search with the same seed by definition.  Every replica's
-selection goes through :func:`~repro.core.evaluators._fused_reduce`, over
-the downloaded fitness block or fused on-device.
+selection goes through :func:`~repro.core.evaluators._select_step`, the one
+copy of the selection rules: the runner applies it to the downloaded
+fitness block (``full``/``delta``, with the tabu stamps on the host) and a
+resident pool next to its fused reduction (``reduced``/``persistent``, with
+the tabu stamps on the device).
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..core.evaluators import NeighborhoodEvaluator, _fused_reduce
+from ..core.evaluators import NeighborhoodEvaluator, _select_step
 from ..gpu.dtypes import TABU_NEVER
 from ..gpu.faults import FaultEvent, FaultPlan
 from ..problems.incremental import (
@@ -233,9 +235,9 @@ class MultiStartRunner:
         that stopped early otherwise leave their device underloaded while
         others stay full).  Purely a placement/timing optimization over the
         peer links — trajectories are bit-identical with or without it.
-        Ignored for evaluators without a ``rebalance_resident`` method, in
-        ``"full"`` mode (nothing is resident) and in ``"persistent"`` mode
-        (the launches are pinned to their devices for the whole run).
+        Ignored in ``"full"`` mode (nothing is resident) and in
+        ``"persistent"`` mode (the launches are pinned to their devices for
+        the whole run).
     """
 
     ALGORITHMS = ("tabu", "hill-climbing", "first-improvement")
@@ -284,21 +286,12 @@ class MultiStartRunner:
 
         self._resident = self.transfer_mode != "full"
         self._reduced = self.transfer_mode in REDUCED_SELECTION_MODES
-        # The tabu memory moves device-resident whenever selection happens
-        # in the fused reduction and the backend supports it: the host then
-        # never materializes (nor uploads) the O(S·M) admissibility data.
-        self._device_tabu = (
-            self._reduced
-            and algorithm == "tabu"
-            and hasattr(evaluator, "init_tabu_memory")
-        )
+        # Selection in the fused reduction takes the tabu memory with it onto
+        # the device: the host then never materializes the O(S·M) stamps.
+        self._device_tabu = self._reduced and algorithm == "tabu"
         self._host_tabu = algorithm == "tabu" and not self._device_tabu
         self._rebalance = (
-            rebalance_every
-            if self._resident
-            and self.transfer_mode != "persistent"
-            and hasattr(evaluator, "rebalance_resident")
-            else None
+            rebalance_every if self._resident and self.transfer_mode != "persistent" else None
         )
 
     # ------------------------------------------------------------------
@@ -623,11 +616,12 @@ class MultiStartRunner:
 
         Returns ``(indices, selected_fitness, stop_mask)``; ``stop_mask``
         marks rows at a local optimum (hill-climbing rules only, ``None``
-        for tabu).  The reduction is
-        :func:`~repro.core.evaluators._fused_reduce`, over the downloaded
-        fitness block (``full``/``delta``) or fused on-device
-        (``reduced``/``persistent``, where only ``(index, fitness)`` pairs
-        come back), so both paths are bit-identical by construction.
+        for tabu).  The rule is :func:`~repro.core.evaluators._select_step`,
+        applied here to the downloaded fitness block (``full``/``delta``,
+        with the host tabu stamps) or by the evaluator next to its fused
+        reduction (``reduced``/``persistent``, where only ``(index,
+        fitness)`` pairs come back and the tabu stamps live on the device),
+        so every mode selects the same moves.
         """
         if self._reduced:
             def reduce(op, **kwargs):
@@ -638,7 +632,12 @@ class MultiStartRunner:
                 if self._resident
                 else self.evaluator.evaluate_many(self.current[rows])
             )
-            reduce = functools.partial(_fused_reduce, fitnesses)
+
+            def reduce(op, *, aspiration_fitness=None, thresholds=None, tabu_iterations=None):
+                tabu = None
+                if tabu_iterations is not None:
+                    tabu = (tabu_iterations, self.last_applied[rows], self.tenure)
+                return _select_step(fitnesses, op, aspiration_fitness, thresholds, tabu)
 
         if self.algorithm == "hill-climbing":
             indices, selected = reduce("argmin")
@@ -648,38 +647,11 @@ class MultiStartRunner:
                 "first-improvement", thresholds=self.current_fitness[rows]
             )
             return indices, selected, indices < 0
-
-        iterations = self.iterations[rows]
-        aspiration = self.best_fitness[rows] if self.aspiration else None
-        if self._device_tabu:
-            # Device-resident tabu memory: the admissibility mask is derived
-            # next to the reduction from the resident ``last_applied``
-            # stamps, the robust-tabu escape resolves on-device, and the
-            # winning stamps are updated in place.
-            indices, selected = reduce(
-                "argmin", tabu_iterations=iterations, aspiration_fitness=aspiration
-            )
-            return indices, selected, None
-        last_applied = self.last_applied[rows]
         indices, selected = reduce(
             "argmin",
-            admissible=(
-                (iterations[:, None] - last_applied) > self.tenure if self.tenure else None
-            ),
-            aspiration_fitness=aspiration,
+            tabu_iterations=self.iterations[rows],
+            aspiration_fitness=self.best_fitness[rows] if self.aspiration else None,
         )
-        # Robust-tabu escape: when every move of a replica is inadmissible,
-        # fall back to its oldest tabu move (on the reduced paths the host
-        # fetches just that move's fitness, 8 bytes each).
-        blocked = indices < 0
-        if np.count_nonzero(blocked):
-            indices = np.where(blocked, last_applied.argmin(axis=1), indices)
-            selected = selected.copy()
-            selected[blocked] = (
-                self.evaluator.fetch_fitnesses(active_idx[blocked], indices[blocked])
-                if self._reduced
-                else fitnesses[np.nonzero(blocked)[0], indices[blocked]]
-            )
         return indices, selected, None
 
     # ------------------------------------------------------------------

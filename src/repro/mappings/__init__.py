@@ -50,6 +50,8 @@ def mapping_for(n: int, k: int, **kwargs) -> MoveMapping:
     The paper's closed-form mappings are used for ``k in {1, 2, 3}``; larger
     Hamming distances fall back to the exact combinatorial mapping.
     """
+    if k < 1:
+        raise ValueError(f"Hamming order must be positive, got {k}")
     if k == 1:
         return OneHammingMapping(n)
     if k == 2:

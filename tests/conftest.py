@@ -8,10 +8,11 @@ from repro.neighborhoods import KHammingNeighborhood
 
 
 def _reference_search(make_problem, order, rule, seed, *, max_iterations,
-                      target_fitness=0.0, tenure=None, aspiration=True):
+                      target_fitness=0.0, tenure=None, aspiration=True, final=None):
     """One search from ``problem.random_solution(default_rng(seed))`` as a
     literal loop: score the whole neighborhood, pick one move by ``rule``
-    (``"tabu"``, ``"hill-climbing"`` or ``"first-improvement"``), apply it."""
+    (``"tabu"``, ``"hill-climbing"`` or ``"first-improvement"``), apply it.
+    A ``final`` list receives the solution the search ends on."""
     problem = make_problem()
     moves = KHammingNeighborhood(problem.n, order).mapping.all_moves()
     tenure = max(1, len(moves) // 6) if tenure is None else tenure
@@ -48,6 +49,8 @@ def _reference_search(make_problem, order, rule, seed, *, max_iterations,
         if fitness < best_fitness:
             best, best_fitness = current.copy(), fitness
         history.append(best_fitness)
+    if final is not None:
+        final.append(current.copy())
     return LSResult(best, best_fitness, len(history), evaluations,
                     problem.is_solution(best_fitness), reason, 0.0, 0.0, initial, history)
 

@@ -181,51 +181,6 @@ class TestTransferInvariants:
         runner.run(seeds=_seeds())
         assert evaluator.context.timeline.overlap_saved > 0.0
 
-    def test_fetch_fitnesses_accounts_single_entries(self, problem, neighborhood):
-        evaluator = self._resident_evaluator(problem, neighborhood)
-        reference = evaluator.evaluate_resident()
-        stats = evaluator.context.stats
-        before = stats.d2h_bytes
-        values = evaluator.fetch_fitnesses([1, 3], [0, 5])
-        assert stats.d2h_bytes - before == 2 * FITNESS_BYTES
-        assert values == pytest.approx(reference[[1, 3], [0, 5]])
-
-    def test_fetch_fitnesses_handles_unsorted_replica_ids(self, problem, neighborhood):
-        evaluator = self._resident_evaluator(problem, neighborhood)
-        full = evaluator.evaluate_resident()
-        unsorted_ids = np.array([4, 0, 2])
-        evaluator.evaluate_resident(unsorted_ids)
-        values = evaluator.fetch_fitnesses([0, 4, 2], [1, 2, 3])
-        assert values == pytest.approx(full[[0, 4, 2], [1, 2, 3]])
-        with pytest.raises(KeyError):
-            evaluator.fetch_fitnesses([1], [0])
-
-    @pytest.mark.parametrize("devices", [None, 2])
-    def test_fetch_fitnesses_rejects_bad_move_indices(self, problem, neighborhood, devices):
-        if devices is None:
-            evaluator = self._resident_evaluator(problem, neighborhood)
-        else:
-            evaluator = MultiGPUEvaluator(problem, neighborhood, devices=devices)
-            rng = np.random.default_rng(0)
-            evaluator.begin_search(
-                np.stack([problem.random_solution(rng) for _ in range(REPLICAS)])
-            )
-        evaluator.evaluate_resident(reduce="argmin")
-        before = evaluator.stats.simulated_time
-        # A negative index must not wrap around to the last move, and one past
-        # the end must not read outside the row.
-        for move in (-1, neighborhood.size):
-            with pytest.raises(IndexError, match="move index"):
-                evaluator.fetch_fitnesses([0], [move])
-        # A move list of the wrong length must not be broadcast over the rows.
-        with pytest.raises(ValueError, match="one move index per replica"):
-            evaluator.fetch_fitnesses([0, 1], [2])
-        with pytest.raises(ValueError, match="one move index per replica"):
-            evaluator.fetch_fitnesses([0], [2, 3])
-        # Rejected reads price nothing.
-        assert evaluator.stats.simulated_time == before
-        assert evaluator.fetch_fitnesses([0], [neighborhood.size - 1]).shape == (1,)
-
 
 class TestSessionLifecycle:
     def test_resident_calls_require_begin(self, problem, neighborhood):

@@ -8,8 +8,7 @@ The contract the contention model must honour end to end:
   complex can only slow the modeled run down;
 * **no transfer path bypasses the engine** — every host-facing byte of
   every transfer mode (uploads, delta packets, reduced downloads,
-  persistent ring drains and stop flags, single-entry fetches, migration
-  round trips) shows up on the uplink, so uplink bytes equal the summed
+  persistent ring drains and stop flags, migration round trips) shows up on the uplink, so uplink bytes equal the summed
   h2d/d2h counters exactly.
 """
 

@@ -497,8 +497,8 @@ class TestPoolWideSelection:
     DEVICES = [GTX_280, GTX_8800, TESLA_C1060, GTX_280]
     REPLICAS = 13
     ROWS = np.array([1, 2, 3, 4, 6, 7, 10, 12])
-    #: Replicas with every move tabu, and the one with no admissible move.
-    BLOCKED, BARRED = [1, 7], 2
+    #: Replicas with every move tabu, and one more that aspiration never frees.
+    BLOCKED, UNASPIRED = [1, 7], 2
 
     def _block(self, problem):
         rng = np.random.default_rng(5)
@@ -522,24 +522,16 @@ class TestPoolWideSelection:
         return result, tabu
 
     def _request(self, kind, fitnesses, rows):
-        rng = np.random.default_rng(3)
         if kind == "first-improvement":
             return {"reduce": "first-improvement",
                     "thresholds": np.median(fitnesses[rows], axis=1)}
         aspiration = np.quantile(fitnesses[rows], 0.05, axis=1)
-        aspiration[np.searchsorted(rows, [*self.BLOCKED, self.BARRED])] = -np.inf
-        request = {"reduce": "argmin", "aspiration_fitness": aspiration}
-        if kind == "mask":
-            mask = rng.random((rows.size, fitnesses.shape[1])) < 0.3
-            mask[np.searchsorted(rows, self.BARRED)] = False
-            request["admissible"] = mask
-        else:
-            request["tabu_iterations"] = np.full(rows.size, 20)
-        return request
+        aspiration[np.searchsorted(rows, [*self.BLOCKED, self.UNASPIRED])] = -np.inf
+        return {"reduce": "argmin", "aspiration_fitness": aspiration,
+                "tabu_iterations": np.full(rows.size, 20)}
 
     @pytest.mark.parametrize(
-        "kind, tenure",
-        [("tabu", 3), ("tabu", 0), ("mask", None), ("first-improvement", None)],
+        "kind, tenure", [("tabu", 3), ("tabu", 0), ("first-improvement", None)]
     )
     def test_pool_selection_equals_device_selection(self, problem, neighborhood, kind, tenure):
         block = self._block(problem)
@@ -580,19 +572,14 @@ class TestPoolWideSelection:
                 escaped = pooled[0][np.searchsorted(self.ROWS, self.BLOCKED)]
                 np.testing.assert_array_equal(escaped, stamps[self.BLOCKED].argmin(axis=1))
             assert (pooled_tabu[self.ROWS, pooled[0]] == 20).all()
-        elif kind == "mask":
-            assert pooled[0][np.searchsorted(self.ROWS, self.BARRED)] == -1
 
-    @pytest.mark.parametrize(
-        "name", ["admissible", "aspiration_fitness", "thresholds", "tabu_iterations"]
-    )
+    @pytest.mark.parametrize("name", ["aspiration_fitness", "thresholds", "tabu_iterations"])
     def test_per_row_arrays_must_match_the_rows(self, problem, neighborhood, name):
         pool = MultiGPUEvaluator(problem, neighborhood, devices=self.DEVICES)
         pool.begin_search(self._block(problem))
         pool.init_tabu_memory(3)
         rows = self.ROWS.size + 1
         part = {
-            "admissible": np.ones((rows, neighborhood.size), dtype=bool),
             "aspiration_fitness": np.zeros(rows),
             "thresholds": np.zeros(rows),
             "tabu_iterations": np.full(rows, 20),

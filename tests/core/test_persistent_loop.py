@@ -209,19 +209,6 @@ class TestPersistentSessionSemantics:
                     reduce="argmin", tabu_iterations=np.zeros(2, dtype=np.int64)
                 )
 
-    def test_tabu_stamps_exclusive_with_mask(self):
-        problem = make_table_instance((12, 12), trial=0)
-        neighborhood = KHammingNeighborhood(problem.n, 1)
-        with GPUEvaluator(problem, neighborhood) as evaluator:
-            evaluator.begin_search(np.zeros((2, problem.n), dtype=np.int8))
-            evaluator.init_tabu_memory(3)
-            with pytest.raises(ValueError, match="not both"):
-                evaluator.evaluate_resident(
-                    reduce="argmin",
-                    tabu_iterations=np.zeros(2, dtype=np.int64),
-                    admissible=np.ones((2, neighborhood.size), dtype=bool),
-                )
-
     def test_device_tabu_memory_is_a_device_allocation(self):
         problem = make_table_instance((12, 12), trial=0)
         neighborhood = KHammingNeighborhood(problem.n, 2)

@@ -18,6 +18,7 @@ import pytest
 from repro.gpu import (
     GTX_280,
     GTX_8800,
+    TOPOLOGY_PRESETS,
     DeviceScheduler,
     GPUContext,
     HostMemoryKind,
@@ -49,6 +50,11 @@ class TestLinksAndTopology:
             Link(name="bad", bandwidth=0.0)
         with pytest.raises(ValueError):
             Link(name="bad", bandwidth=1.0, latency=-1.0)
+
+    @pytest.mark.parametrize("preset", sorted(TOPOLOGY_PRESETS))
+    def test_every_preset_rejects_an_empty_pool(self, preset):
+        with pytest.raises(ValueError, match="topology needs at least one device"):
+            TOPOLOGY_PRESETS[preset]([])
 
     def test_device_link_kind_properties(self):
         topo = dedicated4()

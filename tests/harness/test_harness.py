@@ -11,7 +11,6 @@ from repro.harness import (
     REDUCED,
     SMOKE,
     ExperimentRow,
-    TrialRecord,
     figure_eight,
     format_experiment_table,
     format_figure8_series,
@@ -167,6 +166,11 @@ class TestFigure8:
     @pytest.fixture(scope="class")
     def points(self):
         return figure_eight("smoke", max_points=4)
+
+    @pytest.mark.parametrize("max_points", [0, -1])
+    def test_rejects_a_non_positive_point_count(self, max_points):
+        with pytest.raises(ValueError, match="max_points must be positive"):
+            figure_eight("smoke", max_points=max_points)
 
     def test_point_metadata(self, points):
         assert len(points) == 4

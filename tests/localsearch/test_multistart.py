@@ -42,13 +42,34 @@ def assert_replica_matches(serial, batched):
 
 
 class TestLockstepParity:
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_tabu_matches_serial_runs(self, ppp, order, serial_results):
+    @pytest.mark.parametrize("backend, mode", [("cpu", "full"), ("gpu", "reduced")])
+    @pytest.mark.parametrize(
+        "order, tenure, aspiration, iterations",
+        [
+            (1, None, True, 40),
+            (2, None, True, 40),
+            (1, 0, True, 40),
+            (2, 0, True, 40),
+            # Tenure 25 makes all 25 one-flip moves tabu after 25 steps; with
+            # no aspiration every replica then takes the robust-tabu escape.
+            (1, 25, False, 60),
+        ],
+    )
+    def test_tabu_matches_serial_runs(
+        self, ppp, order, tenure, aspiration, iterations, backend, mode, serial_results
+    ):
+        """The host rule (``full``) and the fused on-device rule (``reduced``)
+        against the literal loop, not against each other.  The searches must
+        also end on the same solutions: an escape that revisits known
+        solutions leaves the best ones unchanged."""
         neighborhood = KHammingNeighborhood(ppp.n, order)
-        serial = serial_results("tabu", order, SEEDS, max_iterations=40)
-        runner = MultiStartRunner(CPUEvaluator(ppp, neighborhood), algorithm="tabu",
-                                  max_iterations=40)
+        settings = {"tenure": tenure, "aspiration": aspiration, "max_iterations": iterations}
+        finals = []
+        serial = serial_results("tabu", order, SEEDS, final=finals, **settings)
+        evaluator = (CPUEvaluator if backend == "cpu" else GPUEvaluator)(ppp, neighborhood)
+        runner = MultiStartRunner(evaluator, algorithm="tabu", transfer_mode=mode, **settings)
         batched = runner.run(seeds=SEEDS)
+        np.testing.assert_array_equal(runner.current, np.stack(finals))
         assert len(batched) == len(SEEDS)
         for s, b in zip(serial, batched):
             assert_replica_matches(s, b)

@@ -108,6 +108,11 @@ class TestExactMapping:
         assert mapping_for(10, 3).__class__.__name__ == "ThreeHammingMapping"
         assert mapping_for(10, 4).__class__.__name__ == "ExactKHammingMapping"
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_factory_rejects_non_positive_order(self, k):
+        with pytest.raises(ValueError, match="Hamming order must be positive"):
+            mapping_for(6, k)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_factory_sizes_agree_with_binomial(self, k):
         assert mapping_for(12, k).size == math.comb(12, k)

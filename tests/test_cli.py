@@ -36,6 +36,11 @@ class TestMappingCommand:
         assert "thread    0 -> flip bits (0, 1)" in out
         assert "more" in out  # truncation notice
 
+    def test_negative_limit_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["mapping", "--n", "6", "--k", "2", "--limit", "-1"])
+        assert "--limit: must be non-negative" in capsys.readouterr().err
+
     def test_full_table_without_truncation(self, capsys):
         assert main(["mapping", "--n", "5", "--k", "1", "--limit", "10"]) == 0
         out = capsys.readouterr().out

@@ -1,7 +1,9 @@
 """Packaging-level smoke tests: public API surface, module entry point, metadata."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,29 @@ class TestPublicAPI:
             CPUEvaluator(problem, KHammingNeighborhood(15, 2)), max_iterations=50
         ).run(rng=0)
         assert result.iterations <= 50
+
+
+class TestRelativeImports:
+    def test_no_module_imports_repro_absolutely(self):
+        # The package must load under another top-level name (a second copy
+        # of the tree side by side), so it reaches itself only through
+        # relative imports.
+        root = Path(repro.__file__).parent
+        absolute = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module or ""]
+                else:
+                    continue
+                absolute += [
+                    f"{path.relative_to(root)}:{node.lineno} {name}"
+                    for name in names
+                    if name == "repro" or name.startswith("repro.")
+                ]
+        assert not absolute
 
 
 class TestModuleEntryPoint:
