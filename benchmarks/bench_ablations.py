@@ -1,4 +1,4 @@
-"""Ablation benchmarks: quantify the design choices DESIGN.md calls out.
+"""Ablation benchmarks: the paper's design choices (Section III-A, Figure 8, Section V).
 
 Each benchmark runs one ablation sweep from :mod:`repro.harness.ablations`
 and attaches the modeled times/speedups of every configuration to

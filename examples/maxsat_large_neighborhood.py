@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from repro.core import CPUEvaluator, GPUEvaluator, iteration_times
+from repro.core import CPUEvaluator, GPUEvaluator, full_step_time
 from repro.harness import render_markdown_table
 from repro.localsearch import HillClimbing, TabuSearch, VariableNeighborhoodSearch
 from repro.neighborhoods import KHammingNeighborhood
@@ -39,7 +39,8 @@ def main() -> None:
         fitnesses = [r.best_fitness for r in results]
         gpu_note = "-"
         if neighborhood is not None:
-            gpu_note = f"x{iteration_times(problem, neighborhood).speedup:.1f}"
+            cpu_step = full_step_time(CPUEvaluator(problem, neighborhood))
+            gpu_note = f"x{cpu_step / full_step_time(GPUEvaluator(problem, neighborhood)):.1f}"
         rows.append([
             label,
             f"{np.mean(fitnesses):.1f}",

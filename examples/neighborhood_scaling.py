@@ -10,7 +10,7 @@ Run with:  python examples/neighborhood_scaling.py [--points 8] [--order 1]
 
 import argparse
 
-from repro.core import iteration_times
+from repro.core import CPUEvaluator, GPUEvaluator, full_step_time
 from repro.harness import format_time, render_markdown_table
 from repro.neighborhoods import KHammingNeighborhood
 from repro.problems import FIGURE8_INSTANCES, PermutedPerceptronProblem
@@ -33,8 +33,8 @@ def main() -> None:
         problem = PermutedPerceptronProblem.generate(spec.m, spec.n,
                                                      rng=instance_seed(spec.m, spec.n))
         neighborhood = KHammingNeighborhood(problem.n, args.order)
-        t = iteration_times(problem, neighborhood)
-        cpu, gpu = t.cpu_time * args.iterations, t.gpu_time * args.iterations
+        cpu = full_step_time(CPUEvaluator(problem, neighborhood)) * args.iterations
+        gpu = full_step_time(GPUEvaluator(problem, neighborhood)) * args.iterations
         if crossover is None and gpu < cpu:
             crossover = spec.label
         rows.append([spec.label, f"{neighborhood.size}", format_time(cpu), format_time(gpu),

@@ -32,6 +32,14 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """An argparse ``type``: a finite number greater than zero."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -153,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Hamming order of the neighborhood")
     p_serve.add_argument("--trace-jobs", type=int, default=60,
                          help="jobs in the generated trace (without --trace)")
-    p_serve.add_argument("--load", type=float, default=1.5,
+    p_serve.add_argument("--load", type=_positive_float, default=1.5,
                          help="offered load of the generated trace as a multiple "
                               "of the batch's calibrated service capacity")
     p_serve.add_argument("--seed", type=int, default=0,
@@ -187,7 +195,7 @@ def _cmd_tables(args) -> int:
     builders = {1: ("I", table_one), 2: ("II", table_two), 3: ("III", table_three)}
     scale = get_scale(args.scale)
     print(f"scale: {scale.name} ({scale.trials} trials per instance)")
-    for index in args.table or [1, 2, 3]:
+    for index in dict.fromkeys(args.table or [1, 2, 3]):
         numeral, builder = builders[index]
         rows = builder(scale)
         print()
@@ -263,7 +271,7 @@ def _cmd_figure8(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .core import CPUEvaluator, GPUEvaluator, MultiGPUEvaluator, iteration_times
+    from .core import CPUEvaluator, GPUEvaluator, MultiGPUEvaluator, full_step_time
     from .harness import format_time
     from .localsearch import TabuSearch
     from .neighborhoods import KHammingNeighborhood
@@ -293,8 +301,14 @@ def _cmd_solve(args) -> int:
     result = search.run(rng=args.seed)
     print(result.summary())
     print(f"simulated {evaluator.platform} time: {format_time(result.simulated_time)}")
-    times = iteration_times(problem, neighborhood, use_texture=args.texture)
-    print(f"modeled acceleration vs single-core CPU: x{times.speedup:.1f}")
+    cpu_step = full_step_time(CPUEvaluator(problem, neighborhood))
+    if args.platform == "cpu":
+        gpu = GPUEvaluator(problem, neighborhood, use_texture_memory=args.texture)
+        speedup = cpu_step / full_step_time(gpu)
+    else:
+        run_time = result.simulated_time
+        speedup = cpu_step * result.iterations / run_time if run_time else float("inf")
+    print(f"modeled acceleration vs single-core CPU: x{speedup:.1f}")
     return 0 if result.success else 1
 
 

@@ -3,8 +3,8 @@
 This subpackage ties the mappings, neighborhoods and problems together with
 the GPU execution substrate: kernels that evaluate one neighbor per thread,
 evaluators for the CPU baseline / single GPU / multi-GPU platforms (with
-the fused move-selection reduction) and the per-iteration timing estimates
-that feed the reproduced tables.
+the fused move-selection reduction) and ``full_step_time``, the one-step
+probe that prices the reproduced tables' CPU and GPU columns.
 """
 
 from .evaluators import (
@@ -15,9 +15,9 @@ from .evaluators import (
     MultiGPUEvaluator,
     NeighborhoodEvaluator,
     SequentialEvaluator,
+    full_step_time,
 )
 from .kernels import build_neighborhood_kernel, kernel_cost_profile, mapping_flops
-from .timing_estimates import IterationTimes, iteration_times, run_times
 
 __all__ = [
     "NeighborhoodEvaluator",
@@ -30,7 +30,5 @@ __all__ = [
     "build_neighborhood_kernel",
     "kernel_cost_profile",
     "mapping_flops",
-    "IterationTimes",
-    "iteration_times",
-    "run_times",
+    "full_step_time",
 ]

@@ -76,6 +76,7 @@ __all__ = [
     "GPUEvaluator",
     "MultiGPUEvaluator",
     "REDUCE_OPS",
+    "full_step_time",
 ]
 
 #: Fused on-device reduction operators of the device-resident pipeline.
@@ -1695,3 +1696,16 @@ class GPUEvaluator(MultiGPUEvaluator):
     def last_persistent_record(self) -> PersistentLaunchRecord | None:
         """Summary of the last completed persistent launch."""
         return self._slots[0].last_persistent_record
+
+
+def full_step_time(evaluator: NeighborhoodEvaluator) -> float:
+    """Simulated seconds of one ``full`` step of one solution on ``evaluator``.
+
+    Scores the whole neighborhood of the all-zero solution once and returns
+    what that adds to ``evaluator.stats.simulated_time``.  The price of a
+    ``full`` step depends on neither the solution nor the step, so this is
+    the per-iteration CPU or GPU time of the paper's tables.
+    """
+    before = evaluator.stats.simulated_time
+    evaluator.evaluate(np.zeros(evaluator.problem.n, dtype=np.int8))
+    return evaluator.stats.simulated_time - before

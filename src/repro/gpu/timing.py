@@ -15,6 +15,11 @@ would produce.  It uses a standard roofline-style estimate:
 The CPU baseline model is the scalar analogue: total flops divided by the
 sustained single-core throughput of the host.
 
+The evaluators charge these models on their simulated clocks, and the
+paper's CPU and GPU columns are those clocks: one priced ``full`` step
+(:func:`~repro.core.evaluators.full_step_time`) of a ``CPUEvaluator`` and
+of a one-GPU ``GPUEvaluator``.
+
 The model is calibrated (via the :data:`~repro.gpu.device.GTX_280` and
 :data:`~repro.gpu.device.XEON_3GHZ` presets) so that the *shape* of the
 paper's results — the 1-Hamming CPU/GPU crossover around 200×217, the

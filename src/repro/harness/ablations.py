@@ -1,8 +1,10 @@
-"""Ablation studies of the design choices called out in DESIGN.md.
+"""Ablation studies of the paper's design choices (Section III-A, Figure 8, Section V).
 
 Each function sweeps one modelling/implementation knob and returns a list of
 labelled measurements, so the effect of every choice the paper (or this
-reproduction) makes can be quantified:
+reproduction) makes can be quantified.  Every point prices one ``full`` step
+(:func:`~repro.core.evaluators.full_step_time`) on evaluators built with the
+knob it varies:
 
 * thread-block size — the occupancy trade-off of Section III-A;
 * texture binding of the instance data — the "GPUTexture" curve of Figure 8;
@@ -16,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.evaluators import MultiGPUEvaluator
-from ..core.timing_estimates import iteration_times
+from ..core.evaluators import CPUEvaluator, GPUEvaluator, MultiGPUEvaluator, full_step_time
 from ..gpu.device import GTX_280, GTX_8800, TESLA_C1060, DeviceSpec
 from ..neighborhoods import KHammingNeighborhood
 from ..problems import PermutedPerceptronProblem
@@ -50,29 +51,34 @@ def _default_problem(order: int) -> tuple[PermutedPerceptronProblem, KHammingNei
     return problem, KHammingNeighborhood(problem.n, order)
 
 
+def _gpu_sweep(order: int, knobs, evaluator=GPUEvaluator) -> list[AblationPoint]:
+    """One CPU step, and one GPU step per ``(label, evaluator kwargs)`` of ``knobs``."""
+    problem, neighborhood = _default_problem(order)
+    cpu_time = full_step_time(CPUEvaluator(problem, neighborhood))
+    return [
+        AblationPoint(label, full_step_time(evaluator(problem, neighborhood, **kw)), cpu_time)
+        for label, kw in knobs
+    ]
+
+
 def block_size_ablation(
     order: int = 2,
     block_sizes: tuple[int, ...] = (32, 64, 128, 256, 512),
 ) -> list[AblationPoint]:
     """Modeled iteration time as a function of the threads-per-block choice."""
-    problem, neighborhood = _default_problem(order)
-    points = []
-    for block in block_sizes:
-        t = iteration_times(problem, neighborhood, block_size=block)
-        points.append(AblationPoint(label=f"block={block}", gpu_time=t.gpu_time, cpu_time=t.cpu_time))
-    return points
+    return _gpu_sweep(order, [(f"block={block}", {"block_size": block}) for block in block_sizes])
 
 
 def texture_ablation(orders: tuple[int, ...] = (1, 2, 3)) -> list[AblationPoint]:
     """Plain global-memory reads vs binding the instance matrix to a texture."""
-    points = []
-    for order in orders:
-        problem, neighborhood = _default_problem(order)
-        plain = iteration_times(problem, neighborhood, use_texture=False)
-        tex = iteration_times(problem, neighborhood, use_texture=True)
-        points.append(AblationPoint(f"{order}-Hamming/global", plain.gpu_time, plain.cpu_time))
-        points.append(AblationPoint(f"{order}-Hamming/texture", tex.gpu_time, tex.cpu_time))
-    return points
+    return [
+        point
+        for order in orders
+        for point in _gpu_sweep(order, [
+            (f"{order}-Hamming/global", {"use_texture_memory": False}),
+            (f"{order}-Hamming/texture", {"use_texture_memory": True}),
+        ])
+    ]
 
 
 def device_ablation(
@@ -80,12 +86,7 @@ def device_ablation(
     devices: tuple[DeviceSpec, ...] = (GTX_8800, TESLA_C1060, GTX_280),
 ) -> list[AblationPoint]:
     """Modeled iteration time across device generations (G80 vs GT200)."""
-    problem, neighborhood = _default_problem(order)
-    points = []
-    for device in devices:
-        t = iteration_times(problem, neighborhood, device=device)
-        points.append(AblationPoint(label=device.name, gpu_time=t.gpu_time, cpu_time=t.cpu_time))
-    return points
+    return _gpu_sweep(order, [(device.name, {"device": device}) for device in devices])
 
 
 def multi_gpu_ablation(
@@ -93,18 +94,10 @@ def multi_gpu_ablation(
     device_counts: tuple[int, ...] = (1, 2, 4, 8),
 ) -> list[AblationPoint]:
     """Simulated per-iteration time of the partitioned multi-GPU exploration."""
-    problem, neighborhood = _default_problem(order)
-    solution = problem.random_solution(0)
-    cpu_time = iteration_times(problem, neighborhood).cpu_time
-    points = []
-    for count in device_counts:
-        evaluator = MultiGPUEvaluator(problem, neighborhood, devices=count)
-        evaluator.evaluate(solution)
-        points.append(
-            AblationPoint(label=f"{count} GPU(s)", gpu_time=evaluator.stats.simulated_time,
-                          cpu_time=cpu_time)
-        )
-    return points
+    return _gpu_sweep(
+        order, [(f"{count} GPU(s)", {"devices": count}) for count in device_counts],
+        MultiGPUEvaluator,
+    )
 
 
 def cpu_cores_ablation(
@@ -113,9 +106,12 @@ def cpu_cores_ablation(
 ) -> list[AblationPoint]:
     """How a multi-core CPU baseline would narrow the gap (paper uses one core)."""
     problem, neighborhood = _default_problem(order)
-    gpu_time = iteration_times(problem, neighborhood).gpu_time
-    points = []
-    for cores in core_counts:
-        t = iteration_times(problem, neighborhood, cpu_cores=cores)
-        points.append(AblationPoint(label=f"{cores} core(s)", gpu_time=gpu_time, cpu_time=t.cpu_time))
-    return points
+    gpu_time = full_step_time(GPUEvaluator(problem, neighborhood))
+    return [
+        AblationPoint(
+            f"{cores} core(s)",
+            gpu_time,
+            full_step_time(CPUEvaluator(problem, neighborhood, cores=cores)),
+        )
+        for cores in core_counts
+    ]

@@ -4,6 +4,13 @@ This module turns individual :class:`~repro.localsearch.result.LSResult`
 runs into the aggregate rows reported by the paper's tables: mean/std
 fitness, number of iterations, number of successful tries and the modeled
 CPU/GPU times for the measured trajectory length.
+
+The CPU and GPU columns are priced by the evaluators themselves:
+:func:`~repro.core.evaluators.full_step_time` runs one ``full`` step of one
+solution on a :class:`CPUEvaluator` and on a :class:`GPUEvaluator`, the
+clocks that price every search, and the columns scale that step by the
+mean trajectory length.  They keep the paper's definition whatever
+evaluator and transfer mode ran the trials.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ from ..core.evaluators import (
     MultiGPUEvaluator,
     NeighborhoodEvaluator,
     SequentialEvaluator,
+    full_step_time,
 )
-from ..core.timing_estimates import iteration_times
 from ..localsearch.multistart import TRANSFER_MODES, MultiStartRunner
 from ..neighborhoods import KHammingNeighborhood
 from ..problems.instances import PPPInstanceSpec, instance_seed, make_table_instance
@@ -136,7 +143,8 @@ class ExperimentRow:
     instance: PPPInstanceSpec
     order: int
     trials: list[TrialRecord] = field(default_factory=list)
-    #: Modeled single-iteration times for this instance/neighborhood.
+    #: Simulated time of one ``full`` step of one solution on the CPU
+    #: baseline and on one GPU (:func:`~repro.core.evaluators.full_step_time`).
     cpu_time_per_iteration: float = 0.0
     gpu_time_per_iteration: float = 0.0
     #: Transfer/timeline accounting of the run (populated when the trials
@@ -387,12 +395,11 @@ def run_ppp_experiment(
     problem = make_table_instance(spec, trial=0)
     neighborhood = KHammingNeighborhood(problem.n, order)
 
-    per_iteration = iteration_times(problem, neighborhood)
     row = ExperimentRow(
         instance=spec,
         order=order,
-        cpu_time_per_iteration=per_iteration.cpu_time,
-        gpu_time_per_iteration=per_iteration.gpu_time,
+        cpu_time_per_iteration=full_step_time(CPUEvaluator(problem, neighborhood)),
+        gpu_time_per_iteration=full_step_time(GPUEvaluator(problem, neighborhood)),
         transfer_mode=transfer_mode,
     )
     factory = resolve_evaluator_factory(

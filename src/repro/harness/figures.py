@@ -9,17 +9,17 @@ The paper measures, for fifteen synthetic PPP instances from 101x117 up to
 Reproducing the *functional* part of 10 000 iterations for every size in
 pure Python is unnecessary: the per-iteration time is independent of the
 search trajectory, so each point executes a small number of real iterations
-(to exercise the code path end to end) and reports model times scaled to
-the nominal 10 000 iterations — exactly how the paper itself extrapolates
-the 3-Hamming CPU times it could not afford to measure.
+(to exercise the code path end to end) and reports one priced step per
+platform (:func:`~repro.core.evaluators.full_step_time` on a CPU and a GPU
+evaluator) scaled to the nominal 10 000 iterations — exactly how the paper
+itself extrapolates the 3-Hamming CPU times it could not afford to measure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.evaluators import CPUEvaluator
-from ..core.timing_estimates import iteration_times
+from ..core.evaluators import CPUEvaluator, GPUEvaluator, full_step_time
 from ..localsearch.tabu import TabuSearch
 from ..neighborhoods import OneHammingNeighborhood
 from ..problems import PermutedPerceptronProblem
@@ -86,7 +86,8 @@ def figure_eight(
             spec.m, spec.n, rng=instance_seed(spec.m, spec.n)
         )
         neighborhood = OneHammingNeighborhood(problem.n)
-        per_iteration = iteration_times(problem, neighborhood)
+        cpu_step = full_step_time(CPUEvaluator(problem, neighborhood))
+        gpu_step = full_step_time(GPUEvaluator(problem, neighborhood))
 
         final_fitness = float("nan")
         executed = scale.figure8_executed_iterations
@@ -105,8 +106,8 @@ def figure_eight(
                 instance=spec,
                 nominal_iterations=nominal,
                 executed_iterations=executed,
-                cpu_time=per_iteration.cpu_time * nominal,
-                gpu_time=per_iteration.gpu_time * nominal,
+                cpu_time=cpu_step * nominal,
+                gpu_time=gpu_step * nominal,
                 final_fitness=final_fitness,
             )
         )

@@ -9,13 +9,13 @@ from repro.core import (
     MultiGPUEvaluator,
     SequentialEvaluator,
     build_neighborhood_kernel,
-    iteration_times,
+    full_step_time,
     kernel_cost_profile,
     mapping_flops,
-    run_times,
 )
 from repro.core.evaluators import _fused_reduce
 from repro.gpu import ExecutionMode, GPUContext, GTX_280, GTX_8800, grid_for
+from repro.localsearch import TabuSearch
 from repro.neighborhoods import (
     KHammingNeighborhood,
     OneHammingNeighborhood,
@@ -143,15 +143,6 @@ class TestEvaluatorStats:
         ev.evaluate(ppp.random_solution(0))
         assert ev.stats.simulated_time >= GTX_280.kernel_launch_overhead
 
-    def test_gpu_simulated_time_matches_iteration_model(self, ppp):
-        # The evaluator's accumulated simulated time should agree with the
-        # analytic per-iteration estimate used by the harness.
-        neighborhood = TwoHammingNeighborhood(ppp.n)
-        ev = GPUEvaluator(ppp, neighborhood)
-        ev.evaluate(ppp.random_solution(0))
-        estimate = iteration_times(ppp, neighborhood).gpu_time
-        assert ev.stats.simulated_time == pytest.approx(estimate, rel=0.05)
-
     def test_multigpu_elapsed_is_less_than_single_gpu(self, ppp):
         neighborhood = ThreeHammingNeighborhood(ppp.n)
         single = GPUEvaluator(ppp, neighborhood)
@@ -244,49 +235,80 @@ class TestCheckpointPlatform:
         assert evaluator.stats.simulated_time == snap["stats"]["simulated_time"] > 0
 
 
-class TestIterationTimes:
+def _speedup(problem, neighborhood):
+    """CPU / GPU price of one ``full`` step (the paper's "Acceleration")."""
+    cpu = full_step_time(CPUEvaluator(problem, neighborhood))
+    return cpu / full_step_time(GPUEvaluator(problem, neighborhood))
+
+
+class TestFullStepTime:
     def test_small_1hamming_gpu_slower_than_cpu(self):
         # Paper Table I: for the literature instances the 1-Hamming GPU
         # version is *slower* than the CPU version.
         problem = PermutedPerceptronProblem.generate(73, 73, rng=0)
-        t = iteration_times(problem, OneHammingNeighborhood(73))
-        assert t.speedup < 1.0
+        assert _speedup(problem, OneHammingNeighborhood(73)) < 1.0
 
     def test_2hamming_and_3hamming_speedups_in_paper_band(self):
         # Paper Tables II and III: accelerations of roughly x10-x26.
         problem = PermutedPerceptronProblem.generate(73, 73, rng=0)
-        t2 = iteration_times(problem, TwoHammingNeighborhood(73))
-        t3 = iteration_times(problem, ThreeHammingNeighborhood(73))
-        assert 5 <= t2.speedup <= 40
-        assert 10 <= t3.speedup <= 60
-        assert t3.speedup > t2.speedup
+        s2 = _speedup(problem, TwoHammingNeighborhood(73))
+        s3 = _speedup(problem, ThreeHammingNeighborhood(73))
+        assert 5 <= s2 <= 40
+        assert 10 <= s3 <= 60
+        assert s3 > s2
 
     def test_gpu_time_components_positive(self):
         problem = PermutedPerceptronProblem.generate(31, 31, rng=0)
-        t = iteration_times(problem, TwoHammingNeighborhood(31))
-        assert t.gpu_kernel_time > 0
-        assert t.gpu_transfer_time > 0
-        assert t.gpu_overhead_time > 0
-        assert t.gpu_time == pytest.approx(
-            t.gpu_kernel_time + t.gpu_transfer_time + t.gpu_overhead_time
-        )
-
-    def test_run_times_scale_linearly(self):
-        problem = PermutedPerceptronProblem.generate(31, 31, rng=0)
-        nb = TwoHammingNeighborhood(31)
-        one = run_times(problem, nb, 1)
-        ten = run_times(problem, nb, 10)
-        assert ten.cpu_time == pytest.approx(10 * one.cpu_time)
-        assert ten.gpu_time == pytest.approx(10 * one.gpu_time)
-        with pytest.raises(ValueError):
-            run_times(problem, nb, -1)
+        ev = GPUEvaluator(problem, TwoHammingNeighborhood(31))
+        step = full_step_time(ev)
+        stats = ev.context.stats
+        assert stats.kernel_time > GTX_280.kernel_launch_overhead
+        assert stats.transfer_time > 0
+        # One device's clock adds its transfers and kernel one after another.
+        assert step == stats.total_time == ev.stats.simulated_time
 
     def test_multicore_cpu_ablation_reduces_cpu_time(self):
         problem = PermutedPerceptronProblem.generate(73, 73, rng=0)
         nb = TwoHammingNeighborhood(73)
-        single = iteration_times(problem, nb, cpu_cores=1)
-        multi = iteration_times(problem, nb, cpu_cores=8)
-        assert multi.cpu_time < single.cpu_time
+        single = full_step_time(CPUEvaluator(problem, nb, cores=1))
+        multi = full_step_time(CPUEvaluator(problem, nb, cores=8))
+        assert multi < single
+
+
+class TestFullStepPriceIsStepInvariant:
+    """One ``full`` step's price depends on neither the solution nor the step."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return PermutedPerceptronProblem.generate(31, 37, rng=0)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("factory", [CPUEvaluator, GPUEvaluator])
+    def test_every_solution_costs_the_same(self, problem, factory, order):
+        neighborhood = KHammingNeighborhood(problem.n, order)
+        prices = []
+        for solution in (
+            np.zeros(problem.n, dtype=np.int8),
+            np.ones(problem.n, dtype=np.int8),
+            problem.random_solution(3),
+        ):
+            ev = factory(problem, neighborhood)
+            ev.evaluate(solution)
+            prices.append(ev.stats.simulated_time)
+        assert prices[0] > 0
+        assert prices == [full_step_time(factory(problem, neighborhood))] * 3
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("factory", [CPUEvaluator, GPUEvaluator])
+    def test_a_run_costs_its_steps_times_one_probe(self, problem, factory, order):
+        neighborhood = KHammingNeighborhood(problem.n, order)
+        result = TabuSearch(
+            factory(problem, neighborhood), max_iterations=12, target_fitness=-1.0
+        ).run(rng=5)
+        assert result.iterations == 12
+        assert result.simulated_time / result.iterations == pytest.approx(
+            full_step_time(factory(problem, neighborhood)), rel=1e-12
+        )
 
 
 class TestSelection:

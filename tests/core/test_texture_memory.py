@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import GPUEvaluator, iteration_times, kernel_cost_profile
+from repro.core import GPUEvaluator, full_step_time, kernel_cost_profile
 from repro.gpu import GPUTimingModel, GTX_280, KernelCostProfile, grid_for
 from repro.neighborhoods import OneHammingNeighborhood, TwoHammingNeighborhood
 from repro.problems import OneMax, PermutedPerceptronProblem
@@ -57,16 +57,15 @@ class TestTimingModelWithTexture:
 class TestEndToEnd:
     def test_texture_helps_latency_bound_1hamming(self, ppp):
         neighborhood = OneHammingNeighborhood(ppp.n)
-        plain = iteration_times(ppp, neighborhood)
-        textured = iteration_times(ppp, neighborhood, use_texture=True)
-        assert textured.gpu_time <= plain.gpu_time
-        assert textured.cpu_time == plain.cpu_time  # CPU side unaffected
+        plain = full_step_time(GPUEvaluator(ppp, neighborhood))
+        textured = full_step_time(GPUEvaluator(ppp, neighborhood, use_texture_memory=True))
+        assert textured <= plain
 
     def test_texture_never_hurts(self, ppp):
         for neighborhood in (OneHammingNeighborhood(ppp.n), TwoHammingNeighborhood(ppp.n)):
-            plain = iteration_times(ppp, neighborhood)
-            textured = iteration_times(ppp, neighborhood, use_texture=True)
-            assert textured.gpu_time <= plain.gpu_time * 1.0001
+            plain = full_step_time(GPUEvaluator(ppp, neighborhood))
+            textured = full_step_time(GPUEvaluator(ppp, neighborhood, use_texture_memory=True))
+            assert textured <= plain * 1.0001
 
     def test_gpu_evaluator_texture_option_is_functionally_identical(self, ppp):
         neighborhood = TwoHammingNeighborhood(ppp.n)

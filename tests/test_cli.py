@@ -1,7 +1,10 @@
 """Tests for the command-line interface (``python -m repro ...``)."""
 
+import re
+
 import pytest
 
+import repro.harness
 from repro.cli import build_parser, main
 
 
@@ -69,6 +72,19 @@ class TestSolveCommand:
                      "--iterations", "20", "--texture"])
         assert code in (0, 1)
 
+    def test_acceleration_follows_the_transfer_mode(self, capsys):
+        # One CPU step times the run's iterations over the run's own
+        # simulated time: the transfer mode that ran shows in the factor.
+        factors = {}
+        for mode in ("full", "reduced", "persistent"):
+            main(["solve", "--m", "73", "--n", "73", "--k", "1", "--iterations", "100",
+                  "--platform", "gpu", "--transfer-mode", mode])
+            out = capsys.readouterr().out
+            factors[mode] = re.search(r"single-core CPU: x(\S+)", out).group(1)
+        assert factors["full"] == "0.4"
+        assert float(factors["reduced"]) < float(factors["full"])
+        assert float(factors["persistent"]) > float(factors["full"])
+
 
 class TestExperimentCommand:
     def test_experiment(self, capsys):
@@ -87,6 +103,17 @@ class TestExperimentCommand:
 
 
 class TestTablesAndFigureCommands:
+    def test_repeated_table_is_built_once(self, capsys, monkeypatch):
+        built = []
+        for index, name in enumerate(("table_one", "table_two"), start=1):
+            monkeypatch.setattr(
+                repro.harness, name, lambda scale, index=index: built.append(index) or []
+            )
+        assert main(["tables", "--table", "2", "--table", "1", "--table", "2"]) == 0
+        out = capsys.readouterr().out
+        assert built == [2, 1]
+        assert out.count("Table I (") == 1 and out.count("Table II (") == 1
+
     def test_tables_smoke_single_table(self, capsys):
         assert main(["tables", "--scale", "smoke", "--table", "1"]) == 0
         out = capsys.readouterr().out
@@ -103,6 +130,13 @@ class TestTablesAndFigureCommands:
 
 
 class TestServeCommand:
+    def test_load_takes_a_positive_number(self, capsys):
+        assert build_parser().parse_args(["serve", "--load", "0.5"]).load == 0.5
+        for load in ("-1", "0", "inf", "nan"):
+            with pytest.raises(SystemExit):
+                main(["serve", "--load", load])
+            assert "--load: must be a positive number" in capsys.readouterr().err
+
     def test_generated_trace_both_policies(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.json"
         assert main(["serve", "--m", "15", "--n", "15", "--devices", "2",
