@@ -40,6 +40,11 @@ def _positive_float(text: str) -> float:
     return value
 
 
+# argparse names a ``type`` by its ``__name__`` when the text does not parse.
+_non_negative.__name__ = "non-negative integer"
+_positive_float.__name__ = "positive number"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",

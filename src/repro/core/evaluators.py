@@ -375,12 +375,15 @@ class NeighborhoodEvaluator:
 class _HostModelMixin:
     """Shared CPU-side simulated-time accounting."""
 
-    def _account_host_time(self, num_evaluations: int) -> None:
+    def _price_full(self, solutions: np.ndarray, indices: np.ndarray, scores) -> np.ndarray:
+        """Charge one batched ``full`` step over known ``scores``; returns them."""
+        num_evaluations = solutions.shape[0] * indices.size
         cost = self.problem.cost_profile(self.neighborhood.order)
         flops = (cost["flops"] + mapping_flops(self.neighborhood.order)) * num_evaluations
         mem_bytes = cost["bytes"] * num_evaluations
         self.stats.simulated_time += self._host_model.evaluation_time(flops, mem_bytes)
         self.stats.simulated_time += self._host_model.iteration_overhead()
+        return np.asarray(scores, dtype=np.float64)
 
 
 class SequentialEvaluator(_HostModelMixin, NeighborhoodEvaluator):
@@ -405,8 +408,7 @@ class SequentialEvaluator(_HostModelMixin, NeighborhoodEvaluator):
         for slot, flat in enumerate(indices):
             move = mapping.from_flat(int(flat))
             out[slot] = self.problem.delta_evaluate(solution, move)
-        self._account_host_time(indices.size)
-        return out
+        return self._price_full(solution[None, :], indices, out)
 
 
 class CPUEvaluator(_HostModelMixin, NeighborhoodEvaluator):
@@ -433,9 +435,9 @@ class CPUEvaluator(_HostModelMixin, NeighborhoodEvaluator):
         # the problem the frozen move table, which the gain engine of a
         # multi-row run serves (a rebuilt writable table is never offered);
         # a one-row `evaluate` goes through here too.
-        fitnesses = _score(self.problem, self.neighborhood, solutions, indices)
-        self._account_host_time(solutions.shape[0] * indices.size)
-        return np.asarray(fitnesses, dtype=np.float64)
+        return self._price_full(
+            solutions, indices, _score(self.problem, self.neighborhood, solutions, indices)
+        )
 
 
 #: Kinds of a device slot's session buffers (named ``<kind>:<id(evaluator)>``).
@@ -464,11 +466,11 @@ def _reduction_packet(aspiration_fitness, thresholds, stamps) -> np.ndarray | No
 class _DeviceSlot:
     """One pool device's share of a resident session.
 
-    The pool validates and scores each step once on the host.  A slot keeps
-    what lives on its device for its replica range — the host mirror of the
-    resident rows, the staged ``(replica, bit)`` deltas, the tabu stamps
-    and an open persistent launch — lands its rows'
-    scores and adds its chain to the step's plan.  Row ids are local to the
+    The pool validates, flips and scores each step once on the host.  A
+    slot keeps what lives on its device for its replica range — its rows of
+    the pool's host mirror, the staged ``(replica, bit)`` deltas, the tabu
+    stamps and an open persistent launch — lands its rows' scores and adds
+    its chain to the step's plan.  Row ids are local to the
     slot's range.  Its buffers carry the owning evaluator's id, so
     ``GPUContext.free_evaluator_buffers(evaluator)`` reclaims them too.
     """
@@ -481,7 +483,7 @@ class _DeviceSlot:
         self.kernel = kernel
         self.block_size = block_size
         self.num_moves = num_moves
-        #: Host mirror of the device-resident (R, n) solution block.
+        #: Host mirror of the device-resident (R, n) block: a view of the pool's.
         self._resident: np.ndarray | None = None
         #: Host-staged (replica, bit) pairs, shipped as one delta packet by
         #: the next resident evaluation (one PCIe transaction, one latency).
@@ -530,27 +532,18 @@ class _DeviceSlot:
         Used after the session's upload, a migration and a restore: this
         only rebuilds the session state — device buffers, host mirror and,
         with ``stamps``, the device-resident tabu memory — without logging
-        any traffic.  ``arrival`` orders the next launch after the rows.
+        any traffic.  ``solutions``, a view of the pool's mirror, becomes the
+        slot's.  ``arrival`` orders the next launch after the rows.
         """
-        solutions = np.asarray(solutions, dtype=np.int8)
         resident = self.context.memory.sized(
             self._buffer("resident"), solutions.shape, SOLUTION_DTYPE
         )
         resident.data[...] = solutions.astype(SOLUTION_DTYPE)
-        self._resident = solutions.copy()
+        self._resident = solutions
         if stamps is not None:
             self.init_tabu(stamps)
         self._staged_deltas = []
         self.note_delivery(arrival)
-
-    def _flip(self, rows: np.ndarray, bits: np.ndarray, stage: bool) -> None:
-        """Apply validated flips to the mirror and stage their delta packet."""
-        self._resident[rows, bits] ^= 1
-        if self._looping() or not stage:
-            # Inside a persistent launch the grid scattered its own
-            # selections in place; a peer-routed packet arrives on its own.
-            return
-        self._staged_deltas.append(np.stack([rows, bits], axis=1).astype(DELTA_DTYPE))
 
     def _delta_packet(self, rows: np.ndarray, whole: bool) -> np.ndarray | None:
         """The pre-kernel packet of one resident evaluation, or ``None``.
@@ -593,11 +586,6 @@ class _DeviceSlot:
         plan.devices.append(device)
         plan.not_before.append(self._sync_time)
         plan.shapes.append(scores.shape)
-
-    def _priced_row(self, times, position: int) -> np.ndarray:
-        """Settle row ``position`` of a priced step; returns its downloaded data."""
-        self._sync_time = times.done[position]
-        return times.data[position]
 
     def _store_selection(self, rows, indices, best, stamps) -> None:
         """Write the winners' tabu stamps in place and stage the ``reduced`` buffer."""
@@ -799,6 +787,9 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         )
         # Replica ranges [lo, hi) owned by each device in a resident session.
         self._replica_ranges: list[tuple[int, int]] | None = None
+        #: Host mirror of the whole ``(R, n)`` resident block; each owning
+        #: slot's mirror is the view of its range.
+        self._mirror: np.ndarray | None = None
         self._persistent = False
         self._resident_tenure: int | None = None
         #: Set by close(); a closed evaluator's device buffers are gone, so
@@ -907,20 +898,25 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         return self._repartition_resident()
 
     def _evaluate_many(self, solutions: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Score the block once on the host, then price it as a ``full`` step."""
+        return self._price_full(
+            solutions, indices, _score(self.problem, self.neighborhood, solutions, indices)
+        )
+
+    def _price_full(self, solutions: np.ndarray, indices: np.ndarray, scores) -> np.ndarray:
         """Partition the flat ``S x M`` (replica, neighbor) space across devices.
 
-        The block is scored once on the host.  Each device then receives a
-        contiguous slice of the flattened batch (it may span several
-        replicas) sized by its simulated throughput, uploads only the
-        solution rows that slice touches and runs upload -> launch ->
-        download, its launch landing its slice of the scores.  The uploads
-        and the downloads are each priced as one engine arbitration, and
-        the uploads wait until every device has drained the previous step:
-        the host selects the next moves from these scores.
+        Each device receives a contiguous slice of the flattened batch (it
+        may span several replicas) sized by its simulated throughput,
+        uploads only the solution rows that slice touches and runs upload
+        -> launch -> download, its launch landing its slice of ``scores``.
+        The uploads and the downloads are each priced as one engine
+        arbitration, and the uploads wait until every device has drained
+        the previous step: the host selects the next moves from these
+        scores.  Returns the landed fitnesses.
         """
         self._check_open()
         num_indices = indices.size
-        scores = _score(self.problem, self.neighborhood, solutions, indices)
         flat = scores.reshape(-1)
         chains = [
             (
@@ -1051,8 +1047,9 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             ],
             sync=True,
         )
+        self._mirror = solutions.copy()
         for (_index, slot, lo, hi), event in zip(slices, events):
-            slot._adopt_resident(solutions[lo:hi], arrival=event.time)
+            slot._adopt_resident(self._mirror[lo:hi], arrival=event.time)
             if persistent:
                 slot.open_persistent_loop()
         self.stats.simulated_time += self.scheduler.makespan - before
@@ -1148,10 +1145,18 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             raise IndexError("delta bit index out of range")
         resident_session = not self._persistent
         route_peer = self.peer_routing and resident_session and replicas.size > 0
+        self._mirror[replicas, bits] ^= 1
+        # Owners stage their slice of the (local replica, bit) pairs, unless
+        # the grids scattered their own selections or the hub forwards them.
+        stage = resident_session and not route_peer
+        pairs = np.empty((replicas.size, 2), dtype=DELTA_DTYPE)
+        pairs[:, 1] = bits
         owners = []
         for index, slot, positions, local, _whole in self._split_rows(replicas):
-            slot._flip(local, bits[positions], stage=not route_peer)
-            owners.append((index, slot, local, bits[positions]))
+            pairs[positions, 0] = local
+            if stage:
+                slot._staged_deltas.append(pairs[positions])
+            owners.append((index, slot, positions))
         if not resident_session or not owners or self.num_devices == 1:
             # One device prices its staged flips with the next evaluation's
             # packet, behind no driver call of its own: a ContinuousRunner
@@ -1166,9 +1171,8 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         if route_peer:
             plan.issues.append(("delta_hub", hub.context.device.pcie_latency))
             chunks, header = [], np.zeros(PEER_PACKET_HEADER_BYTES, dtype=np.uint8)
-            for index, slot, local, flipped in owners:
-                pairs = np.stack([local, flipped], axis=1).astype(DELTA_DTYPE)
-                chunks.append(pairs.reshape(-1).view(np.uint8))
+            for index, slot, positions in owners:
+                chunks.append(pairs[positions].reshape(-1).view(np.uint8))
                 if slot is not hub:
                     plan.forwards.append(
                         (index, slot._buffer("deltas"), np.concatenate([chunks[-1], header]))
@@ -1184,7 +1188,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             # wall the hub + peer-forward route amortizes.
             plan.issues = [
                 (f"deltas:gpu{index}", slot.context.device.pcie_latency)
-                for index, slot, _local, _flipped in owners
+                for index, slot, _positions in owners
             ]
         before = self.scheduler.makespan
         times = self.scheduler.price_resident_step(plan)
@@ -1194,7 +1198,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             for (index, _buffer, _payload), arrival in zip(plan.forwards, times.arrivals):
                 self._slots[index].note_delivery(arrival)
         else:
-            for (_index, slot, _local, _flipped), issued in zip(owners, times.issues):
+            for (_index, slot, _positions), issued in zip(owners, times.issues):
                 slot.note_delivery(issued)
         self.stats.simulated_time += max(before, times.latest) - before
 
@@ -1290,10 +1294,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                 "\"first-improvement\", or transfer_mode=\"delta\""
             )
         owners = list(self._split_rows(rows))
-        block = np.empty((num_solutions, self.problem.n), dtype=np.int8)
-        for _index, slot, positions, local, whole in owners:
-            block[positions] = slot._resident if whole else slot._resident[local]
-        scores = _score(self.problem, self.neighborhood, block)
+        scores = _score(self.problem, self.neighborhood, self._mirror[rows])
         select = (aspiration_fitness, thresholds, stamps)
         if self._persistent:
             device_times = [
@@ -1353,8 +1354,10 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                 np.empty(scores.shape[0], dtype=np.int64),
                 np.empty(scores.shape[0], dtype=np.float64),
             )
-        for position, (_index, slot, positions, local, _whole) in enumerate(owners):
-            data = slot._priced_row(times, position)
+        for (_index, slot, positions, local, _whole), data, done in zip(
+            owners, times.data, times.done
+        ):
+            slot._sync_time = done
             if reduce is None:
                 result[positions] = data.reshape(local.size, scores.shape[1])
             else:
@@ -1436,7 +1439,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
 
         # Snapshot the session's functional state in global replica order.
         n, size = self.problem.n, self.neighborhood.size
-        global_block = np.empty((total, n), dtype=np.int8)
+        global_block = self._mirror
         tabu_resident = self._resident_tenure is not None
         global_tabu = (
             np.empty((total, size), dtype=TABU_STAMP_DTYPE) if tabu_resident else None
@@ -1445,7 +1448,6 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         for slot, (lo, hi) in zip(self._slots, old_ranges):
             if hi <= lo:
                 continue
-            global_block[lo:hi] = slot._resident
             if tabu_resident:
                 global_tabu[lo:hi] = slot._tabu_last_applied
             for pairs in slot._staged_deltas:
@@ -1619,6 +1621,12 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         self._persistent = bool(snap["persistent"])
         tenure = snap["resident_tenure"]
         self._resident_tenure = int(tenure) if tenure is not None else None
+        if self._replica_ranges is not None:
+            # The ranges tile [0, R) in device order: one mirror, sliced.
+            parts = list(self._resident_parts())
+            self._mirror = np.concatenate([slot._resident for _index, slot, _lo, _hi in parts])
+            for _index, slot, lo, hi in parts:
+                slot._resident = self._mirror[lo:hi]
 
     def end_search(self) -> None:
         """Drop the resident session's device buffers and host mirrors.
@@ -1636,6 +1644,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         for context in self.pool.contexts:
             context.free_evaluator_buffers(self)
         self._replica_ranges = None
+        self._mirror = None
         self._persistent = False
         self._resident_tenure = None
 
@@ -1701,11 +1710,16 @@ class GPUEvaluator(MultiGPUEvaluator):
 def full_step_time(evaluator: NeighborhoodEvaluator) -> float:
     """Simulated seconds of one ``full`` step of one solution on ``evaluator``.
 
-    Scores the whole neighborhood of the all-zero solution once and returns
-    what that adds to ``evaluator.stats.simulated_time``.  The price of a
-    ``full`` step depends on neither the solution nor the step, so this is
-    the per-iteration CPU or GPU time of the paper's tables.
+    Prices the whole neighborhood of the all-zero solution once, over a
+    zero score block, and returns what that adds to
+    ``evaluator.stats.simulated_time``.  The price of a ``full`` step
+    depends on neither the solution, its scores nor the step, so nothing is
+    scored, and this is the per-iteration CPU or GPU time of the paper's
+    tables.
     """
+    size = evaluator.neighborhood.size
     before = evaluator.stats.simulated_time
-    evaluator.evaluate(np.zeros(evaluator.problem.n, dtype=np.int8))
+    evaluator._price_full(
+        np.zeros((1, evaluator.problem.n), dtype=np.int8), _full_range(size), np.zeros((1, size))
+    )
     return evaluator.stats.simulated_time - before

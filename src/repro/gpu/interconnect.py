@@ -42,6 +42,7 @@ slow; the difference is recorded as the transfer's **contention stall**.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -481,30 +482,19 @@ class _ChannelLoad:
     nbytes: float = 0.0
     transfers: int = 0
 
-    def active_at(self, t: float) -> int:
-        return bisect_right(self.starts, t) - bisect_right(self.ends, t)
+    def probe(self, t: float) -> tuple[int, float]:
+        """``(transfers in flight at t, next start or end after t, or inf)``.
 
-    def idle_over(self, t: float, span: float) -> bool:
-        """Whether no committed transfer is in flight during ``[t, t + span)``.
-
-        With nothing active at ``t`` the next boundary is the next start
-        (the ``k``-th smallest start never exceeds the ``k``-th smallest
-        end), so the window is free when that start is ``span`` away.
+        The ``k``-th smallest end never precedes the ``k``-th smallest
+        start, so a start still ahead implies an end still ahead.
         """
-        index = bisect_right(self.starts, t)
-        if index != bisect_right(self.ends, t):
-            return False
-        return index == len(self.starts) or self.starts[index] - t >= span
-
-    def next_boundary(self, t: float) -> float | None:
-        candidates = []
-        idx = bisect_right(self.starts, t)
-        if idx < len(self.starts):
-            candidates.append(self.starts[idx])
-        idx = bisect_right(self.ends, t)
-        if idx < len(self.ends):
-            candidates.append(self.ends[idx])
-        return min(candidates) if candidates else None
+        started = bisect_right(self.starts, t)
+        ended = bisect_right(self.ends, t)
+        if ended == len(self.ends):
+            return started - ended, math.inf
+        if started == len(self.starts):
+            return started - ended, self.ends[ended]
+        return started - ended, min(self.starts[started], self.ends[ended])
 
     def commit(self, start: float, end: float, nbytes: float) -> None:
         insort(self.starts, start)
@@ -650,9 +640,7 @@ class TransferEngine:
         self._pending_faults.extend((int(retries), float(backoff)) for _ in range(count))
 
     def _consume_fault(self, direction: str, nbytes: float, route: Route) -> float:
-        """Retry penalty for one priced copy (0.0 when no fault is armed)."""
-        if not self._pending_faults:
-            return 0.0
+        """Retry penalty for one priced copy, with a fault armed (0.0 if it spares it)."""
         if direction not in (H2D, D2H) or nbytes <= 0:
             return 0.0
         retries, backoff = self._pending_faults.pop(0)
@@ -762,38 +750,54 @@ class TransferEngine:
         The copy is priced alone against everything committed before it,
         exactly as a one-request :meth:`transfer_batch` call — grants are
         immutable, so the copies of one step issued one by one in stream
-        order need no joint arbitration.  When its channels carry no
-        committed transfer over its window it is priced in closed form,
-        with the same floats the fluid integration yields; otherwise it
-        goes through :meth:`_arbitrate`.  An armed transient fault hits
-        the next call that moves host bytes.
+        order need no joint arbitration.  :meth:`_walk` integrates it over
+        its channels' committed boundaries with the floats
+        :meth:`_arbitrate` computes for a one-item batch.  An armed
+        transient fault hits the next call that moves host bytes.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
         path = self._path(device, direction, peer, kind)
-        need = float(nbytes) / path.rate
-        loads = self._loads
-        if all(
-            key not in loads or loads[key].idle_over(start, need)
-            for key, _link in path.channels
-        ):
-            base = need
-        else:
-            item = _PricingItem(
-                TransferRequest(
-                    device=device, direction=direction, nbytes=nbytes,
-                    kind=kind, start=start, peer=peer,
-                ),
-                path,
-            )
-            self._arbitrate([item])
-            base = item.duration
-        duration, dedicated = self._finish(direction, nbytes, path.route, base)
+        duration, dedicated = self._finish(
+            direction, nbytes, path.route, self._walk(path, float(nbytes), start)
+        )
         self._commit(
             device, direction, nbytes, label, path,
             start, start + duration, max(0.0, duration - dedicated),
         )
         return duration
+
+    def _walk(self, path: _Path, remaining: float, t: float) -> float:
+        """Arbitrated time of ``remaining`` bytes on ``path`` alone from ``t``.
+
+        The floats, finish threshold and round bound of a one-item
+        :meth:`_arbitrate`, one round per stretch of constant load; the
+        comparisons pick what ``min`` picks, without its call.
+        """
+        if remaining <= 0.0:
+            return 0.0
+        loads = self._loads
+        loaded = [(loads[key], link.bandwidth) for key, link in path.channels if key in loads]
+        duration = 0.0
+        for _ in range(64 * 9 + 4 * sum([len(load.starts) for load, _bandwidth in loaded])):
+            rate, boundary = path.rate, math.inf
+            for load, bandwidth in loaded:
+                active, following = load.probe(t)
+                share = bandwidth / (1 + active)
+                if share < rate:
+                    rate = share
+                if following < boundary:
+                    boundary = following
+            need = remaining / rate
+            dt = boundary - t
+            if need <= dt:
+                dt = need
+            if need <= dt * (1.0 + 1e-12):
+                return duration + need
+            duration += dt
+            remaining -= rate * dt
+            t += dt
+        return duration + remaining / path.route.rate_cap  # pragma: no cover - backstop
 
     def _finish(
         self, direction: str, nbytes: float, route: Route, base: float
@@ -804,7 +808,7 @@ class TransferEngine:
         lone copy would retry just the same), so the stall keeps measuring
         only shared-link arbitration.
         """
-        penalty = self._consume_fault(direction, nbytes, route)
+        penalty = self._consume_fault(direction, nbytes, route) if self._pending_faults else 0.0
         return (
             base + route.latency + penalty,
             route.latency + float(nbytes) / route.rate_cap + penalty,
@@ -834,28 +838,26 @@ class TransferEngine:
                 for key, _link in item.channels:
                     batch_load[key] = batch_load.get(key, 0) + 1
             # Instantaneous rate of each active item: its rate cap, bounded
-            # by its fair share of every link on its path.
+            # by its fair share of every link on its path.  Next event: a
+            # batch item finishing, a pending item starting, or a committed
+            # transfer entering/leaving one of our links.
+            boundary = math.inf
             for item in active:
                 rate = item.route.rate_cap
                 for key, link in item.channels:
                     load = loads.get(key)
-                    n_active = batch_load[key] + (load.active_at(t) if load else 0)
-                    rate = min(rate, link.bandwidth / n_active)
+                    if load is None:
+                        rate = min(rate, link.bandwidth / batch_load[key])
+                    else:
+                        in_flight, following = load.probe(t)
+                        rate = min(rate, link.bandwidth / (batch_load[key] + in_flight))
+                        boundary = min(boundary, following)
                 item.rate = rate
-            # Next event: a batch item finishing, a pending item starting,
-            # or a committed transfer entering/leaving one of our links.
             to_finish = [item.remaining / item.rate for item in active]
-            dt = min(to_finish)
+            dt = min(min(to_finish), boundary - t)
             for item in unfinished:
                 if item.request.start > t:
                     dt = min(dt, item.request.start - t)
-            for item in active:
-                for key, _link in item.channels:
-                    load = loads.get(key)
-                    if load is not None:
-                        boundary = load.next_boundary(t)
-                        if boundary is not None:
-                            dt = min(dt, boundary - t)
             if dt <= 0.0:
                 dt = min(to_finish)
             threshold = dt * (1.0 + 1e-12)
@@ -944,11 +946,10 @@ class TransferEngine:
         """Checkpointable arbitration state.
 
         The committed per-channel interval sets must round-trip exactly:
-        :meth:`_ChannelLoad.active_at` / :meth:`_ChannelLoad.next_boundary`
-        consult them when pricing *future* transfers, so a restored engine
-        arbitrates the rest of the run bit-identically to an uninterrupted
-        one.  Armed-but-unconsumed fault injections survive the checkpoint
-        too.
+        :meth:`_ChannelLoad.probe` consults them when pricing *future*
+        transfers, so a restored engine arbitrates the rest of the run
+        bit-identically to an uninterrupted one.  Armed-but-unconsumed
+        fault injections survive the checkpoint too.
         """
         return {
             "topology": self.topology.name,

@@ -48,6 +48,8 @@ class HostMemoryKind(enum.Enum):
 
     PAGEABLE = "pageable"
     PINNED = "pinned"
+    # Members are singletons compared by identity: hash them without a Python call.
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

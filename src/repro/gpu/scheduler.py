@@ -133,16 +133,13 @@ class ResidentStepTimes(NamedTuple):
     #: Per chain: the downloaded data and the download's end.
     data: list[np.ndarray]
     done: list[float]
-    #: Per chain: the device's elapsed time before and after the step.
-    elapsed_before: list[float]
-    elapsed_after: list[float]
     #: Latest end of anything the step put on a device or host timeline.
     latest: float
 
 
 def _append(timeline: Timeline, stream: str, kind: str, name: str, start, end) -> None:
     """Record one operation that ends its stream's queue at ``end``."""
-    lane = timeline.stream(stream)
+    lane = timeline.streams.get(stream) or timeline.stream(stream)
     lane.append_interval(kind, name, start, end)
     lane.cursor = end
 
@@ -351,21 +348,16 @@ class DeviceScheduler:
             latest = max(latest, upload, *arrivals)
         data: list[np.ndarray] = []
         done: list[float] = []
-        elapsed_before: list[float] = []
-        for row, device in enumerate(plan.devices):
-            elapsed_before.append(self.contexts[device].timeline.elapsed)
+        for row in range(len(plan.devices)):
             download, end = self._price_chain(plan, row)
             data.append(download)
             done.append(end)
-        elapsed_after = [max(before, end) for before, end in zip(elapsed_before, done)]
         return ResidentStepTimes(
             issues=issues,
             upload=upload,
             arrivals=arrivals,
             data=data,
             done=done,
-            elapsed_before=elapsed_before,
-            elapsed_after=elapsed_after,
             latest=max([latest, *done]),
         )
 
@@ -425,10 +417,11 @@ class DeviceScheduler:
         packet_end = self._upload(ctx, kind, plan.packets[row], copy_ready)
         threads = plan.shapes[row][0] * plan.shapes[row][1]
         config, price = ctx.timing.launch(threads, plan.block_size, plan.kernel.cost)
+        kernel_time = price.total_time
         start = max(_cursor(timeline, COMPUTE_STREAM), sync, packet_end)
-        ready = start + price.total_time
+        ready = start + kernel_time
         stats.kernel_launches += 1
-        stats.kernel_time += price.total_time
+        stats.kernel_time += kernel_time
         if ctx.keep_launch_records:
             stats.launch_records.append(
                 KernelLaunch(
@@ -449,14 +442,14 @@ class DeviceScheduler:
             _append(timeline, COMPUTE_STREAM, "reduce", plan.reduce, start, ready)
         name = plan.downloads[row]
         data = ctx.stage_download(name, kind)
+        nbytes = int(data.nbytes)
         start = max(_cursor(timeline, DOWNLOAD_STREAM), ready)
-        duration = self.engine.transfer_at(
-            ctx.device_key, "d2h", int(data.nbytes), kind, start, label=name
-        )
+        duration = self.engine.transfer_at(ctx.device_key, "d2h", nbytes, kind, start, label=name)
         stats.transfer_time += duration
-        stats.d2h_bytes += int(data.nbytes)
-        _append(timeline, DOWNLOAD_STREAM, "d2h", name, start, start + duration)
-        return data, start + duration
+        stats.d2h_bytes += nbytes
+        end = start + duration
+        _append(timeline, DOWNLOAD_STREAM, "d2h", name, start, end)
+        return data, end
 
     def _upload(self, ctx: GPUContext, kind, packet, start: float) -> float:
         """Price and record one chain packet from ``start``; returns its end.
@@ -491,10 +484,7 @@ class DeviceScheduler:
     @property
     def makespan(self) -> float:
         """Overlap-aware cross-device elapsed time (incl. the host timeline)."""
-        return max(
-            max(ctx.timeline.elapsed for ctx in self.contexts),
-            self.host_timeline.elapsed,
-        )
+        return max([ctx.timeline.elapsed for ctx in self.contexts] + [self.host_timeline.elapsed])
 
     @property
     def serialized_sum(self) -> float:

@@ -209,7 +209,7 @@ class Timeline:
         """Device-level elapsed time: the latest completion over all streams."""
         if not self.streams:
             return 0.0
-        return max(stream.cursor for stream in self.streams.values())
+        return max([stream.cursor for stream in self.streams.values()])
 
     @property
     def busy_time(self) -> float:

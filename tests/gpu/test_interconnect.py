@@ -14,6 +14,8 @@ The load-bearing invariants:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu import (
     GTX_280,
@@ -324,6 +326,96 @@ class TestTransferAt:
             ends.append(start + duration)
         assert at.snapshot() == batched.snapshot()
         assert at.total_stall > 0.0 or preset == "dedicated"
+
+
+def _lanes(engine):
+    return {
+        name: (stream.cursor, [tuple(vars(i).values()) for i in stream.intervals])
+        for name, stream in engine.timeline.streams.items()
+    }
+
+
+class TestWalkMatchesArbitration:
+    """The walk of ``transfer_at`` against the general fluid arbitration.
+
+    Twin engines see the same history of committed multi-request batches;
+    each lone copy is priced by ``transfer_at`` on one engine and by a
+    one-request ``transfer_batch`` (``_arbitrate``) on the other.
+    """
+
+    @staticmethod
+    def _copy(data, index, boundaries):
+        direction = data.draw(st.sampled_from(["h2d", "d2h", "p2p"]))
+        peer = "gpu1" if direction == "p2p" else None
+        device = "gpu0" if peer else data.draw(st.sampled_from(["gpu0", "gpu1", "gpu2"]))
+        kind = None if peer else data.draw(
+            st.sampled_from([HostMemoryKind.PAGEABLE, HostMemoryKind.PINNED])
+        )
+        # Zero-byte copies, and starts exactly on a committed boundary.
+        nbytes = data.draw(st.one_of(st.just(0), st.integers(1, MIB)))
+        start = data.draw(
+            st.one_of(st.floats(0.0, 2e-3), st.sampled_from(boundaries))
+        )
+        return TransferRequest(
+            device=device, direction=direction, nbytes=nbytes, kind=kind,
+            start=start, peer=peer, label=f"copy{index}",
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        preset=st.sampled_from(["dedicated", "shared", "switched", "nvlink", "half"]),
+        faults=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_lone_copy_prices_as_a_one_request_batch(self, preset, faults, data):
+        if preset == "half":
+            topology = TestTransferAt._half_duplex()
+        else:
+            topology = resolve_topology(preset, [GTX_280] * 3)
+        walk, batch = TransferEngine(topology), TransferEngine(topology)
+        if faults:
+            for engine in (walk, batch):
+                engine.inject_transfer_faults(faults, retries=2, backoff=1e-5)
+        boundaries = [0.0]
+        for index in range(data.draw(st.integers(1, 12), label="operations")):
+            if data.draw(st.booleans(), label="history batch"):
+                requests = [
+                    self._copy(data, index, boundaries)
+                    for _ in range(data.draw(st.integers(2, 4), label="batch size"))
+                ]
+                grants = walk.transfer_batch(requests)
+                assert batch.transfer_batch(requests) == grants
+                boundaries += [t for grant in grants for t in (grant.start, grant.end)]
+                continue
+            request = self._copy(data, index, boundaries)
+            duration = walk.transfer_at(
+                request.device, request.direction, request.nbytes, request.kind,
+                request.start, peer=request.peer, label=request.label,
+            )
+            (grant,) = batch.transfer_batch([request])
+            assert duration == grant.duration
+            boundaries += [request.start, request.start + duration]
+        assert walk.snapshot() == batch.snapshot()
+        assert (walk.total_stall, walk.stall_by_device) == (
+            batch.total_stall, batch.stall_by_device
+        )
+        assert _lanes(walk) == _lanes(batch)
+
+    def test_copy_ending_just_past_a_boundary(self):
+        # A copy that would end 1e-7 (relative) after a committed transfer
+        # leaves the uplink is past the 1e-12 finish threshold: it takes a
+        # second round at the freed rate, in the walk as in `_arbitrate`.
+        topology = resolve_topology("shared", [GTX_280] * 2)
+        walk, batch = TransferEngine(topology), TransferEngine(topology)
+        for engine in (walk, batch):
+            first = engine.transfer("gpu0", "h2d", 4 << 30, kind=HostMemoryKind.PINNED)
+        rate = min(walk._path("gpu1", "h2d", None, HostMemoryKind.PINNED).rate,
+                   topology.uplink.bandwidth / 2)
+        nbytes = int(first.end * rate * (1.0 + 1e-7))
+        duration = walk.transfer_at("gpu1", "h2d", nbytes, HostMemoryKind.PINNED, 0.0)
+        grant = batch.transfer("gpu1", "h2d", nbytes, kind=HostMemoryKind.PINNED)
+        assert duration == grant.duration
+        assert walk.snapshot() == batch.snapshot()
 
 
 class TestAccounting:

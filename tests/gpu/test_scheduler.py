@@ -380,8 +380,8 @@ class TestResidentStepPricing:
         engine = pool.engine
         return {
             "times": [
-                (t.issues, t.upload, t.arrivals, t.done, t.elapsed_before, t.elapsed_after,
-                 t.latest, [data.tobytes() for data in t.data])
+                (t.issues, t.upload, t.arrivals, t.done, t.latest,
+                 [data.tobytes() for data in t.data])
                 for t in times
             ],
             "streams": [lanes(ctx.timeline) for ctx in pool.contexts],
@@ -422,7 +422,7 @@ class TestResidentStepPricing:
                 route._replace(
                     **{
                         field: [value for row in rows for value in getattr(row, field)]
-                        for field in ("data", "done", "elapsed_before", "elapsed_after")
+                        for field in ("data", "done")
                     },
                     latest=max(route.latest, *(row.latest for row in rows)),
                 )

@@ -22,6 +22,20 @@ class TestParser:
         assert args.m == 73 and args.n == 73 and args.k == 2
         assert args.platform == "gpu"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--load", "abc"], "--load: invalid positive number value: 'abc'"),
+            (["mapping", "--limit", "x"], "--limit: invalid non-negative integer value: 'x'"),
+        ],
+    )
+    def test_unparsable_value_names_the_expected_kind(self, argv, message, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        err = capsys.readouterr().err
+        assert message in err
+        assert "_positive_float" not in err and "_non_negative" not in err
+
 
 class TestDevicesCommand:
     def test_lists_presets(self, capsys):
