@@ -14,7 +14,7 @@ The package is organised in layers:
 * :mod:`repro.gpu` — the SPMD GPU execution simulator and timing model;
 * :mod:`repro.core` — neighborhood-evaluation kernels, CPU/GPU/multi-GPU
   evaluators, move selection, per-iteration time estimates;
-* :mod:`repro.localsearch` — tabu search, hill climbing, SA, ILS, VNS;
+* :mod:`repro.localsearch` — tabu search, hill climbing, VNS;
 * :mod:`repro.harness` — the experiment runner regenerating every table and
   figure of the paper's evaluation.
 """

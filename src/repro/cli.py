@@ -32,6 +32,14 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    """An argparse ``type``: an integer greater than zero (a count or a size)."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     """An argparse ``type``: a finite number greater than zero."""
     value = float(text)
@@ -42,6 +50,7 @@ def _positive_float(text: str) -> float:
 
 # argparse names a ``type`` by its ``__name__`` when the text does not parse.
 _non_negative.__name__ = "non-negative integer"
+_positive.__name__ = "positive integer"
 _positive_float.__name__ = "positive number"
 
 
@@ -61,11 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         help="run the paper's multi-trial tabu protocol on one generated PPP instance",
     )
-    p_exp.add_argument("--m", type=int, default=25, help="constraints (rows of A)")
-    p_exp.add_argument("--n", type=int, default=25, help="secret length (columns of A)")
+    p_exp.add_argument("--m", type=_positive, default=25, help="constraints (rows of A)")
+    p_exp.add_argument("--n", type=_positive, default=25, help="secret length (columns of A)")
     p_exp.add_argument("--k", type=int, default=1, choices=(1, 2, 3), help="Hamming order")
-    p_exp.add_argument("--trials", type=int, default=50, help="independent runs (paper: 50)")
-    p_exp.add_argument("--iterations", type=int, default=None,
+    p_exp.add_argument("--trials", type=_positive, default=50,
+                       help="independent runs (paper: 50)")
+    p_exp.add_argument("--iterations", type=_non_negative, default=None,
                        help="iteration cap per trial (default: the paper's n(n-1)(n-2)/6)")
     p_exp.add_argument("--evaluator", default="cpu",
                        choices=("cpu", "sequential", "gpu", "multi-gpu"),
@@ -76,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "device-resident with flipped-bit deltas, deltas plus the "
                             "fused on-device reduction, or one persistent launch per "
                             "run with the whole loop on-device (GPU evaluators only)")
-    p_exp.add_argument("--devices", type=int, default=None,
+    p_exp.add_argument("--devices", type=_positive, default=None,
                        help="device count of the multi-gpu pool "
                             "(only with --evaluator multi-gpu)")
     p_exp.add_argument("--pinned", action=argparse.BooleanOptionalAction, default=False,
@@ -95,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "terms with kind one of fail/join/flaky, "
                             "e.g. 'flaky:2@5,fail:1@40,join:1@80'; timing-only — "
                             "per-trial records stay bit-identical")
-    p_exp.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
+    p_exp.add_argument("--checkpoint-every", type=_positive, default=None, metavar="N",
                        help="write the latest search checkpoint every N lockstep "
                             "iterations (needs --checkpoint-path)")
     p_exp.add_argument("--checkpoint-path", default=None, metavar="FILE",
@@ -107,17 +117,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure8", help="regenerate Figure 8 (acceleration vs instance size)")
     p_fig.add_argument("--scale", default="smoke", choices=("smoke", "reduced", "paper"))
-    p_fig.add_argument("--points", type=int, default=None, help="first N instance sizes only")
+    p_fig.add_argument("--points", type=_positive, default=None,
+                       help="first N instance sizes only")
 
     p_solve = sub.add_parser("solve", help="run one tabu search on a generated PPP instance")
-    p_solve.add_argument("--m", type=int, default=73, help="constraints (rows of A)")
-    p_solve.add_argument("--n", type=int, default=73, help="secret length (columns of A)")
+    p_solve.add_argument("--m", type=_positive, default=73, help="constraints (rows of A)")
+    p_solve.add_argument("--n", type=_positive, default=73, help="secret length (columns of A)")
     p_solve.add_argument("--k", type=int, default=2, choices=(1, 2, 3), help="Hamming order")
-    p_solve.add_argument("--iterations", type=int, default=500, help="iteration cap")
+    p_solve.add_argument("--iterations", type=_non_negative, default=500, help="iteration cap")
     p_solve.add_argument("--platform", default="gpu", choices=("cpu", "gpu", "multi-gpu"),
                          help="which evaluator to use")
-    p_solve.add_argument("--devices", type=int, default=2, help="device count for multi-gpu")
-    p_solve.add_argument("--seed", type=int, default=0, help="instance and search seed")
+    p_solve.add_argument("--devices", type=_positive, default=2,
+                         help="device count for multi-gpu")
+    p_solve.add_argument("--seed", type=_non_negative, default=0,
+                         help="instance and search seed")
     p_solve.add_argument("--texture", action="store_true",
                          help="bind the instance matrix to texture memory (GPU platforms)")
     p_solve.add_argument("--transfer-mode", default="full",
@@ -141,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="workload JSON written by repro.service.save_trace; "
                               "omitted: generate an open-loop Poisson trace from "
                               "--trace-jobs/--load/--seed")
-    p_serve.add_argument("--devices", type=int, default=4,
+    p_serve.add_argument("--devices", type=_positive, default=4,
                          help="device count of the simulated pool")
     p_serve.add_argument("--topology", default=None,
                          choices=("dedicated", "shared", "switched", "nvlink"),
@@ -152,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--transfer-mode", default="reduced",
                          choices=("full", "delta", "reduced", "persistent"),
                          help="host<->device transfer strategy of the live batch")
-    p_serve.add_argument("--capacity", type=int, default=None,
+    p_serve.add_argument("--capacity", type=_positive, default=None,
                          help="replica slots in the live batch "
                               "(default: 16 per device, REPRO_SERVICE_CAPACITY "
                               "overrides)")
@@ -160,16 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("both", "continuous", "drain"),
                          help="continuous tenant packing, the drain-and-refill "
                               "baseline, or both side by side")
-    p_serve.add_argument("--m", type=int, default=31, help="constraints (rows of A)")
-    p_serve.add_argument("--n", type=int, default=31, help="secret length (columns of A)")
+    p_serve.add_argument("--m", type=_positive, default=31, help="constraints (rows of A)")
+    p_serve.add_argument("--n", type=_positive, default=31, help="secret length (columns of A)")
     p_serve.add_argument("--k", type=int, default=1, choices=(1, 2, 3),
                          help="Hamming order of the neighborhood")
-    p_serve.add_argument("--trace-jobs", type=int, default=60,
+    p_serve.add_argument("--trace-jobs", type=_positive, default=60,
                          help="jobs in the generated trace (without --trace)")
     p_serve.add_argument("--load", type=_positive_float, default=1.5,
                          help="offered load of the generated trace as a multiple "
                               "of the batch's calibrated service capacity")
-    p_serve.add_argument("--seed", type=int, default=0,
+    p_serve.add_argument("--seed", type=_non_negative, default=0,
                          help="instance and trace seed")
     p_serve.add_argument("--save-trace", default=None, metavar="FILE",
                          help="also write the (generated or loaded) trace as JSON")
@@ -179,12 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("dedicated", "shared", "switched", "nvlink"),
                        help="additionally print the link layout of this "
                             "interconnect topology over a pool of GTX 280s")
-    p_dev.add_argument("--devices", type=int, default=4,
+    p_dev.add_argument("--devices", type=_positive, default=4,
                        help="pool size for the --topology listing (default 4)")
 
     p_map = sub.add_parser("mapping", help="print the thread-id -> move table of a neighborhood")
-    p_map.add_argument("--n", type=int, default=6, help="solution length")
-    p_map.add_argument("--k", type=int, default=2, help="Hamming order")
+    p_map.add_argument("--n", type=_positive, default=6, help="solution length")
+    p_map.add_argument("--k", type=_positive, default=2, help="Hamming order")
     p_map.add_argument("--limit", type=_non_negative, default=30,
                        help="print at most this many rows")
 

@@ -17,7 +17,7 @@ from .evaluators import (
     SequentialEvaluator,
     full_step_time,
 )
-from .kernels import build_neighborhood_kernel, kernel_cost_profile, mapping_flops
+from .kernels import kernel_cost_profile, mapping_flops
 
 __all__ = [
     "NeighborhoodEvaluator",
@@ -27,7 +27,6 @@ __all__ = [
     "MultiGPUEvaluator",
     "EvaluatorStats",
     "REDUCE_OPS",
-    "build_neighborhood_kernel",
     "kernel_cost_profile",
     "mapping_flops",
     "full_step_time",

@@ -4,10 +4,11 @@ The paper's Figs. 7, 9 and 10 show one CUDA kernel per neighborhood: every
 thread derives its move from its global id (identity, closed form with a
 square root, or Newton–Raphson respectively), evaluates the corresponding
 neighbor and writes the fitness into a global array indexed by the thread
-id.  :func:`build_neighborhood_kernel` produces the simulator equivalent for
-*any* binary problem and *any* k-Hamming neighborhood: the per-thread body
-is a literal transcription of the paper's kernels, the vectorized body is
-the NumPy batch equivalent used for fast execution.
+id.  :func:`build_batch_neighborhood_kernel` produces the simulator
+equivalent for *any* binary problem and *any* k-Hamming neighborhood, over
+a block of ``S`` solutions; at ``S = 1`` it is the paper's kernel.  The
+per-thread body is a literal transcription of the paper's kernels, the
+vectorized body is the NumPy batch equivalent used for fast execution.
 
 The batch kernel takes an optional trailing ``scores`` argument:
 fitnesses the caller already computed.  The GPU evaluators score a whole
@@ -28,7 +29,6 @@ from ..neighborhoods import Neighborhood
 from ..problems import BinaryProblem
 
 __all__ = [
-    "build_neighborhood_kernel",
     "build_batch_neighborhood_kernel",
     "mapping_flops",
     "kernel_cost_profile",
@@ -69,50 +69,6 @@ def kernel_cost_profile(
     )
 
 
-def build_neighborhood_kernel(
-    problem: BinaryProblem,
-    neighborhood: Neighborhood,
-    *,
-    use_texture: bool = False,
-) -> Kernel:
-    """Create the evaluation kernel for ``problem`` explored with ``neighborhood``.
-
-    The kernel signature (its ``args`` tuple at launch time) is
-    ``(solution, fitnesses)``:
-
-    * ``solution`` — the current candidate, a length-``n`` 0/1 vector living
-      in (simulated) global memory;
-    * ``fitnesses`` — the output array of ``neighborhood.size`` fitness
-      values, one slot per thread.
-
-    A launch covers the whole neighborhood.
-    """
-    mapping = neighborhood.mapping
-    size = neighborhood.size
-
-    def thread_fn(ctx: ThreadContext, solution, fitnesses) -> None:
-        # Literal transcription of the paper's kernels:
-        #   int move_index = blockIdx.x * blockDim.x + threadIdx.x;
-        #   if (move_index < N) {
-        #       <one-to-k index transformation>
-        #       new_fitness[move_index] = compute_fitness(V, move...);
-        #   }
-        move_index = ctx.global_id
-        if move_index < size:
-            move = mapping.from_flat(move_index)
-            fitnesses[move_index] = problem.delta_evaluate(solution, move)
-
-    def vectorized_fn(tids: np.ndarray, solution, fitnesses) -> None:
-        fitnesses[:size] = problem.evaluate_neighborhood(solution, neighborhood.move_table)
-
-    return Kernel(
-        name=f"MoveIncrEvalKernel<{problem.name},{neighborhood.order}-Hamming>",
-        thread_fn=thread_fn,
-        vectorized_fn=vectorized_fn,
-        cost=kernel_cost_profile(problem, neighborhood.order, use_texture=use_texture),
-    )
-
-
 def build_batch_neighborhood_kernel(
     problem: BinaryProblem,
     neighborhood: Neighborhood,
@@ -127,10 +83,10 @@ def build_batch_neighborhood_kernel(
     where ``solutions`` is the ``(S, n)`` block of current candidates,
     ``fitnesses`` a flat array of ``S * M`` output slots and ``scores``
     optional precomputed fitnesses (see the module docstring).  A launch
-    covers whole ``(S, M)`` blocks.  The per-thread
-    cost profile is identical to the single-solution kernel — batching
-    multiplies the thread count, not the per-thread work — which is exactly
-    why the launch amortizes its fixed overhead over ``S`` replicas.
+    covers whole ``(S, M)`` blocks.  The per-thread cost profile does not
+    depend on ``S`` — batching multiplies the thread count, not the
+    per-thread work — which is exactly why the launch amortizes its fixed
+    overhead over ``S`` replicas.
     """
     mapping = neighborhood.mapping
     size = neighborhood.size

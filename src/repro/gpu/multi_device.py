@@ -197,20 +197,6 @@ class MultiGPU:
         return weighted_partition_range(total_threads, self.throughput_weights(cost))
 
     # ------------------------------------------------------------------
-    @property
-    def elapsed_parallel_time(self) -> float:
-        """Simulated wall time of the pool so far: the slowest device's clock.
-
-        Each context accumulates its own kernel + transfer time; since the
-        devices run concurrently the pool-level elapsed time is the maximum.
-        """
-        return max(ctx.stats.total_time for ctx in self.contexts)
-
-    @property
-    def total_device_time(self) -> float:
-        """Sum of the per-device simulated times (i.e. consumed device-seconds)."""
-        return sum(ctx.stats.total_time for ctx in self.contexts)
-
     def reset(self) -> None:
         for ctx in self.contexts:
             ctx.reset()

@@ -39,10 +39,6 @@ class OccupancyResult:
     #: Which resource bounds the residency ("threads", "blocks", "shared", "registers", "grid").
     limiter: str
 
-    @property
-    def is_latency_bound(self) -> bool:
-        return self.active_warps_per_mp < 1.0
-
 
 def occupancy(
     device: DeviceSpec,

@@ -839,10 +839,6 @@ class GPUContext:
         """
         return DeviceLoop(self, kernel, block_size=block_size)
 
-    def synchronize(self) -> float:
-        """Host-side sync point: the simulated instant all streams drain."""
-        return self.timeline.elapsed
-
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------

@@ -118,10 +118,6 @@ class Stream:
         self.append_interval(kind, name, start, interval.end)
         return interval
 
-    def record_event(self) -> Event:
-        """Capture the stream's current completion time."""
-        return Event(stream=self.name, time=self.cursor)
-
     @property
     def num_intervals(self) -> int:
         """Number of recorded operations — O(1), no materialization."""

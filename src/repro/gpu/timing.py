@@ -65,15 +65,6 @@ class KernelCostProfile:
     smem_bytes: float = 0.0
     registers: int = 16
 
-    def scaled(self, factor: float) -> "KernelCostProfile":
-        return KernelCostProfile(
-            flops=self.flops * factor,
-            gmem_bytes=self.gmem_bytes * factor,
-            texture_bytes=self.texture_bytes * factor,
-            smem_bytes=self.smem_bytes,
-            registers=self.registers,
-        )
-
 
 @dataclass(frozen=True)
 class KernelTimeBreakdown:

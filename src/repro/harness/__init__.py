@@ -29,7 +29,6 @@ from .reporting import (
 )
 from .tables import (
     PAPER_REFERENCE,
-    all_tables,
     format_service_table,
     table_one,
     table_three,
@@ -64,7 +63,6 @@ __all__ = [
     "table_one",
     "table_two",
     "table_three",
-    "all_tables",
     "PAPER_REFERENCE",
     "Figure8Point",
     "figure_eight",

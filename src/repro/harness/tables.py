@@ -19,7 +19,6 @@ __all__ = [
     "table_one",
     "table_two",
     "table_three",
-    "all_tables",
     "format_service_table",
     "PAPER_REFERENCE",
 ]
@@ -71,15 +70,6 @@ def table_two(scale: str | ExperimentScale = "smoke", **kwargs) -> list[Experime
 def table_three(scale: str | ExperimentScale = "smoke", **kwargs) -> list[ExperimentRow]:
     """Table III: tabu search with the 3-Hamming-distance neighborhood."""
     return scale_experiment_rows(get_scale(scale), order=3, **kwargs)
-
-
-def all_tables(scale: str | ExperimentScale = "smoke", **kwargs) -> dict[str, list[ExperimentRow]]:
-    """Regenerate the three tables, keyed by their paper numbering."""
-    return {
-        "I": table_one(scale, **kwargs),
-        "II": table_two(scale, **kwargs),
-        "III": table_three(scale, **kwargs),
-    }
 
 
 def format_service_table(rows: Sequence[dict], *, title: str | None = None) -> str:

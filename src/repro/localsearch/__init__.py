@@ -1,7 +1,7 @@
 """Local search algorithms built on the parallel neighborhood evaluators."""
 
 from .hill_climbing import FirstImprovementHillClimbing, HillClimbing
-from .iterated import IteratedLocalSearch, VariableNeighborhoodSearch
+from .iterated import VariableNeighborhoodSearch
 from .multistart import (
     REDUCED_SELECTION_MODES,
     TRANSFER_MODES,
@@ -9,7 +9,6 @@ from .multistart import (
     MultiStartRunner,
 )
 from .result import LSResult
-from .simulated_annealing import SimulatedAnnealing
 from .tabu import TabuSearch
 
 __all__ = [
@@ -18,8 +17,6 @@ __all__ = [
     "HillClimbing",
     "FirstImprovementHillClimbing",
     "TabuSearch",
-    "SimulatedAnnealing",
-    "IteratedLocalSearch",
     "VariableNeighborhoodSearch",
     "LSResult",
     "MultiStartRunner",

@@ -83,9 +83,9 @@ def check_transfer_mode(transfer_mode: str, evaluator: NeighborhoodEvaluator) ->
     """Validate ``transfer_mode`` against the evaluator's capabilities.
 
     Shared by every search driver (the lockstep runner and the single
-    searches built on it, the solve server's runner and the restart-based
-    ILS/VNS wrappers) so they all reject unknown modes and non-resident
-    backends with the same error.
+    searches built on it, the solve server's runner and the VNS wrapper)
+    so they all reject unknown modes and non-resident backends with the
+    same error.
     """
     if transfer_mode not in TRANSFER_MODES:
         raise ValueError(

@@ -18,10 +18,8 @@ from .instances import (
     make_table_instance,
 )
 from .maxsat import MaxSat, generate_random_ksat
-from .nk_landscape import NKLandscape
 from .onemax import LeadingOnes, OneMax
 from .ppp import PermutedPerceptronProblem, generate_ppp_instance
-from .ppp_heuristics import best_of_pool, majority_vote_solution, randomized_majority_solution
 from .ubqp import UBQP
 
 __all__ = [
@@ -37,14 +35,10 @@ __all__ = [
     "incremental_enabled",
     "PermutedPerceptronProblem",
     "generate_ppp_instance",
-    "majority_vote_solution",
-    "randomized_majority_solution",
-    "best_of_pool",
     "OneMax",
     "LeadingOnes",
     "MaxSat",
     "generate_random_ksat",
-    "NKLandscape",
     "UBQP",
     "PPPInstanceSpec",
     "TABLE_INSTANCES",

@@ -1,8 +1,8 @@
 """Shared infrastructure for the precompiled per-problem fast scorers.
 
 Every problem with a precompiled delta evaluator (PPP's bilinear scorer,
-UBQP's gain tables, MaxSAT's clause-incidence scorer, NK's subfunction-mask
-scorer) follows the same discipline:
+UBQP's gain tables, MaxSAT's clause-incidence scorer) follows the same
+discipline:
 
 * **Exactness guard** — the fast path only engages when its reordered
   arithmetic is provably bit-identical to the chunked reference evaluation

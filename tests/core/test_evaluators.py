@@ -8,12 +8,12 @@ from repro.core import (
     GPUEvaluator,
     MultiGPUEvaluator,
     SequentialEvaluator,
-    build_neighborhood_kernel,
     full_step_time,
     kernel_cost_profile,
     mapping_flops,
 )
 from repro.core.evaluators import _fused_reduce
+from repro.core.kernels import build_batch_neighborhood_kernel
 from repro.gpu import ExecutionMode, GPUContext, GTX_280, GTX_8800, grid_for
 from repro.localsearch import TabuSearch
 from repro.neighborhoods import (
@@ -44,15 +44,16 @@ class TestKernels:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_vectorized_and_per_thread_kernels_agree(self, ppp, k):
+        # The paper's single-solution kernel is the batch kernel at S = 1.
         neighborhood = KHammingNeighborhood(ppp.n, k)
-        kernel = build_neighborhood_kernel(ppp, neighborhood)
+        kernel = build_batch_neighborhood_kernel(ppp, neighborhood)
         solution = ppp.random_solution(1)
         cfg = grid_for(neighborhood.size, 64)
         out_vec = np.zeros(neighborhood.size)
         out_thread = np.zeros(neighborhood.size)
-        kernel.execute(cfg, (solution, out_vec), active_threads=neighborhood.size,
+        kernel.execute(cfg, (solution[None, :], out_vec), active_threads=neighborhood.size,
                        mode=ExecutionMode.VECTORIZED)
-        kernel.execute(cfg, (solution, out_thread), active_threads=neighborhood.size,
+        kernel.execute(cfg, (solution[None, :], out_thread), active_threads=neighborhood.size,
                        mode=ExecutionMode.PER_THREAD)
         assert np.array_equal(out_vec, out_thread)
         assert np.array_equal(out_vec, brute_force(ppp, solution, neighborhood))

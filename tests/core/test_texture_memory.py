@@ -47,12 +47,6 @@ class TestTimingModelWithTexture:
         )
         assert textured.memory_time < plain.memory_time
 
-    def test_scaled_preserves_texture_bytes(self):
-        cost = KernelCostProfile(flops=10, gmem_bytes=100, texture_bytes=50)
-        scaled = cost.scaled(2.0)
-        assert scaled.texture_bytes == 100.0
-        assert scaled.gmem_bytes == 200.0
-
 
 class TestEndToEnd:
     def test_texture_helps_latency_bound_1hamming(self, ppp):

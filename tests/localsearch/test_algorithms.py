@@ -1,4 +1,4 @@
-"""Tests for the local-search algorithms (hill climbing, tabu search, SA, ILS, VNS)."""
+"""Tests for the local-search algorithms (hill climbing, tabu search, VNS)."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from repro.core import CPUEvaluator, GPUEvaluator, SequentialEvaluator
 from repro.localsearch import (
     FirstImprovementHillClimbing,
     HillClimbing,
-    IteratedLocalSearch,
-    SimulatedAnnealing,
     TabuSearch,
     VariableNeighborhoodSearch,
 )
@@ -216,47 +214,7 @@ class TestLargerNeighborhoodsImproveQuality:
         assert stats[3]["mean_fitness"] <= stats[1]["mean_fitness"]
 
 
-class TestSimulatedAnnealing:
-    def test_parameter_validation(self):
-        problem = OneMax(10)
-        with pytest.raises(ValueError):
-            SimulatedAnnealing(problem, cooling=1.5)
-        with pytest.raises(ValueError):
-            SimulatedAnnealing(problem, initial_temperature=-1)
-        with pytest.raises(ValueError):
-            SimulatedAnnealing(problem, steps_per_temperature=0)
-
-    def test_solves_onemax(self):
-        problem = OneMax(20)
-        sa = SimulatedAnnealing(problem, max_steps=20_000, initial_temperature=2.0)
-        result = sa.run(rng=0)
-        assert result.best_fitness <= 2  # near-optimal, usually 0
-
-    def test_respects_max_steps(self):
-        problem = OneMax(30)
-        sa = SimulatedAnnealing(problem, max_steps=100, target_fitness=-1.0)
-        result = sa.run(rng=1)
-        assert result.iterations == 100
-
-
-class TestIteratedAndVNS:
-    def test_ils_improves_over_single_descent(self):
-        problem = UBQP.random(24, rng=3)
-        evaluator = CPUEvaluator(problem, OneHammingNeighborhood(24))
-        single = HillClimbing(evaluator, max_iterations=500, target_fitness=-np.inf).run(rng=8)
-        ils = IteratedLocalSearch(evaluator, restarts=8, perturbation_strength=4,
-                                  target_fitness=-np.inf)
-        multi = ils.run(rng=8)
-        assert multi.best_fitness <= single.best_fitness
-
-    def test_ils_parameter_validation(self):
-        problem = OneMax(8)
-        evaluator = CPUEvaluator(problem, OneHammingNeighborhood(8))
-        with pytest.raises(ValueError):
-            IteratedLocalSearch(evaluator, restarts=0)
-        with pytest.raises(ValueError):
-            IteratedLocalSearch(evaluator, perturbation_strength=0)
-
+class TestVariableNeighborhoodSearch:
     def test_vns_explores_increasing_orders(self):
         problem = PermutedPerceptronProblem.generate(13, 13, rng=4)
         vns = VariableNeighborhoodSearch(problem, max_order=3, max_rounds=10)

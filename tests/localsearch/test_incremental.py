@@ -8,8 +8,8 @@ and launch counts must match the ``REPRO_EVAL_PATH=fast`` recompute exactly
 — including across every invalidation path (restarts, device faults,
 replica migration on rebalance, checkpoint -> restore) — and the fast
 recompute must in turn match ``REPRO_EVAL_PATH=reference`` on every problem,
-in the lockstep runner and in ILS; the single searches must follow the plain
-reference loop of ``tests/conftest.py``.
+in the lockstep runner and in VNS's repeated descents; the single searches
+must follow the plain reference loop of ``tests/conftest.py``.
 """
 
 import functools
@@ -20,10 +20,10 @@ import pytest
 import repro.localsearch.multistart as multistart_mod
 from repro.core import CPUEvaluator, GPUEvaluator, SequentialEvaluator
 from repro.core.evaluators import MultiGPUEvaluator
-from repro.localsearch import IteratedLocalSearch, MultiStartRunner, TabuSearch
+from repro.localsearch import MultiStartRunner, TabuSearch, VariableNeighborhoodSearch
 from repro.localsearch.multistart import MultiStartRunner as Runner
 from repro.neighborhoods import KHammingNeighborhood
-from repro.problems import LeadingOnes, MaxSat, NKLandscape, OneMax, UBQP, generate_random_ksat
+from repro.problems import LeadingOnes, MaxSat, OneMax, UBQP, generate_random_ksat
 from repro.problems.instances import make_table_instance
 
 MODES = ("full", "delta", "reduced", "persistent")
@@ -34,7 +34,6 @@ PROBLEM_FACTORIES = {
     "ppp": lambda: make_table_instance((16, 16), trial=0),
     "onemax": lambda: OneMax(16),
     "maxsat": lambda: MaxSat(16, *generate_random_ksat(16, 60, k=3, rng=2)),
-    "nk": lambda: NKLandscape(16, 3, rng=4),
     "ubqp": lambda: UBQP.random(16, rng=1),
 }
 #: The problems with a gain state.
@@ -206,22 +205,28 @@ def test_sequential_per_move_calls_never_reach_the_engine(engines, monkeypatch):
 SCALAR_FACTORIES = dict(PROBLEM_FACTORIES, leadingones=lambda: LeadingOnes(16))
 
 
-def ils_signature(name, evaluator_cls, order):
-    """ILS on a fresh problem (the path is read at build)."""
+def vns_signature(name, evaluator_cls, order):
+    """VNS on a fresh problem (the path is read at build): repeated descents
+    on each of its evaluators, every one after the first from a moved start."""
     problem = SCALAR_FACTORIES[name]()
-    neighborhood = KHammingNeighborhood(problem.n, order)
-    with evaluator_cls(problem, neighborhood) as evaluator:
-        ils = IteratedLocalSearch(
-            evaluator, restarts=3, descent_max_iterations=8, target_fitness=float("-inf")
-        )
-        result = ils.run(rng=np.random.default_rng(31))
-        return (
-            result.best_fitness,
-            result.iterations,
-            result.evaluations,
-            result.best_solution.tobytes(),
-            evaluator.stats.simulated_time,
-        )
+    vns = VariableNeighborhoodSearch(
+        problem,
+        max_order=order,
+        evaluator_factory=evaluator_cls,
+        max_iterations_per_descent=8,
+        max_rounds=3,
+        target_fitness=float("-inf"),
+    )
+    result = vns.run(rng=np.random.default_rng(31))
+    for evaluator in vns.evaluators:
+        evaluator.close()
+    return (
+        result.best_fitness,
+        result.iterations,
+        result.evaluations,
+        result.best_solution.tobytes(),
+        tuple(evaluator.stats.simulated_time for evaluator in vns.evaluators),
+    )
 
 
 def search_record(result):
@@ -252,17 +257,16 @@ class TestScalarIdentity:
             tabu = TabuSearch(evaluator, max_iterations=15, track_history=True).run(rng=31)
         expected = reference_search(SCALAR_FACTORIES[name], order, "tabu", 31, max_iterations=15)
         assert search_record(tabu) == search_record(expected)
-        default = ils_signature(name, evaluator_cls, order)
+        default = vns_signature(name, evaluator_cls, order)
         monkeypatch.setenv("REPRO_EVAL_PATH", "reference")
-        assert ils_signature(name, evaluator_cls, order) == default
+        assert vns_signature(name, evaluator_cls, order) == default
 
-    @pytest.mark.parametrize("name", ["maxsat", "nk"])
     @pytest.mark.parametrize("order", [1, 2])
-    def test_frozen_single_row_reaches_the_fast_scorer(self, name, order, monkeypatch):
-        """NK and MaxSAT have no scalar override: an S=1 call on the
-        evaluator's frozen table must reach the batch fast scorer."""
+    def test_frozen_single_row_reaches_the_fast_scorer(self, order, monkeypatch):
+        """MaxSAT has no scalar override: an S=1 call on the evaluator's
+        frozen table must reach the batch fast scorer."""
         monkeypatch.delenv("REPRO_EVAL_PATH", raising=False)
-        problem = PROBLEM_FACTORIES[name]()
+        problem = PROBLEM_FACTORIES["maxsat"]()
         scorer = problem._fast()
         calls = []
         real_evaluate = scorer.evaluate

@@ -12,16 +12,15 @@ order.  This matrix is the safety net under the persistent-kernel runtime.
 import numpy as np
 import pytest
 
-from repro.core import CPUEvaluator, GPUEvaluator
+from repro.core import GPUEvaluator
 from repro.localsearch import (
     TRANSFER_MODES,
-    IteratedLocalSearch,
     MultiStartRunner,
     TabuSearch,
     VariableNeighborhoodSearch,
 )
 from repro.neighborhoods import KHammingNeighborhood
-from repro.problems import MaxSat, NKLandscape, OneMax, UBQP, generate_random_ksat
+from repro.problems import MaxSat, OneMax, UBQP, generate_random_ksat
 from repro.problems.instances import instance_seed, make_table_instance
 
 #: One representative of every problem family, all over n = 12 bits so the
@@ -39,7 +38,6 @@ PROBLEM_FACTORIES = {
     "ppp": lambda: make_table_instance((N_BITS, N_BITS), trial=0),
     "onemax": lambda: OneMax(N_BITS),
     "maxsat": lambda: MaxSat(N_BITS, *generate_random_ksat(N_BITS, 30, k=3, rng=7)),
-    "nk": lambda: NKLandscape(N_BITS, 3, rng=7),
     "ubqp": lambda: _ubqp(N_BITS),
 }
 
@@ -174,30 +172,29 @@ def test_tabu_saturated_tenure_exercises_device_escape():
 
 
 class TestRestartSearchTransferModes:
-    """ILS/VNS inner descents honour transfer_mode (the former ROADMAP gap)."""
+    """Repeated searches on one evaluator and VNS's inner descents honour
+    transfer_mode."""
 
-    def test_ils_all_modes_identical(self):
+    def test_repeated_searches_on_one_evaluator_all_modes_identical(self):
+        """A second search on the same evaluator restarts from the first
+        one's best solution."""
         problem = PROBLEM_FACTORIES["ppp"]()
         neighborhood = KHammingNeighborhood(problem.n, 2)
         reference = None
         for mode in TRANSFER_MODES:
             with GPUEvaluator(problem, neighborhood) as evaluator:
-                search = IteratedLocalSearch(
-                    evaluator,
-                    restarts=3,
-                    descent_max_iterations=MAX_ITERATIONS,
-                    transfer_mode=mode,
+                search = TabuSearch(
+                    evaluator, max_iterations=MAX_ITERATIONS, transfer_mode=mode
                 )
-                result = search.run(rng=SEED)
-                record = (
-                    result.best_fitness,
-                    result.iterations,
-                    result.stopping_reason,
-                    tuple(result.best_solution),
-                )
+                first = search.run(rng=SEED)
+                second = search.run(initial_solution=first.best_solution, rng=SEED + 1)
+                record = [
+                    (r.best_fitness, r.iterations, r.stopping_reason, tuple(r.best_solution))
+                    for r in (first, second)
+                ]
             if reference is None:
                 reference = record
-            assert record == reference, f"ILS/{mode} diverged"
+            assert record == reference, f"repeated tabu/{mode} diverged"
 
     def test_vns_all_modes_identical(self):
         problem = PROBLEM_FACTORIES["ppp"]()
@@ -267,16 +264,10 @@ class TestRestartSearchTransferModes:
     @pytest.mark.parametrize("mode", ("delta", "reduced", "persistent"))
     def test_cpu_backends_reject_resident_modes(self, mode):
         problem = PROBLEM_FACTORIES["ppp"]()
-        neighborhood = KHammingNeighborhood(problem.n, 1)
-        evaluator = CPUEvaluator(problem, neighborhood)
-        with pytest.raises(ValueError, match="device-resident"):
-            IteratedLocalSearch(evaluator, transfer_mode=mode)
         with pytest.raises(ValueError, match="device-resident"):
             VariableNeighborhoodSearch(problem, max_order=1, transfer_mode=mode)
 
     def test_unknown_mode_rejected(self):
         problem = PROBLEM_FACTORIES["ppp"]()
-        neighborhood = KHammingNeighborhood(problem.n, 1)
-        with GPUEvaluator(problem, neighborhood) as evaluator:
-            with pytest.raises(ValueError, match="unknown transfer_mode"):
-                IteratedLocalSearch(evaluator, transfer_mode="telepathy")
+        with pytest.raises(ValueError, match="unknown transfer_mode"):
+            VariableNeighborhoodSearch(problem, max_order=1, transfer_mode="telepathy")

@@ -7,7 +7,6 @@ from repro.neighborhoods import KHammingNeighborhood
 from repro.problems import (
     LeadingOnes,
     MaxSat,
-    NKLandscape,
     OneMax,
     PermutedPerceptronProblem,
     UBQP,
@@ -22,7 +21,6 @@ def all_problems():
         OneMax(N),
         UBQP.random(N, rng=1),
         MaxSat.random(N, 30, rng=2),
-        NKLandscape(N, 3, rng=3),
         LeadingOnes(N),  # no override: exercises the generic fallback
     ]
 

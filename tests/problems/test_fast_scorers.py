@@ -1,4 +1,4 @@
-"""Bit-identity suites for the UBQP / MaxSAT / NK precompiled fast scorers.
+"""Bit-identity suites for the UBQP / MaxSAT precompiled fast scorers.
 
 Modeled on the PPP fast-path suite: every fast path must agree *bit for bit*
 with its chunked reference evaluation on qualifying move tables, silently
@@ -9,7 +9,7 @@ fall back on everything else, and die entirely under
 import numpy as np
 import pytest
 
-from repro.problems import MaxSat, NKLandscape, UBQP, clear_fast_caches
+from repro.problems import MaxSat, UBQP, clear_fast_caches
 from repro.problems.fastpath import BoundedCache, eval_path
 
 
@@ -31,12 +31,10 @@ def random_pairs(rng, n, num, allow_duplicates=False):
 def make_problem(kind, rng_seed=0):
     if kind == "ubqp":
         return UBQP.random(40, rng=rng_seed)
-    if kind == "maxsat":
-        return MaxSat.random(40, 170, k=3, rng=rng_seed)
-    return NKLandscape(40, 4, rng=rng_seed)
+    return MaxSat.random(40, 170, k=3, rng=rng_seed)
 
 
-PROBLEMS = ("ubqp", "maxsat", "nk")
+PROBLEMS = ("ubqp", "maxsat")
 
 
 @pytest.mark.parametrize("kind", PROBLEMS)
@@ -103,13 +101,12 @@ def test_unsupported_tables_fall_back(kind):
     )
 
 
-@pytest.mark.parametrize("kind", ["maxsat", "nk"])
-def test_duplicate_indices_fall_back(kind):
+def test_duplicate_indices_fall_back():
     # The reference path buffers the fancy-index flip, so a repeated index
-    # flips once; the delta formulas would count it twice.  MaxSAT and NK
-    # must therefore decline duplicate pairs (UBQP's arithmetic reference
+    # flips once; the delta formulas would count it twice.  MaxSAT must
+    # therefore decline duplicate pairs (UBQP's arithmetic reference
     # represents them exactly — covered by the bitwise suite above).
-    problem = make_problem(kind)
+    problem = make_problem("maxsat")
     rng = np.random.default_rng(13)
     solutions = rng.integers(0, 2, size=(4, problem.n), dtype=np.int8)
     dup = frozen(np.array([[7, 7], [1, 2]]))
@@ -148,7 +145,7 @@ def test_maxsat_repeated_variable_clause_disables_fast_path():
     )
 
 
-@pytest.mark.parametrize("kind", ["ubqp", "maxsat", "nk"])
+@pytest.mark.parametrize("kind", PROBLEMS)
 def test_kill_switch_forces_reference(kind, monkeypatch):
     monkeypatch.setenv("REPRO_EVAL_PATH", "reference")
     problem = make_problem(kind)
@@ -205,15 +202,15 @@ def test_move_table_cache_is_bounded():
 
 
 def test_clear_fast_caches_empties_live_caches():
-    problem = NKLandscape(20, 2, rng=2)
+    problem = UBQP.random(20, rng=2)
     rng = np.random.default_rng(37)
     solutions = rng.integers(0, 2, size=(3, 20), dtype=np.int8)
     moves = frozen(np.arange(20)[:, None])
     problem.evaluate_neighborhood_batch(solutions, moves)
     scorer = problem._fast()
-    assert len(scorer._tables_cache) == 1
+    assert len(scorer._tables) == 1
     clear_fast_caches()
-    assert len(scorer._tables_cache) == 0
+    assert len(scorer._tables) == 0
     # Still correct afterwards: tables rebuild transparently.
     np.testing.assert_array_equal(
         problem.evaluate_neighborhood_batch(solutions, moves),

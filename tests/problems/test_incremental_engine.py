@@ -23,7 +23,6 @@ import repro.problems.incremental as incremental
 from repro.neighborhoods import KHammingNeighborhood
 from repro.problems import (
     MaxSat,
-    NKLandscape,
     OneMax,
     UBQP,
     generate_random_ksat,
@@ -255,7 +254,7 @@ def test_kill_switch_disables_engine_creation(monkeypatch, path, engine):
         name = "alien"
         n = 4
     assert create_gain_engine(Alien()) is None
-    for other in (UBQP.random(8, rng=1), NKLandscape(8, 2, rng=1), OneMax(8)):
+    for other in (UBQP.random(8, rng=1), OneMax(8)):
         assert create_gain_engine(other) is None
 
 

@@ -12,7 +12,6 @@ import pytest
 from repro.problems import (
     LeadingOnes,
     MaxSat,
-    NKLandscape,
     OneMax,
     UBQP,
     generate_random_ksat,
@@ -24,7 +23,6 @@ FACTORIES = {
     "ppp": lambda: make_table_instance((N, N), trial=0),
     "ubqp": lambda: UBQP.random(N, rng=1),
     "maxsat": lambda: MaxSat(N, *generate_random_ksat(N, 40, k=3, rng=2)),
-    "nk": lambda: NKLandscape(N, 3, rng=4),
     "onemax": lambda: OneMax(N),
     "leadingones": lambda: LeadingOnes(N),
 }

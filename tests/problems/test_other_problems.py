@@ -1,4 +1,4 @@
-"""Tests for the auxiliary binary workloads (OneMax, MaxSat, NK, UBQP)."""
+"""Tests for the auxiliary binary workloads (OneMax, MaxSat, UBQP)."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.mappings import mapping_for
 from repro.problems import (
     LeadingOnes,
     MaxSat,
-    NKLandscape,
     OneMax,
     UBQP,
     generate_random_ksat,
@@ -128,48 +127,6 @@ class TestMaxSat:
         for _ in range(20):
             f = p.evaluate(p.random_solution(rng))
             assert 0 <= f <= 40
-
-
-class TestNKLandscape:
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            NKLandscape(0, 0)
-        with pytest.raises(ValueError):
-            NKLandscape(5, 5)
-
-    def test_k0_landscape_is_separable(self):
-        p = NKLandscape(10, 0, rng=0)
-        # With K=0 each locus contributes independently; flipping a bit can
-        # only change that locus' contribution.
-        bits = p.random_solution(1)
-        base_contrib = p._contributions(bits[None, :])[0]
-        flipped = flip_bits(bits, (3,))
-        new_contrib = p._contributions(flipped[None, :])[0]
-        changed = np.nonzero(base_contrib != new_contrib)[0]
-        assert np.array_equal(changed, [3])
-
-    def test_fitness_range(self):
-        p = NKLandscape(16, 3, rng=2)
-        rng = np.random.default_rng(0)
-        for _ in range(30):
-            f = p.evaluate(p.random_solution(rng))
-            assert 0.0 <= f <= 1.0
-
-    def test_batch_matches_scalar(self):
-        p = NKLandscape(14, 2, rng=5)
-        rng = np.random.default_rng(1)
-        batch = np.stack([p.random_solution(rng) for _ in range(10)])
-        assert np.allclose(p.evaluate_batch(batch), [p.evaluate(r) for r in batch])
-
-    def test_never_reports_success(self):
-        p = NKLandscape(8, 1, rng=0)
-        assert not p.is_solution(0.0)
-
-    def test_deterministic_in_seed(self):
-        a = NKLandscape(12, 2, rng=7)
-        b = NKLandscape(12, 2, rng=7)
-        bits = a.random_solution(0)
-        assert a.evaluate(bits) == b.evaluate(bits)
 
 
 class TestUBQP:

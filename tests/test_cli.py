@@ -27,6 +27,7 @@ class TestParser:
         [
             (["serve", "--load", "abc"], "--load: invalid positive number value: 'abc'"),
             (["mapping", "--limit", "x"], "--limit: invalid non-negative integer value: 'x'"),
+            (["serve", "--capacity", "x"], "--capacity: invalid positive integer value: 'x'"),
         ],
     )
     def test_unparsable_value_names_the_expected_kind(self, argv, message, capsys):
@@ -34,7 +35,35 @@ class TestParser:
             main(argv)
         err = capsys.readouterr().err
         assert message in err
-        assert "_positive_float" not in err and "_non_negative" not in err
+        assert "_positive" not in err and "_non_negative" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["experiment", "--checkpoint-every", "-1"],
+             "--checkpoint-every: must be positive, got -1"),
+            (["experiment", "--trials", "0"], "--trials: must be positive, got 0"),
+            (["experiment", "--iterations", "-1"], "--iterations: must be non-negative, got -1"),
+            (["experiment", "--evaluator", "multi-gpu", "--devices", "0"],
+             "--devices: must be positive, got 0"),
+            (["devices", "--topology", "shared", "--devices", "0"],
+             "--devices: must be positive, got 0"),
+            (["devices", "--devices", "0"], "--devices: must be positive, got 0"),
+            (["serve", "--trace-jobs", "-4"], "--trace-jobs: must be positive, got -4"),
+            (["serve", "--capacity", "0"], "--capacity: must be positive, got 0"),
+            (["solve", "--platform", "multi-gpu", "--devices", "-3"],
+             "--devices: must be positive, got -3"),
+            (["solve", "--seed", "-1"], "--seed: must be non-negative, got -1"),
+            (["solve", "--m", "0"], "--m: must be positive, got 0"),
+            (["figure8", "--points", "0"], "--points: must be positive, got 0"),
+            (["mapping", "--k", "0"], "--k: must be positive, got 0"),
+        ],
+    )
+    def test_out_of_range_value_fails_at_parse_time(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestDevicesCommand:

@@ -163,9 +163,9 @@ class TestOtherWorkloadsEndToEnd:
 
     def test_hill_climbing_chain_matches_across_problems(self):
         # Smoke-level sanity across every auxiliary workload.
-        from repro.problems import NKLandscape, OneMax
+        from repro.problems import MaxSat, OneMax
 
-        for problem in (OneMax(20), NKLandscape(20, 2, rng=0), UBQP.random(20, rng=0)):
+        for problem in (OneMax(20), MaxSat.random(20, 60, rng=0), UBQP.random(20, rng=0)):
             nb = KHammingNeighborhood(20, 1)
             result = HillClimbing(
                 CPUEvaluator(problem, nb), max_iterations=100, target_fitness=-np.inf
