@@ -236,6 +236,28 @@ class TestVariableNeighborhoodSearch:
         result = vns.run(rng=0)
         assert result.success
 
+    def test_vns_stops_at_a_target_it_reached(self):
+        vns = VariableNeighborhoodSearch(OneMax(15), max_order=2, max_rounds=5)
+        result = vns.run(rng=0)
+        assert result.best_fitness == 0
+        assert result.stopping_reason == "target_reached"
+
+    def test_vns_ends_locally_optimal_in_every_neighborhood(self):
+        """Without a reachable target VNS stops only when no neighborhood up
+        to ``max_order`` holds an improving move."""
+        problem = UBQP.random(14, rng=3)
+        vns = VariableNeighborhoodSearch(
+            problem, max_order=2, max_rounds=50, target_fitness=-np.inf
+        )
+        result = vns.run(rng=5)
+        assert result.stopping_reason == "no_improvement"
+        assert result.best_fitness < result.initial_fitness
+        assert result.best_fitness == problem.evaluate(result.best_solution)
+        for order in (1, 2):
+            moves = KHammingNeighborhood(problem.n, order).moves()
+            scores = problem.evaluate_neighborhood(result.best_solution, moves)
+            assert scores.min() >= result.best_fitness
+
 
 class TestSequentialEvaluatorEquivalence:
     def test_sequential_and_vectorized_runs_match(self, small_ppp):

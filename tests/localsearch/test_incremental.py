@@ -34,10 +34,11 @@ PROBLEM_FACTORIES = {
     "ppp": lambda: make_table_instance((16, 16), trial=0),
     "onemax": lambda: OneMax(16),
     "maxsat": lambda: MaxSat(16, *generate_random_ksat(16, 60, k=3, rng=2)),
+    "2sat": lambda: MaxSat(16, *generate_random_ksat(16, 40, k=2, rng=4)),
     "ubqp": lambda: UBQP.random(16, rng=1),
 }
 #: The problems with a gain state.
-ENGINE_PROBLEMS = ("maxsat", "ppp")
+ENGINE_PROBLEMS = ("maxsat", "2sat", "ppp")
 
 
 @pytest.fixture
@@ -261,12 +262,14 @@ class TestScalarIdentity:
         monkeypatch.setenv("REPRO_EVAL_PATH", "reference")
         assert vns_signature(name, evaluator_cls, order) == default
 
+    @pytest.mark.parametrize("name", ["maxsat", "2sat"])
     @pytest.mark.parametrize("order", [1, 2])
-    def test_frozen_single_row_reaches_the_fast_scorer(self, order, monkeypatch):
+    def test_frozen_single_row_reaches_the_fast_scorer(self, name, order, monkeypatch):
         """MaxSAT has no scalar override: an S=1 call on the evaluator's
-        frozen table must reach the batch fast scorer."""
+        frozen table must reach the batch fast scorer, whatever the clause
+        width."""
         monkeypatch.delenv("REPRO_EVAL_PATH", raising=False)
-        problem = PROBLEM_FACTORIES["maxsat"]()
+        problem = PROBLEM_FACTORIES[name]()
         scorer = problem._fast()
         calls = []
         real_evaluate = scorer.evaluate

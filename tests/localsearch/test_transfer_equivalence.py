@@ -38,6 +38,7 @@ PROBLEM_FACTORIES = {
     "ppp": lambda: make_table_instance((N_BITS, N_BITS), trial=0),
     "onemax": lambda: OneMax(N_BITS),
     "maxsat": lambda: MaxSat(N_BITS, *generate_random_ksat(N_BITS, 30, k=3, rng=7)),
+    "2sat": lambda: MaxSat(N_BITS, *generate_random_ksat(N_BITS, 20, k=2, rng=7)),
     "ubqp": lambda: _ubqp(N_BITS),
 }
 

@@ -21,8 +21,16 @@ def all_problems():
         OneMax(N),
         UBQP.random(N, rng=1),
         MaxSat.random(N, 30, rng=2),
+        MaxSat.random(N, 20, k=2, rng=3),
         LeadingOnes(N),  # no override: exercises the generic fallback
     ]
+
+
+def problem_id(problem):
+    """The problem's name, with MaxSAT's clause width when it is not 3."""
+    if isinstance(problem, MaxSat) and problem.k_literals != 3:
+        return f"{problem.k_literals}sat"
+    return problem.name
 
 
 def solution_block(problem, count=6, seed=7):
@@ -31,7 +39,7 @@ def solution_block(problem, count=6, seed=7):
 
 
 class TestBatchMatchesRowByRow:
-    @pytest.mark.parametrize("problem", all_problems(), ids=lambda p: p.name)
+    @pytest.mark.parametrize("problem", all_problems(), ids=problem_id)
     @pytest.mark.parametrize("order", [1, 2])
     def test_batch_equals_per_solution_rows(self, problem, order):
         neighborhood = KHammingNeighborhood(problem.n, order)
@@ -44,7 +52,7 @@ class TestBatchMatchesRowByRow:
         assert batch.shape == (solutions.shape[0], moves.shape[0])
         assert np.array_equal(batch, reference), problem.name
 
-    @pytest.mark.parametrize("problem", all_problems(), ids=lambda p: p.name)
+    @pytest.mark.parametrize("problem", all_problems(), ids=problem_id)
     def test_move_subsets(self, problem):
         neighborhood = KHammingNeighborhood(problem.n, 2)
         moves = neighborhood.moves()[::3]

@@ -31,10 +31,12 @@ def random_pairs(rng, n, num, allow_duplicates=False):
 def make_problem(kind, rng_seed=0):
     if kind == "ubqp":
         return UBQP.random(40, rng=rng_seed)
-    return MaxSat.random(40, 170, k=3, rng=rng_seed)
+    if kind == "maxsat":
+        return MaxSat.random(40, 170, k=3, rng=rng_seed)
+    return MaxSat.random(40, 100, k=2, rng=rng_seed)
 
 
-PROBLEMS = ("ubqp", "maxsat")
+PROBLEMS = ("ubqp", "maxsat", "2sat")
 
 
 @pytest.mark.parametrize("kind", PROBLEMS)
@@ -101,12 +103,14 @@ def test_unsupported_tables_fall_back(kind):
     )
 
 
-def test_duplicate_indices_fall_back():
+@pytest.mark.parametrize("kind", ["maxsat", "2sat"])
+def test_duplicate_indices_fall_back(kind):
     # The reference path buffers the fancy-index flip, so a repeated index
     # flips once; the delta formulas would count it twice.  MaxSAT must
-    # therefore decline duplicate pairs (UBQP's arithmetic reference
-    # represents them exactly — covered by the bitwise suite above).
-    problem = make_problem("maxsat")
+    # therefore decline duplicate pairs at every clause width (UBQP's
+    # arithmetic reference represents them exactly — covered by the bitwise
+    # suite above).
+    problem = make_problem(kind)
     rng = np.random.default_rng(13)
     solutions = rng.integers(0, 2, size=(4, problem.n), dtype=np.int8)
     dup = frozen(np.array([[7, 7], [1, 2]]))

@@ -23,6 +23,7 @@ FACTORIES = {
     "ppp": lambda: make_table_instance((N, N), trial=0),
     "ubqp": lambda: UBQP.random(N, rng=1),
     "maxsat": lambda: MaxSat(N, *generate_random_ksat(N, 40, k=3, rng=2)),
+    "2sat": lambda: MaxSat(N, *generate_random_ksat(N, 30, k=2, rng=4)),
     "onemax": lambda: OneMax(N),
     "leadingones": lambda: LeadingOnes(N),
 }
