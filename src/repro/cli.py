@@ -48,6 +48,11 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _factor(numerator: float, denominator: float) -> str:
+    """An acceleration factor as printed, or ``n/a`` for a run with no simulated time."""
+    return f"x{numerator / denominator:.1f}" if denominator else "n/a"
+
+
 # argparse names a ``type`` by its ``__name__`` when the text does not parse.
 _non_negative.__name__ = "non-negative integer"
 _positive.__name__ = "positive integer"
@@ -258,7 +263,7 @@ def _cmd_experiment(args) -> int:
           f"successes: {row.successes}/{row.num_trials}, "
           f"mean iterations: {row.mean_iterations:.1f}")
     print(f"modeled CPU time {format_time(row.cpu_time)}, "
-          f"GPU time {format_time(row.gpu_time)} (x{row.acceleration:.1f})")
+          f"GPU time {format_time(row.gpu_time)} ({_factor(row.cpu_time, row.gpu_time)})")
     total_wall = sum(t.wall_time for t in row.trials)
     print(f"wall time (sum over trials): {format_time(total_wall)}")
     if row.h2d_bytes or row.d2h_bytes:
@@ -322,11 +327,10 @@ def _cmd_solve(args) -> int:
     cpu_step = full_step_time(CPUEvaluator(problem, neighborhood))
     if args.platform == "cpu":
         gpu = GPUEvaluator(problem, neighborhood, use_texture_memory=args.texture)
-        speedup = cpu_step / full_step_time(gpu)
+        factor = _factor(cpu_step, full_step_time(gpu))
     else:
-        run_time = result.simulated_time
-        speedup = cpu_step * result.iterations / run_time if run_time else float("inf")
-    print(f"modeled acceleration vs single-core CPU: x{speedup:.1f}")
+        factor = _factor(cpu_step * result.iterations, result.simulated_time)
+    print(f"modeled acceleration vs single-core CPU: {factor}")
     return 0 if result.success else 1
 
 
@@ -472,6 +476,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point used by ``python -m repro`` and the console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "mapping" and args.k > args.n:
+        parser.error(f"mapping: --k {args.k} exceeds the solution length --n {args.n}")
     return _COMMANDS[args.command](args)
 
 

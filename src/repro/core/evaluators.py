@@ -59,7 +59,12 @@ from ..gpu.dtypes import (
 from ..gpu.hierarchy import DEFAULT_BLOCK_SIZE
 from ..gpu.interconnect import InterconnectTopology
 from ..gpu.kernel import ExecutionMode, PersistentKernel
-from ..gpu.multi_device import MultiGPU, weighted_partition_range
+from ..gpu.multi_device import (
+    build_contexts,
+    partition_range,
+    throughput_weights,
+    weighted_partition_range,
+)
 from ..gpu.runtime import DeviceLoop, GPUContext, PersistentLaunchRecord
 from ..gpu.scheduler import DeviceScheduler, ResidentStepPlan
 from ..gpu.streams import COPY_STREAM, DOWNLOAD_STREAM
@@ -223,11 +228,6 @@ class EvaluatorStats:
     evaluations: int = 0
     simulated_time: float = 0.0
 
-    def reset(self) -> None:
-        self.calls = 0
-        self.evaluations = 0
-        self.simulated_time = 0.0
-
 
 class NeighborhoodEvaluator:
     """Evaluates all (or a slice of the) neighbors of a candidate solution.
@@ -315,9 +315,6 @@ class NeighborhoodEvaluator:
         self.stats.calls += 1
         self.stats.evaluations += solutions.shape[0] * int(indices.size)
         return fitnesses
-
-    def reset_stats(self) -> None:
-        self.stats.reset()
 
     # ------------------------------------------------------------------
     # Checkpoint API
@@ -685,9 +682,10 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
 
     The paper's multi-GPU perspective: each device evaluates one partition
     of the neighborhood, and a single GPU (:class:`GPUEvaluator`) is the
-    one-device pool.  The pool is driven by a
-    :class:`~repro.gpu.scheduler.DeviceScheduler`: every device owns its
-    own stream timeline and the per-device upload/launch/reduce/download
+    one-device pool.  The pool, :attr:`pool`, is one
+    :class:`~repro.gpu.scheduler.DeviceScheduler` over the device contexts
+    (built by :func:`~repro.gpu.multi_device.build_contexts`): every device
+    owns its own stream timeline and the per-device upload/launch/reduce/download
     chains are issued asynchronously, ordered only by events — so the
     elapsed simulated time of a step is the cross-device makespan, not a
     serialized host loop.  Heterogeneous pools are partitioned
@@ -730,7 +728,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
     ) -> None:
         super().__init__(problem, neighborhood)
         self._attach(
-            MultiGPU(devices, mode=mode, pinned=pinned, topology=topology),
+            DeviceScheduler(build_contexts(devices, mode=mode, pinned=pinned, topology=topology)),
             block_size,
             peer_routing=peer_routing,
             active_devices=active_devices,
@@ -738,16 +736,17 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
 
     def _attach(
         self,
-        pool: MultiGPU,
+        pool: DeviceScheduler,
         block_size: int,
         *,
         use_texture_memory: bool = False,
         peer_routing: bool = True,
         active_devices: list[int] | None = None,
     ) -> None:
-        """Drive ``pool``: one scheduler over its contexts, one slot per device."""
+        """Drive ``pool``, one slot per device context."""
+        #: The device pool: its contexts, their shared transfer engine and
+        #: the host timeline, priced as one.
         self.pool = pool
-        self.scheduler = DeviceScheduler(pool.contexts, engine=pool.engine)
         self.block_size = int(block_size)
         self.batch_kernel = build_batch_neighborhood_kernel(
             self.problem, self.neighborhood, use_texture=use_texture_memory
@@ -757,19 +756,20 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         # devices receive work.  ``fail_device`` / ``join_device`` flip the
         # mask mid-run; ``active_devices`` starts some devices dark so they
         # can join later.
+        num_devices = len(pool.contexts)
         if active_devices is None:
-            self._device_active = [True] * pool.num_devices
+            self._device_active = [True] * num_devices
         else:
             chosen = {int(index) for index in active_devices}
             if not chosen:
                 raise ValueError("need at least one active device")
-            bad = [index for index in chosen if not 0 <= index < pool.num_devices]
+            bad = [index for index in chosen if not 0 <= index < num_devices]
             if bad:
                 raise ValueError(
                     f"active device index out of range: {sorted(bad)} "
-                    f"(pool has {pool.num_devices} devices)"
+                    f"(pool has {num_devices} devices)"
                 )
-            self._device_active = [index in chosen for index in range(pool.num_devices)]
+            self._device_active = [index in chosen for index in range(num_devices)]
         self._slots = [
             _DeviceSlot(
                 context, self.batch_kernel, self.block_size, self.neighborhood.size, id(self)
@@ -783,7 +783,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         self.peer_routing = (
             bool(peer_routing)
             and self.num_devices > 1
-            and self.scheduler.all_peer_capable
+            and self.pool.all_peer_capable
         )
         # Replica ranges [lo, hi) owned by each device in a resident session.
         self._replica_ranges: list[tuple[int, int]] | None = None
@@ -805,7 +805,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
 
     @property
     def num_devices(self) -> int:
-        return self.pool.num_devices
+        return len(self.pool.contexts)
 
     def _kernel_cost(self):
         """Cost profile used for throughput-proportional partitioning."""
@@ -828,19 +828,25 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         return [
             weight if active else 0.0
             for weight, active in zip(
-                self.pool.throughput_weights(self._kernel_cost()), self._device_active
+                throughput_weights(
+                    [ctx.device for ctx in self.pool.contexts], self._kernel_cost()
+                ),
+                self._device_active,
             )
         ]
 
     def _partitions(self, total: int):
         """Partition ``total`` flat indices across the *active* devices.
 
-        With every device active this is exactly the pool's partitioner
-        (the homogeneous even split, bit-for-bit); with a partial fleet the
-        masked weighted split hands inactive devices empty slices.
+        A pool of identical devices, all active, takes the exact even split;
+        otherwise the split is proportional to each device's simulated
+        throughput on the neighborhood kernel, and inactive devices get
+        empty slices.
         """
-        if all(self._device_active):
-            return self.pool.partitions(total, self._kernel_cost())
+        contexts = self.pool.contexts
+        first = contexts[0].device
+        if all(self._device_active) and all(ctx.device == first for ctx in contexts):
+            return partition_range(total, len(contexts))
         return weighted_partition_range(total, self._active_weights())
 
     def fail_device(self, index: int) -> int:
@@ -930,12 +936,12 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         ]
         before = self._full_clock()
         tag = id(self)
-        uploads = self.scheduler.upload_batch(
+        uploads = self.pool.upload_batch(
             [
                 (device, f"solutions:{tag}:{device}", block.astype(SOLUTION_DTYPE))
                 for device, block, _scores in chains
             ],
-            not_before=self.scheduler.makespan,
+            not_before=self.pool.makespan,
         )
         downloads = []
         for (device, block, part), upload in zip(chains, uploads):
@@ -947,7 +953,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                 wait_for=[upload], block_size=self.block_size,
             )
             downloads.append((device, name, done))
-        landed = [data for data, _event in self.scheduler.download_batch(downloads)]
+        landed = [data for data, _event in self.pool.download_batch(downloads)]
         self.stats.simulated_time += self._full_clock() - before
         # An empty index list gives no chain, and its scores are the result.
         out = np.concatenate(landed) if landed else flat
@@ -963,7 +969,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         """
         if self.num_devices == 1:
             return self.pool.contexts[0].stats.total_time
-        return self.scheduler.makespan
+        return self.pool.makespan
 
     # ------------------------------------------------------------------
     # Device-resident session API (replica-partitioned across devices)
@@ -1036,11 +1042,11 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         parts = self._partitions(solutions.shape[0])
         self._replica_ranges = [(part.start, part.stop) for part in parts]
         self._persistent = bool(persistent)
-        before = self.scheduler.makespan
+        before = self.pool.makespan
         # On a shared uplink each replica slice sees its fair share of the
         # root complex instead of a private full-rate link.
         slices = list(self._resident_parts())
-        events = self.scheduler.upload_batch(
+        events = self.pool.upload_batch(
             [
                 (index, slot._buffer("resident"), solutions[lo:hi].astype(SOLUTION_DTYPE))
                 for index, slot, lo, hi in slices
@@ -1052,7 +1058,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             slot._adopt_resident(self._mirror[lo:hi], arrival=event.time)
             if persistent:
                 slot.open_persistent_loop()
-        self.stats.simulated_time += self.scheduler.makespan - before
+        self.stats.simulated_time += self.pool.makespan - before
 
     def init_tabu_memory(self, tenure: int) -> None:
         """Make the tabu memory device-resident for the current session.
@@ -1190,8 +1196,8 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                 (f"deltas:gpu{index}", slot.context.device.pcie_latency)
                 for index, slot, _positions in owners
             ]
-        before = self.scheduler.makespan
-        times = self.scheduler.price_resident_step(plan)
+        before = self.pool.makespan
+        times = self.pool.price_resident_step(plan)
         if route_peer:
             if owners[0][1] is hub:
                 hub.note_delivery(times.upload)
@@ -1345,8 +1351,8 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             slot._plan_row(plan, index, local, whole, scores[positions], reduction)
         if reduce is not None:
             self._select(owners, scores, reduce, *select)
-        before = self.scheduler.makespan
-        times = self.scheduler.price_resident_step(plan)
+        before = self.pool.makespan
+        times = self.pool.price_resident_step(plan)
         if reduce is None:
             result = np.empty(scores.shape, dtype=np.float64)
         else:
@@ -1583,7 +1589,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         """
         snap = super().snapshot_state()
         snap["engine"] = self.pool.engine.snapshot()
-        snap["host_timeline"] = self.scheduler.host_timeline.snapshot()
+        snap["host_timeline"] = self.pool.host_timeline.snapshot()
         snap["devices"] = [slot.snapshot() for slot in self._slots]
         snap["device_active"] = list(self._device_active)
         snap["replica_ranges"] = (
@@ -1605,7 +1611,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         self.end_search()
         super().restore_state(snap)
         self.pool.engine.restore(snap["engine"])
-        self.scheduler.host_timeline.restore(snap["host_timeline"])
+        self.pool.host_timeline.restore(snap["host_timeline"])
         devices = snap["devices"]
         if len(devices) != len(self._slots):
             raise ValueError(
@@ -1689,7 +1695,7 @@ class GPUEvaluator(MultiGPUEvaluator):
             raise ValueError("pass either an existing context or a topology, not both")
         if context is None:
             context = GPUContext(device, mode=mode, pinned=pinned, topology=topology)
-        self._attach(MultiGPU._over(context), block_size, use_texture_memory=use_texture_memory)
+        self._attach(DeviceScheduler([context]), block_size, use_texture_memory=use_texture_memory)
 
     # perfbench/tracer.py looks these two entry points up in this class's
     # own namespace; the aliases stay until its targets drop them.

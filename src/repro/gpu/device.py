@@ -14,7 +14,7 @@ is irrelevant to the reproduced trends but we stay faithful to the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "DeviceSpec",
@@ -26,7 +26,6 @@ __all__ = [
     "A100_SXM",
     "XEON_3GHZ",
     "DEVICE_PRESETS",
-    "get_device",
 ]
 
 
@@ -137,10 +136,6 @@ class DeviceSpec:
     def max_warps_per_mp(self) -> int:
         return self.max_threads_per_mp // self.warp_size
 
-    def with_overrides(self, **kwargs) -> "DeviceSpec":
-        """Return a copy with some fields replaced (useful for what-if studies)."""
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class HostSpec:
@@ -155,9 +150,6 @@ class HostSpec:
     sustained_flops: float
     #: Sustained memory bandwidth of a single core, bytes/s.
     sustained_bandwidth: float = 6.0e9
-
-    def with_overrides(self, **kwargs) -> "HostSpec":
-        return replace(self, **kwargs)
 
 
 #: The card used in the paper (as described there: 32 multiprocessors, GT200).
@@ -285,10 +277,3 @@ DEVICE_PRESETS: dict[str, DeviceSpec] = {
     "a100sxm": A100_SXM,
 }
 
-
-def get_device(name: str) -> DeviceSpec:
-    """Look up a device preset by (case/punctuation-insensitive) name."""
-    key = "".join(ch for ch in name.lower() if ch.isalnum())
-    if key not in DEVICE_PRESETS:
-        raise KeyError(f"unknown device preset {name!r}; available: {sorted(DEVICE_PRESETS)}")
-    return DEVICE_PRESETS[key]

@@ -934,11 +934,6 @@ class TransferEngine:
             return 0.0
         return self.link_busy(self.topology.uplink.name)
 
-    def uplink_bytes(self) -> float:
-        if self.topology.uplink is None:
-            return 0.0
-        return self.link_bytes(self.topology.uplink.name)
-
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
@@ -1000,17 +995,6 @@ class TransferEngine:
         self.retried_transfers = int(snap["retried_transfers"])
         self.retry_time = float(snap["retry_time"])
         self.timeline.restore(snap["timeline"])
-
-    def reset(self) -> None:
-        """Drop all committed load (call when the pool's clocks rewind)."""
-        self._loads.clear()
-        self.timeline.reset()
-        self.total_stall = 0.0
-        self.stall_by_device.clear()
-        self.transfers = 0
-        self._pending_faults.clear()
-        self.retried_transfers = 0
-        self.retry_time = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TransferEngine(topology={self.topology.name!r}, transfers={self.transfers})"

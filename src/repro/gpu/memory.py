@@ -1,11 +1,11 @@
-"""Simulated device memory spaces and host<->device transfer accounting.
+"""Simulated device memory spaces, allocations and host<->device copies.
 
 The GPU in this reproduction is a simulator, so "device memory" is ordinary
-NumPy storage; what matters is *accounting*: how many bytes live on the
-device, how many bytes cross the PCIe bus and how often.  Those counters feed
-the timing model and let the tests assert, for example, that an LS iteration
-only copies the fitness array back (and not the whole neighborhood), exactly
-as the paper's implementation does.
+NumPy storage; what matters is *accounting*: :class:`MemoryManager` tracks
+how many bytes live on the device against its capacity.  The bytes that
+cross the PCIe bus are counted once, by the context that prices the copy
+(:class:`~repro.gpu.runtime.DeviceStats`), and pinned copies also by the
+context's :class:`PinnedStagingPool`.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ class HostMemoryKind(enum.Enum):
 
     Pageable memory goes through a driver-side bounce buffer (an extra host
     memcpy per transfer); pinned (page-locked) memory is DMA-able directly.
-    The timing model prices the two differently, which is why the transfer
-    totals are kept per kind.
+    The timing model prices the two differently.
     """
 
     PAGEABLE = "pageable"
@@ -116,28 +115,20 @@ class PinnedStagingPool:
         self.high_water_bytes = max(self.high_water_bytes, reserved)
         return reserved
 
-    def reset(self) -> None:
-        self.stagings = 0
-        self.staged_bytes = 0
-        self.high_water_bytes = 0
-
 
 @dataclass
 class MemoryManager:
-    """Tracks allocations and transfers for one simulated device."""
+    """Tracks the allocations of one simulated device."""
 
     capacity_bytes: int
     allocations: dict[str, DeviceBuffer] = field(default_factory=dict)
-    #: Running ``[copies, bytes]`` per ``(direction, host kind)``: the
-    #: totals stay the same size however many copies a long run makes.
-    copy_totals: dict[tuple[str, HostMemoryKind], list[int]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
         #: Running byte count of the live non-shared buffers, kept by
-        #: :meth:`alloc`, :meth:`free` and :meth:`free_all`.
+        #: :meth:`alloc` and :meth:`free`.
         self._allocated_bytes = sum(
             buf.nbytes for buf in self.allocations.values() if buf.space is not MemorySpace.SHARED
         )
@@ -197,10 +188,6 @@ class MemoryManager:
     def get(self, name: str) -> DeviceBuffer:
         return self.allocations[name]
 
-    def free_all(self) -> None:
-        self.allocations.clear()
-        self._allocated_bytes = 0
-
     # ------------------------------------------------------------------
     # Transfers
     # ------------------------------------------------------------------
@@ -209,7 +196,6 @@ class MemoryManager:
         name: str,
         host_array: np.ndarray,
         space: MemorySpace = MemorySpace.GLOBAL,
-        host_kind: HostMemoryKind = HostMemoryKind.PAGEABLE,
     ) -> DeviceBuffer:
         """Allocate (if needed) and copy a host array to the device."""
         host_array = np.asarray(host_array)
@@ -219,48 +205,8 @@ class MemoryManager:
         else:
             buf = self.alloc(name, host_array.shape, host_array.dtype, space)
             buf.copy_from_host(host_array)
-        self._count("h2d", int(host_array.nbytes), host_kind)
         return buf
 
-    def to_host(
-        self, name: str, host_kind: HostMemoryKind = HostMemoryKind.PAGEABLE
-    ) -> np.ndarray:
+    def to_host(self, name: str) -> np.ndarray:
         """Copy a device buffer back to the host."""
-        buf = self.get(name)
-        self._count("d2h", buf.nbytes, host_kind)
-        return buf.to_host()
-
-    def _count(self, direction: str, nbytes: int, host_kind: HostMemoryKind) -> None:
-        totals = self.copy_totals.setdefault((direction, host_kind), [0, 0])
-        totals[0] += 1
-        totals[1] += nbytes
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    def _total(
-        self, column: int, direction: str | None, host_kind: HostMemoryKind | None
-    ) -> int:
-        return sum(
-            totals[column]
-            for (copy_direction, kind), totals in self.copy_totals.items()
-            if (direction is None or copy_direction == direction)
-            and (host_kind is None or kind is host_kind)
-        )
-
-    def bytes_transferred(
-        self,
-        direction: str | None = None,
-        host_kind: HostMemoryKind | None = None,
-    ) -> int:
-        return self._total(1, direction, host_kind)
-
-    def transfer_count(
-        self,
-        direction: str | None = None,
-        host_kind: HostMemoryKind | None = None,
-    ) -> int:
-        return self._total(0, direction, host_kind)
-
-    def reset_statistics(self) -> None:
-        self.copy_totals.clear()
+        return self.get(name).to_host()

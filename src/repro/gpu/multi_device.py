@@ -2,13 +2,16 @@
 
 The paper's "Discussion and conclusion" section sketches the multi-GPU
 perspective: *"It will consist of partitioning the neighborhood set, where
-each partition is executed on a single GPU."*  This module implements that
-partitioning over simulated devices.  Each device evaluates a contiguous
-slice of the flat neighborhood index space; a homogeneous pool splits the
-space evenly, while a heterogeneous pool (say, a GTX 280 next to an 8800
-GTX) receives partitions proportional to each device's simulated throughput
-on the kernel at hand, so that the slowest device stops being the
-bottleneck of every step.
+each partition is executed on a single GPU."*  This module builds the
+device contexts of such a pool (:func:`build_contexts`) and partitions the
+flat neighborhood index space into one contiguous slice per device: a
+homogeneous pool splits the space evenly (:func:`partition_range`), while a
+heterogeneous pool (say, a GTX 280 next to an 8800 GTX) is split
+proportionally to each device's simulated throughput on the kernel at hand
+(:func:`weighted_partition_range` over :func:`throughput_weights`), so that
+the slowest device stops being the bottleneck of every step.  The pool
+itself is a :class:`~repro.gpu.scheduler.DeviceScheduler` over the
+contexts.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ __all__ = [
     "partition_range",
     "weighted_partition_range",
     "throughput_weights",
-    "MultiGPU",
+    "build_contexts",
 ]
 
 
@@ -125,78 +128,37 @@ def throughput_weights(
     return weights
 
 
-class MultiGPU:
-    """A pool of simulated devices exploring one neighborhood cooperatively."""
+def build_contexts(
+    devices: list[DeviceSpec] | int = 2,
+    *,
+    mode: ExecutionMode = ExecutionMode.VECTORIZED,
+    pinned: bool = False,
+    topology: InterconnectTopology | str | None = None,
+) -> list[GPUContext]:
+    """One context per device, all hanging off one shared interconnect.
 
-    def __init__(
-        self,
-        devices: list[DeviceSpec] | int = 2,
-        *,
-        mode: ExecutionMode = ExecutionMode.VECTORIZED,
-        pinned: bool = False,
-        topology: InterconnectTopology | str | None = None,
-    ) -> None:
-        if isinstance(devices, int):
-            if devices <= 0:
-                raise ValueError("need at least one device")
-            devices = [GTX_280] * devices
-        if not devices:
+    ``devices`` is a list of specs or a count of GTX 280s.  Every context
+    shares one :class:`~repro.gpu.interconnect.TransferEngine` over
+    ``topology``, so concurrent transfers of different devices contend on
+    shared links; the default derives a dedicated-link fabric from the
+    device specs.  A :class:`~repro.gpu.scheduler.DeviceScheduler` over the
+    result is the pool.
+    """
+    if isinstance(devices, int):
+        if devices <= 0:
             raise ValueError("need at least one device")
-        #: The host interconnect the pool hangs off: every context shares one
-        #: :class:`~repro.gpu.interconnect.TransferEngine`, so concurrent
-        #: transfers of different devices contend on shared links.  The
-        #: default derives a dedicated-link fabric from the device specs
-        #: (the legacy fully-parallel model).
-        self.topology = resolve_topology(topology, devices)
-        self.engine = TransferEngine(self.topology)
-        self.contexts = [
-            GPUContext(
-                spec,
-                mode=mode,
-                pinned=pinned,
-                engine=self.engine,
-                device_key=self.topology.device_keys[i],
-            )
-            for i, spec in enumerate(devices)
-        ]
-
-    @classmethod
-    def _over(cls, context: GPUContext) -> "MultiGPU":
-        """The one-device pool of an existing context and its interconnect engine."""
-        pool = cls.__new__(cls)
-        pool.engine = context.engine
-        pool.topology = context.engine.topology
-        pool.contexts = [context]
-        return pool
-
-    @property
-    def num_devices(self) -> int:
-        return len(self.contexts)
-
-    @property
-    def is_homogeneous(self) -> bool:
-        """Whether every device in the pool is the same preset."""
-        first = self.contexts[0].device
-        return all(ctx.device == first for ctx in self.contexts)
-
-    def throughput_weights(self, cost: KernelCostProfile | None = None) -> list[float]:
-        """Per-device weights for throughput-proportional partitioning."""
-        return throughput_weights([ctx.device for ctx in self.contexts], cost)
-
-    def partitions(
-        self, total_threads: int, cost: KernelCostProfile | None = None
-    ) -> list[Partition]:
-        """Partition the flat index space across the pool.
-
-        A homogeneous pool takes the exact even split; a heterogeneous pool
-        splits proportionally to each device's simulated throughput on the
-        kernel described by ``cost``.
-        """
-        if self.is_homogeneous:
-            return partition_range(total_threads, self.num_devices)
-        return weighted_partition_range(total_threads, self.throughput_weights(cost))
-
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        for ctx in self.contexts:
-            ctx.reset()
+        devices = [GTX_280] * devices
+    if not devices:
+        raise ValueError("need at least one device")
+    topology = resolve_topology(topology, devices)
+    engine = TransferEngine(topology)
+    return [
+        GPUContext(
+            spec,
+            mode=mode,
+            pinned=pinned,
+            engine=engine,
+            device_key=topology.device_keys[i],
+        )
+        for i, spec in enumerate(devices)
+    ]

@@ -80,19 +80,6 @@ class DeviceStats:
         """
         return self.kernel_time + self.reduction_time + self.transfer_time + self.p2p_time
 
-    def reset(self) -> None:
-        self.kernel_launches = 0
-        self.kernel_time = 0.0
-        self.transfer_time = 0.0
-        self.h2d_bytes = 0
-        self.d2h_bytes = 0
-        self.p2p_bytes = 0
-        self.peer_transfers = 0
-        self.p2p_time = 0.0
-        self.reductions = 0
-        self.reduction_time = 0.0
-        self.launch_records.clear()
-
     # -- checkpointing ---------------------------------------------------
     def snapshot(self) -> dict:
         """Scalar counters only — launch records are profiling artifacts."""
@@ -487,7 +474,7 @@ class GPUContext:
         outstanding operation on every stream has completed.
         """
         kind = self._host_kind(host_kind)
-        buf = self.memory.to_device(name, host_array, space, host_kind=kind)
+        buf = self.memory.to_device(name, host_array, space)
         grant = self.host_transfer_grant("h2d", buf.nbytes, kind=kind, label=name)
         self.stats.transfer_time += grant.duration
         self.stats.h2d_bytes += buf.nbytes
@@ -497,7 +484,7 @@ class GPUContext:
     def to_host(self, name: str, *, host_kind: HostMemoryKind | None = None) -> np.ndarray:
         """Copy device buffer ``name`` back to the host (null-stream semantics)."""
         kind = self._host_kind(host_kind)
-        out = self.memory.to_host(name, host_kind=kind)
+        out = self.memory.to_host(name)
         grant = self.host_transfer_grant("d2h", out.nbytes, kind=kind, label=name)
         self.stats.transfer_time += grant.duration
         self.stats.d2h_bytes += out.nbytes
@@ -644,18 +631,18 @@ class GPUContext:
         """The memory side of a host -> device copy; returns the device buffer.
 
         The buffer is reallocated when the array's geometry changed (delta
-        packets shrink and grow with the active replicas), a pinned copy is
-        staged through :attr:`staging_pool`, and the copy is logged.
+        packets shrink and grow with the active replicas), and a pinned copy
+        is staged through :attr:`staging_pool`.
         """
         host_array = np.asarray(host_array)
         self.memory.sized(name, host_array.shape, host_array.dtype, space)
         if kind is HostMemoryKind.PINNED and self.staging_pool is not None:
             self.staging_pool.stage(int(host_array.nbytes))
-        return self.memory.to_device(name, host_array, space, host_kind=kind)
+        return self.memory.to_device(name, host_array, space)
 
     def stage_download(self, name: str, kind: HostMemoryKind) -> np.ndarray:
         """The memory side of a device -> host copy; returns the host data."""
-        out = self.memory.to_host(name, host_kind=kind)
+        out = self.memory.to_host(name)
         if kind is HostMemoryKind.PINNED and self.staging_pool is not None:
             self.staging_pool.stage(int(out.nbytes))
         return out
@@ -877,22 +864,6 @@ class GPUContext:
             self.staging_pool.stagings = int(staging["stagings"])
             self.staging_pool.staged_bytes = int(staging["staged_bytes"])
             self.staging_pool.high_water_bytes = int(staging["high_water_bytes"])
-
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Clear statistics, transfer logs and the stream timeline (allocations survive).
-
-        The interconnect engine's committed load rewinds too — its load
-        profile is anchored to the same simulated clock the timeline resets.
-        A pool-shared engine is reset by whichever context resets first
-        (pools rewind all their contexts together).
-        """
-        self.stats.reset()
-        self.memory.reset_statistics()
-        self.timeline.reset()
-        self.engine.reset()
-        if self.staging_pool is not None:
-            self.staging_pool.reset()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GPUContext(device={self.device.name!r}, mode={self.mode.value})"

@@ -151,9 +151,12 @@ def _cursor(timeline: Timeline, stream: str) -> float:
 
 
 class DeviceScheduler:
-    """Prices work across a pool of device contexts plus a host timeline.
+    """A pool of device contexts plus a host timeline, and the pricing across them.
 
-    The scheduler does not own the contexts — it coordinates them.
+    An evaluator holds its devices as one scheduler: the contexts (built by
+    :func:`~repro.gpu.multi_device.build_contexts`, or one existing
+    context), their shared transfer engine and the host timeline.  The
+    scheduler does not create the contexts — it coordinates them.
     :meth:`upload_batch` and :meth:`download_batch` price simultaneous
     copies as one engine arbitration and return completion
     :class:`~repro.gpu.streams.Event` objects, which a caller can pass as a
@@ -516,12 +519,6 @@ class DeviceScheduler:
         if self.engine is not None and self.engine.timeline.streams:
             timelines["interconnect"] = self.engine.timeline
         return merge_timelines(timelines)
-
-    def reset(self) -> None:
-        """Reset every device context and the host timeline."""
-        for ctx in self.contexts:
-            ctx.reset()
-        self.host_timeline.reset()
 
     def __repr__(self) -> str:  # pragma: no cover
         names = ", ".join(ctx.device.name for ctx in self.contexts)

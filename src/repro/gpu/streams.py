@@ -54,10 +54,6 @@ class StreamInterval:
     start: float
     end: float
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class Event:
@@ -149,7 +145,7 @@ class Stream:
         self._names = [interval.name for interval in records]
         self._starts = [interval.start for interval in records]
         self._ends = [interval.end for interval in records]
-        self._busy = sum(interval.duration for interval in records)
+        self._busy = sum(interval.end - interval.start for interval in records)
 
     def copy_records_from(self, other: "Stream") -> None:
         """Append every record of ``other`` — column copies, no objects."""
@@ -257,10 +253,6 @@ class Timeline:
         return self.stream(DEFAULT_STREAM).schedule(
             kind, name, duration, not_before=self.elapsed
         )
-
-    def reset(self) -> None:
-        """Drop all recorded intervals and rewind every stream to t=0."""
-        self.streams.clear()
 
     # -- checkpointing ---------------------------------------------------
     def snapshot(self) -> dict:

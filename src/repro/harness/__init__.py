@@ -19,7 +19,6 @@ from .experiment import (
     scale_experiment_rows,
 )
 from .figures import PAPER_FIGURE8_REFERENCE, Figure8Point, figure_eight
-from .io import load_rows, points_to_json, rows_from_json, rows_to_json, save_figure8, save_rows
 from .reporting import (
     format_bytes,
     format_experiment_table,
@@ -42,12 +41,6 @@ __all__ = [
     "device_ablation",
     "multi_gpu_ablation",
     "texture_ablation",
-    "rows_to_json",
-    "rows_from_json",
-    "save_rows",
-    "load_rows",
-    "points_to_json",
-    "save_figure8",
     "ExperimentScale",
     "PAPER",
     "REDUCED",

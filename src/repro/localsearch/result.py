@@ -43,11 +43,6 @@ class LSResult:
     def __post_init__(self) -> None:
         self.best_solution = np.asarray(self.best_solution, dtype=np.int8)
 
-    @property
-    def improvement(self) -> float:
-        """Fitness improvement achieved over the initial solution."""
-        return self.initial_fitness - self.best_fitness
-
     def summary(self) -> str:
         """One-line human-readable summary."""
         status = "SUCCESS" if self.success else "stopped"

@@ -17,7 +17,6 @@ from .newton import (
 from .one_hamming import OneHammingMapping
 from .three_hamming import ThreeHammingMapping, flat_to_triple, triple_to_flat
 from .two_hamming import TwoHammingMapping, flat_to_pair, pair_to_flat
-from .validation import check_against_exact, check_bijection, check_roundtrip
 
 __all__ = [
     "MoveMapping",
@@ -37,9 +36,6 @@ __all__ = [
     "newton_cubic_root_batch",
     "minimal_k_tetrahedral",
     "minimal_k_tetrahedral_batch",
-    "check_roundtrip",
-    "check_bijection",
-    "check_against_exact",
     "mapping_for",
 ]
 

@@ -1,6 +1,6 @@
 """Neighborhood structures for binary problems (paper Section II)."""
 
-from .base import Neighborhood, NeighborhoodSlice
+from .base import Neighborhood
 from .hamming import (
     KHammingNeighborhood,
     OneHammingNeighborhood,
@@ -10,7 +10,6 @@ from .hamming import (
 
 __all__ = [
     "Neighborhood",
-    "NeighborhoodSlice",
     "KHammingNeighborhood",
     "OneHammingNeighborhood",
     "TwoHammingNeighborhood",

@@ -2,7 +2,7 @@
 
 A *neighborhood* couples a move mapping (how flat indices translate to bit
 flips) with the metadata local search algorithms and evaluators need: its
-size, its Hamming order and how to materialise or partition its moves.  The
+size, its Hamming order and how to materialise its moves.  The
 paper's three structures are all instances of
 :class:`~repro.neighborhoods.hamming.KHammingNeighborhood`.
 """
@@ -11,28 +11,11 @@ from __future__ import annotations
 
 import abc
 import functools
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..mappings import MoveMapping
 
-__all__ = ["Neighborhood", "NeighborhoodSlice"]
-
-
-@dataclass(frozen=True)
-class NeighborhoodSlice:
-    """A contiguous range of flat move indices (used for partitioned exploration)."""
-
-    start: int
-    stop: int
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
-    def indices(self) -> np.ndarray:
-        return np.arange(self.start, self.stop, dtype=np.int64)
+__all__ = ["Neighborhood"]
 
 
 class Neighborhood(abc.ABC):
@@ -74,23 +57,6 @@ class Neighborhood(abc.ABC):
         if indices is None:
             return self.mapping.all_moves()
         return self.mapping.from_flat_batch(np.asarray(indices, dtype=np.int64))
-
-    def partition(self, parts: int) -> list[NeighborhoodSlice]:
-        """Split the flat index space into ``parts`` balanced contiguous slices.
-
-        This is the decomposition the paper proposes for multi-GPU
-        exploration (one slice per device).
-        """
-        if parts <= 0:
-            raise ValueError(f"parts must be positive, got {parts}")
-        base, extra = divmod(self.size, parts)
-        slices = []
-        start = 0
-        for i in range(parts):
-            size = base + (1 if i < extra else 0)
-            slices.append(NeighborhoodSlice(start, start + size))
-            start += size
-        return slices
 
     def __len__(self) -> int:
         return self.size

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..mappings import MoveMapping, mapping_for
 from .base import Neighborhood
 
@@ -45,13 +43,6 @@ class KHammingNeighborhood(Neighborhood):
     @property
     def mapping(self) -> MoveMapping:
         return self._mapping
-
-    # ------------------------------------------------------------------
-    def random_move(self, rng: np.random.Generator | int | None = None) -> tuple[int, ...]:
-        """Draw one uniform random move (used by sampling-based algorithms like SA)."""
-        rng = np.random.default_rng(rng)
-        flat = int(rng.integers(0, self.size))
-        return self._mapping.from_flat(flat)
 
 
 class OneHammingNeighborhood(KHammingNeighborhood):

@@ -14,7 +14,6 @@ from .instances import (
     TABLE_INSTANCES,
     PPPInstanceSpec,
     instance_seed,
-    make_figure8_instance,
     make_table_instance,
 )
 from .maxsat import MaxSat, generate_random_ksat
@@ -44,6 +43,5 @@ __all__ = [
     "TABLE_INSTANCES",
     "FIGURE8_INSTANCES",
     "make_table_instance",
-    "make_figure8_instance",
     "instance_seed",
 ]

@@ -8,7 +8,8 @@ updates only the entries *coupled* to the flipped bits after each accepted
 move, the standard incremental-evaluation discipline from the tabu-search
 literature.  Two problems keep a gain state, the two where it beats the
 fast scorer's recompute: PPP 2-Hamming (compressed products and sign
-pairs) and MaxSAT (clause true-literal counts).  Every other problem, and
+pairs) and MaxSAT (clause true-literal counts, assembled by the scorer's
+own break/make code).  Every other problem, and
 every single-replica search, recomputes through its fast scorer.
 
 Exactness is non-negotiable and follows the same argument as the fast
@@ -311,9 +312,11 @@ class _MaxSatGainState(_GainStateBase):
 
     A flip of variable ``v`` adjusts ``t`` only on the clauses of ``v``'s
     incidence list — O(occurrences) per flipped bit instead of the full
-    ``(S, clauses, k)`` literal-table rebuild.  Materialization replays the
-    scorer's break/make assembly verbatim; all quantities are small
-    integers, so the result is bit-identical.
+    ``(S, clauses, k)`` literal-table rebuild.  Row initialization and
+    materialization call the scorer's own clause counts and break/make
+    assembly (:meth:`_MaxSatFastScorer.clause_counts`,
+    :meth:`_MaxSatFastScorer.assemble`), so the result is the scorer's,
+    bit for bit.
     """
 
     _row_arrays = ("X8", "t_pad")
@@ -342,14 +345,8 @@ class _MaxSatGainState(_GainStateBase):
         return self.scorer.workspace_bytes(count, self.num_moves) <= WORKSPACE_LIMIT
 
     def init_rows(self, rows: np.ndarray, solutions: np.ndarray) -> None:
-        scorer = self.scorer
         self.X8[rows] = solutions
-        lit_true = solutions[:, scorer.variables] == scorer.pos[None, :, :]
-        t_rows = np.full(
-            (rows.shape[0], scorer.num_clauses + 1), -1, dtype=np.int32
-        )
-        lit_true.sum(axis=2, dtype=np.int32, out=t_rows[:, : scorer.num_clauses])
-        self.t_pad[rows] = t_rows
+        self.t_pad[rows] = self.scorer.clause_counts(solutions)
 
     def commit(self, rows: np.ndarray, bits: np.ndarray) -> bool:
         scorer = self.scorer
@@ -368,28 +365,7 @@ class _MaxSatGainState(_GainStateBase):
         return True
 
     def materialize(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        scorer, table = self.scorer, self.table
-        solutions = self.X8[rows]
-        t_pad = self.t_pad[rows]
-        t = t_pad[:, : scorer.num_clauses]
-        base = (t == 0).sum(axis=1, dtype=np.int64)
-        tc = t_pad[:, scorer.occ_clause]  # (c, n, L)
-        lit_occ = solutions[:, :, None] == scorer.occ_pos[None, :, :]
-        delta1 = (lit_occ & (tc == 1)).sum(axis=2, dtype=np.int64)
-        delta1 -= (~lit_occ & (tc == 0)).sum(axis=2, dtype=np.int64)
-        res = base[:, None] + delta1[:, table.cols_i]
-        if table.cols_j is not None:
-            res += delta1[:, table.cols_j]
-            if table.num_entries:
-                t_e = t[:, table.ent_clause].astype(np.int64)
-                du = np.where(solutions[:, table.ent_var_u] == table.ent_pos_u, -1, 1)
-                dv = np.where(solutions[:, table.ent_var_v] == table.ent_pos_v, -1, 1)
-                corr = (t_e + du + dv == 0).astype(np.int64)
-                corr -= t_e + du == 0
-                corr -= t_e + dv == 0
-                corr += t_e == 0
-                seg = np.add.reduceat(corr, table.red_idx, axis=1)
-                res[:, table.nz_moves] += seg
+        res = self.scorer.assemble(self.X8[rows], self.t_pad[rows], self.table)
         np.copyto(out, res, casting="unsafe")
         return out
 

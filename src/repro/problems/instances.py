@@ -28,7 +28,6 @@ __all__ = [
     "TABLE_INSTANCES",
     "FIGURE8_INSTANCES",
     "make_table_instance",
-    "make_figure8_instance",
     "instance_seed",
 ]
 
@@ -43,11 +42,6 @@ class PPPInstanceSpec:
     @property
     def label(self) -> str:
         return f"{self.m} x {self.n}"
-
-    @property
-    def neighborhood_sizes(self) -> dict[int, int]:
-        n = self.n
-        return {1: n, 2: n * (n - 1) // 2, 3: n * (n - 1) * (n - 2) // 6}
 
 
 #: The four literature instances of Tables I, II and III.
@@ -78,11 +72,3 @@ def make_table_instance(
         spec = PPPInstanceSpec(*spec)
     return PermutedPerceptronProblem.generate(spec.m, spec.n, rng=instance_seed(spec.m, spec.n, trial))
 
-
-def make_figure8_instance(
-    index: int,
-    trial: int = 0,
-) -> PermutedPerceptronProblem:
-    """Instantiate the ``index``-th (0-based) Figure 8 instance."""
-    spec = FIGURE8_INSTANCES[index]
-    return PermutedPerceptronProblem.generate(spec.m, spec.n, rng=instance_seed(spec.m, spec.n, trial))

@@ -234,23 +234,30 @@ class _MaxSatFastScorer:
         )
         return num_solutions * per_row
 
-    def evaluate(
-        self,
-        solutions: np.ndarray,
-        table: _MaxSatFastMoveTable,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Score every (replica, move) pair: the ``(S, M)`` fitness matrix."""
-        num_solutions = solutions.shape[0]
-        # True-literal count of every clause, with a sentinel column (-1)
-        # that the padded incidence entries point at.
+    def clause_counts(self, solutions: np.ndarray) -> np.ndarray:
+        """True-literal count of every clause: ``(S, clauses + 1)`` int32.
+
+        The last column is a sentinel (-1) that the padded incidence entries
+        point at.
+        """
         lit_true = solutions[:, self.variables] == self.pos[None, :, :]
-        t_pad = np.full((num_solutions, self.num_clauses + 1), -1, dtype=np.int32)
+        t_pad = np.full((solutions.shape[0], self.num_clauses + 1), -1, dtype=np.int32)
+        lit_true.sum(axis=2, dtype=np.int32, out=t_pad[:, : self.num_clauses])
+        return t_pad
+
+    def assemble(
+        self, solutions: np.ndarray, t_pad: np.ndarray, table: _MaxSatFastMoveTable
+    ) -> np.ndarray:
+        """Unsatisfied clauses after every (replica, move): ``(S, M)`` int64.
+
+        ``t_pad`` is :meth:`clause_counts` of ``solutions``.  A move's count
+        is the base count plus each flipped variable's break (its literal is
+        a clause's only true one) minus make (the clause is unsatisfied),
+        with inclusion-exclusion over the clauses holding both variables of
+        a pair.
+        """
         t = t_pad[:, : self.num_clauses]
-        lit_true.sum(axis=2, dtype=np.int32, out=t)
         base = (t == 0).sum(axis=1, dtype=np.int64)  # (S,) unsatisfied clauses
-        # Per-variable flip deltas: break (only true literal) minus make
-        # (currently unsatisfied clause).
         tc = t_pad[:, self.occ_clause]  # (S, n, L)
         lit_occ = solutions[:, :, None] == self.occ_pos[None, :, :]
         delta1 = (lit_occ & (tc == 1)).sum(axis=2, dtype=np.int64)
@@ -259,7 +266,6 @@ class _MaxSatFastScorer:
         if table.cols_j is not None:
             res += delta1[:, table.cols_j]
             if table.num_entries:
-                # Inclusion-exclusion over clauses containing both variables.
                 t_e = t[:, table.ent_clause].astype(np.int64)  # (S, E)
                 du = np.where(solutions[:, table.ent_var_u] == table.ent_pos_u, -1, 1)
                 dv = np.where(solutions[:, table.ent_var_v] == table.ent_pos_v, -1, 1)
@@ -269,6 +275,16 @@ class _MaxSatFastScorer:
                 corr += t_e == 0
                 seg = np.add.reduceat(corr, table.red_idx, axis=1)
                 res[:, table.nz_moves] += seg
+        return res
+
+    def evaluate(
+        self,
+        solutions: np.ndarray,
+        table: _MaxSatFastMoveTable,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Score every (replica, move) pair: the ``(S, M)`` fitness matrix."""
+        res = self.assemble(solutions, self.clause_counts(solutions), table)
         if out is None:
             return res.astype(np.float64)
         np.copyto(out, res, casting="unsafe")

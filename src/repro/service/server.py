@@ -105,13 +105,6 @@ class JobRecord:
         return self.admitted - self.spec.arrival
 
     @property
-    def service_time(self) -> float | None:
-        """First-admission-to-completion time (includes preempted gaps)."""
-        if self.finished is None or self.admitted is None:
-            return None
-        return self.finished - self.admitted
-
-    @property
     def deadline_met(self) -> bool:
         """Completed within its deadline (no deadline: any completion)."""
         if self.status != "completed":
@@ -120,12 +113,6 @@ class JobRecord:
             return True
         latency = self.latency
         return latency is not None and latency <= self.spec.deadline
-
-    @property
-    def best_fitness(self) -> float | None:
-        if not self.results:
-            return None
-        return min(result.best_fitness for result in self.results)
 
 
 @dataclass
@@ -192,10 +179,6 @@ class ServiceReport:
             return 0.0
         met = sum(record.deadline_met for record in self.records)
         return met / self.makespan
-
-    @property
-    def gpu_seconds(self) -> float:
-        return sum(record.gpu_seconds for record in self.records)
 
     def summary_row(self, *, label: str | None = None, load: float | None = None) -> dict:
         """One row for :func:`repro.harness.format_service_table`."""

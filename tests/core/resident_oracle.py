@@ -281,11 +281,11 @@ def run_cell(cell: dict) -> dict:
         record = {
             **_counters(
                 evaluator.pool.contexts, evaluator.pool.engine,
-                evaluator.scheduler.host_timeline,
+                evaluator.pool.host_timeline,
             ),
             **_rows(result),
             "simulated_time": _hex(result.simulated_time),
-            "makespan": _hex(evaluator.scheduler.makespan),
+            "makespan": _hex(evaluator.pool.makespan),
         }
     finally:
         evaluator.close()

@@ -94,7 +94,7 @@ class TestUploadContention:
                 problem, neighborhood, devices=4, topology=topology
             )
             evaluator.begin_search(solutions)
-            phases[topology] = evaluator.scheduler.makespan
+            phases[topology] = evaluator.pool.makespan
             blocks[topology] = np.concatenate(
                 [slot._resident for _index, slot, _lo, _hi in evaluator._resident_parts()]
             )
@@ -115,7 +115,7 @@ def uplink_vs_host_counters(evaluator):
         for name in engine.topology.links
         if name.startswith(("p2p:", "nvlink:", "switch"))
     )
-    return engine.uplink_bytes(), host_bytes, peer_on_links, peer_bytes
+    return engine.link_bytes(engine.topology.uplink.name), host_bytes, peer_on_links, peer_bytes
 
 
 class TestNoPathBypassesTheEngine:
@@ -169,7 +169,7 @@ class TestNoPathBypassesTheEngine:
         rng = np.random.default_rng(3)
         solutions = rng.integers(0, 2, size=(12, problem.n)).astype(np.int8)
         evaluator.begin_search(solutions)
-        before_uplink = evaluator.pool.engine.uplink_bytes()
+        before_uplink = evaluator.pool.engine.link_bytes("uplink")
         # Keep only replicas owned by the first device active: the
         # rebalance must push rows across the host.
         active = np.zeros(12, dtype=bool)
@@ -177,7 +177,7 @@ class TestNoPathBypassesTheEngine:
         active[lo:hi] = True
         migrated = evaluator.rebalance_resident(active=active)
         assert migrated > 0
-        assert evaluator.pool.engine.uplink_bytes() > before_uplink
+        assert evaluator.pool.engine.link_bytes("uplink") > before_uplink
         uplink, host, _peer_links, peer_stats = uplink_vs_host_counters(evaluator)
         assert uplink == host
         assert peer_stats == 0.0
@@ -191,7 +191,7 @@ class TestNoPathBypassesTheEngine:
         search.run(rng=7)
         engine = evaluator.context.engine
         ctx = evaluator.context
-        assert engine.uplink_bytes() == float(ctx.stats.h2d_bytes + ctx.stats.d2h_bytes)
+        assert engine.link_bytes("uplink") == float(ctx.stats.h2d_bytes + ctx.stats.d2h_bytes)
 
 
 #: (label, transfer_mode, peer_routing): persistent mode scatters its
@@ -273,7 +273,7 @@ class TestContentionLoss:
                 problem, neighborhood, devices=4, topology=topology
             )
             evaluator.begin_search(solutions)
-            phases[topology] = evaluator.scheduler.makespan
+            phases[topology] = evaluator.pool.makespan
             evaluator.close()
         assert phases["shared"] >= 3.0 * phases["dedicated"]
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import GPUEvaluator, MultiGPUEvaluator
-from repro.gpu import GTX_280, GTX_8800, TESLA_C1060, HostMemoryKind
+from repro.gpu import GTX_280, GTX_8800, TESLA_C1060
 from repro.harness import format_experiment_table, run_ppp_experiment
 from repro.localsearch import TRANSFER_MODES, MultiStartRunner
 from repro.neighborhoods import KHammingNeighborhood
@@ -89,12 +89,12 @@ class TestCrossDeviceTimelines:
         runner.run(seeds=[instance_seed(m, n, t) for t in range(replicas)])
         for context in evaluator.pool.contexts:
             _assert_valid_streams(context.timeline)
-        scheduler = evaluator.scheduler
-        assert scheduler.makespan <= scheduler.serialized_sum + 1e-12
+        pool = evaluator.pool
+        assert pool.makespan <= pool.serialized_sum + 1e-12
         # More than one device did real work, so true overlap must exist.
-        busy = [ctx.timeline.busy_time for ctx in evaluator.pool.contexts]
+        busy = [ctx.timeline.busy_time for ctx in pool.contexts]
         if sum(b > 0 for b in busy) > 1:
-            assert scheduler.makespan < scheduler.serialized_sum
+            assert pool.makespan < pool.serialized_sum
         evaluator.close()
 
     def test_full_mode_batch_path_also_overlaps(self, problem, neighborhood):
@@ -103,9 +103,9 @@ class TestCrossDeviceTimelines:
             [problem.random_solution(np.random.default_rng(s)) for s in range(5)]
         )
         evaluator.evaluate_many(block)
-        scheduler = evaluator.scheduler
-        assert scheduler.makespan < scheduler.serialized_sum
-        assert evaluator.stats.simulated_time == pytest.approx(scheduler.makespan)
+        pool = evaluator.pool
+        assert pool.makespan < pool.serialized_sum
+        assert evaluator.stats.simulated_time == pytest.approx(pool.makespan)
         evaluator.close()
 
 
@@ -125,8 +125,10 @@ class TestPeerRoutedDeltas:
             "per_h2d": [c.stats.h2d_bytes for c in contexts],
             "per_d2h": [c.stats.d2h_bytes for c in contexts],
             "p2p": sum(c.stats.p2p_bytes for c in contexts),
-            "h2d_count": sum(c.memory.transfer_count("h2d") for c in contexts),
-            "host_busy": evaluator.scheduler.host_timeline.busy_time,
+            "h2d_count": sum(
+                interval.kind == "h2d" for c in contexts for interval in c.timeline.intervals()
+            ),
+            "host_busy": evaluator.pool.host_timeline.busy_time,
         }
         evaluator.close()
         return stats
@@ -194,7 +196,7 @@ class TestEquivalence:
         records = _records(runner.run(seeds=_seeds()))
         assert records == _reference(problem, neighborhood)
         # The weighted partition hands the slower G80 the smallest share.
-        parts = evaluator.pool.partitions(1000, evaluator._kernel_cost())
+        parts = evaluator._partitions(1000)
         sizes = [p.size for p in parts]
         assert sizes[2] == min(sizes)
         assert sum(sizes) == 1000
@@ -216,13 +218,24 @@ class TestEquivalence:
                 pools = [c.staging_pool for c in evaluator.pool.contexts]
                 assert all(pool is not None for pool in pools)
                 assert sum(pool.stagings for pool in pools) > 0
-                kinds = [
-                    c.memory.bytes_transferred(host_kind=HostMemoryKind.PAGEABLE)
-                    for c in evaluator.pool.contexts
-                ]
-                assert sum(kinds) == 0
             evaluator.close()
         assert elapsed[True] < elapsed[False]
+
+    @pytest.mark.parametrize("mode", ["full", "delta", "reduced"])
+    @pytest.mark.parametrize("devices", [1, 2])
+    def test_pinned_pool_stages_every_host_copy(self, problem, neighborhood, mode, devices):
+        # A pinned pool has no pageable copy: every host byte a device
+        # counts went through its staging pool.
+        evaluator = MultiGPUEvaluator(problem, neighborhood, devices=devices, pinned=True)
+        runner = MultiStartRunner(
+            evaluator, algorithm="tabu", max_iterations=MAX_ITERATIONS, transfer_mode=mode,
+        )
+        runner.run(seeds=_seeds())
+        for context in evaluator.pool.contexts:
+            stats = context.stats
+            assert stats.h2d_bytes > 0 and stats.d2h_bytes > 0
+            assert context.staging_pool.staged_bytes == stats.h2d_bytes + stats.d2h_bytes
+        evaluator.close()
 
 
 class TestReplicaMigration:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.gpu import partition_range
 from repro.neighborhoods import (
     KHammingNeighborhood,
-    NeighborhoodSlice,
     OneHammingNeighborhood,
     ThreeHammingNeighborhood,
     TwoHammingNeighborhood,
@@ -56,18 +56,13 @@ class TestMoves:
         moves = nb.moves()
         assert np.all(np.diff(moves, axis=1) > 0)
 
-    def test_random_move_is_valid_and_deterministic(self):
-        nb = ThreeHammingNeighborhood(20)
-        mv1 = nb.random_move(rng=7)
-        mv2 = nb.random_move(rng=7)
-        assert mv1 == mv2
-        assert len(mv1) == 3 and 0 <= mv1[0] < mv1[1] < mv1[2] < 20
-
 
 class TestPartition:
+    """The multi-GPU split of a neighborhood's flat index space."""
+
     def test_partition_covers_and_balances(self):
         nb = TwoHammingNeighborhood(30)  # size 435
-        parts = nb.partition(4)
+        parts = partition_range(nb.size, 4)
         assert len(parts) == 4
         assert parts[0].start == 0 and parts[-1].stop == nb.size
         sizes = [p.size for p in parts]
@@ -75,17 +70,19 @@ class TestPartition:
         for a, b in zip(parts, parts[1:]):
             assert a.stop == b.start
 
-    def test_partition_indices(self):
-        s = NeighborhoodSlice(3, 7)
-        assert np.array_equal(s.indices(), [3, 4, 5, 6])
-        assert s.size == 4
+    def test_partition_slices_the_moves(self):
+        nb = ThreeHammingNeighborhood(11)
+        parts = partition_range(nb.size, 3)
+        moves = np.concatenate([nb.moves(np.arange(p.start, p.stop)) for p in parts])
+        assert np.array_equal(moves, nb.moves())
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):
-            TwoHammingNeighborhood(10).partition(0)
+            partition_range(TwoHammingNeighborhood(10).size, 0)
 
     def test_partition_more_parts_than_moves(self):
         nb = OneHammingNeighborhood(3)
-        parts = nb.partition(5)
+        parts = partition_range(nb.size, 5)
         assert sum(p.size for p in parts) == 3
         assert len(parts) == 5
+        assert [p.size for p in parts] == [1, 1, 1, 0, 0]

@@ -107,13 +107,6 @@ class TestFlakyTransfers:
         with pytest.raises(ValueError):
             ctx.engine.inject_transfer_faults(backoff=-1.0)
 
-    def test_reset_clears_pending_faults(self):
-        ctx = self._context()
-        ctx.engine.inject_transfer_faults(count=3, retries=2)
-        ctx.engine.reset()
-        ctx.to_device("a", np.zeros(1 << 10, dtype=np.int8))
-        assert ctx.engine.retried_transfers == 0
-
 
 class TestModernPresets:
     def test_presets_registered(self):

@@ -26,9 +26,9 @@ from repro.gpu import (
     HostMemoryKind,
     InterconnectTopology,
     Link,
-    MultiGPU,
     TransferEngine,
     TransferRequest,
+    build_contexts,
     format_interconnect,
     resolve_topology,
     timeline_report,
@@ -435,10 +435,10 @@ class TestAccounting:
             for key, expected in per_device.items():
                 assert engine.link_bytes(f"pcie:{key}") == expected
             if topo.uplink is not None:
-                assert engine.uplink_bytes() == total
+                assert engine.link_bytes(topo.uplink.name) == total
                 assert sum(
                     engine.link_bytes(f"pcie:{key}") for key in topo.device_keys
-                ) == engine.uplink_bytes()
+                ) == engine.link_bytes(topo.uplink.name)
 
     def test_uplink_busy_is_interval_union(self):
         engine = TransferEngine(shared4())
@@ -456,7 +456,7 @@ class TestAccounting:
         # Full overlap: the union is one (stretched) window, not the sum.
         assert overlapped.uplink_busy() < 2 * a.duration * 2
 
-    def test_stall_attribution_and_reset(self):
+    def test_stall_attribution(self):
         engine = TransferEngine(shared4())
         engine.transfer_batch(
             [
@@ -467,11 +467,6 @@ class TestAccounting:
         assert engine.total_stall > 0.0
         assert set(engine.stall_by_device) == {f"gpu{i}" for i in range(4)}
         assert engine.link_transfers("uplink") == 4
-        engine.reset()
-        assert engine.total_stall == 0.0
-        assert engine.transfers == 0
-        assert engine.uplink_bytes() == 0.0
-        assert not engine.timeline.streams
 
     def test_format_interconnect_lists_busy_links(self):
         engine = TransferEngine(shared4())
@@ -482,10 +477,9 @@ class TestAccounting:
         assert "contention stall" in text
 
     def test_timeline_report_renders_uplink_lane(self):
-        pool = MultiGPU([GTX_280] * 2, topology="shared")
-        scheduler = DeviceScheduler(pool.contexts, engine=pool.engine)
-        scheduler.upload_batch([(0, "a", np.zeros(256)), (1, "b", np.zeros(256))])
-        report = timeline_report(scheduler)
+        pool = DeviceScheduler(build_contexts([GTX_280] * 2, topology="shared"))
+        pool.upload_batch([(0, "a", np.zeros(256)), (1, "b", np.zeros(256))])
+        report = timeline_report(pool)
         assert "interconnect:uplink" in report
         assert "contention stall" in report
         # The engine alone renders the same lanes.
@@ -494,11 +488,12 @@ class TestAccounting:
 
 class TestContextIntegration:
     def test_pool_contexts_share_one_engine(self):
-        pool = MultiGPU([GTX_280] * 3, topology="shared")
-        engines = {id(ctx.engine) for ctx in pool.contexts}
+        contexts = build_contexts([GTX_280] * 3, topology="shared")
+        engines = {id(ctx.engine) for ctx in contexts}
         assert len(engines) == 1
-        assert pool.contexts[0].device_key == "gpu0"
-        assert pool.contexts[2].device_key == "gpu2"
+        assert contexts[0].device_key == "gpu0"
+        assert contexts[2].device_key == "gpu2"
+        assert DeviceScheduler(contexts).engine is contexts[0].engine
 
     def test_standalone_context_gets_private_dedicated_engine(self):
         ctx = GPUContext(GTX_280)
@@ -511,28 +506,20 @@ class TestContextIntegration:
         ctx.to_device("a", np.zeros(1024, dtype=np.float64))
         ctx.to_host("a")
         assert ctx.engine.transfers == 2
-        assert ctx.engine.uplink_bytes() == 2 * 8 * 1024
+        assert ctx.engine.link_bytes("uplink") == 2 * 8 * 1024
         assert ctx.engine.link_bytes("pcie:gpu0", "h2d") == 8 * 1024
         assert ctx.engine.link_bytes("pcie:gpu0", "d2h") == 8 * 1024
 
-    def test_context_reset_rewinds_engine(self):
-        ctx = GPUContext(GTX_280, topology="shared")
-        ctx.to_device("a", np.zeros(8))
-        ctx.reset()
-        assert ctx.engine.transfers == 0
-
     def test_peer_copy_uses_topology_route_on_shared_engine(self):
-        pool = MultiGPU([GTX_280, GTX_280], topology="nvlink")
-        src, dst = pool.contexts
+        src, dst = build_contexts([GTX_280, GTX_280], topology="nvlink")
         event = src.copy_peer_async(dst, "pkt", np.zeros(1 << 16, dtype=np.uint8))
         # NVLink edge: much faster than the legacy PCIe peer pricing.
         legacy = src.timing.peer_transfer_time(1 << 16, dst.device)
         assert event.time < legacy
-        assert pool.engine.link_bytes("nvlink:gpu0-gpu1") == 1 << 16
+        assert src.engine.link_bytes("nvlink:gpu0-gpu1") == 1 << 16
 
     def test_incapable_peer_has_no_route_on_shared_engine(self):
-        pool = MultiGPU([GTX_280, GTX_8800], topology="shared")
-        src, dst = pool.contexts
+        src, dst = build_contexts([GTX_280, GTX_8800], topology="shared")
         assert not src.can_access_peer(dst)
         with pytest.raises(RuntimeError):
             src.copy_peer_async(dst, "x", np.zeros(8, dtype=np.uint8))

@@ -11,8 +11,8 @@ from repro.gpu import (
     HostTimingModel,
     Kernel,
     KernelCostProfile,
-    MultiGPU,
     XEON_3GHZ,
+    build_contexts,
     grid_for,
     occupancy,
     partition_range,
@@ -209,17 +209,8 @@ class TestGPUContext:
         ctx.launch(kernel, 10, (out, 10))
         assert len(ctx.stats.launch_records) == 1
 
-    def test_reset(self):
-        ctx = GPUContext(GTX_280)
-        kernel = make_square_kernel()
-        out = np.zeros(10, dtype=np.int64)
-        ctx.launch(kernel, 10, (out, 10))
-        ctx.reset()
-        assert ctx.stats.kernel_launches == 0
-        assert ctx.stats.total_time == 0.0
 
-
-class TestMultiGPU:
+class TestDevicePool:
     def test_partition_range_is_balanced_and_covering(self):
         parts = partition_range(103, 4)
         assert len(parts) == 4
@@ -237,23 +228,15 @@ class TestMultiGPU:
         with pytest.raises(ValueError):
             partition_range(10, 0)
 
-    def test_multigpu_construction(self):
-        pool = MultiGPU(3)
-        assert pool.num_devices == 3
-        with pytest.raises(ValueError):
-            MultiGPU(0)
-        with pytest.raises(ValueError):
-            MultiGPU([])
-
-    def test_reset_clears_every_device(self):
-        pool = MultiGPU(2)
-        kernel = make_square_kernel()
-        out = np.zeros(1000, dtype=np.int64)
-        for ctx in pool.contexts:
-            ctx.launch(kernel, 1000, (out, 1000))
-        assert all(ctx.stats.total_time > 0 for ctx in pool.contexts)
-        pool.reset()
-        assert all(ctx.stats.total_time == 0.0 for ctx in pool.contexts)
+    def test_build_contexts(self):
+        contexts = build_contexts(3, pinned=True)
+        assert [ctx.device for ctx in contexts] == [GTX_280] * 3
+        assert all(ctx.pinned and ctx.engine is contexts[0].engine for ctx in contexts)
+        assert [ctx.device_key for ctx in contexts] == ["gpu0", "gpu1", "gpu2"]
+        with pytest.raises(ValueError, match="need at least one device"):
+            build_contexts(0)
+        with pytest.raises(ValueError, match="need at least one device"):
+            build_contexts([])
 
 
 def test_memoized_launch_price_equals_the_model():

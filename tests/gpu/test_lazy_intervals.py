@@ -209,7 +209,7 @@ def test_scheduler_workload_counters_consistent(preset):
             assert stream.num_intervals == len(materialized)
             total = 0.0
             for interval in materialized:
-                total += interval.duration
+                total += interval.end - interval.start
             assert stream.busy_time == total
             if materialized:
                 assert stream.cursor >= max(i.end for i in materialized)

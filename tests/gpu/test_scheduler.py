@@ -22,10 +22,10 @@ from repro.gpu import (
     Kernel,
     KernelCostProfile,
     Link,
-    MultiGPU,
     P2P_STREAM,
     PinnedStagingPool,
     ResidentStepPlan,
+    build_contexts,
     partition_range,
     throughput_weights,
     timeline_report,
@@ -87,8 +87,6 @@ class TestPinnedStagingPool:
         assert pool.stagings == 2
         assert pool.staged_bytes == 4197
         assert pool.high_water_bytes == 8192
-        pool.reset()
-        assert pool.stagings == 0 and pool.high_water_bytes == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -98,14 +96,13 @@ class TestPinnedStagingPool:
         ctx = GPUContext(GTX_280, pinned=True)
         ctx.copy_async("packet", np.zeros(100, dtype=np.uint8))
         assert ctx.staging_pool.stagings == 1
-        assert ctx.memory.bytes_transferred("h2d", HostMemoryKind.PINNED) == 100
-        assert ctx.memory.bytes_transferred("h2d", HostMemoryKind.PAGEABLE) == 0
+        assert ctx.staging_pool.staged_bytes == ctx.stats.h2d_bytes == 100
 
     def test_pageable_context_has_no_pool(self):
         ctx = GPUContext(GTX_280)
         assert ctx.staging_pool is None
         ctx.copy_async("packet", np.zeros(100, dtype=np.uint8))
-        assert ctx.memory.bytes_transferred("h2d", HostMemoryKind.PAGEABLE) == 100
+        assert ctx.stats.h2d_bytes == 100
 
     def test_pinned_workload_is_faster_than_pageable(self):
         results = {}
@@ -265,14 +262,6 @@ class TestDeviceScheduler:
         assert not mixed.all_peer_capable
         assert not mixed.contexts[0].can_access_peer(mixed.contexts[1])
 
-    def test_reset_rewinds_everything(self):
-        scheduler = DeviceScheduler([GPUContext(GTX_280)])
-        scheduler.contexts[0].copy_async("x", np.zeros(128))
-        scheduler.host_timeline.schedule("gather", "y", 1e-6, stream=HOST_TIMELINE_STREAM)
-        scheduler.reset()
-        assert scheduler.makespan == 0.0
-        assert scheduler.serialized_sum == 0.0
-
     def test_needs_at_least_one_context(self):
         with pytest.raises(ValueError):
             DeviceScheduler([])
@@ -314,20 +303,20 @@ class TestResidentStepPricing:
 
     STEPS = 6
 
-    def _plans(self, pool, scheduler, rng):
+    def _plans(self, pool, rng):
         kernel = _copy_kernel("resident")
         for step in range(self.STEPS):
             plan = ResidentStepPlan(
                 kernel=kernel, reduce=None if step % 3 == 2 else "FusedReduce<argmin>"
             )
             plan.issues = [("delta_hub", 2.0e-6)]
-            if step % 2 == 0 and scheduler.all_peer_capable:
+            if step % 2 == 0 and pool.all_peer_capable:
                 plan.hub = 0
                 plan.hub_packet = ("hub", np.zeros(int(rng.integers(64, 512)), np.uint8))
-                plan.hub_not_before = float(rng.uniform(0.0, 1.0)) * scheduler.makespan
+                plan.hub_not_before = float(rng.uniform(0.0, 1.0)) * pool.makespan
                 plan.forwards = [
                     (device, "forward", np.zeros(int(rng.integers(16, 128)), np.uint8))
-                    for device in range(1, pool.num_devices)
+                    for device in range(1, len(pool.contexts))
                 ]
             for device, ctx in enumerate(pool.contexts):
                 rows, moves = int(rng.integers(1, 9)), int(rng.integers(16, 64))
@@ -370,7 +359,7 @@ class TestResidentStepPricing:
         return [route, *rows]
 
     @staticmethod
-    def _record(pool, scheduler, times):
+    def _record(pool, times):
         def lanes(timeline):
             return [
                 (name, stream.cursor, [tuple(vars(i).values()) for i in stream.intervals])
@@ -385,7 +374,7 @@ class TestResidentStepPricing:
                 for t in times
             ],
             "streams": [lanes(ctx.timeline) for ctx in pool.contexts],
-            "host": lanes(scheduler.host_timeline),
+            "host": lanes(pool.host_timeline),
             "stats": [
                 (
                     ctx.stats.snapshot(),
@@ -406,18 +395,17 @@ class TestResidentStepPricing:
         }
 
     def _run(self, devices, topology, *, split, faults=False):
-        pool = MultiGPU(devices, topology=topology)
-        scheduler = DeviceScheduler(pool.contexts, engine=pool.engine)
+        pool = DeviceScheduler(build_contexts(devices, topology=topology))
         for ctx in pool.contexts:
             ctx.keep_launch_records = True
         steps = []
-        for step, plan in self._plans(pool, scheduler, np.random.default_rng(7)):
+        for step, plan in self._plans(pool, np.random.default_rng(7)):
             if faults and step in (1, 3):
                 pool.engine.inject_transfer_faults(count=3, retries=2, backoff=1.0e-5)
             if not split:
-                steps.append(scheduler.price_resident_step(plan))
+                steps.append(pool.price_resident_step(plan))
                 continue
-            route, *rows = [scheduler.price_resident_step(part) for part in self._rows(plan)]
+            route, *rows = [pool.price_resident_step(part) for part in self._rows(plan)]
             steps.append(
                 route._replace(
                     **{
@@ -427,7 +415,7 @@ class TestResidentStepPricing:
                     latest=max(route.latest, *(row.latest for row in rows)),
                 )
             )
-        return self._record(pool, scheduler, steps)
+        return self._record(pool, steps)
 
     @pytest.mark.parametrize(
         "devices, topology",

@@ -86,13 +86,6 @@ class TestTimeline:
         starts = [iv.start for iv in timeline.intervals()]
         assert starts == sorted(starts)
 
-    def test_reset_rewinds_everything(self):
-        timeline = Timeline()
-        timeline.schedule("kernel", "k", 2.0)
-        timeline.reset()
-        assert timeline.elapsed == 0.0
-        assert timeline.intervals() == []
-
 
 class TestContextTimeline:
     def test_sync_api_matches_serial_stats(self):
@@ -123,12 +116,6 @@ class TestContextTimeline:
         assert context.stats.reductions == 1
         assert context.stats.reduction_time > 0
         assert context.stats.total_time == pytest.approx(context.stats.reduction_time)
-
-    def test_reset_clears_timeline(self):
-        context = GPUContext()
-        context.to_device("a", np.zeros(8, dtype=np.float64))
-        context.reset()
-        assert context.timeline.elapsed == 0.0
 
     def test_timeline_report_renders(self):
         context = GPUContext()

@@ -1,48 +1,12 @@
-"""Tests for result serialization and the ablation sweeps."""
-
-import pytest
+"""Tests for the ablation sweeps."""
 
 from repro.harness import (
     block_size_ablation,
     cpu_cores_ablation,
     device_ablation,
-    figure_eight,
-    load_rows,
     multi_gpu_ablation,
-    points_to_json,
-    rows_from_json,
-    rows_to_json,
-    run_ppp_experiment,
-    save_figure8,
-    save_rows,
     texture_ablation,
 )
-
-
-class TestResultSerialization:
-    @pytest.fixture(scope="class")
-    def row(self):
-        return run_ppp_experiment((25, 25), 2, trials=2, max_iterations=20)
-
-    def test_json_roundtrip_preserves_aggregates(self, row):
-        restored = rows_from_json(rows_to_json([row]))[0]
-        assert restored.as_dict() == row.as_dict()
-        assert restored.instance == row.instance
-        assert len(restored.trials) == len(row.trials)
-
-    def test_save_and_load_files(self, row, tmp_path):
-        path = save_rows([row], tmp_path / "rows.json")
-        assert path.exists()
-        loaded = load_rows(path)
-        assert len(loaded) == 1
-        assert loaded[0].mean_fitness == row.mean_fitness
-
-    def test_figure8_serialization(self, tmp_path):
-        points = figure_eight("smoke", max_points=2)
-        payload = points_to_json(points)
-        assert len(payload) == 2 and payload[0]["instance"] == "101 x 117"
-        path = save_figure8(points, tmp_path / "fig8.json")
-        assert path.exists() and path.read_text().startswith("[")
 
 
 class TestAblations:

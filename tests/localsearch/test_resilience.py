@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.evaluators import CPUEvaluator, GPUEvaluator, MultiGPUEvaluator
-from repro.gpu import FaultPlan
+from repro.gpu import FaultPlan, partition_range
 from repro.harness import run_ppp_experiment
 from repro.harness.io import load_checkpoint, save_checkpoint
 from repro.localsearch.multistart import CHECKPOINT_VERSION, MultiStartRunner
@@ -453,11 +453,7 @@ class TestElasticPartitions:
         with pytest.raises(ValueError, match="at least one"):
             MultiGPUEvaluator(problem, neighborhood, devices=2, active_devices=[])
 
-    def test_full_fleet_partitioner_matches_pool(self):
+    def test_full_fleet_partitioner_is_the_even_split(self):
         runner = make_runner("delta")
         evaluator = runner.evaluator
-        parts = evaluator._partitions(100)
-        pool_parts = evaluator.pool.partitions(100, evaluator._kernel_cost())
-        assert [(p.start, p.stop) for p in parts] == [
-            (p.start, p.stop) for p in pool_parts
-        ]
+        assert evaluator._partitions(100) == partition_range(100, 3)

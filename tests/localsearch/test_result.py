@@ -6,7 +6,7 @@ from repro.localsearch import LSResult
 
 
 class TestLSResult:
-    def test_summary_and_improvement(self):
+    def test_summary(self):
         result = LSResult(
             best_solution=np.array([1, 0, 1]),
             best_fitness=2.0,
@@ -18,7 +18,6 @@ class TestLSResult:
             wall_time=0.01,
             initial_fitness=9.0,
         )
-        assert result.improvement == 7.0
         assert "max_iterations" in result.summary()
         assert result.best_solution.dtype == np.int8
 

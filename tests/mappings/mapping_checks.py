@@ -1,18 +1,15 @@
-"""Validation helpers for neighborhood index mappings.
+"""Checks for neighborhood index mappings, shared by the mapping tests.
 
 The correctness of the whole GPU exploration scheme hinges on the mappings
 being true bijections between ``{0, ..., |N|-1}`` and the set of canonical
-moves.  These helpers are used by the test-suite and are also part of the
-public API so downstream users defining new mappings (e.g. for k >= 4 or for
-non-binary encodings) can check them cheaply.
+moves.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import MoveMapping
-from .exact import ExactKHammingMapping
+from repro.mappings import ExactKHammingMapping, MoveMapping
 
 __all__ = [
     "check_roundtrip",

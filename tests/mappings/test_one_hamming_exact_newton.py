@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mapping_checks import check_bijection, check_roundtrip
 from repro.mappings import (
     ExactKHammingMapping,
     OneHammingMapping,
-    check_bijection,
-    check_roundtrip,
     mapping_for,
     minimal_k_tetrahedral,
     minimal_k_tetrahedral_batch,

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mapping_checks import check_against_exact, check_bijection, check_roundtrip
 from repro.mappings import (
     TwoHammingMapping,
-    check_against_exact,
-    check_bijection,
-    check_roundtrip,
     flat_to_pair,
     pair_to_flat,
 )

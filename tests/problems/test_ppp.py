@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mappings import mapping_for
+from repro.mappings import mapping_for, neighborhood_size
 from repro.problems import (
     FIGURE8_INSTANCES,
     TABLE_INSTANCES,
@@ -13,7 +13,6 @@ from repro.problems import (
     PPPInstanceSpec,
     generate_ppp_instance,
     instance_seed,
-    make_figure8_instance,
     make_table_instance,
 )
 from repro.problems.base import flip_bits
@@ -205,10 +204,8 @@ class TestInstanceRegistry:
 
     def test_neighborhood_sizes_match_table_iteration_caps(self):
         # The paper's stopping criterion column pins these values.
-        spec = PPPInstanceSpec(101, 101)
-        assert spec.neighborhood_sizes[3] == 166650
-        spec = PPPInstanceSpec(101, 117)
-        assert spec.neighborhood_sizes[3] == 260130
+        assert neighborhood_size(PPPInstanceSpec(101, 101).n, 3) == 166650
+        assert neighborhood_size(PPPInstanceSpec(101, 117).n, 3) == 260130
 
     def test_make_table_instance_is_deterministic(self):
         a = make_table_instance(TABLE_INSTANCES[0], trial=1)
@@ -217,8 +214,8 @@ class TestInstanceRegistry:
         c = make_table_instance((73, 73), trial=2)
         assert not np.array_equal(a.A, c.A)
 
-    def test_make_figure8_instance(self):
-        problem = make_figure8_instance(0)
+    def test_make_table_instance_builds_figure8_instances(self):
+        problem = make_table_instance(FIGURE8_INSTANCES[0])
         assert (problem.m, problem.n) == (101, 117)
         assert problem.evaluate(problem.secret) == 0
 

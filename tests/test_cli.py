@@ -87,6 +87,12 @@ class TestMappingCommand:
             main(["mapping", "--n", "6", "--k", "2", "--limit", "-1"])
         assert "--limit: must be non-negative" in capsys.readouterr().err
 
+    def test_order_above_the_length_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["mapping", "--n", "3", "--k", "5"])
+        assert stop.value.code == 2
+        assert "--k 5 exceeds the solution length --n 3" in capsys.readouterr().err
+
     def test_full_table_without_truncation(self, capsys):
         assert main(["mapping", "--n", "5", "--k", "1", "--limit", "10"]) == 0
         out = capsys.readouterr().out
@@ -129,7 +135,21 @@ class TestSolveCommand:
         assert float(factors["persistent"]) > float(factors["full"])
 
 
+    def test_zero_iterations_print_no_factor(self, capsys):
+        main(["solve", "--m", "11", "--n", "11", "--k", "1", "--iterations", "0"])
+        out = capsys.readouterr().out
+        assert "modeled acceleration vs single-core CPU: n/a" in out
+        assert "inf" not in out
+
+
 class TestExperimentCommand:
+    def test_zero_iterations_print_no_factor(self, capsys):
+        assert main(["experiment", "--m", "11", "--n", "11", "--k", "1",
+                     "--trials", "1", "--iterations", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "(n/a)" in out
+        assert "inf" not in out
+
     def test_experiment(self, capsys):
         assert main(["experiment", "--m", "25", "--n", "25", "--k", "1",
                      "--trials", "4", "--iterations", "20"]) == 0

@@ -104,3 +104,21 @@ def test_ci_example_commands_are_read_from_the_workflow(tmp_path):
         ["examples/quickstart.py"],
         ["examples/profile_kernels.py", "--order", "1", "--iterations", "5"],
     ]
+
+
+def test_fail_under_compares_the_printed_figure(tmp_path, monkeypatch, capsys):
+    tool = _load_tool()
+    path = tmp_path / "fixture.py"
+    path.write_text(FIXTURE)
+    hits = {1, 5, 9, 10, 15, 16, 20, 21, 26, 32, 38} | _lines("# hit")
+    # The suite run is replaced by the fixture's hit lines: nothing is traced.
+    monkeypatch.setattr(tool, "PACKAGE", tmp_path)
+    monkeypatch.setattr(tool, "run_suite", lambda _args: (0, {str(path): hits}))
+    lines = tool.executable_lines(path)
+    printed = round(100.0 * len(lines & hits) / len(lines), 2)
+
+    assert tool.main(["--fail-under", f"{printed:.2f}"]) == 0
+    assert f"coverage: {printed:.2f}%" in capsys.readouterr().out
+    assert tool.main(["--fail-under", f"{printed + 0.01:.2f}"]) == 1
+    assert "is below --fail-under" in capsys.readouterr().out
+    assert tool.main([]) == 0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core import CPUEvaluator, GPUEvaluator
 from repro.core.evaluators import _fused_reduce
+from repro.gpu import partition_range
 from repro.mappings import ExactKHammingMapping, mapping_for
 from repro.neighborhoods import KHammingNeighborhood
 from repro.problems import OneMax, PermutedPerceptronProblem
@@ -40,17 +41,18 @@ class TestMappingProperties:
 class TestNeighborhoodProperties:
     @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(min_value=4, max_value=80),
+        n=st.integers(min_value=1, max_value=80),
         k=st.integers(min_value=1, max_value=3),
-        parts=st.integers(min_value=1, max_value=9),
+        parts=st.integers(min_value=1, max_value=12),
     )
     def test_partition_is_a_cover_without_overlap(self, n, k, parts):
+        # The multi-GPU split of a neighborhood, including more devices than moves.
         if k > n:
             return
         nb = KHammingNeighborhood(n, k)
-        slices = nb.partition(parts)
-        assert len(slices) == parts
-        covered = np.concatenate([s.indices() for s in slices]) if slices else np.array([])
+        slices = partition_range(nb.size, parts)
+        assert [s.device_index for s in slices] == list(range(parts))
+        covered = np.concatenate([np.arange(s.start, s.stop) for s in slices])
         assert covered.size == nb.size
         assert np.array_equal(np.sort(covered), np.arange(nb.size))
         sizes = [s.size for s in slices]

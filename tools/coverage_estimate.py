@@ -20,8 +20,10 @@ Usage, from the repository root::
     python tools/coverage_estimate.py --files    # plus one line per file
     python tools/coverage_estimate.py -- tests/service -x
     python tools/coverage_estimate.py --entry    # entry-point reach
+    python tools/coverage_estimate.py --entry --fail-under 83.5
 
-Arguments after ``--`` go to pytest unchanged.  The figure is close to, but
+Arguments after ``--`` go to pytest unchanged.  ``--fail-under PCT`` exits 1
+when the printed figure (coverage or entry reach) is below ``PCT``.  The figure is close to, but
 not the same as, pytest-cov's: the two tools count some lines (``else:``,
 decorators, docstrings) differently.  Compare two trees with this script,
 not this script against CI.  The run takes several times as long as the
@@ -272,6 +274,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--entry", action="store_true",
                         help="run the entry points instead of the suite and list "
                              "the functions none of them enters")
+    parser.add_argument("--fail-under", type=float, default=None, metavar="PCT",
+                        help="exit 1 when the printed figure is below PCT percent")
     parser.add_argument("pytest_args", nargs="*", help="arguments passed to pytest")
     args = parser.parse_args(argv)
     if args.entry:
@@ -288,10 +292,10 @@ def main(argv: list[str] | None = None) -> int:
         done = lines & hits.get(str(path), set())
         total += len(lines)
         covered += len(done)
-        rows.append((path.relative_to(ROOT), len(done), len(lines)))
+        rows.append((os.path.relpath(path, ROOT), len(done), len(lines)))
         if args.entry:
             unentered.extend(
-                (path.relative_to(ROOT), *function)
+                (os.path.relpath(path, ROOT), *function)
                 for function in unentered_functions(path, done)
             )
     if args.files:
@@ -307,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
               f"{len(unentered)} functions never entered ({body} body lines)")
     else:
         print(f"coverage: {share:.2f}% ({covered}/{total} lines)")
+    if args.fail_under is not None and round(share, 2) < args.fail_under:
+        print(f"FAIL: {share:.2f}% is below --fail-under {args.fail_under:.2f}%")
+        return 1
     return status
 
 
