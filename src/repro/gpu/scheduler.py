@@ -167,26 +167,19 @@ class DeviceScheduler:
     through the contexts' own asynchronous API.
     """
 
-    def __init__(
-        self,
-        contexts: Sequence[GPUContext],
-        *,
-        host_timeline: Timeline | None = None,
-        engine: TransferEngine | None = None,
-    ) -> None:
+    def __init__(self, contexts: Sequence[GPUContext]) -> None:
         if not contexts:
             raise ValueError("need at least one device context")
         self.contexts = list(contexts)
-        self.host_timeline = host_timeline if host_timeline is not None else Timeline()
-        if engine is None:
-            # A pool built over one shared interconnect exposes it here; a
-            # grab-bag of standalone contexts (each with a private engine)
-            # leaves the scheduler without a pool-level fabric view.
-            first = contexts[0].engine
-            if all(ctx.engine is first for ctx in contexts):
-                engine = first
+        self.host_timeline = Timeline()
+        # A pool built over one shared interconnect exposes it here; a
+        # grab-bag of standalone contexts (each with a private engine)
+        # leaves the scheduler without a pool-level fabric view.
+        first = contexts[0].engine
         #: The pool's shared transfer engine (``None`` for mixed pools).
-        self.engine = engine
+        self.engine: TransferEngine | None = (
+            first if all(ctx.engine is first for ctx in contexts) else None
+        )
 
     # ------------------------------------------------------------------
     # Batched fan-out and gather
