@@ -47,6 +47,7 @@ import numpy as np
 from ..gpu.device import GTX_280, XEON_3GHZ, DeviceSpec, HostSpec
 from ..gpu.dtypes import (
     DELTA_DTYPE,
+    DELTA_PAIR_BYTES,
     FITNESS_DTYPE,
     PEER_PACKET_HEADER_BYTES,
     REDUCED_PAIR_DTYPE,
@@ -208,6 +209,15 @@ def _score(problem, neighborhood, solutions: np.ndarray, indices=None) -> np.nda
     else:
         moves = neighborhood.moves(indices)
     return problem.evaluate_neighborhood_batch(solutions, moves)
+
+
+def _in_row_order(downloaded: np.ndarray, grouped: np.ndarray | None) -> np.ndarray:
+    """A fresh copy of a pool image's rows, put back in the step's row order."""
+    if grouped is None:
+        return downloaded.copy()
+    out = np.empty_like(downloaded)
+    out[grouped] = downloaded
+    return out
 
 
 def _check_per_row(num_solutions: int, **parts) -> None:
@@ -463,12 +473,13 @@ def _reduction_packet(aspiration_fitness, thresholds, stamps) -> np.ndarray | No
 class _DeviceSlot:
     """One pool device's share of a resident session.
 
-    The pool validates, flips and scores each step once on the host.  A
-    slot keeps what lives on its device for its replica range — its rows of
-    the pool's host mirror, the staged ``(replica, bit)`` deltas, the tabu
-    stamps and an open persistent launch — lands its rows' scores and adds
-    its chain to the step's plan.  Row ids are local to the
-    slot's range.  Its buffers carry the owning evaluator's id, so
+    The pool validates, flips, scores and selects each step once on the
+    host.  A slot keeps what lives on its device for its replica range —
+    its rows of the pool's host mirror, the staged ``(replica, bit)``
+    deltas, the tabu stamps and an open persistent launch — and adds its
+    chain to the step's plan.  Its fitness and ``reduced`` buffers are its
+    slices of the pool's host images (:meth:`_bind`).  Row ids are local to
+    the slot's range.  Its buffers carry the owning evaluator's id, so
     ``GPUContext.free_evaluator_buffers(evaluator)`` reclaims them too.
     """
 
@@ -496,9 +507,25 @@ class _DeviceSlot:
         self._loop: DeviceLoop | None = None
         #: Summary of the last completed persistent launch.
         self.last_persistent_record: PersistentLaunchRecord | None = None
+        #: Per buffer kind: the ``(image, start, stop)`` slice it is bound to.
+        self._bound: dict[str, tuple] = {}
 
     def _buffer(self, kind: str) -> str:
         return f"{kind}:{self.owner}"
+
+    def _bind(self, kind: str, image: np.ndarray, start: int, stop: int) -> None:
+        """Make buffer ``kind`` the slice ``[start, stop)`` of a pool-wide host image.
+
+        The buffer is (re)sized like any other, so device memory accounts
+        its bytes; it is bound again only when the image or the slice moved.
+        """
+        bound = self._bound.get(kind)
+        if bound is not None and bound[0] is image and bound[1] == start and bound[2] == stop:
+            return
+        self.context.memory.sized(self._buffer(kind), (stop - start,), image.dtype).data = (
+            image[start:stop]
+        )
+        self._bound[kind] = (image, start, stop)
 
     def _looping(self) -> bool:
         return self._loop is not None and not self._loop.closed
@@ -542,8 +569,8 @@ class _DeviceSlot:
         self._staged_deltas = []
         self.note_delivery(arrival)
 
-    def _delta_packet(self, rows: np.ndarray, whole: bool) -> np.ndarray | None:
-        """The pre-kernel packet of one resident evaluation, or ``None``.
+    def _delta_packet(self, rows: np.ndarray, whole: bool) -> tuple[str, np.ndarray] | None:
+        """The pre-kernel ``(buffer, packet)`` of one resident evaluation, or ``None``.
 
         The staged ``(replica, bit)`` flips plus — unless the ``rows`` are
         the ``whole`` resident block — the id list: one staging buffer, one
@@ -553,46 +580,7 @@ class _DeviceSlot:
         self._staged_deltas = []
         if not whole:
             parts.append(rows.astype(SOLUTION_DTYPE).view(np.uint8))
-        return np.concatenate(parts) if parts else None
-
-    def _land(self, scores: np.ndarray) -> np.ndarray:
-        """The flat resident fitness buffer, sized for ``scores``."""
-        return self.context.memory.sized(
-            self._buffer("resident_fitnesses"), (scores.size,), FITNESS_DTYPE
-        ).data
-
-    def _plan_row(self, plan, device, rows, whole, scores, reduction) -> None:
-        """Add this device's chain to ``plan`` as the row of pool device ``device``.
-
-        Lands ``scores`` in the resident fitness buffer, builds the delta
-        packet and picks the buffer the chain downloads; ``reduction`` is
-        the fused reduction's packet (``None``: nothing to upload).  A
-        ``reduce`` step's caller fills the ``reduced`` buffer before pricing.
-        """
-        self._land(scores).reshape(scores.shape)[...] = scores
-        packet = self._delta_packet(rows, whole)
-        plan.packets.append(None if packet is None else (self._buffer("deltas"), packet))
-        if plan.reduce is None:
-            plan.reduction_packets.append(None)
-            plan.downloads.append(self._buffer("resident_fitnesses"))
-        else:
-            plan.reduction_packets.append(
-                None if reduction is None else (self._buffer("reduction_packet"), reduction)
-            )
-            plan.downloads.append(self._buffer("reduced"))
-        plan.devices.append(device)
-        plan.not_before.append(self._sync_time)
-        plan.shapes.append(scores.shape)
-
-    def _store_selection(self, rows, indices, best, stamps) -> None:
-        """Write the winners' tabu stamps in place and stage the ``reduced`` buffer."""
-        if stamps is not None:
-            self._tabu_last_applied[rows, indices] = stamps
-        reduced = self.context.memory.sized(
-            self._buffer("reduced"), (rows.size,), REDUCED_PAIR_DTYPE
-        ).data
-        reduced["index"] = indices
-        reduced["fitness"] = best
+        return (self._buffer("deltas"), np.concatenate(parts)) if parts else None
 
     def _iterate(self, rows: np.ndarray, scores: np.ndarray) -> float:
         """One on-device iteration of the open persistent launch; its device time.
@@ -607,10 +595,10 @@ class _DeviceSlot:
         loop = self._loop
         self._staged_deltas = []
         loop.write_control(self._resident.shape[0] * STOP_FLAG_BYTES)
-        # The loop body lands the scores (the kernel's trailing argument).
-        added = loop.iterate(
-            scores.shape, (None, self._land(scores), scores), cost=self.kernel.cost
-        )
+        # The loop body lands the scores (the kernel's trailing argument)
+        # in the slot's slice of the pool's fitness image.
+        fitnesses = self.context.memory.get(self._buffer("resident_fitnesses")).data
+        added = loop.iterate(scores.shape, (None, fitnesses, scores), cost=self.kernel.cost)
         added += loop.reduce(scores.size)
         loop.drain_ring(rows.size * REDUCED_RESULT_BYTES)
         return added
@@ -633,6 +621,7 @@ class _DeviceSlot:
         self._resident = None
         self._staged_deltas = []
         self._tabu_last_applied = None
+        self._bound = {}
         return record
 
     def snapshot(self) -> dict:
@@ -790,6 +779,11 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         #: Host mirror of the whole ``(R, n)`` resident block; each owning
         #: slot's mirror is the view of its range.
         self._mirror: np.ndarray | None = None
+        #: Pool-wide host images of the step's fitness block and ``reduced``
+        #: pairs, rows in device order; each device buffer is its slice.
+        self._images: dict[str, np.ndarray] = {}
+        #: ``(replica ranges, owners)`` of the last all-replica split.
+        self._whole: tuple = (None, [])
         self._persistent = False
         self._resident_tenure: int | None = None
         #: Set by close(); a closed evaluator's device buffers are gone, so
@@ -981,28 +975,51 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
     def _split_rows(self, ids: np.ndarray):
         """Group validated global replica ids by the device owning them.
 
-        Yields ``(index, slot, positions, local, whole)``: where in ``ids``
-        the device's ids sit (in their original order), the ids relative to
-        the device's range, and whether they are its whole range in order.
-        Strictly increasing ids (every lockstep step) are split with
-        slices; others through a stable sort.
+        Returns ``(owners, grouped)``.  ``owners`` holds, per device owning
+        an id and in device order, ``(index, slot, positions, local,
+        whole)``: where in ``ids`` the device's ids sit (in their original
+        order), the ids relative to the device's range, and whether they
+        are its whole range in order.  Strictly increasing ids (every
+        lockstep step) are split with slices that tile ``ids`` in device
+        order, and ``grouped`` is ``None``; other ids go through a stable
+        sort, and ``grouped`` lists their positions in device order.
         """
         ascending = ids.size < 2 or bool((ids[1:] > ids[:-1]).all())
+        if ascending and ids.size == self._replica_ranges[-1][1]:
+            # Validated ids: exactly 0, 1, ..., R - 1.
+            return self._whole_owners(), None
         order = None if ascending else np.argsort(ids, kind="stable")
         ranked = ids if order is None else ids[order]
         cuts = np.searchsorted(
             ranked, [lo for lo, _hi in self._replica_ranges] + [self._replica_ranges[-1][1]]
         ).tolist()
+        owners = []
         for index, slot, lo, hi in self._resident_parts():
             first, last = cuts[index], cuts[index + 1]
             if first == last:
                 continue
-            if order is None:
-                positions = slice(first, last)
-            else:
-                positions = np.sort(order[first:last])
             whole = ascending and last - first == hi - lo
-            yield index, slot, positions, ids[positions] - lo, whole
+            if whole:
+                positions, local = slice(first, last), _full_range(hi - lo)
+            else:
+                positions = slice(first, last) if order is None else np.sort(order[first:last])
+                local = ids[positions] - lo
+            owners.append((index, slot, positions, local, whole))
+        grouped = None
+        if order is not None:
+            grouped = np.concatenate([positions for _i, _s, positions, _l, _w in owners])
+        return owners, grouped
+
+    def _whole_owners(self) -> list:
+        """The owners of every replica in order, built once per replica layout."""
+        ranges, owners = self._whole
+        if ranges is not self._replica_ranges:
+            owners = [
+                (index, slot, slice(lo, hi), _full_range(hi - lo), True)
+                for index, slot, lo, hi in self._resident_parts()
+            ]
+            self._whole = (self._replica_ranges, owners)
+        return owners
 
     def _resident_parts(self):
         """Yield ``(index, slot, lo, hi)`` for devices owning a replica."""
@@ -1096,7 +1113,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         """
         rows = self._tabu_access(rows)
         out = np.empty((rows.size, self.neighborhood.size), dtype=TABU_STAMP_DTYPE)
-        for _index, slot, positions, local, _whole in self._split_rows(rows):
+        for _index, slot, positions, local, _whole in self._split_rows(rows)[0]:
             out[positions] = slot._tabu_last_applied[local]
         return out
 
@@ -1116,7 +1133,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                     f"expected a ({rows.size}, {self.neighborhood.size}) stamp block, "
                     f"got {stamps.shape}"
                 )
-        for _index, slot, positions, local, _whole in self._split_rows(rows):
+        for _index, slot, positions, local, _whole in self._split_rows(rows)[0]:
             slot._tabu_last_applied[local] = TABU_NEVER if stamps is None else stamps[positions]
 
     def apply_deltas(self, replicas: np.ndarray, bits: np.ndarray) -> None:
@@ -1132,8 +1149,10 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         slice is forwarded device-to-device over the peer link with a small
         routing header, the next evaluation launches ordered after the
         arrivals; the forwarded bytes are accounted as ``p2p_bytes`` only.
-        Otherwise every device's slice is staged for its own host upload,
-        each behind one host-side driver call.  Inside a persistent launch
+        The combined packet is built once, and each forward is a view of it:
+        the device's pairs followed by its header.  Otherwise every device's
+        slice is staged for its own host upload, each behind one host-side
+        driver call.  Inside a persistent launch
         no packet moves at all: the resident grids scattered their own
         selections.  The route is priced as one
         :class:`~repro.gpu.scheduler.ResidentStepPlan`.
@@ -1157,12 +1176,11 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         stage = resident_session and not route_peer
         pairs = np.empty((replicas.size, 2), dtype=DELTA_DTYPE)
         pairs[:, 1] = bits
-        owners = []
-        for index, slot, positions, local, _whole in self._split_rows(replicas):
+        owners, grouped = self._split_rows(replicas)
+        for _index, slot, positions, local, _whole in owners:
             pairs[positions, 0] = local
             if stage:
                 slot._staged_deltas.append(pairs[positions])
-            owners.append((index, slot, positions))
         if not resident_session or not owners or self.num_devices == 1:
             # One device prices its staged flips with the next evaluation's
             # packet, behind no driver call of its own: a ContinuousRunner
@@ -1176,17 +1194,27 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         hub = self._slots[0]
         if route_peer:
             plan.issues.append(("delta_hub", hub.context.device.pcie_latency))
-            chunks, header = [], np.zeros(PEER_PACKET_HEADER_BYTES, dtype=np.uint8)
-            for index, slot, positions in owners:
-                chunks.append(pairs[positions].reshape(-1).view(np.uint8))
+            # The owners' pairs in device order, each peer's followed by its
+            # routing header: one buffer whose slices are the forwards.
+            raw = (pairs if grouped is None else pairs[grouped]).reshape(-1).view(np.uint8)
+            header = np.zeros(PEER_PACKET_HEADER_BYTES, dtype=np.uint8)
+            parts, spans, read, offset = [], [], 0, 0
+            for index, slot, _positions, local, _whole in owners:
+                size = local.size * DELTA_PAIR_BYTES
+                parts.append(raw[read : read + size])
+                read += size
                 if slot is not hub:
-                    plan.forwards.append(
-                        (index, slot._buffer("deltas"), np.concatenate([chunks[-1], header]))
-                    )
-            if plan.forwards:
-                chunks.append(np.zeros(len(plan.forwards) * PEER_PACKET_HEADER_BYTES, np.uint8))
+                    parts.append(header)
+                    size += header.size
+                    spans.append((index, slot, offset, offset + size))
+                offset += size
+            packet = np.concatenate(parts)
+            plan.forwards = [
+                (index, slot._buffer("deltas"), packet[start:stop])
+                for index, slot, start, stop in spans
+            ]
             plan.hub = 0
-            plan.hub_packet = (f"delta_hub:{id(self)}", np.concatenate(chunks))
+            plan.hub_packet = (f"delta_hub:{id(self)}", packet)
             plan.hub_not_before = hub._sync_time
         else:
             # One host-issued packet per owning device: the driver calls
@@ -1194,7 +1222,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             # wall the hub + peer-forward route amortizes.
             plan.issues = [
                 (f"deltas:gpu{index}", slot.context.device.pcie_latency)
-                for index, slot, _positions in owners
+                for index, slot, _positions, _local, _whole in owners
             ]
         before = self.pool.makespan
         times = self.pool.price_resident_step(plan)
@@ -1204,7 +1232,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             for (index, _buffer, _payload), arrival in zip(plan.forwards, times.arrivals):
                 self._slots[index].note_delivery(arrival)
         else:
-            for (_index, slot, _positions), issued in zip(owners, times.issues):
+            for (_index, slot, *_rest), issued in zip(owners, times.issues):
                 slot.note_delivery(issued)
         self.stats.simulated_time += max(before, times.latest) - before
 
@@ -1299,24 +1327,47 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                 "full fitness matrix would defeat it — use reduce=\"argmin\" or "
                 "\"first-improvement\", or transfer_mode=\"delta\""
             )
-        owners = list(self._split_rows(rows))
+        owners, grouped = self._split_rows(rows)
         scores = _score(self.problem, self.neighborhood, self._mirror[rows])
         select = (aspiration_fitness, thresholds, stamps)
+        fitnesses = self._image("resident_fitnesses", owners, num_indices, FITNESS_DTYPE)
         if self._persistent:
             device_times = [
                 slot._iterate(local, scores[positions])
                 for _index, slot, positions, local, _whole in owners
             ]
-            result = self._select(owners, scores, reduce, *select)
+            result = self._select(owners, grouped, scores, reduce, *select)
             self.stats.simulated_time += max(device_times)
         else:
-            result = self._evaluate_step(owners, scores, reduce, select)
+            # One copy lands every device's rows.
+            fitnesses.reshape(scores.shape)[...] = scores if grouped is None else scores[grouped]
+            result = self._evaluate_step(owners, grouped, scores, reduce, select)
         self.stats.calls += 1
         self.stats.evaluations += num_solutions * num_indices
         return result
 
-    def _select(self, owners, scores, reduce, aspiration_fitness, thresholds, stamps):
-        """The fused selection over the whole block; each device stores its rows'."""
+    def _image(self, kind: str, owners, per_row: int, dtype) -> np.ndarray:
+        """The pool-wide host image of buffer ``kind``, ``per_row`` entries per row.
+
+        The owners' rows follow each other in device order, and each owning
+        device's ``kind`` buffer is its slice of the image.
+        """
+        size = sum(local.size for _index, _slot, _positions, local, _whole in owners) * per_row
+        image = self._images.get(kind)
+        if image is None or image.size != size:
+            image = self._images[kind] = np.empty(size, dtype)
+        start = 0
+        for _index, slot, _positions, local, _whole in owners:
+            stop = start + local.size * per_row
+            slot._bind(kind, image, start, stop)
+            start = stop
+        return image
+
+    def _select(self, owners, grouped, scores, reduce, aspiration_fitness, thresholds, stamps):
+        """The fused selection over the whole block, stored in the ``reduced`` image.
+
+        Each device writes its winners' tabu stamps in place.
+        """
         tabu = None
         if stamps is not None:
             last = np.empty(scores.shape, dtype=TABU_STAMP_DTYPE)
@@ -1328,49 +1379,52 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
         indices, best = _select_step(
             np.asarray(scores, dtype=FITNESS_DTYPE), reduce, aspiration_fitness, thresholds, tabu
         )
-        for _index, slot, positions, local, _whole in owners:
-            slot._store_selection(
-                local, indices[positions], best[positions],
-                None if stamps is None else stamps[positions],
-            )
+        if stamps is not None:
+            for _index, slot, positions, local, _whole in owners:
+                slot._tabu_last_applied[local, indices[positions]] = stamps[positions]
+        reduced = self._image("reduced", owners, 1, REDUCED_PAIR_DTYPE)
+        reduced["index"] = indices if grouped is None else indices[grouped]
+        reduced["fitness"] = best if grouped is None else best[grouped]
         return indices, best
 
-    def _evaluate_step(self, owners, scores, reduce, select):
-        """One delta/reduced step: land every device's rows, select, price."""
+    def _evaluate_step(self, owners, grouped, scores, reduce, select):
+        """One delta/reduced step over landed scores: select, price, download."""
+        if reduce is None:
+            reductions = [None] * len(owners)
+            download = "resident_fitnesses"
+        else:
+            reductions = []
+            for _index, slot, positions, _local, _whole in owners:
+                packet = _reduction_packet(
+                    *(None if part is None else part[positions] for part in select)
+                )
+                reductions.append(
+                    None if packet is None else (slot._buffer("reduction_packet"), packet)
+                )
+            download = "reduced"
+            self._select(owners, grouped, scores, reduce, *select)
+        num_moves = scores.shape[1]
         plan = ResidentStepPlan(
+            devices=[index for index, *_rest in owners],
+            not_before=[slot._sync_time for _index, slot, *_rest in owners],
+            packets=[slot._delta_packet(local, whole) for _i, slot, _p, local, whole in owners],
+            shapes=[(local.size, num_moves) for _i, _s, _p, local, _w in owners],
             kernel=self.batch_kernel,
             block_size=self.block_size,
             reduce=None if reduce is None else f"FusedReduce<{reduce}>[{self.batch_kernel.name}]",
+            reduction_packets=reductions,
+            downloads=[slot._buffer(download) for _index, slot, *_rest in owners],
         )
-        for index, slot, positions, local, whole in owners:
-            reduction = None
-            if reduce is not None:
-                reduction = _reduction_packet(
-                    *(None if part is None else part[positions] for part in select)
-                )
-            slot._plan_row(plan, index, local, whole, scores[positions], reduction)
-        if reduce is not None:
-            self._select(owners, scores, reduce, *select)
         before = self.pool.makespan
         times = self.pool.price_resident_step(plan)
-        if reduce is None:
-            result = np.empty(scores.shape, dtype=np.float64)
-        else:
-            result = (
-                np.empty(scores.shape[0], dtype=np.int64),
-                np.empty(scores.shape[0], dtype=np.float64),
-            )
-        for (_index, slot, positions, local, _whole), data, done in zip(
-            owners, times.data, times.done
-        ):
+        for (_index, slot, *_rest), done in zip(owners, times.done):
             slot._sync_time = done
-            if reduce is None:
-                result[positions] = data.reshape(local.size, scores.shape[1])
-            else:
-                result[0][positions] = data["index"]
-                result[1][positions] = data["fitness"]
         self.stats.simulated_time += max(before, times.latest) - before
-        return result
+        # The downloads are the devices' slices of the images, in device order.
+        if reduce is None:
+            return _in_row_order(self._images["resident_fitnesses"].reshape(scores.shape), grouped)
+        reduced = self._images["reduced"]
+        return _in_row_order(reduced["index"], grouped), _in_row_order(reduced["fitness"], grouped)
 
     # ------------------------------------------------------------------
     # Replica migration (load rebalancing over the peer links)
@@ -1651,6 +1705,7 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
             context.free_evaluator_buffers(self)
         self._replica_ranges = None
         self._mirror = None
+        self._images = {}
         self._persistent = False
         self._resident_tenure = None
 

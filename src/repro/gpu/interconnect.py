@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .device import DeviceSpec
@@ -473,14 +473,29 @@ class TransferGrant:
         return max(0.0, self.duration - self.dedicated)
 
 
-@dataclass
 class _ChannelLoad:
-    """Committed transfer intervals on one (link, channel), kept sorted."""
+    """Committed transfer intervals on one (link, channel), kept sorted.
 
-    starts: list[float] = field(default_factory=list)
-    ends: list[float] = field(default_factory=list)
-    nbytes: float = 0.0
-    transfers: int = 0
+    Copies mostly commit in start order, so :meth:`commit` appends when an
+    interval sorts last, and :attr:`last_end` lets :meth:`probe` answer an
+    instant past every committed end with one comparison.
+    """
+
+    __slots__ = ("starts", "ends", "nbytes", "transfers", "last_end")
+
+    def __init__(
+        self,
+        starts: list[float] | None = None,
+        ends: list[float] | None = None,
+        nbytes: float = 0.0,
+        transfers: int = 0,
+    ) -> None:
+        self.starts = starts if starts is not None else []
+        self.ends = ends if ends is not None else []
+        self.nbytes = nbytes
+        self.transfers = transfers
+        #: The latest committed end (``-inf`` while the channel is unused).
+        self.last_end = self.ends[-1] if self.ends else -math.inf
 
     def probe(self, t: float) -> tuple[int, float]:
         """``(transfers in flight at t, next start or end after t, or inf)``.
@@ -488,17 +503,25 @@ class _ChannelLoad:
         The ``k``-th smallest end never precedes the ``k``-th smallest
         start, so a start still ahead implies an end still ahead.
         """
+        if t >= self.last_end:
+            return 0, math.inf
         started = bisect_right(self.starts, t)
         ended = bisect_right(self.ends, t)
-        if ended == len(self.ends):
-            return started - ended, math.inf
         if started == len(self.starts):
             return started - ended, self.ends[ended]
         return started - ended, min(self.starts[started], self.ends[ended])
 
     def commit(self, start: float, end: float, nbytes: float) -> None:
-        insort(self.starts, start)
-        insort(self.ends, end)
+        starts = self.starts
+        if starts and start < starts[-1]:
+            insort(starts, start)
+        else:
+            starts.append(start)
+        if end < self.last_end:
+            insort(self.ends, end)
+        else:
+            self.ends.append(end)
+            self.last_end = end
         self.nbytes += nbytes
         self.transfers += 1
 
@@ -522,11 +545,20 @@ class _ChannelLoad:
 
 
 class _Path:
-    """A resolved route with its capacity channels, cached per engine."""
+    """A resolved route with its capacity channels, cached per engine.
 
-    __slots__ = ("route", "channels", "links", "rate")
+    The engine binds each path to the :class:`_ChannelLoad` of every
+    channel it crosses (:attr:`loads`) and, at its first commit, to the
+    timeline lanes of its shared links (:attr:`lanes`), so pricing a copy
+    looks nothing up.  :meth:`TransferEngine.restore` rebinds them.
+    """
 
-    def __init__(self, route: Route, direction: str) -> None:
+    __slots__ = (
+        "route", "channels", "links", "rate", "device", "direction", "label",
+        "loads", "lanes",
+    )
+
+    def __init__(self, route: Route, device: str, direction: str) -> None:
         self.route = route
         #: ``((link name, channel), link)`` per link crossed, in path order.
         self.channels = tuple(
@@ -536,6 +568,14 @@ class _Path:
         #: The rate of a copy alone on every channel of the path: its cap,
         #: bounded by each link's full capacity (``bandwidth / 1``).
         self.rate = min([route.rate_cap, *(link.bandwidth for link in route.links)])
+        self.device = device
+        self.direction = direction
+        #: Lane label of a copy committed without one.
+        self.label = f"{device}:{direction}"
+        #: ``(channel key, load, link bandwidth)`` per channel, in path order.
+        self.loads: tuple = ()
+        #: The engine timeline's stream per shared link (``None``: unbound).
+        self.lanes: list | None = None
 
 
 class _PricingItem:
@@ -566,7 +606,11 @@ class TransferEngine:
 
     def __init__(self, topology: InterconnectTopology) -> None:
         self.topology = topology
+        #: Committed channel loads, in first-commit order.
         self._loads: dict[tuple[str, str], _ChannelLoad] = {}
+        #: Every channel load a path is bound to: the committed ones plus
+        #: the still-empty channels of resolved paths.
+        self._channels: dict[tuple[str, str], _ChannelLoad] = {}
         #: Resolved paths per ``(direction, device, peer, kind)``.
         self._paths: dict[tuple, _Path] = {}
         #: Interconnect lanes: one stream per *shared* link, fed with the
@@ -591,9 +635,22 @@ class TransferEngine:
         path = self._paths.get(key)
         if path is None:
             path = self._paths[key] = _Path(
-                self._route(device, direction, peer, kind), direction
+                self._route(device, direction, peer, kind), device, direction
             )
+            self._bind(path)
         return path
+
+    def _bind(self, path: _Path) -> None:
+        """Point ``path`` at the engine's channel loads; its lanes bind at first commit."""
+        channels = self._channels
+        loads = []
+        for key, link in path.channels:
+            load = channels.get(key)
+            if load is None:
+                load = channels[key] = _ChannelLoad()
+            loads.append((key, load, link.bandwidth))
+        path.loads = tuple(loads)
+        path.lanes = None
 
     def _route(self, device: str, direction: str, peer: str | None, kind) -> Route:
         if direction == P2P:
@@ -727,10 +784,7 @@ class TransferEngine:
                 dedicated=dedicated,
                 links=path.links,
             )
-            self._commit(
-                request.device, request.direction, request.nbytes,
-                request.label, path, grant.start, grant.end, grant.stall,
-            )
+            self._commit(path, request.nbytes, request.label, grant.start, grant.end, grant.stall)
             grants.append(grant)
         return grants
 
@@ -757,14 +811,20 @@ class TransferEngine:
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-        path = self._path(device, direction, peer, kind)
-        duration, dedicated = self._finish(
-            direction, nbytes, path.route, self._walk(path, float(nbytes), start)
-        )
-        self._commit(
-            device, direction, nbytes, label, path,
-            start, start + duration, max(0.0, duration - dedicated),
-        )
+        return self._price(self._path(device, direction, peer, kind), nbytes, start, label)
+
+    def _price(self, path: _Path, nbytes: int, start: float, label: str = "") -> float:
+        """:meth:`transfer_at` over a resolved path (``nbytes`` already checked)."""
+        base = self._walk(path, float(nbytes), start)
+        route = path.route
+        if self._pending_faults:
+            duration, dedicated = self._finish(path.direction, nbytes, route, base)
+        else:
+            # The fault-free `_finish`: adding its zero penalty changes no bit.
+            duration = base + route.latency
+            dedicated = route.latency + float(nbytes) / route.rate_cap
+        stall = duration - dedicated
+        self._commit(path, nbytes, label, start, start + duration, stall if stall > 0.0 else 0.0)
         return duration
 
     def _walk(self, path: _Path, remaining: float, t: float) -> float:
@@ -772,16 +832,26 @@ class TransferEngine:
 
         The floats, finish threshold and round bound of a one-item
         :meth:`_arbitrate`, one round per stretch of constant load; the
-        comparisons pick what ``min`` picks, without its call.
+        comparisons pick what ``min`` picks, without its call.  A channel
+        never committed to probes idle, as one absent from ``_arbitrate``'s
+        loads is.  When every channel is idle from ``t`` on, the first
+        round's answer is the lone rate's.
         """
         if remaining <= 0.0:
             return 0.0
-        loads = self._loads
-        loaded = [(loads[key], link.bandwidth) for key, link in path.channels if key in loads]
+        loaded = path.loads
+        for _key, load, _bandwidth in loaded:
+            if t < load.last_end:
+                break
+        else:
+            return remaining / path.rate
         duration = 0.0
-        for _ in range(64 * 9 + 4 * sum([len(load.starts) for load, _bandwidth in loaded])):
+        rounds, bound = 0, 64 * 9
+        while True:
             rate, boundary = path.rate, math.inf
-            for load, bandwidth in loaded:
+            for _key, load, bandwidth in loaded:
+                if t >= load.last_end:
+                    continue  # idle from t on: its full capacity, no boundary
                 active, following = load.probe(t)
                 share = bandwidth / (1 + active)
                 if share < rate:
@@ -797,7 +867,13 @@ class TransferEngine:
             duration += dt
             remaining -= rate * dt
             t += dt
-        return duration + remaining / path.route.rate_cap  # pragma: no cover - backstop
+            rounds += 1
+            if rounds == bound:
+                # The loads do not change during a walk, so the round bound
+                # of `_arbitrate` is counted only when it can matter.
+                bound = 64 * 9 + 4 * sum([len(load.starts) for _key, load, _bw in loaded])
+                if rounds >= bound:  # pragma: no cover - numerical backstop
+                    return duration + remaining / path.route.rate_cap
 
     def _finish(
         self, direction: str, nbytes: float, route: Route, base: float
@@ -885,21 +961,26 @@ class TransferEngine:
                 item.finished = True
 
     def _commit(
-        self, device: str, direction: str, nbytes: float, label: str,
-        path: _Path, start: float, end: float, stall: float,
+        self, path: _Path, nbytes: float, label: str, start: float, end: float, stall: float,
     ) -> None:
         self.transfers += 1
         self.total_stall += stall
+        device = path.device
         self.stall_by_device[device] = self.stall_by_device.get(device, 0.0) + stall
-        for key, link in path.channels:
-            load = self._loads.get(key)
-            if load is None:
-                load = self._loads[key] = _ChannelLoad()
-            load.commit(start, end, float(nbytes))
-            if link.shared:
-                stream = self.timeline.stream(link.name)
-                stream.append_interval(direction, label or f"{device}:{direction}", start, end)
-                stream.cursor = max(stream.cursor, end)
+        nbytes = float(nbytes)
+        for key, load, _bandwidth in path.loads:
+            if not load.transfers:
+                self._loads[key] = load
+            load.commit(start, end, nbytes)
+        lanes = path.lanes
+        if lanes is None:
+            lanes = path.lanes = [
+                self.timeline.stream(link.name) for _key, link in path.channels if link.shared
+            ]
+        for stream in lanes:
+            stream.append_interval(path.direction, label or path.label, start, end)
+            if end > stream.cursor:
+                stream.cursor = end
 
     # ------------------------------------------------------------------
     # Accounting
@@ -995,6 +1076,10 @@ class TransferEngine:
         self.retried_transfers = int(snap["retried_transfers"])
         self.retry_time = float(snap["retry_time"])
         self.timeline.restore(snap["timeline"])
+        # The restored loads and lanes are new objects: rebind every path.
+        self._channels = dict(self._loads)
+        for path in self._paths.values():
+            self._bind(path)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TransferEngine(topology={self.topology.name!r}, transfers={self.transfers})"

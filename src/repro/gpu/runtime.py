@@ -152,7 +152,9 @@ class DeviceLoop:
     * :meth:`reduce` accumulates a fused reduction as a pure bandwidth pass
       (the per-reduction launch overhead also disappears inside the loop);
     * :meth:`drain_ring` / :meth:`write_control` account the host's
-      concurrent PCIe traffic (``O(S)`` bytes per iteration, both ways).
+      concurrent PCIe traffic (``O(S)`` bytes per iteration, both ways),
+      staged through a pinned context's :attr:`GPUContext.staging_pool`
+      like every other copy it makes.
 
     :meth:`finish` then charges exactly **one** kernel launch and one launch
     overhead, and records one long interval per stream on the timeline: the
@@ -269,9 +271,15 @@ class DeviceLoop:
         self.context.stats.reduction_time += duration
         return duration
 
+    def _stage(self, nbytes: int) -> None:
+        """Stage one ring drain or control write through a pinned context's pool."""
+        if self.context.staging_pool is not None:
+            self.context.staging_pool.stage(int(nbytes))
+
     def drain_ring(self, nbytes: int) -> float:
         """Account the host draining ``nbytes`` of the per-iteration result ring."""
         self._check_open()
+        self._stage(nbytes)
         grant = self.context.host_transfer_grant(
             "d2h", nbytes, start=self._ring_cursor, label=f"ring[{self.kernel.name}]"
         )
@@ -286,6 +294,7 @@ class DeviceLoop:
     def write_control(self, nbytes: int) -> float:
         """Account the host writing ``nbytes`` of early-stop/control flags."""
         self._check_open()
+        self._stage(nbytes)
         grant = self.context.host_transfer_grant(
             "h2d", nbytes, start=self._control_cursor, label=f"flags[{self.kernel.name}]"
         )

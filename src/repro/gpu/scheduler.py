@@ -130,24 +130,54 @@ class ResidentStepTimes(NamedTuple):
     upload: float | None
     #: Arrival of each forward, in plan order.
     arrivals: list[float]
-    #: Per chain: the downloaded data and the download's end.
+    #: Per chain: the downloaded buffer's data (the device buffer itself,
+    #: not a copy) and the download's end.
     data: list[np.ndarray]
     done: list[float]
     #: Latest end of anything the step put on a device or host timeline.
     latest: float
 
 
-def _append(timeline: Timeline, stream: str, kind: str, name: str, start, end) -> None:
-    """Record one operation that ends its stream's queue at ``end``."""
-    lane = timeline.streams.get(stream) or timeline.stream(stream)
-    lane.append_interval(kind, name, start, end)
-    lane.cursor = end
+class _Lanes:
+    """One context's resident-step pricing handles, bound once.
+
+    Its four stream objects, its host-memory kind, its staging pool and
+    its engine paths.  A stream that does not exist yet is ``None``: its
+    cursor reads 0.0 and the first record creates it through
+    :meth:`Timeline.stream`, so streams appear in the same order as
+    without handles.  :meth:`DeviceScheduler._lanes_of` fetches the
+    streams again whenever the timeline's ``version`` has moved (a stream
+    created elsewhere, a restore).
+    """
+
+    __slots__ = (
+        "ctx", "timeline", "version", "copy", "compute", "download", "p2p",
+        "kind", "staging", "h2d", "d2h", "peers",
+    )
+
+    def __init__(self, ctx: GPUContext, engine: TransferEngine, pool_size: int) -> None:
+        self.ctx = ctx
+        self.timeline = ctx.timeline
+        self.version = -1
+        self.kind = ctx._host_kind(None)
+        self.staging = ctx.staging_pool if self.kind is HostMemoryKind.PINNED else None
+        self.h2d = engine._path(ctx.device_key, "h2d", None, self.kind)
+        self.d2h = engine._path(ctx.device_key, "d2h", None, self.kind)
+        #: Peer paths from this device, by pool index, resolved on first use.
+        self.peers: list = [None] * pool_size
+
+    def fetch(self) -> None:
+        streams = self.timeline.streams
+        self.copy = streams.get(COPY_STREAM)
+        self.compute = streams.get(COMPUTE_STREAM)
+        self.download = streams.get(DOWNLOAD_STREAM)
+        self.p2p = streams.get(P2P_STREAM)
+        self.version = self.timeline.version
 
 
-def _cursor(timeline: Timeline, stream: str) -> float:
-    """A stream's cursor, without creating the stream."""
-    lane = timeline.streams.get(stream)
-    return lane.cursor if lane is not None else 0.0
+def _cursor(stream: Stream | None) -> float:
+    """A stream handle's cursor (0.0 before the stream exists)."""
+    return stream.cursor if stream is not None else 0.0
 
 
 class DeviceScheduler:
@@ -180,6 +210,9 @@ class DeviceScheduler:
         self.engine: TransferEngine | None = (
             first if all(ctx.engine is first for ctx in contexts) else None
         )
+        #: Per context: its resident-step pricing handles, built on first use.
+        self._lanes: list[_Lanes | None] = [None] * len(self.contexts)
+        self._timelines = [ctx.timeline for ctx in self.contexts] + [self.host_timeline]
 
     # ------------------------------------------------------------------
     # Batched fan-out and gather
@@ -330,13 +363,15 @@ class DeviceScheduler:
             raise ValueError("pricing a resident step needs a pool sharing one transfer engine")
         latest = 0.0
         issues: list[float] = []
-        host = self.host_timeline
-        for name, duration in plan.issues:
-            start = max(_cursor(host, HOST_TIMELINE_STREAM), 0.0)
-            end = start + duration
-            _append(host, HOST_TIMELINE_STREAM, "issue", name, start, end)
-            issues.append(end)
-            latest = max(latest, end)
+        if plan.issues:
+            host = self.host_timeline.stream(HOST_TIMELINE_STREAM)
+            for name, duration in plan.issues:
+                start = max(host.cursor, 0.0)
+                end = start + duration
+                host.append_interval("issue", name, start, end)
+                host.cursor = end
+                issues.append(end)
+                latest = max(latest, end)
         upload = None
         arrivals: list[float] = []
         if plan.hub is not None:
@@ -357,6 +392,17 @@ class DeviceScheduler:
             latest=max([latest, *done]),
         )
 
+    def _lanes_of(self, index: int) -> _Lanes:
+        """Context ``index``'s pricing handles, with current stream objects."""
+        lanes = self._lanes[index]
+        if lanes is None:
+            lanes = self._lanes[index] = _Lanes(
+                self.contexts[index], self.engine, len(self.contexts)
+            )
+        if lanes.version != lanes.timeline.version:
+            lanes.fetch()
+        return lanes
+
     def _forward_deltas(
         self, plan: ResidentStepPlan, issued: float
     ) -> tuple[float, list[float]]:
@@ -366,33 +412,42 @@ class DeviceScheduler:
         no sooner than the hub's and its peer's P2P streams free up.
         """
         engine = self.engine
-        hub = self.contexts[plan.hub]
+        hub = self._lanes_of(plan.hub)
+        ctx, stats = hub.ctx, hub.ctx.stats
         name, packet = plan.hub_packet
-        kind = hub._host_kind(None)
-        nbytes = hub.stage_upload(name, packet, kind).nbytes
-        hub_p2p = _cursor(hub.timeline, P2P_STREAM)
-        peers = [self.contexts[index] for index, _buffer, _payload in plan.forwards]
-        floors = [max(hub_p2p, _cursor(peer.timeline, P2P_STREAM), 0.0) for peer in peers]
-        start = max(_cursor(hub.timeline, COPY_STREAM), max(plan.hub_not_before, issued))
-        duration = engine.transfer_at(hub.device_key, "h2d", nbytes, kind, start, label=name)
+        nbytes = ctx.stage_upload(name, packet, hub.kind).nbytes
+        hub_p2p = _cursor(hub.p2p)
+        peers = [self._lanes_of(index) for index, _buffer, _payload in plan.forwards]
+        floors = [max(hub_p2p, _cursor(peer.p2p), 0.0) for peer in peers]
+        start = max(_cursor(hub.copy), max(plan.hub_not_before, issued))
+        duration = engine._price(hub.h2d, nbytes, start, name)
         upload = ready = start + duration
-        hub.stats.transfer_time += duration
-        hub.stats.h2d_bytes += nbytes
-        _append(hub.timeline, COPY_STREAM, "h2d", name, start, upload)
+        stats.transfer_time += duration
+        stats.h2d_bytes += nbytes
+        if hub.copy is None:
+            hub.copy = hub.timeline.stream(COPY_STREAM)
+        hub.copy.append_interval("h2d", name, start, upload)
+        hub.copy.cursor = upload
         arrivals = []
-        for peer, floor, (_index, buffer, payload) in zip(peers, floors, plan.forwards):
-            peer.land_peer_copy(buffer, payload)
+        for peer, floor, (index, buffer, payload) in zip(peers, floors, plan.forwards):
+            peer.ctx.land_peer_copy(buffer, payload)
             start = max(floor, ready)
-            duration = engine.transfer_at(
-                hub.device_key, P2P, int(payload.nbytes), None, start,
-                peer=peer.device_key, label=buffer,
-            )
+            nbytes = int(payload.nbytes)
+            path = hub.peers[index]
+            if path is None:
+                path = hub.peers[index] = engine._path(
+                    ctx.device_key, P2P, peer.ctx.device_key, None
+                )
+            duration = engine._price(path, nbytes, start, buffer)
             ready = start + duration
-            hub.stats.p2p_bytes += int(payload.nbytes)
-            hub.stats.peer_transfers += 1
-            hub.stats.p2p_time += duration
-            _append(hub.timeline, P2P_STREAM, "p2p", f"{buffer}->peer", start, ready)
-            _append(peer.timeline, P2P_STREAM, "p2p", buffer, start, ready)
+            stats.p2p_bytes += nbytes
+            stats.peer_transfers += 1
+            stats.p2p_time += duration
+            for lanes, label in ((hub, f"{buffer}->peer"), (peer, buffer)):
+                if lanes.p2p is None:
+                    lanes.p2p = lanes.timeline.stream(P2P_STREAM)
+                lanes.p2p.append_interval("p2p", label, start, ready)
+                lanes.p2p.cursor = ready
             arrivals.append(ready)
         return upload, arrivals
 
@@ -405,16 +460,16 @@ class DeviceScheduler:
         after the host sync point; the launch waits for the first, the
         reduction for the launch and the second.
         """
-        ctx = self.contexts[plan.devices[row]]
-        stats, timeline = ctx.stats, ctx.timeline
-        kind = ctx._host_kind(None)
+        lanes = self._lanes_of(plan.devices[row])
+        ctx = lanes.ctx
+        stats = ctx.stats
         sync = float(plan.not_before[row])
-        copy_ready = max(_cursor(timeline, COPY_STREAM), sync)
-        packet_end = self._upload(ctx, kind, plan.packets[row], copy_ready)
+        copy_ready = max(_cursor(lanes.copy), sync)
+        packet_end = self._upload(lanes, plan.packets[row], copy_ready)
         threads = plan.shapes[row][0] * plan.shapes[row][1]
         config, price = ctx.timing.launch(threads, plan.block_size, plan.kernel.cost)
         kernel_time = price.total_time
-        start = max(_cursor(timeline, COMPUTE_STREAM), sync, packet_end)
+        start = max(_cursor(lanes.compute), sync, packet_end)
         ready = start + kernel_time
         stats.kernel_launches += 1
         stats.kernel_time += kernel_time
@@ -425,9 +480,13 @@ class DeviceScheduler:
                     time=price, mode=ctx.mode, work_shape=plan.shapes[row],
                 )
             )
-        _append(timeline, COMPUTE_STREAM, "kernel", plan.kernel.name, start, ready)
+        compute = lanes.compute
+        if compute is None:
+            compute = lanes.compute = lanes.timeline.stream(COMPUTE_STREAM)
+        compute.append_interval("kernel", plan.kernel.name, start, ready)
+        compute.cursor = ready
         packet_end = self._upload(
-            ctx, kind, plan.reduction_packets[row], max(copy_ready, packet_end)
+            lanes, plan.reduction_packets[row], max(copy_ready, packet_end)
         )
         if plan.reduce is not None:
             start = max(ready, packet_end)
@@ -435,19 +494,26 @@ class DeviceScheduler:
             ready = start + duration
             stats.reductions += 1
             stats.reduction_time += duration
-            _append(timeline, COMPUTE_STREAM, "reduce", plan.reduce, start, ready)
+            compute.append_interval("reduce", plan.reduce, start, ready)
+            compute.cursor = ready
         name = plan.downloads[row]
-        data = ctx.stage_download(name, kind)
+        data = ctx.memory.get(name).data
         nbytes = int(data.nbytes)
-        start = max(_cursor(timeline, DOWNLOAD_STREAM), ready)
-        duration = self.engine.transfer_at(ctx.device_key, "d2h", nbytes, kind, start, label=name)
+        if lanes.staging is not None:
+            lanes.staging.stage(nbytes)
+        start = max(_cursor(lanes.download), ready)
+        duration = self.engine._price(lanes.d2h, nbytes, start, name)
         stats.transfer_time += duration
         stats.d2h_bytes += nbytes
         end = start + duration
-        _append(timeline, DOWNLOAD_STREAM, "d2h", name, start, end)
+        download = lanes.download
+        if download is None:
+            download = lanes.download = lanes.timeline.stream(DOWNLOAD_STREAM)
+        download.append_interval("d2h", name, start, end)
+        download.cursor = end
         return data, end
 
-    def _upload(self, ctx: GPUContext, kind, packet, start: float) -> float:
+    def _upload(self, lanes: _Lanes, packet, start: float) -> float:
         """Price and record one chain packet from ``start``; returns its end.
 
         No packet (``None``) ends at ``-inf``, so it delays nothing.
@@ -455,12 +521,17 @@ class DeviceScheduler:
         if packet is None:
             return -math.inf
         name, payload = packet
-        nbytes = ctx.stage_upload(name, payload, kind).nbytes
-        duration = self.engine.transfer_at(ctx.device_key, "h2d", nbytes, kind, start, label=name)
+        ctx = lanes.ctx
+        nbytes = ctx.stage_upload(name, payload, lanes.kind).nbytes
+        duration = self.engine._price(lanes.h2d, nbytes, start, name)
         ctx.stats.transfer_time += duration
         ctx.stats.h2d_bytes += nbytes
-        _append(ctx.timeline, COPY_STREAM, "h2d", name, start, start + duration)
-        return start + duration
+        end = start + duration
+        if lanes.copy is None:
+            lanes.copy = lanes.timeline.stream(COPY_STREAM)
+        lanes.copy.append_interval("h2d", name, start, end)
+        lanes.copy.cursor = end
+        return end
 
     @property
     def all_peer_capable(self) -> bool:
@@ -479,8 +550,17 @@ class DeviceScheduler:
     # ------------------------------------------------------------------
     @property
     def makespan(self) -> float:
-        """Overlap-aware cross-device elapsed time (incl. the host timeline)."""
-        return max([ctx.timeline.elapsed for ctx in self.contexts] + [self.host_timeline.elapsed])
+        """Overlap-aware cross-device elapsed time (incl. the host timeline).
+
+        The latest cursor of any stream, in one pass; 0.0 stands in for a
+        timeline without streams, as its ``elapsed`` does (cursors are
+        never negative).
+        """
+        cursors = [
+            stream.cursor for timeline in self._timelines for stream in timeline.streams.values()
+        ]
+        cursors.append(0.0)
+        return max(cursors)
 
     @property
     def serialized_sum(self) -> float:

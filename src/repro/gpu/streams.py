@@ -139,14 +139,6 @@ class Stream:
             )
         ]
 
-    @intervals.setter
-    def intervals(self, records: list[StreamInterval]) -> None:
-        self._kinds = [interval.kind for interval in records]
-        self._names = [interval.name for interval in records]
-        self._starts = [interval.start for interval in records]
-        self._ends = [interval.end for interval in records]
-        self._busy = sum(interval.end - interval.start for interval in records)
-
     def copy_records_from(self, other: "Stream") -> None:
         """Append every record of ``other`` — column copies, no objects."""
         self._kinds += other._kinds
@@ -189,11 +181,15 @@ class Timeline:
 
     def __init__(self) -> None:
         self.streams: dict[str, Stream] = {}
+        #: Bumped whenever a stream object is created or replaced, so a
+        #: holder of stream handles knows when to fetch them again.
+        self.version = 0
 
     def stream(self, name: str = DEFAULT_STREAM) -> Stream:
         """The stream called ``name``, created on first use."""
         if name not in self.streams:
             self.streams[name] = Stream(name)
+            self.version += 1
         return self.streams[name]
 
     @property
@@ -262,6 +258,7 @@ class Timeline:
     def restore(self, state: dict) -> None:
         """Replace every stream with its snapshotted cursor/busy state."""
         self.streams.clear()
+        self.version += 1
         for name, stream_state in state.items():
             self.stream(name).restore(stream_state)
 

@@ -102,6 +102,8 @@ class GPUTimingModel:
     #: the device's latency characteristics unless overridden.
     latency_hiding_warps: float | None = None
     _launches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: The ``(device, latency_hiding_warps)`` the memo's entries were priced for.
+    _memo_owner: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def _hiding_threshold(self) -> float:
         if self.latency_hiding_warps is not None:
@@ -177,9 +179,15 @@ class GPUTimingModel:
 
         Both are pure functions of the device, the latency-hiding threshold,
         the block size, the cost profile and the thread count, so a lockstep
-        run that launches the same geometry every step prices it once.
+        run that launches the same geometry every step prices it once.  The
+        memo is keyed on the last three and restarts when the device or the
+        threshold changes, so a hit hashes no :class:`DeviceSpec`.
         """
-        key = (self.device, self.latency_hiding_warps, block_size, cost, active_threads)
+        owner = self._memo_owner
+        if owner[0] is not self.device or owner[1] != self.latency_hiding_warps:
+            self._launches.clear()
+            self._memo_owner = (self.device, self.latency_hiding_warps)
+        key = (block_size, cost, active_threads)
         price = self._launches.get(key)
         if price is None:
             if len(self._launches) >= LAUNCH_MEMO_SIZE:

@@ -221,11 +221,12 @@ class TestEquivalence:
             evaluator.close()
         assert elapsed[True] < elapsed[False]
 
-    @pytest.mark.parametrize("mode", ["full", "delta", "reduced"])
+    @pytest.mark.parametrize("mode", ["full", "delta", "reduced", "persistent"])
     @pytest.mark.parametrize("devices", [1, 2])
     def test_pinned_pool_stages_every_host_copy(self, problem, neighborhood, mode, devices):
         # A pinned pool has no pageable copy: every host byte a device
-        # counts went through its staging pool.
+        # counts went through its staging pool, the persistent loop's ring
+        # drains and control writes included.
         evaluator = MultiGPUEvaluator(problem, neighborhood, devices=devices, pinned=True)
         runner = MultiStartRunner(
             evaluator, algorithm="tabu", max_iterations=MAX_ITERATIONS, transfer_mode=mode,
@@ -324,6 +325,54 @@ class TestReplicaMigration:
         evaluator.begin_search(block)
         assert evaluator.rebalance_resident() == 0
         evaluator.close()
+
+
+class TestRestoreIntoAPricingPool:
+    """A checkpoint restored into an evaluator that has priced steps already.
+
+    Its scheduler and engine hold handles to the streams, channel loads and
+    lanes the restore replaces; the continued run must still equal the
+    uninterrupted one float for float.
+    """
+
+    @staticmethod
+    def _signature(runner, result):
+        pool = runner.evaluator.pool
+        engine = pool.engine
+        return {
+            "records": _records(result),
+            "simulated_time": runner.evaluator.stats.simulated_time,
+            "stats": [ctx.stats.snapshot() for ctx in pool.contexts],
+            "cursors": [
+                {name: (stream.cursor, stream.busy_time) for name, stream in tl.streams.items()}
+                for tl in [ctx.timeline for ctx in pool.contexts] + [pool.host_timeline]
+            ],
+            "engine": {
+                key: (load.starts, load.ends, load.nbytes, load.transfers)
+                for key, load in engine._loads.items()
+            },
+            "lanes": {name: stream.cursor for name, stream in engine.timeline.streams.items()},
+            "stall": (engine.total_stall, engine.stall_by_device),
+        }
+
+    @pytest.mark.parametrize("mode", ["delta", "reduced"])
+    def test_continued_run_matches_the_uninterrupted_one(self, problem, neighborhood, mode):
+        def runner(evaluator):
+            return MultiStartRunner(
+                evaluator, algorithm="tabu", max_iterations=MAX_ITERATIONS,
+                transfer_mode=mode, rebalance_every=4, target_fitness=float("-inf"),
+            )
+
+        checkpoints = []
+        whole = runner(MultiGPUEvaluator(problem, neighborhood, devices=3, topology="shared"))
+        expected = self._signature(
+            whole,
+            whole.run(seeds=_seeds(), checkpoint_every=4, checkpoint_callback=checkpoints.append),
+        )
+        evaluator = MultiGPUEvaluator(problem, neighborhood, devices=3, topology="shared")
+        runner(evaluator).run(seeds=_seeds())
+        resumed = runner(evaluator)
+        assert self._signature(resumed, resumed.run(resume=checkpoints[0])) == expected
 
 
 class TestHarnessColumns:

@@ -12,6 +12,9 @@ The load-bearing invariants:
   the copies.
 """
 
+import math
+from bisect import bisect_right, insort
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -416,6 +419,155 @@ class TestWalkMatchesArbitration:
         grant = batch.transfer("gpu1", "h2d", nbytes, kind=HostMemoryKind.PINNED)
         assert duration == grant.duration
         assert walk.snapshot() == batch.snapshot()
+
+
+class _PlainLoad:
+    """A channel load kept by plain ``insort``, probed and walked without shortcuts.
+
+    The reference for the engine's appending commit, its one-comparison
+    idle probe and the idle shortcut of its walk.
+    """
+
+    def __init__(self):
+        self.starts, self.ends = [], []
+
+    def commit(self, start, end):
+        insort(self.starts, start)
+        insort(self.ends, end)
+
+    def probe(self, t):
+        started = bisect_right(self.starts, t)
+        ended = bisect_right(self.ends, t)
+        if ended == len(self.ends):
+            return started - ended, math.inf
+        if started == len(self.starts):
+            return started - ended, self.ends[ended]
+        return started - ended, min(self.starts[started], self.ends[ended])
+
+    def busy_time(self):
+        busy, cursor = 0.0, -math.inf
+        for start, end in zip(self.starts, self.ends):
+            if start > cursor:
+                busy += end - start
+                cursor = end
+            elif end > cursor:
+                busy += end - cursor
+                cursor = end
+        return busy
+
+
+def _plain_walk(loads, rate_alone, rate_cap, remaining, t):
+    """The lone-copy fluid integration, one round per stretch of constant load."""
+    if remaining <= 0.0:
+        return 0.0
+    duration = 0.0
+    for _ in range(64 * 9 + 4 * sum(len(load.starts) for load, _bandwidth in loads)):
+        rate, boundary = rate_alone, math.inf
+        for load, bandwidth in loads:
+            active, following = load.probe(t)
+            rate = min(rate, bandwidth / (1 + active))
+            boundary = min(boundary, following)
+        need = remaining / rate
+        dt = min(need, boundary - t)
+        if need <= dt * (1.0 + 1e-12):
+            return duration + need
+        duration += dt
+        remaining -= rate * dt
+        t += dt
+    return duration + remaining / rate_cap  # pragma: no cover - backstop
+
+
+_PRESETS = ["dedicated", "shared", "switched", "nvlink"]
+
+
+def _draw_copies(data, count_range=(1, 16)):
+    """Copies whose starts run in start order, out of it, or on a boundary."""
+    copies, boundaries = [], [0.0]
+    for index in range(data.draw(st.integers(*count_range), label="copies")):
+        direction = data.draw(st.sampled_from(["h2d", "d2h", "p2p"]))
+        peer = "gpu1" if direction == "p2p" else None
+        device = "gpu0" if peer else data.draw(st.sampled_from(["gpu0", "gpu1", "gpu2"]))
+        kind = None if peer else data.draw(
+            st.sampled_from([HostMemoryKind.PAGEABLE, HostMemoryKind.PINNED])
+        )
+        nbytes = data.draw(st.one_of(st.just(0), st.integers(1, MIB)))
+        order = data.draw(st.sampled_from(["after", "anywhere", "boundary"]))
+        if order == "after":
+            start = max(boundaries) + data.draw(st.floats(0.0, 1e-4))
+        elif order == "anywhere":
+            start = data.draw(st.floats(0.0, 2e-3))
+        else:
+            start = data.draw(st.sampled_from(boundaries))
+        copies.append((device, direction, nbytes, kind, start, peer, f"copy{index}"))
+        boundaries.append(start)
+    return copies
+
+
+def _price(engine, copies):
+    return [
+        engine.transfer_at(device, direction, nbytes, kind, start, peer=peer, label=label)
+        for device, direction, nbytes, kind, start, peer, label in copies
+    ]
+
+
+def _checkpoint_view(engine):
+    """An engine snapshot without the lane record counts a restore resets."""
+    snap = engine.snapshot()
+    snap["timeline"] = {
+        name: (state["cursor"], state["busy"]) for name, state in snap["timeline"].items()
+    }
+    return snap
+
+
+class TestEngineFastPaths:
+    """The appending commit, the idle probe and the bound paths of ``transfer_at``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(preset=st.sampled_from(_PRESETS), data=st.data())
+    def test_fast_paths_match_plain_insort_loads(self, preset, data):
+        engine = TransferEngine(resolve_topology(preset, [GTX_280] * 3))
+        plain: dict = {}
+        for device, direction, nbytes, kind, start, peer, label in _draw_copies(data):
+            path = engine._path(device, direction, peer, kind)
+            loads = [
+                (plain.setdefault(key, _PlainLoad()), link.bandwidth)
+                for key, link in path.channels
+            ]
+            expected = _plain_walk(
+                loads, path.rate, path.route.rate_cap, float(nbytes), start
+            ) + path.route.latency
+            duration = engine.transfer_at(
+                device, direction, nbytes, kind, start, peer=peer, label=label
+            )
+            assert duration == expected
+            for load, _bandwidth in loads:
+                load.commit(start, start + duration)
+            assert list(engine._loads) == [key for key in plain if key in engine._loads]
+            for key, reference in plain.items():
+                load = engine._loads[key]
+                assert (load.starts, load.ends) == (reference.starts, reference.ends)
+                assert load.busy_time() == reference.busy_time()
+                probes = [*reference.starts, *reference.ends, start, -1.0, 1.0]
+                for t in probes + [math.nextafter(t, math.inf) for t in probes]:
+                    assert load.probe(t) == reference.probe(t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(preset=st.sampled_from(_PRESETS), data=st.data())
+    def test_restore_rebinds_resolved_paths(self, preset, data):
+        topology = resolve_topology(preset, [GTX_280] * 3)
+        before = _draw_copies(data)
+        after = _draw_copies(data)
+        whole = TransferEngine(topology)
+        expected = _price(whole, before + after)
+        first = TransferEngine(topology)
+        _price(first, before)
+        # Resolve the resumed engine's paths (and lanes) against other loads
+        # first: a path still bound to them would price the rest wrongly.
+        resumed = TransferEngine(topology)
+        _price(resumed, [(*copy[:4], 1e-3 * index, *copy[5:]) for index, copy in enumerate(after)])
+        resumed.restore(first.snapshot())
+        assert _price(resumed, after) == expected[len(before):]
+        assert _checkpoint_view(resumed) == _checkpoint_view(whole)
 
 
 class TestAccounting:

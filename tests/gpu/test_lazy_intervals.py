@@ -140,14 +140,15 @@ def test_stream_schedule_lazy_records_identical():
     assert stream.num_intervals == 200
 
 
-def test_intervals_setter_round_trips():
+def test_append_interval_round_trips():
     rng = np.random.default_rng(11)
     stream = Stream("h2d")
     for index in range(50):
         stream.schedule("h2d", f"u{index}", float(rng.random() * 1e-4))
     records = stream.intervals
     rebuilt = Stream("h2d")
-    rebuilt.intervals = records
+    for interval in records:
+        rebuilt.append_interval(interval.kind, interval.name, interval.start, interval.end)
     assert rebuilt.intervals == records
     assert rebuilt.num_intervals == stream.num_intervals
     assert rebuilt.busy_time == stream.busy_time

@@ -48,6 +48,26 @@ def test_a_a_run_agrees_on_every_simulated_figure():
     assert len(report["environment"]["base"]) == 40
 
 
+@pytest.mark.skipif(not _has_head(), reason="needs a git checkout with a commit")
+def test_a_a_run_of_every_workload_reports_each():
+    env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+    done = subprocess.run(
+        [sys.executable, str(AB), "--base", "HEAD", "--workload", "all",
+         "--pairs", "1", "--seed", "0", "--small"],
+        capture_output=True, text=True, timeout=900, env=env,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert [r["workload"] for r in report["reports"]] == [
+        "ppp-protocol", "fleet-churn", "serve-poisson"
+    ]
+    for workload in report["reports"]:
+        assert workload["mismatches"] == []
+        assert workload["replica_iters_per_s"]["ratio"]["pairs"] == 1
+    assert done.stdout.count("simulated counters, makespan, latencies: identical") == 3
+    assert len(report["environment"]["base"]) == 40
+
+
 def test_differences_names_each_disagreement():
     ab = _load_ab()
     base = SimpleNamespace(

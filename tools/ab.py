@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Same-process A/B of one perfbench workload on two source trees.
+"""Same-process A/B of perfbench workloads on two source trees.
 
 Usage, from the repository root::
 
     python3 tools/ab.py --base HEAD~1 --workload fleet-churn --pairs 10 --seed 3
     python3 tools/ab.py --base HEAD --workload serve-poisson --pairs 2 --small   # A/A
+    python3 tools/ab.py --base HEAD~1 --workload all --pairs 10 --seed 3
 
 Side A is ``REV``'s ``src/repro``, extracted with ``git archive`` into a
 temporary directory and imported as the package ``repro_base``; side B is
@@ -20,9 +21,12 @@ alternating which side goes first.  For the set-up wall time and for
 ``replica_iters_per_s`` it prints each side's median and quartiles, the
 median B/A ratio with a seeded bootstrap 95% interval, and the number of
 pairs B won.  The last line of standard output is one JSON object with
-the same figures and the environment stamp.  The exit status is 1 when
-any pair's simulated counters, makespan or latencies differ between the
-sides, and 2 on a usage error.
+the same figures and the environment stamp.  ``--workload all`` A/Bs the
+three workloads in turn, both trees loaded once, prints one block per
+workload and ends with one JSON object holding one report per workload
+under ``"reports"``.  The exit status is 1 when any pair's simulated
+counters, makespan or latencies differ between the sides, and 2 on a
+usage error.
 """
 
 from __future__ import annotations
@@ -178,49 +182,40 @@ def env_stamp(base_rev: str) -> dict:
     }
 
 
-def run(args) -> int:
-    stamp = env_stamp(args.base)
-    sys.path.insert(0, str(ROOT / "src"))
-    with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
-        import_tree(extract(args.base, Path(scratch)), BASE_PACKAGE)
-        with aliased(BASE_PACKAGE):
-            side_a = load_workloads("_ab_workloads_a")
-        side_b = load_workloads("_ab_workloads_b")
-        sides = {"A": side_a, "B": side_b}
+def ab(sides: dict, workload: str, args, stamp: dict) -> dict:
+    """A/B one workload on the loaded trees; returns its report."""
+    # One untimed set-up per side first: the first call on a tree pays
+    # its one-time costs (lazy imports, first scorer builds).
+    for side in "AB":
+        sides[side].timed_setup(workload, args.seed, small=args.small)
+    setups = {"A": [], "B": []}
+    workloads = {}
+    for turn in range(SETUPS):
+        for side in ("AB" if turn % 2 == 0 else "BA"):
+            workloads[side], wall = sides[side].timed_setup(
+                workload, args.seed, small=args.small
+            )
+            setups[side].append(wall)
 
-        # One untimed set-up per side first: the first call on a tree pays
-        # its one-time costs (lazy imports, first scorer builds).
-        for side in "AB":
-            sides[side].timed_setup(args.workload, args.seed, small=args.small)
-        setups = {"A": [], "B": []}
-        workloads = {}
-        for turn in range(SETUPS):
-            for side in ("AB" if turn % 2 == 0 else "BA"):
-                workloads[side], wall = sides[side].timed_setup(
-                    args.workload, args.seed, small=args.small
-                )
-                setups[side].append(wall)
+    def episode(side):
+        gc.collect()
+        start = time.perf_counter()
+        result = workloads[side].episode(lambda evaluator: None)
+        return result, time.perf_counter() - start
 
-        def episode(side):
-            gc.collect()
-            start = time.perf_counter()
-            result = workloads[side].episode(lambda evaluator: None)
-            return result, time.perf_counter() - start
-
-        reference, _ = episode("A")
-        mismatches = [f"warm-up: {line}" for line in differences(reference, episode("B")[0])]
-        rates = {"A": [], "B": []}
-        for index in range(args.pairs):
-            for side in ("AB" if index % 2 == 0 else "BA"):
-                result, wall = episode(side)
-                rates[side].append(result.replica_iters / wall)
-                mismatches += [
-                    f"pair {index} side {side}: {line}"
-                    for line in differences(reference, result)
-                ]
-
-    report = {
-        "workload": args.workload,
+    reference, _ = episode("A")
+    mismatches = [f"warm-up: {line}" for line in differences(reference, episode("B")[0])]
+    rates = {"A": [], "B": []}
+    for index in range(args.pairs):
+        for side in ("AB" if index % 2 == 0 else "BA"):
+            result, wall = episode(side)
+            rates[side].append(result.replica_iters / wall)
+            mismatches += [
+                f"pair {index} side {side}: {line}"
+                for line in differences(reference, result)
+            ]
+    return {
+        "workload": workload,
         "seed": args.seed,
         "small": args.small,
         "environment": stamp,
@@ -236,7 +231,12 @@ def run(args) -> int:
         },
         "mismatches": mismatches,
     }
-    print(f"== {args.workload} seed {args.seed}{' (small)' if args.small else ''}: "
+
+
+def print_block(report: dict) -> None:
+    stamp = report["environment"]
+    print(f"== {report['workload']} seed {report['seed']}"
+          f"{' (small)' if report['small'] else ''}: "
           f"A = {stamp['base'][:12]}, B = working tree of {stamp['head'][:12]}"
           f"{' (dirty)' if stamp['head_dirty'] else ''} ==")
     print(f"   env: {stamp['nproc']} cpus, {stamp['machine']}, python {stamp['python']}, "
@@ -250,18 +250,42 @@ def run(args) -> int:
         r = block["ratio"]
         print(f"     B/A: median {r['median']:.4f}  95% CI [{r['ci95'][0]:.4f}, "
               f"{r['ci95'][1]:.4f}]  B better in {r['wins']}/{r['pairs']} pairs")
+    mismatches = report["mismatches"]
     print(f"   simulated counters, makespan, latencies: "
           f"{'identical' if not mismatches else f'{len(mismatches)} MISMATCHES'}")
     for line in mismatches[:20]:
         print(f"     {line}")
-    print(json.dumps(report))
-    return 1 if mismatches else 0
+
+
+def run(args) -> int:
+    stamp = env_stamp(args.base)
+    sys.path.insert(0, str(ROOT / "src"))
+    with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
+        import_tree(extract(args.base, Path(scratch)), BASE_PACKAGE)
+        with aliased(BASE_PACKAGE):
+            side_a = load_workloads("_ab_workloads_a")
+        side_b = load_workloads("_ab_workloads_b")
+        sides = {"A": side_a, "B": side_b}
+        names = WORKLOADS if args.workload == "all" else (args.workload,)
+        reports = []
+        for name in names:
+            report = ab(sides, name, args, stamp)
+            print_block(report)
+            reports.append(report)
+    if args.workload == "all":
+        print(json.dumps({
+            "workload": "all", "seed": args.seed, "small": args.small,
+            "environment": stamp, "reports": reports,
+        }))
+    else:
+        print(json.dumps(reports[0]))
+    return 1 if any(report["mismatches"] for report in reports) else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision of side A")
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--workload", required=True, choices=(*WORKLOADS, "all"))
     parser.add_argument("--pairs", type=int, default=10, help="timed episode pairs")
     parser.add_argument("--seed", type=int, default=3, help="workload seed")
     parser.add_argument("--small", action="store_true", help="the self-test configuration")
