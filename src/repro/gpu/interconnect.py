@@ -846,8 +846,7 @@ class TransferEngine:
         else:
             return remaining / path.rate
         duration = 0.0
-        rounds, bound = 0, 64 * 9
-        while True:
+        for _ in range(64 * 9 + 4 * sum([len(load.starts) for _key, load, _bw in loaded])):
             rate, boundary = path.rate, math.inf
             for _key, load, bandwidth in loaded:
                 if t >= load.last_end:
@@ -867,13 +866,7 @@ class TransferEngine:
             duration += dt
             remaining -= rate * dt
             t += dt
-            rounds += 1
-            if rounds == bound:
-                # The loads do not change during a walk, so the round bound
-                # of `_arbitrate` is counted only when it can matter.
-                bound = 64 * 9 + 4 * sum([len(load.starts) for _key, load, _bw in loaded])
-                if rounds >= bound:  # pragma: no cover - numerical backstop
-                    return duration + remaining / path.route.rate_cap
+        return duration + remaining / path.route.rate_cap  # pragma: no cover - backstop
 
     def _finish(
         self, direction: str, nbytes: float, route: Route, base: float

@@ -348,8 +348,9 @@ class DeviceScheduler:
         the contexts' async API gives, float for float — same intervals,
         counters and engine commits, in the same order — without building
         an event, request or grant object per operation.  Every copy is
-        one :meth:`TransferEngine.transfer_at` call, every clock a Python
-        float, and launches are memoized (:meth:`GPUTimingModel.launch`).
+        one :meth:`TransferEngine.transfer_at` pricing over the context's
+        bound path (:class:`_Lanes`), every clock a Python float, and
+        launches are memoized (:meth:`GPUTimingModel.launch`).
         After the delta route, one pass over the plan's rows prices each
         device's chain whole: packets, launch, reduction, download.
 
