@@ -68,7 +68,6 @@ from ..gpu.multi_device import (
 )
 from ..gpu.runtime import DeviceLoop, GPUContext, PersistentLaunchRecord
 from ..gpu.scheduler import DeviceScheduler, ResidentStepPlan
-from ..gpu.streams import COPY_STREAM, DOWNLOAD_STREAM
 from ..gpu.timing import HostTimingModel
 from ..neighborhoods import Neighborhood
 from ..problems import BinaryProblem, as_solution
@@ -1555,20 +1554,11 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                     # The source device is dead: its rows are recovered from
                     # the exact host mirror, so the only priced leg is the
                     # h2d upload into each destination.
-                    dst_context = dst_slot.context
-                    start = dst_slot._sync_time
-                    up_start = dst_context._issue_start(COPY_STREAM, None, start)
-                    up = dst_context.host_transfer_grant(
+                    arrival_time = dst_slot.context.host_leg(
                         "h2d", payload.nbytes,
-                        start=up_start, label=f"recover:{src}->{dst}",
+                        not_before=dst_slot._sync_time, label=f"recover:{src}->{dst}",
                     )
-                    up_interval = dst_context.timeline.schedule(
-                        "h2d", f"recover:{src}->{dst}", up.duration,
-                        stream=COPY_STREAM, not_before=start,
-                    )
-                    dst_context.stats.transfer_time += up.duration
-                    dst_context.stats.h2d_bytes += payload.nbytes
-                    arrivals[dst] = max(arrivals.get(dst, 0.0), up_interval.end)
+                    arrivals[dst] = max(arrivals.get(dst, 0.0), arrival_time)
                     continue
                 start = max(src_slot._sync_time, dst_slot._sync_time)
                 if src_slot.context.can_access_peer(dst_slot.context):
@@ -1581,33 +1571,16 @@ class MultiGPUEvaluator(NeighborhoodEvaluator):
                     arrival_time = arrival.time
                 else:
                     # No peer link: the rows take the classic host round trip
-                    # (device -> host -> device), both legs routed through
-                    # the interconnect engine so migrations contend on a
-                    # shared uplink like any other host transfer.
-                    src_context, dst_context = src_slot.context, dst_slot.context
-                    down_start = src_context._issue_start(DOWNLOAD_STREAM, None, start)
-                    down = src_context.host_transfer_grant(
-                        "d2h", payload.nbytes,
-                        start=down_start, label=f"migrate:{src}->{dst}",
+                    # (device -> host -> device), each leg priced like any
+                    # other host copy, so migrations contend on a shared
+                    # uplink and stage on pinned contexts.
+                    label = f"migrate:{src}->{dst}"
+                    landed = src_slot.context.host_leg(
+                        "d2h", payload.nbytes, not_before=start, label=label
                     )
-                    interval = src_context.timeline.schedule(
-                        "d2h", f"migrate:{src}->{dst}", down.duration,
-                        stream=DOWNLOAD_STREAM, not_before=start,
+                    arrival_time = dst_slot.context.host_leg(
+                        "h2d", payload.nbytes, not_before=landed, label=label
                     )
-                    src_context.stats.transfer_time += down.duration
-                    src_context.stats.d2h_bytes += payload.nbytes
-                    up_start = dst_context._issue_start(COPY_STREAM, None, interval.end)
-                    up = dst_context.host_transfer_grant(
-                        "h2d", payload.nbytes,
-                        start=up_start, label=f"migrate:{src}->{dst}",
-                    )
-                    up_interval = dst_context.timeline.schedule(
-                        "h2d", f"migrate:{src}->{dst}", up.duration,
-                        stream=COPY_STREAM, not_before=interval.end,
-                    )
-                    dst_context.stats.transfer_time += up.duration
-                    dst_context.stats.h2d_bytes += payload.nbytes
-                    arrival_time = up_interval.end
                 arrivals[dst] = max(arrivals.get(dst, 0.0), arrival_time)
                 arrivals[src] = max(arrivals.get(src, 0.0), arrival_time)
 

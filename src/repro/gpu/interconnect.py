@@ -38,6 +38,10 @@ over the piecewise-constant load profile yields the duration.
 An uncontended transfer therefore prices *exactly* as the legacy model
 (latency + bytes/bandwidth), and every contended transfer is at least that
 slow; the difference is recorded as the transfer's **contention stall**.
+
+A copy issued alone — every copy a device context makes — is priced by
+:meth:`TransferEngine._price` in one walk with the floats a one-request
+arbitration yields; only batches of two or more are arbitrated jointly.
 """
 
 from __future__ import annotations
@@ -554,11 +558,11 @@ class _Path:
     """
 
     __slots__ = (
-        "route", "channels", "links", "rate", "device", "direction", "label",
+        "route", "channels", "links", "rate", "device", "direction", "kind", "label",
         "loads", "lanes",
     )
 
-    def __init__(self, route: Route, device: str, direction: str) -> None:
+    def __init__(self, route: Route, device: str, direction: str, kind) -> None:
         self.route = route
         #: ``((link name, channel), link)`` per link crossed, in path order.
         self.channels = tuple(
@@ -570,6 +574,8 @@ class _Path:
         self.rate = min([route.rate_cap, *(link.bandwidth for link in route.links)])
         self.device = device
         self.direction = direction
+        #: Host-memory kind of a host copy (``None`` for a peer copy).
+        self.kind = kind
         #: Lane label of a copy committed without one.
         self.label = f"{device}:{direction}"
         #: ``(channel key, load, link bandwidth)`` per channel, in path order.
@@ -598,10 +604,13 @@ class TransferEngine:
     each link's bandwidth among overlapping transfers.
 
     The engine is shared by every :class:`~repro.gpu.runtime.GPUContext` of
-    one pool; contexts ask it to *price* a copy (given the copy's
-    stream-resolved start time) and then place the returned grant on their
-    own stream timelines, so the contention model composes with the
-    existing event/stream machinery instead of replacing it.
+    one pool; a context asks it to *price* each copy (:meth:`_price`, given
+    the copy's stream-resolved start time and its resolved :class:`_Path`)
+    and then accounts the copy and places it on its own stream timelines,
+    so the contention model composes with the existing event/stream
+    machinery instead of replacing it.  :meth:`transfer`,
+    :meth:`peer_transfer` and :meth:`transfer_batch` are the grant-returning
+    forms; the pool's concurrent fan-outs arbitrate through the last.
     """
 
     def __init__(self, topology: InterconnectTopology) -> None:
@@ -635,7 +644,7 @@ class TransferEngine:
         path = self._paths.get(key)
         if path is None:
             path = self._paths[key] = _Path(
-                self._route(device, direction, peer, kind), device, direction
+                self._route(device, direction, peer, kind), device, direction, kind
             )
             self._bind(path)
         return path
@@ -758,7 +767,8 @@ class TransferEngine:
         they overlap; previously committed transfers act as background load.
         Issue the concurrent fan-out of one step as a single batch — that is
         what makes ``N`` simultaneous uploads each see ``~1/N`` of a shared
-        uplink instead of the first one grabbing the full rate.
+        uplink instead of the first one grabbing the full rate.  A lone
+        request is walked (:meth:`_walk`), like every copy a context prices.
         """
         if not requests:
             return []
@@ -769,13 +779,16 @@ class TransferEngine:
             self._path(request.device, request.direction, request.peer, request.kind)
             for request in requests
         ]
-        items = [_PricingItem(request, path) for request, path in zip(requests, paths)]
-        self._arbitrate(items)
+        if len(requests) == 1:
+            bases = [self._walk(paths[0], float(requests[0].nbytes), requests[0].start)]
+        else:
+            items = [_PricingItem(request, path) for request, path in zip(requests, paths)]
+            self._arbitrate(items)
+            bases = [item.duration for item in items]
         grants = []
-        for item, path in zip(items, paths):
-            request = item.request
+        for request, path, base in zip(requests, paths, bases):
             duration, dedicated = self._finish(
-                request.direction, request.nbytes, path.route, item.duration
+                request.direction, request.nbytes, path.route, base
             )
             grant = TransferGrant(
                 request=request,
@@ -788,33 +801,13 @@ class TransferEngine:
             grants.append(grant)
         return grants
 
-    def transfer_at(
-        self,
-        device: str,
-        direction: str,
-        nbytes: int,
-        kind: HostMemoryKind | None,
-        start: float,
-        *,
-        peer: str | None = None,
-        label: str = "",
-    ) -> float:
-        """Price and commit one copy that starts at ``start``; returns its duration.
-
-        The copy is priced alone against everything committed before it,
-        exactly as a one-request :meth:`transfer_batch` call — grants are
-        immutable, so the copies of one step issued one by one in stream
-        order need no joint arbitration.  :meth:`_walk` integrates it over
-        its channels' committed boundaries with the floats
-        :meth:`_arbitrate` computes for a one-item batch.  An armed
-        transient fault hits the next call that moves host bytes.
-        """
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-        return self._price(self._path(device, direction, peer, kind), nbytes, start, label)
-
     def _price(self, path: _Path, nbytes: int, start: float, label: str = "") -> float:
-        """:meth:`transfer_at` over a resolved path (``nbytes`` already checked)."""
+        """Price and commit one copy of ``nbytes`` on ``path`` from ``start``; its duration.
+
+        Priced alone against everything committed before it, exactly as a
+        one-request :meth:`transfer_batch`; an armed transient fault hits the
+        next call that moves host bytes.
+        """
         base = self._walk(path, float(nbytes), start)
         route = path.route
         if self._pending_faults:
@@ -885,7 +878,7 @@ class TransferEngine:
 
     # ------------------------------------------------------------------
     def _arbitrate(self, items: list[_PricingItem]) -> None:
-        """Fluid fair-share integration of one batch against committed load."""
+        """Fluid fair-share integration of a batch of two or more against committed load."""
         unfinished = [item for item in items if not item.finished]
         if not unfinished:
             return

@@ -169,7 +169,7 @@ def timeline_report(
     engine: TransferEngine | None = None
     if isinstance(source, DeviceScheduler):
         timeline = source.merged_timeline()
-        if source.engine is not None and source.engine.topology.shared_links():
+        if source.engine.topology.shared_links():
             engine = source.engine
     elif isinstance(source, TransferEngine):
         timeline = merge_timelines({"interconnect": source.timeline})

@@ -10,9 +10,9 @@ took.
 Two issue models coexist:
 
 * the **synchronous** API (:meth:`GPUContext.to_device`,
-  :meth:`GPUContext.launch`, :meth:`GPUContext.to_host`) — every operation
-  runs on the null stream and serializes against all outstanding work, so
-  elapsed time is the plain sum of operation times (the seed behaviour);
+  :meth:`GPUContext.launch`) — every operation runs on the null stream and
+  serializes against all outstanding work, so elapsed time is the plain sum
+  of operation times (the seed behaviour);
 * the **asynchronous** API (:meth:`GPUContext.copy_async`,
   :meth:`GPUContext.launch_async`, :meth:`GPUContext.download_async`,
   :meth:`GPUContext.reduce_async`) — operations are issued on named streams
@@ -20,6 +20,12 @@ Two issue models coexist:
   caller passes, so a transfer on one stream hides under a kernel running on
   another.  The overlap-aware elapsed time is :attr:`GPUContext.timeline`'s
   makespan.
+
+Every simulated copy — either API's, a persistent loop's ring, a resident
+step's, a replica migration's — is priced on the pool's one
+:class:`~repro.gpu.interconnect.TransferEngine`, counted, staged and
+recorded by :meth:`GPUContext._host_copy` (host<->device) or
+:meth:`GPUContext._peer_copy` (device->device), and nowhere else.
 """
 
 from __future__ import annotations
@@ -31,9 +37,13 @@ import numpy as np
 from .device import DeviceSpec, GTX_280
 from .hierarchy import DEFAULT_BLOCK_SIZE, LaunchConfig
 from .interconnect import (
+    D2H,
+    H2D,
+    P2P,
     InterconnectTopology,
     TransferEngine,
     TransferGrant,
+    _Path,
     resolve_topology,
 )
 from .kernel import ExecutionMode, Kernel, KernelLaunch, PersistentKernel, normalize_work
@@ -41,10 +51,13 @@ from .memory import HostMemoryKind, MemoryManager, MemorySpace, PinnedStagingPoo
 from .streams import (
     COMPUTE_STREAM,
     COPY_STREAM,
+    DEFAULT_STREAM,
     DOWNLOAD_STREAM,
     P2P_STREAM,
     Event,
+    Stream,
     Timeline,
+    barrier,
 )
 from .timing import GPUTimingModel, KernelCostProfile
 
@@ -152,9 +165,9 @@ class DeviceLoop:
     * :meth:`reduce` accumulates a fused reduction as a pure bandwidth pass
       (the per-reduction launch overhead also disappears inside the loop);
     * :meth:`drain_ring` / :meth:`write_control` account the host's
-      concurrent PCIe traffic (``O(S)`` bytes per iteration, both ways),
-      staged through a pinned context's :attr:`GPUContext.staging_pool`
-      like every other copy it makes.
+      concurrent PCIe traffic (``O(S)`` bytes per iteration, both ways)
+      through :meth:`GPUContext._host_copy`, like every other copy the
+      context makes; the loop records them on the timeline itself.
 
     :meth:`finish` then charges exactly **one** kernel launch and one launch
     overhead, and records one long interval per stream on the timeline: the
@@ -271,39 +284,28 @@ class DeviceLoop:
         self.context.stats.reduction_time += duration
         return duration
 
-    def _stage(self, nbytes: int) -> None:
-        """Stage one ring drain or control write through a pinned context's pool."""
-        if self.context.staging_pool is not None:
-            self.context.staging_pool.stage(int(nbytes))
-
     def drain_ring(self, nbytes: int) -> float:
         """Account the host draining ``nbytes`` of the per-iteration result ring."""
         self._check_open()
-        self._stage(nbytes)
-        grant = self.context.host_transfer_grant(
-            "d2h", nbytes, start=self._ring_cursor, label=f"ring[{self.kernel.name}]"
+        context = self.context
+        duration = context._host_copy(
+            context._path(D2H), int(nbytes), self._ring_cursor, f"ring[{self.kernel.name}]"
         )
-        duration = grant.duration
-        self._ring_cursor = grant.end
+        self._ring_cursor += duration
         self._ring_time += duration
         self._ring_bytes += int(nbytes)
-        self.context.stats.transfer_time += duration
-        self.context.stats.d2h_bytes += int(nbytes)
         return duration
 
     def write_control(self, nbytes: int) -> float:
         """Account the host writing ``nbytes`` of early-stop/control flags."""
         self._check_open()
-        self._stage(nbytes)
-        grant = self.context.host_transfer_grant(
-            "h2d", nbytes, start=self._control_cursor, label=f"flags[{self.kernel.name}]"
+        context = self.context
+        duration = context._host_copy(
+            context._path(H2D), int(nbytes), self._control_cursor, f"flags[{self.kernel.name}]"
         )
-        duration = grant.duration
-        self._control_cursor = grant.end
+        self._control_cursor += duration
         self._control_time += duration
         self._control_bytes += int(nbytes)
-        self.context.stats.transfer_time += duration
-        self.context.stats.h2d_bytes += int(nbytes)
         return duration
 
     def finish(self) -> PersistentLaunchRecord:
@@ -373,7 +375,9 @@ class GPUContext:
         transfers of different devices contend on shared links.  Omitted, a
         private engine over a single-device topology is created (``topology``
         selects which; the default derives a dedicated link from the device
-        spec, pricing bit-identically to the legacy model).
+        spec, pricing bit-identically to the legacy model).  Contexts of one
+        pool share one engine: build them with
+        :func:`~repro.gpu.multi_device.build_contexts`.
     device_key:
         This context's name inside the engine's topology (``"gpu0"``, ...).
     topology:
@@ -426,45 +430,98 @@ class GPUContext:
             return kind
         return HostMemoryKind.PINNED if self.pinned else HostMemoryKind.PAGEABLE
 
-    def _issue_start(
+    def _path(self, direction: str, kind: HostMemoryKind | None = None) -> _Path:
+        """The engine path of this device's host copies in ``direction``."""
+        return self.engine._path(self.device_key, direction, None, self._host_kind(kind))
+
+    def _issue(
         self,
         stream: str,
         wait_for: Event | list[Event] | None,
         not_before: float,
-    ) -> float:
-        """The instant a stream-ordered operation would start (cursor + deps)."""
-        if wait_for is None:
-            events: list[Event] = []
-        elif isinstance(wait_for, Event):
-            events = [wait_for]
-        else:
-            events = list(wait_for)
-        barrier = max([not_before, *(event.time for event in events)], default=not_before)
-        return max(self.timeline.stream(stream).cursor, barrier)
+    ) -> tuple[Stream, float]:
+        """The stream of a stream-ordered operation and the instant it starts."""
+        lane = self.timeline.stream(stream)
+        return lane, max(lane.cursor, barrier(wait_for, not_before))
 
-    def host_transfer_grant(
+    # ------------------------------------------------------------------
+    # The copy primitives: every simulated copy is priced, counted and
+    # recorded here, and nowhere else.
+    # ------------------------------------------------------------------
+    def _host_copy(
         self,
-        direction: str,
-        nbytes: float,
-        *,
-        kind: HostMemoryKind | None = None,
-        start: float | None = None,
-        label: str = "",
-    ) -> TransferGrant:
-        """Route one host<->device copy of this device through the engine.
+        path: _Path,
+        nbytes: int,
+        start: float,
+        label: str,
+        stream: Stream | None = None,
+        duration: float | None = None,
+    ) -> float:
+        """Price, account and record one host<->device copy; returns its duration.
 
-        ``start`` defaults to the null-stream issue point (the timeline's
-        current makespan).  The caller schedules the returned grant's
-        duration on whichever stream carries the copy.
+        The copy of ``nbytes`` starts at ``start`` on ``path`` (from
+        :meth:`_path`) and is priced there by the pool's engine, unless a
+        batch arbitration already priced it as ``duration``.  It counts into
+        :attr:`stats`, is staged through :attr:`staging_pool` when it moves
+        pinned memory, and is recorded on ``stream`` — which must not run
+        past ``start`` — unless ``stream`` is ``None`` (a persistent loop
+        records its ring traffic itself).
         """
-        return self.engine.transfer(
-            self.device_key,
-            direction,
-            nbytes,
-            kind=self._host_kind(kind),
-            start=self.timeline.elapsed if start is None else start,
-            label=label,
-        )
+        if duration is None:
+            duration = self.engine._price(path, nbytes, start, label)
+        stats = self.stats
+        stats.transfer_time += duration
+        if path.direction == H2D:
+            stats.h2d_bytes += nbytes
+        else:
+            stats.d2h_bytes += nbytes
+        staging = self.staging_pool
+        if staging is not None and path.kind is HostMemoryKind.PINNED:
+            staging.stage(nbytes)
+        if stream is not None:
+            end = start + duration
+            stream.append_interval(path.direction, label, start, end)
+            stream.cursor = end
+        return duration
+
+    def _peer_copy(
+        self,
+        path: _Path,
+        nbytes: int,
+        start: float,
+        label: str,
+        own: Stream,
+        theirs: Stream,
+    ) -> float:
+        """Price, account and record one peer copy from this device; its duration.
+
+        The copy occupies both endpoints' P2P streams (``own`` here,
+        ``theirs`` on the peer) from ``start``; its bytes count only in this
+        device's ``p2p_bytes`` — no host round trip takes place.
+        """
+        duration = self.engine._price(path, nbytes, start, label)
+        stats = self.stats
+        stats.p2p_bytes += nbytes
+        stats.peer_transfers += 1
+        stats.p2p_time += duration
+        end = start + duration
+        for lane, name in ((own, f"{label}->peer"), (theirs, label)):
+            lane.append_interval("p2p", name, start, end)
+            lane.cursor = end
+        return duration
+
+    def land(
+        self, name: str, data: np.ndarray, space: MemorySpace = MemorySpace.GLOBAL
+    ):
+        """The memory side of a copy arriving here: write ``data`` into buffer ``name``.
+
+        The buffer is reallocated when the array's geometry changed (delta
+        packets shrink and grow with the active replicas).  Returns it.
+        """
+        data = np.asarray(data)
+        buf = self.memory.sized(name, data.shape, data.dtype, space)
+        buf.copy_from_host(data)
+        return buf
 
     # ------------------------------------------------------------------
     # Memory operations (timed)
@@ -482,27 +539,10 @@ class GPUContext:
         Synchronous (null-stream) semantics: the copy starts only after every
         outstanding operation on every stream has completed.
         """
-        kind = self._host_kind(host_kind)
         buf = self.memory.to_device(name, host_array, space)
-        grant = self.host_transfer_grant("h2d", buf.nbytes, kind=kind, label=name)
-        self.stats.transfer_time += grant.duration
-        self.stats.h2d_bytes += buf.nbytes
-        self.timeline.schedule_sync("h2d", name, grant.duration)
+        lane = self.timeline.stream(DEFAULT_STREAM)
+        self._host_copy(self._path(H2D, host_kind), buf.nbytes, self.timeline.elapsed, name, lane)
         return buf
-
-    def to_host(self, name: str, *, host_kind: HostMemoryKind | None = None) -> np.ndarray:
-        """Copy device buffer ``name`` back to the host (null-stream semantics)."""
-        kind = self._host_kind(host_kind)
-        out = self.memory.to_host(name)
-        grant = self.host_transfer_grant("d2h", out.nbytes, kind=kind, label=name)
-        self.stats.transfer_time += grant.duration
-        self.stats.d2h_bytes += out.nbytes
-        self.timeline.schedule_sync("d2h", name, grant.duration)
-        return out
-
-    def alloc(self, name: str, shape, dtype=np.float64, space: MemorySpace = MemorySpace.GLOBAL):
-        """Allocate an output buffer on the device (not timed: no data crosses PCIe)."""
-        return self.memory.alloc(name, shape, dtype, space)
 
     def free(self, name: str) -> None:
         self.memory.free(name)
@@ -615,46 +655,13 @@ class GPUContext:
         pinned PCIe terms.  Passing a pre-priced ``grant`` (from a batched
         engine arbitration) skips the per-copy pricing.
         """
-        kind = self._host_kind(host_kind)
-        buf = self.stage_upload(name, host_array, kind, space)
-        if grant is None:
-            start = self._issue_start(stream, wait_for, not_before)
-            grant = self.host_transfer_grant(
-                "h2d", buf.nbytes, kind=kind, start=start, label=name
-            )
-        self.stats.transfer_time += grant.duration
-        self.stats.h2d_bytes += buf.nbytes
-        interval = self.timeline.schedule(
-            "h2d", name, grant.duration,
-            stream=stream, wait_for=wait_for, not_before=not_before,
+        buf = self.land(name, host_array, space)
+        lane, start = self._issue(stream, wait_for, not_before)
+        duration = self._host_copy(
+            self._path(H2D, host_kind), buf.nbytes, start, name, lane,
+            None if grant is None else grant.duration,
         )
-        return Event(stream=stream, time=interval.end)
-
-    def stage_upload(
-        self,
-        name: str,
-        host_array: np.ndarray,
-        kind: HostMemoryKind,
-        space: MemorySpace = MemorySpace.GLOBAL,
-    ):
-        """The memory side of a host -> device copy; returns the device buffer.
-
-        The buffer is reallocated when the array's geometry changed (delta
-        packets shrink and grow with the active replicas), and a pinned copy
-        is staged through :attr:`staging_pool`.
-        """
-        host_array = np.asarray(host_array)
-        self.memory.sized(name, host_array.shape, host_array.dtype, space)
-        if kind is HostMemoryKind.PINNED and self.staging_pool is not None:
-            self.staging_pool.stage(int(host_array.nbytes))
-        return self.memory.to_device(name, host_array, space)
-
-    def stage_download(self, name: str, kind: HostMemoryKind) -> np.ndarray:
-        """The memory side of a device -> host copy; returns the host data."""
-        out = self.memory.to_host(name)
-        if kind is HostMemoryKind.PINNED and self.staging_pool is not None:
-            self.staging_pool.stage(int(out.nbytes))
-        return out
+        return Event(stream=stream, time=start + duration)
 
     def download_async(
         self,
@@ -667,20 +674,25 @@ class GPUContext:
         grant: TransferGrant | None = None,
     ) -> tuple[np.ndarray, Event]:
         """Device -> host copy issued on ``stream``; returns (data, event)."""
-        kind = self._host_kind(host_kind)
-        out = self.stage_download(name, kind)
-        if grant is None:
-            start = self._issue_start(stream, wait_for, not_before)
-            grant = self.host_transfer_grant(
-                "d2h", out.nbytes, kind=kind, start=start, label=name
-            )
-        self.stats.transfer_time += grant.duration
-        self.stats.d2h_bytes += out.nbytes
-        interval = self.timeline.schedule(
-            "d2h", name, grant.duration,
-            stream=stream, wait_for=wait_for, not_before=not_before,
+        out = self.memory.to_host(name)
+        lane, start = self._issue(stream, wait_for, not_before)
+        duration = self._host_copy(
+            self._path(D2H, host_kind), out.nbytes, start, name, lane,
+            None if grant is None else grant.duration,
         )
-        return out, Event(stream=stream, time=interval.end)
+        return out, Event(stream=stream, time=start + duration)
+
+    def host_leg(self, direction: str, nbytes: int, *, not_before: float, label: str) -> float:
+        """One host copy that writes no named buffer; returns its end.
+
+        Replica migrations and recoveries move rows whose device state the
+        caller reinstalls itself; each leg is priced and recorded like any
+        other copy, on the copy stream (``"h2d"``) or the download stream
+        (``"d2h"``), from ``not_before`` on.
+        """
+        stream = COPY_STREAM if direction == H2D else DOWNLOAD_STREAM
+        lane, start = self._issue(stream, None, not_before)
+        return start + self._host_copy(self._path(direction), int(nbytes), start, label, lane)
 
     # ------------------------------------------------------------------
     # Peer-to-peer (device -> device) operations
@@ -688,13 +700,12 @@ class GPUContext:
     def can_access_peer(self, peer: "GPUContext") -> bool:
         """Whether a direct peer copy to ``peer`` is possible.
 
-        Contexts sharing one interconnect engine consult its topology (the
-        peer mesh is a routing property there); standalone contexts fall
-        back to the specs' capability flags.
+        The peer mesh is a routing property of the contexts' shared
+        interconnect engine; contexts of different engines have none.
         """
-        if self.engine is peer.engine:
-            return self.engine.has_peer_route(self.device_key, peer.device_key)
-        return self.device.p2p_capable and peer.device.p2p_capable
+        return self.engine is peer.engine and self.engine.has_peer_route(
+            self.device_key, peer.device_key
+        )
 
     def copy_peer_async(
         self,
@@ -715,59 +726,29 @@ class GPUContext:
         the source's ``p2p_bytes`` — never in the host-facing h2d/d2h
         counters, because no host round trip takes place.
         """
+        if peer.engine is not self.engine:
+            raise RuntimeError(
+                f"{self.device.name!r} and {peer.device.name!r} price their copies "
+                "on different transfer engines; build both contexts with "
+                "build_contexts so they share one"
+            )
         if not self.can_access_peer(peer):
-            if not self.device.p2p_capable or not peer.device.p2p_capable:
-                incapable = self.device if not self.device.p2p_capable else peer.device
-                reason = f"{incapable.name!r} is not p2p-capable"
-            else:
-                reason = (
-                    f"topology {self.engine.topology.name!r} has no peer route "
-                    f"{self.device_key} -> {peer.device_key}"
-                )
             raise RuntimeError(
                 f"peer access between {self.device.name!r} and {peer.device.name!r} "
-                f"is unavailable ({reason}); "
+                f"is unavailable (topology {self.engine.topology.name!r} has no peer "
+                f"route {self.device_key} -> {peer.device_key}); "
                 "route the packet through the host instead"
             )
         data = np.asarray(data)
-        peer.land_peer_copy(name, data, space)
+        peer.land(name, data, space)
         # Both endpoints' p2p engines are busy for the copy's duration; the
         # shared start is the later of the two stream cursors (plus deps).
-        barrier = max(
-            self.timeline.stream(P2P_STREAM).cursor,
-            peer.timeline.stream(P2P_STREAM).cursor,
-            not_before,
-        )
-        if self.engine is peer.engine:
-            start = self._issue_start(P2P_STREAM, wait_for, barrier)
-            start = max(start, peer.timeline.stream(P2P_STREAM).cursor)
-            grant = self.engine.peer_transfer(
-                self.device_key, peer.device_key, int(data.nbytes),
-                start=start, label=name,
-            )
-            duration = grant.duration
-        else:
-            # Standalone contexts with private engines: legacy point-to-point
-            # peer pricing from the device specs.
-            duration = self.timing.peer_transfer_time(int(data.nbytes), peer.device)
-        self.stats.p2p_bytes += int(data.nbytes)
-        self.stats.peer_transfers += 1
-        self.stats.p2p_time += duration
-        self.timeline.schedule(
-            "p2p", f"{name}->peer", duration,
-            stream=P2P_STREAM, wait_for=wait_for, not_before=barrier,
-        )
-        interval = peer.timeline.schedule(
-            "p2p", name, duration,
-            stream=P2P_STREAM, wait_for=wait_for, not_before=barrier,
-        )
-        return Event(stream=P2P_STREAM, time=interval.end)
-
-    def land_peer_copy(
-        self, name: str, data: np.ndarray, space: MemorySpace = MemorySpace.GLOBAL
-    ) -> None:
-        """The memory side of a peer copy arriving here: write buffer ``name``."""
-        self.memory.sized(name, data.shape, data.dtype, space).copy_from_host(data)
+        own, start = self._issue(P2P_STREAM, wait_for, not_before)
+        theirs = peer.timeline.stream(P2P_STREAM)
+        start = max(start, theirs.cursor)
+        path = self.engine._path(self.device_key, P2P, peer.device_key, None)
+        duration = self._peer_copy(path, int(data.nbytes), start, name, own, theirs)
+        return Event(stream=P2P_STREAM, time=start + duration)
 
     def launch_async(
         self,

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .hierarchy import DEFAULT_BLOCK_SIZE
-from .interconnect import P2P, TransferEngine, TransferRequest
+from .interconnect import D2H, H2D, P2P, TransferEngine, TransferRequest
 from .kernel import Kernel, KernelLaunch
 from .memory import HostMemoryKind
 from .runtime import GPUContext
@@ -141,28 +141,25 @@ class ResidentStepTimes(NamedTuple):
 class _Lanes:
     """One context's resident-step pricing handles, bound once.
 
-    Its four stream objects, its host-memory kind, its staging pool and
-    its engine paths.  A stream that does not exist yet is ``None``: its
-    cursor reads 0.0 and the first record creates it through
-    :meth:`Timeline.stream`, so streams appear in the same order as
-    without handles.  :meth:`DeviceScheduler._lanes_of` fetches the
-    streams again whenever the timeline's ``version`` has moved (a stream
-    created elsewhere, a restore).
+    Its four stream objects and its engine paths.  A stream that does not
+    exist yet is ``None``: its cursor reads 0.0 and the first record
+    creates it through :meth:`Timeline.stream`, so streams appear in the
+    same order as without handles.  :meth:`DeviceScheduler._lanes_of`
+    fetches the streams again whenever the timeline's ``version`` has
+    moved (a stream created elsewhere, a restore).
     """
 
     __slots__ = (
         "ctx", "timeline", "version", "copy", "compute", "download", "p2p",
-        "kind", "staging", "h2d", "d2h", "peers",
+        "h2d", "d2h", "peers",
     )
 
-    def __init__(self, ctx: GPUContext, engine: TransferEngine, pool_size: int) -> None:
+    def __init__(self, ctx: GPUContext, pool_size: int) -> None:
         self.ctx = ctx
         self.timeline = ctx.timeline
         self.version = -1
-        self.kind = ctx._host_kind(None)
-        self.staging = ctx.staging_pool if self.kind is HostMemoryKind.PINNED else None
-        self.h2d = engine._path(ctx.device_key, "h2d", None, self.kind)
-        self.d2h = engine._path(ctx.device_key, "d2h", None, self.kind)
+        self.h2d = ctx._path(H2D)
+        self.d2h = ctx._path(D2H)
         #: Peer paths from this device, by pool index, resolved on first use.
         self.peers: list = [None] * pool_size
 
@@ -186,7 +183,8 @@ class DeviceScheduler:
     An evaluator holds its devices as one scheduler: the contexts (built by
     :func:`~repro.gpu.multi_device.build_contexts`, or one existing
     context), their shared transfer engine and the host timeline.  The
-    scheduler does not create the contexts — it coordinates them.
+    scheduler does not create the contexts — it coordinates them — and it
+    refuses contexts that price on different engines.
     :meth:`upload_batch` and :meth:`download_batch` price simultaneous
     copies as one engine arbitration and return completion
     :class:`~repro.gpu.streams.Event` objects, which a caller can pass as a
@@ -200,16 +198,16 @@ class DeviceScheduler:
     def __init__(self, contexts: Sequence[GPUContext]) -> None:
         if not contexts:
             raise ValueError("need at least one device context")
+        engine = contexts[0].engine
+        if any(ctx.engine is not engine for ctx in contexts):
+            raise ValueError(
+                "the contexts price their copies on different transfer engines; "
+                "build the pool with build_contexts so they share one"
+            )
         self.contexts = list(contexts)
         self.host_timeline = Timeline()
-        # A pool built over one shared interconnect exposes it here; a
-        # grab-bag of standalone contexts (each with a private engine)
-        # leaves the scheduler without a pool-level fabric view.
-        first = contexts[0].engine
-        #: The pool's shared transfer engine (``None`` for mixed pools).
-        self.engine: TransferEngine | None = (
-            first if all(ctx.engine is first for ctx in contexts) else None
-        )
+        #: The pool's shared transfer engine.
+        self.engine: TransferEngine = engine
         #: Per context: its resident-step pricing handles, built on first use.
         self._lanes: list[_Lanes | None] = [None] * len(self.contexts)
         self._timelines = [ctx.timeline for ctx in self.contexts] + [self.host_timeline]
@@ -237,7 +235,6 @@ class DeviceScheduler:
         """
         if not items:
             return []
-        engine = self.engine
         prepared = []
         requests = []
         for index, name, host_array in items:
@@ -251,7 +248,7 @@ class DeviceScheduler:
                 start = max(ctx.timeline.elapsed, not_before)
             else:
                 target_stream = stream
-                start = ctx._issue_start(stream, None, not_before)
+                start = ctx._issue(stream, None, not_before)[1]
             prepared.append((ctx, name, host_array, kind, start, target_stream))
             requests.append(
                 TransferRequest(
@@ -263,17 +260,7 @@ class DeviceScheduler:
                     label=name,
                 )
             )
-        if engine is not None:
-            grants = engine.transfer_batch(requests)
-        else:
-            # Mixed pools without one shared fabric: per-context pricing.
-            grants = [
-                ctx.host_transfer_grant(
-                    "h2d", request.nbytes, kind=request.kind,
-                    start=request.start, label=request.label,
-                )
-                for (ctx, *_), request in zip(prepared, requests)
-            ]
+        grants = self.engine.transfer_batch(requests)
         return [
             ctx.copy_async(
                 name, host_array,
@@ -300,13 +287,12 @@ class DeviceScheduler:
         """
         if not items:
             return []
-        engine = self.engine
         prepared = []
         requests = []
         for index, name, wait_event in items:
             ctx = self.contexts[index]
             kind = ctx._host_kind(host_kind)
-            start = ctx._issue_start(stream, wait_event, 0.0)
+            start = ctx._issue(stream, wait_event, 0.0)[1]
             nbytes = ctx.memory.get(name).nbytes
             prepared.append((ctx, name, kind, start, wait_event))
             requests.append(
@@ -319,16 +305,7 @@ class DeviceScheduler:
                     label=name,
                 )
             )
-        if engine is not None:
-            grants = engine.transfer_batch(requests)
-        else:
-            grants = [
-                ctx.host_transfer_grant(
-                    "d2h", request.nbytes, kind=request.kind,
-                    start=request.start, label=request.label,
-                )
-                for (ctx, *_), request in zip(prepared, requests)
-            ]
+        grants = self.engine.transfer_batch(requests)
         results = []
         for (ctx, name, kind, start, wait_event), grant in zip(prepared, grants):
             data, event = ctx.download_async(
@@ -347,10 +324,12 @@ class DeviceScheduler:
         The result is what issuing the plan one operation at a time through
         the contexts' async API gives, float for float — same intervals,
         counters and engine commits, in the same order — without building
-        an event, request or grant object per operation.  Every copy is
-        one :meth:`TransferEngine.transfer_at` pricing over the context's
-        bound path (:class:`_Lanes`), every clock a Python float, and
-        launches are memoized (:meth:`GPUTimingModel.launch`).
+        an event, request or grant object per operation.  Every copy goes
+        through the context's copy primitive
+        (:meth:`GPUContext._host_copy`, :meth:`GPUContext._peer_copy`) over
+        its bound path and stream handles (:class:`_Lanes`), every clock is
+        a Python float, and launches are memoized
+        (:meth:`GPUTimingModel.launch`).
         After the delta route, one pass over the plan's rows prices each
         device's chain whole: packets, launch, reduction, download.
 
@@ -360,8 +339,6 @@ class DeviceScheduler:
         armed transfer faults hit the copies the per-device issue would
         hand them, and the stall sums add up in the same order.
         """
-        if self.engine is None:
-            raise ValueError("pricing a resident step needs a pool sharing one transfer engine")
         latest = 0.0
         issues: list[float] = []
         if plan.issues:
@@ -397,9 +374,7 @@ class DeviceScheduler:
         """Context ``index``'s pricing handles, with current stream objects."""
         lanes = self._lanes[index]
         if lanes is None:
-            lanes = self._lanes[index] = _Lanes(
-                self.contexts[index], self.engine, len(self.contexts)
-            )
+            lanes = self._lanes[index] = _Lanes(self.contexts[index], len(self.contexts))
         if lanes.version != lanes.timeline.version:
             lanes.fetch()
         return lanes
@@ -412,43 +387,32 @@ class DeviceScheduler:
         Each forward starts after the upload and the forward before it, and
         no sooner than the hub's and its peer's P2P streams free up.
         """
-        engine = self.engine
         hub = self._lanes_of(plan.hub)
-        ctx, stats = hub.ctx, hub.ctx.stats
+        ctx = hub.ctx
         name, packet = plan.hub_packet
-        nbytes = ctx.stage_upload(name, packet, hub.kind).nbytes
+        nbytes = ctx.land(name, packet).nbytes
         hub_p2p = _cursor(hub.p2p)
         peers = [self._lanes_of(index) for index, _buffer, _payload in plan.forwards]
         floors = [max(hub_p2p, _cursor(peer.p2p), 0.0) for peer in peers]
         start = max(_cursor(hub.copy), max(plan.hub_not_before, issued))
-        duration = engine._price(hub.h2d, nbytes, start, name)
-        upload = ready = start + duration
-        stats.transfer_time += duration
-        stats.h2d_bytes += nbytes
         if hub.copy is None:
             hub.copy = hub.timeline.stream(COPY_STREAM)
-        hub.copy.append_interval("h2d", name, start, upload)
-        hub.copy.cursor = upload
+        upload = ready = start + ctx._host_copy(hub.h2d, nbytes, start, name, hub.copy)
         arrivals = []
         for peer, floor, (index, buffer, payload) in zip(peers, floors, plan.forwards):
-            peer.ctx.land_peer_copy(buffer, payload)
+            peer.ctx.land(buffer, payload)
             start = max(floor, ready)
-            nbytes = int(payload.nbytes)
             path = hub.peers[index]
             if path is None:
-                path = hub.peers[index] = engine._path(
+                path = hub.peers[index] = self.engine._path(
                     ctx.device_key, P2P, peer.ctx.device_key, None
                 )
-            duration = engine._price(path, nbytes, start, buffer)
-            ready = start + duration
-            stats.p2p_bytes += nbytes
-            stats.peer_transfers += 1
-            stats.p2p_time += duration
-            for lanes, label in ((hub, f"{buffer}->peer"), (peer, buffer)):
+            for lanes in (hub, peer):
                 if lanes.p2p is None:
                     lanes.p2p = lanes.timeline.stream(P2P_STREAM)
-                lanes.p2p.append_interval("p2p", label, start, ready)
-                lanes.p2p.cursor = ready
+            ready = start + ctx._peer_copy(
+                path, int(payload.nbytes), start, buffer, hub.p2p, peer.p2p
+            )
             arrivals.append(ready)
         return upload, arrivals
 
@@ -499,20 +463,11 @@ class DeviceScheduler:
             compute.cursor = ready
         name = plan.downloads[row]
         data = ctx.memory.get(name).data
-        nbytes = int(data.nbytes)
-        if lanes.staging is not None:
-            lanes.staging.stage(nbytes)
-        start = max(_cursor(lanes.download), ready)
-        duration = self.engine._price(lanes.d2h, nbytes, start, name)
-        stats.transfer_time += duration
-        stats.d2h_bytes += nbytes
-        end = start + duration
         download = lanes.download
         if download is None:
             download = lanes.download = lanes.timeline.stream(DOWNLOAD_STREAM)
-        download.append_interval("d2h", name, start, end)
-        download.cursor = end
-        return data, end
+        start = max(download.cursor, ready)
+        return data, start + ctx._host_copy(lanes.d2h, int(data.nbytes), start, name, download)
 
     def _upload(self, lanes: _Lanes, packet, start: float) -> float:
         """Price and record one chain packet from ``start``; returns its end.
@@ -523,28 +478,18 @@ class DeviceScheduler:
             return -math.inf
         name, payload = packet
         ctx = lanes.ctx
-        nbytes = ctx.stage_upload(name, payload, lanes.kind).nbytes
-        duration = self.engine._price(lanes.h2d, nbytes, start, name)
-        ctx.stats.transfer_time += duration
-        ctx.stats.h2d_bytes += nbytes
-        end = start + duration
+        nbytes = ctx.land(name, payload).nbytes
         if lanes.copy is None:
             lanes.copy = lanes.timeline.stream(COPY_STREAM)
-        lanes.copy.append_interval("h2d", name, start, end)
-        lanes.copy.cursor = end
-        return end
+        return start + ctx._host_copy(lanes.h2d, nbytes, start, name, lanes.copy)
 
     @property
     def all_peer_capable(self) -> bool:
         """Whether every pairwise P2P link in the pool is available."""
-        if self.engine is not None:
-            keys = [ctx.device_key for ctx in self.contexts]
-            return all(
-                self.engine.has_peer_route(a, b)
-                for i, a in enumerate(keys)
-                for b in keys[i + 1 :]
-            )
-        return all(ctx.device.p2p_capable for ctx in self.contexts)
+        keys = [ctx.device_key for ctx in self.contexts]
+        return all(
+            self.engine.has_peer_route(a, b) for i, a in enumerate(keys) for b in keys[i + 1 :]
+        )
 
     # ------------------------------------------------------------------
     # Pool-level clocks
@@ -590,7 +535,7 @@ class DeviceScheduler:
         }
         if self.host_timeline.streams:
             timelines["host"] = self.host_timeline
-        if self.engine is not None and self.engine.timeline.streams:
+        if self.engine.timeline.streams:
             timelines["interconnect"] = self.engine.timeline
         return merge_timelines(timelines)
 

@@ -63,6 +63,14 @@ class Event:
     time: float
 
 
+def barrier(wait_for: Event | list[Event] | None, not_before: float) -> float:
+    """The instant ``wait_for``'s events have all fired, and not before ``not_before``."""
+    if wait_for is None:
+        return not_before
+    events = [wait_for] if isinstance(wait_for, Event) else wait_for
+    return max([not_before, *(event.time for event in events)])
+
+
 class Stream:
     """An in-order queue of device operations with its own clock.
 
@@ -235,14 +243,9 @@ class Timeline:
         not_before: float = 0.0,
     ) -> StreamInterval:
         """Schedule one operation on ``stream`` after the given events."""
-        if wait_for is None:
-            events: list[Event] = []
-        elif isinstance(wait_for, Event):
-            events = [wait_for]
-        else:
-            events = list(wait_for)
-        barrier = max([not_before, *(event.time for event in events)], default=not_before)
-        return self.stream(stream).schedule(kind, name, duration, not_before=barrier)
+        return self.stream(stream).schedule(
+            kind, name, duration, not_before=barrier(wait_for, not_before)
+        )
 
     def schedule_sync(self, kind: str, name: str, duration: float) -> StreamInterval:
         """Null-stream semantics: start only after every stream has drained."""

@@ -103,8 +103,11 @@ def check_transfer_mode(transfer_mode: str, evaluator: NeighborhoodEvaluator) ->
 #: from a different version instead of silently misreading it.  The rows are
 #: one :meth:`MultiStartRunner.export_rows` payload (per-row histories,
 #: budgets and targets, since version 2).  Version 3 snapshots a single GPU
-#: as the one-device pool it is; versions 1 and 2 are not readable.
-CHECKPOINT_VERSION = 3
+#: as the one-device pool it is; version 4 carries the run's start clock
+#: (``start_clock``), so a resumed run reports the simulated time of the
+#: whole run whatever clock the evaluator held before the restore.  Older
+#: versions are not readable.
+CHECKPOINT_VERSION = 4
 
 #: Sentinel for "move never applied" in the host tabu memory (matches the
 #: device-resident tabu memory).
@@ -283,6 +286,9 @@ class MultiStartRunner:
         self.target_fitness = float(target_fitness)
         self.track_history = bool(track_history)
         self.rebalance_every = rebalance_every
+        #: The evaluator's clock when the current run started (a resumed
+        #: run's comes from its checkpoint).
+        self._start_clock = 0.0
 
         self._resident = self.transfer_mode != "full"
         self._reduced = self.transfer_mode in REDUCED_SELECTION_MODES
@@ -680,6 +686,7 @@ class MultiStartRunner:
             "version": CHECKPOINT_VERSION,
             "config": self._checkpoint_config(rows.size),
             "lockstep": self.lockstep,
+            "start_clock": self._start_clock,
             "state": self.export_rows(rows),
             "evaluator": self.evaluator.snapshot_state(),
         }
@@ -707,6 +714,10 @@ class MultiStartRunner:
         lockstep = ckpt.get("lockstep")
         if not isinstance(lockstep, int) or lockstep < 0:
             raise ValueError(f"checkpoint lockstep must be a non-negative int, got {lockstep!r}")
+        if not isinstance(ckpt.get("start_clock"), float):
+            raise ValueError(
+                f"checkpoint start_clock must be a float, got {ckpt.get('start_clock')!r}"
+            )
         if not isinstance(ckpt.get("evaluator"), dict):
             raise ValueError("checkpoint has no evaluator snapshot")
         self._check_rows(ckpt.get("state"), replicas)
@@ -799,7 +810,6 @@ class MultiStartRunner:
         starts.
         """
         start_wall = time.perf_counter()
-        start_sim = self.evaluator.stats.simulated_time
 
         if checkpoint_every is not None:
             if checkpoint_every <= 0:
@@ -822,11 +832,15 @@ class MultiStartRunner:
             state, session = self._check_checkpoint(resume), resume["evaluator"]
             fleet = session.get("device_active")
             start = resumed_at = resume["lockstep"]
+            # The restore rewinds the evaluator's clock to the checkpoint's:
+            # the run's time counts from the clock the run started at.
+            self._start_clock = resume["start_clock"]
         else:
             block = self._initial_block(replicas, seeds, rng, initial_solutions)
             state = self._fresh_rows(block, self.max_iterations, self.target_fitness)
             session, start, resumed_at = None, 0, -1
             fleet = getattr(self.evaluator, "device_active", None)
+            self._start_clock = float(self.evaluator.stats.simulated_time)
         if fault_plan is not None:
             self._check_fault_plan(fault_plan, fleet, start)
         self._open_rows(state, session=session)
@@ -853,7 +867,7 @@ class MultiStartRunner:
         finally:
             self._close_rows()
 
-        simulated_time = self.evaluator.stats.simulated_time - start_sim
+        simulated_time = self.evaluator.stats.simulated_time - self._start_clock
         if self._resident:
             # The steps priced themselves into their rows' shares; what the
             # resident session priced outside them (open, close, rebalance

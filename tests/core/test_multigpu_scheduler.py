@@ -62,6 +62,19 @@ def _reference(problem, neighborhood, algorithm="tabu"):
     return records
 
 
+#: Pinned pools whose every host copy must stage: one and two GTX 280s, a
+#: device failing and rejoining (its rows recovered from the host mirror,
+#: then migrated back over a peer link), and a rebalancing pool without peer
+#: links, whose migrations take the host round trip.
+_PINNED_POOLS = {
+    "1": {"devices": 1},
+    "2": {"devices": 2},
+    "fail1-join1": {"devices": 2, "fault_plan": "fail:1@2,join:1@4"},
+    "fail0-join0": {"devices": 2, "fault_plan": "fail:0@2,join:0@4"},
+    "gtx280+8800-rebalance": {"devices": [GTX_280, GTX_8800], "rebalance_every": 2},
+}
+
+
 def _assert_valid_streams(timeline):
     for stream in timeline.streams.values():
         previous_end = 0.0
@@ -221,17 +234,28 @@ class TestEquivalence:
             evaluator.close()
         assert elapsed[True] < elapsed[False]
 
-    @pytest.mark.parametrize("mode", ["full", "delta", "reduced", "persistent"])
-    @pytest.mark.parametrize("devices", [1, 2])
-    def test_pinned_pool_stages_every_host_copy(self, problem, neighborhood, mode, devices):
+    @pytest.mark.parametrize(
+        "pool, mode",
+        [
+            pytest.param(pool, mode, id=f"{name}-{mode}")
+            for name, pool in _PINNED_POOLS.items()
+            for mode in ["full", "delta", "reduced", "persistent"]
+            # Persistent launches pin replicas: no fault plan applies.
+            if not (mode == "persistent" and "fault_plan" in pool)
+        ],
+    )
+    def test_pinned_pool_stages_every_host_copy(self, problem, neighborhood, pool, mode):
         # A pinned pool has no pageable copy: every host byte a device
         # counts went through its staging pool, the persistent loop's ring
-        # drains and control writes included.
-        evaluator = MultiGPUEvaluator(problem, neighborhood, devices=devices, pinned=True)
+        # drains and control writes included, and so are the recovery
+        # uploads of a failed device's rows and the host round trips of a
+        # pool without peer links.
+        evaluator = MultiGPUEvaluator(problem, neighborhood, devices=pool["devices"], pinned=True)
         runner = MultiStartRunner(
             evaluator, algorithm="tabu", max_iterations=MAX_ITERATIONS, transfer_mode=mode,
+            rebalance_every=pool.get("rebalance_every"),
         )
-        runner.run(seeds=_seeds())
+        runner.run(seeds=_seeds(), fault_plan=pool.get("fault_plan"))
         for context in evaluator.pool.contexts:
             stats = context.stats
             assert stats.h2d_bytes > 0 and stats.d2h_bytes > 0
@@ -342,6 +366,9 @@ class TestRestoreIntoAPricingPool:
         return {
             "records": _records(result),
             "simulated_time": runner.evaluator.stats.simulated_time,
+            # What the run reports: its own time and every row's share of it.
+            "result_time": result.simulated_time,
+            "sim_share": runner.sim_share.tolist(),
             "stats": [ctx.stats.snapshot() for ctx in pool.contexts],
             "cursors": [
                 {name: (stream.cursor, stream.busy_time) for name, stream in tl.streams.items()}

@@ -36,6 +36,7 @@ from repro.gpu import (
     resolve_topology,
     timeline_report,
 )
+from repro.gpu.interconnect import _PricingItem
 from repro.gpu.timing import GPUTimingModel
 
 MIB = 1 << 20
@@ -276,30 +277,43 @@ class TestFairShareArbitration:
         assert host.stall == 0.0
 
 
-class TestTransferAt:
-    """``transfer_at`` prices like a one-request ``transfer_batch``."""
+def _half_duplex():
+    bus = Link(name="bus", bandwidth=2e9, latency=1e-6, duplex=False, shared=True)
+    keys = ["gpu0", "gpu1", "gpu2"]
+    return InterconnectTopology(
+        "half",
+        device_keys=keys,
+        host_paths={key: (bus,) for key in keys},
+        peer_paths={("gpu0", "gpu1"): (Link(name="p2p:01", bandwidth=5e9),)},
+        uplink=bus,
+    )
 
-    @staticmethod
-    def _half_duplex():
-        bus = Link(name="bus", bandwidth=2e9, latency=1e-6, duplex=False, shared=True)
-        keys = ["gpu0", "gpu1", "gpu2"]
-        return InterconnectTopology(
-            "half",
-            device_keys=keys,
-            host_paths={key: (bus,) for key in keys},
-            peer_paths={("gpu0", "gpu1"): (Link(name="p2p:01", bandwidth=5e9),)},
-            uplink=bus,
+
+def _lone(engine, request):
+    """A lone copy through the grant-returning API: ``transfer``/``peer_transfer``."""
+    if request.direction == "p2p":
+        return engine.peer_transfer(
+            request.device, request.peer, request.nbytes,
+            start=request.start, label=request.label,
         )
+    return engine.transfer(
+        request.device, request.direction, request.nbytes,
+        kind=request.kind, start=request.start, label=request.label,
+    )
+
+
+class TestContextPricingMatchesGrants:
+    """``_price`` — what every context copy calls — prices like ``transfer``/``peer_transfer``."""
 
     @pytest.mark.parametrize("preset", ["dedicated", "shared", "switched", "nvlink", "half"])
-    def test_matches_one_batch_per_copy(self, preset):
+    def test_matches_one_grant_per_copy(self, preset):
         if preset == "half":
-            topology = self._half_duplex()
+            topology = _half_duplex()
         else:
             topology = resolve_topology(preset, [GTX_280] * 3)
         rng = np.random.default_rng(7)
-        at, batched = TransferEngine(topology), TransferEngine(topology)
-        for engine in (at, batched):
+        priced, granted = TransferEngine(topology), TransferEngine(topology)
+        for engine in (priced, granted):
             engine.inject_transfer_faults(3, retries=2, backoff=1e-5)
         ends = []
         for index in range(60):
@@ -314,21 +328,35 @@ class TestTransferAt:
             if index and rng.random() < 0.3:
                 # Stream order: queue behind an earlier copy.
                 start = max(start, ends[int(rng.integers(index))])
-            duration = at.transfer_at(
-                device, direction, nbytes, kind, start, peer=peer, label=f"copy{index}"
+            duration = priced._price(
+                priced._path(device, direction, peer, kind), nbytes, start, f"copy{index}"
             )
-            (grant,) = batched.transfer_batch(
-                [
-                    TransferRequest(
-                        device=device, direction=direction, nbytes=nbytes, kind=kind,
-                        start=start, peer=peer, label=f"copy{index}",
-                    )
-                ]
+            grant = _lone(
+                granted,
+                TransferRequest(
+                    device=device, direction=direction, nbytes=nbytes, kind=kind,
+                    start=start, peer=peer, label=f"copy{index}",
+                ),
             )
             assert (start, duration) == (grant.start, grant.duration)
             ends.append(start + duration)
-        assert at.snapshot() == batched.snapshot()
-        assert at.total_stall > 0.0 or preset == "dedicated"
+        assert priced.snapshot() == granted.snapshot()
+        assert priced.total_stall > 0.0 or preset == "dedicated"
+
+
+def _arbitrated(engine, request):
+    """A lone copy priced by ``_arbitrate`` itself and committed as a grant would be."""
+    path = engine._path(request.device, request.direction, request.peer, request.kind)
+    item = _PricingItem(request, path)
+    engine._arbitrate([item])
+    duration, dedicated = engine._finish(
+        request.direction, request.nbytes, path.route, item.duration
+    )
+    engine._commit(
+        path, request.nbytes, request.label, request.start, request.start + duration,
+        max(0.0, duration - dedicated),
+    )
+    return duration
 
 
 def _lanes(engine):
@@ -339,11 +367,12 @@ def _lanes(engine):
 
 
 class TestWalkMatchesArbitration:
-    """The walk of ``transfer_at`` against the general fluid arbitration.
+    """The lone-copy walk against the general fluid arbitration.
 
     Twin engines see the same history of committed multi-request batches;
-    each lone copy is priced by ``transfer_at`` on one engine and by a
-    one-request ``transfer_batch`` (``_arbitrate``) on the other.
+    each lone copy is priced by ``transfer``/``peer_transfer`` (which walk,
+    :meth:`TransferEngine._walk`) on one engine and by a one-item
+    ``_arbitrate``, called directly, on the other.
     """
 
     @staticmethod
@@ -372,7 +401,7 @@ class TestWalkMatchesArbitration:
     )
     def test_lone_copy_prices_as_a_one_request_batch(self, preset, faults, data):
         if preset == "half":
-            topology = TestTransferAt._half_duplex()
+            topology = _half_duplex()
         else:
             topology = resolve_topology(preset, [GTX_280] * 3)
         walk, batch = TransferEngine(topology), TransferEngine(topology)
@@ -391,12 +420,8 @@ class TestWalkMatchesArbitration:
                 boundaries += [t for grant in grants for t in (grant.start, grant.end)]
                 continue
             request = self._copy(data, index, boundaries)
-            duration = walk.transfer_at(
-                request.device, request.direction, request.nbytes, request.kind,
-                request.start, peer=request.peer, label=request.label,
-            )
-            (grant,) = batch.transfer_batch([request])
-            assert duration == grant.duration
+            duration = _lone(walk, request).duration
+            assert duration == _arbitrated(batch, request)
             boundaries += [request.start, request.start + duration]
         assert walk.snapshot() == batch.snapshot()
         assert (walk.total_stall, walk.stall_by_device) == (
@@ -415,9 +440,11 @@ class TestWalkMatchesArbitration:
         rate = min(walk._path("gpu1", "h2d", None, HostMemoryKind.PINNED).rate,
                    topology.uplink.bandwidth / 2)
         nbytes = int(first.end * rate * (1.0 + 1e-7))
-        duration = walk.transfer_at("gpu1", "h2d", nbytes, HostMemoryKind.PINNED, 0.0)
-        grant = batch.transfer("gpu1", "h2d", nbytes, kind=HostMemoryKind.PINNED)
-        assert duration == grant.duration
+        grant = walk.transfer("gpu1", "h2d", nbytes, kind=HostMemoryKind.PINNED)
+        request = TransferRequest(
+            device="gpu1", direction="h2d", nbytes=nbytes, kind=HostMemoryKind.PINNED
+        )
+        assert grant.duration == _arbitrated(batch, request)
         assert walk.snapshot() == batch.snapshot()
 
 
@@ -505,7 +532,13 @@ def _draw_copies(data, count_range=(1, 16)):
 
 def _price(engine, copies):
     return [
-        engine.transfer_at(device, direction, nbytes, kind, start, peer=peer, label=label)
+        _lone(
+            engine,
+            TransferRequest(
+                device=device, direction=direction, nbytes=nbytes, kind=kind,
+                start=start, peer=peer, label=label,
+            ),
+        ).duration
         for device, direction, nbytes, kind, start, peer, label in copies
     ]
 
@@ -520,7 +553,7 @@ def _checkpoint_view(engine):
 
 
 class TestEngineFastPaths:
-    """The appending commit, the idle probe and the bound paths of ``transfer_at``."""
+    """The appending commit, the idle probe and the bound paths of a lone copy."""
 
     @settings(max_examples=80, deadline=None)
     @given(preset=st.sampled_from(_PRESETS), data=st.data())
@@ -536,9 +569,7 @@ class TestEngineFastPaths:
             expected = _plain_walk(
                 loads, path.rate, path.route.rate_cap, float(nbytes), start
             ) + path.route.latency
-            duration = engine.transfer_at(
-                device, direction, nbytes, kind, start, peer=peer, label=label
-            )
+            (duration,) = _price(engine, [(device, direction, nbytes, kind, start, peer, label)])
             assert duration == expected
             for load, _bandwidth in loads:
                 load.commit(start, start + duration)
@@ -656,7 +687,7 @@ class TestContextIntegration:
     def test_sync_transfers_route_through_engine(self):
         ctx = GPUContext(GTX_280, topology="shared")
         ctx.to_device("a", np.zeros(1024, dtype=np.float64))
-        ctx.to_host("a")
+        ctx.download_async("a")
         assert ctx.engine.transfers == 2
         assert ctx.engine.link_bytes("uplink") == 2 * 8 * 1024
         assert ctx.engine.link_bytes("pcie:gpu0", "h2d") == 8 * 1024

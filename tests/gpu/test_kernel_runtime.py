@@ -187,7 +187,7 @@ class TestGPUContext:
         ctx = GPUContext(GTX_280)
         data = np.random.default_rng(0).random(1000)
         ctx.to_device("data", data)
-        back = ctx.to_host("data")
+        back, _event = ctx.download_async("data")
         assert np.array_equal(back, data)
         assert ctx.stats.h2d_bytes == data.nbytes
         assert ctx.stats.d2h_bytes == data.nbytes

@@ -110,15 +110,14 @@ class TestPinnedStagingPool:
             ctx = GPUContext(GTX_280, pinned=pinned)
             for step in range(5):
                 ctx.to_device(f"buf{step}", np.zeros(1024, dtype=np.float64))
-                ctx.to_host(f"buf{step}")
+                ctx.download_async(f"buf{step}")
             results[pinned] = ctx.stats.transfer_time
         assert results[True] < results[False]
 
 
 class TestPeerCopies:
     def test_copy_appears_on_both_timelines_and_p2p_counters_only(self):
-        src = GPUContext(GTX_280)
-        dst = GPUContext(GTX_280)
+        src, dst = build_contexts([GTX_280, GTX_280])
         payload = np.arange(256, dtype=np.uint8)
         event = src.copy_peer_async(dst, "landing", payload)
         assert np.array_equal(dst.memory.get("landing").data, payload)
@@ -136,18 +135,25 @@ class TestPeerCopies:
         )
 
     def test_link_is_shared_consecutive_copies_serialize(self):
-        src = GPUContext(GTX_280)
-        dst = GPUContext(GTX_280)
+        src, dst = build_contexts([GTX_280, GTX_280])
         first = src.copy_peer_async(dst, "a", np.zeros(128, dtype=np.uint8))
         second = src.copy_peer_async(dst, "b", np.zeros(128, dtype=np.uint8))
         assert second.time >= 2 * (first.time - 0) - 1e-15
 
     def test_incapable_endpoint_raises(self):
-        src = GPUContext(GTX_280)
-        dst = GPUContext(GTX_8800)
+        src, dst = build_contexts([GTX_280, GTX_8800])
         assert not src.can_access_peer(dst)
-        with pytest.raises(RuntimeError, match="p2p-capable"):
+        with pytest.raises(RuntimeError, match="no peer route gpu0 -> gpu1"):
             src.copy_peer_async(dst, "x", np.zeros(8, dtype=np.uint8))
+
+    def test_copy_across_engines_names_the_fix(self):
+        # Two standalone contexts price on private engines: no fabric joins
+        # them, so a peer copy between them is refused, not priced apart.
+        src, dst = GPUContext(GTX_280), GPUContext(GTX_280)
+        assert not src.can_access_peer(dst)
+        with pytest.raises(RuntimeError, match="different transfer engines.*build_contexts"):
+            src.copy_peer_async(dst, "x", np.zeros(8, dtype=np.uint8))
+        assert src.stats.p2p_bytes == 0 and "x" not in dst.memory.allocations
 
 
 class TestWeightedPartitioning:
@@ -199,7 +205,7 @@ class TestDeviceScheduler:
     """Pool clocks and reports over work issued through the contexts' async API."""
 
     def test_concurrent_issue_overlaps_devices(self):
-        contexts = [GPUContext(GTX_280) for _ in range(3)]
+        contexts = build_contexts(3)
         scheduler = DeviceScheduler(contexts)
         kernel = _copy_kernel()
         src = np.ones(4096)
@@ -237,7 +243,7 @@ class TestDeviceScheduler:
         assert scheduler.serialized_sum == pytest.approx(1.0)
 
     def test_merged_timeline_report(self):
-        contexts = [GPUContext(GTX_280), GPUContext(GTX_280)]
+        contexts = build_contexts(2)
         scheduler = DeviceScheduler(contexts)
         for ctx in contexts:
             ctx.copy_async("x", np.zeros(1024))
@@ -253,18 +259,25 @@ class TestDeviceScheduler:
         assert "gpu1:h2d" in report_list and "host:host" not in report_list
 
     def test_route_peer_and_capability(self):
-        capable = DeviceScheduler([GPUContext(GTX_280), GPUContext(GTX_280)])
+        capable = DeviceScheduler(build_contexts(2))
         assert capable.all_peer_capable
         src, dst = capable.contexts
         event = src.copy_peer_async(dst, "pkt", np.zeros(64, dtype=np.uint8))
         assert event.time > 0
-        mixed = DeviceScheduler([GPUContext(GTX_280), GPUContext(GTX_8800)])
+        mixed = DeviceScheduler(build_contexts([GTX_280, GTX_8800]))
         assert not mixed.all_peer_capable
         assert not mixed.contexts[0].can_access_peer(mixed.contexts[1])
 
     def test_needs_at_least_one_context(self):
         with pytest.raises(ValueError):
             DeviceScheduler([])
+
+    def test_contexts_on_different_engines_are_refused(self):
+        with pytest.raises(ValueError, match="different transfer engines.*build_contexts"):
+            DeviceScheduler([GPUContext(GTX_280), GPUContext(GTX_280)])
+        # A heterogeneous pool built the supported way shares one engine.
+        pool = DeviceScheduler(build_contexts([GTX_280, GTX_8800]))
+        assert all(ctx.engine is pool.engine for ctx in pool.contexts)
 
 
 def _half_duplex_topology(specs):
@@ -328,7 +341,7 @@ class TestResidentStepPricing:
                         (name, np.zeros(size, np.uint8)) if rng.random() < chance else None
                     )
                 download = f"out{step}"
-                ctx.alloc(download, (rows if plan.reduce else rows * moves,), np.float64)
+                ctx.memory.alloc(download, (rows if plan.reduce else rows * moves,), np.float64)
                 ctx.memory.get(download).data[...] = step + device
                 plan.devices.append(device)
                 plan.not_before.append(

@@ -130,10 +130,10 @@ class TestContextTimeline:
 
     def test_free_evaluator_buffers_matches_owner_segments(self):
         context = GPUContext()
-        context.alloc("fitnesses:123", (4,))
-        context.alloc("solutions:123:0", (4,))
-        context.alloc("fitnesses:456", (4,))
-        context.alloc("prefix123:junk", (4,))
+        context.memory.alloc("fitnesses:123", (4,))
+        context.memory.alloc("solutions:123:0", (4,))
+        context.memory.alloc("fitnesses:456", (4,))
+        context.memory.alloc("prefix123:junk", (4,))
         freed = context.free_evaluator_buffers(123)
         assert freed == 2
         assert set(context.memory.allocations) == {"fitnesses:456", "prefix123:junk"}

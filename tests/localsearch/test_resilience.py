@@ -127,9 +127,21 @@ class TestCheckpointRestore:
         }
         v1 = dict(checkpoints[0], version=1, state=dict(state, history_steps=[]))
         with pytest.raises(
-            ValueError, match=r"version 1;.*writes version 3.*restart the run"
+            ValueError, match=r"version 1;.*writes version 4.*restart the run"
         ):
             make_runner("delta").run(resume=v1)
+
+    def test_version_3_checkpoint_is_rejected(self):
+        # Version 3 carried no start clock: a resume into an evaluator that
+        # had already run reported its time from the pre-restore clock.
+        runner = make_runner("delta")
+        checkpoints = []
+        runner.run(seeds=SEEDS, checkpoint_every=10, checkpoint_callback=checkpoints.append)
+        v3 = {key: value for key, value in checkpoints[0].items() if key != "start_clock"}
+        with pytest.raises(ValueError, match=r"version 3;.*writes version 4"):
+            make_runner("delta").run(resume=dict(v3, version=3))
+        with pytest.raises(ValueError, match="start_clock must be a float"):
+            make_runner("delta").run(resume=dict(v3, version=CHECKPOINT_VERSION))
 
     def test_version_2_single_gpu_checkpoint_is_rejected(self):
         # Version 2 snapshotted a single GPU without the pool's host timeline
@@ -149,7 +161,7 @@ class TestCheckpointRestore:
         v2 = dict(checkpoints[0], version=2, evaluator=evaluator_state)
         resumed = MultiStartRunner(GPUEvaluator(problem, neighborhood), max_iterations=12)
         with pytest.raises(
-            ValueError, match=r"version 2;.*writes version 3.*restart the run"
+            ValueError, match=r"version 2;.*writes version 4.*restart the run"
         ):
             resumed.run(resume=v2)
         assert resumed.evaluator.stats.calls == 0
