@@ -215,6 +215,19 @@ class DeviceScheduler:
     # ------------------------------------------------------------------
     # Batched fan-out and gather
     # ------------------------------------------------------------------
+    def _batch_contexts(self, items: Sequence[tuple], what: str) -> list[GPUContext]:
+        """The context of every batch item, at most one item per device: a
+        batch prices its copies as concurrent, but one device's stream would
+        record them back to back, each both slowed and queued."""
+        contexts = [self.contexts[item[0]] for item in items]
+        for at, ctx in enumerate(contexts):
+            if any(ctx is other for other in contexts[:at]):
+                raise ValueError(
+                    f"{what} holds two copies for device {ctx.device_key}; "
+                    "issue copies to one device in separate batches"
+                )
+        return contexts
+
     def upload_batch(
         self,
         items: Sequence[tuple[int, str, np.ndarray]],
@@ -227,18 +240,20 @@ class DeviceScheduler:
         """Concurrent host -> device fan-out as ONE engine arbitration batch.
 
         ``items`` is a list of ``(device_index, buffer_name, host_array)``
-        triples.  All copies are priced together, so on a shared-uplink
-        topology ``N`` simultaneous uploads each see ``~1/N`` of the root
-        complex — issuing them one by one would let the first grab the full
-        rate before the others arrive.  ``sync=True`` uses null-stream
-        semantics per device (the copy starts once that device has drained).
+        triples, at most one per device.  All copies are priced together, so
+        on a shared-uplink topology ``N`` simultaneous uploads each see
+        ``~1/N`` of the root complex — issuing them one by one would let the
+        first grab the full rate before the others arrive.  ``sync=True``
+        uses null-stream semantics per device (the copy starts once that
+        device has drained).
         """
         if not items:
             return []
         prepared = []
         requests = []
-        for index, name, host_array in items:
-            ctx = self.contexts[index]
+        for ctx, (_index, name, host_array) in zip(
+            self._batch_contexts(items, "upload_batch"), items
+        ):
             host_array = np.asarray(host_array)
             kind = ctx._host_kind(host_kind)
             if sync:
@@ -282,15 +297,17 @@ class DeviceScheduler:
         """Concurrent device -> host gather as ONE engine arbitration batch.
 
         ``items`` is a list of ``(device_index, buffer_name, wait_event)``
-        triples; each copy starts once its device's download stream is free
-        and its event (typically the kernel completion) has fired.
+        triples, at most one per device; each copy starts once its device's
+        download stream is free and its event (typically the kernel
+        completion) has fired.
         """
         if not items:
             return []
         prepared = []
         requests = []
-        for index, name, wait_event in items:
-            ctx = self.contexts[index]
+        for ctx, (_index, name, wait_event) in zip(
+            self._batch_contexts(items, "download_batch"), items
+        ):
             kind = ctx._host_kind(host_kind)
             start = ctx._issue(stream, wait_event, 0.0)[1]
             nbytes = ctx.memory.get(name).nbytes

@@ -194,8 +194,9 @@ class BinaryProblem(abc.ABC):
         recomputes, which is bit-identical.  Only a frozen table can be the
         engine's bound move table, so a writable one — a per-call slice, or
         the one move of a per-move loop such as :meth:`delta_evaluate` — is
-        never offered.  The problems with a gain state (PPP, MaxSAT)
-        consult this hook right after argument validation.
+        never offered.  The PPP, the one problem with a gain state
+        (:mod:`repro.problems.incremental`), consults this hook right after
+        argument validation; every other problem always recomputes.
         """
         engine = self._gain_engine
         if engine is None or moves.flags.writeable:

@@ -6,11 +6,11 @@ per step.  This module maintains *persistent per-replica gain state* —
 the quantities the fast scorers derive from scratch every call — and
 updates only the entries *coupled* to the flipped bits after each accepted
 move, the standard incremental-evaluation discipline from the tabu-search
-literature.  Two problems keep a gain state, the two where it beats the
-fast scorer's recompute: PPP 2-Hamming (compressed products and sign
-pairs) and MaxSAT (clause true-literal counts, assembled by the scorer's
-own break/make code).  Every other problem, and
-every single-replica search, recomputes through its fast scorer.
+literature.  One problem keeps a gain state: PPP 2-Hamming (compressed
+products and sign pairs), the paper's workload and the one where the state
+beats the fast scorer's recompute (a MaxSAT clause-count state measured no
+faster than its scorer).  Every other problem, every other neighborhood
+order, and every single-replica search recomputes through its fast scorer.
 
 Exactness is non-negotiable and follows the same argument as the fast
 scorers in :mod:`repro.problems.fastpath`: every maintained quantity is an
@@ -21,8 +21,8 @@ a mirror of the solutions it believes each replica holds, verifies the
 mirror against the actual inputs on every call, and silently re-derives
 any row that diverged (restarts, tenant attaches, checkpoint restores,
 replica migration).  Anything outside the compiled model — unknown move
-tables, k > 2, writable move arrays, disabled fast paths — declines to the
-existing scorer/reference chain.
+tables, flips other than pairs, writable move arrays, disabled fast paths
+— declines to the existing scorer/reference chain.
 
 The engine runs only on the default ``REPRO_EVAL_PATH=incremental``, and
 only under :class:`~repro.localsearch.multistart.MultiStartRunner`;
@@ -68,30 +68,8 @@ def check_period() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Per-problem gain states
+# The PPP 2-Hamming gain state
 # ---------------------------------------------------------------------------
-class _GainStateBase:
-    """Common row-array management for the per-problem gain states.
-
-    Subclasses list their per-replica arrays in ``_row_arrays``; rows are
-    (re)derived via :meth:`init_rows` and advanced via :meth:`commit`.  All
-    arrays are indexed by replica id.
-    """
-
-    _row_arrays: tuple[str, ...] = ()
-
-    def grow(self, rows: int) -> None:
-        for name in self._row_arrays:
-            old = getattr(self, name)
-            new = np.zeros((rows,) + old.shape[1:], dtype=old.dtype)
-            new[: old.shape[0]] = old
-            setattr(self, name, new)
-
-    @property
-    def rows(self) -> int:
-        return getattr(self, self._row_arrays[0]).shape[0]
-
-
 def _merged_ppp_tables(scorer):
     """Scorer-level merged k=2 tables (move-table independent).
 
@@ -163,7 +141,7 @@ def _ppp_coupling(scorer, table):
     return coupling
 
 
-class _PPPGainState(_GainStateBase):
+class _PPPGainState:
     """Factored move-pair evaluation from maintained PPP sign state.
 
     Maintains, per replica: the ±1 solution signs ``V``, the compressed
@@ -179,8 +157,6 @@ class _PPPGainState(_GainStateBase):
     scorer's bilinear algebra re-associated — every intermediate is an exact
     integer below 2^24 in float32, so the result is bit-identical.
     """
-
-    _row_arrays = ("V", "z", "VVf", "cnt")
 
     def __init__(self, problem, scorer, table, rows: int) -> None:
         self.problem = problem
@@ -209,6 +185,14 @@ class _PPPGainState(_GainStateBase):
         if table is None or table.k != 2:
             return None
         return _PPPGainState(problem, scorer, table, rows)
+
+    def grow(self, rows: int) -> None:
+        """Extend the per-replica arrays to ``rows`` rows (new rows zeroed)."""
+        for name in ("V", "z", "VVf", "cnt"):
+            old = getattr(self, name)
+            new = np.zeros((rows,) + old.shape[1:], dtype=old.dtype)
+            new[: old.shape[0]] = old
+            setattr(self, name, new)
 
     def workspace_bytes(self, count: int) -> int:
         """Bytes a ``count``-row :meth:`materialize` holds: the kept workspace
@@ -307,78 +291,10 @@ class _PPPGainState(_GainStateBase):
         return out
 
 
-class _MaxSatGainState(_GainStateBase):
-    """Maintained clause true-literal counts for MaxSAT.
-
-    A flip of variable ``v`` adjusts ``t`` only on the clauses of ``v``'s
-    incidence list — O(occurrences) per flipped bit instead of the full
-    ``(S, clauses, k)`` literal-table rebuild.  Row initialization and
-    materialization call the scorer's own clause counts and break/make
-    assembly (:meth:`_MaxSatFastScorer.clause_counts`,
-    :meth:`_MaxSatFastScorer.assemble`), so the result is the scorer's,
-    bit for bit.
-    """
-
-    _row_arrays = ("X8", "t_pad")
-
-    def __init__(self, problem, scorer, table, rows: int) -> None:
-        self.problem = problem
-        self.scorer = scorer
-        self.table = table
-        self.n = scorer.n
-        self.num_moves = table.num_moves
-        rows = max(rows, 1)
-        self.X8 = np.zeros((rows, self.n), dtype=np.int8)
-        self.t_pad = np.zeros((rows, scorer.num_clauses + 1), dtype=np.int32)
-
-    @staticmethod
-    def build(problem, moves: np.ndarray, rows: int):
-        scorer = problem._fast()
-        if scorer is None:
-            return None
-        table = scorer.move_table(moves)
-        if table is None:
-            return None
-        return _MaxSatGainState(problem, scorer, table, rows)
-
-    def can_materialize(self, count: int) -> bool:
-        return self.scorer.workspace_bytes(count, self.num_moves) <= WORKSPACE_LIMIT
-
-    def init_rows(self, rows: np.ndarray, solutions: np.ndarray) -> None:
-        self.X8[rows] = solutions
-        self.t_pad[rows] = self.scorer.clause_counts(solutions)
-
-    def commit(self, rows: np.ndarray, bits: np.ndarray) -> bool:
-        scorer = self.scorer
-        X8, t_pad = self.X8, self.t_pad
-        nc = scorer.num_clauses
-        rows_col = rows[:, None]
-        for t in range(bits.shape[1]):
-            v = bits[:, t]
-            # Clauses containing v: the literal toggles truth, so t moves by
-            # +1 where it was false and -1 where it was true.
-            lit_old = X8[rows_col, v[:, None]] == scorer.occ_pos[v]  # (c, L)
-            delta = np.where(lit_old, -1, 1).astype(np.int32)
-            t_pad[rows_col, scorer.occ_clause[v]] += delta
-            X8[rows, v] ^= 1
-        t_pad[rows, nc] = -1  # pad entries scatter here; re-pin the sentinel
-        return True
-
-    def materialize(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        res = self.scorer.assemble(self.X8[rows], self.t_pad[rows], self.table)
-        np.copyto(out, res, casting="unsafe")
-        return out
-
-
 #: Coupling/table caches, registered with the fastpath cache registry so
 #: ``clear_fast_caches`` empties them alongside the scorer caches.
 _PPP_SCORER_CACHE = BoundedCache(8)
 _PPP_COUPLING_CACHE = BoundedCache(8)
-
-_STATE_BUILDERS = {
-    "ppp": _PPPGainState.build,
-    "maxsat": _MaxSatGainState.build,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +305,9 @@ class GainEngine:
 
     The engine binds the first frozen (read-only) move table it sees, keeps
     a mirror of the solution block it believes each replica holds, and
-    maintains the per-problem gain state through :meth:`commit` calls from
-    the lockstep runner.  :meth:`try_evaluate` — consulted by the PPP and
-    MaxSAT ``evaluate_neighborhood_batch`` — verifies the mirror against the
+    maintains the PPP gain state through :meth:`commit` calls from the
+    lockstep runner.  :meth:`try_evaluate` — consulted by the PPP
+    ``evaluate_neighborhood_batch`` — verifies the mirror against the
     actual inputs and silently re-derives any diverged row, which makes every
     invalidation path (restarts, slot reuse, restore) correct by
     construction.  Replica ids are global, so migration between devices
@@ -405,13 +321,13 @@ class GainEngine:
 
     def __init__(self, problem, rows_hint: int = 0) -> None:
         self.problem = problem
-        self._builder = _STATE_BUILDERS.get(getattr(problem, "name", None))
         self._state = None
         self._moves = None
-        self._dead = self._builder is None or not incremental_enabled()
-        self._rows_hint = max(int(rows_hint), 1)
-        self.mirror = np.zeros((self._rows_hint, getattr(problem, "n", 1)), dtype=np.int8)
-        self.valid = np.zeros(self._rows_hint, dtype=bool)
+        # The PPP is the one problem with a gain state.
+        self._dead = getattr(problem, "name", None) != "ppp" or not incremental_enabled()
+        rows = max(int(rows_hint), 1)
+        self.mirror = np.zeros((rows, getattr(problem, "n", 1)), dtype=np.int8)
+        self.valid = np.zeros(rows, dtype=bool)
         self._expected: np.ndarray | None = None
         self._check_every = check_period()
         self.stats = {
@@ -490,14 +406,13 @@ class GainEngine:
             if moves.flags.writeable:
                 self.stats["declined"] += 1
                 return None
-            state = self._builder(self.problem, moves, max(self._rows_hint, int(rows.max()) + 1))
+            capacity = max(self.mirror.shape[0], int(rows.max()) + 1)
+            state = _PPPGainState.build(self.problem, moves, capacity)
             if state is None:
                 self._dead = True
                 return None
             self._state = state
             self._moves = moves
-            if state.rows < self.mirror.shape[0]:
-                state.grow(self.mirror.shape[0])
         if moves is not self._moves:
             self.stats["declined"] += 1
             return None
@@ -544,9 +459,7 @@ class GainEngine:
 # ---------------------------------------------------------------------------
 def create_gain_engine(problem, rows_hint: int = 0) -> GainEngine | None:
     """A fresh engine for ``problem``, or ``None`` when unsupported/disabled."""
-    if not incremental_enabled():
-        return None
-    if _STATE_BUILDERS.get(getattr(problem, "name", None)) is None:
+    if not incremental_enabled() or getattr(problem, "name", None) != "ppp":
         return None
     return GainEngine(problem, rows_hint)
 

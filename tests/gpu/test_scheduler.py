@@ -268,6 +268,30 @@ class TestDeviceScheduler:
         assert not mixed.all_peer_capable
         assert not mixed.contexts[0].can_access_peer(mixed.contexts[1])
 
+    def test_a_batch_takes_one_copy_per_device(self):
+        """A batch prices its copies as concurrent, while a device records its
+        copies back to back, so two copies for one device are refused."""
+        pool = DeviceScheduler(build_contexts(2))
+        block = np.zeros(1 << 17)  # 1 MiB
+        pool.upload_batch([(0, "a", block), (1, "a", block)])
+        pool.upload_batch([(0, "b", block)])
+
+        def recorded():
+            return [
+                len(stream.intervals)
+                for ctx in pool.contexts
+                for stream in ctx.timeline.streams.values()
+            ]
+
+        before = recorded()
+        with pytest.raises(ValueError, match="upload_batch holds two copies for device gpu0"):
+            pool.upload_batch([(0, "c", block), (1, "c", block), (0, "d", block)])
+        with pytest.raises(ValueError, match="device gpu0; issue .* in separate batches"):
+            pool.download_batch([(0, "a", None), (0, "b", None)])
+        assert recorded() == before  # a refused batch records nothing
+        landed = pool.download_batch([(0, "a", None), (1, "a", None)])
+        assert [data.nbytes for data, _event in landed] == [block.nbytes] * 2
+
     def test_needs_at_least_one_context(self):
         with pytest.raises(ValueError):
             DeviceScheduler([])

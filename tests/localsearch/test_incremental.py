@@ -1,15 +1,17 @@
 """Incremental gain-cache engine under the search loops: bit-identity matrix.
 
 The engine replaces the per-iteration full ``(S, M)`` recompute of the
-lockstep runner with O(affected) maintenance on the problems that keep a
-gain state (PPP 2-Hamming, MaxSAT), but it is pure plumbing: for every
-transfer mode and every lockstep algorithm the trajectories, byte counters
-and launch counts must match the ``REPRO_EVAL_PATH=fast`` recompute exactly
-— including across every invalidation path (restarts, device faults,
-replica migration on rebalance, checkpoint -> restore) — and the fast
-recompute must in turn match ``REPRO_EVAL_PATH=reference`` on every problem,
-in the lockstep runner and in VNS's repeated descents; the single searches
-must follow the plain reference loop of ``tests/conftest.py``.
+lockstep runner with O(affected) maintenance on the one problem that keeps
+a gain state (PPP 2-Hamming), but it is pure plumbing: for every transfer
+mode and every lockstep algorithm the trajectories, byte counters and
+launch counts must match the ``REPRO_EVAL_PATH=fast`` recompute exactly —
+including across every invalidation path (restarts, device faults, replica
+migration on rebalance, checkpoint -> restore) — and the fast recompute
+must in turn match ``REPRO_EVAL_PATH=reference`` on every problem, in the
+lockstep runner and in VNS's repeated descents; the single searches must
+follow the plain reference loop of ``tests/conftest.py``.  MaxSAT keeps no
+gain state: its lockstep runs create no engine and follow the same
+trajectory on all three paths.
 """
 
 import functools
@@ -23,7 +25,14 @@ from repro.core.evaluators import MultiGPUEvaluator
 from repro.localsearch import MultiStartRunner, TabuSearch, VariableNeighborhoodSearch
 from repro.localsearch.multistart import MultiStartRunner as Runner
 from repro.neighborhoods import KHammingNeighborhood
-from repro.problems import LeadingOnes, MaxSat, OneMax, UBQP, generate_random_ksat
+from repro.problems import (
+    LeadingOnes,
+    MaxSat,
+    OneMax,
+    UBQP,
+    create_gain_engine,
+    generate_random_ksat,
+)
 from repro.problems.instances import make_table_instance
 
 MODES = ("full", "delta", "reduced", "persistent")
@@ -37,8 +46,9 @@ PROBLEM_FACTORIES = {
     "2sat": lambda: MaxSat(16, *generate_random_ksat(16, 40, k=2, rng=4)),
     "ubqp": lambda: UBQP.random(16, rng=1),
 }
-#: The problems with a gain state.
-ENGINE_PROBLEMS = ("maxsat", "2sat", "ppp")
+#: The problem with a gain state, and the MaxSAT instances that have none.
+ENGINE_PROBLEMS = ("ppp",)
+STATELESS_PROBLEMS = ("maxsat", "2sat")
 
 
 @pytest.fixture
@@ -80,12 +90,12 @@ def lockstep_signature(problem, mode, algorithm, *, order=2):
 
 class TestLockstepMatrix:
     """4 transfer modes x 3 algorithms, across the three ``REPRO_EVAL_PATH``
-    values: incremental == fast on the engine's problems, fast == reference
-    on all five."""
+    values: incremental == fast on PPP and MaxSAT (an engine is created
+    for the PPP only), fast == reference on all five."""
 
-    @pytest.mark.parametrize("name", ENGINE_PROBLEMS)
+    @pytest.mark.parametrize("name", ENGINE_PROBLEMS + STATELESS_PROBLEMS)
     @pytest.mark.parametrize("mode", MODES)
-    def test_engine_matches_recompute(self, name, mode, monkeypatch):
+    def test_engine_matches_recompute(self, name, mode, engines, monkeypatch):
         problem = PROBLEM_FACTORIES[name]()
         for algorithm in ALGORITHMS:
             monkeypatch.delenv("REPRO_EVAL_PATH", raising=False)
@@ -93,6 +103,7 @@ class TestLockstepMatrix:
             monkeypatch.setenv("REPRO_EVAL_PATH", "fast")
             without = lockstep_signature(problem, mode, algorithm)
             assert with_engine == without, f"{name}/{mode}/{algorithm} diverged"
+        assert bool(engines) == (name in ENGINE_PROBLEMS)
 
     @pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
     @pytest.mark.parametrize("mode", MODES)
@@ -161,6 +172,47 @@ class TestLockstepMatrix:
         assert stats["reinit_rows"] == len(SEEDS), stats
         monkeypatch.setenv("REPRO_EVAL_PATH", "fast")
         assert run()[0] == with_engine
+
+
+def tabu_pool_signature(name, devices, order):
+    """Tabu on a fresh problem (the path is read at build), 4 rows, 12 steps,
+    on one GPU or on a pool that rebalances and loses and regains a device."""
+    problem = PROBLEM_FACTORIES[name]()
+    neighborhood = KHammingNeighborhood(problem.n, order)
+    if devices == 1:
+        evaluator, options, plan = GPUEvaluator(problem, neighborhood), {}, None
+    else:
+        evaluator = MultiGPUEvaluator(problem, neighborhood, devices=devices)
+        options, plan = {"rebalance_every": 2}, "fail:1@3,join:1@6"
+    with evaluator:
+        result = MultiStartRunner(
+            evaluator,
+            max_iterations=12,
+            transfer_mode="delta",
+            target_fitness=float("-inf"),
+            **options,
+        ).run(seeds=SEEDS, fault_plan=plan)
+        return {
+            "best": [r.best_fitness for r in result],
+            "iterations": [r.iterations for r in result],
+            "solutions": [r.best_solution.tobytes() for r in result],
+            "simulated_time": evaluator.stats.simulated_time,
+        }
+
+
+@pytest.mark.parametrize("name", STATELESS_PROBLEMS)
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("devices", [1, 2])
+def test_maxsat_runs_without_an_engine(name, order, devices, engines, monkeypatch):
+    """MaxSAT keeps no gain state: a multi-row tabu run (3-SAT and 2-SAT, one
+    GPU or a pool) creates no engine and follows the same trajectory on all
+    three evaluation paths."""
+    runs = {}
+    for path in ("incremental", "fast", "reference"):
+        monkeypatch.setenv("REPRO_EVAL_PATH", path)
+        runs[path] = tabu_pool_signature(name, devices, order)
+    assert not engines
+    assert runs["incremental"] == runs["fast"] == runs["reference"]
 
 
 def cpu_lockstep_signature(evaluator_cls):
@@ -262,14 +314,15 @@ class TestScalarIdentity:
         monkeypatch.setenv("REPRO_EVAL_PATH", "reference")
         assert vns_signature(name, evaluator_cls, order) == default
 
-    @pytest.mark.parametrize("name", ["maxsat", "2sat"])
+    @pytest.mark.parametrize("name", STATELESS_PROBLEMS)
     @pytest.mark.parametrize("order", [1, 2])
     def test_frozen_single_row_reaches_the_fast_scorer(self, name, order, monkeypatch):
-        """MaxSAT has no scalar override: an S=1 call on the evaluator's
-        frozen table must reach the batch fast scorer, whatever the clause
-        width."""
+        """MaxSAT has no scalar override and no gain state: an S=1 call on
+        the evaluator's frozen table must reach the batch fast scorer,
+        whatever the clause width, and no engine is ever created for it."""
         monkeypatch.delenv("REPRO_EVAL_PATH", raising=False)
         problem = PROBLEM_FACTORIES[name]()
+        assert create_gain_engine(problem) is None
         scorer = problem._fast()
         calls = []
         real_evaluate = scorer.evaluate

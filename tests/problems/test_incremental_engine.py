@@ -2,10 +2,10 @@
 
 The engine's contract (:mod:`repro.problems.incremental`): served
 evaluations are bit-identical to the full recompute, anything outside the
-compiled model declines to the reference chain, and rows whose mirror
-diverges from the actual solutions (restarts, kicks, migration, restores —
-any out-of-band mutation) are silently re-derived.  These tests drive the
-engine directly, without a search loop on top.
+compiled model (PPP 2-Hamming) declines to the reference chain, and rows
+whose mirror diverges from the actual solutions (restarts, kicks,
+migration, restores — any out-of-band mutation) are silently re-derived.
+These tests drive the engine directly, without a search loop on top.
 """
 
 import gc
@@ -37,11 +37,10 @@ from repro.problems.incremental import (
 )
 from repro.problems.instances import make_table_instance
 
-#: The problems with a gain state.
-PROBLEM_FACTORIES = {
-    "ppp": lambda: make_table_instance((25, 25), trial=0),
-    "maxsat": lambda: MaxSat(24, *generate_random_ksat(24, 100, k=3, rng=2)),
-}
+
+def ppp_problem():
+    """The one problem with a gain state."""
+    return make_table_instance((25, 25), trial=0)
 
 
 def frozen_moves(n: int, order: int) -> np.ndarray:
@@ -64,35 +63,38 @@ def random_block(problem, rng, rows):
     return np.stack([problem.random_solution(rng) for _ in range(rows)])
 
 
-@pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
-@pytest.mark.parametrize("order", [1, 2])
-def test_randomized_commits_stay_bit_identical(name, order):
+def test_one_flip_tables_decline():
+    """The PPP state is pair-flip only: a 1-Hamming table declines for good,
+    and the engine serves nothing."""
+    problem = ppp_problem()
+    moves = frozen_moves(problem.n, 1)
+    solutions = random_block(problem, np.random.default_rng(20260808), 3)
+    engine = GainEngine(problem, rows_hint=3)
+    for _ in range(2):
+        engine.expect(np.arange(3, dtype=np.int64))
+        assert engine.try_evaluate(solutions, moves, None) is None
+    assert engine.stats["evals"] == 0 and engine._state is None
+
+
+def test_randomized_commits_stay_bit_identical():
     """25 iterations of expect/evaluate/commit match the recompute exactly,
     including rows perturbed behind the engine's back (self-heal)."""
-    problem = PROBLEM_FACTORIES[name]()
-    moves = frozen_moves(problem.n, order)
+    problem = ppp_problem()
+    moves = frozen_moves(problem.n, 2)
     rng = np.random.default_rng(20260808)
     rows = 6
     solutions = random_block(problem, rng, rows)
     engine = GainEngine(problem, rows_hint=rows)
     all_rows = np.arange(rows, dtype=np.int64)
 
-    served_any = False
     for step in range(25):
         engine.expect(all_rows)
         got = engine.try_evaluate(solutions, moves, None)
-        want = reference(problem, solutions, moves)
-        if got is None:
-            # Outside the model (e.g. the PPP state is pair-flip only):
-            # declining is the contract, nothing to compare.
-            assert not engine.stats["evals"]
-            return
-        served_any = True
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, reference(problem, solutions, moves))
 
-        # Commit one random flip per row, through the engine.
+        # Commit one random pair flip per row, through the engine.
         bits = np.stack(
-            [rng.choice(problem.n, size=order, replace=False) for _ in range(rows)]
+            [rng.choice(problem.n, size=2, replace=False) for _ in range(rows)]
         ).astype(np.int64)
         engine.commit(all_rows, bits)
         solutions[all_rows[:, None], bits] ^= 1
@@ -102,7 +104,7 @@ def test_randomized_commits_stay_bit_identical(name, order):
             # at the next evaluation and must re-derive that row.
             victim = int(rng.integers(rows))
             solutions[victim] = problem.random_solution(rng)
-    assert served_any
+    assert engine.stats["evals"] == 25
     assert engine.stats["reinit_rows"] > rows  # initial derivation + self-heals
 
 
@@ -186,11 +188,10 @@ def test_engine_runs_without_importing_scipy():
     assert probe["scipy"] == []
 
 
-@pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
-def test_duplicate_bit_commits_self_heal(name):
+def test_duplicate_bit_commits_self_heal():
     """A commit that repeats a bit is outside the state model: the row is
     invalidated and re-derived, and results stay exact."""
-    problem = PROBLEM_FACTORIES[name]()
+    problem = ppp_problem()
     moves = frozen_moves(problem.n, 2)
     rng = np.random.default_rng(7)
     solutions = random_block(problem, rng, 3)
@@ -198,8 +199,7 @@ def test_duplicate_bit_commits_self_heal(name):
     rows = np.arange(3, dtype=np.int64)
 
     engine.expect(rows)
-    if engine.try_evaluate(solutions, moves, None) is None:
-        pytest.skip("problem declines this move table")
+    assert engine.try_evaluate(solutions, moves, None) is not None
     dup = np.array([[1, 1], [2, 5], [4, 4]], dtype=np.int64)
     engine.commit(rows, dup)
     solutions[rows[:, None], dup] ^= 1  # double flips: rows 0 and 2 unchanged
@@ -244,7 +244,7 @@ def test_declines_without_expected_rows_and_on_foreign_tables():
     "path, engine", [("reference", False), ("fast", False), ("incremental", True)]
 )
 def test_kill_switch_disables_engine_creation(monkeypatch, path, engine):
-    problem = PROBLEM_FACTORIES["maxsat"]()
+    problem = ppp_problem()
     monkeypatch.setenv("REPRO_EVAL_PATH", path)
     assert (create_gain_engine(problem) is not None) == engine
     monkeypatch.delenv("REPRO_EVAL_PATH")
@@ -254,12 +254,13 @@ def test_kill_switch_disables_engine_creation(monkeypatch, path, engine):
         name = "alien"
         n = 4
     assert create_gain_engine(Alien()) is None
-    for other in (UBQP.random(8, rng=1), OneMax(8)):
+    maxsat = MaxSat(24, *generate_random_ksat(24, 100, k=3, rng=2))
+    for other in (UBQP.random(8, rng=1), OneMax(8), maxsat):
         assert create_gain_engine(other) is None
 
 
 def test_attach_helpers_nest_and_restore():
-    problem = PROBLEM_FACTORIES["maxsat"]()
+    problem = ppp_problem()
     outer = create_gain_engine(problem)
     prev = attach_gain_engine(problem, outer)
     assert prev is None and problem._gain_engine is outer
@@ -272,11 +273,10 @@ def test_attach_helpers_nest_and_restore():
     assert problem._gain_engine is None
 
 
-@pytest.mark.parametrize("name", ["ppp", "maxsat"])
-def test_pickling_strips_engine_and_fast_scorer(name):
+def test_pickling_strips_engine_and_fast_scorer():
     """Pickled problems leave process-local state behind and still score
     bit-identically on the other side."""
-    problem = PROBLEM_FACTORIES[name]()
+    problem = ppp_problem()
     moves = frozen_moves(problem.n, 2)
     rng = np.random.default_rng(11)
     solutions = random_block(problem, rng, 3)
@@ -295,8 +295,8 @@ def test_pickling_strips_engine_and_fast_scorer(name):
 
 def test_debug_check_mode_verifies_served_results(monkeypatch):
     monkeypatch.setenv("REPRO_INCREMENTAL_CHECK", "1")
-    problem = PROBLEM_FACTORIES["maxsat"]()
-    moves = frozen_moves(problem.n, 1)
+    problem = ppp_problem()
+    moves = frozen_moves(problem.n, 2)
     rng = np.random.default_rng(13)
     solutions = random_block(problem, rng, 2)
     engine = GainEngine(problem, rows_hint=2)
@@ -304,7 +304,7 @@ def test_debug_check_mode_verifies_served_results(monkeypatch):
     for _ in range(4):
         engine.expect(rows)
         assert engine.try_evaluate(solutions, moves, None) is not None
-        bits = rng.integers(0, problem.n, size=(2, 1)).astype(np.int64)
+        bits = np.stack([rng.choice(problem.n, size=2, replace=False) for _ in rows])
         engine.commit(rows, bits)
         solutions[rows[:, None], bits] ^= 1
     assert engine.stats["checks"] == 4
@@ -314,7 +314,7 @@ def test_debug_check_mode_verifies_served_results(monkeypatch):
 def test_debug_check_period_rejects_junk(monkeypatch, raw):
     monkeypatch.setenv("REPRO_INCREMENTAL_CHECK", raw)
     with pytest.raises(ValueError, match="REPRO_INCREMENTAL_CHECK"):
-        GainEngine(PROBLEM_FACTORIES["maxsat"](), rows_hint=1)
+        GainEngine(ppp_problem(), rows_hint=1)
 
 
 @pytest.mark.parametrize("raw, period", [(None, 0), ("0", 0), ("3", 3)])
