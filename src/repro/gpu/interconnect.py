@@ -53,7 +53,6 @@ from typing import Sequence
 
 from .device import DeviceSpec
 from .memory import HostMemoryKind
-from .streams import Timeline
 
 __all__ = [
     "Link",
@@ -64,7 +63,6 @@ __all__ = [
     "TransferEngine",
     "TOPOLOGY_PRESETS",
     "resolve_topology",
-    "format_interconnect",
 ]
 
 #: Directions a transfer can take over the fabric.
@@ -89,8 +87,8 @@ class Link:
     latency: float = 0.0
     #: Full duplex: the two directions own independent capacity.
     duplex: bool = True
-    #: Shared fabric (host uplink, switch): reported in the interconnect
-    #: summary and rendered as its own lane in timeline reports.
+    #: Shared fabric (host uplink, switch), tagged as such by ``python -m
+    #: repro devices --topology``.
     shared: bool = False
     #: Rate ceiling for a single pageable-host crossing (bounce-buffer
     #: staging); ``None`` means the full link bandwidth.
@@ -226,9 +224,6 @@ class InterconnectTopology:
 
     def has_peer_route(self, src: str, dst: str) -> bool:
         return self.peer_route(src, dst) is not None
-
-    def shared_links(self) -> list[Link]:
-        return [link for link in self.links.values() if link.shared]
 
     # ------------------------------------------------------------------
     # Preset builders (derive every link from the device specs)
@@ -451,7 +446,6 @@ class TransferRequest:
     start: float = 0.0
     #: Destination device for ``direction="p2p"``.
     peer: str | None = None
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -464,8 +458,6 @@ class TransferGrant:
     duration: float
     #: What the same copy would cost alone on its route (the legacy price).
     dedicated: float
-    #: Links crossed, in order.
-    links: tuple[str, ...]
 
     @property
     def end(self) -> float:
@@ -552,15 +544,11 @@ class _Path:
     """A resolved route with its capacity channels, cached per engine.
 
     The engine binds each path to the :class:`_ChannelLoad` of every
-    channel it crosses (:attr:`loads`) and, at its first commit, to the
-    timeline lanes of its shared links (:attr:`lanes`), so pricing a copy
-    looks nothing up.  :meth:`TransferEngine.restore` rebinds them.
+    channel it crosses (:attr:`loads`), so pricing a copy looks nothing up.
+    :meth:`TransferEngine.restore` rebinds them.
     """
 
-    __slots__ = (
-        "route", "channels", "links", "rate", "device", "direction", "kind", "label",
-        "loads", "lanes",
-    )
+    __slots__ = ("route", "channels", "rate", "device", "direction", "kind", "loads")
 
     def __init__(self, route: Route, device: str, direction: str, kind) -> None:
         self.route = route
@@ -568,7 +556,6 @@ class _Path:
         self.channels = tuple(
             ((link.name, link.channel(direction)), link) for link in route.links
         )
-        self.links = tuple(link.name for link in route.links)
         #: The rate of a copy alone on every channel of the path: its cap,
         #: bounded by each link's full capacity (``bandwidth / 1``).
         self.rate = min([route.rate_cap, *(link.bandwidth for link in route.links)])
@@ -576,12 +563,8 @@ class _Path:
         self.direction = direction
         #: Host-memory kind of a host copy (``None`` for a peer copy).
         self.kind = kind
-        #: Lane label of a copy committed without one.
-        self.label = f"{device}:{direction}"
         #: ``(channel key, load, link bandwidth)`` per channel, in path order.
         self.loads: tuple = ()
-        #: The engine timeline's stream per shared link (``None``: unbound).
-        self.lanes: list | None = None
 
 
 class _PricingItem:
@@ -608,9 +591,12 @@ class TransferEngine:
     the copy's stream-resolved start time and its resolved :class:`_Path`)
     and then accounts the copy and places it on its own stream timelines,
     so the contention model composes with the existing event/stream
-    machinery instead of replacing it.  :meth:`transfer`,
-    :meth:`peer_transfer` and :meth:`transfer_batch` are the grant-returning
-    forms; the pool's concurrent fan-outs arbitrate through the last.
+    machinery instead of replacing it.  Those device streams are the one
+    record of each copy: the engine keeps only the per-channel loads that
+    pricing reads, summed by :meth:`link_bytes`, :meth:`link_busy` and
+    :meth:`uplink_busy`.  :meth:`transfer`, :meth:`peer_transfer` and
+    :meth:`transfer_batch` are the grant-returning forms; the pool's
+    concurrent fan-outs arbitrate through the last.
     """
 
     def __init__(self, topology: InterconnectTopology) -> None:
@@ -622,9 +608,6 @@ class TransferEngine:
         self._channels: dict[tuple[str, str], _ChannelLoad] = {}
         #: Resolved paths per ``(direction, device, peer, kind)``.
         self._paths: dict[tuple, _Path] = {}
-        #: Interconnect lanes: one stream per *shared* link, fed with the
-        #: grant windows of every transfer crossing it (for timeline reports).
-        self.timeline = Timeline()
         self.total_stall = 0.0
         self.stall_by_device: dict[str, float] = {}
         self.transfers = 0
@@ -650,7 +633,7 @@ class TransferEngine:
         return path
 
     def _bind(self, path: _Path) -> None:
-        """Point ``path`` at the engine's channel loads; its lanes bind at first commit."""
+        """Point ``path`` at the engine's channel loads."""
         channels = self._channels
         loads = []
         for key, link in path.channels:
@@ -659,7 +642,6 @@ class TransferEngine:
                 load = channels[key] = _ChannelLoad()
             loads.append((key, load, link.bandwidth))
         path.loads = tuple(loads)
-        path.lanes = None
 
     def _route(self, device: str, direction: str, peer: str | None, kind) -> Route:
         if direction == P2P:
@@ -726,7 +708,6 @@ class TransferEngine:
         *,
         kind: HostMemoryKind | None = HostMemoryKind.PAGEABLE,
         start: float = 0.0,
-        label: str = "",
     ) -> TransferGrant:
         """Price and commit one host<->device copy."""
         return self.transfer_batch(
@@ -737,13 +718,12 @@ class TransferEngine:
                     nbytes=nbytes,
                     kind=kind,
                     start=start,
-                    label=label,
                 )
             ]
         )[0]
 
     def peer_transfer(
-        self, src: str, dst: str, nbytes: float, *, start: float = 0.0, label: str = ""
+        self, src: str, dst: str, nbytes: float, *, start: float = 0.0
     ) -> TransferGrant:
         """Price and commit one device->device copy over the peer fabric."""
         return self.transfer_batch(
@@ -755,7 +735,6 @@ class TransferEngine:
                     kind=None,
                     start=start,
                     peer=dst,
-                    label=label,
                 )
             ]
         )[0]
@@ -795,13 +774,12 @@ class TransferEngine:
                 start=request.start,
                 duration=duration,
                 dedicated=dedicated,
-                links=path.links,
             )
-            self._commit(path, request.nbytes, request.label, grant.start, grant.end, grant.stall)
+            self._commit(path, request.nbytes, grant.start, grant.end, grant.stall)
             grants.append(grant)
         return grants
 
-    def _price(self, path: _Path, nbytes: int, start: float, label: str = "") -> float:
+    def _price(self, path: _Path, nbytes: int, start: float) -> float:
         """Price and commit one copy of ``nbytes`` on ``path`` from ``start``; its duration.
 
         Priced alone against everything committed before it, exactly as a
@@ -817,7 +795,7 @@ class TransferEngine:
             duration = base + route.latency
             dedicated = route.latency + float(nbytes) / route.rate_cap
         stall = duration - dedicated
-        self._commit(path, nbytes, label, start, start + duration, stall if stall > 0.0 else 0.0)
+        self._commit(path, nbytes, start, start + duration, stall if stall > 0.0 else 0.0)
         return duration
 
     def _walk(self, path: _Path, remaining: float, t: float) -> float:
@@ -946,9 +924,7 @@ class TransferEngine:
                 item.remaining = 0.0
                 item.finished = True
 
-    def _commit(
-        self, path: _Path, nbytes: float, label: str, start: float, end: float, stall: float,
-    ) -> None:
+    def _commit(self, path: _Path, nbytes: float, start: float, end: float, stall: float) -> None:
         self.transfers += 1
         self.total_stall += stall
         device = path.device
@@ -958,15 +934,6 @@ class TransferEngine:
             if not load.transfers:
                 self._loads[key] = load
             load.commit(start, end, nbytes)
-        lanes = path.lanes
-        if lanes is None:
-            lanes = path.lanes = [
-                self.timeline.stream(link.name) for _key, link in path.channels if link.shared
-            ]
-        for stream in lanes:
-            stream.append_interval(path.direction, label or path.label, start, end)
-            if end > stream.cursor:
-                stream.cursor = end
 
     # ------------------------------------------------------------------
     # Accounting
@@ -1032,7 +999,6 @@ class TransferEngine:
             "pending_faults": [list(pair) for pair in self._pending_faults],
             "retried_transfers": self.retried_transfers,
             "retry_time": self.retry_time,
-            "timeline": self.timeline.snapshot(),
         }
 
     def restore(self, snap: dict) -> None:
@@ -1061,31 +1027,10 @@ class TransferEngine:
         ]
         self.retried_transfers = int(snap["retried_transfers"])
         self.retry_time = float(snap["retry_time"])
-        self.timeline.restore(snap["timeline"])
-        # The restored loads and lanes are new objects: rebind every path.
+        # The restored loads are new objects: rebind every path.
         self._channels = dict(self._loads)
         for path in self._paths.values():
             self._bind(path)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TransferEngine(topology={self.topology.name!r}, transfers={self.transfers})"
-
-
-def format_interconnect(engine: TransferEngine) -> str:
-    """Per-link traffic summary (the interconnect section of timeline reports)."""
-    lines = [f"interconnect: topology {engine.topology.name}"]
-    for name in sorted(engine.topology.links):
-        link = engine.topology.links[name]
-        transfers = engine.link_transfers(name)
-        if not transfers:
-            continue
-        shared = " (shared)" if link.shared else ""
-        lines.append(
-            f"  link {name:<18}{shared:<9} {transfers:>6d} transfers, "
-            f"{engine.link_bytes(name):>12.0f} B, busy {engine.link_busy(name) * 1e3:.4f}ms"
-        )
-    lines.append(
-        f"  contention stall {engine.total_stall * 1e3:.4f}ms over "
-        f"{engine.transfers} transfers"
-    )
-    return "\n".join(lines)

@@ -11,17 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .interconnect import TransferEngine, format_interconnect
 from .runtime import DeviceStats, GPUContext
-from .scheduler import DeviceScheduler, merge_timelines
-from .streams import Timeline, format_timeline
 
 __all__ = [
     "KernelProfile",
     "ProfileReport",
     "profile",
     "format_profile",
-    "timeline_report",
 ]
 
 
@@ -144,47 +140,3 @@ def format_profile(report: ProfileReport) -> str:
         f"({report.h2d_bytes} B up, {report.d2h_bytes} B down)"
     )
     return "\n".join(lines)
-
-
-def timeline_report(
-    source: GPUContext | Timeline | DeviceScheduler | TransferEngine | list[GPUContext],
-    *,
-    limit: int | None = 40,
-) -> str:
-    """Per-stream interval view of recorded device activity.
-
-    Complements the per-kernel summary of :func:`format_profile` with the
-    *when* of each operation: which stream it ran on, what it waited for and
-    how much transfer time hid under concurrent kernel execution.  Passing a
-    :class:`~repro.gpu.scheduler.DeviceScheduler` (or a list of contexts)
-    merges every device's streams — plus the host timeline — into one
-    cross-device view whose makespan is the pool-level elapsed time.
-
-    When the source carries an interconnect engine (a scheduler over one
-    shared fabric, or the engine itself), the report gains an
-    ``interconnect`` section: the shared host-uplink/switch lanes appear as
-    their own timeline rows and a per-link traffic summary (bytes carried,
-    busy time, contention stalls) is appended.
-    """
-    engine: TransferEngine | None = None
-    if isinstance(source, DeviceScheduler):
-        timeline = source.merged_timeline()
-        if source.engine.topology.shared_links():
-            engine = source.engine
-    elif isinstance(source, TransferEngine):
-        timeline = merge_timelines({"interconnect": source.timeline})
-        engine = source
-    elif isinstance(source, GPUContext):
-        timeline = source.timeline
-        if source.engine.topology.shared_links():
-            engine = source.engine
-    elif isinstance(source, Timeline):
-        timeline = source
-    else:
-        timeline = merge_timelines(
-            {f"gpu{i}": ctx.timeline for i, ctx in enumerate(source)}
-        )
-    report = format_timeline(timeline, limit=limit)
-    if engine is not None and engine.transfers:
-        report = f"{report}\n{format_interconnect(engine)}"
-    return report

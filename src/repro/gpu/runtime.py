@@ -288,9 +288,7 @@ class DeviceLoop:
         """Account the host draining ``nbytes`` of the per-iteration result ring."""
         self._check_open()
         context = self.context
-        duration = context._host_copy(
-            context._path(D2H), int(nbytes), self._ring_cursor, f"ring[{self.kernel.name}]"
-        )
+        duration = context._host_copy(context._path(D2H), int(nbytes), self._ring_cursor)
         self._ring_cursor += duration
         self._ring_time += duration
         self._ring_bytes += int(nbytes)
@@ -300,9 +298,7 @@ class DeviceLoop:
         """Account the host writing ``nbytes`` of early-stop/control flags."""
         self._check_open()
         context = self.context
-        duration = context._host_copy(
-            context._path(H2D), int(nbytes), self._control_cursor, f"flags[{self.kernel.name}]"
-        )
+        duration = context._host_copy(context._path(H2D), int(nbytes), self._control_cursor)
         self._control_cursor += duration
         self._control_time += duration
         self._control_bytes += int(nbytes)
@@ -453,7 +449,7 @@ class GPUContext:
         path: _Path,
         nbytes: int,
         start: float,
-        label: str,
+        label: str = "",
         stream: Stream | None = None,
         duration: float | None = None,
     ) -> float:
@@ -463,12 +459,12 @@ class GPUContext:
         :meth:`_path`) and is priced there by the pool's engine, unless a
         batch arbitration already priced it as ``duration``.  It counts into
         :attr:`stats`, is staged through :attr:`staging_pool` when it moves
-        pinned memory, and is recorded on ``stream`` — which must not run
-        past ``start`` — unless ``stream`` is ``None`` (a persistent loop
-        records its ring traffic itself).
+        pinned memory, and is recorded as ``label`` on ``stream`` — which
+        must not run past ``start`` — unless ``stream`` is ``None`` (a
+        persistent loop records its ring traffic itself).
         """
         if duration is None:
-            duration = self.engine._price(path, nbytes, start, label)
+            duration = self.engine._price(path, nbytes, start)
         stats = self.stats
         stats.transfer_time += duration
         if path.direction == H2D:
@@ -499,7 +495,7 @@ class GPUContext:
         ``theirs`` on the peer) from ``start``; its bytes count only in this
         device's ``p2p_bytes`` — no host round trip takes place.
         """
-        duration = self.engine._price(path, nbytes, start, label)
+        duration = self.engine._price(path, nbytes, start)
         stats = self.stats
         stats.p2p_bytes += nbytes
         stats.peer_transfers += 1

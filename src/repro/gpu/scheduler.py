@@ -12,10 +12,7 @@ operation on device 1 (or on the host) directly — that is how peer-routed
 delta packets and host gathers serialize without a global barrier.
 
 The pool-level elapsed time is the **cross-device makespan**: the latest
-completion over every device timeline and the host timeline.  The
-**serialized sum** — what the same work would cost if the devices ran one
-after another — is the sum of per-timeline busy times; their difference is
-the overlap the concurrent issue bought.
+completion over every device timeline and the host timeline.
 """
 
 from __future__ import annotations
@@ -47,32 +44,11 @@ __all__ = [
     "HOST_TIMELINE_STREAM",
     "ResidentStepPlan",
     "ResidentStepTimes",
-    "merge_timelines",
 ]
 
 #: Stream name used for host-side operations (gathers, scatter bookkeeping)
 #: on the scheduler's host timeline.
 HOST_TIMELINE_STREAM = "host"
-
-
-def merge_timelines(
-    timelines: dict[str, Timeline],
-) -> Timeline:
-    """Merge several timelines into one view with prefixed stream names.
-
-    Streams of the timeline registered under prefix ``"gpu0"`` appear as
-    ``"gpu0:compute"``, ``"gpu0:h2d"``, ... in the merged view, so
-    :func:`~repro.gpu.streams.format_timeline` renders a single
-    cross-device report whose makespan is the pool-level elapsed time.
-    """
-    merged = Timeline()
-    for prefix, timeline in timelines.items():
-        for name, stream in timeline.streams.items():
-            label = f"{prefix}:{name}"
-            view = Stream(name=label, cursor=stream.cursor)
-            view.copy_records_from(stream)
-            merged.streams[label] = view
-    return merged
 
 
 @dataclass
@@ -272,7 +248,6 @@ class DeviceScheduler:
                     nbytes=int(host_array.nbytes),
                     kind=kind,
                     start=start,
-                    label=name,
                 )
             )
         grants = self.engine.transfer_batch(requests)
@@ -319,7 +294,6 @@ class DeviceScheduler:
                     nbytes=nbytes,
                     kind=kind,
                     start=start,
-                    label=name,
                 )
             )
         grants = self.engine.transfer_batch(requests)
@@ -524,37 +498,6 @@ class DeviceScheduler:
         ]
         cursors.append(0.0)
         return max(cursors)
-
-    @property
-    def serialized_sum(self) -> float:
-        """What the recorded work would cost run one device after another."""
-        return (
-            sum(ctx.timeline.busy_time for ctx in self.contexts)
-            + self.host_timeline.busy_time
-        )
-
-    @property
-    def overlap_saved(self) -> float:
-        """Simulated time hidden by concurrent cross-device execution."""
-        return max(0.0, self.serialized_sum - self.makespan)
-
-    # ------------------------------------------------------------------
-    def merged_timeline(self) -> Timeline:
-        """All device timelines plus the host one, as a single prefixed view.
-
-        When the pool shares a transfer engine whose topology has shared
-        links (a host uplink, a switch fabric), each populated link appears
-        as its own ``interconnect:<link>`` lane, so the report shows *when*
-        the root complex was busy next to the per-device streams.
-        """
-        timelines: dict[str, Timeline] = {
-            f"gpu{i}": ctx.timeline for i, ctx in enumerate(self.contexts)
-        }
-        if self.host_timeline.streams:
-            timelines["host"] = self.host_timeline
-        if self.engine.timeline.streams:
-            timelines["interconnect"] = self.engine.timeline
-        return merge_timelines(timelines)
 
     def __repr__(self) -> str:  # pragma: no cover
         names = ", ".join(ctx.device.name for ctx in self.contexts)

@@ -30,7 +30,6 @@ __all__ = [
     "COMPUTE_STREAM",
     "DOWNLOAD_STREAM",
     "P2P_STREAM",
-    "format_timeline",
 ]
 
 #: Name of the null stream used by the synchronous API.
@@ -78,7 +77,7 @@ class Stream:
     a running busy-time accumulator: the hot loop appends thousands of
     operations per run, and materializing a :class:`StreamInterval` object
     per operation dominated the accounting cost.  The object view is built
-    lazily through the :attr:`intervals` property only when a report asks.
+    lazily through the :attr:`intervals` property, on demand.
     """
 
     __slots__ = ("name", "cursor", "_kinds", "_names", "_starts", "_ends", "_busy")
@@ -96,7 +95,7 @@ class Stream:
         """Record one operation without materializing an interval object.
 
         Does not touch :attr:`cursor` — callers that manage their own stream
-        clock (the interconnect's arbitrated transfers) update it themselves.
+        clock (engine-priced copies, resident-step pricing) update it themselves.
         """
         self._kinds.append(kind)
         self._names.append(name)
@@ -147,25 +146,15 @@ class Stream:
             )
         ]
 
-    def copy_records_from(self, other: "Stream") -> None:
-        """Append every record of ``other`` — column copies, no objects."""
-        self._kinds += other._kinds
-        self._names += other._names
-        self._starts += other._starts
-        self._ends += other._ends
-        # Accumulate per-operation (not += other._busy): keeps the float sum
-        # grouped exactly like a fresh sum over the concatenated records.
-        for start, end in zip(other._starts, other._ends):
-            self._busy += end - start
-
     # -- checkpointing ---------------------------------------------------
     def snapshot(self) -> dict:
         """Checkpointable accounting state: cursor + busy accumulator.
 
-        The per-operation interval *records* are report-only and deliberately
-        dropped: future operations on a restored stream are scheduled and
-        accumulated bit-identically (that is the checkpoint guarantee), while
-        pre-checkpoint rows simply no longer show up in timeline reports.
+        The per-operation interval *records* are deliberately dropped: no
+        pricing decision reads them, and future operations on a restored
+        stream are scheduled and accumulated bit-identically (that is the
+        checkpoint guarantee); pre-checkpoint rows simply no longer show up
+        in :attr:`intervals`.
         """
         return {"cursor": self.cursor, "busy": self._busy, "ops": self.num_intervals}
 
@@ -264,33 +253,3 @@ class Timeline:
         self.version += 1
         for name, stream_state in state.items():
             self.stream(name).restore(stream_state)
-
-
-def format_timeline(timeline: Timeline, *, limit: int | None = None) -> str:
-    """Render the per-stream interval records as a fixed-width report.
-
-    One row per operation in start order, followed by a per-stream busy
-    summary and the makespan/overlap totals — the simulator's answer to
-    ``nvvp``'s timeline view.
-    """
-    records = timeline.intervals()
-    shown = records if limit is None else records[:limit]
-    lines = [f"{'start':>12} {'end':>12} {'stream':<10} {'kind':<7} name"]
-    for interval in shown:
-        lines.append(
-            f"{interval.start * 1e3:>10.4f}ms {interval.end * 1e3:>10.4f}ms "
-            f"{interval.stream:<10} {interval.kind:<7} {interval.name}"
-        )
-    if limit is not None and len(records) > limit:
-        lines.append(f"  ... ({len(records) - limit} more intervals)")
-    for name in sorted(timeline.streams):
-        stream = timeline.streams[name]
-        lines.append(
-            f"stream {name:<10} {stream.num_intervals:>6d} ops, "
-            f"busy {stream.busy_time * 1e3:.4f}ms, idle until {stream.cursor * 1e3:.4f}ms"
-        )
-    lines.append(
-        f"makespan {timeline.elapsed * 1e3:.4f}ms, serial sum {timeline.busy_time * 1e3:.4f}ms, "
-        f"overlap saved {timeline.overlap_saved * 1e3:.4f}ms"
-    )
-    return "\n".join(lines)

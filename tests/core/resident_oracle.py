@@ -12,8 +12,8 @@ tenants attach, suspend, resume and detach.  A cell records:
 - every :class:`~repro.gpu.runtime.DeviceStats` field of every device;
 - bytes, transactions and busy time of every interconnect link, the
   engine's total and per-device contention stall and its retry tallies;
-- a digest of every stream's interval columns: each device's streams, the
-  interconnect lanes and the host timeline.  A ``full`` cell digests the
+- a digest of every stream's interval columns: each device's streams and
+  the host timeline.  A ``full`` cell digests the
   ``(kind, start, end)`` columns of all of a timeline's streams together,
   so the digest does not depend on which stream or label an operation
   lands on;
@@ -192,7 +192,6 @@ def _counters(contexts, engine, host_timeline, *, merged: bool = False) -> dict:
                 for index, context in enumerate(contexts)
                 for key, value in digests(f"gpu{index}", context.timeline).items()
             },
-            **digests("interconnect", engine.timeline),
             **({} if host_timeline is None else digests("host", host_timeline)),
         },
     }

@@ -32,9 +32,7 @@ from repro.gpu import (
     TransferEngine,
     TransferRequest,
     build_contexts,
-    format_interconnect,
     resolve_topology,
-    timeline_report,
 )
 from repro.gpu.interconnect import _PricingItem
 from repro.gpu.timing import GPUTimingModel
@@ -294,11 +292,11 @@ def _lone(engine, request):
     if request.direction == "p2p":
         return engine.peer_transfer(
             request.device, request.peer, request.nbytes,
-            start=request.start, label=request.label,
+            start=request.start,
         )
     return engine.transfer(
         request.device, request.direction, request.nbytes,
-        kind=request.kind, start=request.start, label=request.label,
+        kind=request.kind, start=request.start,
     )
 
 
@@ -328,14 +326,12 @@ class TestContextPricingMatchesGrants:
             if index and rng.random() < 0.3:
                 # Stream order: queue behind an earlier copy.
                 start = max(start, ends[int(rng.integers(index))])
-            duration = priced._price(
-                priced._path(device, direction, peer, kind), nbytes, start, f"copy{index}"
-            )
+            duration = priced._price(priced._path(device, direction, peer, kind), nbytes, start)
             grant = _lone(
                 granted,
                 TransferRequest(
                     device=device, direction=direction, nbytes=nbytes, kind=kind,
-                    start=start, peer=peer, label=f"copy{index}",
+                    start=start, peer=peer,
                 ),
             )
             assert (start, duration) == (grant.start, grant.duration)
@@ -353,17 +349,10 @@ def _arbitrated(engine, request):
         request.direction, request.nbytes, path.route, item.duration
     )
     engine._commit(
-        path, request.nbytes, request.label, request.start, request.start + duration,
+        path, request.nbytes, request.start, request.start + duration,
         max(0.0, duration - dedicated),
     )
     return duration
-
-
-def _lanes(engine):
-    return {
-        name: (stream.cursor, [tuple(vars(i).values()) for i in stream.intervals])
-        for name, stream in engine.timeline.streams.items()
-    }
 
 
 class TestWalkMatchesArbitration:
@@ -376,7 +365,7 @@ class TestWalkMatchesArbitration:
     """
 
     @staticmethod
-    def _copy(data, index, boundaries):
+    def _copy(data, boundaries):
         direction = data.draw(st.sampled_from(["h2d", "d2h", "p2p"]))
         peer = "gpu1" if direction == "p2p" else None
         device = "gpu0" if peer else data.draw(st.sampled_from(["gpu0", "gpu1", "gpu2"]))
@@ -390,7 +379,7 @@ class TestWalkMatchesArbitration:
         )
         return TransferRequest(
             device=device, direction=direction, nbytes=nbytes, kind=kind,
-            start=start, peer=peer, label=f"copy{index}",
+            start=start, peer=peer,
         )
 
     @settings(max_examples=60, deadline=None)
@@ -409,17 +398,17 @@ class TestWalkMatchesArbitration:
             for engine in (walk, batch):
                 engine.inject_transfer_faults(faults, retries=2, backoff=1e-5)
         boundaries = [0.0]
-        for index in range(data.draw(st.integers(1, 12), label="operations")):
+        for _ in range(data.draw(st.integers(1, 12), label="operations")):
             if data.draw(st.booleans(), label="history batch"):
                 requests = [
-                    self._copy(data, index, boundaries)
+                    self._copy(data, boundaries)
                     for _ in range(data.draw(st.integers(2, 4), label="batch size"))
                 ]
                 grants = walk.transfer_batch(requests)
                 assert batch.transfer_batch(requests) == grants
                 boundaries += [t for grant in grants for t in (grant.start, grant.end)]
                 continue
-            request = self._copy(data, index, boundaries)
+            request = self._copy(data, boundaries)
             duration = _lone(walk, request).duration
             assert duration == _arbitrated(batch, request)
             boundaries += [request.start, request.start + duration]
@@ -427,7 +416,6 @@ class TestWalkMatchesArbitration:
         assert (walk.total_stall, walk.stall_by_device) == (
             batch.total_stall, batch.stall_by_device
         )
-        assert _lanes(walk) == _lanes(batch)
 
     def test_copy_ending_just_past_a_boundary(self):
         # A copy that would end 1e-7 (relative) after a committed transfer
@@ -510,7 +498,7 @@ _PRESETS = ["dedicated", "shared", "switched", "nvlink"]
 def _draw_copies(data, count_range=(1, 16)):
     """Copies whose starts run in start order, out of it, or on a boundary."""
     copies, boundaries = [], [0.0]
-    for index in range(data.draw(st.integers(*count_range), label="copies")):
+    for _ in range(data.draw(st.integers(*count_range), label="copies")):
         direction = data.draw(st.sampled_from(["h2d", "d2h", "p2p"]))
         peer = "gpu1" if direction == "p2p" else None
         device = "gpu0" if peer else data.draw(st.sampled_from(["gpu0", "gpu1", "gpu2"]))
@@ -525,7 +513,7 @@ def _draw_copies(data, count_range=(1, 16)):
             start = data.draw(st.floats(0.0, 2e-3))
         else:
             start = data.draw(st.sampled_from(boundaries))
-        copies.append((device, direction, nbytes, kind, start, peer, f"copy{index}"))
+        copies.append((device, direction, nbytes, kind, start, peer))
         boundaries.append(start)
     return copies
 
@@ -536,20 +524,11 @@ def _price(engine, copies):
             engine,
             TransferRequest(
                 device=device, direction=direction, nbytes=nbytes, kind=kind,
-                start=start, peer=peer, label=label,
+                start=start, peer=peer,
             ),
         ).duration
-        for device, direction, nbytes, kind, start, peer, label in copies
+        for device, direction, nbytes, kind, start, peer in copies
     ]
-
-
-def _checkpoint_view(engine):
-    """An engine snapshot without the lane record counts a restore resets."""
-    snap = engine.snapshot()
-    snap["timeline"] = {
-        name: (state["cursor"], state["busy"]) for name, state in snap["timeline"].items()
-    }
-    return snap
 
 
 class TestEngineFastPaths:
@@ -560,7 +539,7 @@ class TestEngineFastPaths:
     def test_fast_paths_match_plain_insort_loads(self, preset, data):
         engine = TransferEngine(resolve_topology(preset, [GTX_280] * 3))
         plain: dict = {}
-        for device, direction, nbytes, kind, start, peer, label in _draw_copies(data):
+        for device, direction, nbytes, kind, start, peer in _draw_copies(data):
             path = engine._path(device, direction, peer, kind)
             loads = [
                 (plain.setdefault(key, _PlainLoad()), link.bandwidth)
@@ -569,7 +548,7 @@ class TestEngineFastPaths:
             expected = _plain_walk(
                 loads, path.rate, path.route.rate_cap, float(nbytes), start
             ) + path.route.latency
-            (duration,) = _price(engine, [(device, direction, nbytes, kind, start, peer, label)])
+            (duration,) = _price(engine, [(device, direction, nbytes, kind, start, peer)])
             assert duration == expected
             for load, _bandwidth in loads:
                 load.commit(start, start + duration)
@@ -592,13 +571,13 @@ class TestEngineFastPaths:
         expected = _price(whole, before + after)
         first = TransferEngine(topology)
         _price(first, before)
-        # Resolve the resumed engine's paths (and lanes) against other loads
+        # Resolve the resumed engine's paths against other loads
         # first: a path still bound to them would price the rest wrongly.
         resumed = TransferEngine(topology)
         _price(resumed, [(*copy[:4], 1e-3 * index, *copy[5:]) for index, copy in enumerate(after)])
         resumed.restore(first.snapshot())
         assert _price(resumed, after) == expected[len(before):]
-        assert _checkpoint_view(resumed) == _checkpoint_view(whole)
+        assert resumed.snapshot() == whole.snapshot()
 
 
 class TestAccounting:
@@ -650,23 +629,6 @@ class TestAccounting:
         assert engine.total_stall > 0.0
         assert set(engine.stall_by_device) == {f"gpu{i}" for i in range(4)}
         assert engine.link_transfers("uplink") == 4
-
-    def test_format_interconnect_lists_busy_links(self):
-        engine = TransferEngine(shared4())
-        engine.transfer("gpu0", "h2d", MIB, label="resident")
-        text = format_interconnect(engine)
-        assert "topology shared" in text
-        assert "uplink" in text and "(shared)" in text
-        assert "contention stall" in text
-
-    def test_timeline_report_renders_uplink_lane(self):
-        pool = DeviceScheduler(build_contexts([GTX_280] * 2, topology="shared"))
-        pool.upload_batch([(0, "a", np.zeros(256)), (1, "b", np.zeros(256))])
-        report = timeline_report(pool)
-        assert "interconnect:uplink" in report
-        assert "contention stall" in report
-        # The engine alone renders the same lanes.
-        assert "interconnect:uplink" in timeline_report(pool.engine)
 
 
 class TestContextIntegration:

@@ -11,8 +11,6 @@ from repro.gpu import (
     GPUContext,
     Stream,
     Timeline,
-    format_timeline,
-    timeline_report,
 )
 from repro.neighborhoods import KHammingNeighborhood
 from repro.problems.instances import make_table_instance
@@ -116,17 +114,6 @@ class TestContextTimeline:
         assert context.stats.reductions == 1
         assert context.stats.reduction_time > 0
         assert context.stats.total_time == pytest.approx(context.stats.reduction_time)
-
-    def test_timeline_report_renders(self):
-        context = GPUContext()
-        context.to_device("a", np.zeros(8, dtype=np.float64))
-        context.copy_async("b", np.zeros(8, dtype=np.int32))
-        report = timeline_report(context)
-        assert "makespan" in report
-        assert COPY_STREAM in report
-        assert timeline_report(context.timeline) == format_timeline(
-            context.timeline, limit=40
-        )
 
     def test_free_evaluator_buffers_matches_owner_segments(self):
         context = GPUContext()
