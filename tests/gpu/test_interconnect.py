@@ -630,6 +630,24 @@ class TestAccounting:
         assert set(engine.stall_by_device) == {f"gpu{i}" for i in range(4)}
         assert engine.link_transfers("uplink") == 4
 
+    def test_lone_copy_counts_on_every_link_it_crosses(self):
+        topology = shared4()
+        engine = TransferEngine(topology)
+        grant = engine.transfer("gpu0", "h2d", MIB)
+        route = topology.host_route("gpu0", HostMemoryKind.PAGEABLE)
+        crossed = {link.name for link in route.links}
+        assert topology.uplink.name in crossed and len(crossed) > 1
+        for name in crossed:
+            assert engine.link_bytes(name) == engine.link_bytes(name, "h2d") == MIB
+            assert engine.link_bytes(name, "d2h") == 0
+            assert engine.link_transfers(name) == 1
+            assert engine.link_busy(name) == grant.duration
+        for key in ("gpu1", "gpu2", "gpu3"):
+            assert engine.link_bytes(f"pcie:{key}") == 0
+            assert engine.link_busy(f"pcie:{key}") == 0.0
+        assert engine.uplink_busy() == grant.duration
+        assert (engine.transfers, engine.total_stall) == (1, 0.0)
+
 
 class TestContextIntegration:
     def test_pool_contexts_share_one_engine(self):

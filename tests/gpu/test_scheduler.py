@@ -238,6 +238,23 @@ class TestDeviceScheduler:
         assert interval.end == pytest.approx(1.0)
         assert scheduler.makespan == pytest.approx(1.0)
 
+    def test_pool_streams_hold_every_copy_and_host_op(self):
+        contexts = build_contexts(2)
+        scheduler = DeviceScheduler(contexts)
+        events = [ctx.copy_async("x", np.zeros(1024)) for ctx in contexts]
+        gather = scheduler.host_timeline.schedule(
+            "gather", "results", 1e-6, stream=HOST_TIMELINE_STREAM,
+            wait_for=events,
+        )
+        for ctx, event in zip(contexts, events):
+            (copy,) = ctx.timeline.intervals()
+            assert (copy.stream, copy.kind, copy.name) == ("h2d", "h2d", "x")
+            assert copy.end == event.time
+        (host,) = scheduler.host_timeline.intervals()
+        assert (host.stream, host.name) == (HOST_TIMELINE_STREAM, "results")
+        assert gather.start == max(event.time for event in events)
+        assert scheduler.makespan == gather.end
+
     def test_route_peer_and_capability(self):
         capable = DeviceScheduler(build_contexts(2))
         assert capable.all_peer_capable

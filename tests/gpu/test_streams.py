@@ -7,6 +7,7 @@ from repro.core import GPUEvaluator
 from repro.gpu import (
     COMPUTE_STREAM,
     COPY_STREAM,
+    DEFAULT_STREAM,
     Event,
     GPUContext,
     Stream,
@@ -107,6 +108,18 @@ class TestContextTimeline:
         # (zero), so it hides entirely under the already-elapsed epoch.
         context.copy_async("b", np.zeros(16, dtype=np.int32))
         assert context.timeline.elapsed == pytest.approx(sync_elapsed)
+
+    def test_copies_are_recorded_under_their_buffer_names(self):
+        context = GPUContext()
+        context.to_device("a", np.zeros(8, dtype=np.float64))
+        context.copy_async("b", np.zeros(8, dtype=np.int32))
+        records = context.timeline.intervals()
+        assert [(i.stream, i.kind, i.name) for i in records] == [
+            (DEFAULT_STREAM, "h2d", "a"),
+            (COPY_STREAM, "h2d", "b"),
+        ]
+        assert context.timeline.num_intervals == 2
+        assert context.timeline.busy_time == pytest.approx(context.stats.transfer_time)
 
     def test_reduce_async_accounted_separately(self):
         context = GPUContext()
